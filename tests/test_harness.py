@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -23,7 +24,7 @@ from hwconsensus import (
 from hwconsensus.errors import NonFiniteValue, ValidationError
 from hwconsensus.harness import batch
 
-from conftest import two_agent_scenario
+from conftest import forced_truncation_scenarios, two_agent_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,58 @@ def test_two_agent_identity_gain_sanity():
     assert np.allclose(u.sum(axis=1), 3.0, atol=0, rtol=0)
     assert res.summary["total_truncations"] == [0, 0]
     assert res.summary["final_spread"] == 0.0
+
+
+# SHA-256 over every log column (name, shape, dtype, raw bytes, NaNs
+# included), recorded before the round loop became one flat kernel; any
+# change to the summation order, the truncation test or the logging layout
+# moves these
+GOLDEN_DIGESTS = {
+    "case1-noisy-stride1": "3776a16e47e56e32d47196151c4f60cdec6bf6979181e42f0ff2aff4499d3bae",
+    "case1-noisy-stride7": "5dd1b3a99a31bfdfbcf026f76879324fafe337eeb6e58027bdb7f70d8527972f",
+    "case1-quiet-stride1": "223bfed77bf14ac5136bfe235f1407c28c2ec5686c4e5c66b9f94f3e9e8f3848",
+    "case1-quiet-stride7": "acea747a8cd8bd4f1f148f8530ab0341dd9b5f53b613fda8efc05d26de609ed4",
+    "case2-noisy-stride1": "723ceb6755c42339105acfcf5203273b3f9ca891a7d3c97561b1adaf1208bbbb",
+    "case2-noisy-stride7": "88ae6d330c429c4def4e3b6a82d164b649a942d2ddd07bbd631813e589af4587",
+    "case2-quiet-stride1": "a5251d0d8024af28d9fc4f06005214d4c1d019692134d7da03aa592e56b60616",
+    "case2-quiet-stride7": "a5ad23ac5fa44fe1a3e8048209f316032b4ded6273251a5ae148ad310fea45aa",
+    "case3-noisy-stride1": "ef1a0571833f971b52bacf42f0a0f8d119100e0080fc4c730905d3a0acda07df",
+    "case3-noisy-stride7": "4480e39fb3feb83a5a2951248c42da9ad613635604ae797405de60b4d835288c",
+    "case3-quiet-stride1": "39b19c1e81513ee4554b5f0ccad064118dadc75649fbf03c9c4178cb454db03e",
+    "case3-quiet-stride7": "07710ffcbff52fe9e199f840ff8d0d3fee0e128dd8f96b3580c4829bc5f80357",
+    "forced-chain": "e6fbeb171fc1a68c14c49f71ea2b5f2e7138d2b1b8f7c2ef9a54249690c4bc71",
+    "forced-square": "3db4990f4c18b9d25a39e2c68c13454341fa1ee103eab5f833dad6679e1e0e6b",
+    "forced-pair": "0d2c03a2405511c16133583a3e79ce438dddabeca328159c1ee3d5db831b8443",
+}
+
+
+def _golden_scenarios():
+    out = {}
+    for case in (1, 2, 3):
+        for noise_off in (False, True):
+            for stride in (1, 7):
+                key = f"case{case}-{'quiet' if noise_off else 'noisy'}-stride{stride}"
+                out[key] = builtin_case(case, horizon=2000, noise_off=noise_off,
+                                        log_stride=stride)
+    out.update((s.label, s) for s in forced_truncation_scenarios())
+    return out
+
+
+def _log_digest(log) -> str:
+    h = hashlib.sha256()
+    for name in ("u", "sigma", "sigma_prime", "u_prime", "y_next", "O_next", "z", "eps"):
+        col = np.ascontiguousarray(getattr(log, name))
+        h.update(f"{name}:{col.shape}:{col.dtype.str}:".encode())
+        h.update(col.tobytes())
+    return h.hexdigest()
+
+
+def test_golden_log_digests():
+    scenarios = _golden_scenarios()
+    assert set(scenarios) == set(GOLDEN_DIGESTS)
+    got = {key: _log_digest(run(s).log) for key, s in scenarios.items()}
+    changed = sorted(key for key in got if got[key] != GOLDEN_DIGESTS[key])
+    assert not changed, f"log digests changed for {changed}"
 
 
 def test_run_rejects_invalid_scenario():
