@@ -24,11 +24,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hwconsensus import load_run  # noqa: E402
-
-
-def geometric_rows(K: int, points: int) -> np.ndarray:
-    ks = np.unique(np.rint(np.geomspace(1, K, num=min(points, K))).astype(int))
-    return ks - 1
+from hwconsensus.analysis import geometric_rows  # noqa: E402
 
 
 def main() -> int:

@@ -29,19 +29,10 @@ from .analysis import (
     truncation_times,
     verify_centralized_recursion,
 )
-from .controller import (
-    ControllerState,
-    Schedule,
-    StepInputs,
-    StepRecord,
-    aggregate_observation,
-    catch_up,
-    pooled_sigma,
-    step_agent,
-    update,
-)
+from .controller import Schedule, advance
 from .errors import (
     BracketFailure,
+    IdentityViolation,
     IncompleteLog,
     NonFiniteValue,
     RootSolverFailure,

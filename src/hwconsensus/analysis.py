@@ -20,6 +20,7 @@ from .controller import Schedule
 from .errors import (
     BracketFailure,
     DimensionMismatch,
+    IdentityViolation,
     IncompleteLog,
     StepNotLogged,
     ValidationError,
@@ -228,8 +229,9 @@ def m_of(k: int, T: float) -> int:
     """Largest m with 1/k + ... + 1/m <= T, by direct compensated summation.
 
     Returns k - 1 when even the first term exceeds T (degenerate window).
-    The exponential sandwich (k-1) e^T - 1 < m < k e^T - 1 is asserted on
-    every call; it holds in the degenerate branch too.
+    The exponential sandwich (k-1) e^T - 1 < m < k e^T - 1 is checked on
+    every call and raises IdentityViolation if it fails; it holds in the
+    degenerate branch too.
     """
     if k < 1 or not T > 0:
         raise ValidationError(f"need k >= 1 and T > 0, got k={k}, T={T}")
@@ -252,7 +254,9 @@ def m_of(k: int, T: float) -> int:
             break
     lo = (k - 1) * math.exp(T) - 1.0
     hi = k * math.exp(T) - 1.0
-    assert lo < m < hi, f"window bound violated: {lo} < {m} < {hi} at k={k}, T={T}"
+    if not lo < m < hi:
+        raise IdentityViolation(
+            f"window bound violated: {lo} < {m} < {hi} fails at k={k}, T={T}")
     return m
 
 
@@ -482,6 +486,12 @@ def consensus_metrics(log: TrajectoryLog, gains, lap: LaplacianView) -> RunMetri
                       residual=residual, sigma_bar=log.sigma_bar.astype(float), v=v)
 
 
+def geometric_rows(K: int, points: int) -> np.ndarray:
+    """0-based rows of about `points` steps spaced geometrically over 1..K."""
+    ks = np.unique(np.rint(np.geomspace(1, K, num=min(points, K))).astype(int))
+    return ks - 1
+
+
 # ---------------------------------------------------------------------------
 # bundled verification
 
@@ -507,7 +517,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
         for k in range(1, m_grid_k + 1):
             try:
                 m_of(k, T)
-            except AssertionError:
+            except IdentityViolation:
                 eq28 = False
 
     K, n = log.u.shape

@@ -5,10 +5,11 @@ Subcommands:
   verify    replay a stride-1 log through every identity check
   plotdata  emit downsampled input/output series for log-scale plotting
 
-Exit codes: 0 success, 1 validation or usage problem (including strided logs
-handed to verify), 2 runtime failure (divergence, a failed identity), 3 I/O
-problem (missing files or directories). Stdout stays human-readable; machine
-results go only to files.
+Exit codes: 0 success, 1 validation or usage problem (including strided,
+corrupt or mismatched logs handed to verify), 2 runtime failure (divergence,
+a failed identity), 3 I/O problem (missing files or directories, or a run
+plotdata cannot read). Stdout stays human-readable; machine results go only
+to files.
 """
 
 from __future__ import annotations
@@ -170,11 +171,6 @@ def cmd_verify(args) -> int:
     return 0 if all(ok for _, ok, _ in rows) else 2
 
 
-def _geometric_rows(K: int, points: int) -> np.ndarray:
-    ks = np.unique(np.rint(np.geomspace(1, K, num=min(points, K))).astype(int))
-    return ks - 1
-
-
 def cmd_plotdata(args) -> int:
     meta_path = os.path.join(args.log, "meta.json")
     if not os.path.exists(meta_path):
@@ -190,7 +186,7 @@ def cmd_plotdata(args) -> int:
     n = log.u.shape[1]
     K = log.u.shape[0]
 
-    rows = _geometric_rows(K, args.points)
+    rows = analysis.geometric_rows(K, args.points)
     U = log.u.tolist()
     head = "k," + ",".join(f"u_{i + 1}" for i in range(n))
     lines = [head]

@@ -9,8 +9,9 @@ stochastic-approximation update with step 1/k, truncating back to u* and
 incrementing its count whenever the candidate leaves the expanding bound
 M_sigma = ln(sigma + c_M).
 
-All functions are pure over a snapshot of neighbor values taken at the start
-of the round, so agents may be stepped in any order within a round.
+advance() runs that round for every agent at once on flat lists. Pooling
+reads the counts as they stood at the start of the round, so the result does
+not depend on the order in which agents are visited.
 """
 
 from __future__ import annotations
@@ -38,94 +39,50 @@ class Schedule:
         return math.log(sigma + self.c_M)
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    u: float
-    sigma: int
-    u_star: float
+def advance(u: list, sigma: list, ys: list, z: list, nbrs: list, u_star: list,
+            k: int, sched: Schedule) -> tuple[list, list, list]:
+    """One round of the control law for every agent, in place.
 
+    u and sigma hold each agent's estimate and count and are overwritten
+    with the next round's values. ys[i] is agent i's plant output this round,
+    z[c] the observation on directed edge column c, and nbrs[i] lists agent
+    i's neighbors as (edge column, neighbor index, weight) triples in the
+    order their terms are summed. Returns the round's pooled counts, working
+    estimates (own u if the count is current, else u*) and aggregated
+    observations O_i = sum_j w_ij (z_ij - y_i).
 
-@dataclass(frozen=True)
-class StepInputs:
-    """Snapshot an agent sees at the end of round k.
-
-    The three maps must share one key set, the agent's neighbor set.
+    A candidate u + (1/k) O is kept iff strictly inside M_sigma; hitting or
+    crossing the bound resets to u* and increments the count. A restart
+    round records O but does not apply it.
     """
+    sigma_prime = []
+    for i, nb in enumerate(nbrs):
+        sp = sigma[i]
+        for _, j, _ in nb:
+            if sigma[j] > sp:
+                sp = sigma[j]
+        sigma_prime.append(sp)
 
-    own_output: float
-    neighbor_obs: dict      # j -> z_ij (neighbor output plus noise)
-    neighbor_sigmas: dict   # j -> sigma_j at the snapshot
-    weights: dict           # j -> p_ij
-
-    def __post_init__(self):
-        if not (set(self.neighbor_obs) == set(self.neighbor_sigmas) == set(self.weights)):
-            raise ValidationError("neighbor maps must share one key set")
-
-
-def pooled_sigma(s: ControllerState, neighbor_sigmas: dict) -> int:
-    """Largest truncation count in the closed neighborhood."""
-    sp = s.sigma
-    for v in neighbor_sigmas.values():
-        if v > sp:
-            sp = v
-    return sp
-
-
-def catch_up(s: ControllerState, sigma_pooled: int) -> float:
-    """Working estimate for the round: own u if the count is current, else u*."""
-    if sigma_pooled < s.sigma:
-        raise ValidationError("pooled count below own count")
-    return s.u if sigma_pooled == s.sigma else s.u_star
-
-
-def aggregate_observation(inputs: StepInputs) -> float:
-    """Weighted sum of observed neighbor-minus-own output differences."""
-    y = inputs.own_output
-    O = 0.0
-    for j, z in inputs.neighbor_obs.items():
-        O += inputs.weights[j] * (z - y)
-    return O
-
-
-def update(s: ControllerState, u_prime: float, sigma_pooled: int, O: float,
-           k: int, sched: Schedule) -> ControllerState:
-    """One correction step with the expanding truncation test.
-
-    Candidate u' + (1/k) O is kept iff strictly inside M_{sigma_pooled};
-    hitting or crossing the bound resets to u* and increments the count.
-    """
-    cand = u_prime + (1.0 / k) * O
-    if abs(cand) < sched.bound(sigma_pooled):
-        out = ControllerState(u=cand, sigma=sigma_pooled, u_star=s.u_star)
-    else:
-        out = ControllerState(u=s.u_star, sigma=sigma_pooled + 1, u_star=s.u_star)
-    assert abs(out.u) < sched.bound(sigma_pooled)
-    return out
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    sigma_prime: int
-    u_prime: float
-    O: float
-    fired: bool  # agent's own truncation test tripped this round
-
-
-def step_agent(s: ControllerState, inputs: StepInputs, k: int,
-               sched: Schedule) -> tuple[ControllerState, StepRecord]:
-    """Full round for one agent: pool, aggregate, then restart or update.
-
-    A round in which the pooled count exceeds the agent's own is a pure
-    restart: the next state is (u*, pooled count) and the observation is
-    discarded. The correction step runs only when the count is current.
-    """
-    sp = pooled_sigma(s, inputs.neighbor_sigmas)
-    up = catch_up(s, sp)
-    O = aggregate_observation(inputs)
-    if sp > s.sigma:
-        nxt = ControllerState(u=s.u_star, sigma=sp, u_star=s.u_star)
-        fired = False
-    else:
-        nxt = update(s, up, sp, O, k, sched)
-        fired = nxt.sigma == sp + 1
-    return nxt, StepRecord(sigma_prime=sp, u_prime=up, O=O, fired=fired)
+    a = sched.a(k)
+    u_prime = []
+    obs = []
+    for i, nb in enumerate(nbrs):
+        y = ys[i]
+        O = 0.0
+        for c, _, w in nb:
+            O += w * (z[c] - y)
+        sp = sigma_prime[i]
+        if sp > sigma[i]:
+            up = u[i] = u_star[i]
+            sigma[i] = sp
+        else:
+            up = u[i]
+            cand = up + a * O
+            if abs(cand) < sched.bound(sp):
+                u[i] = cand
+            else:
+                u[i] = u_star[i]
+                sigma[i] = sp + 1
+        u_prime.append(up)
+        obs.append(O)
+    return sigma_prime, u_prime, obs

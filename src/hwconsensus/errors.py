@@ -60,6 +60,10 @@ class NonFiniteValue(RuntimeError):
         self.partial = None
 
 
+class IdentityViolation(RuntimeError):
+    """An exact identity or bound that must hold was found violated."""
+
+
 class BracketFailure(RuntimeError):
     """Expanding bisection bracket could not enclose a sign change."""
 

@@ -22,12 +22,13 @@ import math
 import os
 import time
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analysis
-from .controller import ControllerState, Schedule, StepInputs, step_agent
+from .controller import Schedule, advance
 from .errors import IncompleteLog, NonFiniteValue, ValidationError
 from .graph import Topology, build_topology, is_connected, laplacian
 from .noise import NoiseSpec, make_noise_spec, stream_for
@@ -47,6 +48,7 @@ from .plant import (
 )
 
 VERIFY_MAX_HORIZON = 200_000  # stride-1 logging refuses longer runs
+LOG_COLUMNS = ("u", "sigma", "sigma_prime", "u_prime", "y_next", "O_next", "z", "eps")
 
 
 @dataclass(frozen=True)
@@ -329,8 +331,6 @@ def run(s: Scenario, master_seed: int | None = None,
     topo = s.topology
     lap = laplacian(topo)
     pairs = directed_pairs(topo)
-    nbrs = [topo.neighbors(i) for i in range(1, n + 1)]
-    weights = [{j: topo.weight(i + 1, j) for j in nbrs[i]} for i in range(n)]
     gains = [static_gain(a.build()) for a in s.agents]
 
     if initial_plants is None:
@@ -341,85 +341,58 @@ def run(s: Scenario, master_seed: int | None = None,
                 f"initial_plants has {len(initial_plants)} entries for {n} agents")
         plants = [p.copy() for p in initial_plants]
     sched = Schedule(c_M=s.controller.c_M)
-    states = [ControllerState(u=s.controller.initial_u[i], sigma=0,
-                              u_star=s.controller.u_star[i]) for i in range(n)]
+    u = list(s.controller.initial_u)
+    sigma = [0] * n
+    u_star = list(s.controller.u_star)
+    col = {p: c for c, p in enumerate(pairs)}
+    nbrs = [[(col[(i, j)], j - 1, topo.weight(i, j)) for j in topo.neighbors(i)]
+            for i in range(1, n + 1)]
+    observed = [j - 1 for _, j in pairs]
+    eps = np.column_stack([stream_for(nz, i, j, topo).draw(K) for (i, j) in pairs])
 
-    eps_blocks = [stream_for(nz, i, j, topo).draw(K) for (i, j) in pairs]
-
+    # rows go to flat buffers, one per log column, viewed as (rows, width)
+    # arrays at the end
     m = len(pairs)
-    u_log = np.empty((K, n))
-    sig_log = np.empty((K, n), dtype=np.int64)
-    sigp_log = np.empty((K, n), dtype=np.int64)
-    up_log = np.empty((K, n))
-    y_log = np.full((K, n), np.nan)
-    O_log = np.full((K, n), np.nan)
-    z_log = np.full((K, m), np.nan)
-    e_log = np.full((K, m), np.nan)
+    bufs = [array("q" if name.startswith("sigma") else "d") for name in LOG_COLUMNS]
+    widths = [m if name in ("z", "eps") else n for name in LOG_COLUMNS]
+    nan_n, nan_m = [math.nan] * n, [math.nan] * m
 
-    def make_log(rows: int) -> analysis.TrajectoryLog:
+    def make_log() -> analysis.TrajectoryLog:
+        rows = len(bufs[0]) // n
+        cols = {name: np.frombuffer(buf, dtype=buf.typecode).reshape(rows, w)
+                for name, buf, w in zip(LOG_COLUMNS, bufs, widths)}
         return analysis.TrajectoryLog(
-            n=n, horizon=rows, log_stride=stride, pairs=pairs,
-            u=u_log[:rows], sigma=sig_log[:rows], sigma_prime=sigp_log[:rows],
-            u_prime=up_log[:rows], y_next=y_log[:rows], O_next=O_log[:rows],
-            z=z_log[:rows], eps=e_log[:rows],
+            n=n, horizon=rows, log_stride=stride, pairs=pairs, **cols,
             u_star=np.array(s.controller.u_star), c_M=s.controller.c_M,
             label=s.label, scenario_hash=scenario_hash(s), seed=seed)
 
     for k in range(1, K + 1):
-        r = k - 1
         ys = []
-        for i in range(n):
-            try:
-                ys.append(plant_step_checked(plants[i], states[i].u, k, i + 1))
-            except NonFiniteValue as e:
-                partial = make_log(r)
-                e.partial = RunResult(scenario=s, seed=seed, log=partial,
-                                      summary=summarize(partial, gains, lap,
-                                                        time.perf_counter() - t0)
-                                      if r else {"aborted_at": k})
-                raise
-        logged = (r % stride == 0)
-        z_row = {}
-        for c, (i, j) in enumerate(pairs):
-            z_row[(i, j)] = ys[j - 1] + eps_blocks[c][r]
-
-        new_states = []
-        for i in range(n):
-            a1 = i + 1
-            inputs = StepInputs(
-                own_output=ys[i],
-                neighbor_obs={j: z_row[(a1, j)] for j in nbrs[i]},
-                neighbor_sigmas={j: states[j - 1].sigma for j in nbrs[i]},
-                weights=weights[i])
-            nxt, rec = step_agent(states[i], inputs, k, sched)
-            u_log[r, i] = states[i].u
-            sig_log[r, i] = states[i].sigma
-            sigp_log[r, i] = rec.sigma_prime
-            up_log[r, i] = rec.u_prime
-            O_log[r, i] = rec.O
-            y_log[r, i] = ys[i]
-            new_states.append(nxt)
-        if not logged:
+        try:
+            for p, x in zip(plants, u):
+                ys.append(step(p, x))
+        except NonFiniteValue as e:
+            err = NonFiniteValue(str(e), step=k, agent=len(ys) + 1)
+            partial = make_log()
+            err.partial = RunResult(scenario=s, seed=seed, log=partial,
+                                    summary=summarize(partial, gains, lap,
+                                                      time.perf_counter() - t0)
+                                    if k > 1 else {"aborted_at": k})
+            raise err from e
+        e_row = eps[k - 1].tolist()
+        z = [ys[j] + x for j, x in zip(observed, e_row)]
+        u0, sigma0 = u[:], sigma[:]
+        sp, up, O = advance(u, sigma, ys, z, nbrs, u_star, k, sched)
+        if (k - 1) % stride:
             # strided logs keep the estimate/count columns only
-            y_log[r] = np.nan
-            O_log[r] = np.nan
-        else:
-            for c, p in enumerate(pairs):
-                z_log[r, c] = z_row[p]
-                e_log[r, c] = eps_blocks[c][r]
-        if k < K:
-            states = new_states
+            ys = O = nan_n
+            z = e_row = nan_m
+        for buf, row in zip(bufs, (u0, sigma0, sp, up, ys, O, z, e_row)):
+            buf.extend(row)
 
-    log = make_log(K)
+    log = make_log()
     return RunResult(scenario=s, seed=seed, log=log,
                      summary=summarize(log, gains, lap, time.perf_counter() - t0))
-
-
-def plant_step_checked(plant: AgentPlant, u: float, k: int, agent: int) -> float:
-    try:
-        return step(plant, u)
-    except NonFiniteValue as e:
-        raise NonFiniteValue(str(e), step=k, agent=agent)
 
 
 def batch(s: Scenario, seeds, workers: int = 1) -> list:
@@ -499,15 +472,71 @@ def save_run(result: RunResult, outdir: str) -> None:
         fh.write("\n")
 
 
+def _read_cells(path: str, header: str, K: int, every: int, labels: list,
+                locate, store) -> None:
+    """Parse one log CSV whose rows each fill one cell of a K x len(labels) grid.
+
+    locate(fields) -> (row, column) names a row's cell and store(row, column,
+    fields) writes its values. Every cell on rows 0, every, 2*every, ...
+    below K must be filled exactly once and no other cell at all; anything
+    else -- a malformed row, a step out of range or off the stride, a
+    repeated cell, a missing one -- raises IncompleteLog naming the file and
+    the line or cell.
+    """
+    name = os.path.basename(path)
+    width = len(labels)
+    nfields = header.count(",") + 1
+    seen = bytearray(K * width)
+    with open(path) as fh:
+        got = fh.readline().rstrip("\n")
+        if got != header:
+            raise IncompleteLog(f"{name}: unexpected header {got!r}")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                parts = line.rstrip("\n").split(",")
+                if len(parts) != nfields:
+                    raise ValueError(f"{len(parts)} fields, expected {nfields}")
+                r, c = locate(parts)
+                if not (0 <= r < K and r % every == 0):
+                    raise ValueError(f"step {r + 1} is not a logged step of 1..{K}")
+                cell = r * width + c
+                if seen[cell]:
+                    raise ValueError(f"second row for step {r + 1}, {labels[c]}")
+                seen[cell] = 1
+                store(r, c, parts)
+            except ValueError as e:
+                raise IncompleteLog(f"{name} line {lineno}: {e}") from None
+    missing = np.argwhere(np.frombuffer(seen, dtype=np.uint8).reshape(K, width)[::every] == 0)
+    if len(missing):
+        r, c = missing[0]
+        raise IncompleteLog(f"{name}: no row for step {r * every + 1}, {labels[c]}")
+
+
 def load_run(rundir: str):
-    """Read a saved run back as (TrajectoryLog, Scenario)."""
+    """Read a saved run back as (TrajectoryLog, Scenario).
+
+    Raises IncompleteLog, with the file and the line or cell, for a meta.json
+    whose embedded scenario does not match its scenario_hash and for log
+    files with malformed, duplicated, missing or out-of-range rows.
+    """
     meta_path = os.path.join(rundir, "meta.json")
     if not os.path.exists(meta_path):
         raise FileNotFoundError(f"no meta.json under {rundir}")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    missing = {"label", "horizon", "log_stride", "seed", "scenario_hash",
+               "scenario"} - set(meta)
+    if missing:
+        raise IncompleteLog(f"meta.json lacks {sorted(missing)}")
     s = scenario_from_dict(meta["scenario"])
+    if scenario_hash(s) != meta["scenario_hash"]:
+        raise IncompleteLog("meta.json: the embedded scenario does not match its "
+                            f"scenario_hash {meta['scenario_hash']!r}")
     K = meta["horizon"]
+    stride = meta["log_stride"]
+    if not (isinstance(K, int) and 0 <= K <= s.horizon and stride == s.log_stride):
+        raise IncompleteLog(f"meta.json: horizon {K!r} and log_stride {stride!r} do "
+                            f"not fit the scenario ({s.horizon}, {s.log_stride})")
     n = s.n
     pairs = directed_pairs(s.topology)
     col_of = {p: c for c, p in enumerate(pairs)}
@@ -518,42 +547,45 @@ def load_run(rundir: str):
     up = np.empty((K, n))
     y = np.full((K, n), np.nan)
     O = np.full((K, n), np.nan)
-    seen = 0
-    with open(os.path.join(rundir, "trajectory.csv")) as fh:
-        header = fh.readline().strip()
-        if header != "k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next":
-            raise IncompleteLog(f"unexpected trajectory header: {header}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            k = int(parts[0]); i = int(parts[1]) - 1
-            r = k - 1
-            u[r, i] = float(parts[2])
-            sig[r, i] = int(parts[3])
-            sigp[r, i] = int(parts[4])
-            up[r, i] = float(parts[5])
-            if parts[6]:
-                y[r, i] = float(parts[6])
-            if parts[7]:
-                O[r, i] = float(parts[7])
-            seen += 1
-    if seen != K * n:
-        raise IncompleteLog(f"trajectory.csv has {seen} rows, expected {K * n}")
+
+    def agent_cell(parts):
+        i = int(parts[1])
+        if not 1 <= i <= n:
+            raise ValueError(f"agent {i} outside 1..{n}")
+        return int(parts[0]) - 1, i - 1
+
+    def store_agent(r, i, parts):
+        u[r, i] = float(parts[2])
+        sig[r, i] = int(parts[3])
+        sigp[r, i] = int(parts[4])
+        up[r, i] = float(parts[5])
+        if parts[6]:
+            y[r, i] = float(parts[6])
+        if parts[7]:
+            O[r, i] = float(parts[7])
+
+    _read_cells(os.path.join(rundir, "trajectory.csv"),
+                "k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next", K, 1,
+                [f"agent {i}" for i in range(1, n + 1)], agent_cell, store_agent)
 
     z = np.full((K, len(pairs)), np.nan)
     eps = np.full((K, len(pairs)), np.nan)
-    with open(os.path.join(rundir, "edges.csv")) as fh:
-        header = fh.readline().strip()
-        if header != "k,i,j,z,eps":
-            raise IncompleteLog(f"unexpected edges header: {header}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            r = int(parts[0]) - 1
-            c = col_of[(int(parts[1]), int(parts[2]))]
-            z[r, c] = float(parts[3])
-            eps[r, c] = float(parts[4])
+
+    def edge_cell(parts):
+        p = (int(parts[1]), int(parts[2]))
+        if p not in col_of:
+            raise ValueError(f"{p} is not a directed edge of the scenario")
+        return int(parts[0]) - 1, col_of[p]
+
+    def store_edge(r, c, parts):
+        z[r, c] = float(parts[3])
+        eps[r, c] = float(parts[4])
+
+    _read_cells(os.path.join(rundir, "edges.csv"), "k,i,j,z,eps", K, stride,
+                [f"edge {p}" for p in pairs], edge_cell, store_edge)
 
     log = analysis.TrajectoryLog(
-        n=n, horizon=K, log_stride=meta["log_stride"], pairs=pairs,
+        n=n, horizon=K, log_stride=stride, pairs=pairs,
         u=u, sigma=sig, sigma_prime=sigp, u_prime=up, y_next=y, O_next=O,
         z=z, eps=eps, u_star=np.array(s.controller.u_star),
         c_M=s.controller.c_M, label=meta["label"],

@@ -14,6 +14,7 @@ must agree to 1e-10 per step on any input sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -206,7 +207,7 @@ def step(plant: AgentPlant, u: float) -> float:
             plant.v_hist = [v] + plant.v_hist[:-1]
         if plant.u_hist:
             plant.u_hist = [u] + plant.u_hist[:-1]
-    if not (np.isfinite(v) and np.isfinite(y)):
+    if not (math.isfinite(v) and math.isfinite(y)):
         raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})")
     return y
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from hwconsensus import (
 from hwconsensus.analysis import TrajectoryLog
 from hwconsensus.errors import (
     DimensionMismatch,
+    IdentityViolation,
     IncompleteLog,
     StepNotLogged,
     ValidationError,
@@ -65,6 +70,35 @@ def test_m_of_examples():
     assert m_of(1, 1.0) == 1  # H_1 = 1 <= 1 < H_2
     assert m_of(10, 0.05) == 9  # first term 1/10 already too big
     assert m_of(2, 0.5) == 2  # exact tie 1/2 <= 0.5 kept
+
+
+def test_m_of_raises_when_the_sandwich_fails(monkeypatch):
+    import hwconsensus.analysis as A
+    monkeypatch.setattr(A.math, "exp", lambda x: 1.0)  # sandwich becomes k-2 < m < k-1
+    with pytest.raises(IdentityViolation, match="window bound violated"):
+        m_of(10, 1.0)
+
+
+def test_eq28_failure_reported_under_python_O():
+    # the same broken sandwich must still fail verification when asserts
+    # are compiled away
+    script = textwrap.dedent("""
+        import sys
+        from hwconsensus import analysis, builtin_case, full_verification, run
+        s = builtin_case(1, horizon=50)
+        res = run(s)
+        ok = full_verification(res.log, s.gains(), s.topology, m_grid_k=20)[0]["eq28_ok"]
+        analysis.math.exp = lambda x: 1.0
+        broken = full_verification(res.log, s.gains(), s.topology, m_grid_k=20)[0]["eq28_ok"]
+        print(sys.flags.optimize, ok, broken)
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "True", "False"]
 
 
 def test_m_of_rejects_bad_input():

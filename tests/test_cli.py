@@ -6,6 +6,7 @@ from hwconsensus import builtin_case, scenario_to_dict
 from hwconsensus.cli import main
 
 from conftest import two_agent_scenario
+from test_harness import corrupt
 
 
 def run_dir(tmp_path, *extra):
@@ -153,6 +154,25 @@ def test_verify_incomplete_log_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 1
     assert "incomplete" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["trajectory-duplicate-row", "edges-unknown-pair",
+                                  "meta-hash-mismatch"])
+def test_corrupt_run_directory_exit_codes(tmp_path, capsys, case):
+    # verify reports a corrupt or mismatched run as a usage problem (1),
+    # plotdata as an unreadable run (3); neither prints a traceback
+    d = run_dir(tmp_path)
+    if case == "meta-hash-mismatch":
+        meta = json.loads((d / "meta.json").read_text())
+        meta["scenario"]["controller"]["u_star"][0] = 1.5
+        (d / "meta.json").write_text(json.dumps(meta))
+    else:
+        corrupt(d, case)
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 1
+    assert "incomplete log:" in capsys.readouterr().err
+    assert main(["plotdata", "--log", str(d)]) == 3
+    assert "unreadable run:" in capsys.readouterr().err
 
 
 def test_verify_missing_directory(tmp_path, capsys):

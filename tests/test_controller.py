@@ -4,23 +4,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwconsensus import (
-    ControllerState,
-    Schedule,
-    StepInputs,
-    aggregate_observation,
-    catch_up,
-    pooled_sigma,
-    step_agent,
-    update,
-)
+from hwconsensus import Schedule, advance
 from hwconsensus.errors import ValidationError
 
 SCHED = Schedule(c_M=55.0)
 
 
-def state(u=0.0, sigma=0, u_star=1.0):
-    return ControllerState(u=u, sigma=sigma, u_star=u_star)
+def one_round(edges, u, sigma, u_star, ys=None, z=None, k=1, sched=SCHED):
+    """Run advance once on a small network given by 0-based (i, j, w) edges.
+
+    z maps directed pairs (i, j) to the value agent i observes of agent j;
+    unlisted pairs observe the neighbor's output exactly. Returns the next
+    (u, sigma) and advance's (sigma_prime, u_prime, O) rows.
+    """
+    n = len(u)
+    ys = [0.0] * n if ys is None else ys
+    w = {}
+    for i, j, x in edges:
+        w[(i, j)] = w[(j, i)] = x
+    pairs = sorted(w)
+    nbrs = [[(c, j, w[(a, j)]) for c, (a, j) in enumerate(pairs) if a == i]
+            for i in range(n)]
+    zs = [(z or {}).get((i, j), ys[j]) for (i, j) in pairs]
+    u, sigma = list(u), list(sigma)
+    rows = advance(u, sigma, ys, zs, nbrs, list(u_star), k, sched)
+    return u, sigma, rows
+
+
+PAIR = [(0, 1, 1.0)]
 
 
 def test_schedule_values():
@@ -33,124 +44,142 @@ def test_schedule_values():
 
 
 def test_pooled_sigma():
-    assert pooled_sigma(state(sigma=2), {1: 3, 4: 1}) == 3
-    assert pooled_sigma(state(sigma=5), {1: 0, 2: 0}) == 5
-    assert pooled_sigma(state(sigma=0), {}) == 0
+    # star around agent 0 plus an isolated agent 3: each pools the largest
+    # count over its closed neighborhood
+    star = [(0, 1, 1.0), (0, 2, 1.0)]
+    _, _, (sp, _, _) = one_round(star, [0.0] * 4, [2, 3, 1, 0], [0.0] * 4)
+    assert sp == [3, 3, 2, 0]
+    _, _, (sp, _, _) = one_round(star, [0.0] * 3, [5, 0, 0], [0.0] * 3)
+    assert sp == [5, 5, 5]
+    # pooling reads the counts as they stood at the start of the round:
+    # agent 1 adopts agent 0's count, agent 2 does not see it yet
+    chain = [(0, 1, 1.0), (1, 2, 1.0)]
+    _, sigma, (sp, _, _) = one_round(chain, [0.0] * 3, [1, 0, 0], [0.0] * 3)
+    assert sp == [1, 1, 0]
+    assert sigma == [1, 1, 0]
 
 
 def test_catch_up():
-    assert catch_up(state(u=1.7, sigma=3), 3) == 1.7
-    assert catch_up(state(u=1.7, sigma=2, u_star=9.9), 3) == 9.9
-    assert catch_up(state(u=2.0, sigma=0, u_star=2.0), 1) == 2.0
-    with pytest.raises(ValidationError):
-        catch_up(state(sigma=4), 3)  # pooled max cannot be below own count
+    # the working estimate is the agent's own u when its count is current,
+    # its reset point when a neighbor's count is larger
+    _, _, (_, up, _) = one_round(PAIR, [1.7, 0.0], [3, 3], [1.0, 1.0])
+    assert up[0] == 1.7
+    _, _, (_, up, _) = one_round(PAIR, [1.7, 0.0], [2, 3], [9.9, 1.0])
+    assert up[0] == 9.9
+    _, _, (_, up, _) = one_round(PAIR, [2.0, 0.0], [0, 1], [2.0, 1.0])
+    assert up[0] == 2.0
 
 
 def test_aggregate_observation():
-    inputs = StepInputs(own_output=0.5,
-                        neighbor_obs={2: 0.5, 3: 0.5},
-                        neighbor_sigmas={2: 0, 3: 0},
-                        weights={2: 1.0, 3: 2.0})
-    assert aggregate_observation(inputs) == 0.0
+    star = [(0, 1, 1.0), (0, 2, 2.0)]
+    _, _, (_, _, O) = one_round(star, [0.0] * 3, [0] * 3, [0.0] * 3,
+                                ys=[0.5, 0.0, 0.0], z={(0, 1): 0.5, (0, 2): 0.5})
+    assert O[0] == 0.0
 
-    inputs = StepInputs(own_output=0.0, neighbor_obs={2: 0.8},
-                        neighbor_sigmas={2: 0}, weights={2: 1.0})
-    assert aggregate_observation(inputs) == 0.8
+    _, _, (_, _, O) = one_round(PAIR, [0.0, 0.0], [0, 0], [0.0, 0.0], z={(0, 1): 0.8})
+    assert O[0] == 0.8
 
     # hub node of the chorded square, unit weights
-    inputs = StepInputs(own_output=0.0,
-                        neighbor_obs={1: 1.0, 3: 2.0, 4: 3.0},
-                        neighbor_sigmas={1: 0, 3: 0, 4: 0},
-                        weights={1: 1.0, 3: 1.0, 4: 1.0})
-    assert aggregate_observation(inputs) == 6.0
+    square = [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0)]
+    _, _, (_, _, O) = one_round(square, [0.0] * 4, [0] * 4, [0.0] * 4,
+                                z={(1, 0): 1.0, (1, 2): 2.0, (1, 3): 3.0})
+    assert O[1] == 6.0
 
-
-def test_step_inputs_key_mismatch_rejected():
-    with pytest.raises(ValidationError):
-        StepInputs(own_output=0.0, neighbor_obs={2: 1.0},
-                   neighbor_sigmas={3: 0}, weights={2: 1.0})
+    # each weight multiplies its difference, and terms are summed in
+    # neighbor order; the log's bit-identity depends on both
+    star = [(0, 1, 0.1), (0, 2, 0.3)]
+    _, _, (_, _, O) = one_round(star, [0.0] * 3, [0] * 3, [0.0] * 3,
+                                ys=[0.3, 0.0, 0.0], z={(0, 1): 0.7, (0, 2): 1.9})
+    assert O[0] == 0.1 * (0.7 - 0.3) + 0.3 * (1.9 - 0.3)
+    fan = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]
+    _, _, (_, _, O) = one_round(fan, [0.0] * 4, [0] * 4, [0.0] * 4,
+                                z={(0, 1): 0.1, (0, 2): 0.2, (0, 3): 0.3})
+    assert O[0] == (0.1 + 0.2) + 0.3
+    assert O[0] != (0.3 + 0.2) + 0.1
 
 
 def test_update_keep():
-    nxt = update(state(u_star=2.0), u_prime=1.0, sigma_pooled=0, O=1.0,
-                 k=2, sched=SCHED)
-    assert nxt.u == 1.5
-    assert nxt.sigma == 0
+    u, sigma, _ = one_round(PAIR, [1.0, 0.0], [0, 0], [2.0, 0.0],
+                            z={(0, 1): 1.0}, k=2)
+    assert u[0] == 1.5
+    assert sigma[0] == 0
 
 
 def test_update_truncate():
     # candidate 4 + 1 = 5 >= ln(55) ~ 4.007
-    nxt = update(state(u_star=2.0), u_prime=4.0, sigma_pooled=0, O=1.0,
-                 k=1, sched=SCHED)
-    assert nxt.u == 2.0
-    assert nxt.sigma == 1
+    u, sigma, _ = one_round(PAIR, [4.0, 0.0], [0, 0], [2.0, 0.0], z={(0, 1): 1.0})
+    assert u[0] == 2.0
+    assert sigma[0] == 1
 
 
 def test_update_boundary_truncates():
     # candidate landing exactly on the bound counts as an escape
     m0 = SCHED.bound(0)
-    nxt = update(state(u_star=0.5), u_prime=m0, sigma_pooled=0, O=0.0,
-                 k=5, sched=SCHED)
-    assert nxt.u == 0.5
-    assert nxt.sigma == 1
+    u, sigma, _ = one_round(PAIR, [m0, 0.0], [0, 0], [0.5, 0.0], k=5)
+    assert u[0] == 0.5
+    assert sigma[0] == 1
 
 
 def test_step_agent_live_round_runs_update():
-    inputs = StepInputs(own_output=0.0, neighbor_obs={2: 0.8},
-                        neighbor_sigmas={2: 0}, weights={2: 1.0})
-    nxt, rec = step_agent(state(u=1.0, sigma=0, u_star=2.0), inputs, 2, SCHED)
-    assert rec.sigma_prime == 0
-    assert rec.u_prime == 1.0
-    assert rec.O == 0.8
-    assert not rec.fired
-    assert nxt.u == 1.0 + 0.5 * 0.8
-    assert nxt.sigma == 0
+    u, sigma, (sp, up, O) = one_round(PAIR, [1.0, 0.0], [0, 0], [2.0, 0.0],
+                                      z={(0, 1): 0.8}, k=2)
+    assert sp[0] == 0
+    assert up[0] == 1.0
+    assert O[0] == 0.8
+    assert u[0] == 1.0 + 0.5 * 0.8
+    assert sigma[0] == 0
 
 
 def test_step_agent_catch_up_is_pure_restart():
     # a behind agent adopts the pooled count and restarts from u*; the
-    # innovation is logged but not applied and no escape test runs
-    inputs = StepInputs(own_output=0.0, neighbor_obs={2: 1000.0},
-                        neighbor_sigmas={2: 4}, weights={2: 1.0})
-    nxt, rec = step_agent(state(u=1.0, sigma=2, u_star=2.0), inputs, 3, SCHED)
-    assert rec.sigma_prime == 4
-    assert rec.u_prime == 2.0
-    assert rec.O == 1000.0
-    assert not rec.fired
-    assert nxt.u == 2.0
-    assert nxt.sigma == 4
+    # innovation is returned but not applied and no escape test runs
+    u, sigma, (sp, up, O) = one_round(PAIR, [1.0, 0.0], [2, 4], [2.0, 0.0],
+                                      z={(0, 1): 1000.0}, k=3)
+    assert sp[0] == 4
+    assert up[0] == 2.0
+    assert O[0] == 1000.0
+    assert u[0] == 2.0
+    assert sigma[0] == 4
 
 
 def test_step_agent_live_truncation_fires():
-    inputs = StepInputs(own_output=0.0, neighbor_obs={2: 100.0},
-                        neighbor_sigmas={2: 1}, weights={2: 1.0})
-    nxt, rec = step_agent(state(u=1.0, sigma=1, u_star=0.5), inputs, 1, SCHED)
-    assert rec.fired
-    assert nxt.u == 0.5
-    assert nxt.sigma == 2
+    u, sigma, (sp, _, _) = one_round(PAIR, [1.0, 0.0], [1, 1], [0.5, 0.0],
+                                     z={(0, 1): 100.0})
+    assert sp[0] == 1
+    assert u[0] == 0.5
+    assert sigma[0] == 2  # the agent's own count went up by one
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     u=st.floats(min_value=-100, max_value=100, allow_nan=False),
-    u_prime_from_star=st.booleans(),
     sigma=st.integers(min_value=0, max_value=50),
     extra=st.integers(min_value=0, max_value=3),
     O=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     k=st.integers(min_value=1, max_value=10**6),
     c_M=st.floats(min_value=1.5, max_value=1e4, allow_nan=False),
 )
-def test_update_bound_invariant(u, u_prime_from_star, sigma, extra, O, k, c_M):
+def test_update_bound_invariant(u, sigma, extra, O, k, c_M):
+    # agent 0 holds an arbitrary estimate and sees observation O; its
+    # neighbor is `extra` counts ahead, so extra > 0 makes it a restart round
     sched = Schedule(c_M=c_M)
-    pooled = sigma + extra
     u_star = 0.9 * math.log(c_M) * 0.5
-    up = u_star if u_prime_from_star else max(-100.0, min(100.0, u))
-    nxt = update(state(u=u, sigma=sigma, u_star=u_star), u_prime=up,
-                 sigma_pooled=pooled, O=O, k=k, sched=sched)
-    assert abs(nxt.u) < sched.bound(nxt.sigma)
-    assert nxt.sigma in (pooled, pooled + 1)
-    cand = up + (1.0 / k) * O
+    pooled = sigma + extra
+    nxt, sig, (sp, up, obs) = one_round(PAIR, [u, u_star], [sigma, pooled],
+                                        [u_star, -u_star], z={(0, 1): O},
+                                        k=k, sched=sched)
+    assert sp == [pooled, pooled]
+    assert obs[0] == O
+    for i in (0, 1):
+        assert abs(nxt[i]) < sched.bound(sig[i])
+        assert sig[i] in (sp[i], sp[i] + 1)
+    if extra:
+        assert up[0] == u_star
+        assert nxt[0] == u_star and sig[0] == pooled
+        return
+    assert up[0] == u
+    cand = u + (1.0 / k) * O
     if abs(cand) < sched.bound(pooled):
-        assert nxt.u == cand and nxt.sigma == pooled
+        assert nxt[0] == cand and sig[0] == pooled
     else:
-        assert nxt.u == u_star and nxt.sigma == pooled + 1
+        assert nxt[0] == u_star and sig[0] == pooled + 1

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hwconsensus import (
     summarize,
     validate_scenario,
 )
-from hwconsensus.errors import NonFiniteValue, ValidationError
+from hwconsensus.errors import IncompleteLog, NonFiniteValue, ValidationError
 from hwconsensus.harness import batch
 
 from conftest import forced_truncation_scenarios, two_agent_scenario
@@ -440,6 +441,97 @@ def test_summary_and_meta_files(tmp_path):
 def test_load_run_missing_directory(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_run(str(tmp_path / "nope"))
+
+
+def _edit_lines(path, fn):
+    lines = path.read_text().splitlines()
+    fn(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_field(lines, idx, pos, value):
+    parts = lines[idx].split(",")
+    parts[pos] = value
+    lines[idx] = ",".join(parts)
+
+
+def _edit_meta(d, fn):
+    meta = json.loads((d / "meta.json").read_text())
+    fn(meta)
+    (d / "meta.json").write_text(json.dumps(meta))
+
+
+# each corrupts a saved case-1 run (4 agents, 8 directed edges, horizon
+# >= 10, stride 1); line 1 + 4 (k - 1) + (agent - 1) of trajectory.csv holds
+# (k, agent), so line 38 is step 10, agent 2
+CORRUPTIONS = {
+    # a copy of step 10, agent 1 standing in for the missing step 10, agent 2
+    "trajectory-duplicate-row": (
+        "trajectory.csv", lambda ls: ls.__setitem__(38, ls[37]),
+        "line 39: second row for step 10, agent 1"),
+    "trajectory-missing-row": (
+        "trajectory.csv", lambda ls: ls.__delitem__(38), "no row for step 10, agent 2"),
+    "trajectory-step-out-of-range": (
+        "trajectory.csv", lambda ls: _set_field(ls, 38, 0, "100000"),
+        "line 39: step 100000 is not a logged step"),
+    "trajectory-unknown-agent": (
+        "trajectory.csv", lambda ls: _set_field(ls, 38, 1, "7"),
+        "line 39: agent 7 outside 1..4"),
+    "trajectory-malformed-value": (
+        "trajectory.csv", lambda ls: _set_field(ls, 38, 2, "1.5e"), "line 39: could not"),
+    "edges-duplicate-row": (
+        "edges.csv", lambda ls: ls.__setitem__(2, ls[1]),
+        "line 3: second row for step 1, edge (1, 2)"),
+    "edges-missing-row": (
+        "edges.csv", lambda ls: ls.__delitem__(2), "no row for step 1, edge (1, 4)"),
+    "edges-step-out-of-range": (
+        "edges.csv", lambda ls: _set_field(ls, 2, 0, "0"),
+        "line 3: step 0 is not a logged step"),
+    "edges-unknown-pair": (
+        "edges.csv", lambda ls: _set_field(ls, 2, 2, "3"),
+        "line 3: (1, 3) is not a directed edge"),
+}
+
+
+def corrupt(d, case):
+    name, fn, _ = CORRUPTIONS[case]
+    _edit_lines(d / name, fn)
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_load_run_rejects_corrupt_log_files(tmp_path, case):
+    d = tmp_path / "r"
+    save_run(run(builtin_case(1, horizon=20)), str(d))
+    load_run(str(d))
+    corrupt(d, case)
+    with pytest.raises(IncompleteLog, match=re.escape(CORRUPTIONS[case][2])):
+        load_run(str(d))
+
+
+def test_load_run_rejects_edge_rows_off_the_stride(tmp_path):
+    d = tmp_path / "r"
+    save_run(run(builtin_case(2, horizon=30, log_stride=7)), str(d))
+    load_run(str(d))
+    # step 2 is not on the stride (1, 8, 15, ...) and has no edge rows
+    _edit_lines(d / "edges.csv", lambda ls: _set_field(ls, 1, 0, "2"))
+    with pytest.raises(IncompleteLog, match="step 2 is not a logged step"):
+        load_run(str(d))
+
+
+def test_load_run_rejects_scenario_hash_mismatch(tmp_path):
+    d = tmp_path / "r"
+    save_run(run(builtin_case(1, horizon=20)), str(d))
+    _edit_meta(d, lambda m: m["scenario"]["controller"].__setitem__("c_M", 56.0))
+    with pytest.raises(IncompleteLog, match="does not match its scenario_hash"):
+        load_run(str(d))
+
+
+def test_load_run_rejects_horizon_beyond_scenario(tmp_path):
+    d = tmp_path / "r"
+    save_run(run(builtin_case(1, horizon=20)), str(d))
+    _edit_meta(d, lambda m: m.__setitem__("horizon", 21))
+    with pytest.raises(IncompleteLog, match="do not fit the scenario"):
+        load_run(str(d))
 
 
 # ---------------------------------------------------------------------------
