@@ -11,6 +11,7 @@ main correctness check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -225,16 +226,12 @@ def check_window_bound(times: TruncationTimes, d: int, horizon: int) -> bool:
 # ---------------------------------------------------------------------------
 # step-window count m(k, T)
 
-def m_of(k: int, T: float) -> int:
+def _window_count(k: int, T: float) -> int:
     """Largest m with 1/k + ... + 1/m <= T, by direct compensated summation.
 
     Returns k - 1 when even the first term exceeds T (degenerate window).
-    The exponential sandwich (k-1) e^T - 1 < m < k e^T - 1 is checked on
-    every call and raises IdentityViolation if it fails; it holds in the
-    degenerate branch too.
+    Pure float arithmetic on (k, T) alone, so its results may be memoised.
     """
-    if k < 1 or not T > 0:
-        raise ValidationError(f"need k >= 1 and T > 0, got k={k}, T={T}")
     s = 0.0
     comp = 0.0
     m = k - 1
@@ -252,12 +249,58 @@ def m_of(k: int, T: float) -> int:
             nxt += 1
         else:
             break
+    return m
+
+
+@functools.lru_cache(maxsize=16)
+def _window_counts(K: int, T: float) -> tuple:
+    """(m(1, T), ..., m(K, T)) from _window_count, built once per (K, T).
+
+    Only the summation is memoised; callers check the sandwich on every use.
+    """
+    return tuple(_window_count(k, T) for k in range(1, K + 1))
+
+
+def _window_sandwich(k: int, T: float, m: int) -> None:
+    """Raise IdentityViolation unless (k-1) e^T - 1 < m < k e^T - 1.
+
+    The violation's location is (k, T, lo, m, hi).
+    """
     lo = (k - 1) * math.exp(T) - 1.0
     hi = k * math.exp(T) - 1.0
     if not lo < m < hi:
         raise IdentityViolation(
-            f"window bound violated: {lo} < {m} < {hi} fails at k={k}, T={T}")
+            f"window bound violated: {lo} < {m} < {hi} fails at k={k}, T={T}",
+            location=(k, T, lo, m, hi))
+
+
+def m_of(k: int, T: float) -> int:
+    """Largest m with 1/k + ... + 1/m <= T, by direct compensated summation.
+
+    Returns k - 1 when even the first term exceeds T (degenerate window).
+    The exponential sandwich (k-1) e^T - 1 < m < k e^T - 1 is checked on
+    every call and raises IdentityViolation if it fails; it holds in the
+    degenerate branch too.
+    """
+    if k < 1 or not 0 < T < INF:
+        raise ValidationError(f"need k >= 1 and finite T > 0, got k={k}, T={T}")
+    m = _window_count(k, T)
+    _window_sandwich(k, T, m)
     return m
+
+
+def _eq28_first_failure(K: int, grid_T) -> tuple | None:
+    """First (k, T, lo, m, hi) on the grid where the sandwich fails, or None.
+
+    Reads m from the memoised tables and rechecks the sandwich every time.
+    """
+    for T in grid_T:
+        for k, m in enumerate(_window_counts(K, T), start=1):
+            try:
+                _window_sandwich(k, T, m)
+            except IdentityViolation as e:
+                return e.location
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +545,15 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
 
     Returns (report, extras): report carries the four headline fields
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
-    supporting diagnostics for human output.
+    supporting diagnostics for human output, among them the eq28 grid checked
+    (k <= m_grid_k, T in m_grid_T) and its first failing (k, T, lo, m, hi),
+    or None. An empty grid or a T that is not finite and > 0 raises
+    ValidationError.
     """
+    if m_grid_k < 1 or not m_grid_T or not all(0 < T < INF for T in m_grid_T):
+        raise ValidationError(
+            f"eq28 grid needs m_grid_k >= 1 and finite T > 0, got "
+            f"m_grid_k={m_grid_k}, m_grid_T={m_grid_T}")
     lap = laplacian(topology)
     aux = build_auxiliary(log, gains, topology)
     sched = Schedule(c_M=log.c_M)
@@ -512,13 +562,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
     d = diameter(topology)
     eq26 = check_window_bound(aux.times, d, log.horizon)
 
-    eq28 = True
-    for T in m_grid_T:
-        for k in range(1, m_grid_k + 1):
-            try:
-                m_of(k, T)
-            except IdentityViolation:
-                eq28 = False
+    eq28_failure = _eq28_first_failure(m_grid_k, m_grid_T)
 
     K, n = log.u.shape
     deg = np.diag(lap.D)
@@ -536,7 +580,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
     report = {
         "lemma3_residual": rec.max_abs_residual,
         "eq26_ok": eq26,
-        "eq28_ok": eq28,
+        "eq28_ok": eq28_failure is None,
         "decomposition_max_err": decomp_err,
     }
     extras = {
@@ -545,5 +589,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
         "sigma_consistent": rec.sigma_consistent,
         "diameter": d,
         "truncation_top": aux.times.top,
+        "eq28_grid": (m_grid_k, tuple(m_grid_T)),
+        "eq28_first_failure": eq28_failure,
     }
     return report, extras

@@ -137,13 +137,18 @@ def cmd_verify(args) -> int:
     rec = extras["recursion"]
 
     decomp_ok = report["decomposition_max_err"] < 1e-10
+    grid_k, grid_T = extras["eq28_grid"]
+    eq28_note = f"grid k <= {grid_k}, T in {grid_T}"
+    if extras["eq28_first_failure"] is not None:
+        k, T, lo, m, hi = extras["eq28_first_failure"]
+        eq28_note += f"; first failure at k={k}, T={T}: {lo!r} < {m} < {hi!r}"
     rows = [
         ("centralized replay", rec.passed,
          f"max residual {report['lemma3_residual']:.3e}"
          + ("" if rec.sigma_consistent else ", count path mismatch")),
         ("truncation window bound", report["eq26_ok"],
          f"diameter {extras['diameter']}, top count {extras['truncation_top']}"),
-        ("step-count bounds", report["eq28_ok"], "grid k <= 1000"),
+        ("step-count bounds", report["eq28_ok"], eq28_note),
         ("noise decomposition", decomp_ok,
          f"max err {report['decomposition_max_err']:.3e}"),
     ]

@@ -61,7 +61,14 @@ class NonFiniteValue(RuntimeError):
 
 
 class IdentityViolation(RuntimeError):
-    """An exact identity or bound that must hold was found violated."""
+    """An exact identity or bound that must hold was found violated.
+
+    Attribute location, when set, holds the values that locate the failure.
+    """
+
+    def __init__(self, message, location=None):
+        super().__init__(message)
+        self.location = location
 
 
 class BracketFailure(RuntimeError):

@@ -37,6 +37,7 @@ from hwconsensus import (
     truncation_times,
     verify_centralized_recursion,
 )
+from hwconsensus.analysis import _window_counts
 
 from conftest import forced_truncation_scenarios
 from test_plant import _random_stable_poly
@@ -184,6 +185,8 @@ def test_criterion_05_step_count_window_bounds():
                     hi += 1
                 m = m_of(k, T)     # asserts the exponential sandwich itself
                 assert m == hi, (k, T, m, hi)
+                # the memoised table full_verification reads
+                assert _window_counts(1000, T)[k - 1] == hi, (k, T, hi)
                 assert (k - 1) * math.exp(T) - 1.0 < m < k * math.exp(T) - 1.0
                 total += 1
     print(f"criterion 05 step-count bounds: PASS "

@@ -17,6 +17,7 @@ from hwconsensus import (
     check_window_bound,
     consensus_metrics,
     consensus_point,
+    full_verification,
     gain_roots,
     laplacian,
     lyapunov_v,
@@ -108,6 +109,82 @@ def test_m_of_rejects_bad_input():
         m_of(3, 0.0)
     with pytest.raises(ValidationError):
         m_of(3, -1.0)
+
+
+def test_m_of_rejects_infinite_T():
+    # the summation never exceeds an infinite T, so this must not reach it
+    with pytest.raises(ValidationError):
+        m_of(1, INF)
+
+
+SHORT = builtin_case(1, horizon=50)
+SHORT_LOG = run(SHORT).log
+
+
+@pytest.mark.parametrize("grid", [
+    {"m_grid_k": 0},
+    {"m_grid_T": ()},
+    {"m_grid_k": 0, "m_grid_T": (-1.0,)},
+    {"m_grid_T": (0.5, -1.0)},
+    {"m_grid_T": (0.5, 0.0)},
+    {"m_grid_T": (INF,)},
+    {"m_grid_T": (float("nan"),)},
+], ids=["k0", "no_T", "k0_negative_T", "negative_T", "zero_T", "infinite_T", "nan_T"])
+def test_eq28_grid_rejected_up_front(grid):
+    with pytest.raises(ValidationError, match="eq28 grid"):
+        full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology, **grid)
+
+
+def test_eq28_failure_located_after_the_table_is_built(monkeypatch):
+    import hwconsensus.analysis as A
+    report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology,
+                                       m_grid_k=20)
+    assert report["eq28_ok"] is True
+    assert extras["eq28_grid"] == (20, (0.1, 0.5, 1.0, 2.0))
+    assert extras["eq28_first_failure"] is None
+    monkeypatch.setattr(A.math, "exp", lambda x: 1.0)  # sandwich becomes k-2 < m < k-1
+    report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology,
+                                       m_grid_k=20)
+    assert report["eq28_ok"] is False
+    # m(1, 0.1) = 0 (1/1 > 0.1) and 0 < 0.0 fails
+    assert extras["eq28_first_failure"] == (1, 0.1, -1.0, 0, 0.0)
+
+
+def test_window_table_built_once_per_process(monkeypatch):
+    import hwconsensus.analysis as A
+    sums = []
+    lengths = []
+    summation = A._window_count
+    table = A._window_counts
+
+    def counted_sum(k, T):
+        sums.append((k, T))
+        return summation(k, T)
+
+    def measured_table(K, T):
+        lengths.append(len(table(K, T)))
+        return table(K, T)
+
+    monkeypatch.setattr(A, "_window_count", counted_sum)
+    monkeypatch.setattr(A, "_window_counts", measured_table)
+    table.cache_clear()
+    try:
+        other = run(SHORT, master_seed=7).log
+        assert not np.array_equal(other.u, SHORT_LOG.u)
+        full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)
+        assert len(sums) == 4000
+        full_verification(other, SHORT.gains(), SHORT.topology)
+        assert len(sums) == 4000
+
+        del lengths[:]
+        full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology, m_grid_k=20)
+        assert lengths == [20] * 4
+        full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)
+        assert lengths == [20] * 4 + [1000] * 4
+        assert len(sums) == 4000 + 80
+    finally:
+        # drop the tables built through the counting wrapper
+        table.cache_clear()
 
 
 @settings(max_examples=60, deadline=None)

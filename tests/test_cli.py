@@ -138,6 +138,20 @@ def test_verify_tampered_log_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_locates_an_eq28_failure(tmp_path, capsys, monkeypatch):
+    import hwconsensus.analysis as A
+    d = run_dir(tmp_path)
+    monkeypatch.setattr(A.math, "exp", lambda x: 1.0)  # sandwich becomes k-2 < m < k-1
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 2
+    row = next(l for l in capsys.readouterr().out.splitlines()
+               if l.startswith("step-count bounds"))
+    assert row.split()[2] == "FAIL"
+    assert row.endswith("grid k <= 1000, T in (0.1, 0.5, 1.0, 2.0); "
+                        "first failure at k=1, T=0.1: -1.0 < 0 < 0.0")
+    assert json.loads((d / "report.json").read_text())["eq28_ok"] is False
+
+
 def test_verify_strided_log_rejected(tmp_path, capsys):
     d = tmp_path / "strided"
     assert main(["run", "--case", "1", "--horizon", "200", "--log-stride", "4",
