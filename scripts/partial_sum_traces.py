@@ -25,6 +25,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hwconsensus import load_run  # noqa: E402
 from hwconsensus.analysis import geometric_rows  # noqa: E402
+from hwconsensus.harness import format_cells, write_csv  # noqa: E402
 
 
 def main() -> int:
@@ -63,27 +64,17 @@ def main() -> int:
     traces = np.array(traces)
 
     rows = geometric_rows(len(ks), args.points)
-    head = "k," + ",".join(f"agent_{i + 1}" for i in range(n))
-    lines = [head]
-    for r in rows:
-        vals = ",".join(repr(x) for x in traces[r].tolist())
-        lines.append(f"{ks[r]},{vals}")
     path = os.path.join(outdir, "window_sums.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "k," + ",".join(f"agent_{i + 1}" for i in range(n)),
+              [(format_cells(ks[rows]), *map(format_cells, traces[rows].T))])
     print(f"wrote {path} ({len(rows)} samples, windows up to ln {K})")
 
     wE = a[:, None] * log.eps
     running = np.abs(np.vstack([np.zeros(len(log.pairs)), np.cumsum(wE, axis=0)]))
     rows = geometric_rows(K, args.points)
-    head = "k," + ",".join(f"e_{i}_{j}" for (i, j) in log.pairs)
-    lines = [head]
-    for r in rows:
-        vals = ",".join(repr(x) for x in running[r + 1].tolist())
-        lines.append(f"{r + 1},{vals}")
     path = os.path.join(outdir, "noise_sums.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "k," + ",".join(f"e_{i}_{j}" for (i, j) in log.pairs),
+              [(format_cells(rows + 1), *map(format_cells, running[rows + 1].T))])
     print(f"wrote {path} (diagnostic only, nothing asserts on these)")
     return 0
 

@@ -122,15 +122,13 @@ def cmd_verify(args) -> int:
     if not os.path.exists(meta_path):
         print(f"no run found under {args.log}", file=sys.stderr)
         return 3
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if meta.get("log_stride", 1) != 1:
-        print("verification requires stride 1", file=sys.stderr)
-        return 1
     try:
         log, s = harness.load_run(args.log)
     except IncompleteLog as e:
         print(f"incomplete log: {e}", file=sys.stderr)
+        return 1
+    if log.log_stride != 1:
+        print("verification requires stride 1", file=sys.stderr)
         return 1
     gains = s.gains()
     report, extras = analysis.full_verification(log, gains, s.topology)
@@ -162,18 +160,21 @@ def cmd_verify(args) -> int:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     metrics = analysis.consensus_metrics(log, gains, laplacian(s.topology))
-    spread = metrics.spread_y.tolist()
-    resid = metrics.residual.tolist()
-    sbar = metrics.sigma_bar.tolist()
-    vval = metrics.v.tolist()
-    lines = ["k,spread_y,residual,sigma_bar,v"]
-    for i in range(len(metrics.k)):
-        lines.append(f"{i + 1},{spread[i]!r},{resid[i]!r},{int(sbar[i])},"
-                     f"{vval[i]!r}")
-    with open(os.path.join(args.log, "metrics.csv"), "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    harness.write_csv(
+        os.path.join(args.log, "metrics.csv"), "k,spread_y,residual,sigma_bar,v",
+        [(harness.format_cells(np.arange(1, len(metrics.k) + 1)),
+          harness.format_cells(metrics.spread_y), harness.format_cells(metrics.residual),
+          harness.format_cells(metrics.sigma_bar.astype(np.int64)),
+          harness.format_cells(metrics.v))])
 
     return 0 if all(ok for _, ok, _ in rows) else 2
+
+
+def _write_series(path: str, name: str, ks, values) -> None:
+    """One row per step: k, then one column per agent."""
+    head = "k," + ",".join(f"{name}_{i + 1}" for i in range(values.shape[1]))
+    harness.write_csv(path, head, [(harness.format_cells(ks),
+                                    *map(harness.format_cells, values.T))])
 
 
 def cmd_plotdata(args) -> int:
@@ -188,30 +189,15 @@ def cmd_plotdata(args) -> int:
         return 3
     outdir = args.out or args.log
     os.makedirs(outdir, exist_ok=True)
-    n = log.u.shape[1]
-    K = log.u.shape[0]
-
-    rows = analysis.geometric_rows(K, args.points)
-    U = log.u.tolist()
-    head = "k," + ",".join(f"u_{i + 1}" for i in range(n))
-    lines = [head]
-    for r in rows:
-        lines.append(f"{r + 1}," + ",".join(repr(x) for x in U[r]))
-    with open(os.path.join(outdir, "inputs.csv"), "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = analysis.geometric_rows(log.u.shape[0], args.points)
+    _write_series(os.path.join(outdir, "inputs.csv"), "u", rows + 1, log.u[rows])
 
     # outputs are indexed by the step at which they take effect (k + 1)
     logged = ~np.isnan(log.y_next).any(axis=1)
     avail = np.nonzero(logged)[0]
     pick = avail[np.unique(np.searchsorted(avail, rows).clip(0, len(avail) - 1))] \
         if len(avail) else avail
-    Yl = log.y_next.tolist()
-    head = "k," + ",".join(f"y_{i + 1}" for i in range(n))
-    lines = [head]
-    for r in pick:
-        lines.append(f"{r + 2}," + ",".join(repr(x) for x in Yl[r]))
-    with open(os.path.join(outdir, "outputs.csv"), "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_series(os.path.join(outdir, "outputs.csv"), "y", pick + 2, log.y_next[pick])
     print(f"wrote {os.path.join(outdir, 'inputs.csv')} and outputs.csv "
           f"({len(rows)} and {len(pick)} samples)")
     return 0
@@ -237,7 +223,7 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 1
-    except (BracketFailure, RootSolverFailure, json.JSONDecodeError) as e:
+    except (BracketFailure, RootSolverFailure) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
     except OSError as e:

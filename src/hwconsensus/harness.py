@@ -418,41 +418,71 @@ def _batch_worker(args):
 # ---------------------------------------------------------------------------
 # persistence
 
+# Steps formatted per write: the writer never holds more than this many
+# steps' rows as strings, whatever the horizon.
+SAVE_BLOCK_STEPS = 1024
+
+# The two log files, one record per line: k, then the key fields that name
+# the grid column (agent, or the directed edge i, j), then the values.
+TRAJECTORY_FIELDS = np.dtype([
+    ("k", np.int64), ("agent", np.int64), ("u", np.float64), ("sigma", np.int64),
+    ("sigma_prime", np.int64), ("u_prime", np.float64), ("y_next", np.float64),
+    ("O_next", np.float64)])
+EDGE_FIELDS = np.dtype([("k", np.int64), ("i", np.int64), ("j", np.int64),
+                        ("z", np.float64), ("eps", np.float64)])
+
+
+def format_cells(values, blank_nan: bool = False) -> list:
+    """repr() of every entry of an array in row-major order, NaN as '' if blank_nan."""
+    values = np.asarray(values)
+    cells = list(map(repr, values.ravel().tolist()))
+    if blank_nan:
+        for idx in np.flatnonzero(np.isnan(values)).tolist():
+            cells[idx] = ""
+    return cells
+
+
+def write_csv(path: str, header: str, blocks) -> None:
+    """Write the header, then a row per position of each block's cell columns."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            rows = list(map(",".join, zip(*columns)))
+            if rows:
+                fh.write("\n".join(rows) + "\n")
+
+
+def _trajectory_blocks(log: analysis.TrajectoryLog):
+    K, n = log.u.shape
+    agents = format_cells(np.arange(1, n + 1))
+    for a in range(0, K, SAVE_BLOCK_STEPS):
+        b = min(a + SAVE_BLOCK_STEPS, K)
+        yield (format_cells(np.repeat(np.arange(a + 1, b + 1), n)), agents * (b - a),
+               *(format_cells(col[a:b])
+                 for col in (log.u, log.sigma, log.sigma_prime, log.u_prime)),
+               format_cells(log.y_next[a:b], blank_nan=True),
+               format_cells(log.O_next[a:b], blank_nan=True))
+
+
+def _edge_blocks(log: analysis.TrajectoryLog):
+    m = len(log.pairs)
+    observers = format_cells([i for i, _ in log.pairs])
+    observed = format_cells([j for _, j in log.pairs])
+    # steps off the stride have no observations and no rows
+    steps = np.flatnonzero(~np.isnan(log.z).all(axis=1))
+    for a in range(0, len(steps), SAVE_BLOCK_STEPS):
+        rows = steps[a:a + SAVE_BLOCK_STEPS]
+        yield (format_cells(np.repeat(rows + 1, m)), observers * len(rows),
+               observed * len(rows), format_cells(log.z[rows]), format_cells(log.eps[rows]))
+
+
 def save_run(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     log = result.log
-    K, n = log.u.shape
-
-    U = log.u.tolist()
-    S = log.sigma.tolist()
-    SP = log.sigma_prime.tolist()
-    UP = log.u_prime.tolist()
-    Y = log.y_next.tolist()
-    Ob = log.O_next.tolist()
-    rows = ["k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next"]
-    for r in range(K):
-        k = r + 1
-        for i in range(n):
-            y, O = Y[r][i], Ob[r][i]
-            ys = repr(y) if y == y else ""
-            Os = repr(O) if O == O else ""
-            rows.append(f"{k},{i + 1},{U[r][i]!r},{S[r][i]},"
-                        f"{SP[r][i]},{UP[r][i]!r},{ys},{Os}")
-    with open(os.path.join(outdir, "trajectory.csv"), "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
-
-    Z = log.z.tolist()
-    E = log.eps.tolist()
-    rows = ["k,i,j,z,eps"]
-    for r in range(K):
-        zr = Z[r]
-        if log.pairs and all(x != x for x in zr):
-            continue
-        k = r + 1
-        for c, (i, j) in enumerate(log.pairs):
-            rows.append(f"{k},{i},{j},{zr[c]!r},{E[r][c]!r}")
-    with open(os.path.join(outdir, "edges.csv"), "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_csv(os.path.join(outdir, "trajectory.csv"), ",".join(TRAJECTORY_FIELDS.names),
+              _trajectory_blocks(log))
+    write_csv(os.path.join(outdir, "edges.csv"), ",".join(EDGE_FIELDS.names),
+              _edge_blocks(log))
 
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump({"label": result.scenario.label, "seed": result.seed,
@@ -472,63 +502,186 @@ def save_run(result: RunResult, outdir: str) -> None:
         fh.write("\n")
 
 
-def _read_cells(path: str, header: str, K: int, every: int, labels: list,
-                locate, store) -> None:
-    """Parse one log CSV whose rows each fill one cell of a K x len(labels) grid.
+def _float_or_nan(text: str) -> float:
+    # strided logs leave the output cells of steps off the stride blank
+    return float(text) if text else math.nan
 
-    locate(fields) -> (row, column) names a row's cell and store(row, column,
-    fields) writes its values. Every cell on rows 0, every, 2*every, ...
-    below K must be filled exactly once and no other cell at all; anything
-    else -- a malformed row, a step out of range or off the stride, a
-    repeated cell, a missing one -- raises IncompleteLog naming the file and
-    the line or cell.
+
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{text!r} does not fit in 64 bits")
+    return value
+
+
+def _count_lines(fh) -> int:
+    lines, last = 0, "\n"
+    for chunk in iter(lambda: fh.read(1 << 20), ""):
+        lines += chunk.count("\n")
+        last = chunk[-1]
+    return lines + (last != "\n")
+
+
+def _convert_lines(fh, fields: np.dtype, kinds: list, order: list):
+    """Convert lines with int() and float(), each line's fields in the given
+    order, up to and including the first line that does not convert.
+
+    Returns the records and None, or the records (the failing line last, its
+    unconverted fields 0) and (line index, fields converted, reason).
     """
-    name = os.path.basename(path)
-    width = len(labels)
-    nfields = header.count(",") + 1
-    seen = bytearray(K * width)
+    rows, failure = [], None
+    for idx, line in enumerate(fh):
+        parts = line.rstrip("\n").split(",")
+        row = [0] * len(kinds)
+        done = 0
+        try:
+            if len(parts) != len(kinds):
+                raise ValueError(f"{len(parts)} fields, expected {len(kinds)}")
+            for c in order:
+                row[c] = kinds[c](parts[c])
+                done += 1
+        except ValueError as e:
+            failure = (idx, done, str(e))
+        rows.append(tuple(row))
+        if failure:
+            break
+    return np.array(rows, fields), failure
+
+
+def _parse_log(path: str, fields: np.dtype, nkey: int, blank):
+    """Parse one log CSV into records of `fields`, one per line after the header.
+
+    Fields named in `blank` read an empty cell as NaN. Returns the records and
+    None, or, from the first line that does not convert, the records up to and
+    including it and (line index, fields converted, reason); a line converts
+    its key fields first, then k, then its values.
+    """
+    converters = {fields.names.index(f): _float_or_nan for f in blank}
     with open(path) as fh:
         got = fh.readline().rstrip("\n")
-        if got != header:
-            raise IncompleteLog(f"{name}: unexpected header {got!r}")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                parts = line.rstrip("\n").split(",")
-                if len(parts) != nfields:
-                    raise ValueError(f"{len(parts)} fields, expected {nfields}")
-                r, c = locate(parts)
-                if not (0 <= r < K and r % every == 0):
-                    raise ValueError(f"step {r + 1} is not a logged step of 1..{K}")
-                cell = r * width + c
-                if seen[cell]:
-                    raise ValueError(f"second row for step {r + 1}, {labels[c]}")
-                seen[cell] = 1
-                store(r, c, parts)
-            except ValueError as e:
-                raise IncompleteLog(f"{name} line {lineno}: {e}") from None
-    missing = np.argwhere(np.frombuffer(seen, dtype=np.uint8).reshape(K, width)[::every] == 0)
-    if len(missing):
-        r, c = missing[0]
-        raise IncompleteLog(f"{name}: no row for step {r * every + 1}, {labels[c]}")
+        if got != ",".join(fields.names):
+            raise IncompleteLog(f"{os.path.basename(path)}: unexpected header {got!r}")
+        start = fh.tell()
+        lines = _count_lines(fh)
+        if not lines:
+            return np.empty(0, fields), None
+        fh.seek(start)
+        try:
+            rec = np.loadtxt(fh, fields, delimiter=",", comments=None,
+                             converters=converters, ndmin=1)
+            if len(rec) == lines:
+                return rec, None
+        except ValueError:
+            pass
+        # numpy rejected a line or skipped a blank one: convert line by line
+        # as int() and float() do, up to the first line that fails
+        kinds = [converters.get(c, _int64 if fields[c].kind == "i" else float)
+                 for c in range(len(fields))]
+        fh.seek(start)
+        return _convert_lines(fh, fields, kinds,
+                              [*range(1, 1 + nkey), 0, *range(1 + nkey, len(fields))])
+
+
+def _read_log(path: str, fields: np.dtype, K: int, every: int, keys: list,
+              labels: list, unknown, blank=()) -> dict:
+    """Read one log CSV whose lines each fill one cell of a K x len(keys) grid.
+
+    A line is one record of `fields`: its step k names grid row k - 1 and its
+    key fields, the ones after k, name the column of the matching entry of
+    `keys`. Every cell on rows 0, every, 2*every, ... below K must be filled
+    exactly once and no other cell at all; anything else -- a malformed line,
+    an unknown key (described by unknown(key)), a step out of range or off
+    the stride, a repeated cell, a missing one -- raises IncompleteLog naming
+    the file and the line or cell. Returns one (K, len(keys)) grid per value
+    field, NaN or 0 where unfilled.
+    """
+    name = os.path.basename(path)
+    nkey = len(keys[0])
+    width = len(keys)
+    rec, failure = _parse_log(path, fields, nkey, blank)
+
+    key_values = [rec[f] for f in fields.names[1:1 + nkey]]
+    base = max(map(max, keys)) + 1
+
+    def encode(columns):
+        code = 0
+        for v in columns:
+            code = code * base + v
+        return code
+
+    lut = np.full(base ** nkey, -1)
+    lut[encode(np.array(keys).T)] = np.arange(width)
+    in_range = np.logical_and.reduce([(v >= 1) & (v < base) for v in key_values])
+    col = lut[encode([np.where(in_range, v, 0) for v in key_values])]
+    r = rec["k"] - 1
+    bad_key = col < 0
+    bad_step = (r < 0) | (r >= K) | (r % every != 0)
+    ok = ~(bad_key | bad_step)
+    cell = np.where(ok, r // every * width + col, -1)
+    order = np.argsort(cell, kind="stable")
+    repeated = np.zeros(len(rec), dtype=bool)
+    repeated[order[1:][cell[order[1:]] == cell[order[:-1]]]] = True
+    # the first failing check of each line: 1 key, 2 step, 3 repeated cell
+    check = np.select([bad_key, bad_step, repeated & ok], [1, 2, 3], 0)
+    if failure:
+        # the line that did not convert is checked only as far as it converted
+        idx, done, _ = failure
+        if check[idx] > (0 if done < nkey else 1 if done == nkey else 3):
+            check[idx] = 0
+
+    flagged = np.flatnonzero(check)
+    if len(flagged):
+        x = flagged[0]
+        if check[x] == 1:
+            why = unknown(tuple(int(v[x]) for v in key_values))
+        elif check[x] == 2:
+            why = f"step {rec['k'][x]} is not a logged step of 1..{K}"
+        else:
+            why = f"second row for step {rec['k'][x]}, {labels[col[x]]}"
+        raise IncompleteLog(f"{name} line {x + 2}: {why}")
+    if failure:
+        raise IncompleteLog(f"{name} line {failure[0] + 2}: {failure[2]}")
+
+    seen = np.zeros(-(-K // every) * width, dtype=bool)
+    seen[cell] = True
+    if not seen.all():
+        r0, c0 = divmod(int(np.argmin(seen)), width)
+        raise IncompleteLog(f"{name}: no row for step {r0 * every + 1}, {labels[c0]}")
+
+    grids = {}
+    for f in fields.names[1 + nkey:]:
+        dt = fields[f]
+        grids[f] = np.full((K, width), np.nan if dt.kind == "f" else 0, dtype=dt)
+        grids[f][r, col] = rec[f]
+    return grids
 
 
 def load_run(rundir: str):
     """Read a saved run back as (TrajectoryLog, Scenario).
 
     Raises IncompleteLog, with the file and the line or cell, for a meta.json
-    whose embedded scenario does not match its scenario_hash and for log
-    files with malformed, duplicated, missing or out-of-range rows.
+    that is not a JSON object with every key, or whose embedded scenario is
+    invalid or does not match its scenario_hash, and for log files with
+    malformed, duplicated, missing or out-of-range rows.
     """
     meta_path = os.path.join(rundir, "meta.json")
     if not os.path.exists(meta_path):
         raise FileNotFoundError(f"no meta.json under {rundir}")
     with open(meta_path) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError as e:
+            raise IncompleteLog(f"meta.json is not valid JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise IncompleteLog(f"meta.json holds a {type(meta).__name__}, not an object")
     missing = {"label", "horizon", "log_stride", "seed", "scenario_hash",
                "scenario"} - set(meta)
     if missing:
         raise IncompleteLog(f"meta.json lacks {sorted(missing)}")
-    s = scenario_from_dict(meta["scenario"])
+    try:
+        s = scenario_from_dict(meta["scenario"])
+    except ValidationError as e:
+        raise IncompleteLog(f"meta.json: invalid scenario: {e}") from None
     if scenario_hash(s) != meta["scenario_hash"]:
         raise IncompleteLog("meta.json: the embedded scenario does not match its "
                             f"scenario_hash {meta['scenario_hash']!r}")
@@ -539,55 +692,16 @@ def load_run(rundir: str):
                             f"not fit the scenario ({s.horizon}, {s.log_stride})")
     n = s.n
     pairs = directed_pairs(s.topology)
-    col_of = {p: c for c, p in enumerate(pairs)}
-
-    u = np.empty((K, n))
-    sig = np.empty((K, n), dtype=np.int64)
-    sigp = np.empty((K, n), dtype=np.int64)
-    up = np.empty((K, n))
-    y = np.full((K, n), np.nan)
-    O = np.full((K, n), np.nan)
-
-    def agent_cell(parts):
-        i = int(parts[1])
-        if not 1 <= i <= n:
-            raise ValueError(f"agent {i} outside 1..{n}")
-        return int(parts[0]) - 1, i - 1
-
-    def store_agent(r, i, parts):
-        u[r, i] = float(parts[2])
-        sig[r, i] = int(parts[3])
-        sigp[r, i] = int(parts[4])
-        up[r, i] = float(parts[5])
-        if parts[6]:
-            y[r, i] = float(parts[6])
-        if parts[7]:
-            O[r, i] = float(parts[7])
-
-    _read_cells(os.path.join(rundir, "trajectory.csv"),
-                "k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next", K, 1,
-                [f"agent {i}" for i in range(1, n + 1)], agent_cell, store_agent)
-
-    z = np.full((K, len(pairs)), np.nan)
-    eps = np.full((K, len(pairs)), np.nan)
-
-    def edge_cell(parts):
-        p = (int(parts[1]), int(parts[2]))
-        if p not in col_of:
-            raise ValueError(f"{p} is not a directed edge of the scenario")
-        return int(parts[0]) - 1, col_of[p]
-
-    def store_edge(r, c, parts):
-        z[r, c] = float(parts[3])
-        eps[r, c] = float(parts[4])
-
-    _read_cells(os.path.join(rundir, "edges.csv"), "k,i,j,z,eps", K, stride,
-                [f"edge {p}" for p in pairs], edge_cell, store_edge)
-
+    cols = _read_log(os.path.join(rundir, "trajectory.csv"), TRAJECTORY_FIELDS, K, 1,
+                     [(i,) for i in range(1, n + 1)],
+                     [f"agent {i}" for i in range(1, n + 1)],
+                     lambda key: f"agent {key[0]} outside 1..{n}",
+                     blank=("y_next", "O_next"))
+    cols.update(_read_log(os.path.join(rundir, "edges.csv"), EDGE_FIELDS, K, stride,
+                          pairs, [f"edge {p}" for p in pairs],
+                          lambda key: f"{key} is not a directed edge of the scenario"))
     log = analysis.TrajectoryLog(
-        n=n, horizon=K, log_stride=stride, pairs=pairs,
-        u=u, sigma=sig, sigma_prime=sigp, u_prime=up, y_next=y, O_next=O,
-        z=z, eps=eps, u_star=np.array(s.controller.u_star),
-        c_M=s.controller.c_M, label=meta["label"],
-        scenario_hash=meta["scenario_hash"], seed=meta["seed"])
+        n=n, horizon=K, log_stride=stride, pairs=pairs, **cols,
+        u_star=np.array(s.controller.u_star), c_M=s.controller.c_M,
+        label=meta["label"], scenario_hash=meta["scenario_hash"], seed=meta["seed"])
     return log, s

@@ -170,16 +170,30 @@ def test_verify_incomplete_log_rejected(tmp_path, capsys):
     assert "incomplete" in capsys.readouterr().err
 
 
+def _edit_meta(d, fn):
+    meta = json.loads((d / "meta.json").read_text())
+    fn(meta)
+    (d / "meta.json").write_text(json.dumps(meta))
+
+
+META_CORRUPTIONS = {
+    "meta-hash-mismatch": lambda d: _edit_meta(
+        d, lambda m: m["scenario"]["controller"]["u_star"].__setitem__(0, 1.5)),
+    "meta-invalid-scenario": lambda d: _edit_meta(
+        d, lambda m: m["scenario"].__setitem__("horizon", 0)),
+    "meta-not-json": lambda d: (d / "meta.json").write_text('{"label": '),
+    "meta-not-object": lambda d: (d / "meta.json").write_text("3"),
+}
+
+
 @pytest.mark.parametrize("case", ["trajectory-duplicate-row", "edges-unknown-pair",
-                                  "meta-hash-mismatch"])
+                                  *META_CORRUPTIONS])
 def test_corrupt_run_directory_exit_codes(tmp_path, capsys, case):
     # verify reports a corrupt or mismatched run as a usage problem (1),
     # plotdata as an unreadable run (3); neither prints a traceback
     d = run_dir(tmp_path)
-    if case == "meta-hash-mismatch":
-        meta = json.loads((d / "meta.json").read_text())
-        meta["scenario"]["controller"]["u_star"][0] = 1.5
-        (d / "meta.json").write_text(json.dumps(meta))
+    if case in META_CORRUPTIONS:
+        META_CORRUPTIONS[case](d)
     else:
         corrupt(d, case)
     capsys.readouterr()

@@ -1,12 +1,20 @@
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwconsensus import (
     builtin_case,
@@ -23,7 +31,7 @@ from hwconsensus import (
     validate_scenario,
 )
 from hwconsensus.errors import IncompleteLog, NonFiniteValue, ValidationError
-from hwconsensus.harness import batch
+from hwconsensus.harness import LOG_COLUMNS, batch
 
 from conftest import forced_truncation_scenarios, two_agent_scenario
 
@@ -375,6 +383,72 @@ def test_golden_log_digests():
     assert not changed, f"log digests changed for {changed}"
 
 
+# SHA-256 of (trajectory.csv, edges.csv) as saved from the same runs,
+# recorded before the writer became column-wise; any change to the float
+# formatting, the blank cells or the row order moves these
+GOLDEN_FILE_DIGESTS = {
+    "case1-noisy-stride1": (
+        "ef7f99e1ce42c1b3e1d48b7a5239556b910e7e284353329e9c7dd5bf9164b214",
+        "f785455d91df9db67a13d3f01d9c3c4171075cd49fe78957caf1f6f861239087"),
+    "case1-noisy-stride7": (
+        "b15becbfd6519c2fb6a5ec2a483c06aa70ab17a5f08999ce54dbc28ae60e1079",
+        "67a2c279753180f9e2329ca7d937e3539d2efb3e6dab4d115775d8cbcf15e002"),
+    "case1-quiet-stride1": (
+        "b21ccfd97bb3ac0529443eeec0dd8b28e4768abe016172533a2c21dc92135b74",
+        "7e6f941cf3656f77b9e1e4c5a7bc3cb1a0b1ebb3d1634cdfeb45460a05e40ef9"),
+    "case1-quiet-stride7": (
+        "bfd8f9cbffed7033f5af5993c89868789f21e97853d31f61d63770e6242bafd3",
+        "0f732612270cbf3afbf4661d0e32061207ecf23367545067e76c46a6f89a45f6"),
+    "case2-noisy-stride1": (
+        "276af8cd0c8b3c2ecf637271ea12006d505fdfd9b0c13411d6a00374501ea6c8",
+        "2f64d2442f674925aee8f658fc2f703aa13d067f42fc1e37d8e29b0274768320"),
+    "case2-noisy-stride7": (
+        "5a3b2d6b412fed16a63368d75eba385f644db140065d94bdc90b3375f8c43622",
+        "41efdc5a5db3a33673209797cf17c80eb5f30dc6538e34e1bc10e70c82ae2d00"),
+    "case2-quiet-stride1": (
+        "123cf8b356afb23a6b9f17cf39b75a37ec4bb12bdf76f6a45d66be1136cf966f",
+        "b47225440df7b06219dd09b5bc05dde569cfe9bbc41bbe2b25d30872e9e25dbe"),
+    "case2-quiet-stride7": (
+        "a60c34e9c411551880a0d74d9a6375303b696eb8ff9415a1276a31554fe30e8a",
+        "90a63db754f059960b2dc7c970e693f664eddf6a42cb7cc320274c1be2ef514e"),
+    "case3-noisy-stride1": (
+        "8398ef287b23b31dd265dcc08faf480c5087c8f8b89180b7bcc065babee94b00",
+        "4b55f915f4e304154332b2bd874ad664af90f67ddd62cc3587174e61d2327dde"),
+    "case3-noisy-stride7": (
+        "f50bf42fa9d0c21f4bfced8c017e28965dafdf68e7a83e5c296343da0fa6a5d9",
+        "c8010babf563b7dd11293ba5b55141b5d4467b9412239ed54e2b3200c4f49b54"),
+    "case3-quiet-stride1": (
+        "6b29ca3b3961256ccef42a783884bb3de0cd8569def82cfd8a328253027da5e2",
+        "1b0fe4c37c239bfd0142aff73216a9943ccab8aad2de55af881537dec32bd983"),
+    "case3-quiet-stride7": (
+        "63082dca725e0ff7e168eb949713e3e16b50438102413587d704c74ceb390c49",
+        "3953715c071960462071db92408ead142d71846fc12d302bae506bb12a7979c1"),
+    "forced-chain": (
+        "bb0d1849c8a3726dd8fba439bcd456c4f5b23ed1a0a19e13c3282a969fbff932",
+        "d5808267365ca4cb68849ca2ce37f252b04d559b2d261ce408c535cdda4e47ce"),
+    "forced-pair": (
+        "48ba028ca39e28677f24fa9fac92d12943d6decc7a5000c1d947e2c0c5583518",
+        "d18a87e562df31056844044445520ebd52bc255ea0c5869494f49de2b477b52c"),
+    "forced-square": (
+        "907ca90e30877a712c166f01ccac174ab2fe12d6e0c6a24100da4e3aa9f29e5f",
+        "cf5a60e83099314d0ec20a9d24239f3173e590163aa0b046878a069c225d1897"),
+}
+
+
+def test_golden_saved_file_digests(tmp_path):
+    scenarios = _golden_scenarios()
+    assert set(scenarios) == set(GOLDEN_FILE_DIGESTS)
+    changed = []
+    for key, s in scenarios.items():
+        d = tmp_path / key
+        save_run(run(s), str(d))
+        got = tuple(hashlib.sha256((d / name).read_bytes()).hexdigest()
+                    for name in ("trajectory.csv", "edges.csv"))
+        if got != GOLDEN_FILE_DIGESTS[key]:
+            changed.append(key)
+    assert not changed, f"saved file digests changed for {changed}"
+
+
 def test_run_rejects_invalid_scenario():
     s = builtin_case(1, horizon=10)
     bad = dataclasses.replace(
@@ -423,6 +497,44 @@ def test_save_load_round_trip_strided(tmp_path):
     full_rows = ~np.isnan(log.y_next).any(axis=1)
     assert full_rows.sum() == math.ceil(90 / 7)
     assert np.array_equal(np.nonzero(full_rows)[0], np.arange(0, 90, 7))
+
+
+# values where repr() and the parser could disagree: signed zero, subnormals,
+# the largest finite float, infinities, and both sides of repr's switches to
+# exponent notation at 1e16 and 1e-4
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308, math.inf, -math.inf,
+               1e16, 9999999999999998.0, 1.0000000000000002e16,
+               1e-4, 0.00010000000000000002, 9.999999999999999e-05, 1e-05, -1.5]
+
+
+@functools.lru_cache(maxsize=None)
+def _round_trip_base(stride):
+    return run(builtin_case(3, horizon=9, log_stride=stride))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([1, 4]))
+def test_save_load_round_trip_bit_exact(data, stride):
+    base = _round_trip_base(stride)
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False))
+    cols = {}
+    for name in LOG_COLUMNS:
+        old = getattr(base.log, name)
+        values = st.integers(-2 ** 63, 2 ** 63 - 1) if old.dtype.kind == "i" else floats
+        new = np.array(data.draw(st.lists(values, min_size=old.size, max_size=old.size)),
+                       dtype=old.dtype).reshape(old.shape)
+        if old.dtype.kind == "f":
+            new[np.isnan(old)] = np.nan  # steps off the stride stay blank
+        cols[name] = new
+    res = dataclasses.replace(base, log=dataclasses.replace(base.log, **cols))
+    with tempfile.TemporaryDirectory() as d:
+        save_run(res, d)
+        log, _ = load_run(d)
+    for name in LOG_COLUMNS:
+        got, want = getattr(log, name), cols[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_summary_and_meta_files(tmp_path):
@@ -490,6 +602,16 @@ CORRUPTIONS = {
     "edges-unknown-pair": (
         "edges.csv", lambda ls: _set_field(ls, 2, 2, "3"),
         "line 3: (1, 3) is not a directed edge"),
+    # numpy's parser skips blank lines and by default reads '#' as the start
+    # of a comment; a trailing comma adds an empty field. Each is rejected
+    "trajectory-blank-line": (
+        "trajectory.csv", lambda ls: ls.insert(38, ""), "line 39: 1 fields, expected 8"),
+    "trajectory-comment-field": (
+        "trajectory.csv", lambda ls: _set_field(ls, 38, 7, "#" + ls[38].split(",")[7]),
+        "line 39: could not convert string to float: '#"),
+    "edges-trailing-comma": (
+        "edges.csv", lambda ls: ls.__setitem__(2, ls[2] + ","),
+        "line 3: 6 fields, expected 5"),
 }
 
 
@@ -506,6 +628,44 @@ def test_load_run_rejects_corrupt_log_files(tmp_path, case):
     corrupt(d, case)
     with pytest.raises(IncompleteLog, match=re.escape(CORRUPTIONS[case][2])):
         load_run(str(d))
+
+
+def test_store_rejections_hold_under_python_O(tmp_path):
+    # no rejection may depend on assert, which -O compiles away
+    d = tmp_path / "r"
+    save_run(run(builtin_case(1, horizon=20)), str(d))
+    corrupt(d, "trajectory-duplicate-row")
+    script = textwrap.dedent("""
+        import sys
+        from hwconsensus import load_run
+        from hwconsensus.errors import IncompleteLog
+        try:
+            load_run(sys.argv[1])
+        except IncompleteLog as e:
+            print(sys.flags.optimize, e)
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script, str(d)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == \
+        "1 trajectory.csv line 39: second row for step 10, agent 1"
+
+
+@pytest.mark.parametrize("edit", [
+    # int() and float() take digit separators and numpy's parser does not
+    lambda p: _edit_lines(p, lambda ls: _set_field(ls, 38, 0, "1_0")),
+    lambda p: p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n")),
+])
+def test_load_run_accepts_what_int_and_float_read(tmp_path, edit):
+    res = run(builtin_case(1, horizon=20))
+    d = tmp_path / "r"
+    save_run(res, str(d))
+    edit(d / "trajectory.csv")
+    log, _ = load_run(str(d))
+    _logs_equal(log, res.log)
 
 
 def test_load_run_rejects_edge_rows_off_the_stride(tmp_path):
