@@ -567,11 +567,16 @@ def _parse_log(path: str, fields: np.dtype, nkey: int, blank):
             return np.empty(0, fields), None
         fh.seek(start)
         try:
-            rec = np.loadtxt(fh, fields, delimiter=",", comments=None,
-                             converters=converters, ndmin=1)
+            # numpy 1.x reads an int field that int() rejects ('3.5', '1e1',
+            # one beyond int64) through float with only a DeprecationWarning;
+            # raised as an error, it sends the file to the line-by-line path
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                rec = np.loadtxt(fh, fields, delimiter=",", comments=None,
+                                 converters=converters, ndmin=1)
             if len(rec) == lines:
                 return rec, None
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             pass
         # numpy rejected a line or skipped a blank one: convert line by line
         # as int() and float() do, up to the first line that fails
@@ -602,17 +607,10 @@ def _read_log(path: str, fields: np.dtype, K: int, every: int, keys: list,
 
     key_values = [rec[f] for f in fields.names[1:1 + nkey]]
     base = max(map(max, keys)) + 1
-
-    def encode(columns):
-        code = 0
-        for v in columns:
-            code = code * base + v
-        return code
-
-    lut = np.full(base ** nkey, -1)
-    lut[encode(np.array(keys).T)] = np.arange(width)
+    lut = np.full((base,) * nkey, -1)
+    lut[tuple(np.array(keys).T)] = np.arange(width)
     in_range = np.logical_and.reduce([(v >= 1) & (v < base) for v in key_values])
-    col = lut[encode([np.where(in_range, v, 0) for v in key_values])]
+    col = lut[tuple(np.where(in_range, v, 0) for v in key_values)]
     r = rec["k"] - 1
     bad_key = col < 0
     bad_step = (r < 0) | (r >= K) | (r % every != 0)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -612,6 +614,19 @@ CORRUPTIONS = {
     "edges-trailing-comma": (
         "edges.csv", lambda ls: ls.__setitem__(2, ls[2] + ","),
         "line 3: 6 fields, expected 5"),
+    # numpy's parser reads an int field that int() rejects through float
+    "trajectory-fractional-sigma": (
+        "trajectory.csv", lambda ls: _set_field(ls, 38, 3, "3.5"),
+        "line 39: invalid literal for int() with base 10: '3.5'"),
+    "trajectory-exponent-step": (
+        "trajectory.csv", lambda ls: _set_field(ls, 38, 0, "1e1"),
+        "line 39: invalid literal for int() with base 10: '1e1'"),
+    "trajectory-sigma-beyond-int64": (
+        "trajectory.csv", lambda ls: _set_field(ls, 38, 3, "9223372036854775808"),
+        "line 39: '9223372036854775808' does not fit in 64 bits"),
+    "edges-float-key": (
+        "edges.csv", lambda ls: _set_field(ls, 2, 1, "1.0"),
+        "line 3: invalid literal for int() with base 10: '1.0'"),
 }
 
 
@@ -627,6 +642,26 @@ def test_load_run_rejects_corrupt_log_files(tmp_path, case):
     load_run(str(d))
     corrupt(d, case)
     with pytest.raises(IncompleteLog, match=re.escape(CORRUPTIONS[case][2])):
+        load_run(str(d))
+
+
+def test_load_run_rejects_int_cells_numpy_reads_through_float(tmp_path, monkeypatch):
+    # numpy 1.x parses an int field like '3.5' as 3 with a DeprecationWarning
+    # instead of failing; that warning must not let the cell load
+    real = np.loadtxt
+
+    def loadtxt_reading_ints_through_float(fh, *args, **kwargs):
+        text = fh.read().replace(",3.5,", ",3,")
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return real(io.StringIO(text), *args, **kwargs)
+
+    d = tmp_path / "r"
+    save_run(run(builtin_case(1, horizon=20)), str(d))
+    corrupt(d, "trajectory-fractional-sigma")
+    monkeypatch.setattr(np, "loadtxt", loadtxt_reading_ints_through_float)
+    with pytest.raises(IncompleteLog,
+                       match=re.escape(CORRUPTIONS["trajectory-fractional-sigma"][2])):
         load_run(str(d))
 
 
