@@ -23,7 +23,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hwconsensus import load_run  # noqa: E402
+from hwconsensus import IncompleteLog, load_run  # noqa: E402
 from hwconsensus.analysis import geometric_rows  # noqa: E402
 from hwconsensus.harness import format_cells, write_csv  # noqa: E402
 
@@ -39,6 +39,9 @@ def main() -> int:
         log, _ = load_run(args.log)
     except FileNotFoundError as e:
         print(f"no run found: {e}", file=sys.stderr)
+        return 3
+    except IncompleteLog as e:
+        print(f"unreadable run: {e}", file=sys.stderr)
         return 3
     if log.log_stride != 1:
         print("partial-sum traces need a stride-1 log", file=sys.stderr)

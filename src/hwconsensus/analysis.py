@@ -120,62 +120,60 @@ class AuxiliarySequences:
 # ---------------------------------------------------------------------------
 # regression field and noise decomposition
 
-def regression_g(u: np.ndarray, gains, lap: LaplacianView) -> np.ndarray:
-    """Consensus vector field g_i = sum_j p_ij (h_j(u_j) - h_i(u_i)).
+def gain_field(u: np.ndarray, gains, lap: LaplacianView) -> tuple[np.ndarray, np.ndarray]:
+    """Gains h(u) and consensus field g(u) = -L h(u) for a (rows, n) block of u.
 
-    Computed by the neighbor-sum route and cross-checked against the matrix
-    route -L h(u); a disagreement beyond 1e-12 raises, since the two must be
-    algebraically identical.
+    h is evaluated one agent's column at a time; g_i = sum_j p_ij h_j - d_i h_i.
     """
+    h = np.column_stack([gains[i](u[:, i]) for i in range(u.shape[1])])
+    return h, h @ lap.P.T - np.diag(lap.D) * h
+
+
+def regression_g(u: np.ndarray, gains, lap: LaplacianView) -> np.ndarray:
+    """Consensus vector field g_i = sum_j p_ij (h_j(u_j) - h_i(u_i)) at one point."""
     u = np.asarray(u, dtype=float)
     n = lap.L.shape[0]
     if u.shape != (n,) or len(gains) != n:
         raise DimensionMismatch(
             f"u shape {u.shape}, {len(gains)} gains, Laplacian {lap.L.shape}")
-    h = np.array([gains[i](u[i]) for i in range(n)])
-    g = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(n):
-            w = lap.P[i, j]
-            if w != 0.0:
-                acc += w * (h[j] - h[i])
-        g[i] = acc
-    g_mat = -(lap.L @ h)
-    err = float(np.max(np.abs(g - g_mat)))
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if err > 1e-12 * scale:
-        raise RuntimeError(f"regression field routes disagree by {err}")
-    return g
+    return gain_field(u[None], gains, lap)[1][0]
+
+
+def _decompose(log: TrajectoryLog, rows, gains, lap: LaplacianView):
+    """(e1, e2, e3, O - g) on the given rows of the log, each (rows, n).
+
+    e1 = sum_j p_ij eps_ij           (pure observation noise)
+    e2 = p_i (h_i(u_{i,k}) - y_{i,k+1})   (own output off steady state)
+    e3 = sum_j p_ij (y_{j,k+1} - h_j(u_{j,k}))
+    The neighbour sums run in pair order.
+    """
+    y = log.y_next[rows]
+    h, g = gain_field(log.u[rows], gains, lap)
+    e1 = np.zeros_like(h)
+    e3 = np.zeros_like(h)
+    for col, (a, b) in enumerate(log.pairs):
+        w = lap.P[a - 1, b - 1]
+        e1[:, a - 1] += w * log.eps[rows, col]
+        e3[:, a - 1] += w * (y[:, b - 1] - h[:, b - 1])
+    e2 = np.diag(lap.D) * (h - y)
+    return e1, e2, e3, log.O_next[rows] - g
 
 
 def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
                         lap: LaplacianView) -> tuple[float, float, float]:
     """Split O_{i,k+1} - g_i(u_k) into noise, own-transient, neighbor-transient.
 
-    e1 = sum_j p_ij eps_ij           (pure observation noise)
-    e2 = p_i (h_i(u_{i,k}) - y_{i,k+1})   (own output off steady state)
-    e3 = sum_j p_ij (y_{j,k+1} - h_j(u_{j,k}))
-    The three must sum to O - g within 1e-10.
+    The terms e1, e2, e3 of _decompose at step k, agent i; the three must sum
+    to O - g within 1e-10.
     """
     if not log.is_logged(k):
         raise StepNotLogged(f"step {k} not in the log (stride {log.log_stride})")
     r = k - 1
     if np.isnan(log.y_next[r]).any():
         raise StepNotLogged(f"step {k} has no output record")
-    ii = i - 1
-    e1 = 0.0
-    e3 = 0.0
-    for col, (a, b) in enumerate(log.pairs):
-        if a == i:
-            w = lap.P[ii, b - 1]
-            e1 += w * log.eps[r, col]
-            e3 += w * (log.y_next[r, b - 1] - gains[b - 1](log.u[r, b - 1]))
-    p_i = float(lap.D[ii, ii])
-    e2 = p_i * (gains[ii](log.u[r, ii]) - log.y_next[r, ii])
-    g = regression_g(log.u[r], gains, lap)[ii]
+    e1, e2, e3, rhs = (float(x[0, i - 1])
+                       for x in _decompose(log, slice(r, r + 1), gains, lap))
     lhs = e1 + e2 + e3
-    rhs = log.O_next[r, ii] - g
     if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
         raise RuntimeError(
             f"decomposition identity violated at k={k}, agent {i}: {lhs} vs {rhs}")
@@ -253,25 +251,29 @@ def _window_count(k: int, T: float) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _window_counts(K: int, T: float) -> tuple:
+def _window_counts(K: int, T: float) -> np.ndarray:
     """(m(1, T), ..., m(K, T)) from _window_count, built once per (K, T).
 
-    Only the summation is memoised; callers check the sandwich on every use.
+    A read-only int64 array. Only the summation is memoised; callers check the sandwich on every use.
     """
-    return tuple(_window_count(k, T) for k in range(1, K + 1))
+    m = np.array([_window_count(k, T) for k in range(1, K + 1)], dtype=np.int64)
+    m.flags.writeable = False
+    return m
 
 
-def _window_sandwich(k: int, T: float, m: int) -> None:
-    """Raise IdentityViolation unless (k-1) e^T - 1 < m < k e^T - 1.
+def _window_sandwich(k: np.ndarray, T: float, m: np.ndarray) -> tuple | None:
+    """First (k, T, lo, m, hi) where (k-1) e^T - 1 < m < k e^T - 1 fails, or None.
 
-    The violation's location is (k, T, lo, m, hi).
+    k and m are matching integer arrays; e^T is read on every call.
     """
-    lo = (k - 1) * math.exp(T) - 1.0
-    hi = k * math.exp(T) - 1.0
-    if not lo < m < hi:
-        raise IdentityViolation(
-            f"window bound violated: {lo} < {m} < {hi} fails at k={k}, T={T}",
-            location=(k, T, lo, m, hi))
+    e = math.exp(T)
+    lo = (k - 1) * e - 1.0
+    hi = k * e - 1.0
+    bad = np.flatnonzero(~((lo < m) & (m < hi)))
+    if not len(bad):
+        return None
+    x = bad[0]
+    return int(k[x]), T, float(lo[x]), int(m[x]), float(hi[x])
 
 
 def m_of(k: int, T: float) -> int:
@@ -279,13 +281,18 @@ def m_of(k: int, T: float) -> int:
 
     Returns k - 1 when even the first term exceeds T (degenerate window).
     The exponential sandwich (k-1) e^T - 1 < m < k e^T - 1 is checked on
-    every call and raises IdentityViolation if it fails; it holds in the
-    degenerate branch too.
+    every call and raises IdentityViolation, located at (k, T, lo, m, hi), if
+    it fails; it holds in the degenerate branch too.
     """
     if k < 1 or not 0 < T < INF:
         raise ValidationError(f"need k >= 1 and finite T > 0, got k={k}, T={T}")
     m = _window_count(k, T)
-    _window_sandwich(k, T, m)
+    failure = _window_sandwich(np.array([k]), T, np.array([m]))
+    if failure:
+        _, _, lo, _, hi = failure
+        raise IdentityViolation(
+            f"window bound violated: {lo} < {m} < {hi} fails at k={k}, T={T}",
+            location=failure)
     return m
 
 
@@ -294,12 +301,11 @@ def _eq28_first_failure(K: int, grid_T) -> tuple | None:
 
     Reads m from the memoised tables and rechecks the sandwich every time.
     """
+    k = np.arange(1, K + 1)
     for T in grid_T:
-        for k, m in enumerate(_window_counts(K, T), start=1):
-            try:
-                _window_sandwich(k, T, m)
-            except IdentityViolation as e:
-                return e.location
+        failure = _window_sandwich(k, T, _window_counts(K, T))
+        if failure:
+            return failure
     return None
 
 
@@ -338,12 +344,9 @@ def build_auxiliary(log: TrajectoryLog, gains, topology: Topology) -> AuxiliaryS
                 ubar[lo - 1:rb - 1, i] = log.u_star[i]
                 catchup[lo - 1:rb - 1, i] = True
 
-    h_u = np.column_stack([gains[i](log.u[:, i]) for i in range(n)])
-    h_ubar = np.column_stack([gains[i](ubar[:, i]) for i in range(n)])
-    deg = np.diag(lap.D)
+    h_u, g_u = gain_field(log.u, gains, lap)
     # g rows evaluated at the relabeled points, shared by both branches below
-    g_bar = h_ubar @ lap.P.T - deg * h_ubar
-    g_u = h_u @ lap.P.T - deg * h_u
+    h_ubar, g_bar = gain_field(ubar, gains, lap)
 
     eps_noise = log.O_next - g_u
     corr = (h_u - h_ubar) @ lap.P.T
@@ -514,8 +517,8 @@ def consensus_metrics(log: TrajectoryLog, gains, lap: LaplacianView) -> RunMetri
     the Lyapunov value by one Simpson panel per component, exact for the
     polynomial gain catalog (degree <= 3).
     """
-    K, n = log.u.shape
-    h_u = np.column_stack([gains[i](log.u[:, i]) for i in range(n)])
+    K = log.u.shape[0]
+    h_u = gain_field(log.u, gains, lap)[0]
     residual = np.abs(h_u @ lap.L.T).max(axis=1)
     spread = log.y_next.max(axis=1) - log.y_next.min(axis=1)
     roots = gain_roots(gains)
@@ -564,18 +567,8 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
 
     eq28_failure = _eq28_first_failure(m_grid_k, m_grid_T)
 
-    K, n = log.u.shape
-    deg = np.diag(lap.D)
-    h_u = np.column_stack([gains[i](log.u[:, i]) for i in range(n)])
-    e1 = np.zeros((K, n))
-    e3 = np.zeros((K, n))
-    for col, (a, b) in enumerate(log.pairs):
-        w = lap.P[a - 1, b - 1]
-        e1[:, a - 1] += w * log.eps[:, col]
-        e3[:, a - 1] += w * (log.y_next[:, b - 1] - h_u[:, b - 1])
-    e2 = deg * (h_u - log.y_next)
-    g_u = h_u @ lap.P.T - deg * h_u
-    decomp_err = float(np.max(np.abs(e1 + e2 + e3 - (log.O_next - g_u))))
+    e1, e2, e3, target = _decompose(log, slice(None), gains, lap)
+    decomp_err = float(np.max(np.abs(e1 + e2 + e3 - target)))
 
     report = {
         "lemma3_residual": rec.max_abs_residual,

@@ -556,13 +556,18 @@ def _parse_log(path: str, fields: np.dtype, nkey: int, blank):
     including it and (line index, fields converted, reason); a line converts
     its key fields first, then k, then its values.
     """
+    name = os.path.basename(path)
     converters = {fields.names.index(f): _float_or_nan for f in blank}
-    with open(path) as fh:
-        got = fh.readline().rstrip("\n")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            got = fh.readline().rstrip("\n")
+            start = fh.tell()
+            # decodes the whole file, so the reads below cannot fail to decode
+            lines = _count_lines(fh)
+        except UnicodeDecodeError as e:
+            raise IncompleteLog(f"{name}: not UTF-8 text: {e}") from None
         if got != ",".join(fields.names):
-            raise IncompleteLog(f"{os.path.basename(path)}: unexpected header {got!r}")
-        start = fh.tell()
-        lines = _count_lines(fh)
+            raise IncompleteLog(f"{name}: unexpected header {got!r}")
         if not lines:
             return np.empty(0, fields), None
         fh.seek(start)

@@ -76,8 +76,12 @@ def test_m_of_examples():
 def test_m_of_raises_when_the_sandwich_fails(monkeypatch):
     import hwconsensus.analysis as A
     monkeypatch.setattr(A.math, "exp", lambda x: 1.0)  # sandwich becomes k-2 < m < k-1
-    with pytest.raises(IdentityViolation, match="window bound violated"):
+    with pytest.raises(IdentityViolation, match="window bound violated") as exc:
         m_of(10, 1.0)
+    m = A._window_count(10, 1.0)
+    assert str(exc.value) == f"window bound violated: 8.0 < {m} < 9.0 fails at k=10, T=1.0"
+    assert exc.value.location == (10, 1.0, 8.0, m, 9.0)
+    assert [type(v) for v in exc.value.location] == [int, float, float, int, float]
 
 
 def test_eq28_failure_reported_under_python_O():
@@ -148,6 +152,34 @@ def test_eq28_failure_located_after_the_table_is_built(monkeypatch):
     assert report["eq28_ok"] is False
     # m(1, 0.1) = 0 (1/1 > 0.1) and 0 < 0.0 fails
     assert extras["eq28_first_failure"] == (1, 0.1, -1.0, 0, 0.0)
+
+
+def test_eq28_failure_after_k1_located_exactly(monkeypatch):
+    import hwconsensus.analysis as A
+    exp = math.exp
+    # e^0.5 shrunk by 0.1 %: the upper bound k e^T - 1 first drops below
+    # m(k, 0.5) at k = 241, while T = 0.1, first on the grid, keeps the true e^T
+    monkeypatch.setattr(A.math, "exp", lambda x: exp(x) * (1 - 1e-3) if x == 0.5 else exp(x))
+    grid_T = (0.1, 0.5, 1.0, 2.0)
+
+    def scan():
+        for T in grid_T:
+            for k in range(1, 1001):
+                m = A._window_count(k, T)
+                lo = (k - 1) * math.exp(T) - 1.0
+                hi = k * math.exp(T) - 1.0
+                if not lo < m < hi:
+                    return k, T, lo, m, hi
+        return None
+
+    report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology,
+                                       m_grid_T=grid_T)
+    failure = extras["eq28_first_failure"]
+    assert report["eq28_ok"] is False
+    assert failure == scan()
+    assert failure[0] > 1 and failure[1] == 0.5
+    # cli verify prints these with !r, which shows numpy scalars by type
+    assert [type(v) for v in failure] == [int, float, float, int, float]
 
 
 def test_window_table_built_once_per_process(monkeypatch):
@@ -266,6 +298,17 @@ def test_decomposition_on_noisy_run(runs):
     for k in rng.integers(1, log.horizon + 1, size=20):
         for i in (1, 2, 3, 4):
             noise_decomposition(log, int(k), i, GAINS1, LAP1)  # raises on violation
+
+
+def test_decomposition_is_a_view_of_the_sweep():
+    import hwconsensus.analysis as A
+    log = run(builtin_case(1, horizon=3000)).log
+    # (k, agent, term), compared bit for bit
+    sweep = np.stack(A._decompose(log, slice(None), GAINS1, LAP1)[:3], axis=-1)
+    per_step = np.array([[noise_decomposition(log, k, i, GAINS1, LAP1)
+                          for i in (1, 2, 3, 4)] for k in range(1, log.horizon + 1)])
+    assert per_step.shape == sweep.shape == (3000, 4, 3)
+    assert np.count_nonzero(per_step.view(np.int64) != sweep.view(np.int64)) == 0
 
 
 def test_decomposition_requires_logged_step():

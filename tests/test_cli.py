@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from hwconsensus import builtin_case, scenario_to_dict
 from hwconsensus.cli import main
 
 from conftest import two_agent_scenario
-from test_harness import corrupt
+from test_harness import CORRUPTIONS, corrupt
 
 
 def run_dir(tmp_path, *extra):
@@ -125,6 +126,35 @@ def test_verify_clean_run_passes(tmp_path, capsys):
     assert len(lines) == 1 + 400
 
 
+# SHA-256 of (report.json, metrics.csv) written by verify for the noisy
+# built-in cases at horizon 2000, recorded before the verifier's gain field,
+# noise decomposition and eq28 check were merged into one implementation
+# each; a report or metrics value that moves by one ulp moves these. Cases 2
+# and 3 happen to share every report value.
+GOLDEN_VERIFY_DIGESTS = {
+    1: ("93e039f5c64b224131c2cdbb54a78457533385b3f6cbee30b9aea2a0548e699b",
+        "2d91ca6202a95a2ca5e749c81c9de13c58c9f7e530252470fa7411f21fc88eb7"),
+    2: ("e943656f41f06c39055a7bfacb9634c57d55119fc6d1b69af89387857e8647f2",
+        "34b04e3cdbbd89b3273a3c4c38cb3d117db8f9b1284b19faffd37694222235a4"),
+    3: ("e943656f41f06c39055a7bfacb9634c57d55119fc6d1b69af89387857e8647f2",
+        "83b2bd82ea23629e98240ce022d6a7aeaa85ba5ff74e11439056c22c1a3ae01f"),
+}
+
+
+def test_golden_verify_output_digests(tmp_path, capsys):
+    changed = []
+    for case, want in GOLDEN_VERIFY_DIGESTS.items():
+        d = tmp_path / f"case{case}"
+        assert main(["run", "--case", str(case), "--horizon", "2000",
+                     "--out", str(d)]) == 0
+        assert main(["verify", "--log", str(d)]) == 0
+        got = tuple(hashlib.sha256((d / name).read_bytes()).hexdigest()
+                    for name in ("report.json", "metrics.csv"))
+        if got != want:
+            changed.append(case)
+    assert not changed, f"verify output digests changed for cases {changed}"
+
+
 def test_verify_tampered_log_fails(tmp_path, capsys):
     d = run_dir(tmp_path)
     lines = (d / "trajectory.csv").read_text().splitlines()
@@ -176,31 +206,52 @@ def _edit_meta(d, fn):
     (d / "meta.json").write_text(json.dumps(meta))
 
 
-META_CORRUPTIONS = {
-    "meta-hash-mismatch": lambda d: _edit_meta(
+def _edit_bytes(path, fn):
+    path.write_bytes(fn(path.read_bytes()))
+
+
+# corruptions beyond test_harness.CORRUPTIONS, each with a part of the message
+# both subcommands print
+RUN_DIR_CORRUPTIONS = {
+    "meta-hash-mismatch": (lambda d: _edit_meta(
         d, lambda m: m["scenario"]["controller"]["u_star"].__setitem__(0, 1.5)),
-    "meta-invalid-scenario": lambda d: _edit_meta(
+        "meta.json: the embedded scenario does not match"),
+    "meta-invalid-scenario": (lambda d: _edit_meta(
         d, lambda m: m["scenario"].__setitem__("horizon", 0)),
-    "meta-not-json": lambda d: (d / "meta.json").write_text('{"label": '),
-    "meta-not-object": lambda d: (d / "meta.json").write_text("3"),
+        "meta.json: invalid scenario"),
+    "meta-not-json": (lambda d: (d / "meta.json").write_text('{"label": '),
+                      "meta.json is not valid JSON"),
+    "meta-not-object": (lambda d: (d / "meta.json").write_text("3"),
+                        "meta.json holds a int"),
+    "trajectory-not-utf8": (lambda d: _edit_bytes(
+        d / "trajectory.csv", lambda b: b + b"\xff\xfe"),
+        "trajectory.csv: not UTF-8 text"),
+    # a Latin-1 byte inside a cell of line 3
+    "edges-not-utf8": (lambda d: _edit_bytes(
+        d / "edges.csv", lambda b: b.replace(b"\n1,1,4,", b"\n1,1,4,\xe9", 1)),
+        "edges.csv: not UTF-8 text"),
 }
 
 
 @pytest.mark.parametrize("case", ["trajectory-duplicate-row", "edges-unknown-pair",
-                                  *META_CORRUPTIONS])
+                                  *RUN_DIR_CORRUPTIONS])
 def test_corrupt_run_directory_exit_codes(tmp_path, capsys, case):
     # verify reports a corrupt or mismatched run as a usage problem (1),
     # plotdata as an unreadable run (3); neither prints a traceback
     d = run_dir(tmp_path)
-    if case in META_CORRUPTIONS:
-        META_CORRUPTIONS[case](d)
+    if case in RUN_DIR_CORRUPTIONS:
+        edit, message = RUN_DIR_CORRUPTIONS[case]
+        edit(d)
     else:
         corrupt(d, case)
+        message = CORRUPTIONS[case][2]
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 1
-    assert "incomplete log:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "incomplete log:" in err and message in err
     assert main(["plotdata", "--log", str(d)]) == 3
-    assert "unreadable run:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unreadable run:" in err and message in err
 
 
 def test_verify_missing_directory(tmp_path, capsys):
