@@ -72,7 +72,6 @@ from .plant import (
     make_nonlinearity,
     make_plant,
     poly,
-    register_nonlinearity,
     static_gain,
     steady_state_check,
     step,

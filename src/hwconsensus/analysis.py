@@ -139,16 +139,17 @@ def regression_g(u: np.ndarray, gains, lap: LaplacianView) -> np.ndarray:
     return gain_field(u[None], gains, lap)[1][0]
 
 
-def _decompose(log: TrajectoryLog, rows, gains, lap: LaplacianView):
+def _decompose(log: TrajectoryLog, rows, gains, lap: LaplacianView, hg=None):
     """(e1, e2, e3, O - g) on the given rows of the log, each (rows, n).
 
     e1 = sum_j p_ij eps_ij           (pure observation noise)
     e2 = p_i (h_i(u_{i,k}) - y_{i,k+1})   (own output off steady state)
     e3 = sum_j p_ij (y_{j,k+1} - h_j(u_{j,k}))
-    The neighbour sums run in pair order.
+    The neighbour sums run in pair order. hg is gain_field on those rows of
+    log.u when the caller already has it.
     """
     y = log.y_next[rows]
-    h, g = gain_field(log.u[rows], gains, lap)
+    h, g = hg if hg is not None else gain_field(log.u[rows], gains, lap)
     e1 = np.zeros_like(h)
     e3 = np.zeros_like(h)
     for col, (a, b) in enumerate(log.pairs):
@@ -164,7 +165,8 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
     """Split O_{i,k+1} - g_i(u_k) into noise, own-transient, neighbor-transient.
 
     The terms e1, e2, e3 of _decompose at step k, agent i; the three must sum
-    to O - g within 1e-10.
+    to O - g within 1e-10, else IdentityViolation is raised, located at
+    (k, agent, lhs, rhs); a NaN on either side fails too.
     """
     if not log.is_logged(k):
         raise StepNotLogged(f"step {k} not in the log (stride {log.log_stride})")
@@ -174,9 +176,10 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
     e1, e2, e3, rhs = (float(x[0, i - 1])
                        for x in _decompose(log, slice(r, r + 1), gains, lap))
     lhs = e1 + e2 + e3
-    if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
-        raise RuntimeError(
-            f"decomposition identity violated at k={k}, agent {i}: {lhs} vs {rhs}")
+    if not abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)):
+        raise IdentityViolation(
+            f"decomposition identity violated at k={k}, agent {i}: {lhs} vs {rhs}",
+            location=(k, i, lhs, rhs))
     return e1, e2, e3
 
 
@@ -184,22 +187,22 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
 # truncation windows
 
 def truncation_times(log: TrajectoryLog) -> TruncationTimes:
-    """First-passage tables of the logged truncation counts."""
-    sig = log.sigma
-    K, n = sig.shape
-    sbar = log.sigma_bar
-    top = int(sbar.max())
-    r = np.full(top + 2, INF)
-    r_agent = np.full((top + 2, n), INF)
-    r[0] = 1.0
+    """First-passage tables of the logged truncation counts.
+
+    A column first reaches m where its running maximum does, so each agent's
+    first passages are one searchsorted on its running maximum, and r, the
+    first passage of any agent, is their minimum.
+    """
+    running = np.maximum.accumulate(log.sigma, axis=0)
+    K, n = running.shape
+    top = int(running[-1].max())
+    levels = np.arange(top + 2)
+    r_agent = np.empty((top + 2, n))
+    for i in range(n):
+        first = np.searchsorted(running[:, i], levels)
+        r_agent[:, i] = np.where(first < K, first + 1.0, INF)
     r_agent[0] = 1.0
-    for m in range(1, top + 1):
-        idx = int(np.argmax(sbar >= m))
-        r[m] = idx + 1 if sbar[idx] >= m else INF
-        for i in range(n):
-            w = int(np.argmax(sig[:, i] >= m))
-            r_agent[m, i] = w + 1 if sig[w, i] >= m else INF
-    return TruncationTimes(top=top, r=r, r_agent=r_agent)
+    return TruncationTimes(top=top, r=r_agent.min(axis=1), r_agent=r_agent)
 
 
 def check_window_bound(times: TruncationTimes, d: int, horizon: int) -> bool:
@@ -250,13 +253,58 @@ def _window_count(k: int, T: float) -> int:
     return m
 
 
+_U = 2.0 ** -53  # unit roundoff of float64
+_MAX_TERMS = 1 << 20  # prefix sums held at most (8 MiB); later counts are summed
+
+
 @functools.lru_cache(maxsize=16)
 def _window_counts(K: int, T: float) -> np.ndarray:
-    """(m(1, T), ..., m(K, T)) from _window_count, built once per (K, T).
+    """(m(1, T), ..., m(K, T)), equal to _window_count at every k, built once per (K, T).
 
-    A read-only int64 array. Only the summation is memoised; callers check the sandwich on every use.
+    A read-only int64 array. Only the counts are memoised; callers check the
+    sandwich on every use.
+
+    The counts come from harmonic prefix sums P[j] = 1/1 + ... + 1/j (P[0] = 0,
+    j <= N = min(ceil(K e^T) + 2, _MAX_TERMS), np.cumsum adding left to
+    right): the candidate m is the last j with P[j] <= P[k-1] + T, clamped to
+    k - 1. It is kept only where the prefix differences certify it,
+    P[m] - P[k-1] <= T - delta and P[m+1] - P[k-1] > T + delta with
+    m + 1 <= N; every other k (exact ties, near ties, an array too short) is
+    summed by _window_count.
+
+    Why a certified m equals _window_count(k, T). Write u = 2^-53,
+    gamma_N = N u / (1 - N u), H_j the exact harmonic numbers and
+    S_j = H_j - H_{k-1} the exact sum 1/k + ... + 1/j, which increases
+    strictly in j (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sections 3.1 and 4.2):
+      - each prefix: the terms 1.0 / j carry relative error u and recursive
+        summation adds gamma_{j-1}, so |P[j] - H_j| <= gamma_N H_N;
+      - a difference: two prefixes plus the subtraction's rounding give
+        |(P[j] - P[k-1]) - S_j| <= (2 gamma_N + 2u) H_N, with H_N <= 1 + ln N;
+      - the loop: _window_count adds the rounded terms with Neumaier's
+        compensation, whose corrections are the exact rounding errors of s
+        (Fast2Sum with the larger operand first) accumulated by recursive
+        summation. Over n <= N terms with S_j <= T + 1 (true for j <= m + 1
+        once S_m <= T), its compared value s + comp is within
+        (3u + 2 N u gamma_N)(T + 1) of S_j.
+    delta is the sum of the last two bounds, doubled to cover the rounding of
+    delta itself and of T -+ delta. The certified m then has every loop sum up
+    to m at most S_m + (loop error) < T and the sum at m + 1 above T, so the
+    loop stops exactly at m; for m = k - 1 the first condition is just
+    T > delta.
     """
-    m = np.array([_window_count(k, T) for k in range(1, K + 1)], dtype=np.int64)
+    N = min(math.ceil(K * math.exp(T)) + 2, _MAX_TERMS)
+    P = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, N + 1))))
+    k = np.arange(1, K + 1)
+    base = P[k - 1]
+    m = np.maximum(np.searchsorted(P, base + T, side="right") - 1, k - 1).astype(np.int64)
+    gamma = N * _U / (1 - N * _U)
+    delta = 2 * ((2 * gamma + 2 * _U) * (1 + math.log(N))
+                 + (3 * _U + 2 * N * _U * gamma) * (T + 1))
+    j = np.minimum(m, N - 1)
+    certified = (m < N) & (P[j] - base <= T - delta) & (P[j + 1] - base > T + delta)
+    for x in np.flatnonzero(~certified):
+        m[x] = _window_count(int(k[x]), T)
     m.flags.writeable = False
     return m
 
@@ -312,7 +360,8 @@ def _eq28_first_failure(K: int, grid_T) -> tuple | None:
 # ---------------------------------------------------------------------------
 # auxiliary sequences and the centralized replay
 
-def build_auxiliary(log: TrajectoryLog, gains, topology: Topology) -> AuxiliarySequences:
+def build_auxiliary(log: TrajectoryLog, gains, topology: Topology,
+                    hg=None) -> AuxiliarySequences:
     """Relabel a complete stride-1 log through its truncation windows.
 
     ubar equals the reset point during an agent's catch-up window
@@ -321,6 +370,7 @@ def build_auxiliary(log: TrajectoryLog, gains, topology: Topology) -> AuxiliaryS
     and the logged observation on live windows. obar stores that structural
     value; the float discrepancy of the live-side identity is recorded in
     structure_max_err (the catch-up side cancels exactly by construction).
+    hg is gain_field on log.u when the caller already has it.
     """
     if not log.is_complete() or np.isnan(log.y_next).any():
         raise IncompleteLog("auxiliary sequences need a complete stride-1 log")
@@ -344,7 +394,7 @@ def build_auxiliary(log: TrajectoryLog, gains, topology: Topology) -> AuxiliaryS
                 ubar[lo - 1:rb - 1, i] = log.u_star[i]
                 catchup[lo - 1:rb - 1, i] = True
 
-    h_u, g_u = gain_field(log.u, gains, lap)
+    h_u, g_u = hg if hg is not None else gain_field(log.u, gains, lap)
     # g rows evaluated at the relabeled points, shared by both branches below
     h_ubar, g_bar = gain_field(ubar, gains, lap)
 
@@ -458,46 +508,36 @@ def consensus_point(gains, c: float, tol: float = 1e-9) -> ConsensusPoint:
     return ConsensusPoint(b=b, u=u)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    def simp(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simp(x0, xm, f0, fl, f1)
-        right = simp(xm, x2, f1, fr, f2)
-        if depth > 50 or abs(left + right - whole) < 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, xm, f0, fl, f1, left, 0.5 * tol, depth + 1)
-                + recurse(xm, x2, f1, fr, f2, right, 0.5 * tol, depth + 1))
-
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = simp(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
 def gain_roots(gains) -> np.ndarray:
     """Component-wise zeros of the gain maps."""
     return np.array([_bisect_increasing(lambda x: g(x)) for g in gains])
 
 
-def lyapunov_v(u: np.ndarray, gains, tol: float = 1e-10) -> float:
+def _lyapunov(u: np.ndarray, h: np.ndarray, gains) -> np.ndarray:
+    """V at each point of u, (..., n), given h = the gains at u.
+
+    V(u) = sum_i of the integral of h_i from its zero up to u_i, by one
+    Simpson panel per component, exact for the polynomial gain catalog
+    (degree <= 3).
+    """
+    roots = gain_roots(gains)
+    v = np.zeros(u.shape[:-1])
+    for i, g in enumerate(gains):
+        a = roots[i]
+        b = u[..., i]
+        mid = 0.5 * (a + b)
+        v += (b - a) / 6.0 * (g(a) + 4.0 * g(mid) + h[..., i])
+    return v
+
+
+def lyapunov_v(u: np.ndarray, gains) -> float:
     """Sum of integrals of each gain from its zero up to u_i.
 
     Nonnegative by monotonicity; its gradient is the gain vector h(u).
     """
     u = np.asarray(u, dtype=float)
-    roots = gain_roots(gains)
-    total = 0.0
-    for i, g in enumerate(gains):
-        total += _adaptive_simpson(g, float(roots[i]), float(u[i]), tol)
-    return total
+    h = np.array([g(u[i]) for i, g in enumerate(gains)])
+    return float(_lyapunov(u, h, gains))
 
 
 @dataclass
@@ -509,27 +549,23 @@ class RunMetrics:
     v: np.ndarray
 
 
-def consensus_metrics(log: TrajectoryLog, gains, lap: LaplacianView) -> RunMetrics:
+def consensus_metrics(log: TrajectoryLog, gains, lap: LaplacianView,
+                      h: np.ndarray | None = None) -> RunMetrics:
     """Per-step consensus diagnostics.
 
     spread_y is the max pairwise gap of the outputs produced in the round
     (NaN on strided-out steps); residual is the sup norm of L h(u_k); v is
-    the Lyapunov value by one Simpson panel per component, exact for the
-    polynomial gain catalog (degree <= 3).
+    the Lyapunov value of _lyapunov. h is the gains on log.u when the caller
+    already has it (full_verification returns it as extras["h"]).
     """
     K = log.u.shape[0]
-    h_u = gain_field(log.u, gains, lap)[0]
-    residual = np.abs(h_u @ lap.L.T).max(axis=1)
+    if h is None:
+        h = gain_field(log.u, gains, lap)[0]
+    residual = np.abs(h @ lap.L.T).max(axis=1)
     spread = log.y_next.max(axis=1) - log.y_next.min(axis=1)
-    roots = gain_roots(gains)
-    v = np.zeros(K)
-    for i, g in enumerate(gains):
-        a = roots[i]
-        b = log.u[:, i]
-        mid = 0.5 * (a + b)
-        v += (b - a) / 6.0 * (g(a) + 4.0 * g(mid) + g(b))
     return RunMetrics(k=np.arange(1, K + 1), spread_y=spread,
-                      residual=residual, sigma_bar=log.sigma_bar.astype(float), v=v)
+                      residual=residual, sigma_bar=log.sigma_bar.astype(float),
+                      v=_lyapunov(log.u, h, gains))
 
 
 def geometric_rows(K: int, points: int) -> np.ndarray:
@@ -550,15 +586,16 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
     supporting diagnostics for human output, among them the eq28 grid checked
     (k <= m_grid_k, T in m_grid_T) and its first failing (k, T, lo, m, hi),
-    or None. An empty grid or a T that is not finite and > 0 raises
-    ValidationError.
+    or None, and h, the gains on log.u, for consensus_metrics. An empty grid
+    or a T that is not finite and > 0 raises ValidationError.
     """
     if m_grid_k < 1 or not m_grid_T or not all(0 < T < INF for T in m_grid_T):
         raise ValidationError(
             f"eq28 grid needs m_grid_k >= 1 and finite T > 0, got "
             f"m_grid_k={m_grid_k}, m_grid_T={m_grid_T}")
     lap = laplacian(topology)
-    aux = build_auxiliary(log, gains, topology)
+    hg = gain_field(log.u, gains, lap)
+    aux = build_auxiliary(log, gains, topology, hg)
     sched = Schedule(c_M=log.c_M)
     rec = verify_centralized_recursion(aux, sched)
 
@@ -567,7 +604,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
 
     eq28_failure = _eq28_first_failure(m_grid_k, m_grid_T)
 
-    e1, e2, e3, target = _decompose(log, slice(None), gains, lap)
+    e1, e2, e3, target = _decompose(log, slice(None), gains, lap, hg)
     decomp_err = float(np.max(np.abs(e1 + e2 + e3 - target)))
 
     report = {
@@ -584,5 +621,6 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
         "truncation_top": aux.times.top,
         "eq28_grid": (m_grid_k, tuple(m_grid_T)),
         "eq28_first_failure": eq28_failure,
+        "h": hg[0],
     }
     return report, extras

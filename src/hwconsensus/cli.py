@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
     with open(os.path.join(args.log, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    metrics = analysis.consensus_metrics(log, gains, laplacian(s.topology))
+    metrics = analysis.consensus_metrics(log, gains, laplacian(s.topology), extras["h"])
     harness.write_csv(
         os.path.join(args.log, "metrics.csv"), "k,spread_y,residual,sigma_bar,v",
         [(harness.format_cells(np.arange(1, len(metrics.k) + 1)),

@@ -663,9 +663,10 @@ def load_run(rundir: str):
     """Read a saved run back as (TrajectoryLog, Scenario).
 
     Raises IncompleteLog, with the file and the line or cell, for a meta.json
-    that is not a JSON object with every key, or whose embedded scenario is
-    invalid or does not match its scenario_hash, and for log files with
-    malformed, duplicated, missing or out-of-range rows.
+    that is not a JSON object with every key, whose embedded scenario is
+    invalid or does not match its scenario_hash, or whose horizon is not a
+    step count from 1 to the scenario's, and for log files with malformed,
+    duplicated, missing or out-of-range rows.
     """
     meta_path = os.path.join(rundir, "meta.json")
     if not os.path.exists(meta_path):
@@ -690,7 +691,7 @@ def load_run(rundir: str):
                             f"scenario_hash {meta['scenario_hash']!r}")
     K = meta["horizon"]
     stride = meta["log_stride"]
-    if not (isinstance(K, int) and 0 <= K <= s.horizon and stride == s.log_stride):
+    if not (isinstance(K, int) and 1 <= K <= s.horizon and stride == s.log_stride):
         raise IncompleteLog(f"meta.json: horizon {K!r} and log_stride {stride!r} do "
                             f"not fit the scenario ({s.horizon}, {s.log_stride})")
     n = s.n

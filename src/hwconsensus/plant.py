@@ -123,13 +123,6 @@ _CATALOG: dict[str, tuple[tuple[str, ...], object]] = {
 }
 
 
-def register_nonlinearity(name: str, param_names, factory) -> None:
-    """Extension hook: add a named parametric form to the catalog."""
-    if name in _CATALOG:
-        raise ValidationError(f"nonlinearity {name!r} already registered")
-    _CATALOG[name] = (tuple(param_names), factory)
-
-
 def make_nonlinearity(name: str, params: dict) -> Nonlinearity:
     if name not in _CATALOG:
         raise ValidationError(

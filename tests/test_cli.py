@@ -1,9 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from hwconsensus import builtin_case, scenario_to_dict
+from hwconsensus import build_auxiliary, builtin_case, harness, scenario_to_dict
 from hwconsensus.cli import main
 
 from conftest import two_agent_scenario
@@ -155,6 +156,34 @@ def test_golden_verify_output_digests(tmp_path, capsys):
     assert not changed, f"verify output digests changed for cases {changed}"
 
 
+def test_verify_evaluates_each_gain_once_on_the_log(tmp_path, monkeypatch):
+    d = run_dir(tmp_path)
+    loaded = []
+    calls_on_u = [0] * 4
+    load_run, gains = harness.load_run, harness.Scenario.gains
+
+    def recording_load(rundir):
+        loaded.append(load_run(rundir))
+        return loaded[-1]
+
+    def counting(i, g):
+        def call(x):
+            u = loaded[0][0].u[:, i]
+            if np.shape(x) == u.shape and np.array_equal(x, u):
+                calls_on_u[i] += 1
+            return g(x)
+        return call
+
+    monkeypatch.setattr(harness, "load_run", recording_load)
+    monkeypatch.setattr(harness.Scenario, "gains",
+                        lambda self: [counting(i, g) for i, g in enumerate(gains(self))])
+    assert main(["verify", "--log", str(d)]) == 0
+    assert calls_on_u == [1, 1, 1, 1]
+    # every agent has a catch-up window, so h(ubar) is not an evaluation on u
+    log, s = loaded[0]
+    assert build_auxiliary(log, gains(s), s.topology).catchup_mask.any(axis=0).all()
+
+
 def test_verify_tampered_log_fails(tmp_path, capsys):
     d = run_dir(tmp_path)
     lines = (d / "trajectory.csv").read_text().splitlines()
@@ -219,6 +248,11 @@ RUN_DIR_CORRUPTIONS = {
     "meta-invalid-scenario": (lambda d: _edit_meta(
         d, lambda m: m["scenario"].__setitem__("horizon", 0)),
         "meta.json: invalid scenario"),
+    # a run directory with no steps: header-only log files and horizon 0
+    "meta-zero-horizon": (lambda d: [_edit_meta(d, lambda m: m.__setitem__("horizon", 0))]
+                          + [_edit_bytes(d / name, lambda b: b[:b.index(b"\n") + 1])
+                             for name in ("trajectory.csv", "edges.csv")],
+                          "meta.json: horizon 0"),
     "meta-not-json": (lambda d: (d / "meta.json").write_text('{"label": '),
                       "meta.json is not valid JSON"),
     "meta-not-object": (lambda d: (d / "meta.json").write_text("3"),
