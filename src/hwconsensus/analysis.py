@@ -324,6 +324,17 @@ def _window_sandwich(k: np.ndarray, T: float, m: np.ndarray) -> tuple | None:
     return int(k[x]), T, float(lo[x]), int(m[x]), float(hi[x])
 
 
+def _window_T_ok(T) -> bool:
+    """T > 0 with e^T a finite float; the table and the sandwich both read e^T."""
+    if not 0 < T < INF:
+        return False
+    try:
+        math.exp(T)
+    except OverflowError:
+        return False
+    return True
+
+
 def m_of(k: int, T: float) -> int:
     """Largest m with 1/k + ... + 1/m <= T, by direct compensated summation.
 
@@ -332,8 +343,8 @@ def m_of(k: int, T: float) -> int:
     every call and raises IdentityViolation, located at (k, T, lo, m, hi), if
     it fails; it holds in the degenerate branch too.
     """
-    if k < 1 or not 0 < T < INF:
-        raise ValidationError(f"need k >= 1 and finite T > 0, got k={k}, T={T}")
+    if k < 1 or not _window_T_ok(T):
+        raise ValidationError(f"need k >= 1 and T > 0 with e^T finite, got k={k}, T={T}")
     m = _window_count(k, T)
     failure = _window_sandwich(np.array([k]), T, np.array([m]))
     if failure:
@@ -355,6 +366,28 @@ def _eq28_first_failure(K: int, grid_T) -> tuple | None:
         if failure:
             return failure
     return None
+
+
+def _stored_columns_first_failure(log: TrajectoryLog, topology: Topology) -> tuple | None:
+    """First (k, agent, column) where sigma_prime or u_prime is not what the
+    control law makes of the row's sigma and u, or None.
+
+    sigma_prime must be the largest sigma over the agent's closed
+    neighbourhood, and u_prime the reset point where sigma_prime > sigma and
+    u elsewhere. The replay reads neither column, so this is what rejects a
+    corrupted cell in them.
+    """
+    pooled = log.sigma.copy()
+    for i in range(1, topology.n + 1):
+        for j in topology.neighbors(i):
+            np.maximum(pooled[:, i - 1], log.sigma[:, j - 1], out=pooled[:, i - 1])
+    bad_sp = log.sigma_prime != pooled
+    bad_up = log.u_prime != np.where(log.sigma_prime > log.sigma, log.u_star, log.u)
+    bad = np.flatnonzero(bad_sp | bad_up)
+    if not len(bad):
+        return None
+    r, i = divmod(int(bad[0]), log.u.shape[1])
+    return r + 1, i + 1, "sigma_prime" if bad_sp[r, i] else "u_prime"
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +619,14 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
     supporting diagnostics for human output, among them the eq28 grid checked
     (k <= m_grid_k, T in m_grid_T) and its first failing (k, T, lo, m, hi),
-    or None, and h, the gains on log.u, for consensus_metrics. An empty grid
-    or a T that is not finite and > 0 raises ValidationError.
+    or None, the first (k, agent, column) where sigma_prime or u_prime
+    disagrees with sigma and u, or None, and h, the gains on log.u, for
+    consensus_metrics. An empty grid or a T that is not > 0 with a finite
+    e^T raises ValidationError.
     """
-    if m_grid_k < 1 or not m_grid_T or not all(0 < T < INF for T in m_grid_T):
+    if m_grid_k < 1 or not m_grid_T or not all(map(_window_T_ok, m_grid_T)):
         raise ValidationError(
-            f"eq28 grid needs m_grid_k >= 1 and finite T > 0, got "
+            f"eq28 grid needs m_grid_k >= 1 and T > 0 with e^T finite, got "
             f"m_grid_k={m_grid_k}, m_grid_T={m_grid_T}")
     lap = laplacian(topology)
     hg = gain_field(log.u, gains, lap)
@@ -621,6 +656,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
         "truncation_top": aux.times.top,
         "eq28_grid": (m_grid_k, tuple(m_grid_T)),
         "eq28_first_failure": eq28_failure,
+        "stored_columns_first_failure": _stored_columns_first_failure(log, topology),
         "h": hg[0],
     }
     return report, extras

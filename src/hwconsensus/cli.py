@@ -140,10 +140,15 @@ def cmd_verify(args) -> int:
     if extras["eq28_first_failure"] is not None:
         k, T, lo, m, hi = extras["eq28_first_failure"]
         eq28_note += f"; first failure at k={k}, T={T}: {lo!r} < {m} < {hi!r}"
+    replay_note = f"max residual {report['lemma3_residual']:.3e}"
+    if not rec.sigma_consistent:
+        replay_note += ", count path mismatch"
+    stored = extras["stored_columns_first_failure"]
+    if stored is not None:
+        replay_note += (f"; {stored[2]} disagrees with u and sigma, first at "
+                        f"k={stored[0]}, agent {stored[1]}")
     rows = [
-        ("centralized replay", rec.passed,
-         f"max residual {report['lemma3_residual']:.3e}"
-         + ("" if rec.sigma_consistent else ", count path mismatch")),
+        ("centralized replay", rec.passed and stored is None, replay_note),
         ("truncation window bound", report["eq26_ok"],
          f"diameter {extras['diameter']}, top count {extras['truncation_top']}"),
         ("step-count bounds", report["eq28_ok"], eq28_note),

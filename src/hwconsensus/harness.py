@@ -44,7 +44,7 @@ from .plant import (
     make_plant,
     poly,
     static_gain,
-    step,
+    stepper,
 )
 
 VERIFY_MAX_HORIZON = 200_000  # stride-1 logging refuses longer runs
@@ -340,6 +340,7 @@ def run(s: Scenario, master_seed: int | None = None,
             raise ValidationError(
                 f"initial_plants has {len(initial_plants)} entries for {n} agents")
         plants = [p.copy() for p in initial_plants]
+    steps = [stepper(p) for p in plants]
     sched = Schedule(c_M=s.controller.c_M)
     u = list(s.controller.initial_u)
     sigma = [0] * n
@@ -355,7 +356,8 @@ def run(s: Scenario, master_seed: int | None = None,
     m = len(pairs)
     bufs = [array("q" if name.startswith("sigma") else "d") for name in LOG_COLUMNS]
     widths = [m if name in ("z", "eps") else n for name in LOG_COLUMNS]
-    nan_n, nan_m = [math.nan] * n, [math.nan] * m
+    # a step off the stride logs these NaN rows in its output/edge columns
+    nan_rows = [array("d", [math.nan]) * w for w in widths[4:]]
 
     def make_log() -> analysis.TrajectoryLog:
         rows = len(bufs[0]) // n
@@ -366,11 +368,12 @@ def run(s: Scenario, master_seed: int | None = None,
             u_star=np.array(s.controller.u_star), c_M=s.controller.c_M,
             label=s.label, scenario_hash=scenario_hash(s), seed=seed)
 
+    u_buf, sigma_buf, sp_buf, up_buf, *out_bufs = bufs
     for k in range(1, K + 1):
         ys = []
         try:
-            for p, x in zip(plants, u):
-                ys.append(step(p, x))
+            for plant_step, x in zip(steps, u):
+                ys.append(plant_step(x))
         except NonFiniteValue as e:
             err = NonFiniteValue(str(e), step=k, agent=len(ys) + 1)
             partial = make_log()
@@ -381,14 +384,19 @@ def run(s: Scenario, master_seed: int | None = None,
             raise err from e
         e_row = eps[k - 1].tolist()
         z = [ys[j] + x for j, x in zip(observed, e_row)]
-        u0, sigma0 = u[:], sigma[:]
+        # the round's starting u and sigma are logged before advance overwrites them
+        u_buf.fromlist(u)
+        sigma_buf.fromlist(sigma)
         sp, up, O = advance(u, sigma, ys, z, nbrs, u_star, k, sched)
+        sp_buf.fromlist(sp)
+        up_buf.fromlist(up)
         if (k - 1) % stride:
             # strided logs keep the estimate/count columns only
-            ys = O = nan_n
-            z = e_row = nan_m
-        for buf, row in zip(bufs, (u0, sigma0, sp, up, ys, O, z, e_row)):
-            buf.extend(row)
+            for buf, row in zip(out_bufs, nan_rows):
+                buf.extend(row)
+        else:
+            for buf, row in zip(out_bufs, (ys, O, z, e_row)):
+                buf.fromlist(row)
 
     log = make_log()
     return RunResult(scenario=s, seed=seed, log=log,
@@ -433,13 +441,27 @@ EDGE_FIELDS = np.dtype([("k", np.int64), ("i", np.int64), ("j", np.int64),
 
 
 def format_cells(values, blank_nan: bool = False) -> list:
-    """repr() of every entry of an array in row-major order, NaN as '' if blank_nan."""
-    values = np.asarray(values)
-    cells = list(map(repr, values.ravel().tolist()))
-    if blank_nan:
-        for idx in np.flatnonzero(np.isnan(values)).tolist():
-            cells[idx] = ""
+    """repr() of every entry of an array in row-major order, NaN as '' if blank_nan.
+
+    With blank_nan, repr runs only on the entries that are not NaN.
+    """
+    values = np.asarray(values).ravel()
+    if not blank_nan:
+        return list(map(repr, values.tolist()))
+    cells = [""] * len(values)
+    _fill_cells(cells, values, np.flatnonzero(~np.isnan(values)))
     return cells
+
+
+def _fill_cells(cells: list, values: np.ndarray, idx: np.ndarray) -> None:
+    """cells[x] = repr(values[x]) for each x in idx (values flat)."""
+    for x, cell in zip(idx.tolist(), map(repr, values[idx].tolist())):
+        cells[x] = cell
+
+
+def _step_cells(steps, width: int) -> list:
+    """repr() of each step, each repeated width times: the k column."""
+    return [cell for cell in map(repr, steps) for _ in range(width)]
 
 
 def write_csv(path: str, header: str, blocks) -> None:
@@ -457,9 +479,15 @@ def _trajectory_blocks(log: analysis.TrajectoryLog):
     agents = format_cells(np.arange(1, n + 1))
     for a in range(0, K, SAVE_BLOCK_STEPS):
         b = min(a + SAVE_BLOCK_STEPS, K)
-        yield (format_cells(np.repeat(np.arange(a + 1, b + 1), n)), agents * (b - a),
-               *(format_cells(col[a:b])
-                 for col in (log.u, log.sigma, log.sigma_prime, log.u_prime)),
+        u, u_prime = log.u[a:b].ravel(), log.u_prime[a:b].ravel()
+        u_cells = format_cells(u)
+        # u' is u itself on every round without a restart; repr depends only
+        # on the bits, so a bit-equal cell is copied, not formatted again
+        up_cells = list(u_cells)
+        _fill_cells(up_cells, u_prime,
+                    np.flatnonzero(u_prime.view(np.int64) != u.view(np.int64)))
+        yield (_step_cells(range(a + 1, b + 1), n), agents * (b - a), u_cells,
+               format_cells(log.sigma[a:b]), format_cells(log.sigma_prime[a:b]), up_cells,
                format_cells(log.y_next[a:b], blank_nan=True),
                format_cells(log.O_next[a:b], blank_nan=True))
 
@@ -472,7 +500,7 @@ def _edge_blocks(log: analysis.TrajectoryLog):
     steps = np.flatnonzero(~np.isnan(log.z).all(axis=1))
     for a in range(0, len(steps), SAVE_BLOCK_STEPS):
         rows = steps[a:a + SAVE_BLOCK_STEPS]
-        yield (format_cells(np.repeat(rows + 1, m)), observers * len(rows),
+        yield (_step_cells((rows + 1).tolist(), m), observers * len(rows),
                observed * len(rows), format_cells(log.z[rows]), format_cells(log.eps[rows]))
 
 

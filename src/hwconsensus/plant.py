@@ -7,9 +7,10 @@ backward shift. A "hammerstein" agent applies f first (v = f(u), then
 C(z) y_{k+1} = D(z) v_k); a "wiener" agent applies it last
 (C(z) v_{k+1} = D(z) u_k, then y = f(v)).
 
-The difference-equation stepper is the canonical simulator. A state-space
-companion realization is provided purely as a cross-checking oracle; the two
-must agree to 1e-10 per step on any input sequence.
+The difference-equation stepper is the canonical simulator: stepper(plant)
+compiles one agent's step once, and step() is a single call of it. A
+state-space companion realization is provided purely as a cross-checking
+oracle; the two must agree to 1e-10 per step on any input sequence.
 """
 
 from __future__ import annotations
@@ -168,41 +169,74 @@ def make_plant(kind: str, C: Polynomial, D: Polynomial, f: Nonlinearity) -> Agen
     return AgentPlant(kind, C, D, f, y_hist=[], v_hist=[0.0] * p, u_hist=[0.0] * q)
 
 
-def step(plant: AgentPlant, u: float) -> float:
-    """Advance one step under input u, returning the next output.
+def stepper(plant: AgentPlant):
+    """The plant's one-step map u -> next output, compiled once.
 
     hammerstein: v_k = f(u_k); y_{k+1} = -sum c_s y_{k+1-s} + v_k + sum d_r v_{k-r}
     wiener:      v_{k+1} = -sum c_s v_{k+1-s} + u_k + sum d_r u_{k-r}; y = f(v_{k+1})
+
+    The returned function binds f's evaluator, the plant's history lists and
+    each coefficient of C's and D's tails paired with the history position it
+    multiplies. It rotates the lists in place, newest first, so they stay the
+    plant's state (rebinding one of them afterwards leaves the function
+    stepping the old list). The -c terms are summed before the +d terms, in
+    history order. A v or y that is not finite raises NonFiniteValue after
+    the histories have moved; an f that overflows (Python's ** raises
+    OverflowError rather than return inf) raises it before they move.
     """
-    cs = plant.C.tail
-    ds = plant.D.tail
+    f = plant.f.fn
+    y_hist, v_hist, u_hist = plant.y_hist, plant.v_hist, plant.u_hist
+    c_hist, d_hist = (y_hist, v_hist) if plant.kind == HAMMERSTEIN else (v_hist, u_hist)
+    # (coefficient, history position) pairs, as far as both reach
+    c_terms = tuple(zip(plant.C.tail, range(len(c_hist))))
+    d_terms = tuple(zip(plant.D.tail, range(len(d_hist))))
+    isfinite = math.isfinite
+
     if plant.kind == HAMMERSTEIN:
-        v = plant.f(u)
-        acc = v
-        for c, y_past in zip(cs, plant.y_hist):
-            acc -= c * y_past
-        for d, v_past in zip(ds, plant.v_hist):
-            acc += d * v_past
-        y = acc
-        if plant.v_hist:
-            plant.v_hist = [v] + plant.v_hist[:-1]
-        if plant.y_hist:
-            plant.y_hist = [y] + plant.y_hist[:-1]
-    else:
+        def step_hammerstein(u: float) -> float:
+            try:
+                v = f(u)
+            except OverflowError:
+                raise NonFiniteValue(f"nonlinearity overflows at {u!r}") from None
+            acc = v
+            for c, x in c_terms:
+                acc -= c * y_hist[x]
+            for d, x in d_terms:
+                acc += d * v_hist[x]
+            y = acc
+            v_hist.insert(0, v)
+            v_hist.pop()
+            y_hist.insert(0, y)
+            y_hist.pop()
+            if not (isfinite(v) and isfinite(y)):
+                raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})")
+            return y
+        return step_hammerstein
+
+    def step_wiener(u: float) -> float:
         acc = u
-        for c, v_past in zip(cs, plant.v_hist):
-            acc -= c * v_past
-        for d, u_past in zip(ds, plant.u_hist):
-            acc += d * u_past
+        for c, x in c_terms:
+            acc -= c * v_hist[x]
+        for d, x in d_terms:
+            acc += d * u_hist[x]
         v = acc
-        y = plant.f(v)
-        if plant.v_hist:
-            plant.v_hist = [v] + plant.v_hist[:-1]
-        if plant.u_hist:
-            plant.u_hist = [u] + plant.u_hist[:-1]
-    if not (math.isfinite(v) and math.isfinite(y)):
-        raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})")
-    return y
+        try:
+            y = f(v)
+        except OverflowError:
+            raise NonFiniteValue(f"nonlinearity overflows at {v!r}") from None
+        v_hist.insert(0, v)
+        v_hist.pop()
+        u_hist.insert(0, u)
+        u_hist.pop()
+        if not (isfinite(v) and isfinite(y)):
+            raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})")
+        return y
+    return step_wiener
+
+
+def step(plant: AgentPlant, u: float) -> float:
+    """Advance one step under input u, returning the next output (see stepper)."""
+    return stepper(plant)(u)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +358,10 @@ def warm_plant(plant: AgentPlant, u: float) -> AgentPlant:
 def steady_state_check(plant: AgentPlant, u: float, horizon: int, tol: float) -> bool:
     """Drive a copy with constant u; true iff the output settles on h(u)."""
     gain = static_gain(plant)
-    probe = plant.copy()
+    advance_probe = stepper(plant.copy())
     y = None
     for _ in range(horizon):
-        y = step(probe, u)
+        y = advance_probe(u)
     return abs(y - gain.h(u)) < tol
 
 

@@ -124,6 +124,12 @@ def test_m_of_rejects_infinite_T():
         m_of(1, INF)
 
 
+def test_m_of_rejects_T_whose_exponential_overflows():
+    # e^800 is not a float, so the sandwich cannot be formed
+    with pytest.raises(ValidationError):
+        m_of(1, 800.0)
+
+
 SHORT = builtin_case(1, horizon=50)
 SHORT_LOG = run(SHORT).log
 
@@ -136,7 +142,9 @@ SHORT_LOG = run(SHORT).log
     {"m_grid_T": (0.5, 0.0)},
     {"m_grid_T": (INF,)},
     {"m_grid_T": (float("nan"),)},
-], ids=["k0", "no_T", "k0_negative_T", "negative_T", "zero_T", "infinite_T", "nan_T"])
+    {"m_grid_T": (0.5, 800.0)},
+], ids=["k0", "no_T", "k0_negative_T", "negative_T", "zero_T", "infinite_T", "nan_T",
+        "overflowing_T"])
 def test_eq28_grid_rejected_up_front(grid):
     with pytest.raises(ValidationError, match="eq28 grid"):
         full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology, **grid)

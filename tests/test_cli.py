@@ -197,6 +197,30 @@ def test_verify_tampered_log_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("column, field, edit", [
+    ("u_prime", 5, lambda cell: repr(float(cell) + 1.0)),
+    ("sigma_prime", 4, lambda cell: str(int(cell) + 1)),
+])
+def test_verify_locates_a_corrupted_stored_column(tmp_path, capsys, column, field, edit):
+    # the replay reads neither column; verify checks them against u and sigma
+    d = run_dir(tmp_path)
+    lines = (d / "trajectory.csv").read_text().splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith("150,2,"))
+    parts = lines[idx].split(",")
+    parts[field] = edit(parts[field])
+    lines[idx] = ",".join(parts)
+    (d / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 2
+    row = next(l for l in capsys.readouterr().out.splitlines()
+               if l.startswith("centralized replay"))
+    assert row.split()[2] == "FAIL"
+    assert row.endswith(f"; {column} disagrees with u and sigma, first at k=150, agent 2")
+    report = json.loads((d / "report.json").read_text())
+    assert set(report) == {"lemma3_residual", "eq26_ok", "eq28_ok",
+                           "decomposition_max_err"}
+
+
 def test_verify_locates_an_eq28_failure(tmp_path, capsys, monkeypatch):
     import hwconsensus.analysis as A
     d = run_dir(tmp_path)

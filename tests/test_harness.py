@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -18,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hwconsensus.harness as H
 from hwconsensus import (
+    analysis,
     builtin_case,
     directed_pairs,
     laplacian,
@@ -32,6 +35,7 @@ from hwconsensus import (
     summarize,
     validate_scenario,
 )
+from hwconsensus.cli import main
 from hwconsensus.errors import IncompleteLog, NonFiniteValue, ValidationError
 from hwconsensus.harness import LOG_COLUMNS, batch
 
@@ -539,6 +543,95 @@ def test_save_load_round_trip_bit_exact(data, stride):
         assert got.tobytes() == want.tobytes(), name
 
 
+# The writer's cell formatting before it skipped NaN cells, copied u cells
+# into u_prime and formatted k once per step: one repr per cell. Kept as the
+# reference the writer must match byte for byte.
+def _reference_format_cells(values, blank_nan=False):
+    values = np.asarray(values)
+    cells = list(map(repr, values.ravel().tolist()))
+    if blank_nan:
+        for idx in np.flatnonzero(np.isnan(values)).tolist():
+            cells[idx] = ""
+    return cells
+
+
+def _reference_trajectory_blocks(log):
+    fc = _reference_format_cells
+    K, n = log.u.shape
+    agents = fc(np.arange(1, n + 1))
+    for a in range(0, K, H.SAVE_BLOCK_STEPS):
+        b = min(a + H.SAVE_BLOCK_STEPS, K)
+        yield (fc(np.repeat(np.arange(a + 1, b + 1), n)), agents * (b - a),
+               *(fc(col[a:b]) for col in (log.u, log.sigma, log.sigma_prime, log.u_prime)),
+               fc(log.y_next[a:b], blank_nan=True), fc(log.O_next[a:b], blank_nan=True))
+
+
+def _reference_edge_blocks(log):
+    fc = _reference_format_cells
+    m = len(log.pairs)
+    observers = fc([i for i, _ in log.pairs])
+    observed = fc([j for _, j in log.pairs])
+    steps = np.flatnonzero(~np.isnan(log.z).all(axis=1))
+    for a in range(0, len(steps), H.SAVE_BLOCK_STEPS):
+        rows = steps[a:a + H.SAVE_BLOCK_STEPS]
+        yield (fc(np.repeat(rows + 1, m)), observers * len(rows),
+               observed * len(rows), fc(log.z[rows]), fc(log.eps[rows]))
+
+
+def _float_bits(x: float) -> int:
+    return int(np.array(x).view(np.int64))
+
+
+# quiet and signalling NaNs of either sign, with and without a payload
+NAN_BITS = [int(np.array(b, dtype=np.uint64).view(np.int64)) for b in (
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+    0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 7]), st.integers(1, 20), st.sampled_from([2, 3]))
+def test_writer_bytes_match_one_repr_per_cell(data, stride, K, n):
+    pairs = [(1, 2), (2, 1)] + ([(2, 3), (3, 2)] if n == 3 else [])
+    bits = st.one_of(st.sampled_from(EDGE_FLOATS).map(_float_bits),
+                     st.floats().map(_float_bits), st.sampled_from(NAN_BITS))
+
+    def floats(width):
+        drawn = data.draw(st.lists(bits, min_size=K * width, max_size=K * width))
+        return np.array(drawn, dtype=np.int64).view(np.float64).reshape(K, width)
+
+    def ints():
+        drawn = data.draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                   min_size=K * n, max_size=K * n))
+        return np.array(drawn, dtype=np.int64).reshape(K, n)
+
+    def strided(width):
+        # logged rows mix NaN and values; rows off the stride are all NaN
+        out = floats(width)
+        out[np.arange(K) % stride != 0] = np.nan
+        return out
+
+    u = floats(n)
+    # u_prime copies u (restart-free rounds), negates it (0.0 against -0.0,
+    # a NaN's sign) or is drawn on its own
+    how = np.array(data.draw(st.lists(st.integers(0, 2), min_size=K * n,
+                                      max_size=K * n))).reshape(K, n)
+    u_prime = np.where(how == 0, u, np.where(how == 1, -u, floats(n)))
+    log = analysis.TrajectoryLog(
+        n=n, horizon=K, log_stride=stride, pairs=pairs, u=u, sigma=ints(),
+        sigma_prime=ints(), u_prime=u_prime, y_next=strided(n), O_next=strided(n),
+        z=strided(len(pairs)), eps=strided(len(pairs)), u_star=np.zeros(n), c_M=55.0)
+    with tempfile.TemporaryDirectory() as d, \
+            unittest.mock.patch.object(H, "SAVE_BLOCK_STEPS", 3):
+        for name, blocks, reference in (
+                ("trajectory", H._trajectory_blocks, _reference_trajectory_blocks),
+                ("edges", H._edge_blocks, _reference_edge_blocks)):
+            got, want = os.path.join(d, name + ".csv"), os.path.join(d, name + ".ref")
+            H.write_csv(got, "header", blocks(log))
+            H.write_csv(want, "header", reference(log))
+            with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
+                assert fh_got.read() == fh_want.read(), name
+
+
 def test_summary_and_meta_files(tmp_path):
     res = run(builtin_case(1, horizon=60, seed=4))
     save_run(res, str(tmp_path / "r"))
@@ -767,17 +860,20 @@ def test_batch_parallel_matches_serial():
 # abort path
 
 def test_nonfinite_output_aborts_with_partial_log(monkeypatch):
-    import hwconsensus.harness as H
-    real = H.step
+    real = H.stepper
     calls = {"n": 0}
 
-    def exploding(plant, u):
-        calls["n"] += 1
-        if calls["n"] == 4 * 49 + 1:  # first agent of round 50
-            raise NonFiniteValue("synthetic overflow")
-        return real(plant, u)
+    def exploding_stepper(plant):
+        plant_step = real(plant)
 
-    monkeypatch.setattr(H, "step", exploding)
+        def call(u):
+            calls["n"] += 1
+            if calls["n"] == 4 * 49 + 1:  # first agent of round 50
+                raise NonFiniteValue("synthetic overflow")
+            return plant_step(u)
+        return call
+
+    monkeypatch.setattr(H, "stepper", exploding_stepper)
     s = builtin_case(1, horizon=200)
     with pytest.raises(NonFiniteValue) as exc:
         run(s)
@@ -789,3 +885,27 @@ def test_nonfinite_output_aborts_with_partial_log(monkeypatch):
     assert partial.log.u.shape == (49, 4)
     assert not np.isnan(partial.log.y_next).any()
     assert "total_truncations" in partial.summary
+
+
+@pytest.mark.parametrize("kind, D, initial, step", [
+    ("hammerstein", [1], 1e200, 1),       # (1e200) ** 3 raises OverflowError
+    ("wiener", [1], 1e200, 1),
+    ("hammerstein", [1, 2.0], 5e102, 2),  # v + 2 v_past passes the largest float
+], ids=["hammerstein_f", "wiener_f", "hammerstein_linear"])
+# the partial run's summary evaluates the gains at the overflowing input
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_real_overflow_aborts_at_its_step_and_agent(kind, D, initial, step, tmp_path, capsys):
+    doc = scenario_to_dict(two_agent_scenario(horizon=50))
+    doc["agents"][1].update(kind=kind, D=D, f={
+        "name": "cubic_affine", "params": {"alpha": 1.0, "beta": 1.0, "gamma": 0.0}})
+    doc["controller"]["initial_u"] = [0.0, initial]
+    with pytest.raises(NonFiniteValue) as exc:
+        run(scenario_from_dict(doc))
+    assert (exc.value.step, exc.value.agent) == (step, 2)
+    assert exc.value.partial.log.horizon == step - 1
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert f"(step {step}, agent 2)" in capsys.readouterr().err

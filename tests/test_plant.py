@@ -17,9 +17,11 @@ from hwconsensus import (
     steady_state_check,
     step,
     step_state_space,
+    stepper,
+    warm_plant,
 )
 from hwconsensus.errors import NonFiniteValue, ValidationError, ZeroDCGain
-from hwconsensus.plant import is_strictly_increasing
+from hwconsensus.plant import _CATALOG, HAMMERSTEIN, is_strictly_increasing
 
 F2 = make_nonlinearity("affine", {"beta": -2.0, "gamma": 1.0})
 IDENT = make_nonlinearity("identity", {})
@@ -97,6 +99,74 @@ def test_step_nonfinite_detection():
     p.y_hist = [1.6e308]
     with pytest.raises(NonFiniteValue):
         step(p, 1.6e308)  # 0.8e308 + 1.6e308 overflows
+
+
+def _reference_step(plant, u):
+    """The difference equation as written before the compiled stepper: it
+    slices the tails on every call and rebuilds the history lists."""
+    cs = plant.C.tail
+    ds = plant.D.tail
+    if plant.kind == HAMMERSTEIN:
+        v = plant.f(u)
+        acc = v
+        for c, y_past in zip(cs, plant.y_hist):
+            acc -= c * y_past
+        for d, v_past in zip(ds, plant.v_hist):
+            acc += d * v_past
+        y = acc
+        if plant.v_hist:
+            plant.v_hist = [v] + plant.v_hist[:-1]
+        if plant.y_hist:
+            plant.y_hist = [y] + plant.y_hist[:-1]
+    else:
+        acc = u
+        for c, v_past in zip(cs, plant.v_hist):
+            acc -= c * v_past
+        for d, u_past in zip(ds, plant.u_hist):
+            acc += d * u_past
+        v = acc
+        y = plant.f(v)
+        if plant.v_hist:
+            plant.v_hist = [v] + plant.v_hist[:-1]
+        if plant.u_hist:
+            plant.u_hist = [u] + plant.u_hist[:-1]
+    if not (math.isfinite(v) and math.isfinite(y)):
+        raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})")
+    return y
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+_COEFF = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@st.composite
+def _plants(draw):
+    name = draw(st.sampled_from(sorted(_CATALOG)))
+    f = make_nonlinearity(name, {k: draw(_COEFF) for k in _CATALOG[name][0]})
+    C = poly([1.0] + draw(st.lists(_COEFF, max_size=3)))
+    D = poly([1.0] + draw(st.lists(_COEFF, max_size=3)))
+    plant = make_plant(draw(st.sampled_from(["hammerstein", "wiener"])), C, D, f)
+    warm = draw(st.one_of(st.none(), st.floats(-2, 2)))
+    if warm is not None and abs(eval_at_one(C)) > 1e-6:
+        plant = warm_plant(plant, warm)
+    return plant
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plants(), st.lists(st.floats(-2, 2), min_size=1, max_size=25))
+def test_stepper_matches_reference_step_bit_for_bit(plant, inputs):
+    ref = plant.copy()
+    compiled = plant.copy()
+    advance = stepper(compiled)
+    for u in inputs:
+        assert _hex([advance(u)]) == _hex([_reference_step(ref, u)])
+        for name in ("y_hist", "v_hist", "u_hist"):
+            assert _hex(getattr(compiled, name)) == _hex(getattr(ref, name)), name
+    # step() is the same compiled map, built per call
+    assert _hex([step(compiled, 0.5)]) == _hex([_reference_step(ref, 0.5)])
 
 
 def test_static_gain_values():
