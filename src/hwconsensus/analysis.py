@@ -324,15 +324,11 @@ def _window_sandwich(k: np.ndarray, T: float, m: np.ndarray) -> tuple | None:
     return int(k[x]), T, float(lo[x]), int(m[x]), float(hi[x])
 
 
-def _window_T_ok(T) -> bool:
-    """T > 0 with e^T a finite float; the table and the sandwich both read e^T."""
-    if not 0 < T < INF:
-        return False
-    try:
-        math.exp(T)
-    except OverflowError:
-        return False
-    return True
+def _window_ok(k: int, T) -> bool:
+    """k >= 1 and T > 0 with k e^T <= _MAX_TERMS. Then m(j, T) < j e^T for every
+    j <= k, so no count sums more than _MAX_TERMS terms; a larger T takes
+    about k e^T additions per count and need not finish."""
+    return k >= 1 and 0 < T <= math.log(_MAX_TERMS / k)
 
 
 def m_of(k: int, T: float) -> int:
@@ -343,8 +339,9 @@ def m_of(k: int, T: float) -> int:
     every call and raises IdentityViolation, located at (k, T, lo, m, hi), if
     it fails; it holds in the degenerate branch too.
     """
-    if k < 1 or not _window_T_ok(T):
-        raise ValidationError(f"need k >= 1 and T > 0 with e^T finite, got k={k}, T={T}")
+    if not _window_ok(k, T):
+        raise ValidationError(
+            f"need k >= 1 and T > 0 with k e^T <= {_MAX_TERMS}, got k={k}, T={T}")
     m = _window_count(k, T)
     failure = _window_sandwich(np.array([k]), T, np.array([m]))
     if failure:
@@ -621,13 +618,13 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
     (k <= m_grid_k, T in m_grid_T) and its first failing (k, T, lo, m, hi),
     or None, the first (k, agent, column) where sigma_prime or u_prime
     disagrees with sigma and u, or None, and h, the gains on log.u, for
-    consensus_metrics. An empty grid or a T that is not > 0 with a finite
-    e^T raises ValidationError.
+    consensus_metrics. An empty grid, or a T that is not > 0 with
+    m_grid_k e^T <= _MAX_TERMS (2^20), raises ValidationError.
     """
-    if m_grid_k < 1 or not m_grid_T or not all(map(_window_T_ok, m_grid_T)):
+    if not m_grid_T or not all(_window_ok(m_grid_k, T) for T in m_grid_T):
         raise ValidationError(
-            f"eq28 grid needs m_grid_k >= 1 and T > 0 with e^T finite, got "
-            f"m_grid_k={m_grid_k}, m_grid_T={m_grid_T}")
+            f"eq28 grid needs m_grid_k >= 1 and T > 0 with m_grid_k e^T <= {_MAX_TERMS}, "
+            f"got m_grid_k={m_grid_k}, m_grid_T={m_grid_T}")
     lap = laplacian(topology)
     hg = gain_field(log.u, gains, lap)
     aux = build_auxiliary(log, gains, topology, hg)

@@ -8,10 +8,13 @@ controller. The complete per-round record goes into a TrajectoryLog.
 
 File layout of a saved run directory:
   trajectory.csv  k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next
+                  one row per step k, agents 1..n within each step
   edges.csv       k,i,j,z,eps            (observer i, observed j)
-  summary.json    headline numbers, recomputable from the log
+                  logged steps only, each with its pairs in directed_pairs order
+  summary.json    headline numbers, recomputable from the log; null if not finite
   meta.json       label, horizon, stride, seed, scenario and its hash
-Floats are written with repr() so reading them back is value-exact.
+Floats are written with repr() so reading them back is value-exact. save_run
+writes the one row order above and load_run accepts no other.
 """
 
 from __future__ import annotations
@@ -293,20 +296,20 @@ def directed_pairs(t: Topology) -> list:
 def summarize(log: analysis.TrajectoryLog, gains, lap, wall_time: float) -> dict:
     """Headline numbers; every field except wall_time derives from the log."""
     n = log.u.shape[1]
-    fired = [0] * n
-    for i in range(n):
-        fired[i] = int(np.count_nonzero(
-            log.sigma[1:, i] == log.sigma_prime[:-1, i] + 1))
-    h_last = np.array([gains[i](log.u[-1, i]) for i in range(n)])
-    res = float(np.max(np.abs(lap.L @ h_last)))
-    spread = None
+    fired = np.count_nonzero(log.sigma[1:] == log.sigma_prime[:-1] + 1, axis=0).tolist()
+    spread = math.nan
     full = ~np.isnan(log.y_next).any(axis=1)
-    if full.any():
-        last_y = log.y_next[np.nonzero(full)[0][-1]]
-        spread = float(last_y.max() - last_y.min())
+    # a diverged run's residual or spread overflows; it is reported as null,
+    # as JSON has no inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_last = np.array([gains[i](log.u[-1, i]) for i in range(n)])
+        res = float(np.max(np.abs(lap.L @ h_last)))
+        if full.any():
+            last_y = log.y_next[np.nonzero(full)[0][-1]]
+            spread = float(last_y.max() - last_y.min())
     return {
-        "final_spread": spread,
-        "final_residual": res,
+        "final_spread": spread if math.isfinite(spread) else None,
+        "final_residual": res if math.isfinite(res) else None,
         "total_truncations": fired,
         "sigma_bar_final": int(log.sigma_bar[-1]),
         "wall_time": wall_time,
@@ -514,7 +517,7 @@ def save_run(result: RunResult, outdir: str) -> None:
 
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump({"label": result.scenario.label, "seed": result.seed,
-                   **result.summary}, fh, indent=2)
+                   **result.summary}, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
     meta = {
@@ -550,39 +553,36 @@ def _count_lines(fh) -> int:
     return lines + (last != "\n")
 
 
-def _convert_lines(fh, fields: np.dtype, kinds: list, order: list):
-    """Convert lines with int() and float(), each line's fields in the given
-    order, up to and including the first line that does not convert.
-
-    Returns the records and None, or the records (the failing line last, its
-    unconverted fields 0) and (line index, fields converted, reason).
-    """
-    rows, failure = [], None
+def _convert_lines(fh, fields: np.dtype, kinds: list):
+    """The records before the first line int() and float() do not convert and
+    (its index, reason), or every record and None."""
+    rows = []
     for idx, line in enumerate(fh):
         parts = line.rstrip("\n").split(",")
-        row = [0] * len(kinds)
-        done = 0
         try:
             if len(parts) != len(kinds):
                 raise ValueError(f"{len(parts)} fields, expected {len(kinds)}")
-            for c in order:
-                row[c] = kinds[c](parts[c])
-                done += 1
+            rows.append(tuple(kind(part) for kind, part in zip(kinds, parts)))
         except ValueError as e:
-            failure = (idx, done, str(e))
-        rows.append(tuple(row))
-        if failure:
-            break
-    return np.array(rows, fields), failure
+            return np.array(rows, fields), (idx, str(e))
+    return np.array(rows, fields), None
 
 
-def _parse_log(path: str, fields: np.dtype, nkey: int, blank):
-    """Parse one log CSV into records of `fields`, one per line after the header.
+def _describe(keys: list, x: int) -> str:
+    k, *cell = (int(v[x]) for v in keys)
+    return f"step {k}, " + (f"agent {cell[0]}" if len(cell) == 1 else f"edge {tuple(cell)}")
 
-    Fields named in `blank` read an empty cell as NaN. Returns the records and
-    None, or, from the first line that does not convert, the records up to and
-    including it and (line index, fields converted, reason); a line converts
-    its key fields first, then k, then its values.
+
+def _read_log(path: str, fields: np.dtype, K: int, rows: np.ndarray, cells: list,
+              blank=()) -> dict:
+    """Read one log CSV in the one row order save_run writes.
+
+    For each grid row r of `rows` in turn, one record of `fields` per entry of
+    `cells`: k = r + 1, the cell's key fields (agent, or the edge i, j), the
+    values; fields named in `blank` read an empty cell as NaN. The first line
+    that does not convert or whose key differs, an extra line or a missing
+    one raises IncompleteLog naming the file and the line or row. Returns
+    one (K, len(cells)) grid per value field, NaN or 0 off `rows`.
     """
     name = os.path.basename(path)
     converters = {fields.names.index(f): _float_or_nan for f in blank}
@@ -596,8 +596,6 @@ def _parse_log(path: str, fields: np.dtype, nkey: int, blank):
             raise IncompleteLog(f"{name}: not UTF-8 text: {e}") from None
         if got != ",".join(fields.names):
             raise IncompleteLog(f"{name}: unexpected header {got!r}")
-        if not lines:
-            return np.empty(0, fields), None
         fh.seek(start)
         try:
             # numpy 1.x reads an int field that int() rejects ('3.5', '1e1',
@@ -605,96 +603,56 @@ def _parse_log(path: str, fields: np.dtype, nkey: int, blank):
             # raised as an error, it sends the file to the line-by-line path
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)
-                rec = np.loadtxt(fh, fields, delimiter=",", comments=None,
-                                 converters=converters, ndmin=1)
-            if len(rec) == lines:
-                return rec, None
-        except (ValueError, DeprecationWarning):
-            pass
-        # numpy rejected a line or skipped a blank one: convert line by line
-        # as int() and float() do, up to the first line that fails
-        kinds = [converters.get(c, _int64 if fields[c].kind == "i" else float)
-                 for c in range(len(fields))]
-        fh.seek(start)
-        return _convert_lines(fh, fields, kinds,
-                              [*range(1, 1 + nkey), 0, *range(1 + nkey, len(fields))])
+                rec = (np.loadtxt(fh, fields, delimiter=",", comments=None,
+                                  converters=converters, ndmin=1)
+                       if lines else np.empty(0, fields))
+            failure = (None if len(rec) == lines
+                       else f"{name}: numpy read {len(rec)} of {lines} lines")
+        except (ValueError, DeprecationWarning) as e:
+            failure = f"{name}: {e}"
+        if failure:
+            # locate the first line int() and float() do not convert; with
+            # none (numpy rejects '1_0', int() does not), numpy's message stands
+            kinds = [converters.get(c, _int64 if fields[c].kind == "i" else float)
+                     for c in range(len(fields))]
+            fh.seek(start)
+            rec, located = _convert_lines(fh, fields, kinds)
+            if located:
+                failure = f"{name} line {located[0] + 2}: {located[1]}"
 
-
-def _read_log(path: str, fields: np.dtype, K: int, every: int, keys: list,
-              labels: list, unknown, blank=()) -> dict:
-    """Read one log CSV whose lines each fill one cell of a K x len(keys) grid.
-
-    A line is one record of `fields`: its step k names grid row k - 1 and its
-    key fields, the ones after k, name the column of the matching entry of
-    `keys`. Every cell on rows 0, every, 2*every, ... below K must be filled
-    exactly once and no other cell at all; anything else -- a malformed line,
-    an unknown key (described by unknown(key)), a step out of range or off
-    the stride, a repeated cell, a missing one -- raises IncompleteLog naming
-    the file and the line or cell. Returns one (K, len(keys)) grid per value
-    field, NaN or 0 where unfilled.
-    """
-    name = os.path.basename(path)
-    nkey = len(keys[0])
-    width = len(keys)
-    rec, failure = _parse_log(path, fields, nkey, blank)
-
-    key_values = [rec[f] for f in fields.names[1:1 + nkey]]
-    base = max(map(max, keys)) + 1
-    lut = np.full((base,) * nkey, -1)
-    lut[tuple(np.array(keys).T)] = np.arange(width)
-    in_range = np.logical_and.reduce([(v >= 1) & (v < base) for v in key_values])
-    col = lut[tuple(np.where(in_range, v, 0) for v in key_values)]
-    r = rec["k"] - 1
-    bad_key = col < 0
-    bad_step = (r < 0) | (r >= K) | (r % every != 0)
-    ok = ~(bad_key | bad_step)
-    cell = np.where(ok, r // every * width + col, -1)
-    order = np.argsort(cell, kind="stable")
-    repeated = np.zeros(len(rec), dtype=bool)
-    repeated[order[1:][cell[order[1:]] == cell[order[:-1]]]] = True
-    # the first failing check of each line: 1 key, 2 step, 3 repeated cell
-    check = np.select([bad_key, bad_step, repeated & ok], [1, 2, 3], 0)
+    width = len(cells)
+    want = [np.repeat(rows + 1, width),
+            *(np.tile(key, len(rows)) for key in np.array(cells).T)]
+    have = [rec[f] for f in fields.names[:len(want)]]
+    common = min(len(rec), len(want[0]))
+    differ = np.zeros(common, dtype=bool)
+    for got, expected in zip(have, want):
+        differ |= got[:common] != expected[:common]
+    x = int(np.argmax(differ)) if differ.any() else common
+    if x < len(rec):  # a key that differs, or a line after the last expected
+        where = (f"where {_describe(want, x)} belongs" if x < len(want[0])
+                 else "after the last logged step")
+        raise IncompleteLog(f"{name} line {x + 2}: {_describe(have, x)} {where}")
     if failure:
-        # the line that did not convert is checked only as far as it converted
-        idx, done, _ = failure
-        if check[idx] > (0 if done < nkey else 1 if done == nkey else 3):
-            check[idx] = 0
+        raise IncompleteLog(failure)
+    if len(rec) < len(want[0]):
+        raise IncompleteLog(f"{name}: no row for {_describe(want, len(rec))}")
 
-    flagged = np.flatnonzero(check)
-    if len(flagged):
-        x = flagged[0]
-        if check[x] == 1:
-            why = unknown(tuple(int(v[x]) for v in key_values))
-        elif check[x] == 2:
-            why = f"step {rec['k'][x]} is not a logged step of 1..{K}"
-        else:
-            why = f"second row for step {rec['k'][x]}, {labels[col[x]]}"
-        raise IncompleteLog(f"{name} line {x + 2}: {why}")
-    if failure:
-        raise IncompleteLog(f"{name} line {failure[0] + 2}: {failure[2]}")
-
-    seen = np.zeros(-(-K // every) * width, dtype=bool)
-    seen[cell] = True
-    if not seen.all():
-        r0, c0 = divmod(int(np.argmin(seen)), width)
-        raise IncompleteLog(f"{name}: no row for step {r0 * every + 1}, {labels[c0]}")
-
-    grids = {}
-    for f in fields.names[1 + nkey:]:
-        dt = fields[f]
-        grids[f] = np.full((K, width), np.nan if dt.kind == "f" else 0, dtype=dt)
-        grids[f][r, col] = rec[f]
+    grids = {f: np.full((K, width), np.nan if fields[f].kind == "f" else 0, fields[f])
+             for f in fields.names[len(want):]}
+    for f, grid in grids.items():
+        grid[rows] = rec[f].reshape(len(rows), width)
     return grids
 
 
 def load_run(rundir: str):
     """Read a saved run back as (TrajectoryLog, Scenario).
 
-    Raises IncompleteLog, with the file and the line or cell, for a meta.json
+    Raises IncompleteLog, with the file and the line or row, for a meta.json
     that is not a JSON object with every key, whose embedded scenario is
-    invalid or does not match its scenario_hash, or whose horizon is not a
-    step count from 1 to the scenario's, and for log files with malformed,
-    duplicated, missing or out-of-range rows.
+    invalid or does not match its scenario_hash or label, whose horizon is not
+    a step count from 1 to the scenario's or whose seed is not an integer, and
+    for log files that are not the rows save_run writes in its order.
     """
     meta_path = os.path.join(rundir, "meta.json")
     if not os.path.exists(meta_path):
@@ -717,23 +675,25 @@ def load_run(rundir: str):
     if scenario_hash(s) != meta["scenario_hash"]:
         raise IncompleteLog("meta.json: the embedded scenario does not match its "
                             f"scenario_hash {meta['scenario_hash']!r}")
-    K = meta["horizon"]
-    stride = meta["log_stride"]
-    if not (isinstance(K, int) and 1 <= K <= s.horizon and stride == s.log_stride):
+    if meta["label"] != s.label:
+        raise IncompleteLog(f"meta.json: label {meta['label']!r} is not the "
+                            f"scenario's {s.label!r}")
+    K, stride, seed = meta["horizon"], meta["log_stride"], meta["seed"]
+    # JSON true is a Python int equal to 1: only an int is a count or a seed
+    if not (type(K) is type(stride) is int and 1 <= K <= s.horizon
+            and stride == s.log_stride):
         raise IncompleteLog(f"meta.json: horizon {K!r} and log_stride {stride!r} do "
                             f"not fit the scenario ({s.horizon}, {s.log_stride})")
-    n = s.n
+    if type(seed) is not int:
+        raise IncompleteLog(f"meta.json: seed {seed!r} is not an integer")
     pairs = directed_pairs(s.topology)
-    cols = _read_log(os.path.join(rundir, "trajectory.csv"), TRAJECTORY_FIELDS, K, 1,
-                     [(i,) for i in range(1, n + 1)],
-                     [f"agent {i}" for i in range(1, n + 1)],
-                     lambda key: f"agent {key[0]} outside 1..{n}",
+    cols = _read_log(os.path.join(rundir, "trajectory.csv"), TRAJECTORY_FIELDS, K,
+                     np.arange(K), [(i,) for i in range(1, s.n + 1)],
                      blank=("y_next", "O_next"))
-    cols.update(_read_log(os.path.join(rundir, "edges.csv"), EDGE_FIELDS, K, stride,
-                          pairs, [f"edge {p}" for p in pairs],
-                          lambda key: f"{key} is not a directed edge of the scenario"))
+    cols.update(_read_log(os.path.join(rundir, "edges.csv"), EDGE_FIELDS, K,
+                          np.arange(0, K, stride), pairs))
     log = analysis.TrajectoryLog(
-        n=n, horizon=K, log_stride=stride, pairs=pairs, **cols,
+        n=s.n, horizon=K, log_stride=stride, pairs=pairs, **cols,
         u_star=np.array(s.controller.u_star), c_M=s.controller.c_M,
-        label=meta["label"], scenario_hash=meta["scenario_hash"], seed=meta["seed"])
+        label=meta["label"], scenario_hash=meta["scenario_hash"], seed=seed)
     return log, s

@@ -71,6 +71,7 @@ def test_m_of_examples():
     assert m_of(1, 1.0) == 1  # H_1 = 1 <= 1 < H_2
     assert m_of(10, 0.05) == 9  # first term 1/10 already too big
     assert m_of(2, 0.5) == 2  # exact tie 1/2 <= 0.5 kept
+    assert m_of(1, 13.8) == 552817  # e^13.8 just below the 2^20-term limit
 
 
 def test_m_of_raises_when_the_sandwich_fails(monkeypatch):
@@ -130,6 +131,13 @@ def test_m_of_rejects_T_whose_exponential_overflows():
         m_of(1, 800.0)
 
 
+@pytest.mark.parametrize("k, T", [(1, 14.0), (2, 20.0), (2_000_000, 0.1)])
+def test_m_of_rejects_windows_past_the_summation_limit(k, T):
+    # k e^T > 2^20 terms would be summed one by one
+    with pytest.raises(ValidationError, match="1048576"):
+        m_of(k, T)
+
+
 SHORT = builtin_case(1, horizon=50)
 SHORT_LOG = run(SHORT).log
 
@@ -143,8 +151,11 @@ SHORT_LOG = run(SHORT).log
     {"m_grid_T": (INF,)},
     {"m_grid_T": (float("nan"),)},
     {"m_grid_T": (0.5, 800.0)},
+    # m_grid_k e^T past 2^20: about m_grid_k e^T additions per count
+    {"m_grid_k": 2, "m_grid_T": (20.0,)},
+    {"m_grid_k": 1000, "m_grid_T": (0.5, 7.0)},
 ], ids=["k0", "no_T", "k0_negative_T", "negative_T", "zero_T", "infinite_T", "nan_T",
-        "overflowing_T"])
+        "overflowing_T", "unfinishable_T", "grid_past_the_limit"])
 def test_eq28_grid_rejected_up_front(grid):
     with pytest.raises(ValidationError, match="eq28 grid"):
         full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology, **grid)

@@ -281,6 +281,12 @@ RUN_DIR_CORRUPTIONS = {
                       "meta.json is not valid JSON"),
     "meta-not-object": (lambda d: (d / "meta.json").write_text("3"),
                         "meta.json holds a int"),
+    "meta-label-mismatch": (lambda d: _edit_meta(d, lambda m: m.__setitem__("label", "other")),
+                            "meta.json: label 'other' is not the scenario's"),
+    "meta-seed-not-int": (lambda d: _edit_meta(d, lambda m: m.__setitem__("seed", 3.0)),
+                          "meta.json: seed 3.0 is not an integer"),
+    "meta-boolean-horizon": (lambda d: _edit_meta(d, lambda m: m.__setitem__("horizon", True)),
+                             "meta.json: horizon True and log_stride 1 do not fit"),
     "trajectory-not-utf8": (lambda d: _edit_bytes(
         d / "trajectory.csv", lambda b: b + b"\xff\xfe"),
         "trajectory.csv: not UTF-8 text"),

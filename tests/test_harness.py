@@ -669,34 +669,43 @@ def _edit_meta(d, fn):
 
 
 # each corrupts a saved case-1 run (4 agents, 8 directed edges, horizon
-# >= 10, stride 1); line 1 + 4 (k - 1) + (agent - 1) of trajectory.csv holds
-# (k, agent), so line 38 is step 10, agent 2
+# 20, stride 1); line 2 + 4 (k - 1) + (agent - 1) of trajectory.csv holds
+# (k, agent), so line 39 (index 38) is step 10, agent 2
 CORRUPTIONS = {
     # a copy of step 10, agent 1 standing in for the missing step 10, agent 2
     "trajectory-duplicate-row": (
         "trajectory.csv", lambda ls: ls.__setitem__(38, ls[37]),
-        "line 39: second row for step 10, agent 1"),
+        "trajectory.csv line 39: step 10, agent 1 where step 10, agent 2 belongs"),
     "trajectory-missing-row": (
-        "trajectory.csv", lambda ls: ls.__delitem__(38), "no row for step 10, agent 2"),
+        "trajectory.csv", lambda ls: ls.__delitem__(38),
+        "trajectory.csv line 39: step 10, agent 3 where step 10, agent 2 belongs"),
+    "trajectory-missing-last-row": (
+        "trajectory.csv", lambda ls: ls.__delitem__(-1),
+        "trajectory.csv: no row for step 20, agent 4"),
     "trajectory-step-out-of-range": (
         "trajectory.csv", lambda ls: _set_field(ls, 38, 0, "100000"),
-        "line 39: step 100000 is not a logged step"),
+        "line 39: step 100000, agent 2 where step 10, agent 2 belongs"),
     "trajectory-unknown-agent": (
         "trajectory.csv", lambda ls: _set_field(ls, 38, 1, "7"),
-        "line 39: agent 7 outside 1..4"),
+        "line 39: step 10, agent 7 where step 10, agent 2 belongs"),
     "trajectory-malformed-value": (
         "trajectory.csv", lambda ls: _set_field(ls, 38, 2, "1.5e"), "line 39: could not"),
     "edges-duplicate-row": (
         "edges.csv", lambda ls: ls.__setitem__(2, ls[1]),
-        "line 3: second row for step 1, edge (1, 2)"),
+        "edges.csv line 3: step 1, edge (1, 2) where step 1, edge (1, 4) belongs"),
     "edges-missing-row": (
-        "edges.csv", lambda ls: ls.__delitem__(2), "no row for step 1, edge (1, 4)"),
+        "edges.csv", lambda ls: ls.__delitem__(2),
+        "edges.csv line 3: step 1, edge (2, 1) where step 1, edge (1, 4) belongs"),
+    # 20 steps of 8 directed edges fill lines 2..161
+    "edges-extra-row": (
+        "edges.csv", lambda ls: ls.append(ls[-1]),
+        "edges.csv line 162: step 20, edge (4, 2) after the last logged step"),
     "edges-step-out-of-range": (
         "edges.csv", lambda ls: _set_field(ls, 2, 0, "0"),
-        "line 3: step 0 is not a logged step"),
+        "line 3: step 0, edge (1, 4) where step 1, edge (1, 4) belongs"),
     "edges-unknown-pair": (
         "edges.csv", lambda ls: _set_field(ls, 2, 2, "3"),
-        "line 3: (1, 3) is not a directed edge"),
+        "line 3: step 1, edge (1, 3) where step 1, edge (1, 4) belongs"),
     # numpy's parser skips blank lines and by default reads '#' as the start
     # of a comment; a trailing comma adds an empty field. Each is rejected
     "trajectory-blank-line": (
@@ -779,21 +788,77 @@ def test_store_rejections_hold_under_python_O(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == \
-        "1 trajectory.csv line 39: second row for step 10, agent 1"
+        "1 trajectory.csv line 39: step 10, agent 1 where step 10, agent 2 belongs"
 
 
-@pytest.mark.parametrize("edit", [
-    # int() and float() take digit separators and numpy's parser does not
-    lambda p: _edit_lines(p, lambda ls: _set_field(ls, 38, 0, "1_0")),
-    lambda p: p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n")),
-])
-def test_load_run_accepts_what_int_and_float_read(tmp_path, edit):
+def test_load_run_accepts_what_int_and_float_read(tmp_path):
     res = run(builtin_case(1, horizon=20))
     d = tmp_path / "r"
     save_run(res, str(d))
-    edit(d / "trajectory.csv")
+    path = d / "trajectory.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     log, _ = load_run(str(d))
     _logs_equal(log, res.log)
+
+
+def test_load_run_rejects_a_cell_only_int_reads_with_numpys_message(tmp_path):
+    # int() takes digit separators and numpy's parser does not; no line fails
+    # to convert, so the message is numpy's, without a line of the file's own
+    d = tmp_path / "r"
+    save_run(run(builtin_case(1, horizon=20)), str(d))
+    _edit_lines(d / "trajectory.csv", lambda ls: _set_field(ls, 38, 0, "1_0"))
+    with pytest.raises(IncompleteLog, match=r"^trajectory\.csv: .*'1_0'"):
+        load_run(str(d))
+
+
+def _key_text(name, line):
+    k, *cell = line.split(",")[:2 if name == "trajectory.csv" else 3]
+    return f"step {k}, " + (f"agent {cell[0]}" if len(cell) == 1
+                            else f"edge ({cell[0]}, {cell[1]})")
+
+
+@functools.lru_cache(maxsize=None)
+def _order_base(stride):
+    return run(builtin_case(2, horizon=30, log_stride=stride))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 7]), st.sampled_from(["trajectory.csv", "edges.csv"]),
+       st.sampled_from(["swap", "delete", "duplicate"]))
+def test_load_run_names_the_first_line_out_of_order(data, stride, name, edit):
+    with tempfile.TemporaryDirectory() as d:
+        save_run(_order_base(stride), d)
+        path = os.path.join(d, name)
+        with open(path) as fh:
+            want = fh.read().splitlines()
+        got = list(want)
+        # the last line, where a deletion leaves a row missing and a
+        # duplicate runs past the end, is drawn as often as all others
+        a = data.draw(st.one_of(st.just(len(want) - 1), st.integers(1, len(want) - 1)))
+        if edit == "swap":
+            b = data.draw(st.integers(1, len(want) - 1).filter(lambda b: b != a))
+            got[a], got[b] = got[b], got[a]
+        elif edit == "delete":
+            del got[a]
+        else:
+            got.insert(a, got[a])
+        with open(path, "w") as fh:
+            fh.write("\n".join(got) + "\n")
+        # the first line, after the header, whose key is not the one save_run
+        # writes there; each line's key is unique, so every edit moves one
+        x = next(x for x in range(1, max(len(got), len(want)))
+                 if x >= min(len(got), len(want))
+                 or _key_text(name, got[x]) != _key_text(name, want[x]))
+        if x >= len(got):
+            message = f"{name}: no row for {_key_text(name, want[x])}"
+        elif x >= len(want):
+            message = f"{name} line {x + 1}: {_key_text(name, got[x])} after the last logged step"
+        else:
+            message = (f"{name} line {x + 1}: {_key_text(name, got[x])} "
+                       f"where {_key_text(name, want[x])} belongs")
+        with pytest.raises(IncompleteLog) as exc:
+            load_run(d)
+        assert str(exc.value) == message
 
 
 def test_load_run_rejects_edge_rows_off_the_stride(tmp_path):
@@ -802,7 +867,8 @@ def test_load_run_rejects_edge_rows_off_the_stride(tmp_path):
     load_run(str(d))
     # step 2 is not on the stride (1, 8, 15, ...) and has no edge rows
     _edit_lines(d / "edges.csv", lambda ls: _set_field(ls, 1, 0, "2"))
-    with pytest.raises(IncompleteLog, match="step 2 is not a logged step"):
+    with pytest.raises(IncompleteLog, match=re.escape(
+            "edges.csv line 2: step 2, edge (1, 2) where step 1, edge (1, 2) belongs")):
         load_run(str(d))
 
 
@@ -892,8 +958,9 @@ def test_nonfinite_output_aborts_with_partial_log(monkeypatch):
     ("wiener", [1], 1e200, 1),
     ("hammerstein", [1, 2.0], 5e102, 2),  # v + 2 v_past passes the largest float
 ], ids=["hammerstein_f", "wiener_f", "hammerstein_linear"])
-# the partial run's summary evaluates the gains at the overflowing input
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# the partial run's summary evaluates the gains at the overflowing input,
+# and reports the overflow as null, with no warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_real_overflow_aborts_at_its_step_and_agent(kind, D, initial, step, tmp_path, capsys):
     doc = scenario_to_dict(two_agent_scenario(horizon=50))
     doc["agents"][1].update(kind=kind, D=D, f={
@@ -907,5 +974,10 @@ def test_real_overflow_aborts_at_its_step_and_agent(kind, D, initial, step, tmp_
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["run", "--scenario", str(path)]) == 2
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"(step {step}, agent 2)" in capsys.readouterr().err
+    if step > 1:
+        # strict JSON: Infinity and NaN are rejected
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                             parse_constant=lambda c: pytest.fail(f"{c} in summary.json"))
+        assert summary["final_residual"] is None

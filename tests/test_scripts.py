@@ -33,6 +33,6 @@ def test_partial_sum_traces_rejects_a_corrupt_run(tmp_path):
     corrupt(d, "trajectory-duplicate-row")
     out = partial_sums("--log", str(d))
     assert out.returncode == 3
-    assert "unreadable run: trajectory.csv line 39: second row" in out.stderr
+    assert "unreadable run: trajectory.csv line 39: step 10, agent 1 where" in out.stderr
     assert "Traceback" not in out.stderr
     assert not (d / "window_sums.csv").exists()
