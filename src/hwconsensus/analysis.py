@@ -211,17 +211,12 @@ def check_window_bound(times: TruncationTimes, d: int, horizon: int) -> bool:
     An agent that never reaches an attained level is only excused when the
     run ended inside the allowed window (r[m] + d > horizon).
     """
-    for m in range(1, times.top + 1):
-        rm = times.r[m]
-        if not math.isfinite(rm):
-            continue
-        for ri in times.r_agent[m]:
-            if math.isfinite(ri):
-                if not (0 <= ri - rm <= d):
-                    return False
-            elif rm + d <= horizon:
-                return False
-    return True
+    r = times.r[1:times.top + 1, None]
+    with np.errstate(invalid="ignore"):
+        lag = times.r_agent[1:times.top + 1] - r
+    # an infinite r makes the lag NaN or infinite and r + d > horizon true,
+    # so a level no agent reached is skipped
+    return bool(np.where(np.isfinite(lag), (0 <= lag) & (lag <= d), r + d > horizon).all())
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +361,14 @@ def _eq28_first_failure(K: int, grid_T) -> tuple | None:
 
 
 def _stored_columns_first_failure(log: TrajectoryLog, topology: Topology) -> tuple | None:
-    """First (k, agent, column) where sigma_prime or u_prime is not what the
-    control law makes of the row's sigma and u, or None.
+    """First (k, place, column, sources) where a stored column is not what the
+    run makes of the row's other columns, or None; at one k agents come first.
 
     sigma_prime must be the largest sigma over the agent's closed
-    neighbourhood, and u_prime the reset point where sigma_prime > sigma and
-    u elsewhere. The replay reads neither column, so this is what rejects a
+    neighbourhood and u_prime the reset point where sigma_prime > sigma and u
+    elsewhere (place "agent i", sources "u and sigma"); each edge's z must be
+    y_next of the observed agent plus eps, bit for bit (place "edge (i, j)").
+    The replay reads none of these columns, so this is what rejects a
     corrupted cell in them.
     """
     pooled = log.sigma.copy()
@@ -379,12 +376,18 @@ def _stored_columns_first_failure(log: TrajectoryLog, topology: Topology) -> tup
         for j in topology.neighbors(i):
             np.maximum(pooled[:, i - 1], log.sigma[:, j - 1], out=pooled[:, i - 1])
     bad_sp = log.sigma_prime != pooled
-    bad_up = log.u_prime != np.where(log.sigma_prime > log.sigma, log.u_star, log.u)
-    bad = np.flatnonzero(bad_sp | bad_up)
-    if not len(bad):
+    bad_agent = bad_sp | (log.u_prime != np.where(log.sigma_prime > log.sigma,
+                                                   log.u_star, log.u))
+    bad_z = log.z != log.y_next[:, [j - 1 for _, j in log.pairs]] + log.eps
+    rows = np.flatnonzero(bad_agent.any(axis=1) | bad_z.any(axis=1))
+    if not len(rows):
         return None
-    r, i = divmod(int(bad[0]), log.u.shape[1])
-    return r + 1, i + 1, "sigma_prime" if bad_sp[r, i] else "u_prime"
+    r = int(rows[0])
+    if bad_agent[r].any():
+        i = int(np.argmax(bad_agent[r]))
+        column = "sigma_prime" if bad_sp[r, i] else "u_prime"
+        return r + 1, f"agent {i + 1}", column, "u and sigma"
+    return r + 1, f"edge {log.pairs[int(np.argmax(bad_z[r]))]}", "z", "y_next and eps"
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +419,10 @@ def build_auxiliary(log: TrajectoryLog, gains, topology: Topology,
         if not math.isfinite(lo):
             continue
         lo = int(lo)
-        hi_global = times.r[m + 1] if m + 1 < len(times.r) else INF
-        for i in range(n):
-            rb = min(times.r_agent[m, i], hi_global)
-            rb = int(min(rb, K + 1))
-            if rb > lo:
-                ubar[lo - 1:rb - 1, i] = log.u_star[i]
-                catchup[lo - 1:rb - 1, i] = True
+        ends = np.minimum(times.rbar(m), K + 1).astype(np.int64)
+        for i in np.flatnonzero(ends > lo):
+            ubar[lo - 1:ends[i] - 1, i] = log.u_star[i]
+            catchup[lo - 1:ends[i] - 1, i] = True
 
     h_u, g_u = hg if hg is not None else gain_field(log.u, gains, lap)
     # g rows evaluated at the relabeled points, shared by both branches below
@@ -616,15 +616,26 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
     supporting diagnostics for human output, among them the eq28 grid checked
     (k <= m_grid_k, T in m_grid_T) and its first failing (k, T, lo, m, hi),
-    or None, the first (k, agent, column) where sigma_prime or u_prime
-    disagrees with sigma and u, or None, and h, the gains on log.u, for
-    consensus_metrics. An empty grid, or a T that is not > 0 with
-    m_grid_k e^T <= _MAX_TERMS (2^20), raises ValidationError.
+    or None, the first (k, place, column, sources) where sigma_prime,
+    u_prime or z disagrees with the columns it is made of, or None, and h,
+    the gains on log.u, for consensus_metrics. An empty grid, or a T that is
+    not > 0 with m_grid_k e^T <= _MAX_TERMS (2^20), raises ValidationError; a
+    count outside 0..k-1 raises IdentityViolation located at (k, agent, count).
     """
     if not m_grid_T or not all(_window_ok(m_grid_k, T) for T in m_grid_T):
         raise ValidationError(
             f"eq28 grid needs m_grid_k >= 1 and T > 0 with m_grid_k e^T <= {_MAX_TERMS}, "
             f"got m_grid_k={m_grid_k}, m_grid_T={m_grid_T}")
+    # a count rises by at most 1 per round from 0, so 0 <= sigma_{k,i} <= k - 1;
+    # checked before truncation_times sizes its tables by the largest count
+    k = np.arange(1, len(log.sigma) + 1)[:, None]
+    bad = np.argwhere((log.sigma < 0) | (log.sigma >= k))
+    if len(bad):
+        r, i = bad[0].tolist()
+        count = int(log.sigma[r, i])
+        raise IdentityViolation(
+            f"truncation count {count} at k={r + 1}, agent {i + 1} is outside 0..{r}",
+            location=(r + 1, i + 1, count))
     lap = laplacian(topology)
     hg = gain_field(log.u, gains, lap)
     aux = build_auxiliary(log, gains, topology, hg)

@@ -25,6 +25,7 @@ import numpy as np
 from . import analysis, harness
 from .errors import (
     BracketFailure,
+    IdentityViolation,
     IncompleteLog,
     NonFiniteValue,
     RootSolverFailure,
@@ -118,12 +119,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    meta_path = os.path.join(args.log, "meta.json")
-    if not os.path.exists(meta_path):
-        print(f"no run found under {args.log}", file=sys.stderr)
-        return 3
     try:
         log, s = harness.load_run(args.log)
+    except FileNotFoundError as e:
+        print(f"no run found: {e}", file=sys.stderr)
+        return 3
     except IncompleteLog as e:
         print(f"incomplete log: {e}", file=sys.stderr)
         return 1
@@ -145,8 +145,8 @@ def cmd_verify(args) -> int:
         replay_note += ", count path mismatch"
     stored = extras["stored_columns_first_failure"]
     if stored is not None:
-        replay_note += (f"; {stored[2]} disagrees with u and sigma, first at "
-                        f"k={stored[0]}, agent {stored[1]}")
+        k, place, column, sources = stored
+        replay_note += f"; {column} disagrees with {sources}, first at k={k}, {place}"
     rows = [
         ("centralized replay", rec.passed and stored is None, replay_note),
         ("truncation window bound", report["eq26_ok"],
@@ -183,13 +183,14 @@ def _write_series(path: str, name: str, ks, values) -> None:
 
 
 def cmd_plotdata(args) -> int:
-    meta_path = os.path.join(args.log, "meta.json")
-    if not os.path.exists(meta_path):
-        print(f"no run found under {args.log}", file=sys.stderr)
-        return 3
+    if args.points < 1:
+        raise UsageError(f"--points must be at least 1, got {args.points}")
     try:
         log, s = harness.load_run(args.log)
-    except (FileNotFoundError, IncompleteLog) as e:
+    except FileNotFoundError as e:
+        print(f"no run found: {e}", file=sys.stderr)
+        return 3
+    except IncompleteLog as e:
         print(f"unreadable run: {e}", file=sys.stderr)
         return 3
     outdir = args.out or args.log
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
         return 1
-    except (BracketFailure, RootSolverFailure) as e:
+    except (BracketFailure, IdentityViolation, RootSolverFailure) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -102,16 +102,21 @@ def laplacian(t: Topology) -> LaplacianView:
     return LaplacianView(P=P, D=D, L=D - P)
 
 
-def is_connected(t: Topology) -> bool:
-    seen = {1}
-    queue = deque([1])
+def _hops(t: Topology, src: int) -> dict[int, int]:
+    """Hop count from src to every agent it reaches, by breadth-first search."""
+    dist = {src: 0}
+    queue = deque([src])
     while queue:
         i = queue.popleft()
         for j in t.neighbors(i):
-            if j not in seen:
-                seen.add(j)
+            if j not in dist:
+                dist[j] = dist[i] + 1
                 queue.append(j)
-    return len(seen) == t.n
+    return dist
+
+
+def is_connected(t: Topology) -> bool:
+    return len(_hops(t, 1)) == t.n
 
 
 def diameter(t: Topology) -> int:
@@ -121,15 +126,4 @@ def diameter(t: Topology) -> int:
     """
     if not is_connected(t):
         raise Disconnected("diameter undefined for a disconnected topology")
-    best = 0
-    for src in range(1, t.n + 1):
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            i = queue.popleft()
-            for j in t.neighbors(i):
-                if j not in dist:
-                    dist[j] = dist[i] + 1
-                    queue.append(j)
-        best = max(best, max(dist.values()))
-    return best
+    return max(max(_hops(t, src).values()) for src in range(1, t.n + 1))

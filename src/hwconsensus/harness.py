@@ -193,10 +193,14 @@ def load_scenario(path: str) -> Scenario:
 def validate_scenario(s: Scenario) -> None:
     """Reject scenarios outside the model class before any simulation.
 
-    Checks: connected topology, every C stable with margin 1e-9, every
-    static gain strictly increasing on a sampled grid, reset points strictly
-    inside the base truncation bound, and the stride-1 logging cap.
+    Checks: a horizon and a log stride of at least 1, a finite positive c_M,
+    connected topology, every C stable with margin 1e-9, every static gain
+    strictly increasing on a sampled grid, reset points strictly inside the
+    base truncation bound, and the stride-1 logging cap.
     """
+    for name, value in (("horizon", s.horizon), ("log_stride", s.log_stride)):
+        if value < 1:
+            raise ValidationError(f"{name} must be at least 1, got {value!r}")
     if not is_connected(s.topology):
         raise ValidationError("topology is not connected")
     if s.topology.n != s.n:
@@ -211,7 +215,8 @@ def validate_scenario(s: Scenario) -> None:
         gain = static_gain(a.build())
         if not is_strictly_increasing(gain.h):
             raise ValidationError(f"agent {idx}: static gain is not strictly increasing")
-    m0 = math.log(s.controller.c_M)
+    # Schedule rejects a c_M that is not finite and positive; bound(0) = ln(c_M)
+    m0 = Schedule(c_M=s.controller.c_M).bound(0)
     worst = max(abs(x) for x in s.controller.u_star)
     if not worst < m0:
         raise ValidationError(
@@ -562,6 +567,10 @@ def _convert_lines(fh, fields: np.dtype, kinds: list):
         try:
             if len(parts) != len(kinds):
                 raise ValueError(f"{len(parts)} fields, expected {len(kinds)}")
+            # numpy's parser, unlike int() and float(), rejects '1_0' and non-ASCII digits
+            for part in parts:
+                if "_" in part or not part.isascii():
+                    raise ValueError(f"{part!r} is not a plain ASCII number")
             rows.append(tuple(kind(part) for kind, part in zip(kinds, parts)))
         except ValueError as e:
             return np.array(rows, fields), (idx, str(e))
@@ -612,7 +621,7 @@ def _read_log(path: str, fields: np.dtype, K: int, rows: np.ndarray, cells: list
             failure = f"{name}: {e}"
         if failure:
             # locate the first line int() and float() do not convert; with
-            # none (numpy rejects '1_0', int() does not), numpy's message stands
+            # none, numpy's message stands
             kinds = [converters.get(c, _int64 if fields[c].kind == "i" else float)
                      for c in range(len(fields))]
             fh.seek(start)
@@ -652,12 +661,10 @@ def load_run(rundir: str):
     that is not a JSON object with every key, whose embedded scenario is
     invalid or does not match its scenario_hash or label, whose horizon is not
     a step count from 1 to the scenario's or whose seed is not an integer, and
-    for log files that are not the rows save_run writes in its order.
+    for log files that are not the rows save_run writes in its order. A
+    missing meta.json or log file raises FileNotFoundError.
     """
-    meta_path = os.path.join(rundir, "meta.json")
-    if not os.path.exists(meta_path):
-        raise FileNotFoundError(f"no meta.json under {rundir}")
-    with open(meta_path) as fh:
+    with open(os.path.join(rundir, "meta.json")) as fh:
         try:
             meta = json.load(fh)
         except ValueError as e:

@@ -81,7 +81,7 @@ class Nonlinearity:
         return dict(self.params)
 
 
-# evaluators are module-level partials so a built plant pickles (batch workers)
+# module-level evaluators bound by partial, so a built plant pickles (batch workers)
 def _identity_eval(u):
     return u
 
@@ -98,29 +98,13 @@ def _shifted_cube_eval(gamma, u):
     return (u - gamma) ** 3
 
 
-def _mk_identity():
-    return _identity_eval
-
-
-def _mk_affine(beta, gamma):
-    return partial(_affine_eval, beta, gamma)
-
-
-def _mk_cubic_affine(alpha, beta, gamma):
-    return partial(_cubic_affine_eval, alpha, beta, gamma)
-
-
-def _mk_shifted_cube(gamma):
-    return partial(_shifted_cube_eval, gamma)
-
-
-# name -> (required param names, factory taking them in that order). Closed
-# catalog; no expression parsing anywhere.
+# name -> (required param names, evaluator taking them in that order before u).
+# Closed catalog; no expression parsing anywhere.
 _CATALOG: dict[str, tuple[tuple[str, ...], object]] = {
-    "identity": ((), _mk_identity),
-    "affine": (("beta", "gamma"), _mk_affine),
-    "cubic_affine": (("alpha", "beta", "gamma"), _mk_cubic_affine),
-    "shifted_cube": (("gamma",), _mk_shifted_cube),
+    "identity": ((), _identity_eval),
+    "affine": (("beta", "gamma"), _affine_eval),
+    "cubic_affine": (("alpha", "beta", "gamma"), _cubic_affine_eval),
+    "shifted_cube": (("gamma",), _shifted_cube_eval),
 }
 
 
@@ -128,7 +112,7 @@ def make_nonlinearity(name: str, params: dict) -> Nonlinearity:
     if name not in _CATALOG:
         raise ValidationError(
             f"unknown nonlinearity {name!r}; known: {sorted(_CATALOG)}")
-    wanted, factory = _CATALOG[name]
+    wanted, evaluator = _CATALOG[name]
     given = set(params)
     if given != set(wanted):
         raise ValidationError(
@@ -138,7 +122,7 @@ def make_nonlinearity(name: str, params: dict) -> Nonlinearity:
         raise ValidationError(f"non-finite parameter for nonlinearity {name!r}")
     return Nonlinearity(name=name,
                         params=tuple(sorted(zip(wanted, vals))),
-                        fn=factory(*vals))
+                        fn=partial(evaluator, *vals) if vals else evaluator)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -29,7 +30,7 @@ from hwconsensus import (
     truncation_times,
     verify_centralized_recursion,
 )
-from hwconsensus.analysis import TrajectoryLog
+from hwconsensus.analysis import TrajectoryLog, TruncationTimes
 from hwconsensus.errors import (
     DimensionMismatch,
     IdentityViolation,
@@ -491,6 +492,74 @@ def test_truncation_times_match_the_scan_on_random_counts():
         top, r, r_agent = _truncation_times_by_scan(log)
         assert t.top == top
         assert np.array_equal(t.r, r) and np.array_equal(t.r_agent, r_agent)
+
+
+def _window_bound_by_loop(times, d, horizon):
+    """The level-by-level, agent-by-agent eq. (26) check: the reference."""
+    for m in range(1, times.top + 1):
+        rm = times.r[m]
+        if not math.isfinite(rm):
+            continue
+        for ri in times.r_agent[m]:
+            if math.isfinite(ri):
+                if not (0 <= ri - rm <= d):
+                    return False
+            elif rm + d <= horizon:
+                return False
+    return True
+
+
+def test_window_bound_matches_the_loop_on_random_counts():
+    rng = np.random.default_rng(26)
+    verdicts = []
+    for _ in range(3000):
+        K = int(rng.integers(1, 40))
+        n = int(rng.integers(1, 6))
+        # counts that only rise, each agent by its own steps, or that go up and down
+        steps = rng.random((K, n)) < rng.uniform(0.02, 0.3)
+        rows = (np.cumsum(steps, axis=0) if rng.random() < 0.7
+                else rng.integers(0, int(rng.integers(1, 6)), size=(K, n)))
+        t = truncation_times(synthetic_log(rows.tolist()))
+        d = int(rng.integers(0, 8))
+        horizon = K + int(rng.integers(-6, 7))
+        verdicts.append(_window_bound_by_loop(t, d, horizon))
+        assert check_window_bound(t, d, horizon) is verdicts[-1]
+    assert 0.2 < np.mean(verdicts) < 0.8
+    # a level no agent reached is skipped, by the loop and by the array check
+    t = TruncationTimes(top=2, r=np.array([1.0, INF, 4.0, INF]),
+                        r_agent=np.array([[1.0, 1.0], [INF, INF], [4.0, 9.0], [INF, INF]]))
+    for d in (4, 5):
+        assert check_window_bound(t, d, 20) is _window_bound_by_loop(t, d, 20) is (d == 5)
+
+
+@pytest.mark.parametrize("count", [10 ** 12, -1, 7], ids=["huge", "negative", "k"])
+def test_a_count_outside_0_to_k_minus_1_is_located_before_any_table(count):
+    # counts start at 0 and rise by at most 1 per round; a count of 10^12
+    # would otherwise size truncation_times' tables at 7 TiB
+    sigma = SHORT_LOG.sigma.copy()
+    sigma[6, 2] = count
+    log = dataclasses.replace(SHORT_LOG, sigma=sigma)
+    with pytest.raises(IdentityViolation) as exc:
+        full_verification(log, SHORT.gains(), SHORT.topology)
+    assert str(exc.value) == f"truncation count {count} at k=7, agent 3 is outside 0..6"
+    assert exc.value.location == (7, 3, count)
+
+
+def test_z_off_its_identity_is_located():
+    extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)[1]
+    assert extras["stored_columns_first_failure"] is None
+    z = SHORT_LOG.z.copy()
+    z[20, 5] = np.nextafter(z[20, 5], INF)  # one ulp
+    log = dataclasses.replace(SHORT_LOG, z=z)
+    i, j = log.pairs[5]
+    assert full_verification(log, SHORT.gains(), SHORT.topology)[1][
+        "stored_columns_first_failure"] == (21, f"edge ({i}, {j})", "z", "y_next and eps")
+    # at one step an agent column is named first
+    u_prime = log.u_prime.copy()
+    u_prime[20, 3] += 1.0
+    assert full_verification(dataclasses.replace(log, u_prime=u_prime), SHORT.gains(),
+                             SHORT.topology)[1]["stored_columns_first_failure"] == \
+        (21, "agent 4", "u_prime", "u and sigma")
 
 
 def test_any_log_r_le_r_agent(runs):

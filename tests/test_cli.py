@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +21,26 @@ def run_dir(tmp_path, *extra):
                  "--out", str(d), *extra])
     assert code == 0
     return d
+
+
+def _edit_cell(path, prefix, field, edit):
+    """Apply edit to one cell of the first line of a log file starting with prefix."""
+    lines = path.read_text().splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+    parts = lines[idx].split(",")
+    parts[field] = edit(parts[field])
+    lines[idx] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _main_under_O(argv):
+    """(exit code, stderr) of the CLI in a fresh interpreter with asserts compiled away."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-m", "hwconsensus.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    return out.returncode, out.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +209,7 @@ def test_verify_evaluates_each_gain_once_on_the_log(tmp_path, monkeypatch):
 
 def test_verify_tampered_log_fails(tmp_path, capsys):
     d = run_dir(tmp_path)
-    lines = (d / "trajectory.csv").read_text().splitlines()
-    idx = next(i for i, l in enumerate(lines) if l.startswith("150,2,"))
-    parts = lines[idx].split(",")
-    parts[2] = repr(float(parts[2]) + 1e-3)
-    lines[idx] = ",".join(parts)
-    (d / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    _edit_cell(d / "trajectory.csv", "150,2,", 2, lambda cell: repr(float(cell) + 1e-3))
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 2
     assert "FAIL" in capsys.readouterr().out
@@ -204,12 +222,7 @@ def test_verify_tampered_log_fails(tmp_path, capsys):
 def test_verify_locates_a_corrupted_stored_column(tmp_path, capsys, column, field, edit):
     # the replay reads neither column; verify checks them against u and sigma
     d = run_dir(tmp_path)
-    lines = (d / "trajectory.csv").read_text().splitlines()
-    idx = next(i for i, l in enumerate(lines) if l.startswith("150,2,"))
-    parts = lines[idx].split(",")
-    parts[field] = edit(parts[field])
-    lines[idx] = ",".join(parts)
-    (d / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    _edit_cell(d / "trajectory.csv", "150,2,", field, edit)
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 2
     row = next(l for l in capsys.readouterr().out.splitlines()
@@ -219,6 +232,30 @@ def test_verify_locates_a_corrupted_stored_column(tmp_path, capsys, column, fiel
     report = json.loads((d / "report.json").read_text())
     assert set(report) == {"lemma3_residual", "eq26_ok", "eq28_ok",
                            "decomposition_max_err"}
+
+
+def test_verify_locates_a_z_cell_off_its_identity(tmp_path, capsys):
+    # z is y_next of the observed agent plus eps, bit for bit; nothing else reads z
+    d = run_dir(tmp_path)
+    _edit_cell(d / "edges.csv", "150,2,3,", 3, lambda cell: repr(float(cell) + 0.5))
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 2
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].split()[2] == "FAIL" and "FAIL" not in "\n".join(rows[1:])
+    assert rows[0].endswith("; z disagrees with y_next and eps, first at k=150, edge (2, 3)")
+
+
+@pytest.mark.parametrize("count", ["1000000000000", "-1", "150"], ids=["huge", "negative", "k"])
+def test_verify_rejects_a_count_outside_the_round_bound(tmp_path, capsys, count):
+    # a count starts at 0 and rises by at most 1 per round, so sigma_k <= k - 1
+    d = run_dir(tmp_path)
+    _edit_cell(d / "trajectory.csv", "150,2,", 3, lambda cell: count)
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"runtime failure: truncation count {count} at k=150, agent 2 "
+                   "is outside 0..149\n")
+    assert _main_under_O(["verify", "--log", str(d)]) == (2, err)
 
 
 def test_verify_locates_an_eq28_failure(tmp_path, capsys, monkeypatch):
@@ -323,6 +360,16 @@ def test_verify_missing_directory(tmp_path, capsys):
     assert "no run found" in capsys.readouterr().err
 
 
+def test_missing_log_file_is_no_run_found(tmp_path, capsys):
+    d = run_dir(tmp_path)
+    (d / "trajectory.csv").unlink()
+    capsys.readouterr()
+    for command in ("verify", "plotdata"):
+        assert main([command, "--log", str(d)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("no run found: ") and "trajectory.csv" in err
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 
@@ -355,6 +402,34 @@ def test_plotdata_defaults_into_log_dir(tmp_path):
 def test_plotdata_missing_directory(tmp_path, capsys):
     assert main(["plotdata", "--log", str(tmp_path / "ghost")]) == 3
     assert "no run found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("run --case 1 --horizon 0", "invalid configuration: horizon must be at least 1, got 0"),
+    ("run --case 1 --horizon -3", "invalid configuration: horizon must be at least 1, got -3"),
+    ("run --case 1 --log-stride 0",
+     "invalid configuration: log_stride must be at least 1, got 0"),
+    ("run --case 1 --log-stride -2",
+     "invalid configuration: log_stride must be at least 1, got -2"),
+    ("run --scenario TMP/c_M=0.json",
+     "invalid configuration: c_M must be positive and finite, got 0.0"),
+    ("run --scenario TMP/c_M=-1.json",
+     "invalid configuration: c_M must be positive and finite, got -1.0"),
+    ("plotdata --log TMP --points -5", "usage error: --points must be at least 1, got -5"),
+    ("plotdata --log TMP --points 0", "usage error: --points must be at least 1, got 0"),
+])
+def test_values_out_of_range_exit_1(tmp_path, capsys, argv, message):
+    for c_M in (0, -1):
+        doc = scenario_to_dict(two_agent_scenario(horizon=10))
+        doc["controller"]["c_M"] = c_M
+        (tmp_path / f"c_M={c_M}.json").write_text(json.dumps(doc))
+    argv = argv.replace("TMP", str(tmp_path)).split()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == message
+    assert "Traceback" not in err
+    assert _main_under_O(argv) == (1, err)
 
 
 # ---------------------------------------------------------------------------

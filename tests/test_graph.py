@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,3 +130,40 @@ def test_laplacian_structure(t):
         assert eig[1] > 1e-9  # algebraic connectivity of a connected graph
     d = diameter(t)
     assert 1 <= d <= t.n - 1
+
+
+def _hop_table(t):
+    """Hop counts from every source by its own breadth-first search: the reference."""
+    table = {}
+    for src in range(1, t.n + 1):
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            i = queue.popleft()
+            for j in t.neighbors(i):
+                if j not in dist:
+                    dist[j] = dist[i] + 1
+                    queue.append(j)
+        table[src] = dist
+    return table
+
+
+def test_connectivity_and_diameter_match_a_per_source_search():
+    rng = np.random.default_rng(9)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = int(rng.integers(2, 10))
+        p = float(rng.choice([0.15, 0.3, 0.6]))
+        edges = [(i, j, 1.0) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < p]
+        t = build_topology(n, edges)
+        table = _hop_table(t)
+        connected = len(table[1]) == n
+        seen[connected] += 1
+        assert is_connected(t) == connected
+        if connected:
+            assert diameter(t) == max(max(d.values()) for d in table.values())
+        else:
+            with pytest.raises(Disconnected):
+                diameter(t)
+    assert min(seen.values()) >= 50

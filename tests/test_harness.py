@@ -801,13 +801,17 @@ def test_load_run_accepts_what_int_and_float_read(tmp_path):
     _logs_equal(log, res.log)
 
 
-def test_load_run_rejects_a_cell_only_int_reads_with_numpys_message(tmp_path):
-    # int() takes digit separators and numpy's parser does not; no line fails
-    # to convert, so the message is numpy's, without a line of the file's own
+@pytest.mark.parametrize("pos, cell", [(0, "1_0"), (2, "\u0660.\u0665")],
+                         ids=["digit-separator", "non-ascii-digits"])
+def test_load_run_names_the_line_of_a_cell_only_int_and_float_read(tmp_path, pos, cell):
+    # int() and float() read digit separators and Arabic-Indic digits ('1_0'
+    # is 10, '\u0660.\u0665' is 0.5) and numpy's parser does not; the locator
+    # rejects them too, so the message names the file line, not numpy's row
     d = tmp_path / "r"
     save_run(run(builtin_case(1, horizon=20)), str(d))
-    _edit_lines(d / "trajectory.csv", lambda ls: _set_field(ls, 38, 0, "1_0"))
-    with pytest.raises(IncompleteLog, match=r"^trajectory\.csv: .*'1_0'"):
+    _edit_lines(d / "trajectory.csv", lambda ls: _set_field(ls, 38, pos, cell))
+    with pytest.raises(IncompleteLog, match=re.escape(
+            f"trajectory.csv line 39: {cell!r} is not a plain ASCII number")):
         load_run(str(d))
 
 
