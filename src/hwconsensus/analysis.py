@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +42,11 @@ class TrajectoryLog:
     sigma_{i,k} at the start of the round, the pooled count, the working
     estimate, the plant output y_{i,k+1} produced in the round, the
     aggregated observation O_{i,k+1}, and per directed edge the observed
-    value z and its noise component. With log_stride > 1 the y/O/z/eps
-    entries are NaN except on logged steps (k = 1, 1+stride, ...); u and
-    sigma columns are always full.
+    value z and its noise component. The y/O/z/eps entries are recorded on
+    the logged rows only (steps k = 1, 1+stride, ...) and NaN elsewhere; u
+    and sigma columns are always full. The horizon is the number of rows.
     """
 
-    n: int
-    horizon: int
     log_stride: int
     pairs: list
     u: np.ndarray
@@ -61,19 +59,25 @@ class TrajectoryLog:
     eps: np.ndarray
     u_star: np.ndarray
     c_M: float
-    label: str = ""
     scenario_hash: str = ""
     seed: int = 0
+
+    @property
+    def horizon(self) -> int:
+        return self.u.shape[0]
+
+    @property
+    def logged_rows(self) -> np.ndarray:
+        return logged_rows(self.horizon, self.log_stride)
 
     @property
     def sigma_bar(self) -> np.ndarray:
         return self.sigma.max(axis=1)
 
-    def is_logged(self, k: int) -> bool:
-        return 1 <= k <= self.horizon and (k - 1) % self.log_stride == 0
 
-    def is_complete(self) -> bool:
-        return self.log_stride == 1 and self.horizon == self.u.shape[0]
+def logged_rows(horizon: int, log_stride: int) -> np.ndarray:
+    """The 0-based rows whose y/O/z/eps entries are recorded: steps 1, 1 + stride, ..."""
+    return np.arange(0, horizon, log_stride)
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,8 @@ class AuxiliarySequences:
     sigma_bar: np.ndarray
     times: TruncationTimes
     u_star: np.ndarray
-    c_M: float
-    catchup_mask: np.ndarray = field(default=None)
-    structure_max_err: float = 0.0
+    catchup_mask: np.ndarray
+    structure_max_err: float
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +171,7 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
     to O - g within 1e-10, else IdentityViolation is raised, located at
     (k, agent, lhs, rhs); a NaN on either side fails too.
     """
-    if not log.is_logged(k):
+    if k - 1 not in log.logged_rows:
         raise StepNotLogged(f"step {k} not in the log (stride {log.log_stride})")
     r = k - 1
     if np.isnan(log.y_next[r]).any():
@@ -403,10 +406,15 @@ def build_auxiliary(log: TrajectoryLog, gains, topology: Topology,
     and the logged observation on live windows. obar stores that structural
     value; the float discrepancy of the live-side identity is recorded in
     structure_max_err (the catch-up side cancels exactly by construction).
-    hg is gain_field on log.u when the caller already has it.
+    hg is gain_field on log.u when the caller already has it. Another stride,
+    or a NaN output (located at its first (k, agent)), raises IncompleteLog.
     """
-    if not log.is_complete() or np.isnan(log.y_next).any():
-        raise IncompleteLog("auxiliary sequences need a complete stride-1 log")
+    if log.log_stride != 1:
+        raise IncompleteLog(f"verification needs a stride-1 log, got stride {log.log_stride}")
+    missing = np.argwhere(np.isnan(log.y_next))
+    if len(missing):
+        r, i = missing[0].tolist()
+        raise IncompleteLog(f"no output y_next at k={r + 1}, agent {i + 1}")
     K, n = log.u.shape
     lap = laplacian(topology)
     times = truncation_times(log)
@@ -437,8 +445,7 @@ def build_auxiliary(log: TrajectoryLog, gains, topology: Topology,
     structure_max_err = float(np.max(np.where(catchup, 0.0, live_err))) if K else 0.0
 
     return AuxiliarySequences(ubar=ubar, ebar=ebar, obar=obar, sigma_bar=sbar,
-                              times=times, u_star=log.u_star.copy(), c_M=log.c_M,
-                              catchup_mask=catchup,
+                              times=times, u_star=log.u_star.copy(), catchup_mask=catchup,
                               structure_max_err=structure_max_err)
 
 
@@ -447,8 +454,6 @@ class RecursionCheck:
     max_abs_residual: float
     passed: bool
     sigma_consistent: bool
-    threshold: float
-    mismatch_steps: int
 
 
 def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
@@ -463,7 +468,7 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
     """
     K, n = aux.ubar.shape
     if K < 2:
-        return RecursionCheck(0.0, True, True, threshold, 0)
+        return RecursionCheck(0.0, True, True)
     a = 1.0 / np.arange(1, K + 1, dtype=float)
     cand = aux.ubar + a[:, None] * aux.obar
     bound = np.log(aux.sigma_bar + sched.c_M)
@@ -471,14 +476,10 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
     pred = np.where(ind[:, None], aux.u_star[None, :], cand)
     diff = np.abs(pred[:-1] - aux.ubar[1:])
     resid = float(diff.max())
-    mismatch = int(np.count_nonzero(diff.max(axis=1) > threshold))
     sigma_ok = bool(np.array_equal(aux.sigma_bar[1:],
                                    aux.sigma_bar[:-1] + ind[:-1].astype(aux.sigma_bar.dtype)))
-    return RecursionCheck(max_abs_residual=resid,
-                          passed=resid < threshold and sigma_ok,
-                          sigma_consistent=sigma_ok,
-                          threshold=threshold,
-                          mismatch_steps=mismatch)
+    return RecursionCheck(max_abs_residual=resid, passed=resid < threshold and sigma_ok,
+                          sigma_consistent=sigma_ok)
 
 
 # ---------------------------------------------------------------------------

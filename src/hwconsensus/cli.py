@@ -6,17 +6,16 @@ Subcommands:
   plotdata  emit downsampled input/output series for log-scale plotting
 
 Exit codes: 0 success, 1 validation or usage problem (including strided,
-corrupt or mismatched logs handed to verify), 2 runtime failure (divergence,
-a failed identity), 3 I/O problem (missing files or directories, or a run
-plotdata cannot read). Stdout stays human-readable; machine results go only
-to files.
+corrupt or mismatched logs, or a log missing an output, handed to verify),
+2 runtime failure (divergence, a failed identity), 3 I/O problem (missing
+files or directories, or a run plotdata cannot read). Stdout stays
+human-readable; machine results go only to files.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -111,7 +110,7 @@ def cmd_run(args) -> int:
     print(f"final residual: {summ['final_residual']!r}")
     print(f"sigma_bar: {summ['sigma_bar_final']}")
     print(f"truncations per agent: {summ['total_truncations']}")
-    print(f"wall time: {summ['wall_time']:.3f} s")
+    print(f"wall time: {result.wall_time:.3f} s")
     if args.out:
         harness.save_run(result, args.out)
         print(f"wrote {args.out}")
@@ -124,12 +123,6 @@ def cmd_verify(args) -> int:
     except FileNotFoundError as e:
         print(f"no run found: {e}", file=sys.stderr)
         return 3
-    except IncompleteLog as e:
-        print(f"incomplete log: {e}", file=sys.stderr)
-        return 1
-    if log.log_stride != 1:
-        print("verification requires stride 1", file=sys.stderr)
-        return 1
     gains = s.gains()
     report, extras = analysis.full_verification(log, gains, s.topology)
     rec = extras["recursion"]
@@ -161,9 +154,7 @@ def cmd_verify(args) -> int:
     print(f"{'relabeling structure':<{width}}  ----  "
           f"max live-step err {extras['structure_max_err']:.3e}")
 
-    with open(os.path.join(args.log, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    harness.write_json(os.path.join(args.log, "report.json"), report)
     metrics = analysis.consensus_metrics(log, gains, laplacian(s.topology), extras["h"])
     harness.write_csv(
         os.path.join(args.log, "metrics.csv"), "k,spread_y,residual,sigma_bar,v",
@@ -199,10 +190,8 @@ def cmd_plotdata(args) -> int:
     _write_series(os.path.join(outdir, "inputs.csv"), "u", rows + 1, log.u[rows])
 
     # outputs are indexed by the step at which they take effect (k + 1)
-    logged = ~np.isnan(log.y_next).any(axis=1)
-    avail = np.nonzero(logged)[0]
-    pick = avail[np.unique(np.searchsorted(avail, rows).clip(0, len(avail) - 1))] \
-        if len(avail) else avail
+    avail = log.logged_rows
+    pick = avail[np.unique(np.searchsorted(avail, rows).clip(0, len(avail) - 1))]
     _write_series(os.path.join(outdir, "outputs.csv"), "y", pick + 2, log.y_next[pick])
     print(f"wrote {os.path.join(outdir, 'inputs.csv')} and outputs.csv "
           f"({len(rows)} and {len(pick)} samples)")
@@ -228,6 +217,9 @@ def main(argv=None) -> int:
         return 1
     except ValidationError as e:
         print(f"invalid configuration: {e}", file=sys.stderr)
+        return 1
+    except IncompleteLog as e:
+        print(f"incomplete log: {e}", file=sys.stderr)
         return 1
     except (BracketFailure, IdentityViolation, RootSolverFailure) as e:
         print(f"runtime failure: {e}", file=sys.stderr)

@@ -11,8 +11,8 @@ File layout of a saved run directory:
                   one row per step k, agents 1..n within each step
   edges.csv       k,i,j,z,eps            (observer i, observed j)
                   logged steps only, each with its pairs in directed_pairs order
-  summary.json    headline numbers, recomputable from the log; null if not finite
-  meta.json       label, horizon, stride, seed, scenario and its hash
+  summary.json    headline numbers, a function of the log; null if not finite
+  meta.json       horizon (rows written), seed, scenario and its hash
 Floats are written with repr() so reading them back is value-exact. save_run
 writes the one row order above and load_run accepts no other.
 """
@@ -26,6 +26,7 @@ import os
 import time
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,16 +105,26 @@ def _require_keys(d: dict, required, optional=(), where="scenario"):
         raise ValidationError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+@contextmanager
+def _section(where: str):
+    """Raise a TypeError or ValueError of the block as a ValidationError naming where."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:  # a ValidationError is a ValueError too
+        raise ValidationError(f"{where}: {e}") from None
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     _require_keys(doc, ("label", "horizon", "topology", "agents", "controller", "noise"),
                   optional=("log_stride",))
-    label = str(doc["label"])
-    horizon = doc["horizon"]
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ValidationError(f"horizon must be a positive integer, got {horizon!r}")
-    stride = doc.get("log_stride", 1)
-    if not isinstance(stride, int) or stride < 1:
-        raise ValidationError(f"log_stride must be a positive integer, got {stride!r}")
+    label = doc["label"]
+    if not isinstance(label, str):
+        raise ValidationError(f"label must be a string, got {label!r}")
+    horizon, stride = doc["horizon"], doc.get("log_stride", 1)
+    for name, value in (("horizon", horizon), ("log_stride", stride)):
+        # JSON true is a Python int equal to 1: only an int is a count
+        if type(value) is not int or value < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
     agents = []
     if not isinstance(doc["agents"], list) or len(doc["agents"]) < 2:
@@ -121,26 +132,30 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for idx, a in enumerate(doc["agents"], start=1):
         _require_keys(a, ("kind", "C", "D", "f"), where=f"agents[{idx}]")
         _require_keys(a["f"], ("name", "params"), where=f"agents[{idx}].f")
-        agents.append(AgentSpec(
-            kind=a["kind"],
-            C=poly(a["C"]),
-            D=poly(a["D"]),
-            f=make_nonlinearity(a["f"]["name"], a["f"]["params"]),
-        ))
+        with _section(f"agents[{idx}]"):
+            agents.append(AgentSpec(
+                kind=a["kind"],
+                C=poly(a["C"]),
+                D=poly(a["D"]),
+                f=make_nonlinearity(a["f"]["name"], a["f"]["params"]),
+            ))
         if a["kind"] not in (HAMMERSTEIN, WIENER):
             raise ValidationError(
                 f"agents[{idx}].kind must be {HAMMERSTEIN!r} or {WIENER!r}")
     n = len(agents)
 
-    topo = build_topology(n, [tuple(e) for e in doc["topology"]])
+    with _section("topology"):
+        topo = build_topology(n, [tuple(e) for e in doc["topology"]])
 
     c = doc["controller"]
     _require_keys(c, ("u_star", "c_M"), optional=("initial_u",), where="controller")
-    u_star = tuple(float(x) for x in c["u_star"])
+    with _section("controller"):
+        u_star = tuple(float(x) for x in c["u_star"])
+        initial = c.get("initial_u")
+        initial_u = u_star if initial is None else tuple(float(x) for x in initial)
+        c_M = float(c["c_M"])
     if len(u_star) != n:
         raise ValidationError(f"u_star has {len(u_star)} entries for {n} agents")
-    initial = c.get("initial_u")
-    initial_u = u_star if initial is None else tuple(float(x) for x in initial)
     if len(initial_u) != n:
         raise ValidationError(f"initial_u has {len(initial_u)} entries for {n} agents")
     if not all(math.isfinite(x) for x in u_star + initial_u):
@@ -148,12 +163,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     nz = doc["noise"]
     _require_keys(nz, ("dist", "params", "seed"), where="noise")
-    spec = make_noise_spec(nz["dist"], nz["params"], nz["seed"])
+    with _section("noise"):
+        spec = make_noise_spec(nz["dist"], nz["params"], nz["seed"])
 
     return Scenario(label=label, horizon=horizon, log_stride=stride,
                     topology=topo, agents=tuple(agents),
-                    controller=ControllerSpec(u_star=u_star, c_M=float(c["c_M"]),
-                                              initial_u=initial_u),
+                    controller=ControllerSpec(u_star=u_star, c_M=c_M, initial_u=initial_u),
                     noise=spec)
 
 
@@ -292,32 +307,36 @@ class RunResult:
     seed: int
     log: analysis.TrajectoryLog
     summary: dict
+    wall_time: float
 
 
 def directed_pairs(t: Topology) -> list:
     return sorted((i, j) for i in range(1, t.n + 1) for j in t.neighbors(i))
 
 
-def summarize(log: analysis.TrajectoryLog, gains, lap, wall_time: float) -> dict:
-    """Headline numbers; every field except wall_time derives from the log."""
-    n = log.u.shape[1]
+def _new_log(s: Scenario, seed: int, columns: dict) -> analysis.TrajectoryLog:
+    """The log of a run of s under the noise seed, from its LOG_COLUMNS arrays."""
+    return analysis.TrajectoryLog(
+        log_stride=s.log_stride, pairs=directed_pairs(s.topology), **columns,
+        u_star=np.array(s.controller.u_star), c_M=s.controller.c_M,
+        scenario_hash=scenario_hash(s), seed=seed)
+
+
+def summarize(log: analysis.TrajectoryLog, gains, lap) -> dict:
+    """Headline numbers, a function of the log (at least one row) alone."""
     fired = np.count_nonzero(log.sigma[1:] == log.sigma_prime[:-1] + 1, axis=0).tolist()
-    spread = math.nan
-    full = ~np.isnan(log.y_next).any(axis=1)
+    last_y = log.y_next[log.logged_rows[-1]]
     # a diverged run's residual or spread overflows; it is reported as null,
     # as JSON has no inf
     with np.errstate(over="ignore", invalid="ignore"):
-        h_last = np.array([gains[i](log.u[-1, i]) for i in range(n)])
+        h_last = np.array([g(x) for g, x in zip(gains, log.u[-1])])
         res = float(np.max(np.abs(lap.L @ h_last)))
-        if full.any():
-            last_y = log.y_next[np.nonzero(full)[0][-1]]
-            spread = float(last_y.max() - last_y.min())
+        spread = float(last_y.max() - last_y.min())
     return {
         "final_spread": spread if math.isfinite(spread) else None,
         "final_residual": res if math.isfinite(res) else None,
         "total_truncations": fired,
         "sigma_bar_final": int(log.sigma_bar[-1]),
-        "wall_time": wall_time,
     }
 
 
@@ -339,7 +358,7 @@ def run(s: Scenario, master_seed: int | None = None,
     topo = s.topology
     lap = laplacian(topo)
     pairs = directed_pairs(topo)
-    gains = [static_gain(a.build()) for a in s.agents]
+    gains = s.gains()
 
     if initial_plants is None:
         plants = [a.build() for a in s.agents]
@@ -371,10 +390,7 @@ def run(s: Scenario, master_seed: int | None = None,
         rows = len(bufs[0]) // n
         cols = {name: np.frombuffer(buf, dtype=buf.typecode).reshape(rows, w)
                 for name, buf, w in zip(LOG_COLUMNS, bufs, widths)}
-        return analysis.TrajectoryLog(
-            n=n, horizon=rows, log_stride=stride, pairs=pairs, **cols,
-            u_star=np.array(s.controller.u_star), c_M=s.controller.c_M,
-            label=s.label, scenario_hash=scenario_hash(s), seed=seed)
+        return _new_log(s, seed, cols)
 
     u_buf, sigma_buf, sp_buf, up_buf, *out_bufs = bufs
     for k in range(1, K + 1):
@@ -386,9 +402,9 @@ def run(s: Scenario, master_seed: int | None = None,
             err = NonFiniteValue(str(e), step=k, agent=len(ys) + 1)
             partial = make_log()
             err.partial = RunResult(scenario=s, seed=seed, log=partial,
-                                    summary=summarize(partial, gains, lap,
-                                                      time.perf_counter() - t0)
-                                    if k > 1 else {"aborted_at": k})
+                                    summary=summarize(partial, gains, lap)
+                                    if k > 1 else {"aborted_at": k},
+                                    wall_time=time.perf_counter() - t0)
             raise err from e
         e_row = eps[k - 1].tolist()
         z = [ys[j] + x for j, x in zip(observed, e_row)]
@@ -407,8 +423,8 @@ def run(s: Scenario, master_seed: int | None = None,
                 buf.fromlist(row)
 
     log = make_log()
-    return RunResult(scenario=s, seed=seed, log=log,
-                     summary=summarize(log, gains, lap, time.perf_counter() - t0))
+    return RunResult(scenario=s, seed=seed, log=log, summary=summarize(log, gains, lap),
+                     wall_time=time.perf_counter() - t0)
 
 
 def batch(s: Scenario, seeds, workers: int = 1) -> list:
@@ -505,7 +521,7 @@ def _edge_blocks(log: analysis.TrajectoryLog):
     observers = format_cells([i for i, _ in log.pairs])
     observed = format_cells([j for _, j in log.pairs])
     # steps off the stride have no observations and no rows
-    steps = np.flatnonzero(~np.isnan(log.z).all(axis=1))
+    steps = log.logged_rows
     for a in range(0, len(steps), SAVE_BLOCK_STEPS):
         rows = steps[a:a + SAVE_BLOCK_STEPS]
         yield (_step_cells((rows + 1).tolist(), m), observers * len(rows),
@@ -520,21 +536,20 @@ def save_run(result: RunResult, outdir: str) -> None:
     write_csv(os.path.join(outdir, "edges.csv"), ",".join(EDGE_FIELDS.names),
               _edge_blocks(log))
 
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump({"label": result.scenario.label, "seed": result.seed,
-                   **result.summary}, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "summary.json"),
+               {"label": result.scenario.label, "seed": result.seed, **result.summary})
+    write_json(os.path.join(outdir, "meta.json"),
+               {"horizon": log.horizon, "seed": result.seed,
+                "scenario_hash": log.scenario_hash,
+                "scenario": scenario_to_dict(result.scenario)})
 
-    meta = {
-        "label": result.scenario.label,
-        "horizon": log.horizon,
-        "log_stride": log.log_stride,
-        "seed": result.seed,
-        "scenario_hash": log.scenario_hash,
-        "scenario": scenario_to_dict(result.scenario),
-    }
-    with open(os.path.join(outdir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2)
+
+def write_json(path: str, doc: dict) -> None:
+    """doc as indented strict JSON, a non-finite float value written as null."""
+    doc = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+           for key, value in doc.items()}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -658,11 +673,11 @@ def load_run(rundir: str):
     """Read a saved run back as (TrajectoryLog, Scenario).
 
     Raises IncompleteLog, with the file and the line or row, for a meta.json
-    that is not a JSON object with every key, whose embedded scenario is
-    invalid or does not match its scenario_hash or label, whose horizon is not
-    a step count from 1 to the scenario's or whose seed is not an integer, and
-    for log files that are not the rows save_run writes in its order. A
-    missing meta.json or log file raises FileNotFoundError.
+    that is not a JSON object with every key it reads (others are ignored),
+    whose embedded scenario is invalid or does not match its scenario_hash,
+    whose horizon is not a step count from 1 to the scenario's or whose seed
+    is not an integer, and for log files that are not the rows save_run
+    writes in its order. A missing meta.json or log file raises FileNotFoundError.
     """
     with open(os.path.join(rundir, "meta.json")) as fh:
         try:
@@ -671,8 +686,7 @@ def load_run(rundir: str):
             raise IncompleteLog(f"meta.json is not valid JSON: {e}") from None
     if not isinstance(meta, dict):
         raise IncompleteLog(f"meta.json holds a {type(meta).__name__}, not an object")
-    missing = {"label", "horizon", "log_stride", "seed", "scenario_hash",
-               "scenario"} - set(meta)
+    missing = {"horizon", "seed", "scenario_hash", "scenario"} - set(meta)
     if missing:
         raise IncompleteLog(f"meta.json lacks {sorted(missing)}")
     try:
@@ -682,25 +696,16 @@ def load_run(rundir: str):
     if scenario_hash(s) != meta["scenario_hash"]:
         raise IncompleteLog("meta.json: the embedded scenario does not match its "
                             f"scenario_hash {meta['scenario_hash']!r}")
-    if meta["label"] != s.label:
-        raise IncompleteLog(f"meta.json: label {meta['label']!r} is not the "
-                            f"scenario's {s.label!r}")
-    K, stride, seed = meta["horizon"], meta["log_stride"], meta["seed"]
+    K, seed = meta["horizon"], meta["seed"]
     # JSON true is a Python int equal to 1: only an int is a count or a seed
-    if not (type(K) is type(stride) is int and 1 <= K <= s.horizon
-            and stride == s.log_stride):
-        raise IncompleteLog(f"meta.json: horizon {K!r} and log_stride {stride!r} do "
-                            f"not fit the scenario ({s.horizon}, {s.log_stride})")
+    if not (type(K) is int and 1 <= K <= s.horizon):
+        raise IncompleteLog(f"meta.json: horizon {K!r} is not a step count from 1 "
+                            f"to the scenario's {s.horizon}")
     if type(seed) is not int:
         raise IncompleteLog(f"meta.json: seed {seed!r} is not an integer")
-    pairs = directed_pairs(s.topology)
     cols = _read_log(os.path.join(rundir, "trajectory.csv"), TRAJECTORY_FIELDS, K,
                      np.arange(K), [(i,) for i in range(1, s.n + 1)],
                      blank=("y_next", "O_next"))
     cols.update(_read_log(os.path.join(rundir, "edges.csv"), EDGE_FIELDS, K,
-                          np.arange(0, K, stride), pairs))
-    log = analysis.TrajectoryLog(
-        n=s.n, horizon=K, log_stride=stride, pairs=pairs, **cols,
-        u_star=np.array(s.controller.u_star), c_M=s.controller.c_M,
-        label=meta["label"], scenario_hash=meta["scenario_hash"], seed=seed)
-    return log, s
+                          analysis.logged_rows(K, s.log_stride), directed_pairs(s.topology)))
+    return _new_log(s, seed, cols), s

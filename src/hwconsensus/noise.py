@@ -98,7 +98,7 @@ def make_noise_spec(dist: str, params: dict, seed: int) -> NoiseSpec:
         raise ValidationError("variance must be >= 0")
     if dist == "uniform" and vals["a"] <= 0:
         raise ValidationError("uniform half-width a must be > 0")
-    if not isinstance(seed, int):
+    if type(seed) is not int:  # JSON true is an int equal to 1, not a seed
         raise ValidationError(f"seed must be an integer, got {seed!r}")
     return NoiseSpec(dist=dist, params=tuple(sorted(vals.items())), seed=seed)
 

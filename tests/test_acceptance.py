@@ -72,7 +72,7 @@ def test_criterion_01_noisy_benchmark_reproduction(runs, cases):
             assert ratio <= 0.10, f"case {case} seed {seed}: ratio {ratio:.3f}"
             spread = float(met.spread_y[-1000:].mean())
             assert spread < 0.5, f"case {case} seed {seed}: spread {spread:.3f}"
-            wall = res.summary["wall_time"]
+            wall = res.wall_time
             assert wall < 10.0, f"case {case} seed {seed}: {wall:.1f} s"
             worst_ratio = max(worst_ratio, ratio)
             worst_spread = max(worst_spread, spread)

@@ -57,11 +57,19 @@ def synthetic_log(sigma_rows, n=None, pairs=None):
     m = len(pairs)
     z = np.zeros((K, m))
     return TrajectoryLog(
-        n=n, horizon=K, log_stride=1, pairs=pairs,
+        log_stride=1, pairs=pairs,
         u=np.zeros((K, n)), sigma=sig, sigma_prime=sig.copy(),
         u_prime=np.zeros((K, n)), y_next=np.zeros((K, n)),
         O_next=np.zeros((K, n)), z=z, eps=z.copy(),
         u_star=np.zeros(n), c_M=55.0)
+
+
+def test_horizon_and_logged_rows_follow_the_arrays():
+    log = synthetic_log([[0, 0]] * 7)
+    assert log.horizon == 7
+    assert log.logged_rows.tolist() == list(range(7))
+    strided = dataclasses.replace(log, log_stride=3)
+    assert strided.logged_rows.tolist() == [0, 3, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_run_scenario_file_end_to_end(tmp_path):
     d = tmp_path / "out"
     assert main(["run", "--scenario", str(p), "--out", str(d)]) == 0
     meta = json.loads((d / "meta.json").read_text())
-    assert meta["label"] == "pair"
+    assert meta["scenario"]["label"] == "pair"
     assert meta["horizon"] == 120
 
 
@@ -122,7 +122,7 @@ def test_run_seed_and_stride_overrides(tmp_path):
                  "--log-stride", "6", "--out", str(d)]) == 0
     meta = json.loads((d / "meta.json").read_text())
     assert meta["seed"] == 11
-    assert meta["log_stride"] == 6
+    assert meta["scenario"]["log_stride"] == 6
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,36 @@ def test_verify_strided_log_rejected(tmp_path, capsys):
                  "--out", str(d)]) == 0
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 1
-    assert "verification requires stride 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "incomplete log: verification needs a stride-1 log, got stride 4\n"
+
+
+def test_verify_names_the_first_missing_output(tmp_path, capsys):
+    d = run_dir(tmp_path)
+    _edit_cell(d / "trajectory.csv", "10,2,", 6, lambda cell: "nan")
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert err == "incomplete log: no output y_next at k=10, agent 2\n"
+    assert _main_under_O(["verify", "--log", str(d)]) == (1, err)
+
+
+def test_report_json_writes_non_finite_values_as_null(tmp_path, capsys):
+    d = run_dir(tmp_path)
+    _edit_cell(d / "trajectory.csv", "10,2,", 2, lambda cell: "nan")
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 2
+    report = json.loads((d / "report.json").read_text(),
+                        parse_constant=lambda c: pytest.fail(f"{c} in report.json"))
+    assert report["lemma3_residual"] is None
+    assert report["decomposition_max_err"] is None
+
+
+def test_replayed_run_directories_are_byte_identical(tmp_path):
+    # the run directory is a function of (scenario, seed): no wall time in it
+    a, b = (run_dir(tmp_path / name) for name in "ab")
+    for name in ("trajectory.csv", "edges.csv", "summary.json", "meta.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_verify_incomplete_log_rejected(tmp_path, capsys):
@@ -318,12 +347,13 @@ RUN_DIR_CORRUPTIONS = {
                       "meta.json is not valid JSON"),
     "meta-not-object": (lambda d: (d / "meta.json").write_text("3"),
                         "meta.json holds a int"),
-    "meta-label-mismatch": (lambda d: _edit_meta(d, lambda m: m.__setitem__("label", "other")),
-                            "meta.json: label 'other' is not the scenario's"),
+    "meta-scenario-wrong-type": (lambda d: _edit_meta(
+        d, lambda m: m["scenario"]["controller"].__setitem__("c_M", "abc")),
+        "meta.json: invalid scenario: controller: could not convert string to float: 'abc'"),
     "meta-seed-not-int": (lambda d: _edit_meta(d, lambda m: m.__setitem__("seed", 3.0)),
                           "meta.json: seed 3.0 is not an integer"),
     "meta-boolean-horizon": (lambda d: _edit_meta(d, lambda m: m.__setitem__("horizon", True)),
-                             "meta.json: horizon True and log_stride 1 do not fit"),
+                             "meta.json: horizon True is not a step count"),
     "trajectory-not-utf8": (lambda d: _edit_bytes(
         d / "trajectory.csv", lambda b: b + b"\xff\xfe"),
         "trajectory.csv: not UTF-8 text"),
@@ -353,6 +383,69 @@ def test_corrupt_run_directory_exit_codes(tmp_path, capsys, case):
     assert main(["plotdata", "--log", str(d)]) == 3
     err = capsys.readouterr().err
     assert "unreadable run:" in err and message in err
+
+
+def _params_to_x(doc):
+    f = doc["agents"][0]["f"]
+    f["params"] = {key: "x" for key in f["params"]}
+
+
+# scenario values of the wrong JSON type, each with the start of the message
+# it is rejected with
+WRONG_TYPES = {
+    "c_M-string": (lambda d: d["controller"].__setitem__("c_M", "abc"),
+                   "controller: could not convert string to float: 'abc'"),
+    "c_M-null": (lambda d: d["controller"].__setitem__("c_M", None),
+                 "controller: float() argument must be"),
+    "u_star-string-entry": (lambda d: d["controller"].__setitem__("u_star", ["a", 2]),
+                            "controller: could not convert string to float: 'a'"),
+    "u_star-number": (lambda d: d["controller"].__setitem__("u_star", 3),
+                      "controller: 'int' object is not iterable"),
+    "C-string": (lambda d: d["agents"][0].__setitem__("C", "abc"),
+                 "agents[1]: could not convert string to float: 'a'"),
+    "C-null": (lambda d: d["agents"][0].__setitem__("C", None),
+               "agents[1]: 'NoneType' object is not iterable"),
+    "f-param-string": (_params_to_x, "agents[1]: could not convert string to float: 'x'"),
+    "f-name-list": (lambda d: d["agents"][0]["f"].__setitem__("name", ["x"]),
+                    "agents[1]: unhashable type: 'list'"),
+    "noise-param-string": (lambda d: d["noise"]["params"].__setitem__("variance", "x"),
+                           "noise: could not convert string to float: 'x'"),
+    "topology-number": (lambda d: d.__setitem__("topology", 7),
+                        "topology: 'int' object is not iterable"),
+    "topology-bare-entry": (lambda d: d.__setitem__("topology", [5]),
+                            "topology: 'int' object is not iterable"),
+    "topology-string-weight": (lambda d: d.__setitem__("topology", [[1, 2, "w"]]),
+                               "topology: could not convert string to float: 'w'"),
+    "horizon-true": (lambda d: d.__setitem__("horizon", True),
+                     "horizon must be a positive integer, got True"),
+    "stride-true": (lambda d: d.__setitem__("log_stride", True),
+                    "log_stride must be a positive integer, got True"),
+    "seed-true": (lambda d: d["noise"].__setitem__("seed", True),
+                  "noise: seed must be an integer, got True"),
+    "label-number": (lambda d: d.__setitem__("label", 3), "label must be a string, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_scenario_values_of_the_wrong_type_exit_1(tmp_path, capsys, case):
+    # in a scenario file handed to run, and in the scenario a run directory embeds
+    mutate, message = WRONG_TYPES[case]
+    doc = scenario_to_dict(builtin_case(1, horizon=10))
+    mutate(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    d = run_dir(tmp_path)
+    _edit_meta(d, lambda m: mutate(m["scenario"]))
+    capsys.readouterr()
+    for argv, code, prefix in (
+            (["run", "--scenario", str(path)], 1, "invalid configuration: "),
+            (["verify", "--log", str(d)], 1, "incomplete log: meta.json: invalid scenario: "),
+            (["plotdata", "--log", str(d)], 3, "unreadable run: meta.json: invalid scenario: ")):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + message) and err.count("\n") == 1, err
+        if code == 1:
+            assert _main_under_O(argv) == (code, err)
 
 
 def test_verify_missing_directory(tmp_path, capsys):

@@ -315,7 +315,7 @@ def test_master_seed_overrides_scenario_seed():
 def test_summary_recomputable_from_log():
     res = run(builtin_case(3, horizon=400))
     s = res.scenario
-    redone = summarize(res.log, s.gains(), laplacian(s.topology), 0.0)
+    redone = summarize(res.log, s.gains(), laplacian(s.topology))
     for key in ("final_spread", "final_residual", "total_truncations",
                 "sigma_bar_final"):
         assert redone[key] == res.summary[key]
@@ -473,7 +473,7 @@ def test_run_initial_plants_length_checked():
 # persistence round trip
 
 def _logs_equal(a, b):
-    assert a.n == b.n and a.horizon == b.horizon and a.log_stride == b.log_stride
+    assert a.horizon == b.horizon and a.log_stride == b.log_stride
     assert a.pairs == b.pairs
     for name in ("u", "sigma", "sigma_prime", "u_prime"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -503,6 +503,27 @@ def test_save_load_round_trip_strided(tmp_path):
     full_rows = ~np.isnan(log.y_next).any(axis=1)
     assert full_rows.sum() == math.ceil(90 / 7)
     assert np.array_equal(np.nonzero(full_rows)[0], np.arange(0, 90, 7))
+
+
+def test_save_load_round_trip_with_an_all_nan_logged_edge_row(tmp_path):
+    # step 8 is on the stride (1, 8, 15): its edge rows are written, NaN cells and all
+    res = run(builtin_case(1, horizon=20, log_stride=7))
+    z = res.log.z.copy()
+    z[7] = np.nan
+    res = dataclasses.replace(res, log=dataclasses.replace(res.log, z=z))
+    save_run(res, str(tmp_path / "r"))
+    log, _ = load_run(str(tmp_path / "r"))
+    _logs_equal(log, res.log)
+
+
+def test_load_run_ignores_keys_it_does_not_read(tmp_path):
+    # meta.json once also held copies of the scenario's label and log_stride
+    res = run(builtin_case(2, horizon=30, log_stride=7))
+    d = tmp_path / "r"
+    save_run(res, str(d))
+    _edit_meta(d, lambda m: m.update(label="case2", log_stride=7))
+    log, _ = load_run(str(d))
+    _logs_equal(log, res.log)
 
 
 # values where repr() and the parser could disagree: signed zero, subnormals,
@@ -571,7 +592,7 @@ def _reference_edge_blocks(log):
     m = len(log.pairs)
     observers = fc([i for i, _ in log.pairs])
     observed = fc([j for _, j in log.pairs])
-    steps = np.flatnonzero(~np.isnan(log.z).all(axis=1))
+    steps = np.arange(0, len(log.z), log.log_stride)  # every logged step, whatever its cells
     for a in range(0, len(steps), H.SAVE_BLOCK_STEPS):
         rows = steps[a:a + H.SAVE_BLOCK_STEPS]
         yield (fc(np.repeat(rows + 1, m)), observers * len(rows),
@@ -617,7 +638,7 @@ def test_writer_bytes_match_one_repr_per_cell(data, stride, K, n):
                                       max_size=K * n))).reshape(K, n)
     u_prime = np.where(how == 0, u, np.where(how == 1, -u, floats(n)))
     log = analysis.TrajectoryLog(
-        n=n, horizon=K, log_stride=stride, pairs=pairs, u=u, sigma=ints(),
+        log_stride=stride, pairs=pairs, u=u, sigma=ints(),
         sigma_prime=ints(), u_prime=u_prime, y_next=strided(n), O_next=strided(n),
         z=strided(len(pairs)), eps=strided(len(pairs)), u_star=np.zeros(n), c_M=55.0)
     with tempfile.TemporaryDirectory() as d, \
@@ -639,7 +660,9 @@ def test_summary_and_meta_files(tmp_path):
     assert summary["label"] == "case1"
     assert summary["seed"] == 4
     assert summary["total_truncations"] == res.summary["total_truncations"]
+    assert "wall_time" not in summary
     meta = json.loads((tmp_path / "r" / "meta.json").read_text())
+    assert set(meta) == {"horizon", "seed", "scenario_hash", "scenario"}
     assert meta["horizon"] == 60
     assert meta["scenario_hash"] == scenario_hash(res.scenario)
     assert meta["scenario"] == scenario_to_dict(res.scenario)
@@ -888,7 +911,8 @@ def test_load_run_rejects_horizon_beyond_scenario(tmp_path):
     d = tmp_path / "r"
     save_run(run(builtin_case(1, horizon=20)), str(d))
     _edit_meta(d, lambda m: m.__setitem__("horizon", 21))
-    with pytest.raises(IncompleteLog, match="do not fit the scenario"):
+    with pytest.raises(IncompleteLog, match="horizon 21 is not a step count from 1 to the "
+                                            "scenario's 20"):
         load_run(str(d))
 
 
