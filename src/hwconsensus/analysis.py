@@ -80,6 +80,56 @@ def logged_rows(horizon: int, log_stride: int) -> np.ndarray:
     return np.arange(0, horizon, log_stride)
 
 
+def neighbour_columns(topology: Topology, pairs) -> list:
+    """Per agent (0-based), its neighbours as (edge column in pairs, neighbour
+    index, weight) triples in the order the round sums their terms."""
+    col = {p: c for c, p in enumerate(pairs)}
+    return [[(col[(i, j)], j - 1, topology.weight(i, j)) for j in topology.neighbors(i)]
+            for i in range(1, topology.n + 1)]
+
+
+def round_columns(u: np.ndarray, sigma: np.ndarray, y: np.ndarray, eps: np.ndarray,
+                  nbrs: list, u_star: np.ndarray, log_stride: int) -> dict:
+    """The log columns a run makes of its (u, sigma) rows and its outputs and noise.
+
+    u and sigma are (K, n) with every row; y (outputs) and eps (noise per
+    edge column) hold the logged rows only, as logged_rows(K, log_stride).
+    nbrs is neighbour_columns' table. Returns sigma_prime (the largest sigma
+    over the closed neighbourhood), u_prime (u* where sigma_prime > sigma,
+    else u), and y_next, O_next, z = y of the observed agent + eps and eps,
+    NaN on the rows off the stride; at stride 1, y_next and eps are y and
+    eps themselves. O_i sums w * (z - y_i) over the neighbours in nbrs order
+    from 0.0: the same IEEE operations in the same order as
+    controller.advance, so every cell equals the round's value bit for bit.
+    """
+    pooled = sigma.copy()
+    observed = np.empty(eps.shape[1], dtype=np.int64)
+    for i, nb in enumerate(nbrs):
+        for c, j, _ in nb:
+            np.maximum(pooled[:, i], sigma[:, j], out=pooled[:, i])
+            observed[c] = j
+    # the round's float arithmetic overflows to inf without a warning
+    with np.errstate(all="ignore"):
+        z = y[:, observed]
+        z += eps
+        O = np.empty_like(y)
+        for i, nb in enumerate(nbrs):
+            acc = 0.0
+            for c, _, w in nb:
+                acc = acc + w * (z[:, c] - y[:, i])
+            O[:, i] = acc
+
+    def dense(block):
+        if log_stride == 1:
+            return block
+        out = np.full((len(u), block.shape[1]), np.nan)
+        out[::log_stride] = block  # the rows of logged_rows
+        return out
+
+    return {"sigma_prime": pooled, "u_prime": np.where(pooled > sigma, u_star, u),
+            "y_next": dense(y), "O_next": dense(O), "z": dense(z), "eps": dense(eps)}
+
+
 @dataclass(frozen=True)
 class TruncationTimes:
     """First-passage times of truncation counts, with inf for unattained.
@@ -374,14 +424,13 @@ def _stored_columns_first_failure(log: TrajectoryLog, topology: Topology) -> tup
     The replay reads none of these columns, so this is what rejects a
     corrupted cell in them.
     """
-    pooled = log.sigma.copy()
-    for i in range(1, topology.n + 1):
-        for j in topology.neighbors(i):
-            np.maximum(pooled[:, i - 1], log.sigma[:, j - 1], out=pooled[:, i - 1])
-    bad_sp = log.sigma_prime != pooled
-    bad_agent = bad_sp | (log.u_prime != np.where(log.sigma_prime > log.sigma,
-                                                   log.u_star, log.u))
-    bad_z = log.z != log.y_next[:, [j - 1 for _, j in log.pairs]] + log.eps
+    logged = log.logged_rows
+    made = round_columns(log.u, log.sigma, log.y_next[logged], log.eps[logged],
+                         neighbour_columns(topology, log.pairs), log.u_star, log.log_stride)
+    bad_sp = log.sigma_prime != made["sigma_prime"]
+    bad_agent = bad_sp | (log.u_prime != made["u_prime"])
+    bad_z = np.zeros(log.z.shape, dtype=bool)
+    bad_z[logged] = log.z[logged] != made["z"][logged]
     rows = np.flatnonzero(bad_agent.any(axis=1) | bad_z.any(axis=1))
     if not len(rows):
         return None
@@ -590,13 +639,15 @@ def consensus_metrics(log: TrajectoryLog, gains, lap: LaplacianView,
     already has it (full_verification returns it as extras["h"]).
     """
     K = log.u.shape[0]
-    if h is None:
-        h = gain_field(log.u, gains, lap)[0]
-    residual = np.abs(h @ lap.L.T).max(axis=1)
-    spread = log.y_next.max(axis=1) - log.y_next.min(axis=1)
+    # as in full_verification, a diverged run's values overflow to inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        if h is None:
+            h = gain_field(log.u, gains, lap)[0]
+        residual = np.abs(h @ lap.L.T).max(axis=1)
+        spread = log.y_next.max(axis=1) - log.y_next.min(axis=1)
+        v = _lyapunov(log.u, h, gains)
     return RunMetrics(k=np.arange(1, K + 1), spread_y=spread,
-                      residual=residual, sigma_bar=log.sigma_bar.astype(float),
-                      v=_lyapunov(log.u, h, gains))
+                      residual=residual, sigma_bar=log.sigma_bar.astype(float), v=v)
 
 
 def geometric_rows(K: int, points: int) -> np.ndarray:
@@ -638,18 +689,19 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
             f"truncation count {count} at k={r + 1}, agent {i + 1} is outside 0..{r}",
             location=(r + 1, i + 1, count))
     lap = laplacian(topology)
-    hg = gain_field(log.u, gains, lap)
-    aux = build_auxiliary(log, gains, topology, hg)
-    sched = Schedule(c_M=log.c_M)
-    rec = verify_centralized_recursion(aux, sched)
+    # the gains overflow on a diverged run's inputs; the inf and NaN values
+    # that follow fail the checks they reach, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        hg = gain_field(log.u, gains, lap)
+        aux = build_auxiliary(log, gains, topology, hg)
+        rec = verify_centralized_recursion(aux, Schedule(c_M=log.c_M))
+        e1, e2, e3, target = _decompose(log, slice(None), gains, lap, hg)
+        decomp_err = float(np.max(np.abs(e1 + e2 + e3 - target)))
 
     d = diameter(topology)
     eq26 = check_window_bound(aux.times, d, log.horizon)
 
     eq28_failure = _eq28_first_failure(m_grid_k, m_grid_T)
-
-    e1, e2, e3, target = _decompose(log, slice(None), gains, lap, hg)
-    decomp_err = float(np.max(np.abs(e1 + e2 + e3 - target)))
 
     report = {
         "lemma3_residual": rec.max_abs_residual,

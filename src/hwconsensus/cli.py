@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -112,17 +113,21 @@ def cmd_run(args) -> int:
     print(f"truncations per agent: {summ['total_truncations']}")
     print(f"wall time: {result.wall_time:.3f} s")
     if args.out:
+        t0 = time.perf_counter()
         harness.save_run(result, args.out)
+        print(f"save time: {time.perf_counter() - t0:.3f} s")
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_verify(args) -> int:
+    t0 = time.perf_counter()
     try:
         log, s = harness.load_run(args.log)
     except FileNotFoundError as e:
         print(f"no run found: {e}", file=sys.stderr)
         return 3
+    t1 = time.perf_counter()
     gains = s.gains()
     report, extras = analysis.full_verification(log, gains, s.topology)
     rec = extras["recursion"]
@@ -162,6 +167,9 @@ def cmd_verify(args) -> int:
           harness.format_cells(metrics.spread_y), harness.format_cells(metrics.residual),
           harness.format_cells(metrics.sigma_bar.astype(np.int64)),
           harness.format_cells(metrics.v))])
+    # stdout only: report.json and metrics.csv are a function of the log
+    print(f"load time: {t1 - t0:.3f} s")
+    print(f"check time: {time.perf_counter() - t1:.3f} s")
 
     return 0 if all(ok for _, ok, _ in rows) else 2
 

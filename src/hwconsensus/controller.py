@@ -9,24 +9,32 @@ stochastic-approximation update with step 1/k, truncating back to u* and
 incrementing its count whenever the candidate leaves the expanding bound
 M_sigma = ln(sigma + c_M).
 
-advance() runs that round for every agent at once on flat lists. Pooling
-reads the counts as they stood at the start of the round, so the result does
-not depend on the order in which agents are visited.
+advance() runs that round for every agent at once on flat lists and keeps
+only the next (u, sigma). Pooling reads the counts as they stood at the
+start of the round, so the result does not depend on the order in which
+agents are visited. The round's pooled counts, working estimates and
+aggregated observations are functions of (u, sigma, y, eps) and are derived
+for a whole log at once by analysis.round_columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Step sizes a_k = 1/k and truncation bounds M_sigma = ln(sigma + c_M)."""
+    """Step sizes a_k = 1/k and truncation bounds M_sigma = ln(sigma + c_M).
+
+    The bounds come from one table per schedule: ln(sigma + c_M) is computed
+    once per sigma, the first time a caller needs it.
+    """
 
     c_M: float
+    _bounds: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.c_M > 0 and math.isfinite(self.c_M)):
@@ -35,54 +43,60 @@ class Schedule:
     def a(self, k: int) -> float:
         return 1.0 / k
 
+    def bounds(self, top: int) -> list:
+        """The table M_0, M_1, ..., at least up to M_top."""
+        table = self._bounds
+        for sigma in range(len(table), top + 1):
+            table.append(math.log(sigma + self.c_M))
+        return table
+
     def bound(self, sigma: int) -> float:
-        return math.log(sigma + self.c_M)
+        return self.bounds(sigma)[sigma]
 
 
-def advance(u: list, sigma: list, ys: list, z: list, nbrs: list, u_star: list,
-            k: int, sched: Schedule) -> tuple[list, list, list]:
+def advance(u: list, sigma: list, ys: list, eps_row: list, nbrs: list, u_star: list,
+            k: int, sched: Schedule) -> None:
     """One round of the control law for every agent, in place.
 
     u and sigma hold each agent's estimate and count and are overwritten
     with the next round's values. ys[i] is agent i's plant output this round,
-    z[c] the observation on directed edge column c, and nbrs[i] lists agent
+    eps_row[c] the noise on directed edge column c, and nbrs[i] lists agent
     i's neighbors as (edge column, neighbor index, weight) triples in the
-    order their terms are summed. Returns the round's pooled counts, working
-    estimates (own u if the count is current, else u*) and aggregated
-    observations O_i = sum_j w_ij (z_ij - y_i).
+    order their terms are summed: O_i = sum_j w_ij (z_ij - y_i) with the
+    observation z_ij = y_j + eps_ij.
 
     A candidate u + (1/k) O is kept iff strictly inside M_sigma; hitting or
     crossing the bound resets to u* and increments the count. A restart
-    round records O but does not apply it.
+    round does not apply O, so it does not form it.
     """
-    sigma_prime = []
-    for i, nb in enumerate(nbrs):
-        sp = sigma[i]
-        for _, j, _ in nb:
-            if sigma[j] > sp:
-                sp = sigma[j]
-        sigma_prime.append(sp)
+    top = max(sigma)
+    if min(sigma) == top:
+        # nothing to pool; agent i writes only sigma[i], after reading it
+        pooled = sigma
+    else:
+        pooled = []
+        for i, nb in enumerate(nbrs):
+            sp = sigma[i]
+            for _, j, _ in nb:
+                if sigma[j] > sp:
+                    sp = sigma[j]
+            pooled.append(sp)
 
     a = sched.a(k)
-    u_prime = []
-    obs = []
+    M = sched.bounds(top)
     for i, nb in enumerate(nbrs):
+        sp = pooled[i]
+        if sp > sigma[i]:
+            u[i] = u_star[i]
+            sigma[i] = sp
+            continue
         y = ys[i]
         O = 0.0
-        for c, _, w in nb:
-            O += w * (z[c] - y)
-        sp = sigma_prime[i]
-        if sp > sigma[i]:
-            up = u[i] = u_star[i]
-            sigma[i] = sp
+        for c, j, w in nb:
+            O += w * (ys[j] + eps_row[c] - y)
+        cand = u[i] + a * O
+        if abs(cand) < M[sp]:
+            u[i] = cand
         else:
-            up = u[i]
-            cand = up + a * O
-            if abs(cand) < sched.bound(sp):
-                u[i] = cand
-            else:
-                u[i] = u_star[i]
-                sigma[i] = sp + 1
-        u_prime.append(up)
-        obs.append(O)
-    return sigma_prime, u_prime, obs
+            u[i] = u_star[i]
+            sigma[i] = sp + 1

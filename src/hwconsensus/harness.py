@@ -53,6 +53,7 @@ from .plant import (
 
 VERIFY_MAX_HORIZON = 200_000  # stride-1 logging refuses longer runs
 LOG_COLUMNS = ("u", "sigma", "sigma_prime", "u_prime", "y_next", "O_next", "z", "eps")
+NOISE_BLOCK_STEPS = 1024  # noise rows turned into Python floats at a time by run
 
 
 @dataclass(frozen=True)
@@ -372,28 +373,26 @@ def run(s: Scenario, master_seed: int | None = None,
     u = list(s.controller.initial_u)
     sigma = [0] * n
     u_star = list(s.controller.u_star)
-    col = {p: c for c, p in enumerate(pairs)}
-    nbrs = [[(col[(i, j)], j - 1, topo.weight(i, j)) for j in topo.neighbors(i)]
-            for i in range(1, n + 1)]
-    observed = [j - 1 for _, j in pairs]
+    nbrs = analysis.neighbour_columns(topo, pairs)
     eps = np.column_stack([stream_for(nz, i, j, topo).draw(K) for (i, j) in pairs])
+    # the noise rows as Python floats, converted one block of steps at a time
+    eps_rows = (row for a in range(0, K, NOISE_BLOCK_STEPS)
+                for row in eps[a:a + NOISE_BLOCK_STEPS].tolist())
 
-    # rows go to flat buffers, one per log column, viewed as (rows, width)
-    # arrays at the end
-    m = len(pairs)
-    bufs = [array("q" if name.startswith("sigma") else "d") for name in LOG_COLUMNS]
-    widths = [m if name in ("z", "eps") else n for name in LOG_COLUMNS]
-    # a step off the stride logs these NaN rows in its output/edge columns
-    nan_rows = [array("d", [math.nan]) * w for w in widths[4:]]
+    # the loop keeps what only it knows: u and sigma on every step, y on the
+    # logged steps; the other log columns are derived from them afterwards
+    u_buf, sigma_buf, y_buf = array("d"), array("q"), array("d")
 
     def make_log() -> analysis.TrajectoryLog:
-        rows = len(bufs[0]) // n
-        cols = {name: np.frombuffer(buf, dtype=buf.typecode).reshape(rows, w)
-                for name, buf, w in zip(LOG_COLUMNS, bufs, widths)}
-        return _new_log(s, seed, cols)
+        rows = len(u_buf) // n
+        u_col = np.frombuffer(u_buf).reshape(rows, n)
+        sigma_col = np.frombuffer(sigma_buf, dtype=np.int64).reshape(rows, n)
+        y = np.frombuffer(y_buf).reshape(-1, n)
+        # a view of the logged rows' noise, not a copy
+        return _new_log(s, seed, {"u": u_col, "sigma": sigma_col, **analysis.round_columns(
+            u_col, sigma_col, y, eps[:rows:stride], nbrs, np.array(u_star), stride)})
 
-    u_buf, sigma_buf, sp_buf, up_buf, *out_bufs = bufs
-    for k in range(1, K + 1):
+    for k, e_row in zip(range(1, K + 1), eps_rows):
         ys = []
         try:
             for plant_step, x in zip(steps, u):
@@ -406,21 +405,12 @@ def run(s: Scenario, master_seed: int | None = None,
                                     if k > 1 else {"aborted_at": k},
                                     wall_time=time.perf_counter() - t0)
             raise err from e
-        e_row = eps[k - 1].tolist()
-        z = [ys[j] + x for j, x in zip(observed, e_row)]
         # the round's starting u and sigma are logged before advance overwrites them
         u_buf.fromlist(u)
         sigma_buf.fromlist(sigma)
-        sp, up, O = advance(u, sigma, ys, z, nbrs, u_star, k, sched)
-        sp_buf.fromlist(sp)
-        up_buf.fromlist(up)
-        if (k - 1) % stride:
-            # strided logs keep the estimate/count columns only
-            for buf, row in zip(out_bufs, nan_rows):
-                buf.extend(row)
-        else:
-            for buf, row in zip(out_bufs, (ys, O, z, e_row)):
-                buf.fromlist(row)
+        if not (k - 1) % stride:
+            y_buf.fromlist(ys)
+        advance(u, sigma, ys, e_row, nbrs, u_star, k, sched)
 
     log = make_log()
     return RunResult(scenario=s, seed=seed, log=log, summary=summarize(log, gains, lap),
@@ -467,9 +457,16 @@ EDGE_FIELDS = np.dtype([("k", np.int64), ("i", np.int64), ("j", np.int64),
 def format_cells(values, blank_nan: bool = False) -> list:
     """repr() of every entry of an array in row-major order, NaN as '' if blank_nan.
 
-    With blank_nan, repr runs only on the entries that are not NaN.
+    With blank_nan, repr runs only on the entries that are not NaN. An
+    integer array whose values span no more numbers than it has entries (the
+    counts) takes each cell from a table with one repr per number in the span.
     """
     values = np.asarray(values).ravel()
+    if values.dtype.kind == "i" and len(values):
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < len(values):
+            table = np.array(list(map(repr, range(lo, hi + 1))), dtype=object)
+            return table[values - lo].tolist()
     if not blank_nan:
         return list(map(repr, values.tolist()))
     cells = [""] * len(values)

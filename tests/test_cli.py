@@ -52,6 +52,7 @@ def test_run_writes_all_files_and_reports(tmp_path, capsys):
     assert "final spread:" in out
     assert "final residual:" in out
     assert "truncations per agent:" in out
+    assert "wall time:" in out and "save time:" in out
     for name in ("trajectory.csv", "edges.csv", "summary.json", "meta.json"):
         assert (d / name).exists(), name
 
@@ -136,6 +137,7 @@ def test_verify_clean_run_passes(tmp_path, capsys):
     assert out.count("pass") == 4
     assert "FAIL" not in out
     assert "relabeling structure" in out
+    assert "load time:" in out and "check time:" in out
 
     report = json.loads((d / "report.json").read_text())
     assert set(report) == {"lemma3_residual", "eq26_ok", "eq28_ok",

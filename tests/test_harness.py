@@ -653,6 +653,22 @@ def test_writer_bytes_match_one_repr_per_cell(data, stride, K, n):
                 assert fh_got.read() == fh_want.read(), name
 
 
+I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("values", [
+    [], [0], [7, 7, 7], [3, 0, 2, 1, 3, 0],          # empty, one value, a count column
+    [-5, -3, -5, -4], [-1, 0, 1, 0],                # negative values
+    [I64.max, I64.max - 1, I64.max], [I64.min, I64.min + 2, I64.min + 1],
+    [I64.min, I64.max], [I64.min, 0, I64.max, 0],   # spans past int64
+    [0, 10 ** 6, 5, 5], [1, 2, 4, 8],               # spans wider than the array
+    np.arange(12).reshape(3, 4) % 5,                # a 2-d array, row-major
+], ids=lambda v: repr(np.asarray(v).tolist())[:40])
+def test_format_cells_of_integers_match_one_repr_per_cell(values):
+    values = np.array(values, dtype=np.int64)
+    assert H.format_cells(values) == _reference_format_cells(values)
+
+
 def test_summary_and_meta_files(tmp_path):
     res = run(builtin_case(1, horizon=60, seed=4))
     save_run(res, str(tmp_path / "r"))
@@ -986,8 +1002,9 @@ def test_nonfinite_output_aborts_with_partial_log(monkeypatch):
     ("wiener", [1], 1e200, 1),
     ("hammerstein", [1, 2.0], 5e102, 2),  # v + 2 v_past passes the largest float
 ], ids=["hammerstein_f", "wiener_f", "hammerstein_linear"])
-# the partial run's summary evaluates the gains at the overflowing input,
-# and reports the overflow as null, with no warning
+# the partial run's summary, and verify of its run directory, evaluate the
+# gains at the overflowing input and report the overflow as null, with no
+# warning
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_real_overflow_aborts_at_its_step_and_agent(kind, D, initial, step, tmp_path, capsys):
     doc = scenario_to_dict(two_agent_scenario(horizon=50))
@@ -1009,3 +1026,11 @@ def test_real_overflow_aborts_at_its_step_and_agent(kind, D, initial, step, tmp_
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
                              parse_constant=lambda c: pytest.fail(f"{c} in summary.json"))
         assert summary["final_residual"] is None
+        # verify evaluates the gains at the overflowing input too: the
+        # non-finite values fail their rows, with no warning
+        assert main(["verify", "--log", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert "noise decomposition      FAIL" in out
+        assert "Warning" not in err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["decomposition_max_err"] is None
