@@ -25,7 +25,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hwconsensus import IncompleteLog, load_run  # noqa: E402
 from hwconsensus.analysis import geometric_rows  # noqa: E402
-from hwconsensus.harness import format_cells, write_csv  # noqa: E402
+from hwconsensus.csvout import format_cells, write_csv  # noqa: E402
 
 
 def main() -> int:

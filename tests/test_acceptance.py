@@ -315,8 +315,8 @@ def test_criterion_10_byte_identical_replay(runs, tmp_path):
     da, db = tmp_path / "a", tmp_path / "b"
     save_run(first, str(da))
     save_run(second, str(db))
-    for name in ("trajectory.csv", "edges.csv"):
+    for name in ("log.npz", "meta.json"):
         assert (da / name).read_bytes() == (db / name).read_bytes(), name
-    size = (da / "trajectory.csv").stat().st_size
+    size = (da / "log.npz").stat().st_size
     print(f"criterion 10 determinism: PASS "
-          f"(two seed-1 case 1 runs, trajectory files byte-identical, {size} bytes)")
+          f"(two seed-1 case 1 runs, log.npz byte-identical, {size} bytes)")

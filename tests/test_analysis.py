@@ -553,23 +553,6 @@ def test_a_count_outside_0_to_k_minus_1_is_located_before_any_table(count):
     assert exc.value.location == (7, 3, count)
 
 
-def test_z_off_its_identity_is_located():
-    extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)[1]
-    assert extras["stored_columns_first_failure"] is None
-    z = SHORT_LOG.z.copy()
-    z[20, 5] = np.nextafter(z[20, 5], INF)  # one ulp
-    log = dataclasses.replace(SHORT_LOG, z=z)
-    i, j = log.pairs[5]
-    assert full_verification(log, SHORT.gains(), SHORT.topology)[1][
-        "stored_columns_first_failure"] == (21, f"edge ({i}, {j})", "z", "y_next and eps")
-    # at one step an agent column is named first
-    u_prime = log.u_prime.copy()
-    u_prime[20, 3] += 1.0
-    assert full_verification(dataclasses.replace(log, u_prime=u_prime), SHORT.gains(),
-                             SHORT.topology)[1]["stored_columns_first_failure"] == \
-        (21, "agent 4", "u_prime", "u and sigma")
-
-
 def test_any_log_r_le_r_agent(runs):
     t = truncation_times(runs(1, 1).log)
     for m in range(1, t.top + 1):

@@ -7,11 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from hwconsensus import build_auxiliary, builtin_case, harness, scenario_to_dict
+from hwconsensus import build_auxiliary, builtin_case, csvout, harness, scenario_to_dict
 from hwconsensus.cli import main
 
 from conftest import two_agent_scenario
-from test_harness import CORRUPTIONS, corrupt
+from test_harness import STORE_CORRUPTIONS, flip_bit, relog, saved_case
 
 
 def run_dir(tmp_path, *extra):
@@ -23,14 +23,14 @@ def run_dir(tmp_path, *extra):
     return d
 
 
-def _edit_cell(path, prefix, field, edit):
-    """Apply edit to one cell of the first line of a log file starting with prefix."""
-    lines = path.read_text().splitlines()
-    idx = next(i for i, l in enumerate(lines) if l.startswith(prefix))
-    parts = lines[idx].split(",")
-    parts[field] = edit(parts[field])
-    lines[idx] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
+def _resave(d, name, index, value):
+    """Save the run of d again with one cell of a stored array (u, sigma, y or
+    eps) set to value; load_run then derives the other columns from it."""
+    log, s = harness.load_run(str(d))
+    array = harness._stored_arrays(log)[name].copy()
+    array[index] = value
+    res = harness.RunResult(scenario=s, seed=log.seed, log=log, summary={}, wall_time=0.0)
+    harness.save_run(relog(res, **{name: array}), str(d))
 
 
 def _main_under_O(argv):
@@ -53,8 +53,7 @@ def test_run_writes_all_files_and_reports(tmp_path, capsys):
     assert "final residual:" in out
     assert "truncations per agent:" in out
     assert "wall time:" in out and "save time:" in out
-    for name in ("trajectory.csv", "edges.csv", "summary.json", "meta.json"):
-        assert (d / name).exists(), name
+    assert sorted(p.name for p in d.iterdir()) == ["log.npz", "meta.json", "summary.json"]
 
 
 def test_run_without_out_writes_nothing(tmp_path, capsys):
@@ -210,48 +209,40 @@ def test_verify_evaluates_each_gain_once_on_the_log(tmp_path, monkeypatch):
 
 
 def test_verify_tampered_log_fails(tmp_path, capsys):
+    # a run saved again with one input moved: the store is consistent, the replay is not
     d = run_dir(tmp_path)
-    _edit_cell(d / "trajectory.csv", "150,2,", 2, lambda cell: repr(float(cell) + 1e-3))
-    capsys.readouterr()
-    assert main(["verify", "--log", str(d)]) == 2
-    assert "FAIL" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("column, field, edit", [
-    ("u_prime", 5, lambda cell: repr(float(cell) + 1.0)),
-    ("sigma_prime", 4, lambda cell: str(int(cell) + 1)),
-])
-def test_verify_locates_a_corrupted_stored_column(tmp_path, capsys, column, field, edit):
-    # the replay reads neither column; verify checks them against u and sigma
-    d = run_dir(tmp_path)
-    _edit_cell(d / "trajectory.csv", "150,2,", field, edit)
+    u = harness.load_run(str(d))[0].u
+    _resave(d, "u", (149, 1), u[149, 1] + 1e-3)
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 2
     row = next(l for l in capsys.readouterr().out.splitlines()
                if l.startswith("centralized replay"))
     assert row.split()[2] == "FAIL"
-    assert row.endswith(f"; {column} disagrees with u and sigma, first at k=150, agent 2")
     report = json.loads((d / "report.json").read_text())
     assert set(report) == {"lemma3_residual", "eq26_ok", "eq28_ok",
                            "decomposition_max_err"}
 
 
-def test_verify_locates_a_z_cell_off_its_identity(tmp_path, capsys):
-    # z is y_next of the observed agent plus eps, bit for bit; nothing else reads z
+@pytest.mark.parametrize("name, index", [("u", (149, 1)), ("sigma", (149, 1)),
+                                         ("y", (149, 1)), ("eps", (149, 4))],
+                         ids=["u", "sigma", "y", "eps"])
+def test_verify_rejects_a_flipped_bit_in_the_store(tmp_path, capsys, name, index):
+    # sigma_prime, u_prime, z and O_next are derived from these arrays on
+    # load, so a corrupt cell is one of them, and load_run rejects it
     d = run_dir(tmp_path)
-    _edit_cell(d / "edges.csv", "150,2,3,", 3, lambda cell: repr(float(cell) + 0.5))
+    flip_bit(d, name, index, bit=3)
     capsys.readouterr()
-    assert main(["verify", "--log", str(d)]) == 2
-    rows = capsys.readouterr().out.splitlines()
-    assert rows[0].split()[2] == "FAIL" and "FAIL" not in "\n".join(rows[1:])
-    assert rows[0].endswith("; z disagrees with y_next and eps, first at k=150, edge (2, 3)")
+    assert main(["verify", "--log", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"incomplete log: log.npz: array {name}: Bad CRC-32 for file '{name}.npy'\n"
+    assert _main_under_O(["verify", "--log", str(d)]) == (1, err)
 
 
 @pytest.mark.parametrize("count", ["1000000000000", "-1", "150"], ids=["huge", "negative", "k"])
 def test_verify_rejects_a_count_outside_the_round_bound(tmp_path, capsys, count):
     # a count starts at 0 and rises by at most 1 per round, so sigma_k <= k - 1
     d = run_dir(tmp_path)
-    _edit_cell(d / "trajectory.csv", "150,2,", 3, lambda cell: count)
+    _resave(d, "sigma", (149, 1), int(count))
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 2
     err = capsys.readouterr().err
@@ -286,7 +277,7 @@ def test_verify_strided_log_rejected(tmp_path, capsys):
 
 def test_verify_names_the_first_missing_output(tmp_path, capsys):
     d = run_dir(tmp_path)
-    _edit_cell(d / "trajectory.csv", "10,2,", 6, lambda cell: "nan")
+    _resave(d, "y", (9, 1), np.nan)
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 1
     err = capsys.readouterr().err
@@ -296,7 +287,7 @@ def test_verify_names_the_first_missing_output(tmp_path, capsys):
 
 def test_report_json_writes_non_finite_values_as_null(tmp_path, capsys):
     d = run_dir(tmp_path)
-    _edit_cell(d / "trajectory.csv", "10,2,", 2, lambda cell: "nan")
+    _resave(d, "u", (9, 1), np.nan)
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 2
     report = json.loads((d / "report.json").read_text(),
@@ -308,17 +299,17 @@ def test_report_json_writes_non_finite_values_as_null(tmp_path, capsys):
 def test_replayed_run_directories_are_byte_identical(tmp_path):
     # the run directory is a function of (scenario, seed): no wall time in it
     a, b = (run_dir(tmp_path / name) for name in "ab")
-    for name in ("trajectory.csv", "edges.csv", "summary.json", "meta.json"):
+    for name in ("log.npz", "summary.json", "meta.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_verify_incomplete_log_rejected(tmp_path, capsys):
     d = run_dir(tmp_path)
-    lines = (d / "trajectory.csv").read_text().splitlines()
-    (d / "trajectory.csv").write_text("\n".join(lines[:-3]) + "\n")
+    _edit_bytes(d / "log.npz", lambda b: b[:-100])
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 1
-    assert "incomplete" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "incomplete log: log.npz is not an npz archive: File is not a zip file\n"
 
 
 def _edit_meta(d, fn):
@@ -331,8 +322,8 @@ def _edit_bytes(path, fn):
     path.write_bytes(fn(path.read_bytes()))
 
 
-# corruptions beyond test_harness.CORRUPTIONS, each with a part of the message
-# both subcommands print
+# corruptions of meta.json beyond test_harness.STORE_CORRUPTIONS, each with a
+# part of the message both subcommands print
 RUN_DIR_CORRUPTIONS = {
     "meta-hash-mismatch": (lambda d: _edit_meta(
         d, lambda m: m["scenario"]["controller"]["u_star"].__setitem__(0, 1.5)),
@@ -340,10 +331,7 @@ RUN_DIR_CORRUPTIONS = {
     "meta-invalid-scenario": (lambda d: _edit_meta(
         d, lambda m: m["scenario"].__setitem__("horizon", 0)),
         "meta.json: invalid scenario"),
-    # a run directory with no steps: header-only log files and horizon 0
-    "meta-zero-horizon": (lambda d: [_edit_meta(d, lambda m: m.__setitem__("horizon", 0))]
-                          + [_edit_bytes(d / name, lambda b: b[:b.index(b"\n") + 1])
-                             for name in ("trajectory.csv", "edges.csv")],
+    "meta-zero-horizon": (lambda d: _edit_meta(d, lambda m: m.__setitem__("horizon", 0)),
                           "meta.json: horizon 0"),
     "meta-not-json": (lambda d: (d / "meta.json").write_text('{"label": '),
                       "meta.json is not valid JSON"),
@@ -356,35 +344,31 @@ RUN_DIR_CORRUPTIONS = {
                           "meta.json: seed 3.0 is not an integer"),
     "meta-boolean-horizon": (lambda d: _edit_meta(d, lambda m: m.__setitem__("horizon", True)),
                              "meta.json: horizon True is not a step count"),
-    "trajectory-not-utf8": (lambda d: _edit_bytes(
-        d / "trajectory.csv", lambda b: b + b"\xff\xfe"),
-        "trajectory.csv: not UTF-8 text"),
-    # a Latin-1 byte inside a cell of line 3
-    "edges-not-utf8": (lambda d: _edit_bytes(
-        d / "edges.csv", lambda b: b.replace(b"\n1,1,4,", b"\n1,1,4,\xe9", 1)),
-        "edges.csv: not UTF-8 text"),
+    "meta-arrays-not-object": (lambda d: _edit_meta(d, lambda m: m.__setitem__("arrays", [])),
+                               "log.npz: array u does not match its dtype, shape and SHA-256"),
 }
 
 
-@pytest.mark.parametrize("case", ["trajectory-duplicate-row", "edges-unknown-pair",
-                                  *RUN_DIR_CORRUPTIONS])
+@pytest.mark.parametrize("case", [*STORE_CORRUPTIONS, *RUN_DIR_CORRUPTIONS])
 def test_corrupt_run_directory_exit_codes(tmp_path, capsys, case):
     # verify reports a corrupt or mismatched run as a usage problem (1),
-    # plotdata as an unreadable run (3); neither prints a traceback
-    d = run_dir(tmp_path)
-    if case in RUN_DIR_CORRUPTIONS:
-        edit, message = RUN_DIR_CORRUPTIONS[case]
-        edit(d)
+    # plotdata and export as an unreadable run (3); none prints a traceback
+    if case in STORE_CORRUPTIONS:
+        d = saved_case(tmp_path)
+        edit, message = STORE_CORRUPTIONS[case]
     else:
-        corrupt(d, case)
-        message = CORRUPTIONS[case][2]
+        d = run_dir(tmp_path)
+        edit, message = RUN_DIR_CORRUPTIONS[case]
+    edit(d)
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 1
     err = capsys.readouterr().err
-    assert "incomplete log:" in err and message in err
-    assert main(["plotdata", "--log", str(d)]) == 3
-    err = capsys.readouterr().err
-    assert "unreadable run:" in err and message in err
+    assert err.startswith("incomplete log:") and message in err and err.count("\n") == 1
+    for command in ("plotdata", "export"):
+        assert main([command, "--log", str(d)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("unreadable run:") and message in err and err.count("\n") == 1
+    assert not (d / "trajectory.csv").exists()
 
 
 def _params_to_x(doc):
@@ -457,12 +441,34 @@ def test_verify_missing_directory(tmp_path, capsys):
 
 def test_missing_log_file_is_no_run_found(tmp_path, capsys):
     d = run_dir(tmp_path)
-    (d / "trajectory.csv").unlink()
+    (d / "log.npz").unlink()
     capsys.readouterr()
-    for command in ("verify", "plotdata"):
+    for command in ("verify", "plotdata", "export"):
         assert main([command, "--log", str(d)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("no run found: ") and "trajectory.csv" in err
+        assert err.startswith("no run found: ") and "log.npz" in err
+
+
+# ---------------------------------------------------------------------------
+# export
+
+def test_export_writes_the_log_as_csv(tmp_path, capsys):
+    d = run_dir(tmp_path, "--log-stride", "7")
+    log = harness.load_run(str(d))[0]
+    csvout.export_csv(log, str(tmp_path / "want"))
+    capsys.readouterr()
+    for argv, outdir in ((["--log", str(d)], d),
+                         (["--log", str(d), "--out", str(tmp_path / "x")], tmp_path / "x")):
+        assert main(["export", *argv]) == 0
+        assert capsys.readouterr().out == \
+            f"wrote {os.path.join(str(outdir), 'trajectory.csv')} and edges.csv\n"
+        for name in ("trajectory.csv", "edges.csv"):
+            assert (outdir / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    lines = (d / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next"
+    assert len(lines) == 1 + 400 * 4
+    edges = (d / "edges.csv").read_text().splitlines()
+    assert edges[0] == "k,i,j,z,eps" and len(edges) == 1 + 58 * 8
 
 
 # ---------------------------------------------------------------------------

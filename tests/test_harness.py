@@ -2,17 +2,15 @@ import copy
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
-import textwrap
+import time
 import unittest.mock
-import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ from hypothesis import strategies as st
 import hwconsensus.harness as H
 from hwconsensus import (
     analysis,
+    csvout,
     builtin_case,
     directed_pairs,
     laplacian,
@@ -271,6 +270,24 @@ def test_validate_rejects_decreasing_gain():
         validate_scenario(scenario_from_dict(d))
 
 
+def test_each_distinct_agent_is_checked_once_per_process(monkeypatch):
+    # a seed batch re-validates one scenario per seed; an AgentSpec is frozen,
+    # so its stability and gain checks run once, and a failure is still raised
+    # every time with its agent's index
+    checked = []
+    real = H.is_strictly_increasing
+    monkeypatch.setattr(H, "is_strictly_increasing", lambda h: checked.append(h) or real(h))
+    H._agent_failure.cache_clear()
+    doc = scenario_to_dict(two_agent_scenario(horizon=20))
+    doc["agents"][1]["C"] = [1, 0.25]
+    batch(scenario_from_dict(doc), [1, 2, 3])
+    assert len(checked) == 2  # two distinct specs
+    doc["agents"][0]["C"] = [1, 0.0, 0.0, 1.0234567]  # roots inside the stability margin
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="^agent 1: C has a root of modulus"):
+            validate_scenario(scenario_from_dict(doc))
+
+
 def test_validate_enforces_full_logging_cap():
     d = _doc()
     d["horizon"] = 200_001
@@ -297,9 +314,11 @@ def test_run_deterministic_on_disk(tmp_path):
     s = builtin_case(2, horizon=250)
     da, db = tmp_path / "a", tmp_path / "b"
     save_run(run(s), str(da))
-    save_run(run(s), str(db))
-    for name in ("trajectory.csv", "edges.csv"):
-        assert (da / name).read_bytes() == (db / name).read_bytes()
+    # a day later: the zip members carry no save time
+    with unittest.mock.patch("time.time", return_value=time.time() + 86400):
+        save_run(run(s), str(db))
+    for name in ("log.npz", "summary.json", "meta.json"):
+        assert (da / name).read_bytes() == (db / name).read_bytes(), name
 
 
 def test_master_seed_overrides_scenario_seed():
@@ -390,8 +409,10 @@ def test_golden_log_digests():
 
 
 # SHA-256 of (trajectory.csv, edges.csv) as saved from the same runs,
-# recorded before the writer became column-wise; any change to the float
-# formatting, the blank cells or the row order moves these
+# recorded before the writer became column-wise, when save_run wrote these
+# files; they are now what `export` writes of the saved runs. Any change to
+# the float formatting, the blank cells, the row order or the store's round
+# trip moves these
 GOLDEN_FILE_DIGESTS = {
     "case1-noisy-stride1": (
         "ef7f99e1ce42c1b3e1d48b7a5239556b910e7e284353329e9c7dd5bf9164b214",
@@ -448,6 +469,7 @@ def test_golden_saved_file_digests(tmp_path):
     for key, s in scenarios.items():
         d = tmp_path / key
         save_run(run(s), str(d))
+        assert main(["export", "--log", str(d)]) == 0
         got = tuple(hashlib.sha256((d / name).read_bytes()).hexdigest()
                     for name in ("trajectory.csv", "edges.csv"))
         if got != GOLDEN_FILE_DIGESTS[key]:
@@ -475,12 +497,17 @@ def test_run_initial_plants_length_checked():
 def _logs_equal(a, b):
     assert a.horizon == b.horizon and a.log_stride == b.log_stride
     assert a.pairs == b.pairs
-    for name in ("u", "sigma", "sigma_prime", "u_prime"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    for name in ("y_next", "O_next", "z", "eps"):
+    for name in LOG_COLUMNS:
         x, y = getattr(a, name), getattr(b, name)
-        assert np.array_equal(np.isnan(x), np.isnan(y)), name
-        assert np.array_equal(x[~np.isnan(x)], y[~np.isnan(y)]), name
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y, equal_nan=True), name
+
+
+def relog(res, **arrays):
+    """res with its log rebuilt as run builds it, from its stored arrays with
+    the given ones replaced."""
+    stored = {**H._stored_arrays(res.log), **arrays}
+    return dataclasses.replace(res, log=H._new_log(res.scenario, res.seed, **stored))
 
 
 def test_save_load_round_trip_value_exact(tmp_path):
@@ -506,11 +533,12 @@ def test_save_load_round_trip_strided(tmp_path):
 
 
 def test_save_load_round_trip_with_an_all_nan_logged_edge_row(tmp_path):
-    # step 8 is on the stride (1, 8, 15): its edge rows are written, NaN cells and all
+    # step 8 is on the stride (1, 8, 15): its noise row, and so its z row, is NaN
     res = run(builtin_case(1, horizon=20, log_stride=7))
-    z = res.log.z.copy()
-    z[7] = np.nan
-    res = dataclasses.replace(res, log=dataclasses.replace(res.log, z=z))
+    eps = H._stored_arrays(res.log)["eps"].copy()
+    eps[1] = np.nan
+    res = relog(res, eps=eps)
+    assert np.isnan(res.log.z[7]).all()
     save_run(res, str(tmp_path / "r"))
     log, _ = load_run(str(tmp_path / "r"))
     _logs_equal(log, res.log)
@@ -526,42 +554,84 @@ def test_load_run_ignores_keys_it_does_not_read(tmp_path):
     _logs_equal(log, res.log)
 
 
-# values where repr() and the parser could disagree: signed zero, subnormals,
-# the largest finite float, infinities, and both sides of repr's switches to
-# exponent notation at 1e16 and 1e-4
+# values where repr() and a float parser could disagree: signed zero,
+# subnormals, the largest finite float, infinities, and both sides of repr's
+# switches to exponent notation at 1e16 and 1e-4
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
                2.2250738585072014e-308, 1.7976931348623157e308, math.inf, -math.inf,
                1e16, 9999999999999998.0, 1.0000000000000002e16,
                1e-4, 0.00010000000000000002, 9.999999999999999e-05, 1e-05, -1.5]
 
 
+def _float_bits(x: float) -> int:
+    return int(np.array(x).view(np.int64))
+
+
+# quiet and signalling NaNs of either sign, with and without a payload
+NAN_BITS = [int(np.array(b, dtype=np.uint64).view(np.int64)) for b in (
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+    0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF)]
+
+
+def _aborted_run(s, round_):
+    """The partial RunResult of s when its first plant raises at round round_."""
+    real = H.stepper
+    calls = []
+
+    def exploding_stepper(plant):
+        plant_step = real(plant)
+
+        def call(u):
+            calls.append(u)
+            if len(calls) == s.n * (round_ - 1) + 1:
+                raise NonFiniteValue("synthetic overflow")
+            return plant_step(u)
+        return call
+
+    with unittest.mock.patch.object(H, "stepper", exploding_stepper), \
+            pytest.raises(NonFiniteValue) as exc:
+        run(s)
+    return exc.value.partial
+
+
 @functools.lru_cache(maxsize=None)
-def _round_trip_base(stride):
-    return run(builtin_case(3, horizon=9, log_stride=stride))
+def _round_trip_base(base):
+    if base == "stride1":
+        return run(builtin_case(3, horizon=9))
+    if base == "stride7":
+        return run(builtin_case(2, horizon=30, log_stride=7))
+    if base == "aborted":
+        return _aborted_run(builtin_case(1, horizon=40, log_stride=7), 17)
+    # a real overflow: the second plant's output passes the largest float at step 2
+    doc = scenario_to_dict(two_agent_scenario(horizon=50))
+    doc["agents"][1].update(kind="hammerstein", D=[1, 2.0], f={
+        "name": "cubic_affine", "params": {"alpha": 1.0, "beta": 1.0, "gamma": 0.0}})
+    doc["controller"]["initial_u"] = [0.0, 5e102]
+    with pytest.raises(NonFiniteValue) as exc:
+        run(scenario_from_dict(doc))
+    return exc.value.partial
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data(), st.sampled_from([1, 4]))
-def test_save_load_round_trip_bit_exact(data, stride):
-    base = _round_trip_base(stride)
-    floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False))
-    cols = {}
-    for name in LOG_COLUMNS:
-        old = getattr(base.log, name)
-        values = st.integers(-2 ** 63, 2 ** 63 - 1) if old.dtype.kind == "i" else floats
-        new = np.array(data.draw(st.lists(values, min_size=old.size, max_size=old.size)),
-                       dtype=old.dtype).reshape(old.shape)
-        if old.dtype.kind == "f":
-            new[np.isnan(old)] = np.nan  # steps off the stride stay blank
-        cols[name] = new
-    res = dataclasses.replace(base, log=dataclasses.replace(base.log, **cols))
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["stride1", "stride7", "aborted", "diverged"]))
+def test_save_load_round_trip_bit_exact(data, base):
+    # any stored values, NaN payloads included, come back bit for bit, and the
+    # loaded log is the one run builds of them, on every column
+    res = _round_trip_base(base)
+    bits = st.one_of(st.sampled_from(EDGE_FLOATS).map(_float_bits),
+                     st.floats().map(_float_bits), st.sampled_from(NAN_BITS))
+    arrays = {}
+    for name, old in H._stored_arrays(res.log).items():
+        values = st.integers(-2 ** 63, 2 ** 63 - 1) if old.dtype.kind == "i" else bits
+        drawn = data.draw(st.lists(values, min_size=old.size, max_size=old.size))
+        arrays[name] = np.array(drawn, dtype=np.int64).view(old.dtype).reshape(old.shape)
+    res = relog(res, **arrays)
     with tempfile.TemporaryDirectory() as d:
         save_run(res, d)
         log, _ = load_run(d)
-    for name in LOG_COLUMNS:
-        got, want = getattr(log, name), cols[name]
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
+    _logs_equal(log, res.log)
+    for name, got in H._stored_arrays(log).items():
+        assert got.tobytes() == arrays[name].tobytes(), name
 
 
 # The writer's cell formatting before it skipped NaN cells, copied u cells
@@ -580,8 +650,8 @@ def _reference_trajectory_blocks(log):
     fc = _reference_format_cells
     K, n = log.u.shape
     agents = fc(np.arange(1, n + 1))
-    for a in range(0, K, H.SAVE_BLOCK_STEPS):
-        b = min(a + H.SAVE_BLOCK_STEPS, K)
+    for a in range(0, K, csvout.SAVE_BLOCK_STEPS):
+        b = min(a + csvout.SAVE_BLOCK_STEPS, K)
         yield (fc(np.repeat(np.arange(a + 1, b + 1), n)), agents * (b - a),
                *(fc(col[a:b]) for col in (log.u, log.sigma, log.sigma_prime, log.u_prime)),
                fc(log.y_next[a:b], blank_nan=True), fc(log.O_next[a:b], blank_nan=True))
@@ -593,20 +663,10 @@ def _reference_edge_blocks(log):
     observers = fc([i for i, _ in log.pairs])
     observed = fc([j for _, j in log.pairs])
     steps = np.arange(0, len(log.z), log.log_stride)  # every logged step, whatever its cells
-    for a in range(0, len(steps), H.SAVE_BLOCK_STEPS):
-        rows = steps[a:a + H.SAVE_BLOCK_STEPS]
+    for a in range(0, len(steps), csvout.SAVE_BLOCK_STEPS):
+        rows = steps[a:a + csvout.SAVE_BLOCK_STEPS]
         yield (fc(np.repeat(rows + 1, m)), observers * len(rows),
                observed * len(rows), fc(log.z[rows]), fc(log.eps[rows]))
-
-
-def _float_bits(x: float) -> int:
-    return int(np.array(x).view(np.int64))
-
-
-# quiet and signalling NaNs of either sign, with and without a payload
-NAN_BITS = [int(np.array(b, dtype=np.uint64).view(np.int64)) for b in (
-    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
-    0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -642,13 +702,13 @@ def test_writer_bytes_match_one_repr_per_cell(data, stride, K, n):
         sigma_prime=ints(), u_prime=u_prime, y_next=strided(n), O_next=strided(n),
         z=strided(len(pairs)), eps=strided(len(pairs)), u_star=np.zeros(n), c_M=55.0)
     with tempfile.TemporaryDirectory() as d, \
-            unittest.mock.patch.object(H, "SAVE_BLOCK_STEPS", 3):
+            unittest.mock.patch.object(csvout, "SAVE_BLOCK_STEPS", 3):
         for name, blocks, reference in (
-                ("trajectory", H._trajectory_blocks, _reference_trajectory_blocks),
-                ("edges", H._edge_blocks, _reference_edge_blocks)):
+                ("trajectory", csvout._trajectory_blocks, _reference_trajectory_blocks),
+                ("edges", csvout._edge_blocks, _reference_edge_blocks)):
             got, want = os.path.join(d, name + ".csv"), os.path.join(d, name + ".ref")
-            H.write_csv(got, "header", blocks(log))
-            H.write_csv(want, "header", reference(log))
+            csvout.write_csv(got, "header", blocks(log))
+            csvout.write_csv(want, "header", reference(log))
             with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
                 assert fh_got.read() == fh_want.read(), name
 
@@ -666,7 +726,7 @@ I64 = np.iinfo(np.int64)
 ], ids=lambda v: repr(np.asarray(v).tolist())[:40])
 def test_format_cells_of_integers_match_one_repr_per_cell(values):
     values = np.array(values, dtype=np.int64)
-    assert H.format_cells(values) == _reference_format_cells(values)
+    assert csvout.format_cells(values) == _reference_format_cells(values)
 
 
 def test_summary_and_meta_files(tmp_path):
@@ -678,10 +738,26 @@ def test_summary_and_meta_files(tmp_path):
     assert summary["total_truncations"] == res.summary["total_truncations"]
     assert "wall_time" not in summary
     meta = json.loads((tmp_path / "r" / "meta.json").read_text())
-    assert set(meta) == {"horizon", "seed", "scenario_hash", "scenario"}
+    assert set(meta) == {"horizon", "seed", "scenario_hash", "scenario", "arrays"}
     assert meta["horizon"] == 60
     assert meta["scenario_hash"] == scenario_hash(res.scenario)
     assert meta["scenario"] == scenario_to_dict(res.scenario)
+    stored = {"u": res.log.u, "sigma": res.log.sigma, "y": res.log.y_next, "eps": res.log.eps}
+    assert meta["arrays"] == {
+        name: {"dtype": a.dtype.str, "shape": list(a.shape),
+               "sha256": hashlib.sha256(a.tobytes()).hexdigest()}
+        for name, a in stored.items()}
+
+
+def test_the_store_holds_what_the_round_loop_keeps(tmp_path):
+    res = run(builtin_case(3, horizon=30, log_stride=7))
+    save_run(res, str(tmp_path / "r"))
+    stored = _stored(tmp_path / "r" / "log.npz")
+    rows = np.arange(0, 30, 7)
+    assert sorted(stored) == ["eps", "sigma", "u", "y"]
+    for name, want in (("u", res.log.u), ("sigma", res.log.sigma),
+                       ("y", res.log.y_next[rows]), ("eps", res.log.eps[rows])):
+        assert stored[name].dtype == want.dtype and np.array_equal(stored[name], want), name
 
 
 def test_load_run_missing_directory(tmp_path):
@@ -689,16 +765,18 @@ def test_load_run_missing_directory(tmp_path):
         load_run(str(tmp_path / "nope"))
 
 
-def _edit_lines(path, fn):
-    lines = path.read_text().splitlines()
-    fn(lines)
-    path.write_text("\n".join(lines) + "\n")
+def test_load_run_without_the_store_raises_file_not_found(tmp_path):
+    d = saved_case(tmp_path)
+    (d / "log.npz").unlink()
+    with pytest.raises(FileNotFoundError, match="log.npz"):
+        load_run(str(d))
 
 
-def _set_field(lines, idx, pos, value):
-    parts = lines[idx].split(",")
-    parts[pos] = value
-    lines[idx] = ",".join(parts)
+def saved_case(tmp_path, name="r"):
+    """A saved case-1 run (4 agents, 8 directed edges, horizon 20, stride 1)."""
+    d = tmp_path / name
+    save_run(run(builtin_case(1, horizon=20)), str(d))
+    return d
 
 
 def _edit_meta(d, fn):
@@ -707,225 +785,179 @@ def _edit_meta(d, fn):
     (d / "meta.json").write_text(json.dumps(meta))
 
 
-# each corrupts a saved case-1 run (4 agents, 8 directed edges, horizon
-# 20, stride 1); line 2 + 4 (k - 1) + (agent - 1) of trajectory.csv holds
-# (k, agent), so line 39 (index 38) is step 10, agent 2
-CORRUPTIONS = {
-    # a copy of step 10, agent 1 standing in for the missing step 10, agent 2
-    "trajectory-duplicate-row": (
-        "trajectory.csv", lambda ls: ls.__setitem__(38, ls[37]),
-        "trajectory.csv line 39: step 10, agent 1 where step 10, agent 2 belongs"),
-    "trajectory-missing-row": (
-        "trajectory.csv", lambda ls: ls.__delitem__(38),
-        "trajectory.csv line 39: step 10, agent 3 where step 10, agent 2 belongs"),
-    "trajectory-missing-last-row": (
-        "trajectory.csv", lambda ls: ls.__delitem__(-1),
-        "trajectory.csv: no row for step 20, agent 4"),
-    "trajectory-step-out-of-range": (
-        "trajectory.csv", lambda ls: _set_field(ls, 38, 0, "100000"),
-        "line 39: step 100000, agent 2 where step 10, agent 2 belongs"),
-    "trajectory-unknown-agent": (
-        "trajectory.csv", lambda ls: _set_field(ls, 38, 1, "7"),
-        "line 39: step 10, agent 7 where step 10, agent 2 belongs"),
-    "trajectory-malformed-value": (
-        "trajectory.csv", lambda ls: _set_field(ls, 38, 2, "1.5e"), "line 39: could not"),
-    "edges-duplicate-row": (
-        "edges.csv", lambda ls: ls.__setitem__(2, ls[1]),
-        "edges.csv line 3: step 1, edge (1, 2) where step 1, edge (1, 4) belongs"),
-    "edges-missing-row": (
-        "edges.csv", lambda ls: ls.__delitem__(2),
-        "edges.csv line 3: step 1, edge (2, 1) where step 1, edge (1, 4) belongs"),
-    # 20 steps of 8 directed edges fill lines 2..161
-    "edges-extra-row": (
-        "edges.csv", lambda ls: ls.append(ls[-1]),
-        "edges.csv line 162: step 20, edge (4, 2) after the last logged step"),
-    "edges-step-out-of-range": (
-        "edges.csv", lambda ls: _set_field(ls, 2, 0, "0"),
-        "line 3: step 0, edge (1, 4) where step 1, edge (1, 4) belongs"),
-    "edges-unknown-pair": (
-        "edges.csv", lambda ls: _set_field(ls, 2, 2, "3"),
-        "line 3: step 1, edge (1, 3) where step 1, edge (1, 4) belongs"),
-    # numpy's parser skips blank lines and by default reads '#' as the start
-    # of a comment; a trailing comma adds an empty field. Each is rejected
-    "trajectory-blank-line": (
-        "trajectory.csv", lambda ls: ls.insert(38, ""), "line 39: 1 fields, expected 8"),
-    "trajectory-comment-field": (
-        "trajectory.csv", lambda ls: _set_field(ls, 38, 7, "#" + ls[38].split(",")[7]),
-        "line 39: could not convert string to float: '#"),
-    "edges-trailing-comma": (
-        "edges.csv", lambda ls: ls.__setitem__(2, ls[2] + ","),
-        "line 3: 6 fields, expected 5"),
-    # numpy's parser reads an int field that int() rejects through float
-    "trajectory-fractional-sigma": (
-        "trajectory.csv", lambda ls: _set_field(ls, 38, 3, "3.5"),
-        "line 39: invalid literal for int() with base 10: '3.5'"),
-    "trajectory-exponent-step": (
-        "trajectory.csv", lambda ls: _set_field(ls, 38, 0, "1e1"),
-        "line 39: invalid literal for int() with base 10: '1e1'"),
-    "trajectory-sigma-beyond-int64": (
-        "trajectory.csv", lambda ls: _set_field(ls, 38, 3, "9223372036854775808"),
-        "line 39: '9223372036854775808' does not fit in 64 bits"),
-    "edges-float-key": (
-        "edges.csv", lambda ls: _set_field(ls, 2, 1, "1.0"),
-        "line 3: invalid literal for int() with base 10: '1.0'"),
+def _edit_bytes(path, fn):
+    path.write_bytes(fn(path.read_bytes()))
+
+
+def _stored(path) -> dict:
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _resave_arrays(d, fn):
+    """Rewrite log.npz with fn applied to its arrays; meta.json keeps its records."""
+    arrays = _stored(d / "log.npz")
+    fn(arrays)
+    np.savez(d / "log.npz", **arrays)
+
+
+def flip_bit(d, name, index, bit=0):
+    """Flip one bit of the element at index of array name, in log.npz itself."""
+    path = d / "log.npz"
+    a = _stored(path)[name]
+    raw = bytearray(path.read_bytes())
+    # the arrays are stored uncompressed, so their bytes appear as they are
+    offset = raw.index(a.tobytes()) + int(np.ravel_multi_index(index, a.shape)) * a.itemsize
+    raw[offset + bit // 8] ^= 1 << bit % 8
+    path.write_bytes(bytes(raw))
+
+
+def _add_raw_member(d, name):
+    with zipfile.ZipFile(d / "log.npz", "a") as archive:
+        archive.writestr(name, b"not an array")
+
+
+def _meta_of_the_strided_run(d):
+    # a valid meta.json, of the same case and seed logged at stride 7
+    other = d.parent / "strided"
+    save_run(run(builtin_case(1, horizon=20, log_stride=7)), str(other))
+    (d / "meta.json").write_bytes((other / "meta.json").read_bytes())
+
+
+# each corrupts saved_case, with the message load_run raises
+STORE_CORRUPTIONS = {
+    "missing-array": (lambda d: _resave_arrays(d, lambda a: a.pop("eps")),
+                      "log.npz holds ['sigma.npy', 'u.npy', 'y.npy'], "
+                      "expected ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy']"),
+    "extra-array": (lambda d: _resave_arrays(d, lambda a: a.update(z=a["eps"])),
+                    "log.npz holds ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy', 'z.npy'], "
+                    "expected ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy']"),
+    # a member that is not an npy file: np.load hands its raw bytes back
+    "raw-member": (lambda d: _add_raw_member(d, "u"),
+                   "log.npz holds ['eps.npy', 'sigma.npy', 'u', 'u.npy', 'y.npy'], "
+                   "expected ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy']"),
+    "wrong-dtype": (lambda d: _resave_arrays(d, lambda a: a.update(sigma=a["sigma"] + 0.0)),
+                    "log.npz: array sigma has dtype float64, expected int64"),
+    "wrong-shape": (lambda d: _resave_arrays(d, lambda a: a.update(u=a["u"][:-1])),
+                    "log.npz: array u has shape (19, 4), expected (20, 4)"),
+    "digest-mismatch": (lambda d: _resave_arrays(d, lambda a: a["u"].__setitem__((9, 1), 0.5)),
+                        "log.npz: array u does not match its dtype, shape and SHA-256 "
+                        "in meta.json"),
+    # zip's CRC-32 catches the flip before the digest does
+    "flipped-bit": (lambda d: flip_bit(d, "y", (9, 1)),
+                    "log.npz: array y: Bad CRC-32 for file 'y.npy'"),
+    "truncated": (lambda d: _edit_bytes(d / "log.npz", lambda b: b[:len(b) // 2]),
+                  "log.npz is not an npz archive: File is not a zip file"),
+    "not-zip": (lambda d: (d / "log.npz").write_text("k,agent,u\n1,1,0.0\n"),
+                "log.npz is not an npz archive: This file contains pickled (object) data"),
+    "object-array": (lambda d: _resave_arrays(d, lambda a: a.update(u=a["u"].astype(object))),
+                     "log.npz: array u: Object arrays cannot be loaded when "
+                     "allow_pickle=False"),
+    "meta-of-another-run": (_meta_of_the_strided_run,
+                            "log.npz: array y has shape (20, 4), expected (3, 4)"),
+    "meta-record-edited": (lambda d: _edit_meta(
+        d, lambda m: m["arrays"]["eps"].__setitem__("sha256", "0" * 64)),
+        "log.npz: array eps does not match its dtype, shape and SHA-256 in meta.json"),
 }
 
 
-def corrupt(d, case):
-    name, fn, _ = CORRUPTIONS[case]
-    _edit_lines(d / name, fn)
-
-
-@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
-def test_load_run_rejects_corrupt_log_files(tmp_path, case):
-    d = tmp_path / "r"
-    save_run(run(builtin_case(1, horizon=20)), str(d))
+@pytest.mark.parametrize("case", STORE_CORRUPTIONS)
+def test_load_run_rejects_a_corrupt_store(tmp_path, case):
+    d = saved_case(tmp_path)
     load_run(str(d))
-    corrupt(d, case)
-    with pytest.raises(IncompleteLog, match=re.escape(CORRUPTIONS[case][2])):
+    edit, message = STORE_CORRUPTIONS[case]
+    edit(d)
+    with pytest.raises(IncompleteLog) as exc:
         load_run(str(d))
-
-
-def test_load_run_rejects_int_cells_numpy_reads_through_float(tmp_path, monkeypatch):
-    # numpy 1.x parses an int field like '3.5' as 3 with a DeprecationWarning
-    # instead of failing; that warning must not let the cell load
-    real = np.loadtxt
-
-    def loadtxt_reading_ints_through_float(fh, *args, **kwargs):
-        text = fh.read().replace(",3.5,", ",3,")
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                      DeprecationWarning)
-        return real(io.StringIO(text), *args, **kwargs)
-
-    d = tmp_path / "r"
-    save_run(run(builtin_case(1, horizon=20)), str(d))
-    corrupt(d, "trajectory-fractional-sigma")
-    monkeypatch.setattr(np, "loadtxt", loadtxt_reading_ints_through_float)
-    with pytest.raises(IncompleteLog,
-                       match=re.escape(CORRUPTIONS["trajectory-fractional-sigma"][2])):
-        load_run(str(d))
-
-
-def test_store_rejections_hold_under_python_O(tmp_path):
-    # no rejection may depend on assert, which -O compiles away
-    d = tmp_path / "r"
-    save_run(run(builtin_case(1, horizon=20)), str(d))
-    corrupt(d, "trajectory-duplicate-row")
-    script = textwrap.dedent("""
-        import sys
-        from hwconsensus import load_run
-        from hwconsensus.errors import IncompleteLog
-        try:
-            load_run(sys.argv[1])
-        except IncompleteLog as e:
-            print(sys.flags.optimize, e)
-    """)
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-O", "-c", script, str(d)], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == \
-        "1 trajectory.csv line 39: step 10, agent 1 where step 10, agent 2 belongs"
-
-
-def test_load_run_accepts_what_int_and_float_read(tmp_path):
-    res = run(builtin_case(1, horizon=20))
-    d = tmp_path / "r"
-    save_run(res, str(d))
-    path = d / "trajectory.csv"
-    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    log, _ = load_run(str(d))
-    _logs_equal(log, res.log)
-
-
-@pytest.mark.parametrize("pos, cell", [(0, "1_0"), (2, "\u0660.\u0665")],
-                         ids=["digit-separator", "non-ascii-digits"])
-def test_load_run_names_the_line_of_a_cell_only_int_and_float_read(tmp_path, pos, cell):
-    # int() and float() read digit separators and Arabic-Indic digits ('1_0'
-    # is 10, '\u0660.\u0665' is 0.5) and numpy's parser does not; the locator
-    # rejects them too, so the message names the file line, not numpy's row
-    d = tmp_path / "r"
-    save_run(run(builtin_case(1, horizon=20)), str(d))
-    _edit_lines(d / "trajectory.csv", lambda ls: _set_field(ls, 38, pos, cell))
-    with pytest.raises(IncompleteLog, match=re.escape(
-            f"trajectory.csv line 39: {cell!r} is not a plain ASCII number")):
-        load_run(str(d))
-
-
-def _key_text(name, line):
-    k, *cell = line.split(",")[:2 if name == "trajectory.csv" else 3]
-    return f"step {k}, " + (f"agent {cell[0]}" if len(cell) == 1
-                            else f"edge ({cell[0]}, {cell[1]})")
+    assert str(exc.value).startswith(message)
 
 
 @functools.lru_cache(maxsize=None)
-def _order_base(stride):
-    return run(builtin_case(2, horizon=30, log_stride=stride))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from([1, 7]), st.sampled_from(["trajectory.csv", "edges.csv"]),
-       st.sampled_from(["swap", "delete", "duplicate"]))
-def test_load_run_names_the_first_line_out_of_order(data, stride, name, edit):
+def _saved_store(base):
+    """The log.npz bytes of a saved base run, and each array's data span in them."""
     with tempfile.TemporaryDirectory() as d:
-        save_run(_order_base(stride), d)
-        path = os.path.join(d, name)
-        with open(path) as fh:
-            want = fh.read().splitlines()
-        got = list(want)
-        # the last line, where a deletion leaves a row missing and a
-        # duplicate runs past the end, is drawn as often as all others
-        a = data.draw(st.one_of(st.just(len(want) - 1), st.integers(1, len(want) - 1)))
-        if edit == "swap":
-            b = data.draw(st.integers(1, len(want) - 1).filter(lambda b: b != a))
-            got[a], got[b] = got[b], got[a]
-        elif edit == "delete":
-            del got[a]
-        else:
-            got.insert(a, got[a])
-        with open(path, "w") as fh:
-            fh.write("\n".join(got) + "\n")
-        # the first line, after the header, whose key is not the one save_run
-        # writes there; each line's key is unique, so every edit moves one
-        x = next(x for x in range(1, max(len(got), len(want)))
-                 if x >= min(len(got), len(want))
-                 or _key_text(name, got[x]) != _key_text(name, want[x]))
-        if x >= len(got):
-            message = f"{name}: no row for {_key_text(name, want[x])}"
-        elif x >= len(want):
-            message = f"{name} line {x + 1}: {_key_text(name, got[x])} after the last logged step"
-        else:
-            message = (f"{name} line {x + 1}: {_key_text(name, got[x])} "
-                       f"where {_key_text(name, want[x])} belongs")
-        with pytest.raises(IncompleteLog) as exc:
-            load_run(d)
-        assert str(exc.value) == message
+        save_run(_round_trip_base(base), d)
+        with open(os.path.join(d, "log.npz"), "rb") as fh:
+            raw = fh.read()
+        spans = [(raw.index(a.tobytes()), raw.index(a.tobytes()) + a.nbytes)
+                 for a in _stored(os.path.join(d, "log.npz")).values()]
+    return raw, spans
 
 
-def test_load_run_rejects_edge_rows_off_the_stride(tmp_path):
-    d = tmp_path / "r"
-    save_run(run(builtin_case(2, horizon=30, log_stride=7)), str(d))
-    load_run(str(d))
-    # step 2 is not on the stride (1, 8, 15, ...) and has no edge rows
-    _edit_lines(d / "edges.csv", lambda ls: _set_field(ls, 1, 0, "2"))
-    with pytest.raises(IncompleteLog, match=re.escape(
-            "edges.csv line 2: step 2, edge (1, 2) where step 1, edge (1, 2) belongs")):
-        load_run(str(d))
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(["stride7", "aborted"]))
+def test_a_flipped_bit_in_the_store_is_rejected_or_changes_nothing(data, base):
+    # a flip in any array's data is rejected; elsewhere it may hit a zip
+    # header field zipfile does not read, and the log loads unchanged
+    raw, spans = _saved_store(base)
+    offset = data.draw(st.one_of(
+        st.integers(0, len(raw) - 1),
+        st.sampled_from(spans).flatmap(lambda span: st.integers(span[0], span[1] - 1))))
+    flipped = bytearray(raw)
+    flipped[offset] ^= 1 << data.draw(st.integers(0, 7))
+    with tempfile.TemporaryDirectory() as d:
+        save_run(_round_trip_base(base), d)
+        with open(os.path.join(d, "log.npz"), "wb") as fh:
+            fh.write(flipped)
+        try:
+            log, _ = load_run(d)
+        except IncompleteLog:
+            return
+    assert not any(a <= offset < b for a, b in spans), offset
+    _logs_equal(log, _round_trip_base(base).log)
+
+
+_UNDER_O = """
+import contextlib, io, json, sys
+from hwconsensus import load_run
+from hwconsensus.cli import main
+from hwconsensus.errors import IncompleteLog
+for d in sys.argv[1:]:
+    try:
+        load_run(d)
+        message = None
+    except IncompleteLog as e:
+        message = str(e)
+    out = [sys.flags.optimize, message]
+    for command in ("verify", "plotdata"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            out += [main([command, "--log", d]), err.getvalue()]
+    print(json.dumps(out))
+"""
+
+
+def test_store_rejections_hold_under_python_O(tmp_path):
+    # no rejection may depend on assert, which -O compiles away: load_run
+    # raises, verify exits 1 and plotdata 3, each with the message and no traceback
+    dirs = []
+    for case, (edit, _) in STORE_CORRUPTIONS.items():
+        dirs.append(saved_case(tmp_path / case))
+        edit(dirs[-1])
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O, *map(str, dirs)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == len(STORE_CORRUPTIONS)
+    for (case, (_, message)), line in zip(STORE_CORRUPTIONS.items(), lines):
+        optimize, got, verify, verify_err, plot, plot_err = json.loads(line)
+        assert optimize == 1 and got.startswith(message), case
+        assert verify == 1 and verify_err == f"incomplete log: {got}\n", case
+        assert plot == 3 and plot_err == f"unreadable run: {got}\n", case
 
 
 def test_load_run_rejects_scenario_hash_mismatch(tmp_path):
-    d = tmp_path / "r"
-    save_run(run(builtin_case(1, horizon=20)), str(d))
+    d = saved_case(tmp_path)
     _edit_meta(d, lambda m: m["scenario"]["controller"].__setitem__("c_M", 56.0))
     with pytest.raises(IncompleteLog, match="does not match its scenario_hash"):
         load_run(str(d))
 
 
 def test_load_run_rejects_horizon_beyond_scenario(tmp_path):
-    d = tmp_path / "r"
-    save_run(run(builtin_case(1, horizon=20)), str(d))
+    d = saved_case(tmp_path)
     _edit_meta(d, lambda m: m.__setitem__("horizon", 21))
     with pytest.raises(IncompleteLog, match="horizon 21 is not a step count from 1 to the "
                                             "scenario's 20"):

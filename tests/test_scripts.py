@@ -4,7 +4,7 @@ import sys
 
 from hwconsensus import builtin_case, run, save_run
 
-from test_harness import corrupt
+from test_harness import flip_bit
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "scripts", "partial_sum_traces.py")
@@ -30,9 +30,9 @@ def test_partial_sum_traces_writes_both_traces(tmp_path):
 def test_partial_sum_traces_rejects_a_corrupt_run(tmp_path):
     d = tmp_path / "r"
     save_run(run(builtin_case(1, horizon=20)), str(d))
-    corrupt(d, "trajectory-duplicate-row")
+    flip_bit(d, "eps", (9, 2))
     out = partial_sums("--log", str(d))
     assert out.returncode == 3
-    assert "unreadable run: trajectory.csv line 39: step 10, agent 1 where" in out.stderr
+    assert out.stderr == "unreadable run: log.npz: array eps: Bad CRC-32 for file 'eps.npy'\n"
     assert "Traceback" not in out.stderr
     assert not (d / "window_sums.csv").exists()
