@@ -523,6 +523,9 @@ def _read_store(fh, s: Scenario, K: int, records) -> dict:
                 arrays[name] = npz[name]
             except _UNREADABLE as e:
                 raise IncompleteLog(f"{LOG_FILE}: array {name}: {e}") from None
+            # a .npy member without the npy magic reads as bytes too
+            if not isinstance(arrays[name], np.ndarray):
+                raise IncompleteLog(f"{LOG_FILE}: array {name}: {name}.npy is not an npy file")
     for i, check in enumerate(("dtype", "shape")):
         for name, a in arrays.items():
             if getattr(a, check) != want[name][i]:

@@ -11,7 +11,7 @@ from hwconsensus import build_auxiliary, builtin_case, csvout, harness, scenario
 from hwconsensus.cli import main
 
 from conftest import two_agent_scenario
-from test_harness import STORE_CORRUPTIONS, flip_bit, relog, saved_case
+from test_harness import CORRUPTIONS, flip_bit, relog, saved_case
 
 
 def run_dir(tmp_path, *extra):
@@ -223,19 +223,38 @@ def test_verify_tampered_log_fails(tmp_path, capsys):
                            "decomposition_max_err"}
 
 
-@pytest.mark.parametrize("name, index", [("u", (149, 1)), ("sigma", (149, 1)),
-                                         ("y", (149, 1)), ("eps", (149, 4))],
-                         ids=["u", "sigma", "y", "eps"])
-def test_verify_rejects_a_flipped_bit_in_the_store(tmp_path, capsys, name, index):
-    # sigma_prime, u_prime, z and O_next are derived from these arrays on
-    # load, so a corrupt cell is one of them, and load_run rejects it
+def _verify_names_a_flipped_bit(tmp_path, capsys, name, index, bit):
+    """verify of a run with one bit flipped in array name of log.npz: load_run
+    rejects it, naming the array, with exit 1, also with asserts compiled away."""
     d = run_dir(tmp_path)
-    flip_bit(d, name, index, bit=3)
+    flip_bit(d, name, index, bit)
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 1
     err = capsys.readouterr().err
     assert err == f"incomplete log: log.npz: array {name}: Bad CRC-32 for file '{name}.npy'\n"
     assert _main_under_O(["verify", "--log", str(d)]) == (1, err)
+
+
+@pytest.mark.parametrize("column, field, edit", [
+    ("u_prime", 5, lambda log: log.u),
+    ("sigma_prime", 4, lambda log: log.sigma),
+])
+def test_verify_locates_a_corrupted_stored_column(tmp_path, capsys, column, field, edit):
+    # the column is not stored: load_run derives it from the array edit reads,
+    # so a corrupt cell of it is one in that array, flipped here in bit field
+    d = run_dir(tmp_path)
+    log, _ = harness.load_run(str(d))
+    stored = harness._stored_arrays(log)
+    assert column not in stored
+    name = next(key for key, a in stored.items() if a is edit(log))
+    _verify_names_a_flipped_bit(tmp_path, capsys, name, (149, 1), field)
+
+
+def test_verify_locates_a_z_cell_off_its_identity(tmp_path, capsys):
+    # z is y of the observed agent plus eps, derived on load: a z cell off its
+    # identity is a corrupt cell of y or of eps, at k=150, edge (2, 3) here
+    for name, index in (("y", (149, 2)), ("eps", (149, 3))):
+        _verify_names_a_flipped_bit(tmp_path / name, capsys, name, index, 3)
 
 
 @pytest.mark.parametrize("count", ["1000000000000", "-1", "150"], ids=["huge", "negative", "k"])
@@ -322,7 +341,7 @@ def _edit_bytes(path, fn):
     path.write_bytes(fn(path.read_bytes()))
 
 
-# corruptions of meta.json beyond test_harness.STORE_CORRUPTIONS, each with a
+# corruptions of meta.json beyond test_harness.CORRUPTIONS, each with a
 # part of the message both subcommands print
 RUN_DIR_CORRUPTIONS = {
     "meta-hash-mismatch": (lambda d: _edit_meta(
@@ -349,13 +368,13 @@ RUN_DIR_CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("case", [*STORE_CORRUPTIONS, *RUN_DIR_CORRUPTIONS])
+@pytest.mark.parametrize("case", [*CORRUPTIONS, *RUN_DIR_CORRUPTIONS])
 def test_corrupt_run_directory_exit_codes(tmp_path, capsys, case):
     # verify reports a corrupt or mismatched run as a usage problem (1),
     # plotdata and export as an unreadable run (3); none prints a traceback
-    if case in STORE_CORRUPTIONS:
+    if case in CORRUPTIONS:
         d = saved_case(tmp_path)
-        edit, message = STORE_CORRUPTIONS[case]
+        edit, message = CORRUPTIONS[case]
     else:
         d = run_dir(tmp_path)
         edit, message = RUN_DIR_CORRUPTIONS[case]

@@ -812,9 +812,17 @@ def flip_bit(d, name, index, bit=0):
     path.write_bytes(bytes(raw))
 
 
-def _add_raw_member(d, name):
+def _add_raw_member(d, name, data=b"not an array"):
     with zipfile.ZipFile(d / "log.npz", "a") as archive:
-        archive.writestr(name, b"not an array")
+        archive.writestr(name, data)
+
+
+def _member_not_npy(d, name, fn):
+    """Rewrite log.npz with member name.npy holding fn of its npy bytes."""
+    with zipfile.ZipFile(d / "log.npz") as archive:
+        raw = archive.read(f"{name}.npy")
+    _resave_arrays(d, lambda a: a.pop(name))
+    _add_raw_member(d, f"{name}.npy", fn(raw))
 
 
 def _meta_of_the_strided_run(d):
@@ -824,25 +832,99 @@ def _meta_of_the_strided_run(d):
     (d / "meta.json").write_bytes((other / "meta.json").read_bytes())
 
 
-# each corrupts saved_case, with the message load_run raises
-STORE_CORRUPTIONS = {
+def _set(a, name, fn):
+    a[name] = fn(a[name].copy())
+
+
+def _cell(index, value):
+    def fn(x):
+        x[index] = value(x) if callable(value) else value
+        return x
+    return fn
+
+
+def _as_text_with(index, cell):
+    def fn(x):
+        x = x.astype(str)
+        x[index] = cell
+        return x
+    return fn
+
+
+DIGEST = "does not match its dtype, shape and SHA-256 in meta.json"
+
+# each corrupts saved_case, with the message load_run raises. The cases named
+# trajectory-* and edges-* make the damage their name says (a copied cell, a
+# missing or extra row, an unknown agent or edge, a value that is not a
+# float64 or int64, bytes that are not the file's format) to the arrays that
+# hold those columns: u, sigma and y per agent, eps per edge; row 9 is step 10
+# and column 1 agent 2
+CORRUPTIONS = {
+    # a digest mismatch: a copy of step 10, agent 1 standing in for agent 2
+    "trajectory-duplicate-row": (
+        lambda d: _resave_arrays(d, lambda a: _set(a, "u", _cell((9, 1), lambda x: x[9, 0]))),
+        f"log.npz: array u {DIGEST}"),
+    # wrong shapes
+    "trajectory-missing-row": (
+        lambda d: _resave_arrays(d, lambda a: _set(a, "u", lambda x: np.delete(x, 9, axis=0))),
+        "log.npz: array u has shape (19, 4), expected (20, 4)"),
+    "trajectory-missing-last-row": (
+        lambda d: _resave_arrays(d, lambda a: _set(a, "sigma", lambda x: x[:-1])),
+        "log.npz: array sigma has shape (19, 4), expected (20, 4)"),
+    # a row for step 21 of a 20-step run
+    "trajectory-step-out-of-range": (
+        lambda d: _resave_arrays(d, lambda a: _set(a, "y", lambda x: np.vstack([x, x[-1:]]))),
+        "log.npz: array y has shape (21, 4), expected (20, 4)"),
+    "trajectory-unknown-agent": (
+        lambda d: _resave_arrays(d, lambda a: _set(a, "u", lambda x: np.hstack([x, x[:, :1]]))),
+        "log.npz: array u has shape (20, 5), expected (20, 4)"),
+    # wrong dtypes
+    "trajectory-malformed-value": (
+        lambda d: _resave_arrays(d, lambda a: _set(a, "u", _as_text_with((9, 1), "1.5e"))),
+        "log.npz: array u has dtype <U"),
+    "trajectory-fractional-sigma": (
+        lambda d: _resave_arrays(d, lambda a: _set(
+            a, "sigma", lambda x: _cell((9, 1), 3.5)(x.astype(np.float64)))),
+        "log.npz: array sigma has dtype float64, expected int64"),
+    "trajectory-sigma-beyond-int64": (
+        lambda d: _resave_arrays(d, lambda a: _set(
+            a, "sigma", lambda x: _cell((9, 1), 2 ** 63)(x.astype(np.uint64)))),
+        "log.npz: array sigma has dtype uint64, expected int64"),
+    # a member that is not an npy file: np.load hands its raw bytes back
+    "trajectory-not-utf8": (
+        lambda d: _member_not_npy(d, "u", lambda b: b"k,agent,u\n1,1,0.0\n\xff\xfe"),
+        "log.npz: array u: u.npy is not an npy file"),
+    "edges-not-utf8": (
+        lambda d: _member_not_npy(d, "eps", lambda b: b"\xe9" + b[1:]),
+        "log.npz: array eps: eps.npy is not an npy file"),
+    "edges-duplicate-row": (
+        lambda d: _resave_arrays(d, lambda a: _set(a, "eps", _cell((0, 1), lambda x: x[0, 0]))),
+        f"log.npz: array eps {DIGEST}"),
+    "edges-missing-row": (
+        lambda d: _resave_arrays(d, lambda a: _set(a, "eps", lambda x: np.delete(x, 1, axis=1))),
+        "log.npz: array eps has shape (20, 7), expected (20, 8)"),
+    "edges-extra-row": (
+        lambda d: _resave_arrays(d, lambda a: _set(a, "eps", lambda x: np.vstack([x, x[-1:]]))),
+        "log.npz: array eps has shape (21, 8), expected (20, 8)"),
+    # a row for step 0, before the first
+    "edges-step-out-of-range": (
+        lambda d: _resave_arrays(d, lambda a: _set(
+            a, "eps", lambda x: np.vstack([np.zeros_like(x[:1]), x]))),
+        "log.npz: array eps has shape (21, 8), expected (20, 8)"),
+    "edges-unknown-pair": (
+        lambda d: _resave_arrays(d, lambda a: _set(a, "eps", lambda x: np.hstack([x, x[:, :1]]))),
+        "log.npz: array eps has shape (20, 9), expected (20, 8)"),
+    # the set of arrays
     "missing-array": (lambda d: _resave_arrays(d, lambda a: a.pop("eps")),
                       "log.npz holds ['sigma.npy', 'u.npy', 'y.npy'], "
                       "expected ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy']"),
     "extra-array": (lambda d: _resave_arrays(d, lambda a: a.update(z=a["eps"])),
                     "log.npz holds ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy', 'z.npy'], "
                     "expected ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy']"),
-    # a member that is not an npy file: np.load hands its raw bytes back
+    # a member without .npy: np.load hands its raw bytes back
     "raw-member": (lambda d: _add_raw_member(d, "u"),
                    "log.npz holds ['eps.npy', 'sigma.npy', 'u', 'u.npy', 'y.npy'], "
                    "expected ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy']"),
-    "wrong-dtype": (lambda d: _resave_arrays(d, lambda a: a.update(sigma=a["sigma"] + 0.0)),
-                    "log.npz: array sigma has dtype float64, expected int64"),
-    "wrong-shape": (lambda d: _resave_arrays(d, lambda a: a.update(u=a["u"][:-1])),
-                    "log.npz: array u has shape (19, 4), expected (20, 4)"),
-    "digest-mismatch": (lambda d: _resave_arrays(d, lambda a: a["u"].__setitem__((9, 1), 0.5)),
-                        "log.npz: array u does not match its dtype, shape and SHA-256 "
-                        "in meta.json"),
     # zip's CRC-32 catches the flip before the digest does
     "flipped-bit": (lambda d: flip_bit(d, "y", (9, 1)),
                     "log.npz: array y: Bad CRC-32 for file 'y.npy'"),
@@ -853,23 +935,105 @@ STORE_CORRUPTIONS = {
     "object-array": (lambda d: _resave_arrays(d, lambda a: a.update(u=a["u"].astype(object))),
                      "log.npz: array u: Object arrays cannot be loaded when "
                      "allow_pickle=False"),
+    # a meta.json and a store of different runs
     "meta-of-another-run": (_meta_of_the_strided_run,
                             "log.npz: array y has shape (20, 4), expected (3, 4)"),
     "meta-record-edited": (lambda d: _edit_meta(
         d, lambda m: m["arrays"]["eps"].__setitem__("sha256", "0" * 64)),
-        "log.npz: array eps does not match its dtype, shape and SHA-256 in meta.json"),
+        f"log.npz: array eps {DIGEST}"),
 }
 
 
-@pytest.mark.parametrize("case", STORE_CORRUPTIONS)
-def test_load_run_rejects_a_corrupt_store(tmp_path, case):
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_load_run_rejects_corrupt_log_files(tmp_path, case):
     d = saved_case(tmp_path)
     load_run(str(d))
-    edit, message = STORE_CORRUPTIONS[case]
+    edit, message = CORRUPTIONS[case]
     edit(d)
     with pytest.raises(IncompleteLog) as exc:
         load_run(str(d))
     assert str(exc.value).startswith(message)
+
+
+def test_load_run_rejects_int_cells_numpy_reads_through_float(tmp_path):
+    # counts stored as float64 are rejected even when every one is a whole
+    # number that would convert back exactly: the loader casts nothing
+    d = saved_case(tmp_path)
+    _resave_arrays(d, lambda a: a.update(sigma=a["sigma"] + 0.0))
+    with pytest.raises(IncompleteLog) as exc:
+        load_run(str(d))
+    assert str(exc.value) == "log.npz: array sigma has dtype float64, expected int64"
+
+
+def test_load_run_accepts_what_int_and_float_read(tmp_path):
+    # the same arrays deflated (np.savez_compressed) are the same store: np.load
+    # reads them and every dtype, shape and digest matches
+    res = run(builtin_case(1, horizon=20))
+    d = tmp_path / "r"
+    save_run(res, str(d))
+    arrays = _stored(d / "log.npz")
+    np.savez_compressed(d / "log.npz", **arrays)
+    with zipfile.ZipFile(d / "log.npz") as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+    log, _ = load_run(str(d))
+    _logs_equal(log, res.log)
+
+
+@functools.lru_cache(maxsize=None)
+def _order_base(stride):
+    return run(builtin_case(2, horizon=30, log_stride=stride))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 7]), st.sampled_from(["u", "sigma", "y", "eps"]),
+       st.sampled_from(["swap", "delete", "duplicate"]))
+def test_load_run_names_the_first_line_out_of_order(data, stride, name, edit):
+    # one array with two rows swapped, one row deleted or one duplicated:
+    # load_run names that array, with its shape or its digest; a swap of two
+    # equal rows changes nothing, and the log loads unchanged
+    res = _order_base(stride)
+    want = H._stored_arrays(res.log)[name]
+    # the last row, where a deletion leaves a row missing and a duplicate
+    # runs past the end, is drawn as often as all others
+    a = data.draw(st.one_of(st.just(len(want) - 1), st.integers(0, len(want) - 1)))
+    if edit == "swap":
+        b = data.draw(st.integers(0, len(want) - 1).filter(lambda b: b != a))
+        got = want.copy()
+        got[[a, b]] = got[[b, a]]
+    elif edit == "delete":
+        got = np.delete(want, a, axis=0)
+    else:
+        got = np.insert(want, a, want[a], axis=0)
+    with tempfile.TemporaryDirectory() as d:
+        save_run(res, d)
+        arrays = _stored(os.path.join(d, "log.npz"))
+        arrays[name] = got
+        np.savez(os.path.join(d, "log.npz"), **arrays)
+        if got.tobytes() == want.tobytes():
+            _logs_equal(load_run(d)[0], res.log)
+            return
+        with pytest.raises(IncompleteLog) as exc:
+            load_run(d)
+    if got.shape == want.shape:
+        assert str(exc.value) == f"log.npz: array {name} {DIGEST}"
+    else:
+        assert str(exc.value) == \
+            f"log.npz: array {name} has shape {got.shape}, expected {want.shape}"
+
+
+def test_load_run_rejects_edge_rows_off_the_stride(tmp_path):
+    d = tmp_path / "r"
+    res = run(builtin_case(2, horizon=30, log_stride=7))
+    save_run(res, str(d))
+    load_run(str(d))
+    # the rows of a log at stride 7 are steps 1, 8, 15, 22 and 29; noise on
+    # every step, NaN off the stride, is 30 rows where 5 belong
+    eps = res.log.eps
+    _resave_arrays(d, lambda a: a.update(eps=eps))
+    with pytest.raises(IncompleteLog) as exc:
+        load_run(str(d))
+    assert str(exc.value) == \
+        f"log.npz: array eps has shape (30, {eps.shape[1]}), expected (5, {eps.shape[1]})"
 
 
 @functools.lru_cache(maxsize=None)
@@ -931,7 +1095,7 @@ def test_store_rejections_hold_under_python_O(tmp_path):
     # no rejection may depend on assert, which -O compiles away: load_run
     # raises, verify exits 1 and plotdata 3, each with the message and no traceback
     dirs = []
-    for case, (edit, _) in STORE_CORRUPTIONS.items():
+    for case, (edit, _) in CORRUPTIONS.items():
         dirs.append(saved_case(tmp_path / case))
         edit(dirs[-1])
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -941,8 +1105,8 @@ def test_store_rejections_hold_under_python_O(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == len(STORE_CORRUPTIONS)
-    for (case, (_, message)), line in zip(STORE_CORRUPTIONS.items(), lines):
+    assert len(lines) == len(CORRUPTIONS)
+    for (case, (_, message)), line in zip(CORRUPTIONS.items(), lines):
         optimize, got, verify, verify_err, plot, plot_err = json.loads(line)
         assert optimize == 1 and got.startswith(message), case
         assert verify == 1 and verify_err == f"incomplete log: {got}\n", case
