@@ -29,6 +29,11 @@ from .errors import (
 from .graph import LaplacianView, Topology, diameter, laplacian
 
 INF = float("inf")
+# the eq28 grid verify checks: k <= EQ28_GRID_K, T in EQ28_GRID_T; every
+# EQ28_GRID_K e^T is within _MAX_TERMS
+EQ28_GRID_K = 1000
+EQ28_GRID_T = (0.1, 0.5, 1.0, 2.0)
+RECURSION_THRESHOLD = 1e-9  # largest replay residual the recursion check passes
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +64,6 @@ class TrajectoryLog:
     eps: np.ndarray
     u_star: np.ndarray
     c_M: float
-    scenario_hash: str = ""
-    seed: int = 0
 
     @property
     def horizon(self) -> int:
@@ -476,15 +479,15 @@ class RecursionCheck:
     sigma_consistent: bool
 
 
-def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
-                                 threshold: float = 1e-9) -> RecursionCheck:
+def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule) -> RecursionCheck:
     """Replay the relabeled run as one centralized truncation recursion.
 
     From each row: candidate = ubar + (1/k) obar per agent; if the row's
     max |candidate| reaches ln(sigma_bar + c_M) every agent resets to its
     u_star and sigma_bar increments, else the candidates carry forward.
     Reports the largest deviation from the logged relabeling and whether the
-    sigma_bar path matches the indicator exactly.
+    sigma_bar path matches the indicator exactly; it passes when both hold,
+    the deviation below RECURSION_THRESHOLD.
     """
     K, n = aux.ubar.shape
     if K < 2:
@@ -498,7 +501,7 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
     resid = float(diff.max())
     sigma_ok = bool(np.array_equal(aux.sigma_bar[1:],
                                    aux.sigma_bar[:-1] + ind[:-1].astype(aux.sigma_bar.dtype)))
-    return RecursionCheck(max_abs_residual=resid, passed=resid < threshold and sigma_ok,
+    return RecursionCheck(max_abs_residual=resid, passed=resid < RECURSION_THRESHOLD and sigma_ok,
                           sigma_consistent=sigma_ok)
 
 
@@ -630,24 +633,16 @@ def geometric_rows(K: int, points: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bundled verification
 
-def full_verification(log: TrajectoryLog, gains, topology: Topology,
-                      m_grid_k: int = 1000,
-                      m_grid_T: tuple = (0.1, 0.5, 1.0, 2.0)):
+def full_verification(log: TrajectoryLog, gains, topology: Topology):
     """Run every identity check on one log.
 
     Returns (report, extras): report carries the four headline fields
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
-    supporting diagnostics for human output, among them the eq28 grid checked
-    (k <= m_grid_k, T in m_grid_T) and its first failing (k, T, lo, m, hi),
-    or None, and h, the gains on log.u, for consensus_metrics. An empty grid,
-    or a T that is not > 0 with m_grid_k e^T <= _MAX_TERMS (2^20), raises
-    ValidationError; a count outside 0..k-1 raises IdentityViolation located
-    at (k, agent, count).
+    supporting diagnostics for human output, among them the first failing
+    (k, T, lo, m, hi) of the eq28 grid (EQ28_GRID_K, EQ28_GRID_T), or None,
+    and h, the gains on log.u, for consensus_metrics. A count outside
+    0..k-1 raises IdentityViolation located at (k, agent, count).
     """
-    if not m_grid_T or not all(_window_ok(m_grid_k, T) for T in m_grid_T):
-        raise ValidationError(
-            f"eq28 grid needs m_grid_k >= 1 and T > 0 with m_grid_k e^T <= {_MAX_TERMS}, "
-            f"got m_grid_k={m_grid_k}, m_grid_T={m_grid_T}")
     # a count rises by at most 1 per round from 0, so 0 <= sigma_{k,i} <= k - 1;
     # checked before truncation_times sizes its tables by the largest count
     k = np.arange(1, len(log.sigma) + 1)[:, None]
@@ -671,7 +666,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
     d = diameter(topology)
     eq26 = check_window_bound(aux.times, d, log.horizon)
 
-    eq28_failure = _eq28_first_failure(m_grid_k, m_grid_T)
+    eq28_failure = _eq28_first_failure(EQ28_GRID_K, EQ28_GRID_T)
 
     report = {
         "lemma3_residual": rec.max_abs_residual,
@@ -685,7 +680,6 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology,
         "sigma_consistent": rec.sigma_consistent,
         "diameter": d,
         "truncation_top": aux.times.top,
-        "eq28_grid": (m_grid_k, tuple(m_grid_T)),
         "eq28_first_failure": eq28_failure,
         "h": hg[0],
     }

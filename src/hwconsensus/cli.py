@@ -141,8 +141,7 @@ def cmd_verify(args) -> int:
     rec = extras["recursion"]
 
     decomp_ok = report["decomposition_max_err"] < 1e-10
-    grid_k, grid_T = extras["eq28_grid"]
-    eq28_note = f"grid k <= {grid_k}, T in {grid_T}"
+    eq28_note = f"grid k <= {analysis.EQ28_GRID_K}, T in {analysis.EQ28_GRID_T}"
     if extras["eq28_first_failure"] is not None:
         k, T, lo, m, hi = extras["eq28_first_failure"]
         eq28_note += f"; first failure at k={k}, T={T}: {lo!r} < {m} < {hi!r}"

@@ -27,7 +27,8 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class Schedule:
-    """Step sizes a_k = 1/k and truncation bounds M_sigma = ln(sigma + c_M).
+    """Truncation bounds M_sigma = ln(sigma + c_M); advance forms the step
+    sizes a_k = 1/k itself.
 
     The bounds come from one table per schedule: ln(sigma + c_M) is computed
     once per sigma, the first time a caller needs it.
@@ -39,9 +40,6 @@ class Schedule:
     def __post_init__(self):
         if not (self.c_M > 0 and math.isfinite(self.c_M)):
             raise ValidationError(f"c_M must be positive and finite, got {self.c_M!r}")
-
-    def a(self, k: int) -> float:
-        return 1.0 / k
 
     def bounds(self, top: int) -> list:
         """The table M_0, M_1, ..., at least up to M_top."""
@@ -82,7 +80,7 @@ def advance(u: list, sigma: list, ys: list, eps_row: list, nbrs: list, u_star: l
                     sp = sigma[j]
             pooled.append(sp)
 
-    a = sched.a(k)
+    a = 1.0 / k
     M = sched.bounds(top)
     for i, nb in enumerate(nbrs):
         sp = pooled[i]

@@ -58,10 +58,6 @@ class LaplacianView:
     D: np.ndarray  # diagonal degree matrix
     L: np.ndarray  # D - P
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diag(self.D).copy()
-
 
 def build_topology(n: int, weighted_edges) -> Topology:
     """Build and validate a topology from (i, j, weight) triples.
@@ -77,7 +73,8 @@ def build_topology(n: int, weighted_edges) -> Topology:
             i, j, w = triple
         except (TypeError, ValueError):
             raise ValidationError(f"edge {triple!r} is not an (i, j, weight) triple")
-        if not (isinstance(i, int) and isinstance(j, int)):
+        # JSON true is a Python int equal to 1: only an int is an agent number
+        if not (type(i) is int and type(j) is int):
             raise ValidationError(f"edge endpoints must be integers, got {triple!r}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexOutOfRange(f"edge ({i},{j}) outside 1..{n}")

@@ -1,10 +1,11 @@
 """Scenario configuration, the synchronous simulation loop, and persistence.
 
 A scenario bundles a topology, per-agent plants, the controller constants,
-and a noise spec. Runs are deterministic functions of (scenario, seed): one
-round applies every agent's current input to its plant, exchanges noisy
-output observations and truncation counts as a snapshot, then advances every
-controller. The complete per-round record goes into a TrajectoryLog.
+and a noise spec with its seed. Runs are deterministic functions of the
+scenario: one round applies every agent's current input to its plant,
+exchanges noisy output observations and truncation counts as a snapshot,
+then advances every controller. The complete per-round record goes into a
+TrajectoryLog.
 
 File layout of a saved run directory:
   log.npz         what the round loop keeps, as npy arrays (np.savez,
@@ -12,8 +13,9 @@ File layout of a saved run directory:
                   every step, y (L, n) and eps (L, m) float64 on the L logged
                   steps; load_run derives the other log columns from them
   summary.json    headline numbers, a function of the log; null if not finite
-  meta.json       horizon K (rows written), seed, scenario and its hash, and
-                  each array's dtype, shape and SHA-256
+  meta.json       the scenario that ran (its noise seed included) and its hash,
+                  and each array's dtype, shape and SHA-256; the shape of u
+                  gives the rows written, K
 csvout.export_csv writes a log as text (trajectory.csv and edges.csv)."""
 
 from __future__ import annotations
@@ -314,29 +316,32 @@ def builtin_case(case: int, horizon: int = 100_000, seed: int = 1,
 
 @dataclass
 class RunResult:
-    scenario: Scenario
-    seed: int
+    scenario: Scenario  # the scenario that ran, its noise seed included
     log: analysis.TrajectoryLog
     summary: dict
     wall_time: float
+
+    @property
+    def seed(self) -> int:
+        return self.scenario.noise.seed
 
 
 def directed_pairs(t: Topology) -> list:
     return sorted((i, j) for i in range(1, t.n + 1) for j in t.neighbors(i))
 
 
-def _new_log(s: Scenario, seed: int, u: np.ndarray, sigma: np.ndarray, y: np.ndarray,
+def _new_log(s: Scenario, u: np.ndarray, sigma: np.ndarray, y: np.ndarray,
              eps: np.ndarray) -> analysis.TrajectoryLog:
-    """The log of a run of s under the noise seed, from what its round loop keeps:
-    u and sigma on every row, the outputs y and the noise eps on the logged rows.
-    The other LOG_COLUMNS are derived by analysis.round_columns."""
+    """The log of a run of s, from what its round loop keeps: u and sigma on
+    every row, the outputs y and the noise eps on the logged rows. The other
+    LOG_COLUMNS are derived by analysis.round_columns."""
     pairs = directed_pairs(s.topology)
     u_star = np.array(s.controller.u_star)
     return analysis.TrajectoryLog(
         log_stride=s.log_stride, pairs=pairs, u=u, sigma=sigma,
         **analysis.round_columns(u, sigma, y, eps, analysis.neighbour_columns(s.topology, pairs),
                                  u_star, s.log_stride),
-        u_star=u_star, c_M=s.controller.c_M, scenario_hash=scenario_hash(s), seed=seed)
+        u_star=u_star, c_M=s.controller.c_M)
 
 
 def summarize(log: analysis.TrajectoryLog, gains, lap) -> dict:
@@ -359,15 +364,17 @@ def summarize(log: analysis.TrajectoryLog, gains, lap) -> dict:
 
 def run(s: Scenario, master_seed: int | None = None,
         initial_plants: list | None = None) -> RunResult:
-    """Simulate one scenario to its horizon; deterministic in (s, seed).
+    """Simulate one scenario to its horizon; deterministic in s.
 
-    initial_plants overrides the zero-history plants (robustness tests); the
-    caller's objects are copied, never mutated.
+    master_seed, when given, replaces the scenario's noise seed, and the
+    result carries the scenario with that seed. initial_plants overrides the
+    zero-history plants (robustness tests); the caller's objects are copied,
+    never mutated.
     """
     validate_scenario(s)
     t0 = time.perf_counter()
-    seed = s.noise.seed if master_seed is None else int(master_seed)
-    nz = replace(s.noise, seed=seed)
+    if master_seed is not None:
+        s = replace(s, noise=replace(s.noise, seed=int(master_seed)))
 
     n = s.n
     K = s.horizon
@@ -390,7 +397,7 @@ def run(s: Scenario, master_seed: int | None = None,
     sigma = [0] * n
     u_star = list(s.controller.u_star)
     nbrs = analysis.neighbour_columns(topo, pairs)
-    eps = np.column_stack([stream_for(nz, i, j, topo).draw(K) for (i, j) in pairs])
+    eps = np.column_stack([stream_for(s.noise, i, j, topo).draw(K) for (i, j) in pairs])
     # the noise rows as Python floats, converted one block of steps at a time
     eps_rows = (row for a in range(0, K, NOISE_BLOCK_STEPS)
                 for row in eps[a:a + NOISE_BLOCK_STEPS].tolist())
@@ -402,7 +409,7 @@ def run(s: Scenario, master_seed: int | None = None,
     def make_log() -> analysis.TrajectoryLog:
         rows = len(u_buf) // n
         # the logged rows' noise is a view, not a copy
-        return _new_log(s, seed, np.frombuffer(u_buf).reshape(rows, n),
+        return _new_log(s, np.frombuffer(u_buf).reshape(rows, n),
                         np.frombuffer(sigma_buf, dtype=np.int64).reshape(rows, n),
                         np.frombuffer(y_buf).reshape(-1, n), eps[:rows:stride])
 
@@ -414,7 +421,7 @@ def run(s: Scenario, master_seed: int | None = None,
         except NonFiniteValue as e:
             err = NonFiniteValue(str(e), step=k, agent=len(ys) + 1)
             partial = make_log()
-            err.partial = RunResult(scenario=s, seed=seed, log=partial,
+            err.partial = RunResult(scenario=s, log=partial,
                                     summary=summarize(partial, gains, lap)
                                     if k > 1 else {"aborted_at": k},
                                     wall_time=time.perf_counter() - t0)
@@ -427,7 +434,7 @@ def run(s: Scenario, master_seed: int | None = None,
         advance(u, sigma, ys, e_row, nbrs, u_star, k, sched)
 
     log = make_log()
-    return RunResult(scenario=s, seed=seed, log=log, summary=summarize(log, gains, lap),
+    return RunResult(scenario=s, log=log, summary=summarize(log, gains, lap),
                      wall_time=time.perf_counter() - t0)
 
 
@@ -478,15 +485,12 @@ def _array_records(arrays: dict) -> dict:
 
 def save_run(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    log = result.log
-    arrays = _stored_arrays(log)
+    arrays = _stored_arrays(result.log)
     # np.savez writes fixed zip timestamps: a replayed run saves the same bytes
     np.savez(os.path.join(outdir, LOG_FILE), **arrays)
-    write_json(os.path.join(outdir, "summary.json"),
-               {"label": result.scenario.label, "seed": result.seed, **result.summary})
+    write_json(os.path.join(outdir, "summary.json"), result.summary)
     write_json(os.path.join(outdir, "meta.json"),
-               {"horizon": log.horizon, "seed": result.seed,
-                "scenario_hash": log.scenario_hash,
+               {"scenario_hash": scenario_hash(result.scenario),
                 "scenario": scenario_to_dict(result.scenario),
                 "arrays": _array_records(arrays)})
 
@@ -500,9 +504,21 @@ def write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _read_store(fh, s: Scenario, K: int, records) -> dict:
-    """The arrays of an open log.npz of K rows of s, checked in turn for the
-    exact set of names, the dtypes, the shapes, then the records of meta.json."""
+_NO_RECORD = "does not match its dtype, shape and SHA-256 in meta.json"
+
+
+def _read_store(fh, s: Scenario, records) -> dict:
+    """The arrays of an open log.npz of a run of s, checked in turn for the
+    exact set of names, the dtypes, the shapes, then the records of meta.json.
+    The rows K are the rows meta.json records for u, from 1 to s.horizon."""
+    try:
+        K = records["u"]["shape"][0]
+    except (TypeError, KeyError, IndexError):
+        raise IncompleteLog(f"{LOG_FILE}: array u {_NO_RECORD}") from None
+    # JSON true is a Python int equal to 1: only an int is a count
+    if not (type(K) is int and 1 <= K <= s.horizon):
+        raise IncompleteLog(f"{LOG_FILE}: array u has {K!r} rows in meta.json, not a step "
+                            f"count from 1 to the scenario's {s.horizon}")
     F, I = np.dtype(np.float64), np.dtype(np.int64)
     L, n, m = len(analysis.logged_rows(K, s.log_stride)), s.n, len(directed_pairs(s.topology))
     want = {"u": (F, (K, n)), "sigma": (I, (K, n)), "y": (F, (L, n)), "eps": (F, (L, m))}
@@ -532,23 +548,24 @@ def _read_store(fh, s: Scenario, K: int, records) -> dict:
                 raise IncompleteLog(f"{LOG_FILE}: array {name} has {check} "
                                     f"{getattr(a, check)}, expected {want[name][i]}")
     for name, record in _array_records(arrays).items():
-        if not isinstance(records, dict) or records.get(name) != record:
-            raise IncompleteLog(f"{LOG_FILE}: array {name} does not match its dtype, "
-                                "shape and SHA-256 in meta.json")
+        if records.get(name) != record:
+            raise IncompleteLog(f"{LOG_FILE}: array {name} {_NO_RECORD}")
     return arrays
 
 
 def load_run(rundir: str):
-    """Read a saved run back as (TrajectoryLog, Scenario), the log built from
-    the stored arrays as run builds it.
+    """Read a saved run back as (TrajectoryLog, Scenario): the scenario that
+    ran, its noise seed included, and the log built from the stored arrays as
+    run builds it.
 
     Raises IncompleteLog, naming the file or the array, for a meta.json that
-    is not a JSON object with every key it reads (others are ignored), whose
-    embedded scenario is invalid or does not match its scenario_hash, whose
-    horizon is not a step count from 1 to the scenario's or whose seed is not
-    an integer, and for a log.npz that is not an npz archive of exactly the
-    arrays save_run writes, with their dtypes, the shapes of that horizon and
-    scenario, and the dtypes, shapes and SHA-256 digests meta.json records.
+    is not a JSON object with every key it reads (others, such as the horizon
+    and seed older run directories hold, are ignored), whose embedded
+    scenario is invalid or does not match its scenario_hash, or whose record
+    of u does not give a step count K from 1 to the scenario's horizon, and
+    for a log.npz that is not an npz archive of exactly the arrays save_run
+    writes, with their dtypes, the shapes of K rows of that scenario, and the
+    dtypes, shapes and SHA-256 digests meta.json records.
     A missing meta.json or log.npz raises FileNotFoundError.
     """
     with open(os.path.join(rundir, "meta.json")) as fh, \
@@ -559,7 +576,7 @@ def load_run(rundir: str):
             raise IncompleteLog(f"meta.json is not valid JSON: {e}") from None
         if not isinstance(meta, dict):
             raise IncompleteLog(f"meta.json holds a {type(meta).__name__}, not an object")
-        missing = {"horizon", "seed", "scenario_hash", "scenario", "arrays"} - set(meta)
+        missing = {"scenario_hash", "scenario", "arrays"} - set(meta)
         if missing:
             raise IncompleteLog(f"meta.json lacks {sorted(missing)}")
         try:
@@ -569,12 +586,5 @@ def load_run(rundir: str):
         if scenario_hash(s) != meta["scenario_hash"]:
             raise IncompleteLog("meta.json: the embedded scenario does not match its "
                                 f"scenario_hash {meta['scenario_hash']!r}")
-        K, seed = meta["horizon"], meta["seed"]
-        # JSON true is a Python int equal to 1: only an int is a count or a seed
-        if not (type(K) is int and 1 <= K <= s.horizon):
-            raise IncompleteLog(f"meta.json: horizon {K!r} is not a step count from 1 "
-                                f"to the scenario's {s.horizon}")
-        if type(seed) is not int:
-            raise IncompleteLog(f"meta.json: seed {seed!r} is not an integer")
-        arrays = _read_store(store, s, K, meta["arrays"])
-    return _new_log(s, seed, **arrays), s
+        arrays = _read_store(store, s, meta["arrays"])
+    return _new_log(s, **arrays), s

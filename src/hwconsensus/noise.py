@@ -1,4 +1,4 @@
-"""Per-directed-edge observation noise, deterministic under a master seed.
+"""Per-directed-edge observation noise, deterministic under the scenario's noise seed.
 
 Each ordered pair (observer i, observed j) gets its own stream, independent
 of the reverse pair. Streams are counter-based: the t-th value is a pure
@@ -14,8 +14,8 @@ Generator contract (documented for portability):
     r = sqrt(-2 ln U_{2p}), scaled by sqrt(variance).
   uniform: value t is a (2 U_t - 1), on (-a, a].
   zero: all zeros.
-Stream seed for pair (i, j): mix(master_seed XOR mix((i << 32) | j)) with
-1-based agent numbers and mix the finalizer above.
+Stream seed for pair (i, j): mix(seed XOR mix((i << 32) | j)) with seed the
+scenario's noise seed, 1-based agent numbers and mix the finalizer above.
 """
 
 from __future__ import annotations
@@ -122,9 +122,6 @@ class EdgeStream:
             return self.scale * _gaussians(self.stream_seed, t0, n)
         u = _uniforms(self.stream_seed, t0, t0 + n)
         return self.scale * (2.0 * u - 1.0)
-
-    def sample(self) -> float:
-        return float(self.draw(1)[0])
 
 
 def stream_for(spec: NoiseSpec, i: int, j: int, topology=None) -> EdgeStream:

@@ -102,12 +102,12 @@ def test_eq28_failure_reported_under_python_O():
         from hwconsensus import analysis, builtin_case, full_verification, run
         s = builtin_case(1, horizon=50)
         res = run(s)
-        ok = full_verification(res.log, s.gains(), s.topology, m_grid_k=20)[0]["eq28_ok"]
+        ok = full_verification(res.log, s.gains(), s.topology)[0]["eq28_ok"]
         same = all(analysis._window_counts(20, T).tolist()
                    == [analysis._window_count(k, T) for k in range(1, 21)]
                    for T in (0.1, 0.5, 1.0, 2.0))
         analysis.math.exp = lambda x: 1.0
-        broken = full_verification(res.log, s.gains(), s.topology, m_grid_k=20)[0]["eq28_ok"]
+        broken = full_verification(res.log, s.gains(), s.topology)[0]["eq28_ok"]
         print(sys.flags.optimize, ok, broken, same)
     """)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -151,35 +151,20 @@ SHORT = builtin_case(1, horizon=50)
 SHORT_LOG = run(SHORT).log
 
 
-@pytest.mark.parametrize("grid", [
-    {"m_grid_k": 0},
-    {"m_grid_T": ()},
-    {"m_grid_k": 0, "m_grid_T": (-1.0,)},
-    {"m_grid_T": (0.5, -1.0)},
-    {"m_grid_T": (0.5, 0.0)},
-    {"m_grid_T": (INF,)},
-    {"m_grid_T": (float("nan"),)},
-    {"m_grid_T": (0.5, 800.0)},
-    # m_grid_k e^T past 2^20: about m_grid_k e^T additions per count
-    {"m_grid_k": 2, "m_grid_T": (20.0,)},
-    {"m_grid_k": 1000, "m_grid_T": (0.5, 7.0)},
-], ids=["k0", "no_T", "k0_negative_T", "negative_T", "zero_T", "infinite_T", "nan_T",
-        "overflowing_T", "unfinishable_T", "grid_past_the_limit"])
-def test_eq28_grid_rejected_up_front(grid):
-    with pytest.raises(ValidationError, match="eq28 grid"):
-        full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology, **grid)
+def test_the_eq28_grid_is_within_the_summation_limit():
+    # no count of the grid sums more than _MAX_TERMS terms (see _window_ok)
+    import hwconsensus.analysis as A
+    assert A.EQ28_GRID_T
+    assert all(A._window_ok(A.EQ28_GRID_K, T) for T in A.EQ28_GRID_T)
 
 
 def test_eq28_failure_located_after_the_table_is_built(monkeypatch):
     import hwconsensus.analysis as A
-    report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology,
-                                       m_grid_k=20)
+    report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)
     assert report["eq28_ok"] is True
-    assert extras["eq28_grid"] == (20, (0.1, 0.5, 1.0, 2.0))
     assert extras["eq28_first_failure"] is None
     monkeypatch.setattr(A.math, "exp", lambda x: 1.0)  # sandwich becomes k-2 < m < k-1
-    report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology,
-                                       m_grid_k=20)
+    report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)
     assert report["eq28_ok"] is False
     # m(1, 0.1) = 0 (1/1 > 0.1) and 0 < 0.0 fails
     assert extras["eq28_first_failure"] == (1, 0.1, -1.0, 0, 0.0)
@@ -191,11 +176,10 @@ def test_eq28_failure_after_k1_located_exactly(monkeypatch):
     # e^0.5 shrunk by 0.1 %: the upper bound k e^T - 1 first drops below
     # m(k, 0.5) at k = 241, while T = 0.1, first on the grid, keeps the true e^T
     monkeypatch.setattr(A.math, "exp", lambda x: exp(x) * (1 - 1e-3) if x == 0.5 else exp(x))
-    grid_T = (0.1, 0.5, 1.0, 2.0)
 
     def scan():
-        for T in grid_T:
-            for k in range(1, 1001):
+        for T in A.EQ28_GRID_T:
+            for k in range(1, A.EQ28_GRID_K + 1):
                 m = A._window_count(k, T)
                 lo = (k - 1) * math.exp(T) - 1.0
                 hi = k * math.exp(T) - 1.0
@@ -203,8 +187,7 @@ def test_eq28_failure_after_k1_located_exactly(monkeypatch):
                     return k, T, lo, m, hi
         return None
 
-    report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology,
-                                       m_grid_T=grid_T)
+    report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)
     failure = extras["eq28_first_failure"]
     assert report["eq28_ok"] is False
     assert failure == scan()
@@ -294,11 +277,9 @@ def test_window_table_built_once_per_process(monkeypatch):
         assert len(sums) == first
 
         del lengths[:]
-        full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology, m_grid_k=20)
-        assert lengths == [20] * 4
         full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)
-        assert lengths == [20] * 4 + [1000] * 4
-        assert len(sums) <= first + 4
+        assert lengths == [1000] * 4
+        assert len(sums) == first
     finally:
         # drop the tables built through the counting wrapper
         table.cache_clear()

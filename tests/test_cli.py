@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,7 +30,7 @@ def _resave(d, name, index, value):
     log, s = harness.load_run(str(d))
     array = harness._stored_arrays(log)[name].copy()
     array[index] = value
-    res = harness.RunResult(scenario=s, seed=log.seed, log=log, summary={}, wall_time=0.0)
+    res = harness.RunResult(scenario=s, log=log, summary={}, wall_time=0.0)
     harness.save_run(relog(res, **{name: array}), str(d))
 
 
@@ -113,7 +114,24 @@ def test_run_scenario_file_end_to_end(tmp_path):
     assert main(["run", "--scenario", str(p), "--out", str(d)]) == 0
     meta = json.loads((d / "meta.json").read_text())
     assert meta["scenario"]["label"] == "pair"
-    assert meta["horizon"] == 120
+    assert meta["arrays"]["u"]["shape"] == [120, 2]
+
+
+@pytest.mark.parametrize("how", ["batch", "run"])
+def test_the_saved_scenario_replays_the_run(tmp_path, how):
+    # the scenario a run directory embeds is the one that ran: handed back to
+    # run, it writes the same log.npz, whichever way the seed was passed
+    s = builtin_case(1, horizon=50)
+    res = harness.batch(s, [7])[0] if how == "batch" else harness.run(s, 7)
+    d = tmp_path / "saved"
+    harness.save_run(res, str(d))
+    meta = json.loads((d / "meta.json").read_text())
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(meta["scenario"]))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "d2")]) == 0
+    assert (tmp_path / "d2" / "log.npz").read_bytes() == (d / "log.npz").read_bytes()
+    seeded = dataclasses.replace(s, noise=dataclasses.replace(s.noise, seed=7))
+    assert meta["scenario_hash"] == harness.scenario_hash(seeded)
 
 
 def test_run_seed_and_stride_overrides(tmp_path):
@@ -121,7 +139,7 @@ def test_run_seed_and_stride_overrides(tmp_path):
     assert main(["run", "--case", "3", "--horizon", "60", "--seed", "11",
                  "--log-stride", "6", "--out", str(d)]) == 0
     meta = json.loads((d / "meta.json").read_text())
-    assert meta["seed"] == 11
+    assert meta["scenario"]["noise"]["seed"] == 11
     assert meta["scenario"]["log_stride"] == 6
 
 
@@ -322,6 +340,20 @@ def test_replayed_run_directories_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_a_run_directory_with_the_older_copies_still_loads(tmp_path, capsys):
+    # older run directories also hold the horizon and seed in meta.json and
+    # the label and seed in summary.json; load_run ignores keys it does not read
+    d = run_dir(tmp_path)
+    meta = json.loads((d / "meta.json").read_text())
+    (d / "meta.json").write_text(json.dumps({"horizon": 400, "seed": 3, **meta}))
+    summary = json.loads((d / "summary.json").read_text())
+    (d / "summary.json").write_text(json.dumps({"label": "case1", "seed": 3, **summary}))
+    log, s = harness.load_run(str(d))
+    assert log.horizon == 400 and s.noise.seed == 3
+    for command in ("verify", "export"):
+        assert main([command, "--log", str(d)]) == 0
+
+
 def test_verify_incomplete_log_rejected(tmp_path, capsys):
     d = run_dir(tmp_path)
     _edit_bytes(d / "log.npz", lambda b: b[:-100])
@@ -350,8 +382,10 @@ RUN_DIR_CORRUPTIONS = {
     "meta-invalid-scenario": (lambda d: _edit_meta(
         d, lambda m: m["scenario"].__setitem__("horizon", 0)),
         "meta.json: invalid scenario"),
-    "meta-zero-horizon": (lambda d: _edit_meta(d, lambda m: m.__setitem__("horizon", 0)),
-                          "meta.json: horizon 0"),
+    # the rows of the run are those meta.json records for u
+    "meta-zero-horizon": (lambda d: _edit_meta(
+        d, lambda m: m["arrays"]["u"]["shape"].__setitem__(0, 0)),
+        "log.npz: array u has 0 rows in meta.json, not a step count from 1"),
     "meta-not-json": (lambda d: (d / "meta.json").write_text('{"label": '),
                       "meta.json is not valid JSON"),
     "meta-not-object": (lambda d: (d / "meta.json").write_text("3"),
@@ -359,10 +393,13 @@ RUN_DIR_CORRUPTIONS = {
     "meta-scenario-wrong-type": (lambda d: _edit_meta(
         d, lambda m: m["scenario"]["controller"].__setitem__("c_M", "abc")),
         "meta.json: invalid scenario: controller: could not convert string to float: 'abc'"),
-    "meta-seed-not-int": (lambda d: _edit_meta(d, lambda m: m.__setitem__("seed", 3.0)),
-                          "meta.json: seed 3.0 is not an integer"),
-    "meta-boolean-horizon": (lambda d: _edit_meta(d, lambda m: m.__setitem__("horizon", True)),
-                             "meta.json: horizon True is not a step count"),
+    # the seed is the embedded scenario's
+    "meta-seed-not-int": (lambda d: _edit_meta(
+        d, lambda m: m["scenario"]["noise"].__setitem__("seed", 3.0)),
+        "meta.json: invalid scenario: noise: seed must be an integer, got 3.0"),
+    "meta-boolean-horizon": (lambda d: _edit_meta(
+        d, lambda m: m["arrays"]["u"]["shape"].__setitem__(0, True)),
+        "log.npz: array u has True rows in meta.json, not a step count"),
     "meta-arrays-not-object": (lambda d: _edit_meta(d, lambda m: m.__setitem__("arrays", [])),
                                "log.npz: array u does not match its dtype, shape and SHA-256"),
 }
@@ -428,6 +465,8 @@ WRONG_TYPES = {
     "seed-true": (lambda d: d["noise"].__setitem__("seed", True),
                   "noise: seed must be an integer, got True"),
     "label-number": (lambda d: d.__setitem__("label", 3), "label must be a string, got 3"),
+    "edge-endpoint-true": (lambda d: d["topology"][0].__setitem__(0, True),
+                           "topology: edge endpoints must be integers, got (True, 2, 1.0)"),
 }
 
 

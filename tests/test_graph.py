@@ -85,6 +85,14 @@ def test_build_rejections():
         build_topology(1, [])
 
 
+@pytest.mark.parametrize("edge", [(True, 2, 1.0), (1, True, 1.0), (False, 2, 1.0), (1.0, 2, 1.0)],
+                         ids=["i-true", "j-true", "i-false", "i-float"])
+def test_an_endpoint_that_is_not_an_int_is_rejected(edge):
+    # JSON true equals 1 and would key the edge (True, 2), written back as true
+    with pytest.raises(ValidationError, match="edge endpoints must be integers"):
+        build_topology(3, [edge])
+
+
 @st.composite
 def connected_topologies(draw):
     n = draw(st.integers(min_value=2, max_value=8))

@@ -326,7 +326,11 @@ def test_master_seed_overrides_scenario_seed():
     base = run(s)
     other = run(s, master_seed=2)
     again = run(s, master_seed=1)
-    assert other.seed == 2
+    # the result carries the scenario that ran; the caller's is unchanged
+    assert other.seed == other.scenario.noise.seed == 2
+    assert s.noise.seed == base.scenario.noise.seed == 1
+    assert other.scenario == dataclasses.replace(
+        s, noise=dataclasses.replace(s.noise, seed=2))
     assert not np.array_equal(base.log.eps, other.log.eps)
     assert np.array_equal(base.log.eps, again.log.eps)
 
@@ -507,7 +511,7 @@ def relog(res, **arrays):
     """res with its log rebuilt as run builds it, from its stored arrays with
     the given ones replaced."""
     stored = {**H._stored_arrays(res.log), **arrays}
-    return dataclasses.replace(res, log=H._new_log(res.scenario, res.seed, **stored))
+    return dataclasses.replace(res, log=H._new_log(res.scenario, **stored))
 
 
 def test_save_load_round_trip_value_exact(tmp_path):
@@ -516,8 +520,7 @@ def test_save_load_round_trip_value_exact(tmp_path):
     log, s = load_run(str(tmp_path / "r"))
     _logs_equal(log, res.log)
     assert scenario_hash(s) == scenario_hash(res.scenario)
-    assert log.scenario_hash == res.log.scenario_hash
-    assert log.seed == res.seed
+    assert s.noise.seed == res.seed
 
 
 def test_save_load_round_trip_strided(tmp_path):
@@ -733,13 +736,11 @@ def test_summary_and_meta_files(tmp_path):
     res = run(builtin_case(1, horizon=60, seed=4))
     save_run(res, str(tmp_path / "r"))
     summary = json.loads((tmp_path / "r" / "summary.json").read_text())
-    assert summary["label"] == "case1"
-    assert summary["seed"] == 4
-    assert summary["total_truncations"] == res.summary["total_truncations"]
+    assert summary == res.summary
     assert "wall_time" not in summary
     meta = json.loads((tmp_path / "r" / "meta.json").read_text())
-    assert set(meta) == {"horizon", "seed", "scenario_hash", "scenario", "arrays"}
-    assert meta["horizon"] == 60
+    assert set(meta) == {"scenario_hash", "scenario", "arrays"}
+    assert meta["scenario"]["noise"]["seed"] == 4
     assert meta["scenario_hash"] == scenario_hash(res.scenario)
     assert meta["scenario"] == scenario_to_dict(res.scenario)
     stored = {"u": res.log.u, "sigma": res.log.sigma, "y": res.log.y_next, "eps": res.log.eps}
@@ -1120,11 +1121,26 @@ def test_load_run_rejects_scenario_hash_mismatch(tmp_path):
         load_run(str(d))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda m: m["arrays"].pop("u"),
+    lambda m: m["arrays"]["u"].pop("shape"),
+    lambda m: m["arrays"]["u"].__setitem__("shape", []),
+    lambda m: m["arrays"].__setitem__("u", "20"),
+], ids=["no-record", "no-shape", "empty-shape", "record-not-object"])
+def test_load_run_rejects_a_record_of_u_without_its_rows(tmp_path, edit):
+    # the rows of the run are read from the shape meta.json records for u
+    d = saved_case(tmp_path)
+    _edit_meta(d, edit)
+    with pytest.raises(IncompleteLog) as exc:
+        load_run(str(d))
+    assert str(exc.value) == f"log.npz: array u {DIGEST}"
+
+
 def test_load_run_rejects_horizon_beyond_scenario(tmp_path):
     d = saved_case(tmp_path)
-    _edit_meta(d, lambda m: m.__setitem__("horizon", 21))
-    with pytest.raises(IncompleteLog, match="horizon 21 is not a step count from 1 to the "
-                                            "scenario's 20"):
+    _edit_meta(d, lambda m: m["arrays"]["u"]["shape"].__setitem__(0, 21))
+    with pytest.raises(IncompleteLog, match="log.npz: array u has 21 rows in meta.json, not "
+                                            "a step count from 1 to the scenario's 20"):
         load_run(str(d))
 
 

@@ -72,14 +72,6 @@ def test_uniform_stream_matches_reference_bitwise():
     assert got.tolist() == expect
 
 
-def test_draw_equals_repeated_sample():
-    a = stream_for(gspec(), 1, 2)
-    b = stream_for(gspec(), 1, 2)
-    block = a.draw(25)
-    singles = [b.sample() for _ in range(25)]
-    assert block.tolist() == singles
-
-
 def test_blocks_split_consistently():
     a = stream_for(gspec(), 3, 4)
     b = stream_for(gspec(), 3, 4)
