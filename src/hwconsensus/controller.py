@@ -9,16 +9,19 @@ stochastic-approximation update with step 1/k, truncating back to u* and
 incrementing its count whenever the candidate leaves the expanding bound
 M_sigma = ln(sigma + c_M).
 
-advance() runs that round for every agent at once on flat lists and keeps
-only the next (u, sigma). Pooling reads the counts as they stood at the
-start of the round, so the result does not depend on the order in which
-agents are visited. The round's pooled counts, working estimates and
+emit_round writes that round for every agent as Python source, once: it is
+the one implementation, compiled by advance() for flat lists and by
+harness.run's round kernel for a whole run. Either keeps only the next
+(u, sigma). Pooling reads the counts as they stood at the start of the
+round, so the result does not depend on the order in which agents are
+visited. The round's pooled counts, working estimates and
 aggregated observations are functions of (u, sigma, y, eps) and are derived
 for a whole log at once by analysis.round_columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +55,90 @@ class Schedule:
         return self.bounds(sigma)[sigma]
 
 
+def round_shape(nbrs: list) -> tuple:
+    """What the source of a round depends on: per agent, its neighbours as
+    (edge column, neighbour index) pairs in nbrs order; the weights are values."""
+    return tuple(tuple((c, j) for c, j, _ in nb) for nb in nbrs)
+
+
+def emit_round(shape: tuple) -> list:
+    """Python source of one round of the control law for every agent: the
+    one implementation of the round, which advance and the round kernel of
+    harness.run compile.
+
+    The lines read the round k, each agent i's estimate u{i}, count s{i},
+    output y{i} and reset point us{i}, and for each edge column c its noise
+    e{c} and weight w{c}; they overwrite u{i} and s{i} with the next round's
+    values. The bound table is M; bounds(top) extends it to M_top, and mtop
+    is the largest count it is known to cover, so the table is re-read only
+    when the largest count grows. Pooling reads the counts as they stood at
+    the start of the round. O_i = 0.0 + sum_j w_ij (y_j + e_ij - y_i) is
+    summed in nbrs order. The source holds only these names and integers
+    (every index is formatted as one).
+    """
+    n = len(shape)
+    agents = range(n)
+    counts = ", ".join(f"s{i}" for i in agents)
+    top, low = (f"max({counts})", f"min({counts})") if n > 1 else ("s0", "s0")
+
+    def correction(i, sp, bound):
+        terms = "".join(f" + w{c:d} * (y{j:d} + e{c:d} - y{i})" for c, j in shape[i])
+        return [f"cand = u{i} + a * (0.0{terms})",
+                f"if abs(cand) < {bound}:",
+                f"    u{i} = cand",
+                "else:",
+                f"    u{i} = us{i}",
+                f"    s{i} = {sp} + 1"]
+
+    lines = ["a = 1.0 / k",
+             f"top = {top}",
+             "if top > mtop:",
+             "    M = bounds(top)",
+             "    mtop = top",
+             f"if {low} == top:",
+             # nothing to pool: every agent's pooled count is top
+             "    Mt = M[top]"]
+    for i in agents:
+        lines += ["    " + x for x in correction(i, "top", "Mt")]
+    lines.append("else:")
+    for i in agents:
+        lines.append(f"    p{i} = s{i}")
+        for _, j in shape[i]:
+            lines += [f"    if s{j:d} > p{i}:", f"        p{i} = s{j:d}"]
+    for i in agents:
+        lines += [f"    if p{i} > s{i}:",
+                  f"        u{i} = us{i}",
+                  f"        s{i} = p{i}",
+                  "    else:"]
+        lines += ["        " + x for x in correction(i, f"p{i}", f"M[p{i}]")]
+    return lines
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled_advance(shape: tuple):
+    """emit_round as a function of advance's arguments (the bound table as
+    sched.bounds), compiled once per round_shape and process."""
+    n = len(shape)
+    agents = range(n)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in agents)
+
+    src = ["def advance(u, sigma, ys, eps_row, nbrs, u_star, k, bounds):",
+           f"    [{names('u')}] = u",
+           f"    [{names('s')}] = sigma",
+           f"    [{names('y')}] = ys",
+           f"    [{names('us')}] = u_star"]
+    for i, nb in enumerate(shape):
+        for t, (c, _) in enumerate(nb):
+            src += [f"    e{c:d} = eps_row[{c:d}]", f"    w{c:d} = nbrs[{i}][{t}][2]"]
+    src += ["    mtop = -1"] + ["    " + x for x in emit_round(shape)]
+    src += [f"    u[:] = [{names('u')}]", f"    sigma[:] = [{names('s')}]"]
+    namespace = {}
+    exec(compile("\n".join(src) + "\n", "<round>", "exec"), namespace)
+    return namespace["advance"]
+
+
 def advance(u: list, sigma: list, ys: list, eps_row: list, nbrs: list, u_star: list,
             k: int, sched: Schedule) -> None:
     """One round of the control law for every agent, in place.
@@ -65,36 +152,7 @@ def advance(u: list, sigma: list, ys: list, eps_row: list, nbrs: list, u_star: l
 
     A candidate u + (1/k) O is kept iff strictly inside M_sigma; hitting or
     crossing the bound resets to u* and increments the count. A restart
-    round does not apply O, so it does not form it.
+    round does not apply O, so it does not form it. The round is compiled
+    from emit_round once per round_shape and process.
     """
-    top = max(sigma)
-    if min(sigma) == top:
-        # nothing to pool; agent i writes only sigma[i], after reading it
-        pooled = sigma
-    else:
-        pooled = []
-        for i, nb in enumerate(nbrs):
-            sp = sigma[i]
-            for _, j, _ in nb:
-                if sigma[j] > sp:
-                    sp = sigma[j]
-            pooled.append(sp)
-
-    a = 1.0 / k
-    M = sched.bounds(top)
-    for i, nb in enumerate(nbrs):
-        sp = pooled[i]
-        if sp > sigma[i]:
-            u[i] = u_star[i]
-            sigma[i] = sp
-            continue
-        y = ys[i]
-        O = 0.0
-        for c, j, w in nb:
-            O += w * (ys[j] + eps_row[c] - y)
-        cand = u[i] + a * O
-        if abs(cand) < M[sp]:
-            u[i] = cand
-        else:
-            u[i] = u_star[i]
-            sigma[i] = sp + 1
+    _compiled_advance(round_shape(nbrs))(u, sigma, ys, eps_row, nbrs, u_star, k, sched.bounds)

@@ -4,7 +4,9 @@ A scenario bundles a topology, per-agent plants, the controller constants,
 and a noise spec with its seed. Runs are deterministic functions of the
 scenario: one round applies every agent's current input to its plant,
 exchanges noisy output observations and truncation counts as a snapshot,
-then advances every controller. The complete per-round record goes into a
+then advances every controller. run executes all rounds in one compiled
+function, the round kernel, generated from plant.emit_step and
+controller.emit_round. The complete per-round record goes into a
 TrajectoryLog.
 
 File layout of a saved run directory:
@@ -36,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .controller import Schedule, advance
+from .controller import Schedule, emit_round, round_shape
 from .errors import IncompleteLog, NonFiniteValue, ValidationError
 from .graph import Topology, build_topology, is_connected, laplacian
 from .noise import NoiseSpec, make_noise_spec, stream_for
@@ -47,12 +49,14 @@ from .plant import (
     Nonlinearity,
     Polynomial,
     check_stability,
+    emit_step,
     is_strictly_increasing,
     make_nonlinearity,
     make_plant,
     poly,
     static_gain,
-    stepper,
+    step_names,
+    step_parts,
 )
 
 VERIFY_MAX_HORIZON = 200_000  # stride-1 logging refuses longer runs
@@ -362,19 +366,92 @@ def summarize(log: analysis.TrajectoryLog, gains, lap) -> dict:
     }
 
 
+def _check_initial_plants(s: Scenario, plants) -> None:
+    """Each initial plant must be the plant its agent builds, up to the
+    history values: the same kind, C, D, nonlinearity and history lengths."""
+    if len(plants) != s.n:
+        raise ValidationError(f"initial_plants has {len(plants)} entries for {s.n} agents")
+    for idx, (p, a) in enumerate(zip(plants, s.agents), start=1):
+        if not isinstance(p, AgentPlant):
+            raise ValidationError(f"initial_plants[{idx}] is a {type(p).__name__}, "
+                                  "not an AgentPlant")
+        built = a.build()
+        for name in ("kind", "C", "D", "f"):
+            if getattr(p, name) != getattr(a, name):
+                raise ValidationError(f"agent {idx}: the initial plant's {name} "
+                                      f"{getattr(p, name)!r} is not the scenario's "
+                                      f"{getattr(a, name)!r}")
+        for name in ("y_hist", "v_hist", "u_hist"):
+            if len(getattr(p, name)) != len(getattr(built, name)):
+                raise ValidationError(f"agent {idx}: the initial plant's {name} has "
+                                      f"{len(getattr(p, name))} entries, not "
+                                      f"{len(getattr(built, name))}")
+
+
+def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
+    """The round kernel's source for plants of these step shapes on a
+    network of this round shape: the plant steps of plant.emit_step and the
+    round of controller.emit_round, unrolled over the agents in one loop
+    over the rounds. The source holds fixed names and integer indices only;
+    every scenario value is an argument."""
+    n, m = len(plant_shapes), sum(len(nb) for nb in nbr_shape)
+
+    def names(prefix, count=n):
+        return ", ".join(f"{prefix}{x}" for x in range(count))
+
+    lines = ["def kernel(K, stride, rows, log_u, log_sigma, log_y, bounds, plants, u, u_star, "
+             "weights):"]
+    for i, shape in enumerate(plant_shapes):
+        f, cs, ds, ch, dh = step_names(shape, i)
+        lines.append(f"    {f}, [{', '.join(cs)}], [{', '.join(ds)}], [{', '.join(ch)}], "
+                     f"[{', '.join(dh)}] = plants[{i}]")
+    lines += [f"    [{names('u')}] = u",
+              f"    [{names('us')}] = u_star",
+              f"    [{names('w', m)}] = weights",
+              f"    {' = '.join(f's{i}' for i in range(n))} = 0",
+              "    mtop = -1",
+              "    for k, row in zip(range(1, K + 1), rows):",
+              f"        [{names('e', m)}] = row"]
+    for i, shape in enumerate(plant_shapes):
+        step_lines, check = emit_step(shape, i, agent=i + 1)
+        lines += ["        " + x for x in step_lines + check]
+    # the round's starting u and sigma are logged before the round overwrites them
+    lines += [f"        log_u([{names('u')}])",
+              f"        log_sigma([{names('s')}])",
+              "        if not (k - 1) % stride:",
+              f"            log_y([{names('y')}])"]
+    lines += ["        " + x for x in emit_round(nbr_shape)]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=32)
+def _round_kernel(plant_shapes: tuple, nbr_shape: tuple):
+    """_kernel_source compiled, once per shape and process."""
+    namespace = {"isfinite": math.isfinite, "NonFiniteValue": NonFiniteValue}
+    exec(compile(_kernel_source(plant_shapes, nbr_shape), "<round kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def run(s: Scenario, master_seed: int | None = None,
         initial_plants: list | None = None) -> RunResult:
     """Simulate one scenario to its horizon; deterministic in s.
 
     master_seed, when given, replaces the scenario's noise seed, and the
     result carries the scenario with that seed. initial_plants overrides the
-    zero-history plants (robustness tests); the caller's objects are copied,
-    never mutated.
+    zero-history plants (robustness tests): one plant per agent, the plant
+    the agent builds but for its history values. The caller's objects are
+    read, never mutated.
+
+    All K rounds run in one compiled function, the round kernel: the plant
+    steps and the control round of every agent as straight-line code,
+    compiled once per network shape and process. A plant output that is not
+    finite raises NonFiniteValue with its (step, agent) and the run up to
+    the round before it as .partial.
     """
     validate_scenario(s)
     t0 = time.perf_counter()
     if master_seed is not None:
-        s = replace(s, noise=replace(s.noise, seed=int(master_seed)))
+        s = replace(s, noise=make_noise_spec(s.noise.dist, s.noise.params_dict(), master_seed))
 
     n = s.n
     K = s.horizon
@@ -387,16 +464,11 @@ def run(s: Scenario, master_seed: int | None = None,
     if initial_plants is None:
         plants = [a.build() for a in s.agents]
     else:
-        if len(initial_plants) != n:
-            raise ValidationError(
-                f"initial_plants has {len(initial_plants)} entries for {n} agents")
-        plants = [p.copy() for p in initial_plants]
-    steps = [stepper(p) for p in plants]
-    sched = Schedule(c_M=s.controller.c_M)
-    u = list(s.controller.initial_u)
-    sigma = [0] * n
-    u_star = list(s.controller.u_star)
+        _check_initial_plants(s, initial_plants)
+        plants = initial_plants
     nbrs = analysis.neighbour_columns(topo, pairs)
+    shapes, values = zip(*(step_parts(p) for p in plants))
+    kernel = _round_kernel(shapes, round_shape(nbrs))
     eps = np.column_stack([stream_for(s.noise, i, j, topo).draw(K) for (i, j) in pairs])
     # the noise rows as Python floats, converted one block of steps at a time
     eps_rows = (row for a in range(0, K, NOISE_BLOCK_STEPS)
@@ -413,25 +485,19 @@ def run(s: Scenario, master_seed: int | None = None,
                         np.frombuffer(sigma_buf, dtype=np.int64).reshape(rows, n),
                         np.frombuffer(y_buf).reshape(-1, n), eps[:rows:stride])
 
-    for k, e_row in zip(range(1, K + 1), eps_rows):
-        ys = []
-        try:
-            for plant_step, x in zip(steps, u):
-                ys.append(plant_step(x))
-        except NonFiniteValue as e:
-            err = NonFiniteValue(str(e), step=k, agent=len(ys) + 1)
-            partial = make_log()
-            err.partial = RunResult(scenario=s, log=partial,
-                                    summary=summarize(partial, gains, lap)
-                                    if k > 1 else {"aborted_at": k},
-                                    wall_time=time.perf_counter() - t0)
-            raise err from e
-        # the round's starting u and sigma are logged before advance overwrites them
-        u_buf.fromlist(u)
-        sigma_buf.fromlist(sigma)
-        if not (k - 1) % stride:
-            y_buf.fromlist(ys)
-        advance(u, sigma, ys, e_row, nbrs, u_star, k, sched)
+    try:
+        kernel(K, stride, eps_rows, u_buf.fromlist, sigma_buf.fromlist, y_buf.fromlist,
+               Schedule(c_M=s.controller.c_M).bounds,
+               values,
+               s.controller.initial_u, s.controller.u_star,
+               [topo.weight(i, j) for (i, j) in pairs])
+    except NonFiniteValue as e:
+        partial = make_log()
+        e.partial = RunResult(scenario=s, log=partial,
+                              summary=summarize(partial, gains, lap)
+                              if e.step > 1 else {"aborted_at": e.step},
+                              wall_time=time.perf_counter() - t0)
+        raise
 
     log = make_log()
     return RunResult(scenario=s, log=log, summary=summarize(log, gains, lap),

@@ -7,17 +7,19 @@ backward shift. A "hammerstein" agent applies f first (v = f(u), then
 C(z) y_{k+1} = D(z) v_k); a "wiener" agent applies it last
 (C(z) v_{k+1} = D(z) u_k, then y = f(v)).
 
-The difference-equation stepper is the canonical simulator: stepper(plant)
-compiles one agent's step once, and step() is a single call of it. A
-state-space companion realization is provided purely as a cross-checking
-oracle; the two must agree to 1e-10 per step on any input sequence.
+emit_step writes the difference equation as Python source, once: it is the
+one implementation, compiled by stepper(plant) for one agent (step() is a
+single call of it) and by harness.run's round kernel for every agent of a
+network. A state-space companion realization is provided purely as a
+cross-checking oracle; the two must agree to 1e-10 per step on any input
+sequence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -153,69 +155,112 @@ def make_plant(kind: str, C: Polynomial, D: Polynomial, f: Nonlinearity) -> Agen
     return AgentPlant(kind, C, D, f, y_hist=[], v_hist=[0.0] * p, u_hist=[0.0] * q)
 
 
-def stepper(plant: AgentPlant):
-    """The plant's one-step map u -> next output, compiled once.
+def step_parts(plant: AgentPlant) -> tuple[tuple, tuple]:
+    """(shape, values) of the plant's step. The shape is what its source
+    depends on: (kind, number of C terms, number of D terms, length of the
+    C history, of the D history), a term being summed as far as both the
+    tail and its history reach. The values are what it binds: f's
+    evaluator, those terms' coefficients, and the histories C's and D's
+    tails multiply, newest first: (y, v) for a hammerstein plant, (v, u)
+    for a wiener one."""
+    c_hist, d_hist = ((plant.y_hist, plant.v_hist) if plant.kind == HAMMERSTEIN
+                      else (plant.v_hist, plant.u_hist))
+    n_c, n_d = min(plant.C.degree, len(c_hist)), min(plant.D.degree, len(d_hist))
+    return ((plant.kind, n_c, n_d, len(c_hist), len(d_hist)),
+            (plant.f.fn, plant.C.tail[:n_c], plant.D.tail[:n_d], c_hist, d_hist))
+
+
+def step_names(shape: tuple, i: int = 0) -> tuple:
+    """The local names emit_step uses for agent i: f's evaluator, the C and
+    D coefficients, and the C and D histories (newest first)."""
+    _, n_c, n_d, len_c, len_d = shape
+    return (f"f{i:d}", [f"c{i:d}_{s:d}" for s in range(1, n_c + 1)],
+            [f"d{i:d}_{r:d}" for r in range(1, n_d + 1)],
+            [f"ch{i:d}_{x:d}" for x in range(len_c)], [f"dh{i:d}_{x:d}" for x in range(len_d)])
+
+
+def emit_step(shape: tuple, i: int = 0, agent: int | None = None) -> tuple[list, list]:
+    """Python source of one step of a plant of this shape: the one
+    implementation of the difference equation, which stepper and the round
+    kernel of harness.run compile.
 
     hammerstein: v_k = f(u_k); y_{k+1} = -sum c_s y_{k+1-s} + v_k + sum d_r v_{k-r}
     wiener:      v_{k+1} = -sum c_s v_{k+1-s} + u_k + sum d_r u_{k-r}; y = f(v_{k+1})
 
-    The returned function binds f's evaluator, the plant's history lists and
-    each coefficient of C's and D's tails paired with the history position it
-    multiplies. It rotates the lists in place, newest first, so they stay the
-    plant's state (rebinding one of them afterwards leaves the function
-    stepping the old list). The -c terms are summed before the +d terms, in
-    history order. A v or y that is not finite raises NonFiniteValue after
-    the histories have moved; an f that overflows (Python's ** raises
-    OverflowError rather than return inf) raises it before they move.
+    Returns (step lines, check lines). The step lines read the input u{i}
+    and the locals of step_names, write the output y{i} (and v{i}), and
+    rotate the histories, newest first. The -c terms are subtracted before
+    the +d terms are added, in history order. The check lines raise
+    NonFiniteValue for a v or y that is not finite; an f that overflows
+    (Python's ** raises OverflowError rather than return inf) raises it in
+    the step lines, before the histories move. With agent given, the raise
+    also names the step k and that agent. The source holds only these
+    names and integers (every index is formatted as one).
     """
-    f = plant.f.fn
-    y_hist, v_hist, u_hist = plant.y_hist, plant.v_hist, plant.u_hist
-    c_hist, d_hist = (y_hist, v_hist) if plant.kind == HAMMERSTEIN else (v_hist, u_hist)
-    # (coefficient, history position) pairs, as far as both reach
-    c_terms = tuple(zip(plant.C.tail, range(len(c_hist))))
-    d_terms = tuple(zip(plant.D.tail, range(len(d_hist))))
-    isfinite = math.isfinite
+    kind = shape[0]
+    if kind not in (HAMMERSTEIN, WIENER):
+        raise ValidationError(f"kind must be {HAMMERSTEIN!r} or {WIENER!r}, got {kind!r}")
+    f, cs, ds, ch, dh = step_names(shape, i)
+    at = "" if agent is None else f", k, {agent:d}"
+    u, v, y = f"u{i:d}", f"v{i:d}", f"y{i:d}"
 
-    if plant.kind == HAMMERSTEIN:
-        def step_hammerstein(u: float) -> float:
-            try:
-                v = f(u)
-            except OverflowError:
-                raise NonFiniteValue(f"nonlinearity overflows at {u!r}") from None
-            acc = v
-            for c, x in c_terms:
-                acc -= c * y_hist[x]
-            for d, x in d_terms:
-                acc += d * v_hist[x]
-            y = acc
-            v_hist.insert(0, v)
-            v_hist.pop()
-            y_hist.insert(0, y)
-            y_hist.pop()
-            if not (isfinite(v) and isfinite(y)):
-                raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})")
-            return y
-        return step_hammerstein
+    def call(out, arg):
+        return ["try:",
+                f"    {out} = {f}({arg})",
+                "except OverflowError:",
+                f'    raise NonFiniteValue(f"nonlinearity overflows at {{{arg}!r}}"{at}) from None']
 
-    def step_wiener(u: float) -> float:
-        acc = u
-        for c, x in c_terms:
-            acc -= c * v_hist[x]
-        for d, x in d_terms:
-            acc += d * u_hist[x]
-        v = acc
-        try:
-            y = f(v)
-        except OverflowError:
-            raise NonFiniteValue(f"nonlinearity overflows at {v!r}") from None
-        v_hist.insert(0, v)
-        v_hist.pop()
-        u_hist.insert(0, u)
-        u_hist.pop()
-        if not (isfinite(v) and isfinite(y)):
-            raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})")
-        return y
-    return step_wiener
+    def rotate(hist, new):
+        return [f"{hist[x]} = {hist[x - 1] if x else new}" for x in reversed(range(len(hist)))]
+
+    first, (c_new, d_new) = (v, (y, v)) if kind == HAMMERSTEIN else (u, (v, u))
+    linear = "".join([first] + [f" - {c} * {h}" for c, h in zip(cs, ch)]
+                     + [f" + {d} * {h}" for d, h in zip(ds, dh)])
+    if kind == HAMMERSTEIN:
+        lines = call(v, u) + [f"{y} = {linear}"]
+    else:
+        lines = [f"{v} = {linear}"] + call(y, v)
+    check = [f"if not (isfinite({v}) and isfinite({y})):",
+             f'    raise NonFiniteValue(f"plant output left finite range '
+             f'(v={{{v}!r}}, y={{{y}!r}})"{at})']
+    return lines + rotate(ch, c_new) + rotate(dh, d_new), check
+
+
+@lru_cache(maxsize=64)
+def _compiled_stepper(shape: tuple):
+    """A function binding the values of a plant's step_parts to its
+    compiled step, one per shape and process."""
+    step_lines, check = emit_step(shape)
+    _, cs, ds, ch, dh = step_names(shape)
+    # the step reads the plant's history lists and writes them back in place
+    load = [f"{', '.join(names)}, = {hist}" for names, hist in ((ch, "ch"), (dh, "dh")) if names]
+    store = [f"{hist}[:] = {', '.join(names)}," for names, hist in ((ch, "ch"), (dh, "dh"))
+             if names]
+    body = load + step_lines + store + check + ["return y0"]
+    src = ["def bind(f0, cs, ds, ch, dh):",
+           f"    [{', '.join(cs)}] = cs",
+           f"    [{', '.join(ds)}] = ds",
+           "    def step(u0):",
+           *["        " + line for line in body],
+           "    return step"]
+    namespace = {"isfinite": math.isfinite, "NonFiniteValue": NonFiniteValue}
+    exec(compile("\n".join(src) + "\n", "<step>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def stepper(plant: AgentPlant):
+    """The plant's one-step map u -> next output, compiled from emit_step.
+
+    The source is compiled once per step shape (step_parts) and process;
+    the returned function binds f's evaluator, the coefficients and the
+    plant's history lists. It rotates the lists in place, newest first, so they stay the
+    plant's state (rebinding one of them afterwards leaves the function
+    stepping the old list). A v or y that is not finite raises
+    NonFiniteValue after the histories have moved; an f that overflows
+    raises it before they move.
+    """
+    shape, values = step_parts(plant)
+    return _compiled_stepper(shape)(*values)
 
 
 def step(plant: AgentPlant, u: float) -> float:

@@ -5,6 +5,8 @@ noise-free variant each. Runs are produced once per session, on first use,
 and shared across test modules through the `runs` fixture.
 """
 
+import dataclasses
+
 import pytest
 
 from hwconsensus import Scenario, builtin_case, run, scenario_from_dict
@@ -28,6 +30,25 @@ def runs():
 @pytest.fixture(scope="session")
 def cases():
     return {c: builtin_case(c) for c in (1, 2, 3)}
+
+
+def exploding_plants(s: Scenario, agent: int, call: int) -> list:
+    """The zero-history plants of s, except that agent's (1-based)
+    nonlinearity raises OverflowError on its call-th evaluation. Each plant
+    evaluates f once per round, so run(s, initial_plants=...) aborts at round
+    call, agent agent."""
+    plants = [a.build() for a in s.agents]
+    f = plants[agent - 1].f
+    calls = []
+
+    def evaluator(x):
+        calls.append(x)
+        if len(calls) == call:
+            raise OverflowError("synthetic overflow")
+        return f.fn(x)
+
+    plants[agent - 1].f = dataclasses.replace(f, fn=evaluator)
+    return plants
 
 
 def two_agent_scenario(horizon=2000, seed=5, dist="gaussian", params=None,

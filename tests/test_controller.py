@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import forced_truncation_scenarios
+from conftest import exploding_plants, forced_truncation_scenarios
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hwconsensus.harness as H
 from hwconsensus import NonFiniteValue, Schedule, advance, builtin_case, run
 from hwconsensus.analysis import neighbour_columns, round_columns
 from hwconsensus.errors import ValidationError
@@ -337,24 +336,11 @@ def test_derived_columns_match_the_scalar_reference(s):
     _check_against_reference(log, s)
 
 
-def test_derived_columns_of_a_partial_log_match_the_scalar_reference(monkeypatch):
+def test_derived_columns_of_a_partial_log_match_the_scalar_reference():
     # the plants of round 50 overflow: the partial log holds rounds 1..49
-    real, calls = H.stepper, {"n": 0}
-
-    def exploding_stepper(plant):
-        plant_step = real(plant)
-
-        def call(u):
-            calls["n"] += 1
-            if calls["n"] == 4 * 49 + 3:  # third agent of round 50
-                raise NonFiniteValue("synthetic overflow")
-            return plant_step(u)
-        return call
-
-    monkeypatch.setattr(H, "stepper", exploding_stepper)
     s = builtin_case(1, horizon=200, log_stride=7)
     with pytest.raises(NonFiniteValue) as exc:
-        run(s)
+        run(s, initial_plants=exploding_plants(s, agent=3, call=50))  # third agent of round 50
     log = exc.value.partial.log
     assert log.horizon == 49 and len(log.logged_rows) == 7
     _check_against_reference(log, s)

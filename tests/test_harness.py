@@ -1,3 +1,4 @@
+import builtins
 import copy
 import dataclasses
 import functools
@@ -14,11 +15,13 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hwconsensus.harness as H
+import hwconsensus.plant as plant_module
 from hwconsensus import (
+    Schedule,
     analysis,
     csvout,
     builtin_case,
@@ -26,19 +29,28 @@ from hwconsensus import (
     laplacian,
     load_run,
     load_scenario,
+    make_nonlinearity,
+    make_plant,
+    poly,
     run,
     save_run,
     scenario_from_dict,
     scenario_hash,
     scenario_to_dict,
+    step,
+    stream_for,
     summarize,
     validate_scenario,
+    warm_plant,
 )
 from hwconsensus.cli import main
 from hwconsensus.errors import IncompleteLog, NonFiniteValue, ValidationError
 from hwconsensus.harness import LOG_COLUMNS, batch
+from hwconsensus.plant import _CATALOG, HAMMERSTEIN, WIENER
 
-from conftest import forced_truncation_scenarios, two_agent_scenario
+from conftest import exploding_plants, forced_truncation_scenarios, two_agent_scenario
+from test_controller import _reference_advance
+from test_plant import _reference_step
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +507,198 @@ def test_run_initial_plants_length_checked():
         run(s, initial_plants=[s.agents[0].build()])
 
 
+@pytest.mark.parametrize("seed", [7.9, True, "7"], ids=["float", "bool", "str"])
+def test_run_rejects_a_seed_that_is_not_an_int(seed):
+    # the check make_noise_spec applies to a scenario file's seed
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        run(builtin_case(1, horizon=20), seed)
+
+
+def _mismatched_plant(change):
+    """Agent 2 of case 3 (wiener) built with one attribute changed."""
+    s = builtin_case(3, horizon=10)
+    plants = [a.build() for a in s.agents]
+    p = plants[1]
+    if change == "kind":
+        plants[1] = make_plant(HAMMERSTEIN, p.C, p.D, p.f)
+    elif change == "C":
+        p.C = poly([1.0, 0.6, 0.5, 0.39])
+    elif change == "D":
+        p.D = poly([1.0, -1.0])
+    elif change == "f-name":
+        p.f = make_nonlinearity("cubic_affine", {"alpha": 0.0, "beta": -2.0, "gamma": 1.0})
+    elif change == "f-params":
+        p.f = make_nonlinearity("affine", {"beta": -2.0, "gamma": 1.5})
+    elif change == "history":
+        p.v_hist = p.v_hist + [0.0]
+    elif change == "not-a-plant":
+        plants[1] = s.agents[1]
+    return s, plants
+
+
+@pytest.mark.parametrize("change", ["kind", "C", "D", "f-name", "f-params", "history",
+                                    "not-a-plant"])
+def test_run_rejects_initial_plants_that_are_not_the_scenario(change):
+    s, plants = _mismatched_plant(change)
+    with pytest.raises(ValidationError, match=r"agent 2|initial_plants\[2\]"):
+        run(s, initial_plants=plants)
+
+
+def test_run_reads_initial_plants_without_mutating_them():
+    s = builtin_case(3, horizon=10)
+    plants = [warm_plant(a.build(), 0.5) for a in s.agents]
+    before = [p.copy() for p in plants]
+    warm = run(s, initial_plants=plants)
+    assert plants == before
+    assert not np.array_equal(warm.log.y_next, run(s).log.y_next)
+
+
+# ---------------------------------------------------------------------------
+# the round kernel against the scalar references, on whole runs
+
+# no subnormal C coefficient: np.roots overflows on one, and validate_scenario
+# raises RootSolverFailure rather than ValidationError (a separate fault)
+_SMALL = st.one_of(st.just(0.0), st.floats(-0.3, 0.3, allow_subnormal=False))
+
+
+@st.composite
+def _kernel_scenarios(draw):
+    """(scenario, initial plants or None): both plant kinds, C and D of
+    degree 0-3 with zero coefficients, every nonlinearity, non-unit weights,
+    a small c_M so counts are pooled and truncated, strides 1 and 3, warm
+    plants, and now and then an initial input that overflows f or, through
+    a D coefficient above 1, the next step's output."""
+    n = draw(st.integers(2, 5))
+    edges = {(draw(st.integers(1, b - 1)), b) for b in range(2, n + 1)}
+    for a, b in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    agents = []
+    for _ in range(n):
+        name = draw(st.sampled_from(sorted(_CATALOG)))
+        # |c_s| <= 0.3 for s <= 3 keeps C's roots outside the unit disk
+        C = [1.0] + draw(st.lists(_SMALL, max_size=3))
+        tail = draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), max_size=3))
+        if 1 + sum(tail) < 0.1 and (name in ("identity", "shifted_cube") or 1 + sum(tail) > -0.1):
+            tail = [-d for d in tail]  # D(1) >= 0.1, or <= -0.1 for f decreasing
+        sign = 1.0 if 1 + sum(tail) > 0 else -1.0
+        params = {"identity": {}, "shifted_cube": {"gamma": draw(st.floats(-1, 1))},
+                  "affine": {"beta": sign * draw(st.floats(0.2, 2.0)),
+                             "gamma": draw(st.floats(-1, 1))},
+                  "cubic_affine": {"alpha": sign * draw(st.floats(0.0, 0.5)),
+                                   "beta": sign * draw(st.floats(0.2, 1.5)),
+                                   "gamma": draw(st.floats(-1, 1))}}[name]
+        agents.append({"kind": draw(st.sampled_from([HAMMERSTEIN, WIENER])), "C": C,
+                       "D": [1.0] + tail, "f": {"name": name, "params": params}})
+    c_M = draw(st.floats(1.2, 6.0))
+    bound = math.log(c_M)
+    initial = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    if draw(st.integers(0, 2)) == 0:
+        initial[draw(st.integers(0, n - 1))] = draw(st.sampled_from([5e102, 1e200, 1.5e308]))
+    noise = draw(st.sampled_from([("gaussian", {"variance": 4.0}), ("uniform", {"a": 3.0}),
+                                  ("gaussian", {"variance": 0.25}), ("zero", {})]))
+    s = scenario_from_dict({
+        "label": "kernel", "horizon": draw(st.integers(1, 60)),
+        "log_stride": draw(st.sampled_from([1, 3])),
+        "topology": [[a, b, draw(st.floats(0.1, 3.0))] for a, b in sorted(edges)],
+        "agents": agents,
+        "controller": {"u_star": [draw(st.floats(-0.9, 0.9)) * bound for _ in range(n)],
+                       "c_M": c_M, "initial_u": initial},
+        "noise": {"dist": noise[0], "params": noise[1], "seed": draw(st.integers(0, 99))}})
+    try:
+        validate_scenario(s)
+    except ValidationError:
+        assume(False)
+    plants = None
+    if draw(st.booleans()):
+        plants = [warm_plant(a.build(), draw(st.floats(-1, 1))) for a in s.agents]
+    return s, plants
+
+
+def _reference_run(s, plants):
+    """The rows of u and sigma, the logged outputs and the (step, agent) of
+    an abort, or None, from _reference_step per agent and
+    _reference_advance per round."""
+    plants = [p.copy() for p in plants or [a.build() for a in s.agents]]
+    pairs = directed_pairs(s.topology)
+    nbrs = analysis.neighbour_columns(s.topology, pairs)
+    eps = np.column_stack([stream_for(s.noise, i, j, s.topology).draw(s.horizon)
+                           for (i, j) in pairs]).tolist()
+    sched = Schedule(c_M=s.controller.c_M)
+    u, sigma = list(s.controller.initial_u), [0] * s.n
+    us, sigmas, ys_logged = [], [], []
+    for k in range(1, s.horizon + 1):
+        ys = []
+        for i, p in enumerate(plants):
+            try:
+                ys.append(_reference_step(p, u[i]))
+            except (OverflowError, NonFiniteValue):
+                return us, sigmas, ys_logged, (k, i + 1)
+        us.append(list(u))
+        sigmas.append(list(sigma))
+        if (k - 1) % s.log_stride == 0:
+            ys_logged.append(ys)
+        z = [ys[j - 1] + e for (_, j), e in zip(pairs, eps[k - 1])]
+        _reference_advance(u, sigma, ys, z, nbrs, list(s.controller.u_star), k, sched)
+    return us, sigmas, ys_logged, None
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).reshape(-1).view(np.int64).tolist()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_kernel_scenarios())
+def test_run_matches_the_scalar_references_bit_for_bit(case):
+    s, plants = case
+    us, sigmas, ys, abort = _reference_run(s, plants)
+    if abort is None:
+        log = run(s, initial_plants=plants).log
+    else:
+        with pytest.raises(NonFiniteValue) as exc:
+            run(s, initial_plants=plants)
+        assert (exc.value.step, exc.value.agent) == abort
+        if abort[0] == 1:
+            return
+        log = exc.value.partial.log
+    assert _bits(log.u) == _bits(us)
+    assert log.sigma.tolist() == sigmas
+    assert _bits(log.y_next[log.logged_rows]) == _bits(ys)
+
+
+def _compiles(monkeypatch, names):
+    """Record the file name of every compile of generated source whose name
+    starts with one of names."""
+    real, seen = builtins.compile, []
+
+    def counting(source, filename, *args, **kwargs):
+        if filename.startswith(names):
+            seen.append(filename)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return seen
+
+
+def test_the_round_kernel_compiles_once_per_shape(monkeypatch):
+    H._round_kernel.cache_clear()
+    seen = _compiles(monkeypatch, ("<round kernel",))
+    results = batch(builtin_case(1, horizon=30), range(1, 9))
+    assert len(results) == 8 and seen == ["<round kernel>"]
+    run(builtin_case(1, horizon=7, log_stride=3), 11)  # another horizon, stride, seed
+    assert len(seen) == 1
+    run(builtin_case(2, horizon=7))  # wiener plants: another shape
+    assert len(seen) == 2
+
+
+def test_repeated_steps_compile_once(monkeypatch):
+    plant_module._compiled_stepper.cache_clear()
+    seen = _compiles(monkeypatch, ("<step",))
+    p = builtin_case(1).agents[0].build()
+    outputs = [step(p, 0.5) for _ in range(10)]
+    assert len(seen) == 1 and len(set(outputs)) > 1
+
+
 # ---------------------------------------------------------------------------
 # persistence round trip
 
@@ -578,22 +782,8 @@ NAN_BITS = [int(np.array(b, dtype=np.uint64).view(np.int64)) for b in (
 
 def _aborted_run(s, round_):
     """The partial RunResult of s when its first plant raises at round round_."""
-    real = H.stepper
-    calls = []
-
-    def exploding_stepper(plant):
-        plant_step = real(plant)
-
-        def call(u):
-            calls.append(u)
-            if len(calls) == s.n * (round_ - 1) + 1:
-                raise NonFiniteValue("synthetic overflow")
-            return plant_step(u)
-        return call
-
-    with unittest.mock.patch.object(H, "stepper", exploding_stepper), \
-            pytest.raises(NonFiniteValue) as exc:
-        run(s)
+    with pytest.raises(NonFiniteValue) as exc:
+        run(s, initial_plants=exploding_plants(s, agent=1, call=round_))
     return exc.value.partial
 
 
@@ -1181,24 +1371,10 @@ def test_batch_parallel_matches_serial():
 # ---------------------------------------------------------------------------
 # abort path
 
-def test_nonfinite_output_aborts_with_partial_log(monkeypatch):
-    real = H.stepper
-    calls = {"n": 0}
-
-    def exploding_stepper(plant):
-        plant_step = real(plant)
-
-        def call(u):
-            calls["n"] += 1
-            if calls["n"] == 4 * 49 + 1:  # first agent of round 50
-                raise NonFiniteValue("synthetic overflow")
-            return plant_step(u)
-        return call
-
-    monkeypatch.setattr(H, "stepper", exploding_stepper)
+def test_nonfinite_output_aborts_with_partial_log():
     s = builtin_case(1, horizon=200)
     with pytest.raises(NonFiniteValue) as exc:
-        run(s)
+        run(s, initial_plants=exploding_plants(s, agent=1, call=50))  # first agent of round 50
     e = exc.value
     assert e.step == 50
     assert e.agent == 1

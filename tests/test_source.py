@@ -1,14 +1,74 @@
 import ast
 import pathlib
+import random
+
+import pytest
+
+from hwconsensus import analysis, builtin_case, directed_pairs, scenario_from_dict
+from hwconsensus.controller import round_shape
+from hwconsensus.harness import _kernel_source
+from hwconsensus.plant import step_parts
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hwconsensus"
+CODE_LIKE = "__import__('os').system('echo hi') #\"\"\" ; raise SystemExit"
+
+
+def _asserts(tree: ast.AST, where: str) -> list:
+    return [f"{where}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
 def test_no_assert_in_the_package():
     # python -O compiles assert statements away, so no check may be one
     paths = sorted(PACKAGE.glob("*.py"))
     assert "analysis.py" in [p.name for p in paths]
-    found = [f"{p.name}:{node.lineno}" for p in paths
-             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), str(p)))
-             if isinstance(node, ast.Assert)]
+    found = [hit for p in paths
+             for hit in _asserts(ast.parse(p.read_text(encoding="utf-8"), str(p)), p.name)]
     assert found == []
+
+
+def _twelve_agents(label: str):
+    """A network like the long-strided benchmark's: 12 agents, half of each
+    kind, every catalog nonlinearity, 18 weighted edges."""
+    rng = random.Random(12)
+    names = ["identity", "affine", "cubic_affine", "shifted_cube"] * 3
+    params = {"identity": {}, "affine": {"beta": 1.25, "gamma": 0.5},
+              "cubic_affine": {"alpha": 0.25, "beta": 0.75, "gamma": -0.5},
+              "shifted_cube": {"gamma": 0.125}}
+    edges = {(b - 1, b) for b in range(2, 13)}
+    while len(edges) < 18:
+        a, b = sorted(rng.sample(range(1, 13), 2))
+        edges.add((a, b))
+    return scenario_from_dict({
+        "label": label, "horizon": 6000, "log_stride": 10,
+        "topology": [[a, b, 0.5 + a / 8] for a, b in sorted(edges)],
+        "agents": [{"kind": ("hammerstein", "wiener")[i % 2], "C": [1.0, -0.4, 0.04],
+                    "D": [1.0, 0.3, -0.2], "f": {"name": names[i], "params": params[names[i]]}}
+                   for i in range(12)],
+        "controller": {"u_star": [0.25 * i - 1.5 for i in range(12)], "c_M": 55.0,
+                       "initial_u": [0.0] * 12},
+        "noise": {"dist": "gaussian", "params": {"variance": 1.0}, "seed": 7}})
+
+
+def _source(s) -> str:
+    plants = [a.build() for a in s.agents]
+    nbrs = analysis.neighbour_columns(s.topology, directed_pairs(s.topology))
+    return _kernel_source(tuple(step_parts(p)[0] for p in plants), round_shape(nbrs))
+
+
+@pytest.mark.parametrize("s", [builtin_case(1), builtin_case(2), builtin_case(3),
+                               _twelve_agents(CODE_LIKE)],
+                         ids=["case1", "case2", "case3", "twelve-agents"])
+def test_the_round_kernel_source_holds_no_assert_and_no_scenario_value(s):
+    src = _source(s)
+    tree = ast.parse(src)
+    assert _asserts(tree, "kernel") == []
+    assert CODE_LIKE not in src and s.label not in src
+    # every scenario value is an argument: the only float literals are the
+    # round's 0.0 and 1.0, the only strings the error messages' text
+    floats = {node.value for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, float)}
+    assert floats <= {0.0, 1.0}
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert strings <= {"nonlinearity overflows at ", "plant output left finite range (v=",
+                       ", y=", ")"}
