@@ -26,7 +26,7 @@ from .errors import (
     StepNotLogged,
     ValidationError,
 )
-from .graph import LaplacianView, Topology, diameter, laplacian
+from .graph import LaplacianView, Topology, diameter, directed_pairs, laplacian
 
 INF = float("inf")
 # the eq28 grid verify checks: k <= EQ28_GRID_K, T in EQ28_GRID_T; every
@@ -41,33 +41,31 @@ RECURSION_THRESHOLD = 1e-9  # largest replay residual the recursion check passes
 
 @dataclass
 class TrajectoryLog:
-    """Complete per-step record of one run.
+    """One run: its scenario (a harness.Scenario), u_{i,k} and sigma_{i,k}
+    at the start of every round (row r is step r + 1), and on the logged
+    rounds (logged_rows) the outputs y_{i,k+1} and each edge's noise.
 
-    Row r (0-based) holds step k = r + 1: the estimate u_{i,k} and count
-    sigma_{i,k} at the start of the round, the pooled count, the working
-    estimate, the plant output y_{i,k+1} produced in the round, the
-    aggregated observation O_{i,k+1}, and per directed edge the observed
-    value z and its noise component. The y/O/z/eps entries are recorded on
-    the logged rows only (steps k = 1, 1+stride, ...) and NaN elsewhere; u
-    and sigma columns are always full. The horizon is the number of rows.
+    The other columns are derived when first read, with the round's IEEE
+    operations in its order, so each cell is the round's value bit for bit:
+    sigma_prime, the closed neighbourhood's largest sigma; u_prime, u* where
+    sigma_prime > sigma, else u; and, NaN off the stride (y and noise
+    themselves at stride 1), y_next, eps, z = y of the observed agent plus
+    noise, and O_next, w (z - y_i) summed over the neighbours from 0.0.
     """
 
-    log_stride: int
-    pairs: list
+    scenario: object
     u: np.ndarray
     sigma: np.ndarray
-    sigma_prime: np.ndarray
-    u_prime: np.ndarray
-    y_next: np.ndarray
-    O_next: np.ndarray
-    z: np.ndarray
-    eps: np.ndarray
-    u_star: np.ndarray
-    c_M: float
+    y: np.ndarray
+    noise: np.ndarray
 
     @property
     def horizon(self) -> int:
         return self.u.shape[0]
+
+    @property
+    def log_stride(self) -> int:
+        return self.scenario.log_stride
 
     @property
     def logged_rows(self) -> np.ndarray:
@@ -77,9 +75,68 @@ class TrajectoryLog:
     def sigma_bar(self) -> np.ndarray:
         return self.sigma.max(axis=1)
 
+    @functools.cached_property
+    def pairs(self) -> list:
+        return directed_pairs(self.scenario.topology)
+
+    @functools.cached_property
+    def _nbrs(self) -> list:
+        return neighbour_columns(self.scenario.topology, self.pairs)
+
+    def _dense(self, block: np.ndarray) -> np.ndarray:
+        """block, of the logged rows, on every row with NaN off the stride."""
+        if self.log_stride == 1:
+            return block
+        out = np.full((self.horizon, block.shape[1]), np.nan)
+        out[::self.log_stride] = block
+        return out
+
+    def _logged_z(self) -> np.ndarray:
+        # the round's float arithmetic overflows to inf without a warning
+        with np.errstate(all="ignore"):
+            z = self.y[:, [j - 1 for _, j in self.pairs]]
+            z += self.noise
+        return z
+
+    @functools.cached_property
+    def sigma_prime(self) -> np.ndarray:
+        pooled = self.sigma.copy()
+        for i, nb in enumerate(self._nbrs):
+            for _, j, _ in nb:
+                np.maximum(pooled[:, i], self.sigma[:, j], out=pooled[:, i])
+        return pooled
+
+    @functools.cached_property
+    def u_prime(self) -> np.ndarray:
+        return np.where(self.sigma_prime > self.sigma,
+                        np.array(self.scenario.controller.u_star), self.u)
+
+    @functools.cached_property
+    def y_next(self) -> np.ndarray:
+        return self._dense(self.y)
+
+    @functools.cached_property
+    def O_next(self) -> np.ndarray:
+        z, O = self._logged_z(), np.empty_like(self.y)
+        with np.errstate(all="ignore"):
+            for i, nb in enumerate(self._nbrs):
+                acc = 0.0
+                for c, _, w in nb:
+                    acc = acc + w * (z[:, c] - self.y[:, i])
+                O[:, i] = acc
+        return self._dense(O)
+
+    @functools.cached_property
+    def z(self) -> np.ndarray:
+        return self._dense(self._logged_z())
+
+    @functools.cached_property
+    def eps(self) -> np.ndarray:
+        return self._dense(self.noise)
+
 
 def logged_rows(horizon: int, log_stride: int) -> np.ndarray:
-    """The 0-based rows whose y/O/z/eps entries are recorded: steps 1, 1 + stride, ..."""
+    """The 0-based rows whose outputs and noise are recorded: steps 1, 1 + stride, ..."""
     return np.arange(0, horizon, log_stride)
 
 
@@ -89,48 +146,6 @@ def neighbour_columns(topology: Topology, pairs) -> list:
     col = {p: c for c, p in enumerate(pairs)}
     return [[(col[(i, j)], j - 1, topology.weight(i, j)) for j in topology.neighbors(i)]
             for i in range(1, topology.n + 1)]
-
-
-def round_columns(u: np.ndarray, sigma: np.ndarray, y: np.ndarray, eps: np.ndarray,
-                  nbrs: list, u_star: np.ndarray, log_stride: int) -> dict:
-    """The log columns a run makes of its (u, sigma) rows and its outputs and noise.
-
-    u and sigma are (K, n) with every row; y (outputs) and eps (noise per
-    edge column) hold the logged rows only, as logged_rows(K, log_stride).
-    nbrs is neighbour_columns' table. Returns sigma_prime (the largest sigma
-    over the closed neighbourhood), u_prime (u* where sigma_prime > sigma,
-    else u), and y_next, O_next, z = y of the observed agent + eps and eps,
-    NaN on the rows off the stride; at stride 1, y_next and eps are y and
-    eps themselves. O_i sums w * (z - y_i) over the neighbours in nbrs order
-    from 0.0: the same IEEE operations in the same order as
-    controller.advance, so every cell equals the round's value bit for bit.
-    """
-    pooled = sigma.copy()
-    observed = np.empty(eps.shape[1], dtype=np.int64)
-    for i, nb in enumerate(nbrs):
-        for c, j, _ in nb:
-            np.maximum(pooled[:, i], sigma[:, j], out=pooled[:, i])
-            observed[c] = j
-    # the round's float arithmetic overflows to inf without a warning
-    with np.errstate(all="ignore"):
-        z = y[:, observed]
-        z += eps
-        O = np.empty_like(y)
-        for i, nb in enumerate(nbrs):
-            acc = 0.0
-            for c, _, w in nb:
-                acc = acc + w * (z[:, c] - y[:, i])
-            O[:, i] = acc
-
-    def dense(block):
-        if log_stride == 1:
-            return block
-        out = np.full((len(u), block.shape[1]), np.nan)
-        out[::log_stride] = block  # the rows of logged_rows
-        return out
-
-    return {"sigma_prime": pooled, "u_prime": np.where(pooled > sigma, u_star, u),
-            "y_next": dense(y), "O_next": dense(O), "z": dense(z), "eps": dense(eps)}
 
 
 @dataclass(frozen=True)
@@ -443,6 +458,7 @@ def build_auxiliary(log: TrajectoryLog, gains, topology: Topology,
     times = truncation_times(log)
     sbar = log.sigma_bar
 
+    u_star = np.array(log.scenario.controller.u_star)
     ubar = log.u.copy()
     catchup = np.zeros((K, n), dtype=bool)
     for m in range(0, times.top + 1):
@@ -452,7 +468,7 @@ def build_auxiliary(log: TrajectoryLog, gains, topology: Topology,
         lo = int(lo)
         ends = np.minimum(times.rbar(m), K + 1).astype(np.int64)
         for i in np.flatnonzero(ends > lo):
-            ubar[lo - 1:ends[i] - 1, i] = log.u_star[i]
+            ubar[lo - 1:ends[i] - 1, i] = u_star[i]
             catchup[lo - 1:ends[i] - 1, i] = True
 
     h_u, g_u = hg if hg is not None else gain_field(log.u, gains, lap)
@@ -468,7 +484,7 @@ def build_auxiliary(log: TrajectoryLog, gains, topology: Topology,
     structure_max_err = float(np.max(np.where(catchup, 0.0, live_err))) if K else 0.0
 
     return AuxiliarySequences(ubar=ubar, ebar=ebar, obar=obar, sigma_bar=sbar,
-                              times=times, u_star=log.u_star.copy(), catchup_mask=catchup,
+                              times=times, u_star=u_star, catchup_mask=catchup,
                               structure_max_err=structure_max_err)
 
 
@@ -659,7 +675,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology):
     with np.errstate(over="ignore", invalid="ignore"):
         hg = gain_field(log.u, gains, lap)
         aux = build_auxiliary(log, gains, topology, hg)
-        rec = verify_centralized_recursion(aux, Schedule(c_M=log.c_M))
+        rec = verify_centralized_recursion(aux, Schedule(c_M=log.scenario.controller.c_M))
         e1, e2, e3, target = _decompose(log, slice(None), gains, lap, hg)
         decomp_err = float(np.max(np.abs(e1 + e2 + e3 - target)))
 

@@ -15,8 +15,8 @@ harness.run's round kernel for a whole run. Either keeps only the next
 (u, sigma). Pooling reads the counts as they stood at the start of the
 round, so the result does not depend on the order in which agents are
 visited. The round's pooled counts, working estimates and
-aggregated observations are functions of (u, sigma, y, eps) and are derived
-for a whole log at once by analysis.round_columns.
+aggregated observations are functions of (u, sigma, y, eps), derived for a
+whole log at once by analysis.TrajectoryLog.
 """
 
 from __future__ import annotations

@@ -90,6 +90,11 @@ def build_topology(n: int, weighted_edges) -> Topology:
     return Topology(n=n, weights=weights)
 
 
+def directed_pairs(t: Topology) -> list:
+    """Every edge direction (observer i, observed j), sorted: the edge columns of a log."""
+    return sorted((i, j) for i in range(1, t.n + 1) for j in t.neighbors(i))
+
+
 def laplacian(t: Topology) -> LaplacianView:
     P = np.zeros((t.n, t.n))
     for (i, j), w in t.weights.items():

@@ -6,14 +6,14 @@ scenario: one round applies every agent's current input to its plant,
 exchanges noisy output observations and truncation counts as a snapshot,
 then advances every controller. run executes all rounds in one compiled
 function, the round kernel, generated from plant.emit_step and
-controller.emit_round. The complete per-round record goes into a
-TrajectoryLog.
+controller.emit_round. What it keeps of the rounds is the run's
+TrajectoryLog, which derives the other columns.
 
 File layout of a saved run directory:
   log.npz         what the round loop keeps, as npy arrays (np.savez,
                   uncompressed): u (K, n) float64 and sigma (K, n) int64 on
                   every step, y (L, n) and eps (L, m) float64 on the L logged
-                  steps; load_run derives the other log columns from them
+                  steps: the TrajectoryLog load_run reads back
   summary.json    headline numbers, a function of the log; null if not finite
   meta.json       the scenario that ran (its noise seed included) and its hash,
                   and each array's dtype, shape and SHA-256; the shape of u
@@ -40,7 +40,7 @@ import numpy as np
 from . import analysis
 from .controller import Schedule, emit_round, round_shape
 from .errors import IncompleteLog, NonFiniteValue, ValidationError
-from .graph import Topology, build_topology, is_connected, laplacian
+from .graph import Topology, build_topology, directed_pairs, is_connected, laplacian
 from .noise import NoiseSpec, make_noise_spec, stream_for
 from .plant import (
     HAMMERSTEIN,
@@ -61,7 +61,7 @@ from .plant import (
 
 VERIFY_MAX_HORIZON = 200_000  # stride-1 logging refuses longer runs
 LOG_COLUMNS = ("u", "sigma", "sigma_prime", "u_prime", "y_next", "O_next", "z", "eps")
-NOISE_BLOCK_STEPS = 1024  # noise rows turned into Python floats at a time by run
+NOISE_BLOCK_STEPS = 1024  # noise rows run draws and turns into Python floats at a time
 
 
 @dataclass(frozen=True)
@@ -320,43 +320,28 @@ def builtin_case(case: int, horizon: int = 100_000, seed: int = 1,
 
 @dataclass
 class RunResult:
-    scenario: Scenario  # the scenario that ran, its noise seed included
     log: analysis.TrajectoryLog
     summary: dict
     wall_time: float
+
+    @property
+    def scenario(self) -> Scenario:
+        return self.log.scenario  # the scenario that ran, its noise seed included
 
     @property
     def seed(self) -> int:
         return self.scenario.noise.seed
 
 
-def directed_pairs(t: Topology) -> list:
-    return sorted((i, j) for i in range(1, t.n + 1) for j in t.neighbors(i))
-
-
-def _new_log(s: Scenario, u: np.ndarray, sigma: np.ndarray, y: np.ndarray,
-             eps: np.ndarray) -> analysis.TrajectoryLog:
-    """The log of a run of s, from what its round loop keeps: u and sigma on
-    every row, the outputs y and the noise eps on the logged rows. The other
-    LOG_COLUMNS are derived by analysis.round_columns."""
-    pairs = directed_pairs(s.topology)
-    u_star = np.array(s.controller.u_star)
-    return analysis.TrajectoryLog(
-        log_stride=s.log_stride, pairs=pairs, u=u, sigma=sigma,
-        **analysis.round_columns(u, sigma, y, eps, analysis.neighbour_columns(s.topology, pairs),
-                                 u_star, s.log_stride),
-        u_star=u_star, c_M=s.controller.c_M)
-
-
-def summarize(log: analysis.TrajectoryLog, gains, lap) -> dict:
+def summarize(log: analysis.TrajectoryLog) -> dict:
     """Headline numbers, a function of the log (at least one row) alone."""
     fired = np.count_nonzero(log.sigma[1:] == log.sigma_prime[:-1] + 1, axis=0).tolist()
-    last_y = log.y_next[log.logged_rows[-1]]
+    last_y = log.y[-1]
     # a diverged run's residual or spread overflows; it is reported as null,
     # as JSON has no inf
     with np.errstate(over="ignore", invalid="ignore"):
-        h_last = np.array([g(x) for g, x in zip(gains, log.u[-1])])
-        res = float(np.max(np.abs(lap.L @ h_last)))
+        h_last = np.array([g(x) for g, x in zip(log.scenario.gains(), log.u[-1])])
+        res = float(np.max(np.abs(laplacian(log.scenario.topology).L @ h_last)))
         spread = float(last_y.max() - last_y.min())
     return {
         "final_spread": spread if math.isfinite(spread) else None,
@@ -453,14 +438,8 @@ def run(s: Scenario, master_seed: int | None = None,
     if master_seed is not None:
         s = replace(s, noise=make_noise_spec(s.noise.dist, s.noise.params_dict(), master_seed))
 
-    n = s.n
-    K = s.horizon
-    stride = s.log_stride
-    topo = s.topology
-    lap = laplacian(topo)
+    n, K, stride, topo = s.n, s.horizon, s.log_stride, s.topology
     pairs = directed_pairs(topo)
-    gains = s.gains()
-
     if initial_plants is None:
         plants = [a.build() for a in s.agents]
     else:
@@ -469,39 +448,42 @@ def run(s: Scenario, master_seed: int | None = None,
     nbrs = analysis.neighbour_columns(topo, pairs)
     shapes, values = zip(*(step_parts(p) for p in plants))
     kernel = _round_kernel(shapes, round_shape(nbrs))
-    eps = np.column_stack([stream_for(s.noise, i, j, topo).draw(K) for (i, j) in pairs])
-    # the noise rows as Python floats, converted one block of steps at a time
-    eps_rows = (row for a in range(0, K, NOISE_BLOCK_STEPS)
-                for row in eps[a:a + NOISE_BLOCK_STEPS].tolist())
+    streams = [stream_for(s.noise, i, j, topo) for (i, j) in pairs]
+    noise = np.empty((len(analysis.logged_rows(K, stride)), len(pairs)))
+
+    def noise_rows():
+        # the noise rows, logged ones kept, one block of steps at a time: the
+        # streams are counter-based, so the blocks hold one draw's bits
+        for a in range(0, K, NOISE_BLOCK_STEPS):
+            block = np.column_stack([st.draw(min(NOISE_BLOCK_STEPS, K - a)) for st in streams])
+            first = -(-a // stride)  # the block's first logged row, counted in noise
+            kept = block[first * stride - a::stride]
+            noise[first:first + len(kept)] = kept
+            yield from block.tolist()
 
     # the loop keeps what only it knows: u and sigma on every step, y on the
-    # logged steps; the other log columns are derived from them afterwards
+    # logged steps
     u_buf, sigma_buf, y_buf = array("d"), array("q"), array("d")
 
     def make_log() -> analysis.TrajectoryLog:
-        rows = len(u_buf) // n
-        # the logged rows' noise is a view, not a copy
-        return _new_log(s, np.frombuffer(u_buf).reshape(rows, n),
-                        np.frombuffer(sigma_buf, dtype=np.int64).reshape(rows, n),
-                        np.frombuffer(y_buf).reshape(-1, n), eps[:rows:stride])
+        rows, logged = len(u_buf) // n, len(y_buf) // n
+        return analysis.TrajectoryLog(s, np.frombuffer(u_buf).reshape(rows, n),
+                                      np.frombuffer(sigma_buf, dtype=np.int64).reshape(rows, n),
+                                      np.frombuffer(y_buf).reshape(logged, n), noise[:logged])
 
     try:
-        kernel(K, stride, eps_rows, u_buf.fromlist, sigma_buf.fromlist, y_buf.fromlist,
-               Schedule(c_M=s.controller.c_M).bounds,
-               values,
-               s.controller.initial_u, s.controller.u_star,
-               [topo.weight(i, j) for (i, j) in pairs])
+        kernel(K, stride, noise_rows(), u_buf.fromlist, sigma_buf.fromlist, y_buf.fromlist,
+               Schedule(c_M=s.controller.c_M).bounds, values, s.controller.initial_u,
+               s.controller.u_star, [topo.weight(i, j) for (i, j) in pairs])
     except NonFiniteValue as e:
         partial = make_log()
-        e.partial = RunResult(scenario=s, log=partial,
-                              summary=summarize(partial, gains, lap)
-                              if e.step > 1 else {"aborted_at": e.step},
+        e.partial = RunResult(log=partial,
+                              summary=summarize(partial) if e.step > 1 else {"aborted_at": e.step},
                               wall_time=time.perf_counter() - t0)
         raise
 
     log = make_log()
-    return RunResult(scenario=s, log=log, summary=summarize(log, gains, lap),
-                     wall_time=time.perf_counter() - t0)
+    return RunResult(log=log, summary=summarize(log), wall_time=time.perf_counter() - t0)
 
 
 def batch(s: Scenario, seeds, workers: int = 1) -> list:
@@ -536,12 +518,6 @@ _UNREADABLE = (zipfile.BadZipFile, NotImplementedError, RuntimeError, ValueError
                EOFError, tokenize.TokenError, MemoryError)
 
 
-def _stored_arrays(log: analysis.TrajectoryLog) -> dict:
-    """What the round loop keeps of a run: the arrays of log.npz."""
-    rows = log.logged_rows
-    return {"u": log.u, "sigma": log.sigma, "y": log.y_next[rows], "eps": log.eps[rows]}
-
-
 def _array_records(arrays: dict) -> dict:
     """Each array's dtype, shape and SHA-256 of its bytes, as meta.json records them."""
     return {name: {"dtype": a.dtype.str, "shape": list(a.shape),
@@ -551,7 +527,8 @@ def _array_records(arrays: dict) -> dict:
 
 def save_run(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    arrays = _stored_arrays(result.log)
+    log = result.log
+    arrays = {"u": log.u, "sigma": log.sigma, "y": log.y, "eps": log.noise}
     # np.savez writes fixed zip timestamps: a replayed run saves the same bytes
     np.savez(os.path.join(outdir, LOG_FILE), **arrays)
     write_json(os.path.join(outdir, "summary.json"), result.summary)
@@ -621,8 +598,7 @@ def _read_store(fh, s: Scenario, records) -> dict:
 
 def load_run(rundir: str):
     """Read a saved run back as (TrajectoryLog, Scenario): the scenario that
-    ran, its noise seed included, and the log built from the stored arrays as
-    run builds it.
+    ran, its noise seed included, and the log of it and the stored arrays.
 
     Raises IncompleteLog, naming the file or the array, for a meta.json that
     is not a JSON object with every key it reads (others, such as the horizon
@@ -653,4 +629,4 @@ def load_run(rundir: str):
             raise IncompleteLog("meta.json: the embedded scenario does not match its "
                                 f"scenario_hash {meta['scenario_hash']!r}")
         arrays = _read_store(store, s, meta["arrays"])
-    return _new_log(s, **arrays), s
+    return analysis.TrajectoryLog(s, arrays["u"], arrays["sigma"], arrays["y"], arrays["eps"]), s

@@ -319,18 +319,21 @@ class StabilityReport:
 def check_stability(p: Polynomial, tol: float = 1e-9) -> StabilityReport:
     """All roots of p(z) strictly outside the closed unit disk by margin tol.
 
-    Degree 0 is vacuously stable. Roots come from the companion eigenvalue
-    problem (np.roots).
+    Degree 0 is vacuously stable. p is stable when every root rho of the
+    monic z^d p(1/z) (np.roots, which divides by its leading 1 only) has
+    |rho| (1 + tol) < 1; p's roots are reported as 1/rho for rho != 0.
     """
     if p.degree == 0:
         return StabilityReport(stable=True, roots=())
     try:
-        roots = np.roots(list(reversed(p.coeffs)))
+        rho = np.roots(p.coeffs)
     except np.linalg.LinAlgError as e:
         raise RootSolverFailure(f"root extraction failed for {p.coeffs!r}: {e}")
-    if not np.all(np.isfinite(roots)):
+    if not np.all(np.isfinite(rho)):
         raise RootSolverFailure(f"non-finite roots for {p.coeffs!r}")
-    stable = bool(np.all(np.abs(roots) > 1.0 + tol))
+    stable = bool(np.all(np.abs(rho) * (1.0 + tol) < 1.0))
+    with np.errstate(over="ignore"):
+        roots = 1.0 / rho[rho != 0]
     return StabilityReport(stable=stable, roots=tuple(complex(r) for r in roots))
 
 

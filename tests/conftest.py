@@ -9,7 +9,18 @@ import dataclasses
 
 import pytest
 
-from hwconsensus import Scenario, builtin_case, run, scenario_from_dict
+from hwconsensus import (
+    AgentSpec,
+    ControllerSpec,
+    Scenario,
+    Topology,
+    builtin_case,
+    make_nonlinearity,
+    make_noise_spec,
+    poly,
+    run,
+    scenario_from_dict,
+)
 
 _CACHE = {}
 
@@ -49,6 +60,20 @@ def exploding_plants(s: Scenario, agent: int, call: int) -> list:
 
     plants[agent - 1].f = dataclasses.replace(f, fn=evaluator)
     return plants
+
+
+def network_scenario(n: int, edges, u_star=None) -> Scenario:
+    """n identity agents on the 1-based (i, j, weight) edges, reset points
+    u_star (zeros if None), stride 1, built without validation, so there may
+    be one agent or isolated ones: the network and reset points a hand-made
+    TrajectoryLog derives its columns from."""
+    ident = AgentSpec("hammerstein", poly([1]), poly([1]), make_nonlinearity("identity", {}))
+    u_star = tuple(map(float, u_star)) if u_star is not None else (0.0,) * n
+    return Scenario(label="network", horizon=1, log_stride=1,
+                    topology=Topology(n, {(min(i, j), max(i, j)): w for i, j, w in edges}),
+                    agents=(ident,) * n,
+                    controller=ControllerSpec(u_star=u_star, c_M=55.0, initial_u=u_star),
+                    noise=make_noise_spec("zero", {}, 0))
 
 
 def two_agent_scenario(horizon=2000, seed=5, dist="gaussian", params=None,

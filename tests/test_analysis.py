@@ -39,7 +39,7 @@ from hwconsensus.errors import (
     ValidationError,
 )
 
-from conftest import two_agent_scenario
+from conftest import network_scenario, two_agent_scenario
 
 INF = float("inf")
 
@@ -48,27 +48,21 @@ GAINS1 = CASE1.gains()
 LAP1 = laplacian(CASE1.topology)
 
 
-def synthetic_log(sigma_rows, n=None, pairs=None):
-    """Log with scripted truncation counts and zeroed signal columns."""
+def synthetic_log(sigma_rows):
+    """Log with scripted truncation counts and zeroed signal columns, of
+    agents 1 and 2 joined by one edge and any others isolated."""
     sig = np.array(sigma_rows, dtype=np.int64)
-    K, nn = sig.shape
-    n = n or nn
-    pairs = pairs if pairs is not None else [(1, 2), (2, 1)]
-    m = len(pairs)
-    z = np.zeros((K, m))
-    return TrajectoryLog(
-        log_stride=1, pairs=pairs,
-        u=np.zeros((K, n)), sigma=sig, sigma_prime=sig.copy(),
-        u_prime=np.zeros((K, n)), y_next=np.zeros((K, n)),
-        O_next=np.zeros((K, n)), z=z, eps=z.copy(),
-        u_star=np.zeros(n), c_M=55.0)
+    K, n = sig.shape
+    edges = [(1, 2, 1.0)] if n > 1 else []
+    return TrajectoryLog(network_scenario(n, edges), u=np.zeros((K, n)), sigma=sig,
+                         y=np.zeros((K, n)), noise=np.zeros((K, 2 * len(edges))))
 
 
 def test_horizon_and_logged_rows_follow_the_arrays():
     log = synthetic_log([[0, 0]] * 7)
     assert log.horizon == 7
     assert log.logged_rows.tolist() == list(range(7))
-    strided = dataclasses.replace(log, log_stride=3)
+    strided = dataclasses.replace(log, scenario=dataclasses.replace(log.scenario, log_stride=3))
     assert strided.logged_rows.tolist() == [0, 3, 6]
 
 
@@ -428,7 +422,7 @@ def test_truncation_times_agent_two_at_step_five():
     # one agent fires at k=5 on the chorded square; the rest catch up
     # within the diameter of 2 steps
     rows = [[0, 0, 0, 0]] * 4 + [[0, 1, 0, 0]] + [[1, 1, 1, 1]] * 3
-    log = synthetic_log(rows, pairs=[(1, 2), (2, 1)])
+    log = synthetic_log(rows)
     t = truncation_times(log)
     assert t.r[1] == 5.0
     assert np.all(t.r_agent[1] <= 7.0)
@@ -565,7 +559,7 @@ def test_auxiliary_catchup_side_cancels_exactly(runs):
     mask = aux.catchup_mask
     assert mask.any()
     assert np.array_equal(aux.ubar[mask],
-                          np.broadcast_to(res.log.u_star, mask.shape)[mask])
+                          np.broadcast_to(s.controller.u_star, mask.shape)[mask])
     assert np.all(aux.obar[mask] == 0.0)
     lap = laplacian(s.topology)
     h_ubar = np.column_stack([gains[i](aux.ubar[:, i]) for i in range(4)])

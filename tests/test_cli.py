@@ -12,7 +12,7 @@ from hwconsensus import build_auxiliary, builtin_case, csvout, harness, scenario
 from hwconsensus.cli import main
 
 from conftest import two_agent_scenario
-from test_harness import CORRUPTIONS, flip_bit, relog, saved_case
+from test_harness import CORRUPTIONS, flip_bit, relog, saved_case, stored_arrays
 
 
 def run_dir(tmp_path, *extra):
@@ -27,10 +27,10 @@ def run_dir(tmp_path, *extra):
 def _resave(d, name, index, value):
     """Save the run of d again with one cell of a stored array (u, sigma, y or
     eps) set to value; load_run then derives the other columns from it."""
-    log, s = harness.load_run(str(d))
-    array = harness._stored_arrays(log)[name].copy()
+    log, _ = harness.load_run(str(d))
+    array = stored_arrays(log)[name].copy()
     array[index] = value
-    res = harness.RunResult(scenario=s, log=log, summary={}, wall_time=0.0)
+    res = harness.RunResult(log=log, summary={}, wall_time=0.0)
     harness.save_run(relog(res, **{name: array}), str(d))
 
 
@@ -115,6 +115,20 @@ def test_run_scenario_file_end_to_end(tmp_path):
     meta = json.loads((d / "meta.json").read_text())
     assert meta["scenario"]["label"] == "pair"
     assert meta["arrays"]["u"]["shape"] == [120, 2]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("C", [[1.0, 5e-324], [1.0, 0.5, 1e-310]], ids=["5e-324", "1e-310"])
+def test_run_a_scenario_whose_c_has_a_subnormal_coefficient(tmp_path, capsys, C):
+    # a stable C with a subnormal coefficient is in the model class
+    doc = scenario_to_dict(builtin_case(1, horizon=60))
+    doc["agents"][0]["C"] = C
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(p), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert meta["scenario"]["agents"][0]["C"] == C
 
 
 @pytest.mark.parametrize("how", ["batch", "run"])
@@ -262,7 +276,7 @@ def test_verify_locates_a_corrupted_stored_column(tmp_path, capsys, column, fiel
     # so a corrupt cell of it is one in that array, flipped here in bit field
     d = run_dir(tmp_path)
     log, _ = harness.load_run(str(d))
-    stored = harness._stored_arrays(log)
+    stored = stored_arrays(log)
     assert column not in stored
     name = next(key for key, a in stored.items() if a is edit(log))
     _verify_names_a_flipped_bit(tmp_path, capsys, name, (149, 1), field)

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import exploding_plants, forced_truncation_scenarios
+from conftest import exploding_plants, forced_truncation_scenarios, network_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwconsensus import NonFiniteValue, Schedule, advance, builtin_case, run
-from hwconsensus.analysis import neighbour_columns, round_columns
+from hwconsensus.analysis import TrajectoryLog, neighbour_columns
 from hwconsensus.errors import ValidationError
 
 SCHED = Schedule(c_M=55.0)
@@ -18,7 +18,7 @@ WIDE = Schedule(c_M=1e6)
 # advance as it was when it also returned each round's pooled counts,
 # working estimates and aggregated observations, with the bound computed
 # directly. Kept as the scalar reference that the next (u, sigma) and the
-# columns round_columns derives must match bit for bit.
+# columns TrajectoryLog derives must match bit for bit.
 def _reference_advance(u, sigma, ys, z, nbrs, u_star, k, sched):
     sigma_prime = []
     for i, nb in enumerate(nbrs):
@@ -62,8 +62,9 @@ def one_round(edges, u, sigma, u_star, ys=None, z=None, k=1, sched=SCHED):
 
     z maps directed pairs (i, j) to the value agent i observes of agent j;
     unlisted pairs observe the neighbor's output exactly. Returns the next
-    (u, sigma) and the round's (sigma_prime, u_prime, O) rows as
-    round_columns derives them; both equal the scalar reference's, bit for bit.
+    (u, sigma) and the round's (sigma_prime, u_prime, O) rows as the
+    one-row TrajectoryLog of the round derives them; both equal the scalar
+    reference's, bit for bit.
     """
     n = len(u)
     ys = [0.0] * n if ys is None else ys
@@ -83,11 +84,11 @@ def one_round(edges, u, sigma, u_star, ys=None, z=None, k=1, sched=SCHED):
     ref = _reference_advance(ref_u, ref_sigma, ys, zs, nbrs, list(u_star), k, sched)
     assert (_bits(nxt_u).tolist(), nxt_sigma) == (_bits(ref_u).tolist(), ref_sigma)
 
-    cols = round_columns(np.array([u], dtype=float), np.array([sigma], dtype=np.int64),
-                         np.array([ys], dtype=float), np.array([eps], dtype=float),
-                         nbrs, np.array(u_star, dtype=float), 1)
-    rows = (cols["sigma_prime"][0].tolist(), cols["u_prime"][0].tolist(),
-            cols["O_next"][0].tolist())
+    s = network_scenario(n, [(i + 1, j + 1, x) for i, j, x in edges], u_star)
+    log = TrajectoryLog(s, np.array([u], dtype=float), np.array([sigma], dtype=np.int64),
+                        np.array([ys], dtype=float), np.array([eps], dtype=float))
+    assert neighbour_columns(s.topology, log.pairs) == nbrs
+    rows = (log.sigma_prime[0].tolist(), log.u_prime[0].tolist(), log.O_next[0].tolist())
     assert rows[0] == ref[0]
     assert _bits(rows[1]).tolist() == _bits(ref[1]).tolist()
     assert _bits(rows[2]).tolist() == _bits(ref[2]).tolist()

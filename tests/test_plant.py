@@ -67,6 +67,31 @@ def test_all_builtin_polynomials_stable():
             assert rep.stable, a.C
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("C", [[1, 5e-324], [1, 0.5, 1e-310]], ids=["5e-324", "1e-310"])
+def test_a_subnormal_coefficient_is_stable(C):
+    # np.roots of the reversed coefficients divides by the subnormal and
+    # overflows; the monic polynomial's companion matrix divides by 1
+    rep = check_stability(poly(C))
+    assert rep.stable
+    assert all(abs(r) > 1.0 for r in rep.roots)
+
+
+# the verdict as check_stability gave it from the roots of C itself,
+# np.roots of the reversed coefficients
+def _reference_stable(C, tol=1e-9):
+    return bool(np.all(np.abs(np.roots(list(reversed(C)))) > 1.0 + tol))
+
+
+def test_the_stability_verdicts_are_unchanged():
+    polys = [list(a.C.coeffs) for case in (1, 2, 3) for a in builtin_case(case).agents]
+    polys += [[1, -0.5], [1, -2], [1, -0.99], [1, -1.01], [1, 0, 0, 1.0234567],
+              [1, 0.5, 0.0], [1, 2.0, 1.0], [1, 0.6, 0.5, 0.4], [1, -1.5, 0.56]]
+    verdicts = [check_stability(poly(C)).stable for C in polys]
+    assert verdicts == [_reference_stable(C) for C in polys]
+    assert True in verdicts and False in verdicts
+
+
 def test_state_space_shapes():
     ss = build_state_space(poly([1, -0.5]), poly([1]))
     assert np.array_equal(ss.A, np.array([[0.5, 1.0], [0.0, 0.0]]))
