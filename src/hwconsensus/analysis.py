@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import LaplacianView, Topology, diameter, directed_pairs, laplacian
+from .noise import edge_blocks
 
 INF = float("inf")
 # the eq28 grid verify checks: k <= EQ28_GRID_K, T in EQ28_GRID_T; every
@@ -34,6 +35,7 @@ INF = float("inf")
 EQ28_GRID_K = 1000
 EQ28_GRID_T = (0.1, 0.5, 1.0, 2.0)
 RECURSION_THRESHOLD = 1e-9  # largest replay residual the recursion check passes
+DECOMPOSITION_THRESHOLD = 1e-10  # decomposition errors verify passes are below it
 
 
 # ---------------------------------------------------------------------------
@@ -41,23 +43,29 @@ RECURSION_THRESHOLD = 1e-9  # largest replay residual the recursion check passes
 
 @dataclass
 class TrajectoryLog:
-    """One run: its scenario (a harness.Scenario), u_{i,k} and sigma_{i,k}
-    at the start of every round (row r is step r + 1), and on the logged
-    rounds (logged_rows) the outputs y_{i,k+1} and each edge's noise.
+    """One run: its scenario (a harness.Scenario), u_{i,k} at the start of
+    every round (row r is step r + 1), the count events, and on the logged
+    rounds (logged_rows) the outputs y_{i,k+1}.
+
+    events is an (E, 3) int64 array of (k, agent, count) rows in (k, agent)
+    order, agents 1-based: in round k the agent's count became count, so it
+    holds from row k (step k + 1) on. Every count starts at 0.
 
     The other columns are derived when first read, with the round's IEEE
     operations in its order, so each cell is the round's value bit for bit:
-    sigma_prime, the closed neighbourhood's largest sigma; u_prime, u* where
-    sigma_prime > sigma, else u; and, NaN off the stride (y and noise
-    themselves at stride 1), y_next, eps, z = y of the observed agent plus
-    noise, and O_next, w (z - y_i) summed over the neighbours from 0.0.
+    sigma, each agent's count at the start of every round; noise, each
+    edge's noise on the logged rounds, redrawn from the scenario's noise
+    seed; sigma_prime, the closed neighbourhood's largest sigma; u_prime, u*
+    where sigma_prime > sigma, else u; on the logged rounds logged_z, y of
+    the observed agent plus noise, and logged_O, w (z - y_i) summed over the
+    neighbours from 0.0; and, NaN off the stride (the logged arrays
+    themselves at stride 1), y_next, eps, z and O_next.
     """
 
     scenario: object
     u: np.ndarray
-    sigma: np.ndarray
+    events: np.ndarray
     y: np.ndarray
-    noise: np.ndarray
 
     @property
     def horizon(self) -> int:
@@ -91,12 +99,19 @@ class TrajectoryLog:
         out[::self.log_stride] = block
         return out
 
-    def _logged_z(self) -> np.ndarray:
-        # the round's float arithmetic overflows to inf without a warning
-        with np.errstate(all="ignore"):
-            z = self.y[:, [j - 1 for _, j in self.pairs]]
-            z += self.noise
-        return z
+    @functools.cached_property
+    def sigma(self) -> np.ndarray:
+        return counts_at(self.events, np.arange(self.horizon), self.u.shape[1])
+
+    @functools.cached_property
+    def noise(self) -> np.ndarray:
+        stride = self.log_stride
+        out = np.empty((len(self.logged_rows), len(self.pairs)))
+        for a, block in edge_blocks(self.scenario.noise, self.pairs, self.horizon):
+            first = -(-a // stride)  # the block's first logged row, counted in out
+            kept = block[first * stride - a::stride]
+            out[first:first + len(kept)] = kept
+        return out
 
     @functools.cached_property
     def sigma_prime(self) -> np.ndarray:
@@ -112,27 +127,82 @@ class TrajectoryLog:
                         np.array(self.scenario.controller.u_star), self.u)
 
     @functools.cached_property
-    def y_next(self) -> np.ndarray:
-        return self._dense(self.y)
+    def logged_z(self) -> np.ndarray:
+        # the round's float arithmetic overflows to inf without a warning
+        with np.errstate(all="ignore"):
+            z = self.y[:, [j - 1 for _, j in self.pairs]]
+            z += self.noise
+        return z
 
     @functools.cached_property
-    def O_next(self) -> np.ndarray:
-        z, O = self._logged_z(), np.empty_like(self.y)
+    def logged_O(self) -> np.ndarray:
+        z, O = self.logged_z, np.empty_like(self.y)
         with np.errstate(all="ignore"):
             for i, nb in enumerate(self._nbrs):
                 acc = 0.0
                 for c, _, w in nb:
                     acc = acc + w * (z[:, c] - self.y[:, i])
                 O[:, i] = acc
-        return self._dense(O)
+        return O
+
+    @functools.cached_property
+    def y_next(self) -> np.ndarray:
+        return self._dense(self.y)
+
+    @functools.cached_property
+    def O_next(self) -> np.ndarray:
+        return self._dense(self.logged_O)
 
     @functools.cached_property
     def z(self) -> np.ndarray:
-        return self._dense(self._logged_z())
+        return self._dense(self.logged_z)
 
     @functools.cached_property
     def eps(self) -> np.ndarray:
         return self._dense(self.noise)
+
+
+def counts_at(events: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Each of n agents' count at the start of each of the given 0-based
+    rows, (len(rows), n) int64: the count of its last event with k <= row,
+    else 0. Each agent's events must be in k order."""
+    out = np.empty((len(rows), n), dtype=np.int64)
+    for i in range(n):
+        mine = events[events[:, 1] == i + 1]
+        after = np.searchsorted(mine[:, 0], rows, side="right")
+        out[:, i] = np.concatenate(([0], mine[:, 2]))[after]
+    return out
+
+
+def events_of(sigma: np.ndarray) -> np.ndarray:
+    """The count events of a (K, n) sigma column: (k, agent, count) for
+    every cell that differs from the one above it, the row above row 0 being
+    all zeros, in (k, agent) order."""
+    prev = np.zeros_like(sigma)
+    prev[1:] = sigma[:-1]
+    r, i = np.nonzero(sigma != prev)
+    return np.column_stack([r, i + 1, sigma[r, i]]).astype(np.int64)
+
+
+def fired(log: TrajectoryLog) -> np.ndarray:
+    """Per count event, whether it is a truncation: its count is the agent's
+    pooled count at the start of its round + 1. Any other event is a restart
+    adopting the larger pooled count."""
+    ev = log.events
+    start = counts_at(ev, ev[:, 0] - 1, log.u.shape[1])
+    pooled = np.empty(len(ev), dtype=np.int64)
+    for i, nb in enumerate(log._nbrs):
+        mine = ev[:, 1] == i + 1
+        pooled[mine] = start[mine][:, [i] + [j for _, j, _ in nb]].max(axis=1)
+    return ev[:, 2] == pooled + 1
+
+
+def truncation_events(log: TrajectoryLog) -> list:
+    """The count events as (k, agent, count, kind) rows, in (k, agent) order:
+    kind 'fired' for a truncation in round k, 'pooled' for a restart that
+    adopts a neighbour's larger count (see fired)."""
+    kinds = np.where(fired(log), "fired", "pooled").tolist()
+    return [(k, agent, count, kind) for (k, agent, count), kind in zip(log.events.tolist(), kinds)]
 
 
 def logged_rows(horizon: int, log_stride: int) -> np.ndarray:
@@ -493,6 +563,18 @@ class RecursionCheck:
     max_abs_residual: float
     passed: bool
     sigma_consistent: bool
+    first_failure: tuple | None = None  # (k, agent, residual), see first_failure
+
+
+def first_failure(err: np.ndarray, threshold: float) -> tuple | None:
+    """(k, agent, value) of the first cell of a (K, n) array of errors, in
+    row-major order, that is not below threshold (a NaN is not), row r being
+    round k = r + 1; None if every cell is below it."""
+    bad = np.argwhere(~(err < threshold))
+    if not len(bad):
+        return None
+    r, i = bad[0].tolist()
+    return r + 1, i + 1, float(err[r, i])
 
 
 def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule) -> RecursionCheck:
@@ -501,9 +583,11 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule) -> Re
     From each row: candidate = ubar + (1/k) obar per agent; if the row's
     max |candidate| reaches ln(sigma_bar + c_M) every agent resets to its
     u_star and sigma_bar increments, else the candidates carry forward.
-    Reports the largest deviation from the logged relabeling and whether the
-    sigma_bar path matches the indicator exactly; it passes when both hold,
-    the deviation below RECURSION_THRESHOLD.
+    Reports the largest deviation from the logged relabeling, the first
+    round and agent whose replayed next estimate deviates by
+    RECURSION_THRESHOLD or more, and whether the sigma_bar path matches the
+    indicator exactly; it passes when both hold, every deviation below
+    RECURSION_THRESHOLD.
     """
     K, n = aux.ubar.shape
     if K < 2:
@@ -518,7 +602,8 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule) -> Re
     sigma_ok = bool(np.array_equal(aux.sigma_bar[1:],
                                    aux.sigma_bar[:-1] + ind[:-1].astype(aux.sigma_bar.dtype)))
     return RecursionCheck(max_abs_residual=resid, passed=resid < RECURSION_THRESHOLD and sigma_ok,
-                          sigma_consistent=sigma_ok)
+                          sigma_consistent=sigma_ok,
+                          first_failure=first_failure(diff, RECURSION_THRESHOLD))
 
 
 # ---------------------------------------------------------------------------
@@ -655,20 +740,22 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology):
     Returns (report, extras): report carries the four headline fields
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
     supporting diagnostics for human output, among them the first failing
-    (k, T, lo, m, hi) of the eq28 grid (EQ28_GRID_K, EQ28_GRID_T), or None,
-    and h, the gains on log.u, for consensus_metrics. A count outside
-    0..k-1 raises IdentityViolation located at (k, agent, count).
+    (k, T, lo, m, hi) of the eq28 grid (EQ28_GRID_K, EQ28_GRID_T) and the
+    first (k, agent, error) of the decomposition at DECOMPOSITION_THRESHOLD,
+    each or None, and h, the gains on log.u, for consensus_metrics. A count
+    outside 0..k-1 at step k raises IdentityViolation located at
+    (k, agent, count).
     """
-    # a count rises by at most 1 per round from 0, so 0 <= sigma_{k,i} <= k - 1;
-    # checked before truncation_times sizes its tables by the largest count
-    k = np.arange(1, len(log.sigma) + 1)[:, None]
-    bad = np.argwhere((log.sigma < 0) | (log.sigma >= k))
+    # a count rises by at most 1 per round from 0, so the count an event sets
+    # in round k, which holds from step k + 1, is in 0..k; checked before
+    # truncation_times sizes its tables by the largest count
+    k, agent, count = log.events.T
+    bad = np.flatnonzero((count < 0) | (count > k))
     if len(bad):
-        r, i = bad[0].tolist()
-        count = int(log.sigma[r, i])
+        k, agent, count = log.events[bad[0]].tolist()
         raise IdentityViolation(
-            f"truncation count {count} at k={r + 1}, agent {i + 1} is outside 0..{r}",
-            location=(r + 1, i + 1, count))
+            f"truncation count {count} at k={k + 1}, agent {agent} is outside 0..{k}",
+            location=(k + 1, agent, count))
     lap = laplacian(topology)
     # the gains overflow on a diverged run's inputs; the inf and NaN values
     # that follow fail the checks they reach, without a warning
@@ -677,7 +764,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology):
         aux = build_auxiliary(log, gains, topology, hg)
         rec = verify_centralized_recursion(aux, Schedule(c_M=log.scenario.controller.c_M))
         e1, e2, e3, target = _decompose(log, slice(None), gains, lap, hg)
-        decomp_err = float(np.max(np.abs(e1 + e2 + e3 - target)))
+        decomp = np.abs(e1 + e2 + e3 - target)
 
     d = diameter(topology)
     eq26 = check_window_bound(aux.times, d, log.horizon)
@@ -688,7 +775,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology):
         "lemma3_residual": rec.max_abs_residual,
         "eq26_ok": eq26,
         "eq28_ok": eq28_failure is None,
-        "decomposition_max_err": decomp_err,
+        "decomposition_max_err": float(np.max(decomp)),
     }
     extras = {
         "recursion": rec,
@@ -697,6 +784,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology):
         "diameter": d,
         "truncation_top": aux.times.top,
         "eq28_first_failure": eq28_failure,
+        "decomposition_first_failure": first_failure(decomp, DECOMPOSITION_THRESHOLD),
         "h": hg[0],
     }
     return report, extras

@@ -4,15 +4,18 @@ Subcommands:
   run       simulate a built-in case or a scenario JSON, write run files
   verify    replay a stride-1 log through every identity check
   plotdata  emit downsampled input/output series for log-scale plotting
-  export    write a saved run's log as trajectory.csv and edges.csv
+  export    write a saved run's log as trajectory.csv, edges.csv and events.csv
 
 Exit codes: 0 success, 1 validation or usage problem (including strided,
 corrupt or mismatched logs, or a log missing an output, handed to verify),
 2 runtime failure (divergence, a failed identity), 3 I/O problem (missing
 files or directories, or a run plotdata or export cannot read). A corrupt
-store (a log.npz that is not an npz archive or whose arrays differ from
-what save_run writes and meta.json records) exits 1 from verify and 3 from
-plotdata and export; a run directory without meta.json or log.npz exits 3.
+store (a log.npz that is not an npz archive, whose arrays differ from what
+save_run writes and meta.json records, whose count events are out of
+order, off the run's steps or agents or do not rise, or, in an older store,
+whose eps differs from the noise redrawn from the seed) exits 1 from verify
+and 3 from plotdata and export; a run directory without meta.json or
+log.npz exits 3.
 Stdout stays human-readable; machine results go only to files.
 """
 
@@ -75,7 +78,7 @@ def build_parser() -> _Parser:
     d.add_argument("--points", type=int, default=500,
                    help="target number of geometrically spaced samples")
 
-    e = sub.add_parser("export", help="a saved run's log as CSV files")
+    e = sub.add_parser("export", help="a saved run's log and count events as CSV files")
     e.add_argument("--log", required=True, help="run directory to read")
     e.add_argument("--out", help="directory for the CSV files (default: --log)")
     return p
@@ -119,6 +122,7 @@ def cmd_run(args) -> int:
     print(f"final residual: {summ['final_residual']!r}")
     print(f"sigma_bar: {summ['sigma_bar_final']}")
     print(f"truncations per agent: {summ['total_truncations']}")
+    print(f"count events: {len(result.log.events)}")
     print(f"wall time: {result.wall_time:.3f} s")
     if args.out:
         t0 = time.perf_counter()
@@ -140,7 +144,7 @@ def cmd_verify(args) -> int:
     report, extras = analysis.full_verification(log, gains, s.topology)
     rec = extras["recursion"]
 
-    decomp_ok = report["decomposition_max_err"] < 1e-10
+    decomp_ok = report["decomposition_max_err"] < analysis.DECOMPOSITION_THRESHOLD
     eq28_note = f"grid k <= {analysis.EQ28_GRID_K}, T in {analysis.EQ28_GRID_T}"
     if extras["eq28_first_failure"] is not None:
         k, T, lo, m, hi = extras["eq28_first_failure"]
@@ -149,12 +153,13 @@ def cmd_verify(args) -> int:
     if not rec.sigma_consistent:
         replay_note += ", count path mismatch"
     rows = [
-        ("centralized replay", rec.passed, replay_note),
+        ("centralized replay", rec.passed, replay_note + _first_failure(rec.first_failure)),
         ("truncation window bound", report["eq26_ok"],
          f"diameter {extras['diameter']}, top count {extras['truncation_top']}"),
         ("step-count bounds", report["eq28_ok"], eq28_note),
         ("noise decomposition", decomp_ok,
-         f"max err {report['decomposition_max_err']:.3e}"),
+         f"max err {report['decomposition_max_err']:.3e}"
+         + _first_failure(extras["decomposition_first_failure"])),
     ]
     width = max(len(name) for name, _, _ in rows)
     for name, ok, note in rows:
@@ -175,6 +180,14 @@ def cmd_verify(args) -> int:
     print(f"check time: {time.perf_counter() - t1:.3f} s")
 
     return 0 if all(ok for _, ok, _ in rows) else 2
+
+
+def _first_failure(failure) -> str:
+    """The note naming a check's first failing (k, agent, value), if any."""
+    if failure is None:
+        return ""
+    k, agent, value = failure
+    return f"; first failure at k={k}, agent {agent}: {value!r}"
 
 
 def _write_series(path: str, name: str, ks, values) -> None:
@@ -209,7 +222,8 @@ def cmd_plotdata(args) -> int:
     # outputs are indexed by the step at which they take effect (k + 1)
     avail = log.logged_rows
     pick = avail[np.unique(np.searchsorted(avail, rows).clip(0, len(avail) - 1))]
-    _write_series(os.path.join(outdir, "outputs.csv"), "y", pick + 2, log.y_next[pick])
+    _write_series(os.path.join(outdir, "outputs.csv"), "y", pick + 2,
+                  log.y[pick // log.log_stride])
     print(f"wrote {os.path.join(outdir, 'inputs.csv')} and outputs.csv "
           f"({len(rows)} and {len(pick)} samples)")
     return 0
@@ -221,7 +235,7 @@ def cmd_export(args) -> int:
         return 3
     outdir = args.out or args.log
     csvout.export_csv(log, outdir)
-    print(f"wrote {os.path.join(outdir, 'trajectory.csv')} and edges.csv")
+    print(f"wrote {os.path.join(outdir, 'trajectory.csv')}, edges.csv and events.csv")
     return 0
 
 

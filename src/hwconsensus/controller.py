@@ -12,11 +12,11 @@ M_sigma = ln(sigma + c_M).
 emit_round writes that round for every agent as Python source, once: it is
 the one implementation, compiled by advance() for flat lists and by
 harness.run's round kernel for a whole run. Either keeps only the next
-(u, sigma). Pooling reads the counts as they stood at the start of the
-round, so the result does not depend on the order in which agents are
-visited. The round's pooled counts, working estimates and
-aggregated observations are functions of (u, sigma, y, eps), derived for a
-whole log at once by analysis.TrajectoryLog.
+(u, sigma); the round kernel also keeps the count events. Pooling reads the
+counts as they stood at the start of the round, so the result does not
+depend on the order in which agents are visited. The counts, the round's pooled counts, working estimates and
+aggregated observations are functions of (u, count events, y) and the
+noise seed, derived for a whole log at once by analysis.TrajectoryLog.
 """
 
 from __future__ import annotations
@@ -69,9 +69,11 @@ def emit_round(shape: tuple) -> list:
     The lines read the round k, each agent i's estimate u{i}, count s{i},
     output y{i} and reset point us{i}, and for each edge column c its noise
     e{c} and weight w{c}; they overwrite u{i} and s{i} with the next round's
-    values. The bound table is M; bounds(top) extends it to M_top, and mtop
-    is the largest count it is known to cover, so the table is re-read only
-    when the largest count grows. Pooling reads the counts as they stood at
+    values, and hand each count they assign to events as (k, agent, count),
+    agent 1-based: the fired count (the pooled one + 1) and the pooled count
+    a restart adopts. The bound table is M; bounds(top) extends it to M_top,
+    and mtop is the largest count it is known to cover, so the table is
+    re-read only when the largest count grows. Pooling reads the counts as they stood at
     the start of the round. O_i = 0.0 + sum_j w_ij (y_j + e_ij - y_i) is
     summed in nbrs order. The source holds only these names and integers
     (every index is formatted as one).
@@ -88,7 +90,8 @@ def emit_round(shape: tuple) -> list:
                 f"    u{i} = cand",
                 "else:",
                 f"    u{i} = us{i}",
-                f"    s{i} = {sp} + 1"]
+                f"    s{i} = {sp} + 1",
+                f"    events((k, {i + 1:d}, s{i}))"]
 
     lines = ["a = 1.0 / k",
              f"top = {top}",
@@ -109,6 +112,7 @@ def emit_round(shape: tuple) -> list:
         lines += [f"    if p{i} > s{i}:",
                   f"        u{i} = us{i}",
                   f"        s{i} = p{i}",
+                  f"        events((k, {i + 1:d}, s{i}))",
                   "    else:"]
         lines += ["        " + x for x in correction(i, f"p{i}", f"M[p{i}]")]
     return lines
@@ -132,9 +136,9 @@ def _compiled_advance(shape: tuple):
     for i, nb in enumerate(shape):
         for t, (c, _) in enumerate(nb):
             src += [f"    e{c:d} = eps_row[{c:d}]", f"    w{c:d} = nbrs[{i}][{t}][2]"]
-    src += ["    mtop = -1"] + ["    " + x for x in emit_round(shape)]
+    src += ["    mtop = -1", "    events = _discard"] + ["    " + x for x in emit_round(shape)]
     src += [f"    u[:] = [{names('u')}]", f"    sigma[:] = [{names('s')}]"]
-    namespace = {}
+    namespace = {"_discard": lambda event: None}  # advance keeps no count events
     exec(compile("\n".join(src) + "\n", "<round>", "exec"), namespace)
     return namespace["advance"]
 

@@ -1,12 +1,16 @@
 """CSV output: a run's log as text, and the series verify and plotdata write.
 
-export_csv writes a log as two files, floats written by repr() and the rows
-in this order:
+export_csv writes a log as three files, floats written by repr() and the
+rows in this order:
   trajectory.csv  k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next
                   one row per step k, agents 1..n within each step; y_next
                   and O_next blank off the stride
   edges.csv       k,i,j,z,eps            (observer i, observed j)
                   logged steps only, each with its pairs in directed_pairs order
+  events.csv      k,agent,sigma,kind
+                  one row per count event of analysis.truncation_events: in
+                  round k the agent's count became sigma, by a truncation
+                  (fired) or a restart (pooled)
 """
 
 from __future__ import annotations
@@ -38,13 +42,14 @@ def format_cells(values, blank_nan: bool = False) -> list:
     if not blank_nan:
         return list(map(repr, values.tolist()))
     cells = [""] * len(values)
-    _fill_cells(cells, values, np.flatnonzero(~np.isnan(values)))
+    idx = np.flatnonzero(~np.isnan(values))
+    _fill_cells(cells, idx, values[idx])
     return cells
 
 
-def _fill_cells(cells: list, values: np.ndarray, idx: np.ndarray) -> None:
-    """cells[x] = repr(values[x]) for each x in idx (values flat)."""
-    for x, cell in zip(idx.tolist(), map(repr, values[idx].tolist())):
+def _fill_cells(cells: list, positions: np.ndarray, values: np.ndarray) -> None:
+    """cells[p] = repr(v) for each position p and value v, in step."""
+    for x, cell in zip(positions.tolist(), map(repr, values.tolist())):
         cells[x] = cell
 
 
@@ -63,6 +68,19 @@ def write_csv(path: str, header: str, blocks) -> None:
                 fh.write("\n".join(rows) + "\n")
 
 
+def _logged_cells(logged: np.ndarray, stride: int, a: int, b: int) -> list:
+    """Cells of rows a..b-1 of a column of the logged rows (logged), row by
+    row: repr() on the logged rows, blank off the stride and for a NaN."""
+    n = logged.shape[1]
+    cells = [""] * ((b - a) * n)
+    first, end = -(-a // stride), -(-b // stride)  # the logged rows in a..b-1
+    values = logged[first:end].ravel()
+    positions = ((np.arange(first, end) * stride - a)[:, None] * n + np.arange(n)).ravel()
+    keep = ~np.isnan(values)
+    _fill_cells(cells, positions[keep], values[keep])
+    return cells
+
+
 def _trajectory_blocks(log: analysis.TrajectoryLog):
     K, n = log.u.shape
     agents = format_cells(np.arange(1, n + 1))
@@ -73,12 +91,12 @@ def _trajectory_blocks(log: analysis.TrajectoryLog):
         # u' is u itself on every round without a restart; repr depends only
         # on the bits, so a bit-equal cell is copied, not formatted again
         up_cells = list(u_cells)
-        _fill_cells(up_cells, u_prime,
-                    np.flatnonzero(u_prime.view(np.int64) != u.view(np.int64)))
+        restarts = np.flatnonzero(u_prime.view(np.int64) != u.view(np.int64))
+        _fill_cells(up_cells, restarts, u_prime[restarts])
         yield (_step_cells(range(a + 1, b + 1), n), agents * (b - a), u_cells,
                format_cells(log.sigma[a:b]), format_cells(log.sigma_prime[a:b]), up_cells,
-               format_cells(log.y_next[a:b], blank_nan=True),
-               format_cells(log.O_next[a:b], blank_nan=True))
+               _logged_cells(log.y, log.log_stride, a, b),
+               _logged_cells(log.logged_O, log.log_stride, a, b))
 
 
 def _edge_blocks(log: analysis.TrajectoryLog):
@@ -88,14 +106,20 @@ def _edge_blocks(log: analysis.TrajectoryLog):
     # steps off the stride have no observations and no rows
     steps = log.logged_rows
     for a in range(0, len(steps), SAVE_BLOCK_STEPS):
-        rows = steps[a:a + SAVE_BLOCK_STEPS]
+        b = a + SAVE_BLOCK_STEPS
+        rows = steps[a:b]
         yield (_step_cells((rows + 1).tolist(), m), observers * len(rows),
-               observed * len(rows), format_cells(log.z[rows]), format_cells(log.eps[rows]))
+               observed * len(rows), format_cells(log.logged_z[a:b]),
+               format_cells(log.noise[a:b]))
 
 
 def export_csv(log: analysis.TrajectoryLog, outdir: str) -> None:
-    """Write the log as trajectory.csv and edges.csv (layout in the module docstring)."""
+    """Write the log as trajectory.csv, edges.csv and events.csv (layout in
+    the module docstring)."""
     os.makedirs(outdir, exist_ok=True)
     write_csv(os.path.join(outdir, "trajectory.csv"),
               "k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next", _trajectory_blocks(log))
     write_csv(os.path.join(outdir, "edges.csv"), "k,i,j,z,eps", _edge_blocks(log))
+    k, agent, count, kind = list(zip(*analysis.truncation_events(log))) or [()] * 4
+    write_csv(os.path.join(outdir, "events.csv"), "k,agent,sigma,kind",
+              [(format_cells(k), format_cells(agent), format_cells(count), kind)])

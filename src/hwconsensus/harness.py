@@ -10,15 +10,18 @@ controller.emit_round. What it keeps of the rounds is the run's
 TrajectoryLog, which derives the other columns.
 
 File layout of a saved run directory:
-  log.npz         what the round loop keeps, as npy arrays (np.savez,
-                  uncompressed): u (K, n) float64 and sigma (K, n) int64 on
-                  every step, y (L, n) and eps (L, m) float64 on the L logged
-                  steps: the TrajectoryLog load_run reads back
+  log.npz         what only the round loop knows, as npy arrays (np.savez,
+                  uncompressed): u (K, n) float64 on every step, the count
+                  events (E, 3) int64 as (k, agent, count) rows, and y (L, n)
+                  float64 on the L logged steps: the TrajectoryLog load_run
+                  reads back. The noise is redrawn from the seed. Older run
+                  directories hold sigma (K, n) int64 and eps (L, m) float64
+                  in place of the events; load_run reads them too
   summary.json    headline numbers, a function of the log; null if not finite
   meta.json       the scenario that ran (its noise seed included) and its hash,
                   and each array's dtype, shape and SHA-256; the shape of u
                   gives the rows written, K
-csvout.export_csv writes a log as text (trajectory.csv and edges.csv)."""
+csvout.export_csv writes a log as text (trajectory.csv, edges.csv and events.csv)."""
 
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from . import analysis
 from .controller import Schedule, emit_round, round_shape
 from .errors import IncompleteLog, NonFiniteValue, ValidationError
 from .graph import Topology, build_topology, directed_pairs, is_connected, laplacian
-from .noise import NoiseSpec, make_noise_spec, stream_for
+from .noise import NoiseSpec, edge_blocks, make_noise_spec
 from .plant import (
     HAMMERSTEIN,
     WIENER,
@@ -61,7 +64,6 @@ from .plant import (
 
 VERIFY_MAX_HORIZON = 200_000  # stride-1 logging refuses longer runs
 LOG_COLUMNS = ("u", "sigma", "sigma_prime", "u_prime", "y_next", "O_next", "z", "eps")
-NOISE_BLOCK_STEPS = 1024  # noise rows run draws and turns into Python floats at a time
 
 
 @dataclass(frozen=True)
@@ -334,8 +336,12 @@ class RunResult:
 
 
 def summarize(log: analysis.TrajectoryLog) -> dict:
-    """Headline numbers, a function of the log (at least one row) alone."""
-    fired = np.count_nonzero(log.sigma[1:] == log.sigma_prime[:-1] + 1, axis=0).tolist()
+    """Headline numbers, a function of the log (at least one row) alone.
+
+    total_truncations counts each agent's truncations in rounds 1..K-1, the
+    rounds whose next count the log's rows hold."""
+    (K, n), ev = log.u.shape, log.events
+    fired = np.bincount(ev[analysis.fired(log) & (ev[:, 0] < K), 1] - 1, minlength=n).tolist()
     last_y = log.y[-1]
     # a diverged run's residual or spread overflows; it is reported as null,
     # as JSON has no inf
@@ -347,7 +353,7 @@ def summarize(log: analysis.TrajectoryLog) -> dict:
         "final_spread": spread if math.isfinite(spread) else None,
         "final_residual": res if math.isfinite(res) else None,
         "total_truncations": fired,
-        "sigma_bar_final": int(log.sigma_bar[-1]),
+        "sigma_bar_final": int(analysis.counts_at(ev, [K - 1], n).max()),
     }
 
 
@@ -384,7 +390,7 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
     def names(prefix, count=n):
         return ", ".join(f"{prefix}{x}" for x in range(count))
 
-    lines = ["def kernel(K, stride, rows, log_u, log_sigma, log_y, bounds, plants, u, u_star, "
+    lines = ["def kernel(K, stride, rows, log_u, events, log_y, bounds, plants, u, u_star, "
              "weights):"]
     for i, shape in enumerate(plant_shapes):
         f, cs, ds, ch, dh = step_names(shape, i)
@@ -400,9 +406,8 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
     for i, shape in enumerate(plant_shapes):
         step_lines, check = emit_step(shape, i, agent=i + 1)
         lines += ["        " + x for x in step_lines + check]
-    # the round's starting u and sigma are logged before the round overwrites them
+    # the round's starting u is logged before the round overwrites it
     lines += [f"        log_u([{names('u')}])",
-              f"        log_sigma([{names('s')}])",
               "        if not (k - 1) % stride:",
               f"            log_y([{names('y')}])"]
     lines += ["        " + x for x in emit_round(nbr_shape)]
@@ -448,31 +453,24 @@ def run(s: Scenario, master_seed: int | None = None,
     nbrs = analysis.neighbour_columns(topo, pairs)
     shapes, values = zip(*(step_parts(p) for p in plants))
     kernel = _round_kernel(shapes, round_shape(nbrs))
-    streams = [stream_for(s.noise, i, j, topo) for (i, j) in pairs]
-    noise = np.empty((len(analysis.logged_rows(K, stride)), len(pairs)))
 
     def noise_rows():
-        # the noise rows, logged ones kept, one block of steps at a time: the
-        # streams are counter-based, so the blocks hold one draw's bits
-        for a in range(0, K, NOISE_BLOCK_STEPS):
-            block = np.column_stack([st.draw(min(NOISE_BLOCK_STEPS, K - a)) for st in streams])
-            first = -(-a // stride)  # the block's first logged row, counted in noise
-            kept = block[first * stride - a::stride]
-            noise[first:first + len(kept)] = kept
+        # one block of steps at a time, never the whole horizon's noise
+        for _, block in edge_blocks(s.noise, pairs, K):
             yield from block.tolist()
 
-    # the loop keeps what only it knows: u and sigma on every step, y on the
-    # logged steps
-    u_buf, sigma_buf, y_buf = array("d"), array("q"), array("d")
+    # the loop keeps what only it knows: u on every step, the count events,
+    # y on the logged steps
+    u_buf, event_buf, y_buf = array("d"), array("q"), array("d")
 
     def make_log() -> analysis.TrajectoryLog:
         rows, logged = len(u_buf) // n, len(y_buf) // n
         return analysis.TrajectoryLog(s, np.frombuffer(u_buf).reshape(rows, n),
-                                      np.frombuffer(sigma_buf, dtype=np.int64).reshape(rows, n),
-                                      np.frombuffer(y_buf).reshape(logged, n), noise[:logged])
+                                      np.frombuffer(event_buf, dtype=np.int64).reshape(-1, 3),
+                                      np.frombuffer(y_buf).reshape(logged, n))
 
     try:
-        kernel(K, stride, noise_rows(), u_buf.fromlist, sigma_buf.fromlist, y_buf.fromlist,
+        kernel(K, stride, noise_rows(), u_buf.fromlist, event_buf.extend, y_buf.fromlist,
                Schedule(c_M=s.controller.c_M).bounds, values, s.controller.initial_u,
                s.controller.u_star, [topo.weight(i, j) for (i, j) in pairs])
     except NonFiniteValue as e:
@@ -528,7 +526,7 @@ def _array_records(arrays: dict) -> dict:
 def save_run(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     log = result.log
-    arrays = {"u": log.u, "sigma": log.sigma, "y": log.y, "eps": log.noise}
+    arrays = {"u": log.u, "events": log.events, "y": log.y}
     # np.savez writes fixed zip timestamps: a replayed run saves the same bytes
     np.savez(os.path.join(outdir, LOG_FILE), **arrays)
     write_json(os.path.join(outdir, "summary.json"), result.summary)
@@ -548,23 +546,30 @@ def write_json(path: str, doc: dict) -> None:
 
 
 _NO_RECORD = "does not match its dtype, shape and SHA-256 in meta.json"
+# the arrays of log.npz, and those of older stores, which held the counts on
+# every step and the noise in place of the count events
+STORE, OLD_STORE = ("events", "u", "y"), ("eps", "sigma", "u", "y")
+
+
+def _recorded_rows(records, name: str):
+    """The rows meta.json records for array name, as it records them."""
+    try:
+        return records[name]["shape"][0]
+    except (TypeError, KeyError, IndexError):
+        raise IncompleteLog(f"{LOG_FILE}: array {name} {_NO_RECORD}") from None
 
 
 def _read_store(fh, s: Scenario, records) -> dict:
     """The arrays of an open log.npz of a run of s, checked in turn for the
-    exact set of names, the dtypes, the shapes, then the records of meta.json.
-    The rows K are the rows meta.json records for u, from 1 to s.horizon."""
-    try:
-        K = records["u"]["shape"][0]
-    except (TypeError, KeyError, IndexError):
-        raise IncompleteLog(f"{LOG_FILE}: array u {_NO_RECORD}") from None
+    exact set of names (STORE or OLD_STORE), the dtypes, the shapes, then
+    the records of meta.json. The rows K are the rows meta.json records for
+    u, from 1 to s.horizon, and those of the events the rows it records for
+    them."""
+    K = _recorded_rows(records, "u")
     # JSON true is a Python int equal to 1: only an int is a count
     if not (type(K) is int and 1 <= K <= s.horizon):
         raise IncompleteLog(f"{LOG_FILE}: array u has {K!r} rows in meta.json, not a step "
                             f"count from 1 to the scenario's {s.horizon}")
-    F, I = np.dtype(np.float64), np.dtype(np.int64)
-    L, n, m = len(analysis.logged_rows(K, s.log_stride)), s.n, len(directed_pairs(s.topology))
-    want = {"u": (F, (K, n)), "sigma": (I, (K, n)), "y": (F, (L, n)), "eps": (F, (L, m))}
     try:
         npz = np.load(fh, allow_pickle=False)
     except _UNREADABLE as e:
@@ -573,11 +578,14 @@ def _read_store(fh, s: Scenario, records) -> dict:
         raise IncompleteLog(f"{LOG_FILE} is not an npz archive: it holds one npy array")
     with npz:
         # the zip members, not npz.files: a member without .npy reads as bytes
-        members, expected = sorted(npz.zip.namelist()), sorted(f"{name}.npy" for name in want)
-        if members != expected:
-            raise IncompleteLog(f"{LOG_FILE} holds {members}, expected {expected}")
+        members = sorted(npz.zip.namelist())
+        names = next((names for names in (STORE, OLD_STORE)
+                      if members == [f"{name}.npy" for name in names]), None)
+        if names is None:
+            raise IncompleteLog(f"{LOG_FILE} holds {members}, "
+                                f"expected {[f'{name}.npy' for name in STORE]}")
         arrays = {}
-        for name in want:
+        for name in names:
             try:
                 arrays[name] = npz[name]
             except _UNREADABLE as e:
@@ -585,6 +593,14 @@ def _read_store(fh, s: Scenario, records) -> dict:
             # a .npy member without the npy magic reads as bytes too
             if not isinstance(arrays[name], np.ndarray):
                 raise IncompleteLog(f"{LOG_FILE}: array {name}: {name}.npy is not an npy file")
+    F, I = np.dtype(np.float64), np.dtype(np.int64)
+    L, n, m = len(analysis.logged_rows(K, s.log_stride)), s.n, len(directed_pairs(s.topology))
+    want = {"u": (F, (K, n)), "y": (F, (L, n)), "sigma": (I, (K, n)), "eps": (F, (L, m))}
+    if names == STORE:
+        E = _recorded_rows(records, "events")
+        if not (type(E) is int and E >= 0):
+            raise IncompleteLog(f"{LOG_FILE}: array events {_NO_RECORD}")
+        want["events"] = (I, (E, 3))
     for i, check in enumerate(("dtype", "shape")):
         for name, a in arrays.items():
             if getattr(a, check) != want[name][i]:
@@ -594,6 +610,36 @@ def _read_store(fh, s: Scenario, records) -> dict:
         if records.get(name) != record:
             raise IncompleteLog(f"{LOG_FILE}: array {name} {_NO_RECORD}")
     return arrays
+
+
+def _check_events(events: np.ndarray, K: int, n: int, name: str) -> None:
+    """Reject count events the round kernel cannot have written: a k outside
+    1..K, an agent outside 1..n, a row not after the one before it in
+    (k, agent) order, or a count not above the agent's previous one. The
+    first such row is named, with name the array it was read from."""
+    k, agent, count = events.T
+    # per row, the row of the same agent's previous event, or -1
+    prev = np.full(len(events), -1)
+    by_agent = np.argsort(agent, kind="stable")
+    same = agent[by_agent[1:]] == agent[by_agent[:-1]]
+    prev[by_agent[1:][same]] = by_agent[:-1][same]
+    later = np.ones(len(events), dtype=bool)
+    later[1:] = (k[1:] > k[:-1]) | ((k[1:] == k[:-1]) & (agent[1:] > agent[:-1]))
+    rises = (prev < 0) | (count > count[prev])
+    bad = np.flatnonzero((k < 1) | (k > K) | (agent < 1) | (agent > n) | ~later | ~rises)
+    if not len(bad):
+        return
+    x = int(bad[0])
+    kx, ax, cx = events[x].tolist()
+    where = f"{LOG_FILE}: array {name}: the event (k={kx}, agent {ax}, count {cx})"
+    if not 1 <= kx <= K:
+        raise IncompleteLog(f"{where} has a step outside 1..{K}")
+    if not 1 <= ax <= n:
+        raise IncompleteLog(f"{where} names an agent outside 1..{n}")
+    if not later[x]:
+        raise IncompleteLog(f"{where} is out of order after (k={k[x - 1]}, agent {agent[x - 1]})")
+    raise IncompleteLog(f"{where} does not rise from the agent's count {count[prev[x]]} "
+                        f"at k={k[prev[x]]}")
 
 
 def load_run(rundir: str):
@@ -607,7 +653,12 @@ def load_run(rundir: str):
     of u does not give a step count K from 1 to the scenario's horizon, and
     for a log.npz that is not an npz archive of exactly the arrays save_run
     writes, with their dtypes, the shapes of K rows of that scenario, and the
-    dtypes, shapes and SHA-256 digests meta.json records.
+    dtypes, shapes and SHA-256 digests meta.json records, or whose count
+    events _check_events rejects, naming the first.
+    An older store, with sigma and eps in place of the events, is read too:
+    its sigma becomes the events (events_of), checked alike, and its eps
+    must equal the noise redrawn from the seed bit for bit, else the first
+    (k, i, j) where it does not is named.
     A missing meta.json or log.npz raises FileNotFoundError.
     """
     with open(os.path.join(rundir, "meta.json")) as fh, \
@@ -629,4 +680,15 @@ def load_run(rundir: str):
             raise IncompleteLog("meta.json: the embedded scenario does not match its "
                                 f"scenario_hash {meta['scenario_hash']!r}")
         arrays = _read_store(store, s, meta["arrays"])
-    return analysis.TrajectoryLog(s, arrays["u"], arrays["sigma"], arrays["y"], arrays["eps"]), s
+    old = "sigma" in arrays
+    events = analysis.events_of(arrays["sigma"]) if old else arrays["events"]
+    _check_events(events, len(arrays["u"]), s.n, "sigma" if old else "events")
+    log = analysis.TrajectoryLog(s, arrays["u"], events, arrays["y"])
+    if old:
+        off = np.argwhere(arrays["eps"].view(np.int64) != log.noise.view(np.int64))
+        if len(off):
+            r, c = off[0].tolist()
+            i, j = log.pairs[c]
+            raise IncompleteLog(f"{LOG_FILE}: array eps: the noise at (k={r * s.log_stride + 1}, "
+                                f"i={i}, j={j}) is not the noise redrawn from the seed")
+    return log, s

@@ -43,34 +43,46 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _raw_words(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Finalized 64-bit words for 0-based indices [lo, hi)."""
-    ctr = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-    x = (np.uint64(seed) + ctr * np.uint64(_GAMMA)) & np.uint64(_MASK)
+BLOCK_STEPS = 1024  # steps of noise a run draws, and a log redraws, per call
+
+
+def _uniforms(seeds, lo: int, hi: int) -> np.ndarray:
+    """Uniforms for 0-based indices [lo, hi): one row per index and, for an
+    array of stream seeds, one column per seed."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    ctr = np.arange(lo + 1, hi + 1, dtype=np.uint64).reshape((-1,) + (1,) * seeds.ndim)
+    x = ctr * np.uint64(_GAMMA) + seeds
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def _uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
-    x = _raw_words(seed, lo, hi)
+    x = x ^ (x >> np.uint64(31))
     return ((x >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
 
 
-def _gaussians(seed: int, t0: int, n: int) -> np.ndarray:
+def _gaussians(seeds: np.ndarray, t0: int, n: int) -> np.ndarray:
     """Standard normals for sample indices [t0, t0 + n), pair-aligned."""
     if n == 0:
-        return np.empty(0)
+        return np.empty((0, len(seeds)))
     p0 = t0 // 2
     p1 = (t0 + n - 1) // 2
-    u = _uniforms(seed, 2 * p0, 2 * p1 + 2)
+    u = _uniforms(seeds, 2 * p0, 2 * p1 + 2)
     r = np.sqrt(-2.0 * np.log(u[0::2]))
     th = 2.0 * np.pi * u[1::2]
-    g = np.empty(u.size)
+    g = np.empty(u.shape)
     g[0::2] = r * np.cos(th)
     g[1::2] = r * np.sin(th)
     off = t0 - 2 * p0
     return g[off:off + n]
+
+
+def draw_block(dist: str, scale: float, seeds: np.ndarray, t0: int, n: int) -> np.ndarray:
+    """Values t0 .. t0 + n - 1 of the streams with these seeds (uint64), one
+    row per value and one column per stream: the one implementation of the
+    generator contract, for any number of streams and steps."""
+    if dist == "zero":
+        return np.zeros((n, len(seeds)))
+    if dist == "gaussian":
+        return scale * _gaussians(seeds, t0, n)
+    return scale * (2.0 * _uniforms(seeds, t0, t0 + n) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -116,12 +128,8 @@ class EdgeStream:
         """Next n values as an array; advances the stream by n."""
         t0 = self.counter
         self.counter += n
-        if self.dist == "zero":
-            return np.zeros(n)
-        if self.dist == "gaussian":
-            return self.scale * _gaussians(self.stream_seed, t0, n)
-        u = _uniforms(self.stream_seed, t0, t0 + n)
-        return self.scale * (2.0 * u - 1.0)
+        seeds = np.array([self.stream_seed], dtype=np.uint64)
+        return draw_block(self.dist, self.scale, seeds, t0, n)[:, 0]
 
 
 def stream_for(spec: NoiseSpec, i: int, j: int, topology=None) -> EdgeStream:
@@ -135,12 +143,28 @@ def stream_for(spec: NoiseSpec, i: int, j: int, topology=None) -> EdgeStream:
             raise NotAnEdge(f"({i}, {j}) is not an edge direction of the topology")
     if i < 1 or j < 1:
         raise ValidationError("agent numbers are 1-based")
+    return EdgeStream(i=i, j=j, dist=spec.dist, scale=_scale(spec),
+                      stream_seed=_stream_seed(spec, i, j))
+
+
+def _scale(spec: NoiseSpec) -> float:
+    """sqrt(variance), the half-width a, or 0.0 for zero noise."""
     params = spec.params_dict()
     if spec.dist == "gaussian":
-        scale = float(np.sqrt(params["variance"]))
-    elif spec.dist == "uniform":
-        scale = params["a"]
-    else:
-        scale = 0.0
-    seed = mix64(spec.seed ^ mix64((i << 32) | j))
-    return EdgeStream(i=i, j=j, dist=spec.dist, scale=scale, stream_seed=seed)
+        return float(np.sqrt(params["variance"]))
+    return params["a"] if spec.dist == "uniform" else 0.0
+
+
+def _stream_seed(spec: NoiseSpec, i: int, j: int) -> int:
+    return mix64(spec.seed ^ mix64((i << 32) | j))
+
+
+def edge_blocks(spec: NoiseSpec, pairs, steps: int):
+    """The noise of steps 1..steps on the directed edges pairs, in that
+    column order, as (first 0-based step, block) pairs of at most
+    BLOCK_STEPS rows each. The streams are counter-based, so the blocks
+    together hold the bits of one draw of every step."""
+    seeds = np.array([_stream_seed(spec, i, j) for i, j in pairs], dtype=np.uint64)
+    scale = _scale(spec)
+    for a in range(0, steps, BLOCK_STEPS):
+        yield a, draw_block(spec.dist, scale, seeds, a, min(BLOCK_STEPS, steps - a))

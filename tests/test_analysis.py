@@ -27,10 +27,18 @@ from hwconsensus import (
     regression_g,
     run,
     scenario_from_dict,
+    summarize,
     truncation_times,
     verify_centralized_recursion,
 )
-from hwconsensus.analysis import TrajectoryLog, TruncationTimes
+from hwconsensus import analysis
+from hwconsensus.analysis import (
+    TrajectoryLog,
+    TruncationTimes,
+    events_of,
+    first_failure,
+    truncation_events,
+)
 from hwconsensus.errors import (
     DimensionMismatch,
     IdentityViolation,
@@ -39,7 +47,7 @@ from hwconsensus.errors import (
     ValidationError,
 )
 
-from conftest import network_scenario, two_agent_scenario
+from conftest import forced_truncation_scenarios, network_scenario, two_agent_scenario
 
 INF = float("inf")
 
@@ -49,13 +57,16 @@ LAP1 = laplacian(CASE1.topology)
 
 
 def synthetic_log(sigma_rows):
-    """Log with scripted truncation counts and zeroed signal columns, of
-    agents 1 and 2 joined by one edge and any others isolated."""
+    """Log with scripted truncation counts (the count events of events_of)
+    and zeroed u and y, of agents 1 and 2 joined by one edge and any others
+    isolated."""
     sig = np.array(sigma_rows, dtype=np.int64)
     K, n = sig.shape
     edges = [(1, 2, 1.0)] if n > 1 else []
-    return TrajectoryLog(network_scenario(n, edges), u=np.zeros((K, n)), sigma=sig,
-                         y=np.zeros((K, n)), noise=np.zeros((K, 2 * len(edges))))
+    log = TrajectoryLog(network_scenario(n, edges), u=np.zeros((K, n)), events=events_of(sig),
+                        y=np.zeros((K, n)))
+    assert np.array_equal(log.sigma, sig)
+    return log
 
 
 def test_horizon_and_logged_rows_follow_the_arrays():
@@ -521,11 +532,65 @@ def test_a_count_outside_0_to_k_minus_1_is_located_before_any_table(count):
     # would otherwise size truncation_times' tables at 7 TiB
     sigma = SHORT_LOG.sigma.copy()
     sigma[6, 2] = count
-    log = dataclasses.replace(SHORT_LOG, sigma=sigma)
+    log = dataclasses.replace(SHORT_LOG, events=events_of(sigma))
     with pytest.raises(IdentityViolation) as exc:
         full_verification(log, SHORT.gains(), SHORT.topology)
     assert str(exc.value) == f"truncation count {count} at k=7, agent 3 is outside 0..6"
     assert exc.value.location == (7, 3, count)
+
+
+@pytest.mark.parametrize("s", [builtin_case(c, horizon=3000, log_stride=stride)
+                               for c in (1, 2, 3) for stride in (1, 7)]
+                         + forced_truncation_scenarios(), ids=lambda s: f"{s.label}-{s.log_stride}")
+def test_truncation_events_are_the_count_changes_with_their_kind(s):
+    log = run(s).log
+    events = truncation_events(log)
+    K = log.horizon
+    assert [list(row[:3]) for row in events] == log.events.tolist()
+    # every change of the counts is an event, as is every count of round K
+    assert [list(row[:3]) for row in events if row[0] < K] == events_of(log.sigma).tolist()
+    for k, agent, count, kind in events:
+        if k == K:
+            continue
+        pooled, before = log.sigma_prime[k - 1, agent - 1], log.sigma[k - 1, agent - 1]
+        if kind == "fired":
+            assert count == pooled + 1 and pooled == before
+        else:
+            assert kind == "pooled" and count == pooled > before
+    # summarize counts the fired events of rounds 1..K-1, the counts the
+    # rows hold: the count that rose to the pooled count + 1
+    fired = np.count_nonzero(log.sigma[1:] == log.sigma_prime[:-1] + 1, axis=0).tolist()
+    assert summarize(log)["total_truncations"] == fired
+    assert summarize(log)["sigma_bar_final"] == int(log.sigma_bar[-1])
+    if s.label.startswith("forced"):
+        assert {kind for *_, kind in events} == {"fired", "pooled"}
+
+
+def test_first_failure_names_the_first_cell_not_below_the_threshold():
+    err = np.zeros((5, 3))
+    assert first_failure(err, 1e-9) is None
+    err[3, 0], err[2, 2] = 1.0, 1e-9
+    assert first_failure(err, 1e-9) == (3, 3, 1e-9)
+    err[1, 1] = np.nan
+    k, agent, value = first_failure(err, 1e-9)
+    assert (k, agent) == (2, 2) and math.isnan(value)
+
+
+def test_the_replay_and_the_decomposition_name_their_first_failure(monkeypatch):
+    report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)
+    assert extras["recursion"].first_failure is None
+    assert extras["decomposition_first_failure"] is None
+    # one input moved: the replay of round 30 no longer lands on it
+    log = dataclasses.replace(SHORT_LOG, u=SHORT_LOG.u.copy())
+    log.u[30, 1] += 1e-3
+    rec = full_verification(log, SHORT.gains(), SHORT.topology)[1]["recursion"]
+    assert not rec.passed and rec.first_failure[:2] == (30, 2)
+    assert rec.first_failure[2] == pytest.approx(1e-3)
+    # a threshold every error reaches: the first cell is named with its error
+    monkeypatch.setattr(analysis, "DECOMPOSITION_THRESHOLD", 0.0)
+    failure = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)[1][
+        "decomposition_first_failure"]
+    assert failure[:2] == (1, 1) and failure[2] >= 0.0
 
 
 def test_any_log_r_le_r_agent(runs):

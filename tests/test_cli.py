@@ -8,11 +8,26 @@ import sys
 import numpy as np
 import pytest
 
-from hwconsensus import build_auxiliary, builtin_case, csvout, harness, scenario_to_dict
+from hwconsensus import (
+    analysis,
+    build_auxiliary,
+    builtin_case,
+    csvout,
+    harness,
+    scenario_to_dict,
+)
 from hwconsensus.cli import main
 
 from conftest import two_agent_scenario
-from test_harness import CORRUPTIONS, flip_bit, relog, saved_case, stored_arrays
+from test_harness import (
+    CORRUPTIONS,
+    flip_bit,
+    old_store,
+    relog,
+    rewrite_store,
+    saved_case,
+    stored_arrays,
+)
 
 
 def run_dir(tmp_path, *extra):
@@ -25,8 +40,8 @@ def run_dir(tmp_path, *extra):
 
 
 def _resave(d, name, index, value):
-    """Save the run of d again with one cell of a stored array (u, sigma, y or
-    eps) set to value; load_run then derives the other columns from it."""
+    """Save the run of d again with one cell of a stored array (u, events or
+    y) set to value; load_run then derives the other columns from it."""
     log, _ = harness.load_run(str(d))
     array = stored_arrays(log)[name].copy()
     array[index] = value
@@ -269,31 +284,51 @@ def _verify_names_a_flipped_bit(tmp_path, capsys, name, index, bit):
 
 @pytest.mark.parametrize("column, field, edit", [
     ("u_prime", 5, lambda log: log.u),
-    ("sigma_prime", 4, lambda log: log.sigma),
+    ("sigma_prime", 4, lambda log: log.events),
 ])
 def test_verify_locates_a_corrupted_stored_column(tmp_path, capsys, column, field, edit):
     # the column is not stored: load_run derives it from the array edit reads,
-    # so a corrupt cell of it is one in that array, flipped here in bit field
+    # so a corrupt cell of it is one in that array, flipped here in bit field:
+    # step 150, agent 2 of u, the count of an event midway through the events
     d = run_dir(tmp_path)
     log, _ = harness.load_run(str(d))
     stored = stored_arrays(log)
     assert column not in stored
     name = next(key for key, a in stored.items() if a is edit(log))
-    _verify_names_a_flipped_bit(tmp_path, capsys, name, (149, 1), field)
+    index = (149, 1) if name == "u" else (len(log.events) // 2, 2)
+    _verify_names_a_flipped_bit(tmp_path, capsys, name, index, field)
 
 
 def test_verify_locates_a_z_cell_off_its_identity(tmp_path, capsys):
     # z is y of the observed agent plus eps, derived on load: a z cell off its
-    # identity is a corrupt cell of y or of eps, at k=150, edge (2, 3) here
-    for name, index in (("y", (149, 2)), ("eps", (149, 3))):
-        _verify_names_a_flipped_bit(tmp_path / name, capsys, name, index, 3)
+    # identity is a corrupt cell of y, or of eps in an older store, which held
+    # the noise, at k=150, edge (2, 3) here. The noise is redrawn from the
+    # seed, so an older store's eps cell that is not the seed's is named
+    _verify_names_a_flipped_bit(tmp_path / "y", capsys, "y", (149, 2), 3)
+    d = run_dir(tmp_path / "eps")
+    old_store(d)
+
+    def flip(arrays):  # bit 3, with the records of meta.json to match
+        arrays["eps"].view(np.int64)[149, 3] ^= 1 << 3
+
+    rewrite_store(d, flip)
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("incomplete log: log.npz: array eps: the noise at (k=150, i=2, j=3) "
+                   "is not the noise redrawn from the seed\n")
+    assert _main_under_O(["verify", "--log", str(d)]) == (1, err)
 
 
 @pytest.mark.parametrize("count", ["1000000000000", "-1", "150"], ids=["huge", "negative", "k"])
 def test_verify_rejects_a_count_outside_the_round_bound(tmp_path, capsys, count):
-    # a count starts at 0 and rises by at most 1 per round, so sigma_k <= k - 1
+    # a count starts at 0 and rises by at most 1 per round, so sigma_k <= k - 1:
+    # agent 2's count set to count in round 149, from step 150 on, in place
+    # of its every event
     d = run_dir(tmp_path)
-    _resave(d, "sigma", (149, 1), int(count))
+    events = harness.load_run(str(d))[0].events
+    events = np.vstack([events[events[:, 1] != 2], [[149, 2, int(count)]]])
+    rewrite_store(d, lambda a: a.update(events=events[np.lexsort(events[:, 1::-1].T)]))
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 2
     err = capsys.readouterr().err
@@ -314,6 +349,45 @@ def test_verify_locates_an_eq28_failure(tmp_path, capsys, monkeypatch):
     assert row.endswith("grid k <= 1000, T in (0.1, 0.5, 1.0, 2.0); "
                         "first failure at k=1, T=0.1: -1.0 < 0 < 0.0")
     assert json.loads((d / "report.json").read_text())["eq28_ok"] is False
+
+
+def test_verify_names_the_first_failure_of_a_failing_row(tmp_path, capsys, monkeypatch):
+    # a run saved again with one input moved: the replay of the round before
+    # it no longer lands on it, and the decomposition passes every cell only
+    # below a threshold of 0.0, its first cell
+    d = run_dir(tmp_path)
+    u = harness.load_run(str(d))[0].u
+    _resave(d, "u", (349, 1), u[349, 1] + 1e-3)
+    monkeypatch.setattr(analysis, "DECOMPOSITION_THRESHOLD", 0.0)
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 2
+    rows = {line.split("  ")[0]: line for line in capsys.readouterr().out.splitlines()}
+    log, s = harness.load_run(str(d))
+    _, extras = analysis.full_verification(log, s.gains(), s.topology)
+    k, agent, value = extras["recursion"].first_failure
+    assert (k, agent) == (349, 2) and value == pytest.approx(1e-3)
+    assert rows["centralized replay"].endswith(f"; first failure at k=349, agent 2: {value!r}")
+    k, agent, value = extras["decomposition_first_failure"]
+    assert (k, agent) == (1, 1)
+    assert rows["noise decomposition"].endswith(f"; first failure at k=1, agent 1: {value!r}")
+    assert "first failure" not in rows["truncation window bound"]
+
+
+def test_an_older_store_verifies_to_the_same_report(tmp_path, capsys):
+    # the store that held sigma and eps in place of the count events: the
+    # same log, so the same report.json and metrics.csv bytes
+    d = run_dir(tmp_path)
+    old = tmp_path / "old"
+    old.mkdir()
+    for name in ("log.npz", "meta.json", "summary.json"):
+        (old / name).write_bytes((d / name).read_bytes())
+    old_store(old)
+    with np.load(old / "log.npz") as npz:
+        assert sorted(npz.files) == ["eps", "sigma", "u", "y"]
+    for rundir in (d, old):
+        assert main(["verify", "--log", str(rundir)]) == 0
+    for name in ("report.json", "metrics.csv"):
+        assert (old / name).read_bytes() == (d / name).read_bytes()
 
 
 def test_verify_strided_log_rejected(tmp_path, capsys):
@@ -533,7 +607,7 @@ def test_export_writes_the_log_as_csv(tmp_path, capsys):
                          (["--log", str(d), "--out", str(tmp_path / "x")], tmp_path / "x")):
         assert main(["export", *argv]) == 0
         assert capsys.readouterr().out == \
-            f"wrote {os.path.join(str(outdir), 'trajectory.csv')} and edges.csv\n"
+            f"wrote {os.path.join(str(outdir), 'trajectory.csv')}, edges.csv and events.csv\n"
         for name in ("trajectory.csv", "edges.csv"):
             assert (outdir / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
     lines = (d / "trajectory.csv").read_text().splitlines()
@@ -541,6 +615,26 @@ def test_export_writes_the_log_as_csv(tmp_path, capsys):
     assert len(lines) == 1 + 400 * 4
     edges = (d / "edges.csv").read_text().splitlines()
     assert edges[0] == "k,i,j,z,eps" and len(edges) == 1 + 58 * 8
+
+
+def test_export_writes_the_count_events(tmp_path, capsys):
+    d = run_dir(tmp_path)
+    out = capsys.readouterr().out
+    log = harness.load_run(str(d))[0]
+    events = analysis.truncation_events(log)
+    assert f"count events: {len(events)}\n" in out and len(events) == len(log.events)
+    assert {kind for *_, kind in events} == {"fired", "pooled"}
+    assert main(["export", "--log", str(d)]) == 0
+    lines = (d / "events.csv").read_text().splitlines()
+    assert lines == ["k,agent,sigma,kind"] + [f"{k},{a},{c},{kind}" for k, a, c, kind in events]
+
+
+def test_export_of_a_run_without_count_events(tmp_path):
+    d = tmp_path / "quiet"
+    harness.save_run(harness.run(two_agent_scenario(horizon=20, dist="zero")), str(d))
+    assert len(harness.load_run(str(d))[0].events) == 0
+    assert main(["export", "--log", str(d)]) == 0
+    assert (d / "events.csv").read_text() == "k,agent,sigma,kind\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwconsensus import NonFiniteValue, Schedule, advance, builtin_case, run
-from hwconsensus.analysis import TrajectoryLog, neighbour_columns
+from hwconsensus.analysis import TrajectoryLog, events_of, neighbour_columns
 from hwconsensus.errors import ValidationError
 
 SCHED = Schedule(c_M=55.0)
@@ -85,8 +85,9 @@ def one_round(edges, u, sigma, u_star, ys=None, z=None, k=1, sched=SCHED):
     assert (_bits(nxt_u).tolist(), nxt_sigma) == (_bits(ref_u).tolist(), ref_sigma)
 
     s = network_scenario(n, [(i + 1, j + 1, x) for i, j, x in edges], u_star)
-    log = TrajectoryLog(s, np.array([u], dtype=float), np.array([sigma], dtype=np.int64),
-                        np.array([ys], dtype=float), np.array([eps], dtype=float))
+    log = TrajectoryLog(s, np.array([u], dtype=float), events_of(np.array([sigma])),
+                        np.array([ys], dtype=float))
+    log.noise = np.array([eps], dtype=float)  # this round's noise, not the seed's
     assert neighbour_columns(s.topology, log.pairs) == nbrs
     rows = (log.sigma_prime[0].tolist(), log.u_prime[0].tolist(), log.O_next[0].tolist())
     assert rows[0] == ref[0]

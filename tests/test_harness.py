@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hwconsensus.harness as H
+import hwconsensus.noise as noise_module
 import hwconsensus.plant as plant_module
 from hwconsensus import (
     EdgeStream,
@@ -711,16 +712,15 @@ def _logs_equal(a, b):
 
 
 def stored_arrays(log) -> dict:
-    """The arrays of log.npz, by name: the log's own u, sigma, y and noise."""
-    return {"u": log.u, "sigma": log.sigma, "y": log.y, "eps": log.noise}
+    """The arrays of log.npz, by name: the log's own u, count events and y."""
+    return {"u": log.u, "events": log.events, "y": log.y}
 
 
 def relog(res, **arrays):
     """res with its log rebuilt from its stored arrays with the given ones
     replaced, by name in log.npz."""
     stored = {**stored_arrays(res.log), **arrays}
-    log = analysis.TrajectoryLog(res.scenario, stored["u"], stored["sigma"], stored["y"],
-                                 stored["eps"])
+    log = analysis.TrajectoryLog(res.scenario, stored["u"], stored["events"], stored["y"])
     return dataclasses.replace(res, log=log)
 
 
@@ -746,11 +746,12 @@ def test_save_load_round_trip_strided(tmp_path):
 
 
 def test_save_load_round_trip_with_an_all_nan_logged_edge_row(tmp_path):
-    # step 8 is on the stride (1, 8, 15): its noise row, and so its z row, is NaN
+    # step 8 is on the stride (1, 8, 15): its output row, and so its z row, is
+    # NaN (the noise is redrawn from the seed, so no stored noise can be NaN)
     res = run(builtin_case(1, horizon=20, log_stride=7))
-    eps = stored_arrays(res.log)["eps"].copy()
-    eps[1] = np.nan
-    res = relog(res, eps=eps)
+    y = stored_arrays(res.log)["y"].copy()
+    y[1] = np.nan
+    res = relog(res, y=y)
     assert np.isnan(res.log.z[7]).all()
     save_run(res, str(tmp_path / "r"))
     log, _ = load_run(str(tmp_path / "r"))
@@ -819,10 +820,10 @@ def test_save_load_round_trip_bit_exact(data, base):
     res = _round_trip_base(base)
     bits = st.one_of(st.sampled_from(EDGE_FLOATS).map(_float_bits),
                      st.floats().map(_float_bits), st.sampled_from(NAN_BITS))
-    arrays = {}
-    for name, old in stored_arrays(res.log).items():
-        values = st.integers(-2 ** 63, 2 ** 63 - 1) if old.dtype.kind == "i" else bits
-        drawn = data.draw(st.lists(values, min_size=old.size, max_size=old.size))
+    arrays = {"events": data.draw(_event_tables(*res.log.u.shape))}
+    for name in ("u", "y"):
+        old = stored_arrays(res.log)[name]
+        drawn = data.draw(st.lists(bits, min_size=old.size, max_size=old.size))
         arrays[name] = np.array(drawn, dtype=np.int64).view(old.dtype).reshape(old.shape)
     res = relog(res, **arrays)
     with tempfile.TemporaryDirectory() as d:
@@ -831,6 +832,21 @@ def test_save_load_round_trip_bit_exact(data, base):
     _logs_equal(log, res.log)
     for name, got in stored_arrays(log).items():
         assert got.tobytes() == arrays[name].tobytes(), name
+
+
+@st.composite
+def _event_tables(draw, K, n):
+    """Count events load_run accepts for K steps of n agents: (k, agent) cells
+    in order, each agent's counts rising from any first one."""
+    cells = sorted(draw(st.sets(st.tuples(st.integers(1, K), st.integers(1, n)),
+                                max_size=3 * n)))
+    counts = {}
+    rows = []
+    for k, agent in cells:
+        counts[agent] = (draw(st.integers(-2 ** 62, 2 ** 62)) if agent not in counts
+                         else counts[agent] + draw(st.integers(1, 2 ** 40)))
+        rows.append((k, agent, counts[agent]))
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
 
 
 # The writer's cell formatting before it skipped NaN cells, copied u cells
@@ -897,11 +913,14 @@ def test_writer_bytes_match_one_repr_per_cell(data, stride, K, n):
                                       max_size=K * n))).reshape(K, n)
     u_prime = np.where(how == 0, u, np.where(how == 1, -u, floats(n)))
     # every column drawn on its own: a plain namespace, not a TrajectoryLog,
-    # which would derive all but u and sigma
+    # which would derive all but u, the events and y; the writer reads the
+    # logged rows of the signal columns, the reference the dense ones
     log = types.SimpleNamespace(
         log_stride=stride, pairs=pairs, logged_rows=np.arange(0, K, stride), u=u,
         sigma=ints(), sigma_prime=ints(), u_prime=u_prime, y_next=strided(n),
         O_next=strided(n), z=strided(len(pairs)), eps=strided(len(pairs)))
+    log.y, log.logged_O = log.y_next[::stride], log.O_next[::stride]
+    log.logged_z, log.noise = log.z[::stride], log.eps[::stride]
     with tempfile.TemporaryDirectory() as d, \
             unittest.mock.patch.object(csvout, "SAVE_BLOCK_STEPS", 3):
         for name, blocks, reference in (
@@ -941,7 +960,7 @@ def test_summary_and_meta_files(tmp_path):
     assert meta["scenario"]["noise"]["seed"] == 4
     assert meta["scenario_hash"] == scenario_hash(res.scenario)
     assert meta["scenario"] == scenario_to_dict(res.scenario)
-    stored = {"u": res.log.u, "sigma": res.log.sigma, "y": res.log.y_next, "eps": res.log.eps}
+    stored = {"u": res.log.u, "events": res.log.events, "y": res.log.y_next}
     assert meta["arrays"] == {
         name: {"dtype": a.dtype.str, "shape": list(a.shape),
                "sha256": hashlib.sha256(a.tobytes()).hexdigest()}
@@ -953,10 +972,13 @@ def test_the_store_holds_what_the_round_loop_keeps(tmp_path):
     save_run(res, str(tmp_path / "r"))
     stored = _stored(tmp_path / "r" / "log.npz")
     rows = np.arange(0, 30, 7)
-    assert sorted(stored) == ["eps", "sigma", "u", "y"]
-    for name, want in (("u", res.log.u), ("sigma", res.log.sigma),
-                       ("y", res.log.y_next[rows]), ("eps", res.log.eps[rows])):
+    assert sorted(stored) == ["events", "u", "y"]
+    for name, want in (("u", res.log.u), ("events", res.log.events),
+                       ("y", res.log.y_next[rows])):
         assert stored[name].dtype == want.dtype and np.array_equal(stored[name], want), name
+    # the events are the changes of the counts, and the last round's
+    events = res.log.events
+    assert np.array_equal(analysis.events_of(res.log.sigma), events[events[:, 0] < 30])
 
 
 def test_load_run_missing_directory(tmp_path):
@@ -998,6 +1020,31 @@ def _resave_arrays(d, fn):
     arrays = _stored(d / "log.npz")
     fn(arrays)
     np.savez(d / "log.npz", **arrays)
+
+
+def rewrite_store(d, fn):
+    """Rewrite log.npz with fn applied to its arrays, and meta.json's records
+    of them to match: a store only its values can reject."""
+    arrays = _stored(d / "log.npz")
+    fn(arrays)
+    np.savez(d / "log.npz", **arrays)
+    _edit_meta(d, lambda m: m.__setitem__("arrays", H._array_records(arrays)))
+
+
+def old_store(d):
+    """Rewrite the saved run d as an older store holds it: the counts on
+    every step and the noise, sigma and eps, in place of the count events."""
+    log, _ = load_run(str(d))
+    rewrite_store(d, lambda a: (a.pop("events"), a.update(sigma=log.sigma, eps=log.noise)))
+
+
+def _then(*edits):
+    return lambda d: [edit(d) for edit in edits]
+
+
+def _events(fn):
+    """Rewrite the count events of the store with fn, records to match."""
+    return lambda d: rewrite_store(d, lambda a: _set(a, "events", fn))
 
 
 def flip_bit(d, name, index, bit=0):
@@ -1056,8 +1103,11 @@ DIGEST = "does not match its dtype, shape and SHA-256 in meta.json"
 # trajectory-* and edges-* make the damage their name says (a copied cell, a
 # missing or extra row, an unknown agent or edge, a value that is not a
 # float64 or int64, bytes that are not the file's format) to the arrays that
-# hold those columns: u, sigma and y per agent, eps per edge; row 9 is step 10
-# and column 1 agent 2
+# hold those columns: u and y per agent and the count events in the store,
+# eps per edge in an older store (old_store); row 9 is step 10 and column 1
+# agent 2. The events-* cases hold events the round kernel cannot write,
+# with records to match; saved_case's events are (2, 1, 1), (2, 2, 1),
+# (3, 1, 2), (3, 2, 2), (3, 3, 1), ...
 CORRUPTIONS = {
     # a digest mismatch: a copy of step 10, agent 1 standing in for agent 2
     "trajectory-duplicate-row": (
@@ -1068,8 +1118,8 @@ CORRUPTIONS = {
         lambda d: _resave_arrays(d, lambda a: _set(a, "u", lambda x: np.delete(x, 9, axis=0))),
         "log.npz: array u has shape (19, 4), expected (20, 4)"),
     "trajectory-missing-last-row": (
-        lambda d: _resave_arrays(d, lambda a: _set(a, "sigma", lambda x: x[:-1])),
-        "log.npz: array sigma has shape (19, 4), expected (20, 4)"),
+        lambda d: _resave_arrays(d, lambda a: _set(a, "u", lambda x: x[:-1])),
+        "log.npz: array u has shape (19, 4), expected (20, 4)"),
     # a row for step 21 of a 20-step run
     "trajectory-step-out-of-range": (
         lambda d: _resave_arrays(d, lambda a: _set(a, "y", lambda x: np.vstack([x, x[-1:]]))),
@@ -1083,47 +1133,99 @@ CORRUPTIONS = {
         "log.npz: array u has dtype <U"),
     "trajectory-fractional-sigma": (
         lambda d: _resave_arrays(d, lambda a: _set(
-            a, "sigma", lambda x: _cell((9, 1), 3.5)(x.astype(np.float64)))),
-        "log.npz: array sigma has dtype float64, expected int64"),
+            a, "events", lambda x: _cell((4, 2), 3.5)(x.astype(np.float64)))),
+        "log.npz: array events has dtype float64, expected int64"),
     "trajectory-sigma-beyond-int64": (
         lambda d: _resave_arrays(d, lambda a: _set(
-            a, "sigma", lambda x: _cell((9, 1), 2 ** 63)(x.astype(np.uint64)))),
-        "log.npz: array sigma has dtype uint64, expected int64"),
+            a, "events", lambda x: _cell((4, 2), 2 ** 63)(x.astype(np.uint64)))),
+        "log.npz: array events has dtype uint64, expected int64"),
     # a member that is not an npy file: np.load hands its raw bytes back
     "trajectory-not-utf8": (
         lambda d: _member_not_npy(d, "u", lambda b: b"k,agent,u\n1,1,0.0\n\xff\xfe"),
         "log.npz: array u: u.npy is not an npy file"),
     "edges-not-utf8": (
-        lambda d: _member_not_npy(d, "eps", lambda b: b"\xe9" + b[1:]),
+        _then(old_store, lambda d: _member_not_npy(d, "eps", lambda b: b"\xe9" + b[1:])),
         "log.npz: array eps: eps.npy is not an npy file"),
     "edges-duplicate-row": (
-        lambda d: _resave_arrays(d, lambda a: _set(a, "eps", _cell((0, 1), lambda x: x[0, 0]))),
+        _then(old_store, lambda d: _resave_arrays(
+            d, lambda a: _set(a, "eps", _cell((0, 1), lambda x: x[0, 0])))),
         f"log.npz: array eps {DIGEST}"),
     "edges-missing-row": (
-        lambda d: _resave_arrays(d, lambda a: _set(a, "eps", lambda x: np.delete(x, 1, axis=1))),
+        _then(old_store, lambda d: _resave_arrays(
+            d, lambda a: _set(a, "eps", lambda x: np.delete(x, 1, axis=1)))),
         "log.npz: array eps has shape (20, 7), expected (20, 8)"),
     "edges-extra-row": (
-        lambda d: _resave_arrays(d, lambda a: _set(a, "eps", lambda x: np.vstack([x, x[-1:]]))),
+        _then(old_store, lambda d: _resave_arrays(
+            d, lambda a: _set(a, "eps", lambda x: np.vstack([x, x[-1:]])))),
         "log.npz: array eps has shape (21, 8), expected (20, 8)"),
     # a row for step 0, before the first
     "edges-step-out-of-range": (
-        lambda d: _resave_arrays(d, lambda a: _set(
-            a, "eps", lambda x: np.vstack([np.zeros_like(x[:1]), x]))),
+        _then(old_store, lambda d: _resave_arrays(d, lambda a: _set(
+            a, "eps", lambda x: np.vstack([np.zeros_like(x[:1]), x])))),
         "log.npz: array eps has shape (21, 8), expected (20, 8)"),
     "edges-unknown-pair": (
-        lambda d: _resave_arrays(d, lambda a: _set(a, "eps", lambda x: np.hstack([x, x[:, :1]]))),
+        _then(old_store, lambda d: _resave_arrays(
+            d, lambda a: _set(a, "eps", lambda x: np.hstack([x, x[:, :1]])))),
         "log.npz: array eps has shape (20, 9), expected (20, 8)"),
+    # an older store whose noise is not the seed's: step 10, edge (1, 4)
+    "edges-not-the-seed": (
+        _then(old_store, lambda d: rewrite_store(
+            d, lambda a: _set(a, "eps", _cell((9, 1), lambda x: x[9, 1] + 1.0)))),
+        "log.npz: array eps: the noise at (k=10, i=1, j=4) is not the noise redrawn "
+        "from the seed"),
+    # an older store whose counts the round kernel cannot have written
+    "sigma-not-rising": (
+        _then(old_store, lambda d: rewrite_store(d, lambda a: _set(a, "sigma", _cell((9, 1), 0)))),
+        "log.npz: array sigma: the event (k=9, agent 2, count 0) does not rise from the "
+        "agent's count 6 at k=8"),
+    "sigma-at-step-1": (
+        _then(old_store, lambda d: rewrite_store(d, lambda a: _set(a, "sigma", _cell((0, 3), 1)))),
+        "log.npz: array sigma: the event (k=0, agent 4, count 1) has a step outside 1..20"),
+    # count events the round kernel cannot write
+    "events-out-of-order": (
+        _events(lambda x: x[[0, 2, 1] + list(range(3, len(x)))]),
+        "log.npz: array events: the event (k=2, agent 2, count 1) is out of order after "
+        "(k=3, agent 1)"),
+    "events-same-cell-twice": (
+        _events(lambda x: np.insert(x, 1, [2, 1, 2], axis=0)),
+        "log.npz: array events: the event (k=2, agent 1, count 2) is out of order after "
+        "(k=2, agent 1)"),
+    "events-step-zero": (
+        _events(_cell((0, 0), 0)),
+        "log.npz: array events: the event (k=0, agent 1, count 1) has a step outside 1..20"),
+    "events-step-past-the-run": (
+        _events(lambda x: np.vstack([x, [[21, 1, 99]]])),
+        "log.npz: array events: the event (k=21, agent 1, count 99) has a step outside 1..20"),
+    "events-unknown-agent": (
+        _events(_cell((4, 1), 5)),
+        "log.npz: array events: the event (k=3, agent 5, count 1) names an agent outside 1..4"),
+    "events-agent-zero": (
+        _events(_cell((0, 1), 0)),
+        "log.npz: array events: the event (k=2, agent 0, count 1) names an agent outside 1..4"),
+    "events-count-not-rising": (
+        _events(_cell((2, 2), 1)),
+        "log.npz: array events: the event (k=3, agent 1, count 1) does not rise from the "
+        "agent's count 1 at k=2"),
+    "events-wrong-shape": (
+        _events(lambda x: np.hstack([x, x[:, :1]])),
+        "log.npz: array events has shape (48, 4), expected (48, 3)"),
+    "events-wrong-dtype": (
+        _events(lambda x: x.astype(np.int32)),
+        "log.npz: array events has dtype int32, expected int64"),
+    "events-not-a-table": (
+        _events(lambda x: x.ravel()),
+        "log.npz: array events has shape (144,), expected (144, 3)"),
     # the set of arrays
-    "missing-array": (lambda d: _resave_arrays(d, lambda a: a.pop("eps")),
-                      "log.npz holds ['sigma.npy', 'u.npy', 'y.npy'], "
-                      "expected ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy']"),
-    "extra-array": (lambda d: _resave_arrays(d, lambda a: a.update(z=a["eps"])),
-                    "log.npz holds ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy', 'z.npy'], "
-                    "expected ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy']"),
+    "missing-array": (lambda d: _resave_arrays(d, lambda a: a.pop("events")),
+                      "log.npz holds ['u.npy', 'y.npy'], "
+                      "expected ['events.npy', 'u.npy', 'y.npy']"),
+    "extra-array": (lambda d: _resave_arrays(d, lambda a: a.update(z=a["y"])),
+                    "log.npz holds ['events.npy', 'u.npy', 'y.npy', 'z.npy'], "
+                    "expected ['events.npy', 'u.npy', 'y.npy']"),
     # a member without .npy: np.load hands its raw bytes back
     "raw-member": (lambda d: _add_raw_member(d, "u"),
-                   "log.npz holds ['eps.npy', 'sigma.npy', 'u', 'u.npy', 'y.npy'], "
-                   "expected ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy']"),
+                   "log.npz holds ['events.npy', 'u', 'u.npy', 'y.npy'], "
+                   "expected ['events.npy', 'u.npy', 'y.npy']"),
     # zip's CRC-32 catches the flip before the digest does
     "flipped-bit": (lambda d: flip_bit(d, "y", (9, 1)),
                     "log.npz: array y: Bad CRC-32 for file 'y.npy'"),
@@ -1138,8 +1240,8 @@ CORRUPTIONS = {
     "meta-of-another-run": (_meta_of_the_strided_run,
                             "log.npz: array y has shape (20, 4), expected (3, 4)"),
     "meta-record-edited": (lambda d: _edit_meta(
-        d, lambda m: m["arrays"]["eps"].__setitem__("sha256", "0" * 64)),
-        f"log.npz: array eps {DIGEST}"),
+        d, lambda m: m["arrays"]["events"].__setitem__("sha256", "0" * 64)),
+        f"log.npz: array events {DIGEST}"),
 }
 
 
@@ -1158,10 +1260,10 @@ def test_load_run_rejects_int_cells_numpy_reads_through_float(tmp_path):
     # counts stored as float64 are rejected even when every one is a whole
     # number that would convert back exactly: the loader casts nothing
     d = saved_case(tmp_path)
-    _resave_arrays(d, lambda a: a.update(sigma=a["sigma"] + 0.0))
+    _resave_arrays(d, lambda a: a.update(events=a["events"] + 0.0))
     with pytest.raises(IncompleteLog) as exc:
         load_run(str(d))
-    assert str(exc.value) == "log.npz: array sigma has dtype float64, expected int64"
+    assert str(exc.value) == "log.npz: array events has dtype float64, expected int64"
 
 
 def test_load_run_accepts_what_int_and_float_read(tmp_path):
@@ -1184,7 +1286,7 @@ def _order_base(stride):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from([1, 7]), st.sampled_from(["u", "sigma", "y", "eps"]),
+@given(st.data(), st.sampled_from([1, 7]), st.sampled_from(["u", "events", "y"]),
        st.sampled_from(["swap", "delete", "duplicate"]))
 def test_load_run_names_the_first_line_out_of_order(data, stride, name, edit):
     # one array with two rows swapped, one row deleted or one duplicated:
@@ -1224,9 +1326,11 @@ def test_load_run_rejects_edge_rows_off_the_stride(tmp_path):
     d = tmp_path / "r"
     res = run(builtin_case(2, horizon=30, log_stride=7))
     save_run(res, str(d))
+    old_store(d)
     load_run(str(d))
     # the rows of a log at stride 7 are steps 1, 8, 15, 22 and 29; noise on
-    # every step, NaN off the stride, is 30 rows where 5 belong
+    # every step, NaN off the stride, is 30 rows where 5 belong, in an older
+    # store, which held the noise
     eps = res.log.eps
     _resave_arrays(d, lambda a: a.update(eps=eps))
     with pytest.raises(IncompleteLog) as exc:
@@ -1282,7 +1386,7 @@ for d in sys.argv[1:]:
     except IncompleteLog as e:
         message = str(e)
     out = [sys.flags.optimize, message]
-    for command in ("verify", "plotdata"):
+    for command in ("verify", "plotdata", "export"):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             out += [main([command, "--log", d]), err.getvalue()]
@@ -1292,7 +1396,8 @@ for d in sys.argv[1:]:
 
 def test_store_rejections_hold_under_python_O(tmp_path):
     # no rejection may depend on assert, which -O compiles away: load_run
-    # raises, verify exits 1 and plotdata 3, each with the message and no traceback
+    # raises, verify exits 1 and plotdata and export 3, each with the message
+    # and no traceback
     dirs = []
     for case, (edit, _) in CORRUPTIONS.items():
         dirs.append(saved_case(tmp_path / case))
@@ -1306,10 +1411,11 @@ def test_store_rejections_hold_under_python_O(tmp_path):
     lines = out.stdout.splitlines()
     assert len(lines) == len(CORRUPTIONS)
     for (case, (_, message)), line in zip(CORRUPTIONS.items(), lines):
-        optimize, got, verify, verify_err, plot, plot_err = json.loads(line)
+        optimize, got, verify, verify_err, plot, plot_err, export, export_err = json.loads(line)
         assert optimize == 1 and got.startswith(message), case
         assert verify == 1 and verify_err == f"incomplete log: {got}\n", case
         assert plot == 3 and plot_err == f"unreadable run: {got}\n", case
+        assert export == 3 and export_err == f"unreadable run: {got}\n", case
 
 
 def test_load_run_rejects_scenario_hash_mismatch(tmp_path):
@@ -1382,15 +1488,16 @@ def test_batch_parallel_matches_serial():
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_noise_drawn_block_wise_is_exact_and_bounded(block, monkeypatch):
     # the streams are counter-based: a run drawing its noise block steps at a
-    # time logs the bits of one drawing all 40 steps at once, also up to an
-    # abort, and asks no stream for more than a block
+    # time, and its log redrawing it so, logs the bits of one drawing all 40
+    # steps at once, also up to an abort, and neither asks for more than a block
     scenarios = [builtin_case(2, horizon=40, log_stride=stride) for stride in (1, 3, 7)]
     aborted = builtin_case(1, horizon=40, log_stride=3)
     want = [_log_digest(run(s).log) for s in scenarios]
     want.append(_log_digest(_aborted_run(aborted, 17).log))
-    real, sizes = EdgeStream.draw, []
-    monkeypatch.setattr(EdgeStream, "draw", lambda stream, n: sizes.append(n) or real(stream, n))
-    monkeypatch.setattr(H, "NOISE_BLOCK_STEPS", block)
+    real, sizes = noise_module.draw_block, []
+    monkeypatch.setattr(noise_module, "draw_block",
+                        lambda *args: sizes.append(args[-1]) or real(*args))
+    monkeypatch.setattr(noise_module, "BLOCK_STEPS", block)
     got = [_log_digest(run(s).log) for s in scenarios]
     got.append(_log_digest(_aborted_run(aborted, 17).log))
     assert got == want
@@ -1412,6 +1519,21 @@ def test_a_strided_run_holds_no_dense_derived_columns():
         tracemalloc.stop()
     assert log.y.shape == (200, 4) and log.noise.shape == (200, 8)
     assert peak < 2.5 * (log.u.nbytes + log.sigma.nbytes)
+
+
+def test_a_long_run_holds_no_per_step_counts():
+    # the loop keeps u on every step, y on the logged steps and the count
+    # events; the fixed margin covers y, the events and one block of noise
+    # with its rows, well under the size of u that a count per step would add
+    run(builtin_case(1, horizon=10))  # the round kernel compiled
+    tracemalloc.start()
+    try:
+        log = run(builtin_case(1, horizon=200_000, log_stride=100)).log
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log.u.nbytes == 200_000 * 4 * 8 and log.y.shape == (2000, 4)
+    assert peak < log.u.nbytes + 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwconsensus import build_topology, make_noise_spec, stream_for
 from hwconsensus.errors import NotAnEdge, ValidationError
-from hwconsensus.noise import mix64
+from hwconsensus.noise import BLOCK_STEPS, draw_block, edge_blocks, mix64
 
 MASK = (1 << 64) - 1
 
@@ -151,3 +153,51 @@ def test_weighted_partial_sum_stays_bounded():
     a = 1.0 / np.arange(1, x.size + 1)
     partial = np.cumsum(a * x)
     assert float(np.max(np.abs(partial))) < 50.0
+
+
+# ---------------------------------------------------------------------------
+# the block draw: every stream of a network at once
+
+PAIRS = [(1, 2), (2, 1), (1, 4), (4, 1), (2, 3), (3, 2), (2, 4), (4, 2), (3, 4)]
+SPECS = {"gaussian": make_noise_spec("gaussian", {"variance": 2.5}, 77),
+         "uniform": make_noise_spec("uniform", {"a": 1.5}, 78),
+         "zero": make_noise_spec("zero", {}, 79)}
+# odd and even offsets, around the block boundaries and far out
+OFFSETS = st.one_of(st.integers(0, 3 * BLOCK_STEPS),
+                    st.sampled_from([0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1]),
+                    st.integers(0, 2 ** 50))
+LENGTHS = st.one_of(st.sampled_from([0, 1, 2, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1]),
+                    st.integers(0, 3 * BLOCK_STEPS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), OFFSETS, LENGTHS, st.integers(1, len(PAIRS)))
+def test_the_block_draw_is_each_streams_draw_bit_for_bit(dist, t0, n, m):
+    streams = [stream_for(SPECS[dist], i, j) for i, j in PAIRS[:m]]
+    seeds = np.array([s.stream_seed for s in streams], dtype=np.uint64)
+    block = draw_block(dist, streams[0].scale, seeds, t0, n)
+    assert block.shape == (n, m) and block.dtype == np.float64
+    for c, s in enumerate(streams):
+        s.counter = t0
+        assert block[:, c].view(np.int64).tolist() == s.draw(n).view(np.int64).tolist()
+        assert s.counter == t0 + n
+
+
+def test_the_block_draw_of_uniforms_is_the_documented_generator():
+    streams = [stream_for(SPECS["uniform"], i, j) for i, j in PAIRS]
+    seeds = np.array([s.stream_seed for s in streams], dtype=np.uint64)
+    block = draw_block("uniform", 1.5, seeds, 999, 5)
+    assert block.tolist() == [[1.5 * (2.0 * ref_uniform(s.stream_seed, t) - 1.0)
+                               for s in streams] for t in range(999, 1004)]
+
+
+@pytest.mark.parametrize("steps", [0, 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 7])
+def test_edge_blocks_are_one_draw_of_every_step(steps):
+    spec = SPECS["gaussian"]
+    got = list(edge_blocks(spec, PAIRS, steps))
+    assert [a for a, _ in got] == list(range(0, steps, BLOCK_STEPS))
+    assert all(len(block) <= BLOCK_STEPS for _, block in got)
+    whole = np.vstack([block for _, block in got]) if got else np.empty((0, len(PAIRS)))
+    want = np.column_stack([stream_for(spec, i, j).draw(steps) for i, j in PAIRS])
+    assert whole.shape == (steps, len(PAIRS))
+    assert whole.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -4,7 +4,7 @@ import sys
 
 from hwconsensus import builtin_case, run, save_run
 
-from test_harness import flip_bit
+from test_harness import flip_bit, old_store
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "scripts", "partial_sum_traces.py")
@@ -30,6 +30,7 @@ def test_partial_sum_traces_writes_both_traces(tmp_path):
 def test_partial_sum_traces_rejects_a_corrupt_run(tmp_path):
     d = tmp_path / "r"
     save_run(run(builtin_case(1, horizon=20)), str(d))
+    old_store(d)  # an older store, which held the noise as eps
     flip_bit(d, "eps", (9, 2))
     out = partial_sums("--log", str(d))
     assert out.returncode == 3
