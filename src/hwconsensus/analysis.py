@@ -189,11 +189,13 @@ def fired(log: TrajectoryLog) -> np.ndarray:
     pooled count at the start of its round + 1. Any other event is a restart
     adopting the larger pooled count."""
     ev = log.events
-    start = counts_at(ev, ev[:, 0] - 1, log.u.shape[1])
+    # the counts at the start of each round with an event, one row per round
+    rows, at = np.unique(ev[:, 0] - 1, return_inverse=True)
+    start = counts_at(ev, rows, log.u.shape[1])
     pooled = np.empty(len(ev), dtype=np.int64)
     for i, nb in enumerate(log._nbrs):
         mine = ev[:, 1] == i + 1
-        pooled[mine] = start[mine][:, [i] + [j for _, j, _ in nb]].max(axis=1)
+        pooled[mine] = start[:, [i] + [j for _, j, _ in nb]].max(axis=1)[at[mine]]
     return ev[:, 2] == pooled + 1
 
 

@@ -153,13 +153,13 @@ def cmd_verify(args) -> int:
     if not rec.sigma_consistent:
         replay_note += ", count path mismatch"
     rows = [
-        ("centralized replay", rec.passed, replay_note + _first_failure(rec.first_failure)),
+        ("centralized replay", rec.passed, replay_note + _failure_note(rec.first_failure)),
         ("truncation window bound", report["eq26_ok"],
          f"diameter {extras['diameter']}, top count {extras['truncation_top']}"),
         ("step-count bounds", report["eq28_ok"], eq28_note),
         ("noise decomposition", decomp_ok,
          f"max err {report['decomposition_max_err']:.3e}"
-         + _first_failure(extras["decomposition_first_failure"])),
+         + _failure_note(extras["decomposition_first_failure"])),
     ]
     width = max(len(name) for name, _, _ in rows)
     for name, ok, note in rows:
@@ -182,7 +182,7 @@ def cmd_verify(args) -> int:
     return 0 if all(ok for _, ok, _ in rows) else 2
 
 
-def _first_failure(failure) -> str:
+def _failure_note(failure) -> str:
     """The note naming a check's first failing (k, agent, value), if any."""
     if failure is None:
         return ""
