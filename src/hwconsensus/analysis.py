@@ -166,11 +166,12 @@ def counts_at(events: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """Each of n agents' count at the start of each of the given 0-based
     rows, (len(rows), n) int64: the count of its last event with k <= row,
     else 0. Each agent's events must be in k order."""
+    k, agent, count = events.T
     out = np.empty((len(rows), n), dtype=np.int64)
     for i in range(n):
-        mine = events[events[:, 1] == i + 1]
-        after = np.searchsorted(mine[:, 0], rows, side="right")
-        out[:, i] = np.concatenate(([0], mine[:, 2]))[after]
+        mine = np.flatnonzero(agent == i + 1)
+        after = np.searchsorted(k[mine], rows, side="right")
+        out[:, i] = np.concatenate(([0], count[mine]))[after]
     return out
 
 
@@ -189,14 +190,14 @@ def fired(log: TrajectoryLog) -> np.ndarray:
     pooled count at the start of its round + 1. Any other event is a restart
     adopting the larger pooled count."""
     ev = log.events
-    # the counts at the start of each round with an event, one row per round
-    rows, at = np.unique(ev[:, 0] - 1, return_inverse=True)
-    start = counts_at(ev, rows, log.u.shape[1])
-    pooled = np.empty(len(ev), dtype=np.int64)
-    for i, nb in enumerate(log._nbrs):
-        mine = ev[:, 1] == i + 1
-        pooled[mine] = start[:, [i] + [j for _, j, _ in nb]].max(axis=1)[at[mine]]
-    return ev[:, 2] == pooled + 1
+    # each agent's pooled count at the start of each round with events, one
+    # row per round (the events are in k order), read at each event's round
+    first = np.ones(len(ev), dtype=bool)
+    first[1:] = ev[1:, 0] != ev[:-1, 0]
+    start = counts_at(ev, ev[first, 0] - 1, log.u.shape[1])
+    pooled = np.column_stack([start[:, [i] + [j for _, j, _ in nb]].max(axis=1)
+                              for i, nb in enumerate(log._nbrs)])
+    return ev[:, 2] == pooled[np.cumsum(first) - 1, ev[:, 1] - 1] + 1
 
 
 def truncation_events(log: TrajectoryLog) -> list:
