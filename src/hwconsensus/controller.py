@@ -69,7 +69,7 @@ def emit_round(shape: tuple) -> list:
     The lines read the round k, each agent i's estimate u{i}, count s{i},
     output y{i} and reset point us{i}, and for each edge column c its noise
     e{c} and weight w{c}; they overwrite u{i} and s{i} with the next round's
-    values, and hand each count they assign to events as (k, agent, count),
+    values, and hand each count they assign to events as [k, agent, count],
     agent 1-based: the fired count (the pooled one + 1) and the pooled count
     a restart adopts. The bound table is M; bounds(top) extends it to M_top,
     and mtop is the largest count it is known to cover, so the table is
@@ -91,7 +91,7 @@ def emit_round(shape: tuple) -> list:
                 "else:",
                 f"    u{i} = us{i}",
                 f"    s{i} = {sp} + 1",
-                f"    events((k, {i + 1:d}, s{i}))"]
+                f"    events([k, {i + 1:d}, s{i}])"]
 
     lines = ["a = 1.0 / k",
              f"top = {top}",
@@ -112,7 +112,7 @@ def emit_round(shape: tuple) -> list:
         lines += [f"    if p{i} > s{i}:",
                   f"        u{i} = us{i}",
                   f"        s{i} = p{i}",
-                  f"        events((k, {i + 1:d}, s{i}))",
+                  f"        events([k, {i + 1:d}, s{i}])",
                   "    else:"]
         lines += ["        " + x for x in correction(i, f"p{i}", f"M[p{i}]")]
     return lines

@@ -470,7 +470,7 @@ def run(s: Scenario, master_seed: int | None = None,
                                       np.frombuffer(y_buf).reshape(logged, n))
 
     try:
-        kernel(K, stride, noise_rows(), u_buf.fromlist, event_buf.extend, y_buf.fromlist,
+        kernel(K, stride, noise_rows(), u_buf.fromlist, event_buf.fromlist, y_buf.fromlist,
                Schedule(c_M=s.controller.c_M).bounds, values, s.controller.initial_u,
                s.controller.u_star, [topo.weight(i, j) for (i, j) in pairs])
     except NonFiniteValue as e:
