@@ -6,7 +6,8 @@ centralized-replay oracle: relabeling the distributed run through its
 truncation windows yields sequences that must satisfy a single expanding-
 truncation recursion with an infinity-norm test, exactly. The replay here
 reproduces the logged run to float precision and is used as the package's
-main correctness check.
+main correctness check. Verification reads only what a log stores and
+regenerates the rest one block of rows at a time (log_blocks).
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from .errors import (
     DimensionMismatch,
     IdentityViolation,
     IncompleteLog,
+    NonFiniteValue,
     StepNotLogged,
     ValidationError,
 )
 from .graph import LaplacianView, Topology, diameter, directed_pairs, laplacian
-from .noise import edge_blocks
+from .noise import edge_blocks, edge_noise
+from .plant import stepper
 
 INF = float("inf")
 # the eq28 grid verify checks: k <= EQ28_GRID_K, T in EQ28_GRID_T; every
@@ -36,10 +39,23 @@ EQ28_GRID_K = 1000
 EQ28_GRID_T = (0.1, 0.5, 1.0, 2.0)
 RECURSION_THRESHOLD = 1e-9  # largest replay residual the recursion check passes
 DECOMPOSITION_THRESHOLD = 1e-10  # decomposition errors verify passes are below it
+BLOCK_CELLS = 1 << 16  # verify's blocks hold about this many rows x max(agents, edges)
 
 
 # ---------------------------------------------------------------------------
 # the log
+
+def _dense(name: str) -> functools.cached_property:
+    """A log's column name, of the logged rows, on every row with NaN off the stride."""
+    def dense(log) -> np.ndarray:
+        block = getattr(log, name)
+        if log.log_stride == 1:
+            return block
+        out = np.full((log.horizon, block.shape[1]), np.nan)
+        out[::log.log_stride] = block
+        return out
+    return functools.cached_property(dense)
+
 
 @dataclass
 class TrajectoryLog:
@@ -91,14 +107,6 @@ class TrajectoryLog:
     def _nbrs(self) -> list:
         return neighbour_columns(self.scenario.topology, self.pairs)
 
-    def _dense(self, block: np.ndarray) -> np.ndarray:
-        """block, of the logged rows, on every row with NaN off the stride."""
-        if self.log_stride == 1:
-            return block
-        out = np.full((self.horizon, block.shape[1]), np.nan)
-        out[::self.log_stride] = block
-        return out
-
     @functools.cached_property
     def sigma(self) -> np.ndarray:
         return counts_at(self.events, np.arange(self.horizon), self.u.shape[1])
@@ -106,12 +114,10 @@ class TrajectoryLog:
     @functools.cached_property
     def noise(self) -> np.ndarray:
         stride = self.log_stride
-        out = np.empty((len(self.logged_rows), len(self.pairs)))
-        for a, block in edge_blocks(self.scenario.noise, self.pairs, self.horizon):
-            first = -(-a // stride)  # the block's first logged row, counted in out
-            kept = block[first * stride - a::stride]
-            out[first:first + len(kept)] = kept
-        return out
+        # a block drawn from step a holds its first logged row at -a % stride
+        return np.concatenate([np.empty((0, len(self.pairs)))] + [
+            block[-a % stride::stride]
+            for a, block in edge_blocks(self.scenario.noise, self.pairs, self.horizon)])
 
     @functools.cached_property
     def sigma_prime(self) -> np.ndarray:
@@ -127,39 +133,30 @@ class TrajectoryLog:
                         np.array(self.scenario.controller.u_star), self.u)
 
     @functools.cached_property
-    def logged_z(self) -> np.ndarray:
-        # the round's float arithmetic overflows to inf without a warning
-        with np.errstate(all="ignore"):
-            z = self.y[:, [j - 1 for _, j in self.pairs]]
-            z += self.noise
-        return z
+    def _observations(self) -> tuple:
+        return observations(self.y, self.noise, self.pairs, self._nbrs)
 
-    @functools.cached_property
-    def logged_O(self) -> np.ndarray:
-        z, O = self.logged_z, np.empty_like(self.y)
-        with np.errstate(all="ignore"):
-            for i, nb in enumerate(self._nbrs):
-                acc = 0.0
-                for c, _, w in nb:
-                    acc = acc + w * (z[:, c] - self.y[:, i])
-                O[:, i] = acc
-        return O
+    logged_z = property(lambda self: self._observations[0])
+    logged_O = property(lambda self: self._observations[1])
 
-    @functools.cached_property
-    def y_next(self) -> np.ndarray:
-        return self._dense(self.y)
+    y_next, O_next, z, eps = map(_dense, ("y", "logged_O", "logged_z", "noise"))
 
-    @functools.cached_property
-    def O_next(self) -> np.ndarray:
-        return self._dense(self.logged_O)
 
-    @functools.cached_property
-    def z(self) -> np.ndarray:
-        return self._dense(self.logged_z)
-
-    @functools.cached_property
-    def eps(self) -> np.ndarray:
-        return self._dense(self.noise)
+def observations(y: np.ndarray, noise: np.ndarray, pairs, nbrs) -> tuple:
+    """(z, O) on rows of y and of the noise of the edges pairs, as the round
+    forms them: z, the observed agent's y plus the noise, and O, each
+    agent's w (z - y_i) summed from 0.0 in nbrs order."""
+    O = np.empty_like(y)
+    # the round's float arithmetic overflows to inf without a warning
+    with np.errstate(all="ignore"):
+        z = y[:, [j - 1 for _, j in pairs]]
+        z += noise
+        for i, nb in enumerate(nbrs):
+            acc = 0.0
+            for c, _, w in nb:
+                acc = acc + w * (z[:, c] - y[:, i])
+            O[:, i] = acc
+    return z, O
 
 
 def counts_at(events: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -242,7 +239,7 @@ class TruncationTimes:
 
 @dataclass
 class AuxiliarySequences:
-    """Windowed relabeling of a run plus its effective observation.
+    """Windowed relabeling of the rows of a log at steps k, plus its effective observation.
 
     Within each global window [r(m), r(m+1)), an agent that has not yet
     reached count m is represented by its reset point with zero effective
@@ -251,14 +248,79 @@ class AuxiliarySequences:
     (the catch-up side cancels exactly by construction).
     """
 
+    k: np.ndarray
     ubar: np.ndarray
     ebar: np.ndarray
     obar: np.ndarray
     sigma_bar: np.ndarray
-    times: TruncationTimes
     u_star: np.ndarray
     catchup_mask: np.ndarray
     structure_max_err: float
+
+
+@dataclass
+class Block:
+    """The rows of a log at steps k, each cell the round's bits: u; y, the
+    outputs y_{i,k+1}; the noise of every edge; O; h and g, the gain_field
+    of u; and sigma_bar, the largest count (log_blocks)."""
+
+    k: np.ndarray
+    u: np.ndarray
+    y: np.ndarray
+    noise: np.ndarray
+    O: np.ndarray
+    h: np.ndarray
+    g: np.ndarray
+    sigma_bar: np.ndarray | None = None
+
+
+def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
+    """The log's rows as Blocks of about BLOCK_CELLS cells, from u, the count
+    events and the logged y alone. No block has one row unless the log does:
+    a (1, n) product takes numpy's matrix-vector path, whose bits may differ.
+    y is the stored y at stride 1, else the plants replayed over u from the
+    zero histories run builds them with, and the noise is redrawn at each
+    block's offset. A NaN stored y, or a logged y that differs from the
+    replay in any bit, raises IncompleteLog at its first (k, agent)."""
+    (K, n), stride = log.u.shape, log.log_stride
+    draw = edge_noise(log.scenario.noise, log.pairs)
+    steps = [stepper(a.build()) for a in log.scenario.agents] if stride > 1 else None
+    starts = list(range(0, K, max(2, BLOCK_CELLS // max(n, len(log.pairs)))))
+    if len(starts) > 1 and K - starts[-1] == 1:
+        starts.pop()  # a one-row remainder joins the block before it
+    for a, b in zip(starts, starts[1:] + [K]):
+        u = log.u[a:b]
+        if steps is None:
+            y = log.y[a:b]
+            at, bad, what = np.arange(a, b), np.isnan(y), "no output y_next"
+        else:
+            y = _replayed(steps, u, a)
+            at = np.arange(-(-a // stride) * stride, b, stride)  # the logged rows
+            bad = y[at - a].view(np.int64) != log.y[at // stride].view(np.int64)
+            what = "the plant replayed over u differs from the logged y_next"
+        if bad.any():
+            x, i = np.argwhere(bad)[0].tolist()
+            raise IncompleteLog(f"{what} at k={at[x] + 1}, agent {i + 1}")
+        noise = draw(a, b - a)
+        yield Block(np.arange(a + 1, b + 1), u, y, noise,
+                    observations(y, noise, log.pairs, log._nbrs)[1], *gain_field(u, gains, lap),
+                    counts_at(log.events, np.arange(a, b), n).max(axis=1))
+
+
+def _replayed(steps, u: np.ndarray, start: int) -> np.ndarray:
+    """The outputs of the plant steppers over rows of u, row start first, in
+    round order; the steppers keep their state for the next block. The first
+    output that is not finite raises IncompleteLog at its (k, agent)."""
+    out = []
+    try:
+        for row in u.tolist():
+            for step, x in zip(steps, row):
+                out.append(step(x))
+    except NonFiniteValue as e:
+        r, i = divmod(len(out), len(steps))
+        raise IncompleteLog(f"the plant replayed over u leaves finite range at "
+                            f"k={start + r + 1}, agent {i + 1}: {e}") from None
+    return np.array(out).reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +345,23 @@ def regression_g(u: np.ndarray, gains, lap: LaplacianView) -> np.ndarray:
     return gain_field(u[None], gains, lap)[1][0]
 
 
-def _decompose(log: TrajectoryLog, rows, gains, lap: LaplacianView, hg=None):
-    """(e1, e2, e3, O - g) on the given rows of the log, each (rows, n).
+def _decompose(block: Block, pairs, lap: LaplacianView):
+    """(e1, e2, e3, O - g) on the rows of a block, each (rows, n).
 
     e1 = sum_j p_ij eps_ij           (pure observation noise)
     e2 = p_i (h_i(u_{i,k}) - y_{i,k+1})   (own output off steady state)
     e3 = sum_j p_ij (y_{j,k+1} - h_j(u_{j,k}))
-    The neighbour sums run in pair order. hg is gain_field on those rows of
-    log.u when the caller already has it.
+    The neighbour sums run in the order of the directed edges pairs.
     """
-    y = log.y_next[rows]
-    h, g = hg if hg is not None else gain_field(log.u[rows], gains, lap)
+    y, h = block.y, block.h
     e1 = np.zeros_like(h)
     e3 = np.zeros_like(h)
-    for col, (a, b) in enumerate(log.pairs):
+    for col, (a, b) in enumerate(pairs):
         w = lap.P[a - 1, b - 1]
-        e1[:, a - 1] += w * log.eps[rows, col]
+        e1[:, a - 1] += w * block.noise[:, col]
         e3[:, a - 1] += w * (y[:, b - 1] - h[:, b - 1])
     e2 = np.diag(lap.D) * (h - y)
-    return e1, e2, e3, log.O_next[rows] - g
+    return e1, e2, e3, block.O - block.g
 
 
 def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
@@ -314,11 +374,13 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
     """
     if k - 1 not in log.logged_rows:
         raise StepNotLogged(f"step {k} not in the log (stride {log.log_stride})")
-    r = k - 1
-    if np.isnan(log.y_next[r]).any():
+    r, x = k - 1, slice((k - 1) // log.log_stride, (k - 1) // log.log_stride + 1)
+    if np.isnan(log.y[x]).any():
         raise StepNotLogged(f"step {k} has no output record")
-    e1, e2, e3, rhs = (float(x[0, i - 1])
-                       for x in _decompose(log, slice(r, r + 1), gains, lap))
+    u = log.u[r:r + 1]
+    block = Block(np.array([k]), u, log.y[x], log.noise[x], log.logged_O[x],
+                  *gain_field(u, gains, lap))
+    e1, e2, e3, rhs = (float(t[0, i - 1]) for t in _decompose(block, log.pairs, lap))
     lhs = e1 + e2 + e3
     if not abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)):
         raise IdentityViolation(
@@ -333,18 +395,19 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
 def truncation_times(log: TrajectoryLog) -> TruncationTimes:
     """First-passage tables of the logged truncation counts.
 
-    A column first reaches m where its running maximum does, so each agent's
-    first passages are one searchsorted on its running maximum, and r, the
-    first passage of any agent, is their minimum.
+    An agent first reaches m at its first event (round k, so step k + 1)
+    whose running maximum count reaches m: one searchsorted per agent. r,
+    the first passage of any agent, is the minimum over the agents.
     """
-    running = np.maximum.accumulate(log.sigma, axis=0)
-    K, n = running.shape
-    top = int(running[-1].max())
+    K, n = log.u.shape
+    k, agent, count = log.events[log.events[:, 0] < K].T
+    top = int(count.max(initial=0))
     levels = np.arange(top + 2)
     r_agent = np.empty((top + 2, n))
     for i in range(n):
-        first = np.searchsorted(running[:, i], levels)
-        r_agent[:, i] = np.where(first < K, first + 1.0, INF)
+        mine = agent == i + 1
+        first = np.searchsorted(np.maximum.accumulate(count[mine]), levels)
+        r_agent[:, i] = np.append(k[mine] + 1.0, INF)[first]
     r_agent[0] = 1.0
     return TruncationTimes(top=top, r=r_agent.min(axis=1), r_agent=r_agent)
 
@@ -507,57 +570,32 @@ def _eq28_first_failure(K: int, grid_T) -> tuple | None:
 # ---------------------------------------------------------------------------
 # auxiliary sequences and the centralized replay
 
-def build_auxiliary(log: TrajectoryLog, gains, topology: Topology,
-                    hg=None) -> AuxiliarySequences:
-    """Relabel a complete stride-1 log through its truncation windows.
+def build_auxiliary(block: Block, times: TruncationTimes, u_star: np.ndarray, gains,
+                    lap: LaplacianView) -> AuxiliarySequences:
+    """Relabel a block of a log through the log's truncation windows (times).
 
     ubar equals the reset point during an agent's catch-up window
-    [r(m), min(r_agent(m), r(m+1))) and the true estimate elsewhere; ebar is
-    the effective noise making g(ubar) + ebar equal 0 on catch-up windows
-    and the logged observation on live windows. obar stores that structural
-    value; the float discrepancy of the live-side identity is recorded in
+    [r(m), min(r_agent(m), r(m+1))) and the true estimate elsewhere: step s
+    is in the window of the last m with r(m) <= s. ebar is the effective
+    noise making g(ubar) + ebar equal 0 on catch-up windows and the logged
+    observation on live windows. obar stores that structural value; the
+    float discrepancy of the live-side identity is recorded in
     structure_max_err (the catch-up side cancels exactly by construction).
-    hg is gain_field on log.u when the caller already has it. Another stride,
-    or a NaN output (located at its first (k, agent)), raises IncompleteLog.
     """
-    if log.log_stride != 1:
-        raise IncompleteLog(f"verification needs a stride-1 log, got stride {log.log_stride}")
-    missing = np.argwhere(np.isnan(log.y_next))
-    if len(missing):
-        r, i = missing[0].tolist()
-        raise IncompleteLog(f"no output y_next at k={r + 1}, agent {i + 1}")
-    K, n = log.u.shape
-    lap = laplacian(topology)
-    times = truncation_times(log)
-    sbar = log.sigma_bar
-
-    u_star = np.array(log.scenario.controller.u_star)
-    ubar = log.u.copy()
-    catchup = np.zeros((K, n), dtype=bool)
-    for m in range(0, times.top + 1):
-        lo = times.r[m]
-        if not math.isfinite(lo):
-            continue
-        lo = int(lo)
-        ends = np.minimum(times.rbar(m), K + 1).astype(np.int64)
-        for i in np.flatnonzero(ends > lo):
-            ubar[lo - 1:ends[i] - 1, i] = u_star[i]
-            catchup[lo - 1:ends[i] - 1, i] = True
-
-    h_u, g_u = hg if hg is not None else gain_field(log.u, gains, lap)
+    level = np.searchsorted(times.r, block.k, side="right") - 1
+    catchup = block.k[:, None] < times.r_agent[level]
+    ubar = np.where(catchup, u_star, block.u)
     # g rows evaluated at the relabeled points, shared by both branches below
     h_ubar, g_bar = gain_field(ubar, gains, lap)
 
-    eps_noise = log.O_next - g_u
-    corr = (h_u - h_ubar) @ lap.P.T
-    ebar = np.where(catchup, -g_bar, eps_noise + corr)
-    obar = np.where(catchup, 0.0, log.O_next)
+    corr = (block.h - h_ubar) @ lap.P.T
+    ebar = np.where(catchup, -g_bar, block.O - block.g + corr)
+    obar = np.where(catchup, 0.0, block.O)
 
-    live_err = np.abs(g_bar + ebar - log.O_next)
-    structure_max_err = float(np.max(np.where(catchup, 0.0, live_err))) if K else 0.0
-
-    return AuxiliarySequences(ubar=ubar, ebar=ebar, obar=obar, sigma_bar=sbar,
-                              times=times, u_star=u_star, catchup_mask=catchup,
+    live_err = np.abs(g_bar + ebar - block.O)
+    structure_max_err = float(np.where(catchup, 0.0, live_err).max(initial=0.0))
+    return AuxiliarySequences(k=block.k, ubar=ubar, ebar=ebar, obar=obar,
+                              sigma_bar=block.sigma_bar, u_star=u_star, catchup_mask=catchup,
                               structure_max_err=structure_max_err)
 
 
@@ -567,20 +605,22 @@ class RecursionCheck:
     passed: bool
     sigma_consistent: bool
     first_failure: tuple | None = None  # (k, agent, residual), see first_failure
+    last: tuple = ()  # the last row's (replayed estimate, reset, sigma_bar)
 
 
-def first_failure(err: np.ndarray, threshold: float) -> tuple | None:
-    """(k, agent, value) of the first cell of a (K, n) array of errors, in
-    row-major order, that is not below threshold (a NaN is not), row r being
-    round k = r + 1; None if every cell is below it."""
+def first_failure(err: np.ndarray, threshold: float, k0: int = 1) -> tuple | None:
+    """(k, agent, value) of the first cell of a (rows, n) array of errors,
+    in row-major order, that is not below threshold (a NaN is not), row r
+    being round k = k0 + r; None if every cell is below it."""
     bad = np.argwhere(~(err < threshold))
     if not len(bad):
         return None
     r, i = bad[0].tolist()
-    return r + 1, i + 1, float(err[r, i])
+    return int(k0) + r, i + 1, float(err[r, i])
 
 
-def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule) -> RecursionCheck:
+def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
+                                 before: RecursionCheck | None = None) -> RecursionCheck:
     """Replay the relabeled run as one centralized truncation recursion.
 
     From each row: candidate = ubar + (1/k) obar per agent; if the row's
@@ -590,23 +630,29 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule) -> Re
     round and agent whose replayed next estimate deviates by
     RECURSION_THRESHOLD or more, and whether the sigma_bar path matches the
     indicator exactly; it passes when both hold, every deviation below
-    RECURSION_THRESHOLD.
+    RECURSION_THRESHOLD. before, the check of the rows before the block,
+    carries its last row into the replay, and the result covers both.
     """
-    K, n = aux.ubar.shape
-    if K < 2:
-        return RecursionCheck(0.0, True, True)
-    a = 1.0 / np.arange(1, K + 1, dtype=float)
-    cand = aux.ubar + a[:, None] * aux.obar
+    cand = aux.ubar + (1.0 / aux.k)[:, None] * aux.obar
     bound = np.log(aux.sigma_bar + sched.c_M)
     ind = np.abs(cand).max(axis=1) >= bound
     pred = np.where(ind[:, None], aux.u_star[None, :], cand)
-    diff = np.abs(pred[:-1] - aux.ubar[1:])
-    resid = float(diff.max())
-    sigma_ok = bool(np.array_equal(aux.sigma_bar[1:],
-                                   aux.sigma_bar[:-1] + ind[:-1].astype(aux.sigma_bar.dtype)))
+    sbar, k0, nxt = aux.sigma_bar, aux.k[0], aux.ubar[1:]
+    if before is not None:
+        p, i, s = before.last
+        pred, ind, sbar = np.vstack([p, pred]), np.append(i, ind), np.append(s, sbar)
+        k0, nxt = k0 - 1, aux.ubar
+    diff = np.abs(pred[:-1] - nxt)
+    resid = float(diff.max(initial=0.0))
+    sigma_ok = bool(np.array_equal(sbar[1:], sbar[:-1] + ind[:-1].astype(sbar.dtype)))
+    failure = first_failure(diff, RECURSION_THRESHOLD, k0)
+    if before is not None:
+        resid = float(np.maximum(before.max_abs_residual, resid))
+        sigma_ok = sigma_ok and before.sigma_consistent
+        failure = before.first_failure or failure
     return RecursionCheck(max_abs_residual=resid, passed=resid < RECURSION_THRESHOLD and sigma_ok,
-                          sigma_consistent=sigma_ok,
-                          first_failure=first_failure(diff, RECURSION_THRESHOLD))
+                          sigma_consistent=sigma_ok, first_failure=failure,
+                          last=(pred[-1], ind[-1], sbar[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -707,25 +753,19 @@ class RunMetrics:
     v: np.ndarray
 
 
-def consensus_metrics(log: TrajectoryLog, gains, lap: LaplacianView,
-                      h: np.ndarray | None = None) -> RunMetrics:
-    """Per-step consensus diagnostics.
+def consensus_metrics(block: Block, gains, lap: LaplacianView) -> RunMetrics:
+    """Per-step consensus diagnostics of the rows of a block (log_blocks).
 
-    spread_y is the max pairwise gap of the outputs produced in the round
-    (NaN on strided-out steps); residual is the sup norm of L h(u_k); v is
-    the Lyapunov value of _lyapunov. h is the gains on log.u when the caller
-    already has it (full_verification returns it as extras["h"]).
+    spread_y is the max pairwise gap of the outputs produced in the round;
+    residual is the sup norm of L h(u_k); v is the Lyapunov value of _lyapunov.
     """
-    K = log.u.shape[0]
     # as in full_verification, a diverged run's values overflow to inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        if h is None:
-            h = gain_field(log.u, gains, lap)[0]
-        residual = np.abs(h @ lap.L.T).max(axis=1)
-        spread = log.y_next.max(axis=1) - log.y_next.min(axis=1)
-        v = _lyapunov(log.u, h, gains)
-    return RunMetrics(k=np.arange(1, K + 1), spread_y=spread,
-                      residual=residual, sigma_bar=log.sigma_bar.astype(float), v=v)
+        residual = np.abs(block.h @ lap.L.T).max(axis=1)
+        spread = block.y.max(axis=1) - block.y.min(axis=1)
+        v = _lyapunov(block.u, block.h, gains)
+    return RunMetrics(k=block.k, spread_y=spread, residual=residual,
+                      sigma_bar=block.sigma_bar, v=v)
 
 
 def geometric_rows(K: int, points: int) -> np.ndarray:
@@ -737,17 +777,19 @@ def geometric_rows(K: int, points: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bundled verification
 
-def full_verification(log: TrajectoryLog, gains, topology: Topology):
+def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=None):
     """Run every identity check on one log.
 
+    Pass 1 reads the count events: a count outside 0..k-1 at step k raises
+    IdentityViolation located at (k, agent, count); then eq26 and eq28.
+    Pass 2 runs the relabeling, the replay and the decomposition on each
+    block of log_blocks, then hands the block to each_block if given.
     Returns (report, extras): report carries the four headline fields
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
     supporting diagnostics for human output, among them the first failing
     (k, T, lo, m, hi) of the eq28 grid (EQ28_GRID_K, EQ28_GRID_T) and the
     first (k, agent, error) of the decomposition at DECOMPOSITION_THRESHOLD,
-    each or None, and h, the gains on log.u, for consensus_metrics. A count
-    outside 0..k-1 at step k raises IdentityViolation located at
-    (k, agent, count).
+    each or None.
     """
     # a count rises by at most 1 per round from 0, so the count an event sets
     # in round k, which holds from step k + 1, is in 0..k; checked before
@@ -759,35 +801,44 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology):
         raise IdentityViolation(
             f"truncation count {count} at k={k + 1}, agent {agent} is outside 0..{k}",
             location=(k + 1, agent, count))
+    times = truncation_times(log)
+    d = diameter(topology)
+    eq26 = check_window_bound(times, d, log.horizon)
+    eq28_failure = _eq28_first_failure(EQ28_GRID_K, EQ28_GRID_T)
+
     lap = laplacian(topology)
+    sched = Schedule(c_M=log.scenario.controller.c_M)
+    u_star = np.array(log.scenario.controller.u_star)
+    rec, structure, decomp, decomp_failure = None, 0.0, 0.0, None
     # the gains overflow on a diverged run's inputs; the inf and NaN values
     # that follow fail the checks they reach, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        hg = gain_field(log.u, gains, lap)
-        aux = build_auxiliary(log, gains, topology, hg)
-        rec = verify_centralized_recursion(aux, Schedule(c_M=log.scenario.controller.c_M))
-        e1, e2, e3, target = _decompose(log, slice(None), gains, lap, hg)
-        decomp = np.abs(e1 + e2 + e3 - target)
-
-    d = diameter(topology)
-    eq26 = check_window_bound(aux.times, d, log.horizon)
-
-    eq28_failure = _eq28_first_failure(EQ28_GRID_K, EQ28_GRID_T)
+        for block in log_blocks(log, gains, lap):
+            aux = build_auxiliary(block, times, u_star, gains, lap)
+            rec = verify_centralized_recursion(aux, sched, rec)
+            e1, e2, e3, target = _decompose(block, log.pairs, lap)
+            err = np.abs(e1 + e2 + e3 - target)
+            # np.maximum, not max: a NaN anywhere is the maximum
+            structure = np.maximum(structure, aux.structure_max_err)
+            decomp = np.maximum(decomp, err.max())
+            decomp_failure = decomp_failure or first_failure(err, DECOMPOSITION_THRESHOLD,
+                                                             block.k[0])
+            if each_block is not None:
+                each_block(block)
 
     report = {
         "lemma3_residual": rec.max_abs_residual,
         "eq26_ok": eq26,
         "eq28_ok": eq28_failure is None,
-        "decomposition_max_err": float(np.max(decomp)),
+        "decomposition_max_err": float(decomp),
     }
     extras = {
         "recursion": rec,
-        "structure_max_err": aux.structure_max_err,
+        "structure_max_err": float(structure),
         "sigma_consistent": rec.sigma_consistent,
         "diameter": d,
-        "truncation_top": aux.times.top,
+        "truncation_top": times.top,
         "eq28_first_failure": eq28_failure,
-        "decomposition_first_failure": first_failure(decomp, DECOMPOSITION_THRESHOLD),
-        "h": hg[0],
+        "decomposition_first_failure": decomp_failure,
     }
     return report, extras

@@ -2,12 +2,13 @@
 
 Subcommands:
   run       simulate a built-in case or a scenario JSON, write run files
-  verify    replay a stride-1 log through every identity check
+  verify    replay a saved run of any stride through every identity check
   plotdata  emit downsampled input/output series for log-scale plotting
   export    write a saved run's log as trajectory.csv, edges.csv and events.csv
 
-Exit codes: 0 success, 1 validation or usage problem (including strided,
-corrupt or mismatched logs, or a log missing an output, handed to verify),
+Exit codes: 0 success, 1 validation or usage problem (including corrupt or
+mismatched logs, a log missing an output, or a logged output the plant
+replayed over the logged inputs does not reproduce, handed to verify),
 2 runtime failure (divergence, a failed identity), 3 I/O problem (missing
 files or directories, or a run plotdata or export cannot read). A corrupt
 store (a log.npz that is not an npz archive, whose arrays differ from what
@@ -69,7 +70,7 @@ def build_parser() -> _Parser:
     r.add_argument("--log-stride", type=int,
                    help="log outputs and edge data every this many steps")
 
-    v = sub.add_parser("verify", help="check a saved stride-1 run")
+    v = sub.add_parser("verify", help="check a saved run, of any stride")
     v.add_argument("--log", required=True, help="run directory to verify")
 
     d = sub.add_parser("plotdata", help="downsampled series from a saved run")
@@ -140,8 +141,12 @@ def cmd_verify(args) -> int:
         print(f"no run found: {e}", file=sys.stderr)
         return 3
     t1 = time.perf_counter()
-    gains = s.gains()
-    report, extras = analysis.full_verification(log, gains, s.topology)
+    gains, lap = s.gains(), laplacian(s.topology)
+    # the metrics of each block, as numbers: metrics.csv is written once every check has run
+    metrics = []
+    report, extras = analysis.full_verification(
+        log, gains, s.topology,
+        lambda block: metrics.append(analysis.consensus_metrics(block, gains, lap)))
     rec = extras["recursion"]
 
     decomp_ok = report["decomposition_max_err"] < analysis.DECOMPOSITION_THRESHOLD
@@ -168,13 +173,9 @@ def cmd_verify(args) -> int:
           f"max live-step err {extras['structure_max_err']:.3e}")
 
     harness.write_json(os.path.join(args.log, "report.json"), report)
-    metrics = analysis.consensus_metrics(log, gains, laplacian(s.topology), extras["h"])
-    csvout.write_csv(
-        os.path.join(args.log, "metrics.csv"), "k,spread_y,residual,sigma_bar,v",
-        [(csvout.format_cells(np.arange(1, len(metrics.k) + 1)),
-          csvout.format_cells(metrics.spread_y), csvout.format_cells(metrics.residual),
-          csvout.format_cells(metrics.sigma_bar.astype(np.int64)),
-          csvout.format_cells(metrics.v))])
+    # the columns are the fields of RunMetrics, in order
+    csvout.write_csv(os.path.join(args.log, "metrics.csv"), "k,spread_y,residual,sigma_bar,v",
+                     (list(map(csvout.format_cells, vars(m).values())) for m in metrics))
     # stdout only: report.json and metrics.csv are a function of the log
     print(f"load time: {t1 - t0:.3f} s")
     print(f"check time: {time.perf_counter() - t1:.3f} s")

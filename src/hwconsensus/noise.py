@@ -159,12 +159,18 @@ def _stream_seed(spec: NoiseSpec, i: int, j: int) -> int:
     return mix64(spec.seed ^ mix64((i << 32) | j))
 
 
-def edge_blocks(spec: NoiseSpec, pairs, steps: int):
-    """The noise of steps 1..steps on the directed edges pairs, in that
-    column order, as (first 0-based step, block) pairs of at most
-    BLOCK_STEPS rows each. The streams are counter-based, so the blocks
-    together hold the bits of one draw of every step."""
+def edge_noise(spec: NoiseSpec, pairs):
+    """A function of (t0, rows) drawing the noise of 0-based steps t0 ..
+    t0 + rows - 1 on the directed edges pairs, in that column order: the
+    streams are counter-based, so blocks at any offsets hold one draw's bits."""
     seeds = np.array([_stream_seed(spec, i, j) for i, j in pairs], dtype=np.uint64)
     scale = _scale(spec)
+    return lambda t0, rows: draw_block(spec.dist, scale, seeds, t0, rows)
+
+
+def edge_blocks(spec: NoiseSpec, pairs, steps: int):
+    """The noise of steps 1..steps (edge_noise) as (first 0-based step,
+    block) pairs of at most BLOCK_STEPS rows each."""
+    draw = edge_noise(spec, pairs)
     for a in range(0, steps, BLOCK_STEPS):
-        yield a, draw_block(spec.dist, scale, seeds, a, min(BLOCK_STEPS, steps - a))
+        yield a, draw(a, min(BLOCK_STEPS, steps - a))

@@ -9,10 +9,10 @@ C(z) y_{k+1} = D(z) v_k); a "wiener" agent applies it last
 
 emit_step writes the difference equation as Python source, once: it is the
 one implementation, compiled by stepper(plant) for one agent (step() is a
-single call of it) and by harness.run's round kernel for every agent of a
-network. A state-space companion realization is provided purely as a
-cross-checking oracle; the two must agree to 1e-10 per step on any input
-sequence.
+single call of it; verify replays a strided log's outputs through it) and
+by harness.run's round kernel for every agent of a network. A state-space
+companion realization is provided purely as a cross-checking oracle; the
+two must agree to 1e-10 per step on any input sequence.
 """
 
 from __future__ import annotations

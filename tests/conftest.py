@@ -7,20 +7,28 @@ and shared across test modules through the `runs` fixture.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from hwconsensus import (
     AgentSpec,
+    AuxiliarySequences,
     ControllerSpec,
+    RunMetrics,
     Scenario,
     Topology,
+    build_auxiliary,
     builtin_case,
+    consensus_metrics,
+    laplacian,
     make_nonlinearity,
     make_noise_spec,
     poly,
     run,
     scenario_from_dict,
+    truncation_times,
 )
+from hwconsensus.analysis import log_blocks
 
 _CACHE = {}
 
@@ -140,3 +148,27 @@ def forced_truncation_scenarios():
         "noise": {"dist": "gaussian", "params": {"variance": 9.0}, "seed": 13},
     }
     return [scenario_from_dict(d) for d in (chain, square, pair)]
+
+
+def whole_auxiliary(log, gains, topology) -> AuxiliarySequences:
+    """build_auxiliary of every block of the log, joined: the relabeling of
+    the whole log, which verify_centralized_recursion replays in one call."""
+    lap = laplacian(topology)
+    times, u_star = truncation_times(log), np.array(log.scenario.controller.u_star)
+    parts = [build_auxiliary(b, times, u_star, gains, lap) for b in log_blocks(log, gains, lap)]
+
+    def joined(name):
+        return np.concatenate([getattr(p, name) for p in parts])
+
+    return AuxiliarySequences(
+        k=joined("k"), ubar=joined("ubar"), ebar=joined("ebar"), obar=joined("obar"),
+        sigma_bar=joined("sigma_bar"), u_star=u_star, catchup_mask=joined("catchup_mask"),
+        structure_max_err=max(p.structure_max_err for p in parts))
+
+
+def whole_metrics(log, gains, lap) -> RunMetrics:
+    """consensus_metrics of every block of the log, joined: the metrics of
+    every step of the log."""
+    parts = [consensus_metrics(b, gains, lap) for b in log_blocks(log, gains, lap)]
+    return RunMetrics(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                         for f in dataclasses.fields(RunMetrics)})

@@ -12,11 +12,9 @@ import numpy as np
 
 from hwconsensus import (
     Schedule,
-    build_auxiliary,
     build_state_space,
     builtin_case,
     check_window_bound,
-    consensus_metrics,
     consensus_point,
     diameter,
     full_verification,
@@ -39,7 +37,7 @@ from hwconsensus import (
 )
 from hwconsensus.analysis import _window_counts
 
-from conftest import forced_truncation_scenarios
+from conftest import forced_truncation_scenarios, whole_auxiliary, whole_metrics
 from test_plant import _random_stable_poly
 
 CASES = (1, 2, 3)
@@ -47,8 +45,7 @@ SEEDS = (1, 2, 3, 4, 5)
 
 
 def _metrics(res, scenario):
-    return consensus_metrics(res.log, scenario.gains(),
-                             laplacian(scenario.topology))
+    return whole_metrics(res.log, scenario.gains(), laplacian(scenario.topology))
 
 
 def test_criterion_01_noisy_benchmark_reproduction(runs, cases):
@@ -109,7 +106,7 @@ def test_criterion_03_centralized_replay_oracle(runs, cases):
         gains = s.gains()
         for seed in SEEDS:
             res = runs(case, seed)
-            aux = build_auxiliary(res.log, gains, s.topology)
+            aux = whole_auxiliary(res.log, gains, s.topology)
             rec = verify_centralized_recursion(aux, Schedule(c_M=55.0))
             assert rec.passed, f"case {case} seed {seed}"
             assert rec.max_abs_residual < 1e-9
@@ -123,7 +120,7 @@ def test_criterion_03_centralized_replay_oracle(runs, cases):
     delta = u2[r, 0] - res.log.u[r, 0]
     tampered = dataclasses.replace(res.log, u=u2)
     rec = verify_centralized_recursion(
-        build_auxiliary(tampered, cases[1].gains(), cases[1].topology),
+        whole_auxiliary(tampered, cases[1].gains(), cases[1].topology),
         Schedule(c_M=55.0))
     assert not rec.passed
     assert rec.max_abs_residual >= delta > 0.99e-3

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from hwconsensus import (
     Schedule,
-    build_auxiliary,
     build_topology,
     builtin_case,
     check_window_bound,
-    consensus_metrics,
     consensus_point,
     full_verification,
     gain_roots,
@@ -42,12 +40,17 @@ from hwconsensus.analysis import (
 from hwconsensus.errors import (
     DimensionMismatch,
     IdentityViolation,
-    IncompleteLog,
     StepNotLogged,
     ValidationError,
 )
 
-from conftest import forced_truncation_scenarios, network_scenario, two_agent_scenario
+from conftest import (
+    forced_truncation_scenarios,
+    network_scenario,
+    two_agent_scenario,
+    whole_auxiliary,
+    whole_metrics,
+)
 
 INF = float("inf")
 
@@ -375,7 +378,8 @@ def test_decomposition_is_a_view_of_the_sweep():
     import hwconsensus.analysis as A
     log = run(builtin_case(1, horizon=3000)).log
     # (k, agent, term), compared bit for bit
-    sweep = np.stack(A._decompose(log, slice(None), GAINS1, LAP1)[:3], axis=-1)
+    sweep = np.concatenate([np.stack(A._decompose(block, log.pairs, LAP1)[:3], axis=-1)
+                            for block in A.log_blocks(log, GAINS1, LAP1)])
     per_step = np.array([[noise_decomposition(log, k, i, GAINS1, LAP1)
                           for i in (1, 2, 3, 4)] for k in range(1, log.horizon + 1)])
     assert per_step.shape == sweep.shape == (3000, 4, 3)
@@ -606,7 +610,7 @@ def test_auxiliary_without_truncations_is_identity():
     s = two_agent_scenario(horizon=400, params={"variance": 0.01}, seed=3)
     res = run(s)
     assert res.summary["total_truncations"] == [0, 0]
-    aux = build_auxiliary(res.log, s.gains(), s.topology)
+    aux = whole_auxiliary(res.log, s.gains(), s.topology)
     assert np.array_equal(aux.ubar, res.log.u)
     assert np.array_equal(aux.obar, res.log.O_next)
     assert not aux.catchup_mask.any()
@@ -620,7 +624,7 @@ def test_auxiliary_catchup_side_cancels_exactly(runs):
     res = runs(1, 1)
     s = builtin_case(1)
     gains = s.gains()
-    aux = build_auxiliary(res.log, gains, s.topology)
+    aux = whole_auxiliary(res.log, gains, s.topology)
     mask = aux.catchup_mask
     assert mask.any()
     assert np.array_equal(aux.ubar[mask],
@@ -633,10 +637,16 @@ def test_auxiliary_catchup_side_cancels_exactly(runs):
     assert aux.structure_max_err < 1e-10
 
 
-def test_auxiliary_rejects_strided_logs():
-    res = run(builtin_case(1, horizon=300, log_stride=3))
-    with pytest.raises(IncompleteLog):
-        build_auxiliary(res.log, GAINS1, CASE1.topology)
+def test_auxiliary_of_a_strided_log_is_that_of_stride_1():
+    # a strided log keeps y on the stride only; the relabeling reads the
+    # outputs the plants replay over u, the stride-1 log's bit for bit
+    strided, dense = (whole_auxiliary(run(builtin_case(1, horizon=300, log_stride=stride)).log,
+                                      GAINS1, CASE1.topology) for stride in (3, 1))
+    assert strided.catchup_mask.any()
+    for name in ("ubar", "ebar", "obar", "sigma_bar", "catchup_mask"):
+        got, want = getattr(strided, name), getattr(dense, name)
+        assert got.tobytes() == want.tobytes(), name
+    assert strided.structure_max_err == dense.structure_max_err
 
 
 def test_replay_truncation_free_noise_free_case1():
@@ -662,7 +672,7 @@ def test_replay_truncation_free_noise_free_case1():
         warm.append(w)
     res = run(s, initial_plants=warm)
     assert res.summary["total_truncations"] == [0, 0, 0, 0]
-    aux = build_auxiliary(res.log, GAINS1, s.topology)
+    aux = whole_auxiliary(res.log, GAINS1, s.topology)
     rec = verify_centralized_recursion(aux, Schedule(c_M=s.controller.c_M))
     assert rec.passed
     assert rec.max_abs_residual < 1e-12
@@ -671,7 +681,7 @@ def test_replay_truncation_free_noise_free_case1():
 def test_replay_small_noisy_pair():
     s = two_agent_scenario(horizon=3000, seed=9)
     res = run(s)
-    aux = build_auxiliary(res.log, s.gains(), s.topology)
+    aux = whole_auxiliary(res.log, s.gains(), s.topology)
     rec = verify_centralized_recursion(aux, Schedule(c_M=s.controller.c_M))
     assert rec.passed
     assert rec.max_abs_residual == 0.0
@@ -679,7 +689,7 @@ def test_replay_small_noisy_pair():
 
 def test_replay_case1_seed7(runs):
     res = runs(1, 7)
-    aux = build_auxiliary(res.log, GAINS1, CASE1.topology)
+    aux = whole_auxiliary(res.log, GAINS1, CASE1.topology)
     rec = verify_centralized_recursion(aux, Schedule(c_M=55.0))
     assert rec.passed
     assert rec.sigma_consistent
@@ -693,7 +703,7 @@ def test_replay_corrupted_log_fails(runs):
     log.u = res.log.u.copy()
     k = log.horizon - 1000  # long after the last truncation window
     log.u[k, 2] += 1e-3
-    aux = build_auxiliary(log, GAINS1, CASE1.topology)
+    aux = whole_auxiliary(log, GAINS1, CASE1.topology)
     rec = verify_centralized_recursion(aux, Schedule(c_M=55.0))
     assert not rec.passed
     assert rec.max_abs_residual >= 1e-3 * 0.99
@@ -771,14 +781,14 @@ def test_metrics_exact_consensus_is_flat():
     log.y_next = np.full((5, 2), 0.3)
     ident = [lambda x: x] * 2
     lap = laplacian(build_topology(2, [(1, 2, 1.0)]))
-    m = consensus_metrics(log, ident, lap)
+    m = whole_metrics(log, ident, lap)
     assert np.all(m.spread_y == 0.0)
     assert np.all(m.residual == 0.0)
 
 
 def test_metrics_noise_free_residual_decays(runs):
     res = runs(1, 0, noise_off=True)
-    m = consensus_metrics(res.log, GAINS1, LAP1)
+    m = whole_metrics(res.log, GAINS1, LAP1)
     assert m.residual[-1] < m.residual[99] / 10.0
     assert m.v[-1] >= 0.0
     assert m.sigma_bar[-1] == m.sigma_bar[-1]  # finite
@@ -786,7 +796,7 @@ def test_metrics_noise_free_residual_decays(runs):
 
 def test_metrics_columns_cover_run(runs):
     res = runs(1, 1)
-    m = consensus_metrics(res.log, GAINS1, LAP1)
+    m = whole_metrics(res.log, GAINS1, LAP1)
     K = res.log.horizon
     for arr in (m.k, m.spread_y, m.residual, m.sigma_bar, m.v):
         assert arr.shape == (K,)

@@ -4,21 +4,22 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hwconsensus import (
     analysis,
-    build_auxiliary,
     builtin_case,
     csvout,
     harness,
+    laplacian,
     scenario_to_dict,
 )
 from hwconsensus.cli import main
 
-from conftest import two_agent_scenario
+from conftest import two_agent_scenario, whole_auxiliary
 from test_harness import (
     CORRUPTIONS,
     flip_bit,
@@ -252,7 +253,7 @@ def test_verify_evaluates_each_gain_once_on_the_log(tmp_path, monkeypatch):
     assert calls_on_u == [1, 1, 1, 1]
     # every agent has a catch-up window, so h(ubar) is not an evaluation on u
     log, s = loaded[0]
-    assert build_auxiliary(log, gains(s), s.topology).catchup_mask.any(axis=0).all()
+    assert whole_auxiliary(log, gains(s), s.topology).catchup_mask.any(axis=0).all()
 
 
 def test_verify_tampered_log_fails(tmp_path, capsys):
@@ -390,14 +391,110 @@ def test_an_older_store_verifies_to_the_same_report(tmp_path, capsys):
         assert (old / name).read_bytes() == (d / name).read_bytes()
 
 
-def test_verify_strided_log_rejected(tmp_path, capsys):
-    d = tmp_path / "strided"
-    assert main(["run", "--case", "1", "--horizon", "200", "--log-stride", "4",
-                 "--out", str(d)]) == 0
+def _verify_outputs(d):
+    """(report.json, metrics.csv) bytes of a passing verify of run directory d."""
+    assert main(["verify", "--log", str(d)]) == 0
+    return tuple((d / name).read_bytes() for name in ("report.json", "metrics.csv"))
+
+
+def test_verify_of_a_stride_10_log_matches_stride_1(tmp_path, capsys):
+    # a strided log keeps y on the stride only: verify replays the plants
+    # over u for the other rows, so it checks the run the stride-1 log holds,
+    # to the same bytes
+    for case in (1, 2, 3):
+        outputs = []
+        for stride in (1, 10):
+            d = tmp_path / f"case{case}-{stride}"
+            assert main(["run", "--case", str(case), "--horizon", "2000",
+                         "--log-stride", str(stride), "--out", str(d)]) == 0
+            outputs.append(_verify_outputs(d))
+        assert outputs[1] == outputs[0], case
+        assert json.loads(outputs[1][0])["lemma3_residual"] == 0.0
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_verify_is_the_same_for_blocks_of_any_length(tmp_path, capsys, monkeypatch, case):
+    # 4 agents and 8 directed edges: blocks of 2, 7 and 1000 rows of a
+    # 2000-step run write the bytes one block writes and, on the run with one
+    # input moved, find the same first failures
+    d = tmp_path / "run"
+    assert main(["run", "--case", str(case), "--horizon", "2000", "--out", str(d)]) == 0
+    log, s = harness.load_run(str(d))
+    moved = dataclasses.replace(log, u=log.u.copy())
+    moved.u[1500, 1] += 1e-3
+
+    def outcome():
+        monkeypatch.setattr(analysis, "DECOMPOSITION_THRESHOLD", 1e-10)
+        outputs = _verify_outputs(d)
+        monkeypatch.setattr(analysis, "DECOMPOSITION_THRESHOLD", 1e-14)
+        report, extras = analysis.full_verification(moved, s.gains(), s.topology)
+        rec = extras["recursion"]
+        return (outputs, report, rec.first_failure, rec.sigma_consistent,
+                extras["structure_max_err"], extras["decomposition_first_failure"])
+
+    one_block = outcome()
+    assert one_block[2] is not None and one_block[5] is not None
+    for cells, rows in ((16, 2), (56, 7), (8000, 1000)):
+        monkeypatch.setattr(analysis, "BLOCK_CELLS", cells)
+        firsts = [b.k[0] for b in analysis.log_blocks(log, s.gains(), laplacian(s.topology))]
+        assert firsts == list(range(1, 2001, rows))
+        assert outcome() == one_block, rows
+
+
+def test_verify_folds_a_one_row_remainder_into_the_block_before(monkeypatch):
+    log = harness.run(builtin_case(1, horizon=15)).log
+    monkeypatch.setattr(analysis, "BLOCK_CELLS", 56)  # 7 rows of 8 edges
+    s = log.scenario
+    blocks = analysis.log_blocks(log, s.gains(), laplacian(s.topology))
+    assert [b.k.tolist() for b in blocks] == [list(range(1, 8)), list(range(8, 16))]
+
+
+def test_verify_names_a_logged_output_the_replay_does_not_reproduce(tmp_path, capsys):
+    # at stride 10 verify replays the plants over u and compares every
+    # logged y: one bit flipped in y (row 15, step 151), with the records of
+    # meta.json to match, is named at its step and agent
+    d = run_dir(tmp_path, "--log-stride", "10")
+
+    def flip(arrays):
+        arrays["y"].view(np.int64)[15, 2] ^= 1
+
+    rewrite_store(d, flip)
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 1
-    assert capsys.readouterr().err == \
-        "incomplete log: verification needs a stride-1 log, got stride 4\n"
+    err = capsys.readouterr().err
+    assert err == ("incomplete log: the plant replayed over u differs from the logged "
+                   "y_next at k=151, agent 3\n")
+    assert not (d / "report.json").exists()
+    assert _main_under_O(["verify", "--log", str(d)]) == (1, err)
+
+
+def test_verify_names_an_input_the_replayed_plant_overflows_on(tmp_path, capsys):
+    # agent 1's cubic nonlinearity overflows at an input of 1e200: the
+    # NonFiniteValue of the replayed plant is reported at its step and agent
+    d = run_dir(tmp_path, "--log-stride", "10")
+    _resave(d, "u", (149, 0), 1e200)
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("incomplete log: the plant replayed over u leaves finite range at k=150, "
+                   "agent 1: nonlinearity overflows at 1e+200\n")
+    assert _main_under_O(["verify", "--log", str(d)]) == (1, err)
+
+
+def test_verify_of_a_long_stride_1_log_holds_blocks_not_the_log(tmp_path, capsys):
+    # verify reads u, y and the events and regenerates the rest one block at
+    # a time; the margin over u covers y, the metrics of every step and one
+    # block's arrays. Simulated untraced: tracemalloc slows the round kernel
+    d = tmp_path / "long"
+    harness.save_run(harness.run(builtin_case(1, horizon=200_000)), str(d))
+    u_bytes = 200_000 * 4 * 8
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--log", str(d)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < u_bytes + 48 * 2 ** 20
 
 
 def test_verify_names_the_first_missing_output(tmp_path, capsys):

@@ -27,6 +27,17 @@ def test_partial_sum_traces_writes_both_traces(tmp_path):
     assert 2 <= len(window) - 1 <= 50 and 2 <= len(noise) - 1 <= 50
 
 
+def test_partial_sum_traces_of_a_strided_run_are_those_of_stride_1(tmp_path):
+    # O and the noise are regenerated on every step from the stored log, so
+    # the stride the run was logged at changes no byte of either trace
+    for stride in (1, 10):
+        save_run(run(builtin_case(1, horizon=300, log_stride=stride)), str(tmp_path / f"{stride}"))
+        out = partial_sums("--log", str(tmp_path / f"{stride}"), "--points", "50")
+        assert out.returncode == 0, out.stderr
+    for name in ("window_sums.csv", "noise_sums.csv"):
+        assert (tmp_path / "10" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
 def test_partial_sum_traces_rejects_a_corrupt_run(tmp_path):
     d = tmp_path / "r"
     save_run(run(builtin_case(1, horizon=20)), str(d))
