@@ -58,7 +58,7 @@ from .harness import (
     summarize,
     validate_scenario,
 )
-from .noise import EdgeStream, NoiseSpec, make_noise_spec, stream_for
+from .noise import NoiseSpec, make_noise_spec
 from .plant import (
     AgentPlant,
     Nonlinearity,

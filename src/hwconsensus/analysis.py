@@ -82,6 +82,7 @@ class TrajectoryLog:
     u: np.ndarray
     events: np.ndarray
     y: np.ndarray
+    plants: tuple | None = None  # copies of run's initial_plants, if it was given them
 
     @property
     def horizon(self) -> int:
@@ -94,10 +95,6 @@ class TrajectoryLog:
     @property
     def logged_rows(self) -> np.ndarray:
         return logged_rows(self.horizon, self.log_stride)
-
-    @property
-    def sigma_bar(self) -> np.ndarray:
-        return self.sigma.max(axis=1)
 
     @functools.cached_property
     def pairs(self) -> list:
@@ -121,11 +118,7 @@ class TrajectoryLog:
 
     @functools.cached_property
     def sigma_prime(self) -> np.ndarray:
-        pooled = self.sigma.copy()
-        for i, nb in enumerate(self._nbrs):
-            for _, j, _ in nb:
-                np.maximum(pooled[:, i], self.sigma[:, j], out=pooled[:, i])
-        return pooled
+        return pooled_counts(self.sigma, self._nbrs)
 
     @functools.cached_property
     def u_prime(self) -> np.ndarray:
@@ -182,6 +175,16 @@ def events_of(sigma: np.ndarray) -> np.ndarray:
     return np.column_stack([r, i + 1, sigma[r, i]]).astype(np.int64)
 
 
+def pooled_counts(counts: np.ndarray, nbrs) -> np.ndarray:
+    """Each agent's largest count over its closed neighbourhood (nbrs, from
+    neighbour_columns), on every row of counts (rows, n): the round's pooling."""
+    pooled = counts.copy()
+    for i, nb in enumerate(nbrs):
+        for _, j, _ in nb:
+            np.maximum(pooled[:, i], counts[:, j], out=pooled[:, i])
+    return pooled
+
+
 def fired(log: TrajectoryLog) -> np.ndarray:
     """Per count event, whether it is a truncation: its count is the agent's
     pooled count at the start of its round + 1. Any other event is a restart
@@ -191,9 +194,7 @@ def fired(log: TrajectoryLog) -> np.ndarray:
     # row per round (the events are in k order), read at each event's round
     first = np.ones(len(ev), dtype=bool)
     first[1:] = ev[1:, 0] != ev[:-1, 0]
-    start = counts_at(ev, ev[first, 0] - 1, log.u.shape[1])
-    pooled = np.column_stack([start[:, [i] + [j for _, j, _ in nb]].max(axis=1)
-                              for i, nb in enumerate(log._nbrs)])
+    pooled = pooled_counts(counts_at(ev, ev[first, 0] - 1, log.u.shape[1]), log._nbrs)
     return ev[:, 2] == pooled[np.cumsum(first) - 1, ev[:, 1] - 1] + 1
 
 
@@ -231,10 +232,6 @@ class TruncationTimes:
     top: int
     r: np.ndarray        # (top+2,) float
     r_agent: np.ndarray  # (top+2, n) float
-
-    def rbar(self, m: int) -> np.ndarray:
-        """Per-agent window end: min(r_agent[m], r[m+1])."""
-        return np.minimum(self.r_agent[m], self.r[m + 1])
 
 
 @dataclass
@@ -278,19 +275,19 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
     """The log's rows as Blocks of about BLOCK_CELLS cells, from u, the count
     events and the logged y alone. No block has one row unless the log does:
     a (1, n) product takes numpy's matrix-vector path, whose bits may differ.
-    y is the stored y at stride 1, else the plants replayed over u from the
-    zero histories run builds them with, and the noise is redrawn at each
-    block's offset. A NaN stored y, or a logged y that differs from the
-    replay in any bit, raises IncompleteLog at its first (k, agent)."""
+    y is the stored y at stride 1, else the plants the run started from
+    replayed over u, and the noise is redrawn at each block's offset. A NaN
+    stored y, or a logged y that differs from the replay in any bit, raises
+    IncompleteLog at its first (k, agent)."""
     (K, n), stride = log.u.shape, log.log_stride
     draw = edge_noise(log.scenario.noise, log.pairs)
-    steps = [stepper(a.build()) for a in log.scenario.agents] if stride > 1 else None
+    steps = [stepper(p.copy()) for p in log.plants or [a.build() for a in log.scenario.agents]]
     starts = list(range(0, K, max(2, BLOCK_CELLS // max(n, len(log.pairs)))))
     if len(starts) > 1 and K - starts[-1] == 1:
         starts.pop()  # a one-row remainder joins the block before it
     for a, b in zip(starts, starts[1:] + [K]):
         u = log.u[a:b]
-        if steps is None:
+        if stride == 1:
             y = log.y[a:b]
             at, bad, what = np.arange(a, b), np.isnan(y), "no output y_next"
         else:
@@ -782,8 +779,8 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
 
     Pass 1 reads the count events: a count outside 0..k-1 at step k raises
     IdentityViolation located at (k, agent, count); then eq26 and eq28.
-    Pass 2 runs the relabeling, the replay and the decomposition on each
-    block of log_blocks, then hands the block to each_block if given.
+    Pass 2 hands each block of log_blocks to each_block if given, then runs
+    the relabeling, the replay and the decomposition on it.
     Returns (report, extras): report carries the four headline fields
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
     supporting diagnostics for human output, among them the first failing
@@ -814,6 +811,8 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
     # that follow fail the checks they reach, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for block in log_blocks(log, gains, lap):
+            if each_block is not None:
+                each_block(block)
             aux = build_auxiliary(block, times, u_star, gains, lap)
             rec = verify_centralized_recursion(aux, sched, rec)
             e1, e2, e3, target = _decompose(block, log.pairs, lap)
@@ -823,8 +822,6 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
             decomp = np.maximum(decomp, err.max())
             decomp_failure = decomp_failure or first_failure(err, DECOMPOSITION_THRESHOLD,
                                                              block.k[0])
-            if each_block is not None:
-                each_block(block)
 
     report = {
         "lemma3_residual": rec.max_abs_residual,

@@ -142,11 +142,13 @@ def cmd_verify(args) -> int:
         return 3
     t1 = time.perf_counter()
     gains, lap = s.gains(), laplacian(s.topology)
-    # the metrics of each block, as numbers: metrics.csv is written once every check has run
-    metrics = []
-    report, extras = analysis.full_verification(
-        log, gains, s.topology,
-        lambda block: metrics.append(analysis.consensus_metrics(block, gains, lap)))
+    # each block's metrics are written as it is checked; metrics.csv appears
+    # once every check has run. The columns are the fields of RunMetrics
+    with csvout.csv_writer(os.path.join(args.log, "metrics.csv"),
+                           "k,spread_y,residual,sigma_bar,v") as write:
+        report, extras = analysis.full_verification(
+            log, gains, s.topology, lambda block: write(list(map(csvout.format_cells, vars(
+                analysis.consensus_metrics(block, gains, lap)).values()))))
     rec = extras["recursion"]
 
     decomp_ok = report["decomposition_max_err"] < analysis.DECOMPOSITION_THRESHOLD
@@ -173,9 +175,6 @@ def cmd_verify(args) -> int:
           f"max live-step err {extras['structure_max_err']:.3e}")
 
     harness.write_json(os.path.join(args.log, "report.json"), report)
-    # the columns are the fields of RunMetrics, in order
-    csvout.write_csv(os.path.join(args.log, "metrics.csv"), "k,spread_y,residual,sigma_bar,v",
-                     (list(map(csvout.format_cells, vars(m).values())) for m in metrics))
     # stdout only: report.json and metrics.csv are a function of the log
     print(f"load time: {t1 - t0:.3f} s")
     print(f"check time: {time.perf_counter() - t1:.3f} s")

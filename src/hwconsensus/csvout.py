@@ -1,7 +1,8 @@
 """CSV output: a run's log as text, and the series verify and plotdata write.
 
-export_csv writes a log as three files, floats written by repr() and the
-rows in this order:
+Every cell is the repr() of its value, or blank for a missing output. A
+file appears under its name only once all of its rows are written
+(csv_writer). export_csv writes a log as three files, the rows in this order:
   trajectory.csv  k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next
                   one row per step k, agents 1..n within each step; y_next
                   and O_next blank off the stride
@@ -16,6 +17,7 @@ rows in this order:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,25 +28,9 @@ from . import analysis
 SAVE_BLOCK_STEPS = 1024
 
 
-def format_cells(values, blank_nan: bool = False) -> list:
-    """repr() of every entry of an array in row-major order, NaN as '' if blank_nan.
-
-    With blank_nan, repr runs only on the entries that are not NaN. An
-    integer array whose values span no more numbers than it has entries (the
-    counts) takes each cell from a table with one repr per number in the span.
-    """
-    values = np.asarray(values).ravel()
-    if values.dtype.kind == "i" and len(values):
-        lo, hi = int(values.min()), int(values.max())
-        if hi - lo < len(values):
-            table = np.array(list(map(repr, range(lo, hi + 1))), dtype=object)
-            return table[values - lo].tolist()
-    if not blank_nan:
-        return list(map(repr, values.tolist()))
-    cells = [""] * len(values)
-    idx = np.flatnonzero(~np.isnan(values))
-    _fill_cells(cells, idx, values[idx])
-    return cells
+def format_cells(values) -> list:
+    """repr() of every entry of an array, in row-major order."""
+    return list(map(repr, np.asarray(values).ravel().tolist()))
 
 
 def _fill_cells(cells: list, positions: np.ndarray, values: np.ndarray) -> None:
@@ -58,14 +44,28 @@ def _step_cells(steps, width: int) -> list:
     return [cell for cell in map(repr, steps) for _ in range(width)]
 
 
+@contextmanager
+def csv_writer(path: str, header: str):
+    """A function writing a row per position of a block's cell columns to
+    the CSV file path, after the header. The rows go to path + '.tmp', which
+    becomes path when the with block ends and is removed if it raises."""
+    tmp = path + ".tmp"
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            fh.write(header + "\n")
+            yield lambda cols: fh.write("".join(row + "\n" for row in map(",".join, zip(*cols))))
+    except BaseException:
+        os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def write_csv(path: str, header: str, blocks) -> None:
     """Write the header, then a row per position of each block's cell columns."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+    with csv_writer(path, header) as write:
         for columns in blocks:
-            rows = list(map(",".join, zip(*columns)))
-            if rows:
-                fh.write("\n".join(rows) + "\n")
+            write(columns)
 
 
 def _logged_cells(logged: np.ndarray, stride: int, a: int, b: int) -> list:

@@ -30,10 +30,6 @@ class Disconnected(ValidationError):
     pass
 
 
-class NotAnEdge(ValidationError):
-    pass
-
-
 class DimensionMismatch(ValidationError):
     pass
 

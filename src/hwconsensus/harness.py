@@ -62,8 +62,6 @@ from .plant import (
     step_parts,
 )
 
-LOG_COLUMNS = ("u", "sigma", "sigma_prime", "u_prime", "y_next", "O_next", "z", "eps")
-
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -426,7 +424,7 @@ def run(s: Scenario, master_seed: int | None = None,
     result carries the scenario with that seed. initial_plants overrides the
     zero-history plants (robustness tests): one plant per agent, the plant
     the agent builds but for its history values. The caller's objects are
-    read, never mutated.
+    read, never mutated; the log keeps copies, to replay its outputs from.
 
     All K rounds run in one compiled function, the round kernel: the plant
     steps and the control round of every agent as straight-line code,
@@ -441,11 +439,10 @@ def run(s: Scenario, master_seed: int | None = None,
 
     n, K, stride, topo = s.n, s.horizon, s.log_stride, s.topology
     pairs = directed_pairs(topo)
-    if initial_plants is None:
-        plants = [a.build() for a in s.agents]
-    else:
+    if initial_plants is not None:
         _check_initial_plants(s, initial_plants)
-        plants = initial_plants
+        initial_plants = tuple(p.copy() for p in initial_plants)
+    plants = initial_plants or [a.build() for a in s.agents]
     nbrs = analysis.neighbour_columns(topo, pairs)
     shapes, values = zip(*(step_parts(p) for p in plants))
     kernel = _round_kernel(shapes, round_shape(nbrs))
@@ -463,7 +460,7 @@ def run(s: Scenario, master_seed: int | None = None,
         rows, logged = len(u_buf) // n, len(y_buf) // n
         return analysis.TrajectoryLog(s, np.frombuffer(u_buf).reshape(rows, n),
                                       np.frombuffer(event_buf, dtype=np.int64).reshape(-1, 3),
-                                      np.frombuffer(y_buf).reshape(logged, n))
+                                      np.frombuffer(y_buf).reshape(logged, n), initial_plants)
 
     try:
         kernel(K, stride, noise_rows(), u_buf.fromlist, event_buf.fromlist, y_buf.fromlist,
@@ -520,8 +517,12 @@ def _array_records(arrays: dict) -> dict:
 
 
 def save_run(result: RunResult, outdir: str) -> None:
-    os.makedirs(outdir, exist_ok=True)
     log = result.log
+    if log.log_stride > 1 and any(np.array(p.y_hist + p.v_hist + p.u_hist).view(np.int64).any()
+                                  for p in log.plants or ()):  # a set bit: not +0.0
+        raise ValidationError("a strided run from plants with non-zero histories cannot be saved: "
+                              "log.npz holds no histories to replay its unlogged outputs from")
+    os.makedirs(outdir, exist_ok=True)
     arrays = {"u": log.u, "events": log.events, "y": log.y}
     # np.savez writes fixed zip timestamps: a replayed run saves the same bytes
     np.savez(os.path.join(outdir, LOG_FILE), **arrays)

@@ -2,7 +2,9 @@
 
 Each ordered pair (observer i, observed j) gets its own stream, independent
 of the reverse pair. Streams are counter-based: the t-th value is a pure
-function of (stream seed, t), so replay is exact and order-independent.
+function of (stream seed, t), so replay is exact and order-independent, and
+edge_noise, the one reader, draws any edges at any offset for run, the log
+and verify alike.
 
 Generator contract (documented for portability):
   64-bit splitmix-style sequence with increment 0x9E3779B97F4A7C15 and
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAnEdge, ValidationError
+from .errors import ValidationError
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -113,38 +115,6 @@ def make_noise_spec(dist: str, params: dict, seed: int) -> NoiseSpec:
     if type(seed) is not int:  # JSON true is an int equal to 1, not a seed
         raise ValidationError(f"seed must be an integer, got {seed!r}")
     return NoiseSpec(dist=dist, params=tuple(sorted(vals.items())), seed=seed)
-
-
-@dataclass
-class EdgeStream:
-    i: int  # observer
-    j: int  # observed
-    dist: str
-    scale: float  # sqrt(variance) or half-width a; unused for zero
-    stream_seed: int
-    counter: int = 0
-
-    def draw(self, n: int) -> np.ndarray:
-        """Next n values as an array; advances the stream by n."""
-        t0 = self.counter
-        self.counter += n
-        seeds = np.array([self.stream_seed], dtype=np.uint64)
-        return draw_block(self.dist, self.scale, seeds, t0, n)[:, 0]
-
-
-def stream_for(spec: NoiseSpec, i: int, j: int, topology=None) -> EdgeStream:
-    """Stream of ε values observer i applies to agent j's output.
-
-    When a topology is supplied, (i, j) must be one of its edge directions.
-    """
-    if topology is not None:
-        if not (1 <= i <= topology.n and 1 <= j <= topology.n) \
-                or j not in topology.neighbors(i):
-            raise NotAnEdge(f"({i}, {j}) is not an edge direction of the topology")
-    if i < 1 or j < 1:
-        raise ValidationError("agent numbers are 1-based")
-    return EdgeStream(i=i, j=j, dist=spec.dist, scale=_scale(spec),
-                      stream_seed=_stream_seed(spec, i, j))
 
 
 def _scale(spec: NoiseSpec) -> float:

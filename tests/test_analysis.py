@@ -422,7 +422,7 @@ def test_truncation_times_scripted():
     assert t.r[0] == 1 and t.r[1] == 3 and t.r[2] == 5
     assert t.r_agent[1].tolist() == [3.0, 4.0]
     assert t.r_agent[2].tolist() == [5.0, 5.0]
-    assert t.rbar(1).tolist() == [3.0, 4.0]
+    assert np.minimum(t.r_agent[1], t.r[2]).tolist() == [3.0, 4.0]  # the window ends
     assert math.isinf(t.r[3])
 
 
@@ -463,7 +463,7 @@ def _truncation_times_by_scan(log):
     """First passages found level by level with argmax: the reference."""
     sig = log.sigma
     K, n = sig.shape
-    sbar = log.sigma_bar
+    sbar = log.sigma.max(axis=1)
     top = int(sbar.max())
     r = np.full(top + 2, INF)
     r_agent = np.full((top + 2, n), INF)
@@ -565,7 +565,7 @@ def test_truncation_events_are_the_count_changes_with_their_kind(s):
     # rows hold: the count that rose to the pooled count + 1
     fired = np.count_nonzero(log.sigma[1:] == log.sigma_prime[:-1] + 1, axis=0).tolist()
     assert summarize(log)["total_truncations"] == fired
-    assert summarize(log)["sigma_bar_final"] == int(log.sigma_bar[-1])
+    assert summarize(log)["sigma_bar_final"] == int(log.sigma.max(axis=1)[-1])
     if s.label.startswith("forced"):
         assert {kind for *_, kind in events} == {"fired", "pooled"}
 

@@ -50,12 +50,16 @@ def _resave(d, name, index, value):
     harness.save_run(relog(res, **{name: array}), str(d))
 
 
-def _main_under_O(argv):
-    """(exit code, stderr) of the CLI in a fresh interpreter with asserts compiled away."""
+def _main_under_O(argv, block_cells=None):
+    """(exit code, stderr) of the CLI in a fresh interpreter with asserts
+    compiled away, with analysis.BLOCK_CELLS set to block_cells if given."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-O", "-m", "hwconsensus.cli", *argv], env=env,
+    code = ["-m", "hwconsensus.cli"] if block_cells is None else [
+        "-c", "import sys; from hwconsensus import analysis, cli; "
+              f"analysis.BLOCK_CELLS = {block_cells}; sys.exit(cli.main(sys.argv[1:]))"]
+    out = subprocess.run([sys.executable, "-O", *code, *argv], env=env,
                          capture_output=True, text=True, timeout=120)
     return out.returncode, out.stderr
 
@@ -468,6 +472,38 @@ def test_verify_names_a_logged_output_the_replay_does_not_reproduce(tmp_path, ca
     assert _main_under_O(["verify", "--log", str(d)]) == (1, err)
 
 
+def test_verify_failing_in_a_later_block_leaves_no_metrics_file(tmp_path, capsys, monkeypatch):
+    # verify writes each block's metrics rows as it checks the block, to a
+    # temporary file that becomes metrics.csv only once every check has run.
+    # Blocks of 100 rows (800 cells of 8 edges): a logged y flipped at step
+    # 151, in the second block, removes the file after the first block's rows
+    d = run_dir(tmp_path, "--log-stride", "10")
+
+    def flip(arrays):
+        arrays["y"].view(np.int64)[15, 2] ^= 1
+
+    rewrite_store(d, flip)
+    monkeypatch.setattr(analysis, "BLOCK_CELLS", 800)
+    removed, real_remove = [], os.remove
+
+    def remove(path):
+        with open(path) as fh:
+            removed.append((os.path.basename(path), len(fh.read().splitlines())))
+        real_remove(path)
+
+    monkeypatch.setattr(os, "remove", remove)
+    capsys.readouterr()
+    assert main(["verify", "--log", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("incomplete log: the plant replayed over u differs from the logged "
+                   "y_next at k=151, agent 3\n")
+    assert removed == [("metrics.csv.tmp", 1 + 100)]  # the header and the first block
+    files = ["log.npz", "meta.json", "summary.json"]
+    assert sorted(p.name for p in d.iterdir()) == files
+    assert _main_under_O(["verify", "--log", str(d)], block_cells=800) == (1, err)
+    assert sorted(p.name for p in d.iterdir()) == files
+
+
 def test_verify_names_an_input_the_replayed_plant_overflows_on(tmp_path, capsys):
     # agent 1's cubic nonlinearity overflows at an input of 1e200: the
     # NonFiniteValue of the replayed plant is reported at its step and agent
@@ -483,8 +519,9 @@ def test_verify_names_an_input_the_replayed_plant_overflows_on(tmp_path, capsys)
 
 def test_verify_of_a_long_stride_1_log_holds_blocks_not_the_log(tmp_path, capsys):
     # verify reads u, y and the events and regenerates the rest one block at
-    # a time; the margin over u covers y, the metrics of every step and one
-    # block's arrays. Simulated untraced: tracemalloc slows the round kernel
+    # a time, writing each block's metrics as it goes; the margin over u
+    # covers y and one block's arrays. Simulated untraced: tracemalloc slows
+    # the round kernel
     d = tmp_path / "long"
     harness.save_run(harness.run(builtin_case(1, horizon=200_000)), str(d))
     u_bytes = 200_000 * 4 * 8

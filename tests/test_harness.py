@@ -24,7 +24,6 @@ import hwconsensus.harness as H
 import hwconsensus.noise as noise_module
 import hwconsensus.plant as plant_module
 from hwconsensus import (
-    EdgeStream,
     Schedule,
     analysis,
     csvout,
@@ -41,14 +40,13 @@ from hwconsensus import (
     scenario_hash,
     scenario_to_dict,
     step,
-    stream_for,
     summarize,
     validate_scenario,
     warm_plant,
 )
 from hwconsensus.cli import main
 from hwconsensus.errors import IncompleteLog, NonFiniteValue, ValidationError
-from hwconsensus.harness import LOG_COLUMNS, batch
+from hwconsensus.harness import batch
 from hwconsensus.plant import _CATALOG, HAMMERSTEIN, WIENER
 
 from conftest import exploding_plants, forced_truncation_scenarios, two_agent_scenario
@@ -555,6 +553,32 @@ def test_run_reads_initial_plants_without_mutating_them():
     assert not np.array_equal(warm.log.y_next, run(s).log.y_next)
 
 
+@pytest.mark.parametrize("stride", [1, 5])
+def test_a_run_from_initial_plants_verifies_at_any_stride(tmp_path, capsys, stride):
+    # the log keeps copies of the plants the run started from, and a strided
+    # log replays its unlogged outputs from them, not from zero histories
+    s = builtin_case(1, horizon=50, log_stride=stride)
+    plants = [warm_plant(a.build(), 1.0) for a in s.agents]
+    res = run(s, initial_plants=plants)
+    assert res.log.plants == tuple(plants) and res.log.plants[0] is not plants[0]
+    for _ in range(2):  # the replay steps copies of them, so it can be repeated
+        report, _ = analysis.full_verification(res.log, s.gains(), s.topology)
+        assert report["lemma3_residual"] == 0.0
+    d = tmp_path / "r"
+    if stride == 1:
+        # the stored outputs are read, not replayed: the saved run verifies
+        save_run(res, str(d))
+        assert main(["verify", "--log", str(d)]) == 0
+        assert json.loads((d / "report.json").read_text())["lemma3_residual"] == 0.0
+        assert sorted(p.name for p in d.iterdir()) == [
+            "log.npz", "meta.json", "metrics.csv", "report.json", "summary.json"]
+    else:
+        # log.npz holds no histories, so a strided run is refused before any file
+        with pytest.raises(ValidationError, match="non-zero histories cannot be saved"):
+            save_run(res, str(d))
+        assert not d.exists()
+
+
 # ---------------------------------------------------------------------------
 # the round kernel against the scalar references, on whole runs
 
@@ -622,8 +646,9 @@ def _reference_run(s, plants):
     plants = [p.copy() for p in plants or [a.build() for a in s.agents]]
     pairs = directed_pairs(s.topology)
     nbrs = analysis.neighbour_columns(s.topology, pairs)
-    eps = np.column_stack([stream_for(s.noise, i, j, s.topology).draw(s.horizon)
-                           for (i, j) in pairs]).tolist()
+    # each edge's stream drawn on its own
+    eps = np.column_stack([noise_module.edge_noise(s.noise, [p])(0, s.horizon)
+                           for p in pairs]).tolist()
     sched = Schedule(c_M=s.controller.c_M)
     u, sigma = list(s.controller.initial_u), [0] * s.n
     us, sigmas, ys_logged = [], [], []
@@ -701,6 +726,9 @@ def test_repeated_steps_compile_once(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # persistence round trip
+
+LOG_COLUMNS = ("u", "sigma", "sigma_prime", "u_prime", "y_next", "O_next", "z", "eps")
+
 
 def _logs_equal(a, b):
     assert a.horizon == b.horizon and a.log_stride == b.log_stride

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwconsensus import build_topology, make_noise_spec, stream_for
-from hwconsensus.errors import NotAnEdge, ValidationError
-from hwconsensus.noise import BLOCK_STEPS, draw_block, edge_blocks, mix64
+from hwconsensus import make_noise_spec
+from hwconsensus.errors import ValidationError
+from hwconsensus.noise import (
+    BLOCK_STEPS,
+    _scale,
+    _stream_seed,
+    draw_block,
+    edge_blocks,
+    edge_noise,
+    mix64,
+)
 
 MASK = (1 << 64) - 1
 
@@ -43,6 +51,11 @@ def gspec(seed=42, variance=1.0):
     return make_noise_spec("gaussian", {"variance": variance}, seed)
 
 
+def draw(spec, i, j, n, t0=0):
+    """Values t0 .. t0 + n - 1 of the stream observer i applies to agent j."""
+    return edge_noise(spec, [(i, j)])(t0, n)[:, 0]
+
+
 def test_mix64_matches_reference():
     for x in (0, 1, 7, 2**63, 0xDEADBEEF, MASK):
         assert mix64(x) == ref_mix(x)
@@ -50,17 +63,16 @@ def test_mix64_matches_reference():
 
 def test_raw_uniforms_match_reference_bitwise():
     from hwconsensus.noise import _uniforms
-    s = stream_for(gspec(seed=99), 1, 2)
-    got = _uniforms(s.stream_seed, 0, 40)
-    expect = [ref_uniform(s.stream_seed, t) for t in range(40)]
+    seed = _stream_seed(gspec(seed=99), 1, 2)
+    got = _uniforms(seed, 0, 40)
+    expect = [ref_uniform(seed, t) for t in range(40)]
     assert got.tolist() == expect
 
 
 def test_gaussian_stream_matches_reference_to_an_ulp():
     # vectorized cos/sin may differ from libm by one ulp; uniforms are exact
-    s = stream_for(gspec(seed=99), 1, 2)
-    got = s.draw(1001)
-    expect = np.array(ref_gaussians(s.stream_seed, 1001))
+    got = draw(gspec(seed=99), 1, 2, 1001)
+    expect = np.array(ref_gaussians(_stream_seed(gspec(seed=99), 1, 2), 1001))
     ulp = np.spacing(np.maximum(np.abs(got), np.abs(expect)))
     assert np.all(np.abs(got - expect) <= 4.0 * ulp)
     assert np.mean(got != expect) < 0.05
@@ -68,40 +80,29 @@ def test_gaussian_stream_matches_reference_to_an_ulp():
 
 def test_uniform_stream_matches_reference_bitwise():
     spec = make_noise_spec("uniform", {"a": 2.5}, 7)
-    s = stream_for(spec, 2, 1)
-    got = s.draw(9)
-    expect = [2.5 * (2.0 * ref_uniform(s.stream_seed, t) - 1.0) for t in range(9)]
+    got = draw(spec, 2, 1, 9)
+    expect = [2.5 * (2.0 * ref_uniform(_stream_seed(spec, 2, 1), t) - 1.0) for t in range(9)]
     assert got.tolist() == expect
 
 
 def test_blocks_split_consistently():
-    a = stream_for(gspec(), 3, 4)
-    b = stream_for(gspec(), 3, 4)
-    whole = a.draw(40)
-    parts = np.concatenate([b.draw(7), b.draw(1), b.draw(32)])
+    whole = draw(gspec(), 3, 4, 40)
+    parts = np.concatenate([draw(gspec(), 3, 4, 7), draw(gspec(), 3, 4, 1, 7),
+                            draw(gspec(), 3, 4, 32, 8)])
     assert whole.tolist() == parts.tolist()
 
 
 def test_determinism_and_direction_split():
-    s1 = stream_for(gspec(), 1, 2).draw(100)
-    s2 = stream_for(gspec(), 1, 2).draw(100)
-    rev = stream_for(gspec(), 2, 1).draw(100)
+    s1 = draw(gspec(), 1, 2, 100)
+    s2 = draw(gspec(), 1, 2, 100)
+    rev = draw(gspec(), 2, 1, 100)
     assert s1.tolist() == s2.tolist()
     assert s1.tolist() != rev.tolist()
 
 
 def test_zero_stream():
     spec = make_noise_spec("zero", {}, 5)
-    assert stream_for(spec, 1, 2).draw(10).tolist() == [0.0] * 10
-
-
-def test_not_an_edge():
-    t = build_topology(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-    stream_for(gspec(), 1, 2, t)
-    with pytest.raises(NotAnEdge):
-        stream_for(gspec(), 1, 3, t)
-    with pytest.raises(NotAnEdge):
-        stream_for(gspec(), 1, 5, t)
+    assert draw(spec, 1, 2, 10).tolist() == [0.0] * 10
 
 
 def test_spec_validation():
@@ -118,29 +119,29 @@ def test_spec_validation():
 
 
 def test_gaussian_moments():
-    x = stream_for(gspec(seed=2024), 1, 2).draw(1_000_000)
+    x = draw(gspec(seed=2024), 1, 2, 1_000_000)
     assert abs(float(x.mean())) < 0.01
     assert 0.99 < float(x.var()) < 1.01
 
 
 def test_uniform_moments_and_support():
     spec = make_noise_spec("uniform", {"a": 3.0}, 11)
-    x = stream_for(spec, 1, 2).draw(500_000)
+    x = draw(spec, 1, 2, 500_000)
     assert float(np.max(np.abs(x))) <= 3.0
     assert abs(float(x.mean())) < 0.02
     assert float(x.var()) == pytest.approx(3.0, abs=0.05)  # a^2/3
 
 
 def test_variance_scaling():
-    base = stream_for(gspec(seed=5, variance=1.0), 1, 2).draw(64)
-    scaled = stream_for(gspec(seed=5, variance=4.0), 1, 2).draw(64)
+    base = draw(gspec(seed=5, variance=1.0), 1, 2, 64)
+    scaled = draw(gspec(seed=5, variance=4.0), 1, 2, 64)
     assert np.allclose(scaled, 2.0 * base, rtol=0, atol=0)
 
 
 def test_cross_stream_correlation_small():
     n = 100_000
     pairs = [(1, 2), (2, 1), (1, 4), (2, 3)]
-    xs = [stream_for(gspec(seed=31), i, j).draw(n) for (i, j) in pairs]
+    xs = [draw(gspec(seed=31), i, j, n) for (i, j) in pairs]
     for a in range(len(xs)):
         for b in range(a + 1, len(xs)):
             r = np.corrcoef(xs[a], xs[b])[0, 1]
@@ -149,7 +150,7 @@ def test_cross_stream_correlation_small():
 
 def test_weighted_partial_sum_stays_bounded():
     # finite-sample witness that sum a_k eps_k converges: 1e6 steps, |S| < 50
-    x = stream_for(gspec(seed=17), 1, 2).draw(1_000_000)
+    x = draw(gspec(seed=17), 1, 2, 1_000_000)
     a = 1.0 / np.arange(1, x.size + 1)
     partial = np.cumsum(a * x)
     assert float(np.max(np.abs(partial))) < 50.0
@@ -173,22 +174,23 @@ LENGTHS = st.one_of(st.sampled_from([0, 1, 2, BLOCK_STEPS - 1, BLOCK_STEPS, BLOC
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(SPECS)), OFFSETS, LENGTHS, st.integers(1, len(PAIRS)))
 def test_the_block_draw_is_each_streams_draw_bit_for_bit(dist, t0, n, m):
-    streams = [stream_for(SPECS[dist], i, j) for i, j in PAIRS[:m]]
-    seeds = np.array([s.stream_seed for s in streams], dtype=np.uint64)
-    block = draw_block(dist, streams[0].scale, seeds, t0, n)
+    spec = SPECS[dist]
+    seeds = np.array([_stream_seed(spec, i, j) for i, j in PAIRS[:m]], dtype=np.uint64)
+    block = draw_block(dist, _scale(spec), seeds, t0, n)
     assert block.shape == (n, m) and block.dtype == np.float64
-    for c, s in enumerate(streams):
-        s.counter = t0
-        assert block[:, c].view(np.int64).tolist() == s.draw(n).view(np.int64).tolist()
-        assert s.counter == t0 + n
+    for c, (i, j) in enumerate(PAIRS[:m]):
+        own = draw(spec, i, j, n, t0)
+        assert block[:, c].view(np.int64).tolist() == own.view(np.int64).tolist()
+        # the stream goes on at t0 + n: one draw of n + 1 values holds both
+        both = np.append(own, draw(spec, i, j, 1, t0 + n))
+        assert both.view(np.int64).tolist() == draw(spec, i, j, n + 1, t0).view(np.int64).tolist()
 
 
 def test_the_block_draw_of_uniforms_is_the_documented_generator():
-    streams = [stream_for(SPECS["uniform"], i, j) for i, j in PAIRS]
-    seeds = np.array([s.stream_seed for s in streams], dtype=np.uint64)
-    block = draw_block("uniform", 1.5, seeds, 999, 5)
-    assert block.tolist() == [[1.5 * (2.0 * ref_uniform(s.stream_seed, t) - 1.0)
-                               for s in streams] for t in range(999, 1004)]
+    seeds = [_stream_seed(SPECS["uniform"], i, j) for i, j in PAIRS]
+    block = draw_block("uniform", 1.5, np.array(seeds, dtype=np.uint64), 999, 5)
+    assert block.tolist() == [[1.5 * (2.0 * ref_uniform(seed, t) - 1.0)
+                               for seed in seeds] for t in range(999, 1004)]
 
 
 @pytest.mark.parametrize("steps", [0, 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 7])
@@ -198,6 +200,6 @@ def test_edge_blocks_are_one_draw_of_every_step(steps):
     assert [a for a, _ in got] == list(range(0, steps, BLOCK_STEPS))
     assert all(len(block) <= BLOCK_STEPS for _, block in got)
     whole = np.vstack([block for _, block in got]) if got else np.empty((0, len(PAIRS)))
-    want = np.column_stack([stream_for(spec, i, j).draw(steps) for i, j in PAIRS])
+    want = np.column_stack([draw(spec, i, j, steps) for i, j in PAIRS])
     assert whole.shape == (steps, len(PAIRS))
     assert whole.view(np.int64).tolist() == want.view(np.int64).tolist()
