@@ -371,11 +371,14 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
     """
     if k - 1 not in log.logged_rows:
         raise StepNotLogged(f"step {k} not in the log (stride {log.log_stride})")
-    r, x = k - 1, slice((k - 1) // log.log_stride, (k - 1) // log.log_stride + 1)
-    if np.isnan(log.y[x]).any():
+    r = k - 1
+    y = log.y[r // log.log_stride:r // log.log_stride + 1]
+    if np.isnan(y).any():
         raise StepNotLogged(f"step {k} has no output record")
+    # the noise and O of this one row, never the whole horizon's
+    noise = edge_noise(log.scenario.noise, log.pairs)(r, 1)
     u = log.u[r:r + 1]
-    block = Block(np.array([k]), u, log.y[x], log.noise[x], log.logged_O[x],
+    block = Block(np.array([k]), u, y, noise, observations(y, noise, log.pairs, log._nbrs)[1],
                   *gain_field(u, gains, lap))
     e1, e2, e3, rhs = (float(t[0, i - 1]) for t in _decompose(block, log.pairs, lap))
     lhs = e1 + e2 + e3
@@ -631,7 +634,9 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
     carries its last row into the replay, and the result covers both.
     """
     cand = aux.ubar + (1.0 / aux.k)[:, None] * aux.obar
-    bound = np.log(aux.sigma_bar + sched.c_M)
+    # the schedule's table, which the round reads: math.log, whose bits
+    # np.log does not always match, so a candidate on the bound is decided alike
+    bound = np.array(sched.bounds(int(aux.sigma_bar.max(initial=0))))[aux.sigma_bar]
     ind = np.abs(cand).max(axis=1) >= bound
     pred = np.where(ind[:, None], aux.u_star[None, :], cand)
     sbar, k0, nxt = aux.sigma_bar, aux.k[0], aux.ubar[1:]

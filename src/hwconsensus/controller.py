@@ -12,11 +12,12 @@ M_sigma = ln(sigma + c_M).
 emit_round writes that round for every agent as Python source, once: it is
 the one implementation, compiled by advance() for flat lists and by
 harness.run's round kernel for a whole run. Either keeps only the next
-(u, sigma); the round kernel also keeps the count events. Pooling reads the
-counts as they stood at the start of the round, so the result does not
-depend on the order in which agents are visited. The counts, the round's pooled counts, working estimates and
-aggregated observations are functions of (u, count events, y) and the
-noise seed, derived for a whole log at once by analysis.TrajectoryLog.
+(u, sigma); the round kernel also keeps the count events. Every round pools;
+pooling reads the counts as they stood at the start of the round, so the
+result does not depend on the order in which agents are visited. The
+counts, the round's pooled counts, working estimates and aggregated
+observations are functions of (u, count events, y) and the noise seed,
+derived for a whole log at once by analysis.TrajectoryLog.
 """
 
 from __future__ import annotations
@@ -71,57 +72,42 @@ def emit_round(shape: tuple) -> list:
     e{c} and weight w{c}; they overwrite u{i} and s{i} with the next round's
     values, and hand each count they assign to events as [k, agent, count],
     agent 1-based: the fired count (the pooled one + 1) and the pooled count
-    a restart adopts. The bound table is M; bounds(top) extends it to M_top,
-    and mtop is the largest count it is known to cover, so the table is
-    re-read only when the largest count grows. Pooling reads the counts as they stood at
-    the start of the round. O_i = 0.0 + sum_j w_ij (y_j + e_ij - y_i) is
-    summed in nbrs order. The source holds only these names and integers
-    (every index is formatted as one).
+    a restart adopts. Each agent's pooled count p{i} is read from the counts
+    as they stood at the start of the round; then the agent restarts, or
+    corrects against the bound M[p{i}]. M is the bound table, which covers
+    the largest count: the caller sets it, and a fire, the only way the
+    largest count grows, extends it with bounds(s{i}). O_i = 0.0 + sum_j
+    w_ij (y_j + e_ij - y_i) is summed in nbrs order. The source holds only
+    these names and integers (every index is formatted as one).
     """
-    n = len(shape)
-    agents = range(n)
-    counts = ", ".join(f"s{i}" for i in agents)
-    top, low = (f"max({counts})", f"min({counts})") if n > 1 else ("s0", "s0")
-
-    def correction(i, sp, bound):
-        terms = "".join(f" + w{c:d} * (y{j:d} + e{c:d} - y{i})" for c, j in shape[i])
-        return [f"cand = u{i} + a * (0.0{terms})",
-                f"if abs(cand) < {bound}:",
-                f"    u{i} = cand",
-                "else:",
-                f"    u{i} = us{i}",
-                f"    s{i} = {sp} + 1",
-                f"    events([k, {i + 1:d}, s{i}])"]
-
-    lines = ["a = 1.0 / k",
-             f"top = {top}",
-             "if top > mtop:",
-             "    M = bounds(top)",
-             "    mtop = top",
-             f"if {low} == top:",
-             # nothing to pool: every agent's pooled count is top
-             "    Mt = M[top]"]
-    for i in agents:
-        lines += ["    " + x for x in correction(i, "top", "Mt")]
-    lines.append("else:")
-    for i in agents:
-        lines.append(f"    p{i} = s{i}")
-        for _, j in shape[i]:
-            lines += [f"    if s{j:d} > p{i}:", f"        p{i} = s{j:d}"]
-    for i in agents:
-        lines += [f"    if p{i} > s{i}:",
+    lines = ["a = 1.0 / k"]
+    for i, nb in enumerate(shape):
+        lines.append(f"p{i} = s{i}")
+        for _, j in nb:
+            lines += [f"if s{j:d} > p{i}:", f"    p{i} = s{j:d}"]
+    for i, nb in enumerate(shape):
+        terms = "".join(f" + w{c:d} * (y{j:d} + e{c:d} - y{i})" for c, j in nb)
+        lines += [f"if p{i} > s{i}:",
+                  f"    u{i} = us{i}",
+                  f"    s{i} = p{i}",
+                  f"    events([k, {i + 1:d}, s{i}])",
+                  "else:",
+                  f"    cand = u{i} + a * (0.0{terms})",
+                  f"    if abs(cand) < M[p{i}]:",
+                  f"        u{i} = cand",
+                  "    else:",
                   f"        u{i} = us{i}",
-                  f"        s{i} = p{i}",
+                  f"        s{i} = p{i} + 1",
                   f"        events([k, {i + 1:d}, s{i}])",
-                  "    else:"]
-        lines += ["        " + x for x in correction(i, f"p{i}", f"M[p{i}]")]
+                  f"        M = bounds(s{i})"]
     return lines
 
 
 @functools.lru_cache(maxsize=64)
 def _compiled_advance(shape: tuple):
-    """emit_round as a function of advance's arguments (the bound table as
-    sched.bounds), compiled once per round_shape and process."""
+    """emit_round as a function of advance's arguments (sched.bounds as
+    bounds, the table M up to the largest count), compiled once per
+    round_shape and process."""
     n = len(shape)
     agents = range(n)
 
@@ -136,7 +122,8 @@ def _compiled_advance(shape: tuple):
     for i, nb in enumerate(shape):
         for t, (c, _) in enumerate(nb):
             src += [f"    e{c:d} = eps_row[{c:d}]", f"    w{c:d} = nbrs[{i}][{t}][2]"]
-    src += ["    mtop = -1", "    events = _discard"] + ["    " + x for x in emit_round(shape)]
+    src += ["    M = bounds(max(sigma))", "    events = _discard"]
+    src += ["    " + x for x in emit_round(shape)]
     src += [f"    u[:] = [{names('u')}]", f"    sigma[:] = [{names('s')}]"]
     namespace = {"_discard": lambda event: None}  # advance keeps no count events
     exec(compile("\n".join(src) + "\n", "<round>", "exec"), namespace)

@@ -394,7 +394,7 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
               f"    [{names('us')}] = u_star",
               f"    [{names('w', m)}] = weights",
               f"    {' = '.join(f's{i}' for i in range(n))} = 0",
-              "    mtop = -1",
+              "    M = bounds(0)",
               "    for k, row in zip(range(1, K + 1), rows):",
               f"        [{names('e', m)}] = row"]
     for i, shape in enumerate(plant_shapes):

@@ -412,6 +412,23 @@ def test_decomposition_requires_logged_step():
         noise_decomposition(res.log, 0, 1, GAINS1, LAP1)
 
 
+@pytest.mark.parametrize("stride", [1, 3])
+def test_decomposition_draws_one_step(stride):
+    # the noise and O of step k are drawn for that step alone, with the bits
+    # of the whole-horizon columns, which the call leaves unbuilt
+    s = builtin_case(1, horizon=600, log_stride=stride)
+    fresh, whole = run(s).log, run(s).log
+    for k in (1, 4, 298, 598):
+        x = slice((k - 1) // stride, (k - 1) // stride + 1)
+        u = whole.u[k - 1:k]
+        block = analysis.Block(np.array([k]), u, whole.y[x], whole.noise[x], whole.logged_O[x],
+                               *analysis.gain_field(u, GAINS1, LAP1))
+        expected = np.stack(analysis._decompose(block, whole.pairs, LAP1)[:3], axis=-1)[0]
+        got = np.array([noise_decomposition(fresh, k, i, GAINS1, LAP1) for i in (1, 2, 3, 4)])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert "noise" not in vars(fresh) and "_observations" not in vars(fresh)
+
+
 # ---------------------------------------------------------------------------
 # truncation times and windows
 
@@ -707,6 +724,23 @@ def test_replay_corrupted_log_fails(runs):
     rec = verify_centralized_recursion(aux, Schedule(c_M=55.0))
     assert not rec.passed
     assert rec.max_abs_residual >= 1e-3 * 0.99
+
+
+def test_replay_decides_on_the_kernels_bound():
+    # at sigma_bar = 9115, c_M = 55 the bound ln(9170) of the schedule's
+    # table (math.log) is one ulp above numpy's np.log; a candidate one ulp
+    # below the table's bound is inside it, so the replay keeps it, as the
+    # round kernel does
+    sched = Schedule(c_M=55.0)
+    c = math.nextafter(sched.bound(9115), 0.0)
+    col = np.full((2, 1), c)
+    aux = analysis.AuxiliarySequences(
+        k=np.array([9116, 9117]), ubar=col, ebar=0.0 * col, obar=0.0 * col,
+        sigma_bar=np.array([9115, 9115]), u_star=np.zeros(1),
+        catchup_mask=np.zeros((2, 1), dtype=bool), structure_max_err=0.0)
+    rec = verify_centralized_recursion(aux, sched)
+    assert rec.passed and rec.sigma_consistent
+    assert rec.max_abs_residual == 0.0
 
 
 # ---------------------------------------------------------------------------

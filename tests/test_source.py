@@ -1,11 +1,12 @@
 import ast
 import pathlib
 import random
+import re
 
 import pytest
 
 from hwconsensus import analysis, builtin_case, directed_pairs, scenario_from_dict
-from hwconsensus.controller import round_shape
+from hwconsensus.controller import emit_round, round_shape
 from hwconsensus.harness import _kernel_source
 from hwconsensus.plant import step_parts
 
@@ -49,15 +50,29 @@ def _twelve_agents(label: str):
         "noise": {"dist": "gaussian", "params": {"variance": 1.0}, "seed": 7}})
 
 
+def _round_shape(s) -> tuple:
+    return round_shape(analysis.neighbour_columns(s.topology, directed_pairs(s.topology)))
+
+
 def _source(s) -> str:
     plants = [a.build() for a in s.agents]
-    nbrs = analysis.neighbour_columns(s.topology, directed_pairs(s.topology))
-    return _kernel_source(tuple(step_parts(p)[0] for p in plants), round_shape(nbrs))
+    return _kernel_source(tuple(step_parts(p)[0] for p in plants), _round_shape(s))
 
 
-@pytest.mark.parametrize("s", [builtin_case(1), builtin_case(2), builtin_case(3),
-                               _twelve_agents(CODE_LIKE)],
-                         ids=["case1", "case2", "case3", "twelve-agents"])
+NETWORKS = pytest.mark.parametrize(
+    "s", [builtin_case(1), builtin_case(2), builtin_case(3), _twelve_agents(CODE_LIKE)],
+    ids=["case1", "case2", "case3", "twelve-agents"])
+
+
+@NETWORKS
+def test_the_round_writes_each_correction_once(s):
+    # one branch per round: every agent pools, then restarts or corrects
+    src = "\n".join(x.strip() for x in emit_round(_round_shape(s)))
+    assert src.count("\ncand = ") == s.n
+    assert re.findall(r"\b(?:top|mtop|Mt)\b|min\(", src) == []
+
+
+@NETWORKS
 def test_the_round_kernel_source_holds_no_assert_and_no_scenario_value(s):
     src = _source(s)
     tree = ast.parse(src)
