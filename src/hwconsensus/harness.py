@@ -52,10 +52,12 @@ from .plant import (
     Nonlinearity,
     Polynomial,
     check_stability,
+    emit_check,
     emit_step,
     is_strictly_increasing,
     make_nonlinearity,
     make_plant,
+    nonfinite,
     poly,
     static_gain,
     step_names,
@@ -377,29 +379,26 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
     """The round kernel's source for plants of these step shapes on a
     network of this round shape: the plant steps of plant.emit_step and the
     round of controller.emit_round, unrolled over the agents in one loop
-    over the rounds. The source holds fixed names and integer indices only;
-    every scenario value is an argument."""
+    over the rounds, with one emit_check between them. The source holds
+    fixed names and integers only; every scenario value is an argument."""
     n, m = len(plant_shapes), sum(len(nb) for nb in nbr_shape)
 
     def names(prefix, count=n):
         return ", ".join(f"{prefix}{x}" for x in range(count))
 
-    lines = ["def kernel(K, stride, rows, log_u, events, log_y, bounds, plants, u, u_star, "
-             "weights):"]
+    # each value is a parameter, not unpacked before the loop: tracemalloc finds the line
+    # of each object the loop creates by scanning the code from its start
+    params = [x for i, shape in enumerate(plant_shapes) for part in step_names(shape, i)
+              for x in part] + [f"{p}{x}" for p, count in (("u", n), ("us", n), ("w", m))
+                                for x in range(count)]
+    lines = [f"def kernel(K, stride, rows, log_u, events, log_y, bounds, {', '.join(params)}):",
+             f"    {' = '.join(f's{i}' for i in range(n))} = 0",
+             "    M = bounds(0)",
+             "    for k, row in zip(range(1, K + 1), rows):",
+             f"        [{names('e', m)}] = row"]
     for i, shape in enumerate(plant_shapes):
-        f, cs, ds, ch, dh = step_names(shape, i)
-        lines.append(f"    {f}, [{', '.join(cs)}], [{', '.join(ds)}], [{', '.join(ch)}], "
-                     f"[{', '.join(dh)}] = plants[{i}]")
-    lines += [f"    [{names('u')}] = u",
-              f"    [{names('us')}] = u_star",
-              f"    [{names('w', m)}] = weights",
-              f"    {' = '.join(f's{i}' for i in range(n))} = 0",
-              "    M = bounds(0)",
-              "    for k, row in zip(range(1, K + 1), rows):",
-              f"        [{names('e', m)}] = row"]
-    for i, shape in enumerate(plant_shapes):
-        step_lines, check = emit_step(shape, i, agent=i + 1)
-        lines += ["        " + x for x in step_lines + check]
+        lines += ["        " + x for x in emit_step(shape, i, agent=i + 1)]
+    lines += ["        " + x for x in emit_check(n)]
     # the round's starting u is logged before the round overwrites it
     lines += [f"        log_u([{names('u')}])",
               "        if not (k - 1) % stride:",
@@ -411,7 +410,8 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
 @functools.lru_cache(maxsize=32)
 def _round_kernel(plant_shapes: tuple, nbr_shape: tuple):
     """_kernel_source compiled, once per shape and process."""
-    namespace = {"isfinite": math.isfinite, "NonFiniteValue": NonFiniteValue}
+    namespace = {"isfinite": math.isfinite, "nonfinite": nonfinite,
+                 "NonFiniteValue": NonFiniteValue}
     exec(compile(_kernel_source(plant_shapes, nbr_shape), "<round kernel>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -464,8 +464,9 @@ def run(s: Scenario, master_seed: int | None = None,
 
     try:
         kernel(K, stride, noise_rows(), u_buf.fromlist, event_buf.fromlist, y_buf.fromlist,
-               Schedule(c_M=s.controller.c_M).bounds, values, s.controller.initial_u,
-               s.controller.u_star, [topo.weight(i, j) for (i, j) in pairs])
+               Schedule(c_M=s.controller.c_M).bounds,
+               *[x for parts in values for part in parts for x in part], *s.controller.initial_u,
+               *s.controller.u_star, *[topo.weight(i, j) for (i, j) in pairs])
     except NonFiniteValue as e:
         partial = make_log()
         e.partial = RunResult(log=partial,

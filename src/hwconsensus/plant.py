@@ -7,8 +7,10 @@ backward shift. A "hammerstein" agent applies f first (v = f(u), then
 C(z) y_{k+1} = D(z) v_k); a "wiener" agent applies it last
 (C(z) v_{k+1} = D(z) u_k, then y = f(v)).
 
-emit_step writes the difference equation as Python source, once: it is the
-one implementation, compiled by stepper(plant) for one agent (step() is a
+f is one of a closed catalog of polynomial forms, each held once as text
+over u and its parameter names. emit_step writes the difference equation as
+Python source, once, with that text in place of a call of f: it is the one
+implementation, compiled by stepper(plant) for one agent (step() is a
 single call of it; verify replays a strided log's outputs through it) and
 by harness.run's round kernel for every agent of a network. A state-space
 companion realization is provided purely as a cross-checking oracle; the
@@ -18,8 +20,9 @@ two must agree to 1e-10 per step on any input sequence.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,49 +85,37 @@ class Nonlinearity:
     def params_dict(self) -> dict:
         return dict(self.params)
 
-
-# module-level evaluators bound by partial, so a built plant pickles (batch workers)
-def _identity_eval(u):
-    return u
+    def __reduce__(self):  # a pickle (batch workers) compiles fn anew
+        return make_nonlinearity, (self.name, self.params_dict())
 
 
-def _affine_eval(beta, gamma, u):
-    return beta * u + gamma
-
-
-def _cubic_affine_eval(alpha, beta, gamma, u):
-    return alpha * u ** 3 + beta * u + gamma
-
-
-def _shifted_cube_eval(gamma, u):
-    return (u - gamma) ** 3
-
-
-# name -> (required param names, evaluator taking them in that order before u).
-# Closed catalog; no expression parsing anywhere.
-_CATALOG: dict[str, tuple[tuple[str, ...], object]] = {
-    "identity": ((), _identity_eval),
-    "affine": (("beta", "gamma"), _affine_eval),
-    "cubic_affine": (("alpha", "beta", "gamma"), _cubic_affine_eval),
-    "shifted_cube": (("gamma",), _shifted_cube_eval),
+# name -> (param names, sorted as params keeps them; f(u) as expression text
+# over u and those names), and each entry's parameter values -> (u -> f(u))
+# compiled from that text. Closed catalog: no text from outside is evaluated.
+_CATALOG: dict[str, tuple[tuple[str, ...], str]] = {
+    "identity": ((), "u"),
+    "affine": (("beta", "gamma"), "beta * u + gamma"),
+    "cubic_affine": (("alpha", "beta", "gamma"), "alpha * u ** 3 + beta * u + gamma"),
+    "shifted_cube": (("gamma",), "(u - gamma) ** 3"),
 }
+
+_EVALUATORS = {name: eval(f"lambda {', '.join(wanted)}: lambda u: {text}")
+               for name, (wanted, text) in _CATALOG.items()}
 
 
 def make_nonlinearity(name: str, params: dict) -> Nonlinearity:
     if name not in _CATALOG:
         raise ValidationError(
             f"unknown nonlinearity {name!r}; known: {sorted(_CATALOG)}")
-    wanted, evaluator = _CATALOG[name]
-    given = set(params)
-    if given != set(wanted):
+    wanted = _CATALOG[name][0]
+    if set(params) != set(wanted):
         raise ValidationError(
-            f"nonlinearity {name!r} takes params {sorted(wanted)}, got {sorted(given)}")
+            f"nonlinearity {name!r} takes params {sorted(wanted)}, got {sorted(params)}")
     vals = [float(params[k]) for k in wanted]
     if not all(np.isfinite(v) for v in vals):
         raise ValidationError(f"non-finite parameter for nonlinearity {name!r}")
-    return Nonlinearity(name=name,
-                        params=tuple(sorted(zip(wanted, vals))),
-                        fn=partial(evaluator, *vals) if vals else evaluator)
+    return Nonlinearity(name=name, params=tuple(zip(wanted, vals)),
+                        fn=_EVALUATORS[name](*vals))
 
 
 # ---------------------------------------------------------------------------
@@ -157,29 +148,31 @@ def make_plant(kind: str, C: Polynomial, D: Polynomial, f: Nonlinearity) -> Agen
 
 def step_parts(plant: AgentPlant) -> tuple[tuple, tuple]:
     """(shape, values) of the plant's step. The shape is what its source
-    depends on: (kind, number of C terms, number of D terms, length of the
-    C history, of the D history), a term being summed as far as both the
-    tail and its history reach. The values are what it binds: f's
-    evaluator, those terms' coefficients, and the histories C's and D's
-    tails multiply, newest first: (y, v) for a hammerstein plant, (v, u)
-    for a wiener one."""
+    depends on: (kind, f's catalog name, number of C terms, number of D
+    terms, length of the C history, of the D history), a term being summed
+    as far as both the tail and its history reach. The values are what it
+    binds: f's parameter values, those terms' coefficients, and the
+    histories C's and D's tails multiply, newest first: (y, v) for a
+    hammerstein plant, (v, u) for a wiener one."""
     c_hist, d_hist = ((plant.y_hist, plant.v_hist) if plant.kind == HAMMERSTEIN
                       else (plant.v_hist, plant.u_hist))
     n_c, n_d = min(plant.C.degree, len(c_hist)), min(plant.D.degree, len(d_hist))
-    return ((plant.kind, n_c, n_d, len(c_hist), len(d_hist)),
-            (plant.f.fn, plant.C.tail[:n_c], plant.D.tail[:n_d], c_hist, d_hist))
+    return ((plant.kind, plant.f.name, n_c, n_d, len(c_hist), len(d_hist)),
+            (tuple(x for _, x in plant.f.params), plant.C.tail[:n_c], plant.D.tail[:n_d],
+             c_hist, d_hist))
 
 
 def step_names(shape: tuple, i: int = 0) -> tuple:
-    """The local names emit_step uses for agent i: f's evaluator, the C and
+    """The local names emit_step uses for agent i: f's parameters, the C and
     D coefficients, and the C and D histories (newest first)."""
-    _, n_c, n_d, len_c, len_d = shape
-    return (f"f{i:d}", [f"c{i:d}_{s:d}" for s in range(1, n_c + 1)],
+    _, name, n_c, n_d, len_c, len_d = shape
+    return ([f"f{i:d}_{p}" for p in _CATALOG[name][0]],
+            [f"c{i:d}_{s:d}" for s in range(1, n_c + 1)],
             [f"d{i:d}_{r:d}" for r in range(1, n_d + 1)],
             [f"ch{i:d}_{x:d}" for x in range(len_c)], [f"dh{i:d}_{x:d}" for x in range(len_d)])
 
 
-def emit_step(shape: tuple, i: int = 0, agent: int | None = None) -> tuple[list, list]:
+def emit_step(shape: tuple, i: int = 0, agent: int | None = None) -> list:
     """Python source of one step of a plant of this shape: the one
     implementation of the difference equation, which stepper and the round
     kernel of harness.run compile.
@@ -187,28 +180,31 @@ def emit_step(shape: tuple, i: int = 0, agent: int | None = None) -> tuple[list,
     hammerstein: v_k = f(u_k); y_{k+1} = -sum c_s y_{k+1-s} + v_k + sum d_r v_{k-r}
     wiener:      v_{k+1} = -sum c_s v_{k+1-s} + u_k + sum d_r u_{k-r}; y = f(v_{k+1})
 
-    Returns (step lines, check lines). The step lines read the input u{i}
-    and the locals of step_names, write the output y{i} (and v{i}), and
-    rotate the histories, newest first. The -c terms are subtracted before
-    the +d terms are added, in history order. The check lines raise
-    NonFiniteValue for a v or y that is not finite; an f that overflows
-    (Python's ** raises OverflowError rather than return inf) raises it in
-    the step lines, before the histories move. With agent given, the raise
-    also names the step k and that agent. The source holds only these
-    names and integers (every index is formatted as one).
+    The lines read the input u{i} and the locals of step_names, write the
+    output y{i} (and v{i}), and rotate the histories, newest first. f is its
+    catalog text over the parameter locals, in place of a call. The -c terms
+    are subtracted before the +d terms are added, in history order. An f
+    that overflows (Python's ** raises OverflowError rather than return inf)
+    raises NonFiniteValue before the histories move; with agent given, it
+    names the step k and that agent, after nonfinite has raised for any
+    earlier agent of the round whose output is not finite. A v or y that is
+    not finite is for emit_check to find. The source holds only these names
+    and integers (every index is formatted as one).
     """
     kind = shape[0]
     if kind not in (HAMMERSTEIN, WIENER):
         raise ValidationError(f"kind must be {HAMMERSTEIN!r} or {WIENER!r}, got {kind!r}")
-    f, cs, ds, ch, dh = step_names(shape, i)
-    at = "" if agent is None else f", k, {agent:d}"
+    fp, cs, ds, ch, dh = step_names(shape, i)
     u, v, y = f"u{i:d}", f"v{i:d}", f"y{i:d}"
+    at = "" if agent is None else f", k, {agent:d}"
+    # emit_check's cold branch, over the agents before i: their outputs are not tested yet
+    earlier = emit_check(i)[1:] if agent is not None and i else []
 
-    def call(out, arg):
-        return ["try:",
-                f"    {out} = {f}({arg})",
-                "except OverflowError:",
-                f'    raise NonFiniteValue(f"nonlinearity overflows at {{{arg}!r}}"{at}) from None']
+    def apply(out, x):
+        names = dict(zip(_CATALOG[shape[1]][0], fp), u=x)
+        expr = re.sub(r"[a-z_]\w*", lambda m: names[m.group()], _CATALOG[shape[1]][1])
+        return ["try:", f"    {out} = {expr}", "except OverflowError:", *earlier,
+                f'    raise NonFiniteValue(f"nonlinearity overflows at {{{x}!r}}"{at}) from None']
 
     def rotate(hist, new):
         return [f"{hist[x]} = {hist[x - 1] if x else new}" for x in reversed(range(len(hist)))]
@@ -217,33 +213,46 @@ def emit_step(shape: tuple, i: int = 0, agent: int | None = None) -> tuple[list,
     linear = "".join([first] + [f" - {c} * {h}" for c, h in zip(cs, ch)]
                      + [f" + {d} * {h}" for d, h in zip(ds, dh)])
     if kind == HAMMERSTEIN:
-        lines = call(v, u) + [f"{y} = {linear}"]
+        lines = apply(v, u) + [f"{y} = {linear}"]
     else:
-        lines = [f"{v} = {linear}"] + call(y, v)
-    check = [f"if not (isfinite({v}) and isfinite({y})):",
-             f'    raise NonFiniteValue(f"plant output left finite range '
-             f'(v={{{v}!r}}, y={{{y}!r}})"{at})']
-    return lines + rotate(ch, c_new) + rotate(dh, d_new), check
+        lines = [f"{v} = {linear}"] + apply(y, v)
+    return lines + rotate(ch, c_new) + rotate(dh, d_new)
+
+
+def emit_check(count: int, step: str = "k") -> list:
+    """Python source testing the outputs of agents 0..count-1 at once: a float
+    sum is finite only if every term is; only a sum that is not calls nonfinite."""
+    vy = ", ".join(f"v{a:d}, y{a:d}" for a in range(count))
+    return [f"if not isfinite({vy.replace(', ', ' + ')}):", f"    nonfinite({step}, {vy})"]
+
+
+def nonfinite(step, *vy) -> None:
+    """Raise NonFiniteValue for the first agent of vy = (v0, y0, v1, y1, ...)
+    whose v or y is not finite, naming step and agent if step is given.
+    Return if there is none: a sum of finite values overflowed."""
+    for a, (v, y) in enumerate(zip(vy[::2], vy[1::2]), start=1):
+        if not (math.isfinite(v) and math.isfinite(y)):
+            raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})",
+                                 *(() if step is None else (step, a)))
 
 
 @lru_cache(maxsize=64)
 def _compiled_stepper(shape: tuple):
     """A function binding the values of a plant's step_parts to its
     compiled step, one per shape and process."""
-    step_lines, check = emit_step(shape)
-    _, cs, ds, ch, dh = step_names(shape)
+    fp, cs, ds, ch, dh = step_names(shape)
     # the step reads the plant's history lists and writes them back in place
     load = [f"{', '.join(names)}, = {hist}" for names, hist in ((ch, "ch"), (dh, "dh")) if names]
     store = [f"{hist}[:] = {', '.join(names)}," for names, hist in ((ch, "ch"), (dh, "dh"))
              if names]
-    body = load + step_lines + store + check + ["return y0"]
-    src = ["def bind(f0, cs, ds, ch, dh):",
-           f"    [{', '.join(cs)}] = cs",
-           f"    [{', '.join(ds)}] = ds",
+    body = load + emit_step(shape) + store + emit_check(1, "None") + ["return y0"]
+    src = ["def bind(fp, cs, ds, ch, dh):",
+           "    " + ", ".join(f"[{', '.join(x)}]" for x in (fp, cs, ds)) + " = fp, cs, ds",
            "    def step(u0):",
            *["        " + line for line in body],
            "    return step"]
-    namespace = {"isfinite": math.isfinite, "NonFiniteValue": NonFiniteValue}
+    namespace = {"isfinite": math.isfinite, "nonfinite": nonfinite,
+                 "NonFiniteValue": NonFiniteValue}
     exec(compile("\n".join(src) + "\n", "<step>", "exec"), namespace)
     return namespace["bind"]
 
@@ -252,8 +261,8 @@ def stepper(plant: AgentPlant):
     """The plant's one-step map u -> next output, compiled from emit_step.
 
     The source is compiled once per step shape (step_parts) and process;
-    the returned function binds f's evaluator, the coefficients and the
-    plant's history lists. It rotates the lists in place, newest first, so they stay the
+    the returned function binds f's parameter values, the coefficients and
+    the plant's history lists. It rotates the lists in place, newest first, so they stay the
     plant's state (rebinding one of them afterwards leaves the function
     stepping the old list). A v or y that is not finite raises
     NonFiniteValue after the histories have moved; an f that overflows

@@ -51,22 +51,40 @@ def cases():
     return {c: builtin_case(c) for c in (1, 2, 3)}
 
 
+class _ExplodingParameter(float):
+    """A parameter value that raises OverflowError on its call-th use in
+    arithmetic (as a factor or a subtrahend) and is its float otherwise."""
+
+    def __new__(cls, value: float, call: int):
+        self = super().__new__(cls, value)
+        self.uses, self.call = 0, call
+        return self
+
+    def _use(self) -> float:
+        self.uses += 1
+        if self.uses == self.call:
+            raise OverflowError("synthetic overflow")
+        return float(self)
+
+    def __mul__(self, other):
+        return self._use() * other
+
+    def __rsub__(self, other):
+        return other - self._use()
+
+
 def exploding_plants(s: Scenario, agent: int, call: int) -> list:
     """The zero-history plants of s, except that agent's (1-based)
     nonlinearity raises OverflowError on its call-th evaluation. Each plant
-    evaluates f once per round, so run(s, initial_plants=...) aborts at round
-    call, agent agent."""
+    evaluates f once per round, and each evaluation uses f's first parameter
+    once, so run(s, initial_plants=...) aborts at round call, agent agent.
+    The nonlinearity must have a parameter."""
     plants = [a.build() for a in s.agents]
     f = plants[agent - 1].f
-    calls = []
-
-    def evaluator(x):
-        calls.append(x)
-        if len(calls) == call:
-            raise OverflowError("synthetic overflow")
-        return f.fn(x)
-
-    plants[agent - 1].f = dataclasses.replace(f, fn=evaluator)
+    (name, value), *rest = f.params
+    # make_nonlinearity would make the parameter a plain float
+    plants[agent - 1].f = dataclasses.replace(
+        f, params=((name, _ExplodingParameter(value, call)), *rest))
     return plants
 
 

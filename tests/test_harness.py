@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -1510,6 +1511,22 @@ def test_batch_parallel_matches_serial():
         assert np.array_equal(a.log.y_next, b.log.y_next)
 
 
+def test_a_pickled_scenario_keeps_every_nonlinearity():
+    # batch workers return their results, scenario included, by pickle, which compiles f anew
+    params = {"identity": {}, "affine": {"beta": 1.25, "gamma": -0.5},
+              "cubic_affine": {"alpha": 0.25, "beta": 0.75, "gamma": 0.5},
+              "shifted_cube": {"gamma": 0.125}}
+    doc = scenario_to_dict(builtin_case(3))
+    for a, name in zip(doc["agents"], sorted(_CATALOG)):
+        a["f"] = {"name": name, "params": params[name]}
+    s = scenario_from_dict(doc)
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s
+    grid = np.linspace(-3.0, 3.0, 101)
+    for g, h in zip(s.gains(), back.gains()):
+        assert _bits(g(grid)) == _bits(h(grid))
+
+
 # ---------------------------------------------------------------------------
 # block-wise noise and what a run holds
 
@@ -1618,3 +1635,35 @@ def test_real_overflow_aborts_at_its_step_and_agent(kind, D, initial, step, tmp_
         assert "Warning" not in err
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["decomposition_max_err"] is None
+
+
+def _pair(initial_u, agents):
+    """two_agent_scenario with these agents' (kind, f name, f params) and initial inputs."""
+    doc = scenario_to_dict(two_agent_scenario(horizon=30, initial_u=initial_u))
+    for a, (kind, name, params) in zip(doc["agents"], agents):
+        a.update(kind=kind, f={"name": name, "params": params})
+    return scenario_from_dict(doc)
+
+
+def test_the_first_nonfinite_agent_of_a_round_is_reported_before_a_later_overflow():
+    # round 1: agent 1's affine output passes the largest float, then agent
+    # 2's cube overflows; the round's first failure is agent 1's
+    s = _pair((1.5e308, 1e200), [
+        ("hammerstein", "affine", {"beta": 2.0, "gamma": 0.0}),
+        ("hammerstein", "cubic_affine", {"alpha": 1.0, "beta": 1.0, "gamma": 0.0})])
+    assert _reference_run(s, None)[3] == (1, 1)
+    with pytest.raises(NonFiniteValue) as exc:
+        run(s)
+    assert (exc.value.step, exc.value.agent) == (1, 1)
+    assert str(exc.value) == "plant output left finite range (v=inf, y=inf)"
+
+
+def test_finite_outputs_whose_sum_overflows_do_not_abort():
+    identity = ("hammerstein", "identity", {})
+    s = _pair((1.5e308, 1.5e308), [identity, identity])
+    us, sigmas, ys, abort = _reference_run(s, None)
+    assert abort is None
+    log = run(s).log
+    assert _bits(log.u) == _bits(us)
+    assert log.sigma.tolist() == sigmas
+    assert _bits(log.y_next[log.logged_rows]) == _bits(ys)

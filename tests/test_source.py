@@ -87,3 +87,11 @@ def test_the_round_kernel_source_holds_no_assert_and_no_scenario_value(s):
                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert strings <= {"nonlinearity overflows at ", "plant output left finite range (v=",
                        ", y=", ")"}
+
+
+@NETWORKS
+def test_the_round_kernel_calls_no_nonlinearity_and_tests_finiteness_once(s):
+    # each f is written in place, and a round's outputs are tested as one sum
+    src = _source(s)
+    assert re.findall(r"\bf\d+\(", src) == []
+    assert src.count("isfinite(") == 1 and src.count("\n    for ") == 1
