@@ -278,8 +278,10 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
     y is the stored y at stride 1, else the plants the run started from
     replayed over u, and the noise is redrawn at each block's offset. A NaN
     stored y, or a logged y that differs from the replay in any bit, raises
-    IncompleteLog at its first (k, agent)."""
+    IncompleteLog at its first (k, agent). sigma_bar comes from one running
+    maximum of the counts (none falls); it sizes nothing, as no check bounds it."""
     (K, n), stride = log.u.shape, log.log_stride
+    peak = np.maximum.accumulate(np.concatenate(([0], log.events[:, 2])))
     draw = edge_noise(log.scenario.noise, log.pairs)
     steps = [stepper(p.copy()) for p in log.plants or [a.build() for a in log.scenario.agents]]
     starts = list(range(0, K, max(2, BLOCK_CELLS // max(n, len(log.pairs)))))
@@ -301,7 +303,7 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
         noise = draw(a, b - a)
         yield Block(np.arange(a + 1, b + 1), u, y, noise,
                     observations(y, noise, log.pairs, log._nbrs)[1], *gain_field(u, gains, lap),
-                    counts_at(log.events, np.arange(a, b), n).max(axis=1))
+                    peak[np.searchsorted(log.events[:, 0], np.arange(a, b), side="right")])
 
 
 def _replayed(steps, u: np.ndarray, start: int) -> np.ndarray:
@@ -576,14 +578,13 @@ def build_auxiliary(block: Block, times: TruncationTimes, u_star: np.ndarray, ga
 
     ubar equals the reset point during an agent's catch-up window
     [r(m), min(r_agent(m), r(m+1))) and the true estimate elsewhere: step s
-    is in the window of the last m with r(m) <= s. ebar is the effective
-    noise making g(ubar) + ebar equal 0 on catch-up windows and the logged
-    observation on live windows. obar stores that structural value; the
-    float discrepancy of the live-side identity is recorded in
+    is in the window of the last m with r(m) <= s, its sigma_bar. ebar is
+    the effective noise making g(ubar) + ebar equal 0 on catch-up windows
+    and the logged observation on live windows. obar stores that structural
+    value; the float discrepancy of the live-side identity is recorded in
     structure_max_err (the catch-up side cancels exactly by construction).
     """
-    level = np.searchsorted(times.r, block.k, side="right") - 1
-    catchup = block.k[:, None] < times.r_agent[level]
+    catchup = block.k[:, None] < times.r_agent[block.sigma_bar]
     ubar = np.where(catchup, u_star, block.u)
     # g rows evaluated at the relabeled points, shared by both branches below
     h_ubar, g_bar = gain_field(ubar, gains, lap)
@@ -719,17 +720,15 @@ def gain_roots(gains) -> np.ndarray:
     return np.array([_bisect_increasing(lambda x: g(x)) for g in gains])
 
 
-def _lyapunov(u: np.ndarray, h: np.ndarray, gains) -> np.ndarray:
-    """V at each point of u, (..., n), given h = the gains at u.
+def _lyapunov(u: np.ndarray, h: np.ndarray, gains, roots: np.ndarray) -> np.ndarray:
+    """V at each point of u, (..., n), given h = the gains at u and their roots.
 
     V(u) = sum_i of the integral of h_i from its zero up to u_i, by one
     Simpson panel per component, exact for the polynomial gain catalog
     (degree <= 3).
     """
-    roots = gain_roots(gains)
     v = np.zeros(u.shape[:-1])
-    for i, g in enumerate(gains):
-        a = roots[i]
+    for i, (g, a) in enumerate(zip(gains, roots)):
         b = u[..., i]
         mid = 0.5 * (a + b)
         v += (b - a) / 6.0 * (g(a) + 4.0 * g(mid) + h[..., i])
@@ -743,7 +742,7 @@ def lyapunov_v(u: np.ndarray, gains) -> float:
     """
     u = np.asarray(u, dtype=float)
     h = np.array([g(u[i]) for i, g in enumerate(gains)])
-    return float(_lyapunov(u, h, gains))
+    return float(_lyapunov(u, h, gains, gain_roots(gains)))
 
 
 @dataclass
@@ -755,17 +754,17 @@ class RunMetrics:
     v: np.ndarray
 
 
-def consensus_metrics(block: Block, gains, lap: LaplacianView) -> RunMetrics:
+def consensus_metrics(block: Block, gains, lap: LaplacianView, roots: np.ndarray) -> RunMetrics:
     """Per-step consensus diagnostics of the rows of a block (log_blocks).
 
     spread_y is the max pairwise gap of the outputs produced in the round;
-    residual is the sup norm of L h(u_k); v is the Lyapunov value of _lyapunov.
+    residual is the sup norm of L h(u_k); v is _lyapunov's, from the gains' roots.
     """
     # as in full_verification, a diverged run's values overflow to inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(block.h @ lap.L.T).max(axis=1)
         spread = block.y.max(axis=1) - block.y.min(axis=1)
-        v = _lyapunov(block.u, block.h, gains)
+        v = _lyapunov(block.u, block.h, gains, roots)
     return RunMetrics(k=block.k, spread_y=spread, residual=residual,
                       sigma_bar=block.sigma_bar, v=v)
 

@@ -101,16 +101,13 @@ def _resolve_scenario(args) -> harness.Scenario:
     if args.noise_off:
         s = dataclasses.replace(
             s, noise=make_noise_spec("zero", {}, s.noise.seed))
-    if args.seed is not None:
-        s = dataclasses.replace(
-            s, noise=dataclasses.replace(s.noise, seed=args.seed))
     return s
 
 
 def cmd_run(args) -> int:
     s = _resolve_scenario(args)
     try:
-        result = harness.run(s)
+        result = harness.run(s, args.seed)  # make_noise_spec checks the seed
     except NonFiniteValue as e:
         print(f"diverged: {e} (step {e.step}, agent {e.agent})", file=sys.stderr)
         if args.out and e.partial is not None and e.partial.log.horizon > 0:
@@ -142,13 +139,14 @@ def cmd_verify(args) -> int:
         return 3
     t1 = time.perf_counter()
     gains, lap = s.gains(), laplacian(s.topology)
+    roots = analysis.gain_roots(gains)
     # each block's metrics are written as it is checked; metrics.csv appears
     # once every check has run. The columns are the fields of RunMetrics
     with csvout.csv_writer(os.path.join(args.log, "metrics.csv"),
                            "k,spread_y,residual,sigma_bar,v") as write:
         report, extras = analysis.full_verification(
             log, gains, s.topology, lambda block: write(list(map(csvout.format_cells, vars(
-                analysis.consensus_metrics(block, gains, lap)).values()))))
+                analysis.consensus_metrics(block, gains, lap, roots)).values()))))
     rec = extras["recursion"]
 
     decomp_ok = report["decomposition_max_err"] < analysis.DECOMPOSITION_THRESHOLD

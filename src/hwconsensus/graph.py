@@ -7,6 +7,7 @@ Topologies are immutable once built and safe to share.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -29,17 +30,19 @@ class Topology:
     # the two directions from ever drifting apart
     weights: dict[tuple[int, int], float] = field(default_factory=dict)
 
+    @functools.cached_property
+    def _adjacency(self) -> list:
+        adj = [[] for _ in range(self.n + 1)]  # entry i: agent i's neighbours
+        for (a, b) in self.weights:
+            adj[a].append(b)
+            adj[b].append(a)
+        return [sorted(nb) for nb in adj]
+
     def neighbors(self, i: int) -> list[int]:
-        """Sorted neighbor list of agent i (1-based)."""
+        """Sorted neighbor list of agent i (1-based), copied from lists built once."""
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"agent {i} not in 1..{self.n}")
-        out = []
-        for (a, b) in self.weights:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return list(self._adjacency[i])
 
     def weight(self, i: int, j: int) -> float:
         key = (min(i, j), max(i, j))

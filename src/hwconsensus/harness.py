@@ -334,8 +334,8 @@ class RunResult:
 def summarize(log: analysis.TrajectoryLog) -> dict:
     """Headline numbers, a function of the log (at least one row) alone.
 
-    total_truncations counts each agent's truncations in rounds 1..K-1, the
-    rounds whose next count the log's rows hold."""
+    total_truncations (each agent's truncations) and sigma_bar_final (the
+    largest count) read rounds 1..K-1, whose next count the log's rows hold."""
     (K, n), ev = log.u.shape, log.events
     fired = np.bincount(ev[analysis.fired(log) & (ev[:, 0] < K), 1] - 1, minlength=n).tolist()
     last_y = log.y[-1]
@@ -349,7 +349,7 @@ def summarize(log: analysis.TrajectoryLog) -> dict:
         "final_spread": spread if math.isfinite(spread) else None,
         "final_residual": res if math.isfinite(res) else None,
         "total_truncations": fired,
-        "sigma_bar_final": int(analysis.counts_at(ev, [K - 1], n).max()),
+        "sigma_bar_final": int(ev[ev[:, 0] < K, 2].max(initial=0)),
     }
 
 

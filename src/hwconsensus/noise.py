@@ -114,6 +114,8 @@ def make_noise_spec(dist: str, params: dict, seed: int) -> NoiseSpec:
         raise ValidationError("uniform half-width a must be > 0")
     if type(seed) is not int:  # JSON true is an int equal to 1, not a seed
         raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed <= _MASK:  # the streams read 64 bits; more would alias
+        raise ValidationError(f"seed must be in 0..2**64 - 1, got {seed}")
     return NoiseSpec(dist=dist, params=tuple(sorted(vals.items())), seed=seed)
 
 

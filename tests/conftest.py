@@ -20,6 +20,7 @@ from hwconsensus import (
     build_auxiliary,
     builtin_case,
     consensus_metrics,
+    gain_roots,
     laplacian,
     make_nonlinearity,
     make_noise_spec,
@@ -187,6 +188,7 @@ def whole_auxiliary(log, gains, topology) -> AuxiliarySequences:
 def whole_metrics(log, gains, lap) -> RunMetrics:
     """consensus_metrics of every block of the log, joined: the metrics of
     every step of the log."""
-    parts = [consensus_metrics(b, gains, lap) for b in log_blocks(log, gains, lap)]
+    roots = gain_roots(gains)
+    parts = [consensus_metrics(b, gains, lap, roots) for b in log_blocks(log, gains, lap)]
     return RunMetrics(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
                          for f in dataclasses.fields(RunMetrics)})

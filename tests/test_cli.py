@@ -18,8 +18,9 @@ from hwconsensus import (
     scenario_to_dict,
 )
 from hwconsensus.cli import main
+from hwconsensus.graph import directed_pairs
 
-from conftest import two_agent_scenario, whole_auxiliary
+from conftest import forced_truncation_scenarios, two_agent_scenario, whole_auxiliary
 from test_harness import (
     CORRUPTIONS,
     flip_bit,
@@ -453,6 +454,63 @@ def test_verify_folds_a_one_row_remainder_into_the_block_before(monkeypatch):
     assert [b.k.tolist() for b in blocks] == [list(range(1, 8)), list(range(8, 16))]
 
 
+@pytest.mark.parametrize("which", ["forced-square", "case1-stride7"])
+def test_verify_reads_no_agent_counts(tmp_path, capsys, monkeypatch, which):
+    # each row's largest count comes from one running maximum of the count
+    # events, never from every agent's counts: with counts_at raising, blocks
+    # of 2, 7 and 1000 rows write the bytes of verify without the patch
+    if which == "forced-square":
+        s = forced_truncation_scenarios()[1]
+    else:
+        s = builtin_case(1, horizon=2000, log_stride=7)
+    d = tmp_path / "run"
+    result = harness.run(s)
+    assert len(result.log.events) > 0
+    harness.save_run(result, str(d))
+    expected = _verify_outputs(d)
+
+    def no_counts(*args):
+        raise AssertionError("verify read every agent's counts")
+
+    monkeypatch.setattr(analysis, "counts_at", no_counts)
+    width = max(s.n, len(directed_pairs(s.topology)))
+    for rows in (2, 7, 1000):
+        monkeypatch.setattr(analysis, "BLOCK_CELLS", rows * width)
+        assert _verify_outputs(d) == expected, rows
+
+
+def test_verify_finds_the_gain_roots_once(tmp_path, capsys, monkeypatch):
+    # the roots of the gains, which every block's Lyapunov value reads, are
+    # found once per verify, however many blocks it checks
+    d = run_dir(tmp_path)
+    calls = []
+    gain_roots = analysis.gain_roots
+    monkeypatch.setattr(analysis, "gain_roots", lambda gains: calls.append(1) or gain_roots(gains))
+    for cells in (16, 56, analysis.BLOCK_CELLS):  # 200, 57 and 1 blocks of 8 edges
+        monkeypatch.setattr(analysis, "BLOCK_CELLS", cells)
+        calls.clear()
+        assert main(["verify", "--log", str(d)]) == 0
+        assert len(calls) == 1, cells
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_run_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    # a seed the noise streams would read modulo 2**64 names no run of its own
+    assert main(["run", "--case", "1", "--horizon", "20", "--seed", seed,
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == \
+        f"invalid configuration: seed must be in 0..2**64 - 1, got {seed}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_takes_the_ends_of_the_seed_range(tmp_path, capsys):
+    for seed in (0, 2 ** 64 - 1):
+        d = tmp_path / str(seed)
+        assert main(["run", "--case", "1", "--horizon", "20", "--seed", str(seed),
+                     "--out", str(d)]) == 0
+        assert harness.load_run(str(d))[1].noise.seed == seed
+
+
 def test_verify_names_a_logged_output_the_replay_does_not_reproduce(tmp_path, capsys):
     # at stride 10 verify replays the plants over u and compares every
     # logged y: one bit flipped in y (row 15, step 151), with the records of
@@ -619,6 +677,11 @@ RUN_DIR_CORRUPTIONS = {
     "meta-seed-not-int": (lambda d: _edit_meta(
         d, lambda m: m["scenario"]["noise"].__setitem__("seed", 3.0)),
         "meta.json: invalid scenario: noise: seed must be an integer, got 3.0"),
+    # a seed beyond 64 bits would alias one in range; such a store no longer loads
+    "meta-seed-above-64-bits": (lambda d: _edit_meta(
+        d, lambda m: m["scenario"]["noise"].__setitem__("seed", 2 ** 64)),
+        "meta.json: invalid scenario: noise: seed must be in 0..2**64 - 1, "
+        "got 18446744073709551616"),
     "meta-boolean-horizon": (lambda d: _edit_meta(
         d, lambda m: m["arrays"]["u"]["shape"].__setitem__(0, True)),
         "log.npz: array u has True rows in meta.json, not a step count"),

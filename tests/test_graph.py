@@ -1,3 +1,4 @@
+import pickle
 from collections import deque
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwconsensus import build_topology, diameter, is_connected, laplacian
+from hwconsensus.graph import directed_pairs
 from hwconsensus.errors import (
     Disconnected,
     DuplicateEdge,
@@ -138,6 +140,27 @@ def test_laplacian_structure(t):
         assert eig[1] > 1e-9  # algebraic connectivity of a connected graph
     d = diameter(t)
     assert 1 <= d <= t.n - 1
+
+
+def test_a_neighbor_list_is_a_copy():
+    # neighbors hands out a copy of the list built once per topology: a
+    # caller's edits reach no later answer
+    t = square()
+    pairs, d = directed_pairs(t), diameter(t)
+    t.neighbors(2).clear()
+    t.neighbors(3).append(1)
+    assert t.neighbors(2) == [1, 3, 4] and t.neighbors(3) == [2]
+    assert directed_pairs(t) == pairs and diameter(t) == d
+    # the built lists are no field: equality and pickling see only n and weights
+    assert t == square() and pickle.loads(pickle.dumps(t)) == t
+    assert pickle.loads(pickle.dumps(t)).neighbors(2) == [1, 3, 4]
+
+
+def test_diameter_of_a_long_ring_and_path():
+    n = 300
+    path = [(i, i + 1, 1.0) for i in range(1, n)]
+    assert diameter(build_topology(n, path + [(1, n, 1.0)])) == 150
+    assert diameter(build_topology(n, path)) == 299
 
 
 def _hop_table(t):

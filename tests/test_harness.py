@@ -515,6 +515,21 @@ def test_run_rejects_a_seed_that_is_not_an_int(seed):
         run(builtin_case(1, horizon=20), seed)
 
 
+def test_run_rejects_a_seed_outside_64_bits(tmp_path):
+    # the noise streams read a seed as 64 bits, so 2**64 or -1 would alias a
+    # seed in range: two scenarios, one run
+    with pytest.raises(ValidationError, match=r"seed must be in 0\.\.2\*\*64 - 1, got 1844"):
+        run(builtin_case(1, horizon=20), 2 ** 64)
+    doc = scenario_to_dict(builtin_case(1, horizon=20))
+    doc["noise"]["seed"] = -1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="seed must be in 0..2"):
+        load_scenario(str(path))
+    for seed in (0, 2 ** 64 - 1):
+        assert run(builtin_case(1, horizon=20), seed).seed == seed
+
+
 def _mismatched_plant(change):
     """Agent 2 of case 3 (wiener) built with one attribute changed."""
     s = builtin_case(3, horizon=10)
