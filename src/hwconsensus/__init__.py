@@ -76,7 +76,7 @@ from .plant import (
     steady_state_check,
     step,
     step_state_space,
-    stepper,
+    steps,
     warm_plant,
 )
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .graph import LaplacianView, Topology, diameter, directed_pairs, laplacian
 from .noise import edge_blocks, edge_noise
-from .plant import stepper
+from .plant import steps
 
 INF = float("inf")
 # the eq28 grid verify checks: k <= EQ28_GRID_K, T in EQ28_GRID_T; every
@@ -283,7 +283,8 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
     (K, n), stride = log.u.shape, log.log_stride
     peak = np.maximum.accumulate(np.concatenate(([0], log.events[:, 2])))
     draw = edge_noise(log.scenario.noise, log.pairs)
-    steps = [stepper(p.copy()) for p in log.plants or [a.build() for a in log.scenario.agents]]
+    plants = log.plants or [a.build() for a in log.scenario.agents]
+    replay = steps([p.copy() for p in plants]) if stride > 1 else None  # at stride 1 y is stored
     starts = list(range(0, K, max(2, BLOCK_CELLS // max(n, len(log.pairs)))))
     if len(starts) > 1 and K - starts[-1] == 1:
         starts.pop()  # a one-row remainder joins the block before it
@@ -293,7 +294,11 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
             y = log.y[a:b]
             at, bad, what = np.arange(a, b), np.isnan(y), "no output y_next"
         else:
-            y = _replayed(steps, u, a)
+            try:
+                y = np.array(replay(a, u.tolist())).reshape(u.shape)
+            except NonFiniteValue as e:
+                raise IncompleteLog(f"the plant replayed over u leaves finite range at "
+                                    f"k={e.step}, agent {e.agent}: {e}") from None
             at = np.arange(-(-a // stride) * stride, b, stride)  # the logged rows
             bad = y[at - a].view(np.int64) != log.y[at // stride].view(np.int64)
             what = "the plant replayed over u differs from the logged y_next"
@@ -304,22 +309,6 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
         yield Block(np.arange(a + 1, b + 1), u, y, noise,
                     observations(y, noise, log.pairs, log._nbrs)[1], *gain_field(u, gains, lap),
                     peak[np.searchsorted(log.events[:, 0], np.arange(a, b), side="right")])
-
-
-def _replayed(steps, u: np.ndarray, start: int) -> np.ndarray:
-    """The outputs of the plant steppers over rows of u, row start first, in
-    round order; the steppers keep their state for the next block. The first
-    output that is not finite raises IncompleteLog at its (k, agent)."""
-    out = []
-    try:
-        for row in u.tolist():
-            for step, x in zip(steps, row):
-                out.append(step(x))
-    except NonFiniteValue as e:
-        r, i = divmod(len(out), len(steps))
-        raise IncompleteLog(f"the plant replayed over u leaves finite range at "
-                            f"k={start + r + 1}, agent {i + 1}: {e}") from None
-    return np.array(out).reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ and a noise spec with its seed. Runs are deterministic functions of the
 scenario: one round applies every agent's current input to its plant,
 exchanges noisy output observations and truncation counts as a snapshot,
 then advances every controller. run executes all rounds in one compiled
-function, the round kernel, generated from plant.emit_step and
+function, the round kernel, generated from plant.emit_steps and
 controller.emit_round. What it keeps of the rounds is the run's
 TrajectoryLog, which derives the other columns.
 
@@ -52,12 +52,11 @@ from .plant import (
     Nonlinearity,
     Polynomial,
     check_stability,
-    emit_check,
-    emit_step,
+    compile_steps,
+    emit_steps,
     is_strictly_increasing,
     make_nonlinearity,
     make_plant,
-    nonfinite,
     poly,
     static_gain,
     step_names,
@@ -377,10 +376,10 @@ def _check_initial_plants(s: Scenario, plants) -> None:
 
 def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
     """The round kernel's source for plants of these step shapes on a
-    network of this round shape: the plant steps of plant.emit_step and the
-    round of controller.emit_round, unrolled over the agents in one loop
-    over the rounds, with one emit_check between them. The source holds
-    fixed names and integers only; every scenario value is an argument."""
+    network of this round shape: the row of plant steps of plant.emit_steps
+    and the round of controller.emit_round, unrolled over the agents in one
+    loop over the rounds. The source holds fixed names and integers only;
+    every scenario value is an argument."""
     n, m = len(plant_shapes), sum(len(nb) for nb in nbr_shape)
 
     def names(prefix, count=n):
@@ -396,9 +395,7 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
              "    M = bounds(0)",
              "    for k, row in zip(range(1, K + 1), rows):",
              f"        [{names('e', m)}] = row"]
-    for i, shape in enumerate(plant_shapes):
-        lines += ["        " + x for x in emit_step(shape, i, agent=i + 1)]
-    lines += ["        " + x for x in emit_check(n)]
+    lines += ["        " + x for x in emit_steps(plant_shapes)]
     # the round's starting u is logged before the round overwrites it
     lines += [f"        log_u([{names('u')}])",
               "        if not (k - 1) % stride:",
@@ -410,10 +407,7 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
 @functools.lru_cache(maxsize=32)
 def _round_kernel(plant_shapes: tuple, nbr_shape: tuple):
     """_kernel_source compiled, once per shape and process."""
-    namespace = {"isfinite": math.isfinite, "nonfinite": nonfinite,
-                 "NonFiniteValue": NonFiniteValue}
-    exec(compile(_kernel_source(plant_shapes, nbr_shape), "<round kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    return compile_steps(_kernel_source(plant_shapes, nbr_shape), "<round kernel>", "kernel")
 
 
 def run(s: Scenario, master_seed: int | None = None,
@@ -613,8 +607,9 @@ def _read_store(fh, s: Scenario, records) -> dict:
 def _check_events(events: np.ndarray, K: int, n: int, name: str) -> None:
     """Reject count events the round kernel cannot have written: a k outside
     1..K, an agent outside 1..n, a row not after the one before it in
-    (k, agent) order, or a count not above the agent's previous one. The
-    first such row is named, with name the array it was read from."""
+    (k, agent) order, or a count not above the agent's previous one, the
+    initial count 0 before its first. The first such row is named, with name
+    the array it was read from."""
     k, agent, count = events.T
     # per row, the row of the same agent's previous event, or -1
     prev = np.full(len(events), -1)
@@ -623,7 +618,7 @@ def _check_events(events: np.ndarray, K: int, n: int, name: str) -> None:
     prev[by_agent[1:][same]] = by_agent[:-1][same]
     later = np.ones(len(events), dtype=bool)
     later[1:] = (k[1:] > k[:-1]) | ((k[1:] == k[:-1]) & (agent[1:] > agent[:-1]))
-    rises = (prev < 0) | (count > count[prev])
+    rises = count > np.where(prev < 0, 0, count[prev])
     bad = np.flatnonzero((k < 1) | (k > K) | (agent < 1) | (agent > n) | ~later | ~rises)
     if not len(bad):
         return
@@ -636,8 +631,9 @@ def _check_events(events: np.ndarray, K: int, n: int, name: str) -> None:
         raise IncompleteLog(f"{where} names an agent outside 1..{n}")
     if not later[x]:
         raise IncompleteLog(f"{where} is out of order after (k={k[x - 1]}, agent {agent[x - 1]})")
-    raise IncompleteLog(f"{where} does not rise from the agent's count {count[prev[x]]} "
-                        f"at k={k[prev[x]]}")
+    since = ("the initial count 0" if prev[x] < 0
+             else f"the agent's count {count[prev[x]]} at k={k[prev[x]]}")
+    raise IncompleteLog(f"{where} does not rise from {since}")
 
 
 def load_run(rundir: str):

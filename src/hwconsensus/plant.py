@@ -10,11 +10,11 @@ C(z) y_{k+1} = D(z) v_k); a "wiener" agent applies it last
 f is one of a closed catalog of polynomial forms, each held once as text
 over u and its parameter names. emit_step writes the difference equation as
 Python source, once, with that text in place of a call of f: it is the one
-implementation, compiled by stepper(plant) for one agent (step() is a
-single call of it; verify replays a strided log's outputs through it) and
-by harness.run's round kernel for every agent of a network. A state-space
-companion realization is provided purely as a cross-checking oracle; the
-two must agree to 1e-10 per step on any input sequence.
+implementation, compiled for a row of plants by emit_steps into steps(plants)
+(a loop over rows of inputs: step() is one row of one plant, and verify
+replays a strided log's outputs through it) and into harness.run's round
+kernel. A state-space companion realization is provided purely as a
+cross-checking oracle; the two must agree to 1e-10 per step on any input.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -162,8 +162,8 @@ def step_parts(plant: AgentPlant) -> tuple[tuple, tuple]:
              c_hist, d_hist))
 
 
-def step_names(shape: tuple, i: int = 0) -> tuple:
-    """The local names emit_step uses for agent i: f's parameters, the C and
+def step_names(shape: tuple, i: int) -> tuple:
+    """The local names emit_step uses for plant i: f's parameters, the C and
     D coefficients, and the C and D histories (newest first)."""
     _, name, n_c, n_d, len_c, len_d = shape
     return ([f"f{i:d}_{p}" for p in _CATALOG[name][0]],
@@ -172,39 +172,38 @@ def step_names(shape: tuple, i: int = 0) -> tuple:
             [f"ch{i:d}_{x:d}" for x in range(len_c)], [f"dh{i:d}_{x:d}" for x in range(len_d)])
 
 
-def emit_step(shape: tuple, i: int = 0, agent: int | None = None) -> list:
-    """Python source of one step of a plant of this shape: the one
-    implementation of the difference equation, which stepper and the round
-    kernel of harness.run compile.
+def emit_step(shape: tuple, i: int) -> list:
+    """Python source of one step of plant i, agent i + 1, of this shape: the
+    one implementation of the difference equation (see emit_steps).
 
     hammerstein: v_k = f(u_k); y_{k+1} = -sum c_s y_{k+1-s} + v_k + sum d_r v_{k-r}
     wiener:      v_{k+1} = -sum c_s v_{k+1-s} + u_k + sum d_r u_{k-r}; y = f(v_{k+1})
 
-    The lines read the input u{i} and the locals of step_names, write the
-    output y{i} (and v{i}), and rotate the histories, newest first. f is its
-    catalog text over the parameter locals, in place of a call. The -c terms
-    are subtracted before the +d terms are added, in history order. An f
-    that overflows (Python's ** raises OverflowError rather than return inf)
-    raises NonFiniteValue before the histories move; with agent given, it
-    names the step k and that agent, after nonfinite has raised for any
-    earlier agent of the round whose output is not finite. A v or y that is
-    not finite is for emit_check to find. The source holds only these names
-    and integers (every index is formatted as one).
+    The lines read the input u{i}, the step k and the locals of step_names,
+    write the output y{i} (and v{i}), and rotate the histories, newest
+    first. f is its catalog text over the parameter locals, in place of a
+    call. The -c terms are subtracted before the +d terms are added, in
+    history order. An f that overflows (Python's ** raises OverflowError
+    rather than return inf) raises NonFiniteValue at (k, i + 1) before the
+    histories move, after nonfinite has raised for any earlier plant of the
+    row whose output is not finite. A v or y that is not finite is for
+    emit_check to find. The source holds only these names and integers
+    (every index is formatted as one).
     """
     kind = shape[0]
     if kind not in (HAMMERSTEIN, WIENER):
         raise ValidationError(f"kind must be {HAMMERSTEIN!r} or {WIENER!r}, got {kind!r}")
     fp, cs, ds, ch, dh = step_names(shape, i)
     u, v, y = f"u{i:d}", f"v{i:d}", f"y{i:d}"
-    at = "" if agent is None else f", k, {agent:d}"
-    # emit_check's cold branch, over the agents before i: their outputs are not tested yet
-    earlier = emit_check(i)[1:] if agent is not None and i else []
+    # emit_check's cold branch, over the plants before i: their outputs are not tested yet
+    earlier = emit_check(i)[1:] if i else []
 
     def apply(out, x):
         names = dict(zip(_CATALOG[shape[1]][0], fp), u=x)
         expr = re.sub(r"[a-z_]\w*", lambda m: names[m.group()], _CATALOG[shape[1]][1])
         return ["try:", f"    {out} = {expr}", "except OverflowError:", *earlier,
-                f'    raise NonFiniteValue(f"nonlinearity overflows at {{{x}!r}}"{at}) from None']
+                f'    raise NonFiniteValue(f"nonlinearity overflows at {{{x}!r}}", '
+                f'k, {i + 1:d}) from None']
 
     def rotate(hist, new):
         return [f"{hist[x]} = {hist[x - 1] if x else new}" for x in reversed(range(len(hist)))]
@@ -219,62 +218,74 @@ def emit_step(shape: tuple, i: int = 0, agent: int | None = None) -> list:
     return lines + rotate(ch, c_new) + rotate(dh, d_new)
 
 
-def emit_check(count: int, step: str = "k") -> list:
-    """Python source testing the outputs of agents 0..count-1 at once: a float
+def emit_check(count: int) -> list:
+    """Python source testing the outputs of plants 0..count-1 at once: a float
     sum is finite only if every term is; only a sum that is not calls nonfinite."""
     vy = ", ".join(f"v{a:d}, y{a:d}" for a in range(count))
-    return [f"if not isfinite({vy.replace(', ', ' + ')}):", f"    nonfinite({step}, {vy})"]
+    return [f"if not isfinite({vy.replace(', ', ' + ')}):", f"    nonfinite(k, {vy})"]
 
 
-def nonfinite(step, *vy) -> None:
-    """Raise NonFiniteValue for the first agent of vy = (v0, y0, v1, y1, ...)
-    whose v or y is not finite, naming step and agent if step is given.
-    Return if there is none: a sum of finite values overflowed."""
+def emit_steps(shapes: tuple) -> list:
+    """Python source of one row of steps, at step k, of plants of these
+    shapes: emit_step for each, then one emit_check of all their outputs."""
+    return [x for i, s in enumerate(shapes) for x in emit_step(s, i)] + emit_check(len(shapes))
+
+
+def nonfinite(step: int, *vy) -> None:
+    """Raise NonFiniteValue at step and the first agent of vy = (v0, y0, v1,
+    y1, ...) whose v or y is not finite. Return if there is none: a sum of
+    finite values overflowed."""
     for a, (v, y) in enumerate(zip(vy[::2], vy[1::2]), start=1):
         if not (math.isfinite(v) and math.isfinite(y)):
-            raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})",
-                                 *(() if step is None else (step, a)))
+            raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})", step, a)
+
+
+def compile_steps(source: str, filename: str, name: str):
+    """The function name that source defines, compiled under filename beside
+    the names emit_steps calls: isfinite, nonfinite and NonFiniteValue."""
+    namespace = {"isfinite": math.isfinite, "nonfinite": nonfinite,
+                 "NonFiniteValue": NonFiniteValue}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
 @lru_cache(maxsize=64)
-def _compiled_stepper(shape: tuple):
-    """A function binding the values of a plant's step_parts to its
-    compiled step, one per shape and process."""
-    fp, cs, ds, ch, dh = step_names(shape)
-    # the step reads the plant's history lists and writes them back in place
-    load = [f"{', '.join(names)}, = {hist}" for names, hist in ((ch, "ch"), (dh, "dh")) if names]
-    store = [f"{hist}[:] = {', '.join(names)}," for names, hist in ((ch, "ch"), (dh, "dh"))
-             if names]
-    body = load + emit_step(shape) + store + emit_check(1, "None") + ["return y0"]
-    src = ["def bind(fp, cs, ds, ch, dh):",
-           "    " + ", ".join(f"[{', '.join(x)}]" for x in (fp, cs, ds)) + " = fp, cs, ds",
-           "    def step(u0):",
-           *["        " + line for line in body],
-           "    return step"]
-    namespace = {"isfinite": math.isfinite, "nonfinite": nonfinite,
-                 "NonFiniteValue": NonFiniteValue}
-    exec(compile("\n".join(src) + "\n", "<step>", "exec"), namespace)
-    return namespace["bind"]
+def _compiled_steps(shapes: tuple):
+    """steps(k0, rows, parts), emit_steps in a loop over rows, for parts the
+    plants' step_parts values; compiled once per tuple of shapes and process."""
+    names = [step_names(shape, i) for i, shape in enumerate(shapes)]
+    us, ys = (", ".join(f"{c}{i:d}" for i in range(len(shapes))) for c in "uy")
+    # the history lists are read once and written back in place as the last
+    # row left them, also when it raised
+    store = [f"parts[{i:d}][{j:d}][:] = {', '.join(x[j])}," for i, x in enumerate(names)
+             for j in (3, 4) if x[j]]
+    src = ["def steps(k0, rows, parts):",
+           *["    " + ", ".join(f"[{', '.join(p)}]" for p in x) + f" = parts[{i:d}]"
+             for i, x in enumerate(names)],
+           "    out = []",
+           "    try:",
+           f"        for k, [{us}] in enumerate(rows, k0 + 1):",
+           *["            " + x for x in emit_steps(shapes)],
+           f"            out += {ys},",
+           "    finally:",
+           *["        " + x for x in store or ["pass"]],
+           "    return out"]
+    return compile_steps("\n".join(src) + "\n", "<steps>", "steps")
 
 
-def stepper(plant: AgentPlant):
-    """The plant's one-step map u -> next output, compiled from emit_step.
-
-    The source is compiled once per step shape (step_parts) and process;
-    the returned function binds f's parameter values, the coefficients and
-    the plant's history lists. It rotates the lists in place, newest first, so they stay the
-    plant's state (rebinding one of them afterwards leaves the function
-    stepping the old list). A v or y that is not finite raises
-    NonFiniteValue after the histories have moved; an f that overflows
-    raises it before they move.
-    """
-    shape, values = step_parts(plant)
-    return _compiled_stepper(shape)(*values)
+def steps(plants: list):
+    """The plants' loop f(k0, rows) -> their outputs, row after row in one
+    list, each row one input per plant at steps k0 + 1, k0 + 2, ... f keeps
+    the plants' history lists as their state, newest first. A v or y that is
+    not finite raises NonFiniteValue at its (step, agent) after the row's
+    histories moved; an f that overflows, before its own plant's moved."""
+    shapes, values = zip(*map(step_parts, plants))
+    return partial(_compiled_steps(shapes), parts=values)
 
 
 def step(plant: AgentPlant, u: float) -> float:
-    """Advance one step under input u, returning the next output (see stepper)."""
-    return stepper(plant)(u)
+    """Advance one step under input u, returning the next output (see steps)."""
+    return steps([plant])(0, [(u,)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +410,7 @@ def warm_plant(plant: AgentPlant, u: float) -> AgentPlant:
 def steady_state_check(plant: AgentPlant, u: float, horizon: int, tol: float) -> bool:
     """Drive a copy with constant u; true iff the output settles on h(u)."""
     gain = static_gain(plant)
-    advance_probe = stepper(plant.copy())
-    y = None
-    for _ in range(horizon):
-        y = advance_probe(u)
+    y = steps([plant.copy()])(0, [(u,)] * horizon)[-1]
     return abs(y - gain.h(u)) < tol
 
 

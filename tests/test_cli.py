@@ -326,8 +326,15 @@ def test_verify_locates_a_z_cell_off_its_identity(tmp_path, capsys):
     assert _main_under_O(["verify", "--log", str(d)]) == (1, err)
 
 
-@pytest.mark.parametrize("count", ["1000000000000", "-1", "150"], ids=["huge", "negative", "k"])
-def test_verify_rejects_a_count_outside_the_round_bound(tmp_path, capsys, count):
+@pytest.mark.parametrize("count, code, err", [
+    ("1000000000000", 2, "runtime failure: truncation count 1000000000000 at k=150, agent 2 "
+                         "is outside 0..149\n"),
+    # no count falls below the initial 0: load_run rejects the event before verify's bound
+    ("-1", 1, "incomplete log: log.npz: array events: the event (k=149, agent 2, count -1) "
+              "does not rise from the initial count 0\n"),
+    ("150", 2, "runtime failure: truncation count 150 at k=150, agent 2 is outside 0..149\n"),
+], ids=["huge", "negative", "k"])
+def test_verify_rejects_a_count_outside_the_round_bound(tmp_path, capsys, count, code, err):
     # a count starts at 0 and rises by at most 1 per round, so sigma_k <= k - 1:
     # agent 2's count set to count in round 149, from step 150 on, in place
     # of its every event
@@ -336,11 +343,9 @@ def test_verify_rejects_a_count_outside_the_round_bound(tmp_path, capsys, count)
     events = np.vstack([events[events[:, 1] != 2], [[149, 2, int(count)]]])
     rewrite_store(d, lambda a: a.update(events=events[np.lexsort(events[:, 1::-1].T)]))
     capsys.readouterr()
-    assert main(["verify", "--log", str(d)]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"runtime failure: truncation count {count} at k=150, agent 2 "
-                   "is outside 0..149\n")
-    assert _main_under_O(["verify", "--log", str(d)]) == (2, err)
+    assert main(["verify", "--log", str(d)]) == code
+    assert capsys.readouterr().err == err
+    assert _main_under_O(["verify", "--log", str(d)]) == (code, err)
 
 
 def test_verify_locates_an_eq28_failure(tmp_path, capsys, monkeypatch):
@@ -562,17 +567,26 @@ def test_verify_failing_in_a_later_block_leaves_no_metrics_file(tmp_path, capsys
     assert sorted(p.name for p in d.iterdir()) == files
 
 
-def test_verify_names_an_input_the_replayed_plant_overflows_on(tmp_path, capsys):
-    # agent 1's cubic nonlinearity overflows at an input of 1e200: the
-    # NonFiniteValue of the replayed plant is reported at its step and agent
+@pytest.mark.parametrize("cell, block_cells", [
+    ((149, 0), None),
+    ((149, 2), None),
+    ((149, 0), 149 * 8),  # blocks of 149 rows of 8 edges: k=150 starts the second
+], ids=["agent-1", "agent-3", "block-start"])
+def test_verify_names_an_input_the_replayed_plant_overflows_on(tmp_path, capsys, monkeypatch,
+                                                               cell, block_cells):
+    # the cubic nonlinearities of agents 1 and 3 overflow at an input of
+    # 1e200: the NonFiniteValue of the replayed plant is reported at its step
+    # and agent
     d = run_dir(tmp_path, "--log-stride", "10")
-    _resave(d, "u", (149, 0), 1e200)
+    _resave(d, "u", cell, 1e200)
+    if block_cells is not None:
+        monkeypatch.setattr(analysis, "BLOCK_CELLS", block_cells)
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 1
     err = capsys.readouterr().err
-    assert err == ("incomplete log: the plant replayed over u leaves finite range at k=150, "
-                   "agent 1: nonlinearity overflows at 1e+200\n")
-    assert _main_under_O(["verify", "--log", str(d)]) == (1, err)
+    assert err == (f"incomplete log: the plant replayed over u leaves finite range at k=150, "
+                   f"agent {cell[1] + 1}: nonlinearity overflows at 1e+200\n")
+    assert _main_under_O(["verify", "--log", str(d)], block_cells) == (1, err)
 
 
 def test_verify_of_a_long_stride_1_log_holds_blocks_not_the_log(tmp_path, capsys):
@@ -653,8 +667,8 @@ def _edit_bytes(path, fn):
     path.write_bytes(fn(path.read_bytes()))
 
 
-# corruptions of meta.json beyond test_harness.CORRUPTIONS, each with a
-# part of the message both subcommands print
+# corruptions of a run directory beyond test_harness.CORRUPTIONS, each with
+# a part of the message both subcommands print
 RUN_DIR_CORRUPTIONS = {
     "meta-hash-mismatch": (lambda d: _edit_meta(
         d, lambda m: m["scenario"]["controller"]["u_star"].__setitem__(0, 1.5)),
@@ -687,6 +701,11 @@ RUN_DIR_CORRUPTIONS = {
         "log.npz: array u has True rows in meta.json, not a step count"),
     "meta-arrays-not-object": (lambda d: _edit_meta(d, lambda m: m.__setitem__("arrays", [])),
                                "log.npz: array u does not match its dtype, shape and SHA-256"),
+    # an event the round kernel cannot write, before agent 1's first at (k=2, count 1)
+    "events-first-count-zero": (lambda d: rewrite_store(d, lambda a: a.__setitem__(
+        "events", np.insert(a["events"], 0, [1, 1, 0], axis=0))),
+        "log.npz: array events: the event (k=1, agent 1, count 0) does not rise from the "
+        "initial count 0"),
 }
 
 

@@ -17,7 +17,7 @@ from hwconsensus import (
     steady_state_check,
     step,
     step_state_space,
-    stepper,
+    steps,
     warm_plant,
 )
 from hwconsensus.errors import NonFiniteValue, ValidationError, ZeroDCGain
@@ -122,8 +122,9 @@ def test_step_examples():
 def test_step_nonfinite_detection():
     p = make_plant("hammerstein", poly([1, -0.5]), poly([1]), IDENT)
     p.y_hist = [1.6e308]
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(NonFiniteValue) as exc:
         step(p, 1.6e308)  # 0.8e308 + 1.6e308 overflows
+    assert (exc.value.step, exc.value.agent) == (1, 1)
 
 
 def _reference_step(plant, u):
@@ -181,17 +182,22 @@ def _plants(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_plants(), st.lists(st.floats(-2, 2), min_size=1, max_size=25))
-def test_stepper_matches_reference_step_bit_for_bit(plant, inputs):
-    ref = plant.copy()
-    compiled = plant.copy()
-    advance = stepper(compiled)
-    for u in inputs:
-        assert _hex([advance(u)]) == _hex([_reference_step(ref, u)])
-        for name in ("y_hist", "v_hist", "u_hist"):
-            assert _hex(getattr(compiled, name)) == _hex(getattr(ref, name)), name
+@given(st.lists(_plants(), min_size=1, max_size=3), st.data())
+def test_stepper_matches_reference_step_bit_for_bit(plants, data):
+    refs = [p.copy() for p in plants]
+    compiled = [p.copy() for p in plants]
+    advance = steps(compiled)
+    rows = st.lists(st.tuples(*[st.floats(-2, 2)] * len(plants)), max_size=25)
+    k0 = 0
+    for block in (data.draw(rows), data.draw(rows)):  # the second call goes on from the first
+        want = [_reference_step(ref, u) for row in block for ref, u in zip(refs, row)]
+        assert _hex(advance(k0, block)) == _hex(want)
+        for plant, ref in zip(compiled, refs):
+            for name in ("y_hist", "v_hist", "u_hist"):
+                assert _hex(getattr(plant, name)) == _hex(getattr(ref, name)), name
+        k0 += len(block)
     # step() is the same compiled map, built per call
-    assert _hex([step(compiled, 0.5)]) == _hex([_reference_step(ref, 0.5)])
+    assert _hex([step(compiled[0], 0.5)]) == _hex([_reference_step(refs[0], 0.5)])
 
 
 def test_static_gain_values():
