@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     IdentityViolation,
     IncompleteLog,
+    IndexOutOfRange,
     NonFiniteValue,
     StepNotLogged,
     ValidationError,
@@ -38,7 +39,6 @@ INF = float("inf")
 EQ28_GRID_K = 1000
 EQ28_GRID_T = (0.1, 0.5, 1.0, 2.0)
 RECURSION_THRESHOLD = 1e-9  # largest replay residual the recursion check passes
-DECOMPOSITION_THRESHOLD = 1e-10  # decomposition errors verify passes are below it
 BLOCK_CELLS = 1 << 16  # verify's blocks hold about this many rows x max(agents, edges)
 
 
@@ -236,23 +236,14 @@ class TruncationTimes:
 
 @dataclass
 class AuxiliarySequences:
-    """Windowed relabeling of the rows of a log at steps k, plus its effective observation.
-
-    Within each global window [r(m), r(m+1)), an agent that has not yet
-    reached count m is represented by its reset point with zero effective
-    observation; once it reaches m it is represented by its true values.
-    structure_max_err bounds |g(ubar) + ebar - expected| over live steps
-    (the catch-up side cancels exactly by construction).
-    """
+    """The windowed relabeling of the rows of a log at steps k (build_auxiliary)."""
 
     k: np.ndarray
     ubar: np.ndarray
-    ebar: np.ndarray
     obar: np.ndarray
     sigma_bar: np.ndarray
     u_star: np.ndarray
     catchup_mask: np.ndarray
-    structure_max_err: float
 
 
 @dataclass
@@ -334,32 +325,62 @@ def regression_g(u: np.ndarray, gains, lap: LaplacianView) -> np.ndarray:
 
 
 def _decompose(block: Block, pairs, lap: LaplacianView):
-    """(e1, e2, e3, O - g) on the rows of a block, each (rows, n).
+    """(e1, e2, e3, O - g, bound) on the rows of a block, each (rows, n).
 
     e1 = sum_j p_ij eps_ij           (pure observation noise)
     e2 = p_i (h_i(u_{i,k}) - y_{i,k+1})   (own output off steady state)
     e3 = sum_j p_ij (y_{j,k+1} - h_j(u_{j,k}))
     The neighbour sums run in the order of the directed edges pairs.
+
+    bound, gamma_t S capped at the largest float, bounds the float sides'
+    difference, 0 in exact arithmetic: gamma_t = t u / (1 - t u), u = 2^-53,
+    t = 2n + 8, and S sums the magnitudes of the terms on both sides: p_ij
+    |eps_ij|, p_ij |y_j|, p_ij |h_j| and p_ij |y_i| per edge, p_i (|h_i| + |y_i|).
+    Why (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.1 and 4.2): a term through r roundings, barring underflow, is
+    itself times 1 + theta, |theta| <= gamma_r. With d <= n - 1 neighbours, a
+    term meets at most d + 2 roundings in e1 + e2 + e3 (p_i h_i, p_i y_i 4)
+    and d + 3 in O - g (p_i h_i 3), but h_j n + 2: g's BLAS product sums n
+    terms in an order numpy does not fix. y_i's weights, p_i (P's rounded row
+    sum) and sum_j p_ij, differ by gamma_{n-1}. So a term meets at most 2n + 3
+    roundings on its two paths (gamma_a + gamma_b <= gamma_{a+b}); five more
+    cover the bound's own, at most n^2 + 7 deep (S is summed by matrix
+    products), while (2n + 8) gamma_{n^2+7} <= 5: for every n < 10^5.
     """
     y, h = block.y, block.h
     e1 = np.zeros_like(h)
     e3 = np.zeros_like(h)
+    weight = np.zeros((len(pairs), h.shape[1]))  # edge column -> its agent's weight
     for col, (a, b) in enumerate(pairs):
-        w = lap.P[a - 1, b - 1]
+        w = weight[col, a - 1] = lap.P[a - 1, b - 1]
         e1[:, a - 1] += w * block.noise[:, col]
         e3[:, a - 1] += w * (y[:, b - 1] - h[:, b - 1])
-    e2 = np.diag(lap.D) * (h - y)
-    return e1, e2, e3, block.O - block.g
+    d = np.diag(lap.D)
+    e2 = d * (h - y)
+    S = (np.abs(block.noise) @ weight + (np.abs(y) + np.abs(h)) @ lap.P.T
+         + d * (np.abs(h) + 2 * np.abs(y)))
+    t = 2 * h.shape[1] + 8
+    bound = np.minimum(t * _U / (1 - t * _U) * S, np.finfo(float).max)  # an infinite err fails
+    return e1, e2, e3, block.O - block.g, bound
+
+
+def decomposition_check(block: Block, pairs, lap: LaplacianView) -> tuple:
+    """The decomposition verdict on the rows of a block: ((e1, e2, e3, O - g),
+    err = |e1 + e2 + e3 - (O - g)|, ok = err <= _decompose's bound) per cell.
+    An all-zero cell passes; a NaN or an infinite err fails."""
+    e1, e2, e3, rhs, bound = _decompose(block, pairs, lap)
+    err = np.abs(e1 + e2 + e3 - rhs)
+    return (e1, e2, e3, rhs), err, err <= bound
 
 
 def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
                         lap: LaplacianView) -> tuple[float, float, float]:
-    """Split O_{i,k+1} - g_i(u_k) into noise, own-transient, neighbor-transient.
-
-    The terms e1, e2, e3 of _decompose at step k, agent i; the three must sum
-    to O - g within 1e-10, else IdentityViolation is raised, located at
-    (k, agent, lhs, rhs); a NaN on either side fails too.
-    """
+    """Split O_{i,k+1} - g_i(u_k) into noise, own-transient, neighbor-transient:
+    _decompose's e1, e2, e3 at step k, agent i (1..n, else IndexOutOfRange).
+    A cell decomposition_check fails raises IdentityViolation, located at
+    (k, agent, lhs, rhs)."""
+    if not 1 <= i <= log.u.shape[1]:
+        raise IndexOutOfRange(f"agent {i} outside 1..{log.u.shape[1]}")
     if k - 1 not in log.logged_rows:
         raise StepNotLogged(f"step {k} not in the log (stride {log.log_stride})")
     r = k - 1
@@ -371,9 +392,10 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
     u = log.u[r:r + 1]
     block = Block(np.array([k]), u, y, noise, observations(y, noise, log.pairs, log._nbrs)[1],
                   *gain_field(u, gains, lap))
-    e1, e2, e3, rhs = (float(t[0, i - 1]) for t in _decompose(block, log.pairs, lap))
-    lhs = e1 + e2 + e3
-    if not abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)):
+    terms, _, ok = decomposition_check(block, log.pairs, lap)
+    e1, e2, e3, rhs = (float(t[0, i - 1]) for t in terms)
+    if not ok[0, i - 1]:
+        lhs = e1 + e2 + e3
         raise IdentityViolation(
             f"decomposition identity violated at k={k}, agent {i}: {lhs} vs {rhs}",
             location=(k, i, lhs, rhs))
@@ -561,32 +583,16 @@ def _eq28_first_failure(K: int, grid_T) -> tuple | None:
 # ---------------------------------------------------------------------------
 # auxiliary sequences and the centralized replay
 
-def build_auxiliary(block: Block, times: TruncationTimes, u_star: np.ndarray, gains,
-                    lap: LaplacianView) -> AuxiliarySequences:
-    """Relabel a block of a log through the log's truncation windows (times).
-
-    ubar equals the reset point during an agent's catch-up window
-    [r(m), min(r_agent(m), r(m+1))) and the true estimate elsewhere: step s
-    is in the window of the last m with r(m) <= s, its sigma_bar. ebar is
-    the effective noise making g(ubar) + ebar equal 0 on catch-up windows
-    and the logged observation on live windows. obar stores that structural
-    value; the float discrepancy of the live-side identity is recorded in
-    structure_max_err (the catch-up side cancels exactly by construction).
-    """
+def build_auxiliary(block: Block, times: TruncationTimes, u_star) -> AuxiliarySequences:
+    """Relabel a block of a log through the log's truncation windows (times):
+    in an agent's catch-up window [r(m), min(r_agent(m), r(m+1))), before it
+    reaches the count m of the global window [r(m), r(m+1)), ubar and obar
+    (its effective observation) are the reset point and 0, else u and the
+    logged O. Step s is in the window of the last m with r(m) <= s, sigma_bar."""
     catchup = block.k[:, None] < times.r_agent[block.sigma_bar]
-    ubar = np.where(catchup, u_star, block.u)
-    # g rows evaluated at the relabeled points, shared by both branches below
-    h_ubar, g_bar = gain_field(ubar, gains, lap)
-
-    corr = (block.h - h_ubar) @ lap.P.T
-    ebar = np.where(catchup, -g_bar, block.O - block.g + corr)
-    obar = np.where(catchup, 0.0, block.O)
-
-    live_err = np.abs(g_bar + ebar - block.O)
-    structure_max_err = float(np.where(catchup, 0.0, live_err).max(initial=0.0))
-    return AuxiliarySequences(k=block.k, ubar=ubar, ebar=ebar, obar=obar,
-                              sigma_bar=block.sigma_bar, u_star=u_star, catchup_mask=catchup,
-                              structure_max_err=structure_max_err)
+    return AuxiliarySequences(k=block.k, ubar=np.where(catchup, u_star, block.u),
+                              obar=np.where(catchup, 0.0, block.O), sigma_bar=block.sigma_bar,
+                              u_star=u_star, catchup_mask=catchup)
 
 
 @dataclass(frozen=True)
@@ -598,11 +604,11 @@ class RecursionCheck:
     last: tuple = ()  # the last row's (replayed estimate, reset, sigma_bar)
 
 
-def first_failure(err: np.ndarray, threshold: float, k0: int = 1) -> tuple | None:
+def first_failure(err: np.ndarray, ok: np.ndarray, k0: int = 1) -> tuple | None:
     """(k, agent, value) of the first cell of a (rows, n) array of errors,
-    in row-major order, that is not below threshold (a NaN is not), row r
-    being round k = k0 + r; None if every cell is below it."""
-    bad = np.argwhere(~(err < threshold))
+    in row-major order, where ok is False, row r being round k = k0 + r;
+    None if ok holds on every cell."""
+    bad = np.argwhere(~ok)
     if not len(bad):
         return None
     r, i = bad[0].tolist()
@@ -637,7 +643,7 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
     diff = np.abs(pred[:-1] - nxt)
     resid = float(diff.max(initial=0.0))
     sigma_ok = bool(np.array_equal(sbar[1:], sbar[:-1] + ind[:-1].astype(sbar.dtype)))
-    failure = first_failure(diff, RECURSION_THRESHOLD, k0)
+    failure = first_failure(diff, diff < RECURSION_THRESHOLD, k0)
     if before is not None:
         resid = float(np.maximum(before.max_abs_residual, resid))
         sigma_ok = sigma_ok and before.sigma_consistent
@@ -730,6 +736,8 @@ def lyapunov_v(u: np.ndarray, gains) -> float:
     Nonnegative by monotonicity; its gradient is the gain vector h(u).
     """
     u = np.asarray(u, dtype=float)
+    if u.shape != (len(gains),):
+        raise DimensionMismatch(f"u shape {u.shape}, {len(gains)} gains")
     h = np.array([g(u[i]) for i, g in enumerate(gains)])
     return float(_lyapunov(u, h, gains, gain_roots(gains)))
 
@@ -778,8 +786,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
     supporting diagnostics for human output, among them the first failing
     (k, T, lo, m, hi) of the eq28 grid (EQ28_GRID_K, EQ28_GRID_T) and the
-    first (k, agent, error) of the decomposition at DECOMPOSITION_THRESHOLD,
-    each or None.
+    first (k, agent, error) that decomposition_check fails, each or None.
     """
     # a count rises by at most 1 per round from 0, so the count an event sets
     # in round k, which holds from step k + 1, is in 0..k; checked before
@@ -799,22 +806,18 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
     lap = laplacian(topology)
     sched = Schedule(c_M=log.scenario.controller.c_M)
     u_star = np.array(log.scenario.controller.u_star)
-    rec, structure, decomp, decomp_failure = None, 0.0, 0.0, None
+    rec, decomp, decomp_failure = None, 0.0, None
     # the gains overflow on a diverged run's inputs; the inf and NaN values
     # that follow fail the checks they reach, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for block in log_blocks(log, gains, lap):
             if each_block is not None:
                 each_block(block)
-            aux = build_auxiliary(block, times, u_star, gains, lap)
-            rec = verify_centralized_recursion(aux, sched, rec)
-            e1, e2, e3, target = _decompose(block, log.pairs, lap)
-            err = np.abs(e1 + e2 + e3 - target)
+            rec = verify_centralized_recursion(build_auxiliary(block, times, u_star), sched, rec)
+            _, err, ok = decomposition_check(block, log.pairs, lap)
             # np.maximum, not max: a NaN anywhere is the maximum
-            structure = np.maximum(structure, aux.structure_max_err)
             decomp = np.maximum(decomp, err.max())
-            decomp_failure = decomp_failure or first_failure(err, DECOMPOSITION_THRESHOLD,
-                                                             block.k[0])
+            decomp_failure = decomp_failure or first_failure(err, ok, block.k[0])
 
     report = {
         "lemma3_residual": rec.max_abs_residual,
@@ -824,7 +827,6 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
     }
     extras = {
         "recursion": rec,
-        "structure_max_err": float(structure),
         "sigma_consistent": rec.sigma_consistent,
         "diameter": d,
         "truncation_top": times.top,

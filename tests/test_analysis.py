@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -25,6 +26,7 @@ from hwconsensus import (
     regression_g,
     run,
     scenario_from_dict,
+    scenario_to_dict,
     summarize,
     truncation_times,
     verify_centralized_recursion,
@@ -40,13 +42,17 @@ from hwconsensus.analysis import (
 from hwconsensus.errors import (
     DimensionMismatch,
     IdentityViolation,
+    IndexOutOfRange,
     StepNotLogged,
     ValidationError,
 )
 
 from conftest import (
+    STIFF_CASE1,
     forced_truncation_scenarios,
     network_scenario,
+    reweighted,
+    stiff_case,
     two_agent_scenario,
     whole_auxiliary,
     whole_metrics,
@@ -341,6 +347,13 @@ def test_regression_dimension_mismatch():
         regression_g(np.zeros(3), GAINS1, LAP1)
 
 
+def test_lyapunov_dimension_mismatch():
+    # a component too many is not ignored, one too few is not an IndexError
+    for u in ([1.0, 2.0, 3.0, 4.0, 99.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(DimensionMismatch):
+            lyapunov_v(u, GAINS1)
+
+
 # ---------------------------------------------------------------------------
 # noise decomposition
 
@@ -386,20 +399,85 @@ def test_decomposition_is_a_view_of_the_sweep():
     assert np.count_nonzero(per_step.view(np.int64) != sweep.view(np.int64)) == 0
 
 
-# 2^60 everywhere: g(u) is exactly 0, but h - y rounds y away in e2 and e3,
-# so e1 + e2 + e3 misses O - g = O by about O itself. inf everywhere: both
-# sides are NaN.
-@pytest.mark.parametrize("value", [2.0 ** 60, INF], ids=["huge", "inf"])
-def test_decomposition_failure_is_located(value):
+# weight: the Laplacian of a topology whose edge (2, 3) weighs 1 part in
+# 10^6 more than the log's, so O and e1 + e2 + e3 weigh agent 3's one
+# neighbour apart. inf everywhere: both sides are NaN.
+@pytest.mark.parametrize("gains, lap", [
+    (GAINS1, laplacian(reweighted(CASE1.topology, 2, 3))),
+    ([lambda x: np.full_like(x, INF)] * 4, LAP1),
+], ids=["weight", "inf"])
+def test_decomposition_failure_is_located(gains, lap):
     log = run(builtin_case(1, horizon=50)).log
-    broken = [lambda x: np.full_like(x, value)] * 4
     with np.errstate(invalid="ignore"), pytest.raises(
             IdentityViolation, match="decomposition identity violated at k=7, agent 3") as exc:
-        noise_decomposition(log, 7, 3, broken, LAP1)
+        noise_decomposition(log, 7, 3, gains, lap)
     k, agent, lhs, rhs = exc.value.location
     assert (k, agent) == (7, 3)
     assert [type(v) for v in exc.value.location] == [int, int, float, float]
     assert not abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("i", [0, -1, 5])
+def test_decomposition_names_an_agent_outside_1_to_n(i):
+    # negative indexing would read agent 4 for 0 and agent 3 for -1
+    with pytest.raises(IndexOutOfRange, match=rf"agent {i} outside 1\.\.4"):
+        noise_decomposition(SHORT_LOG, 7, i, GAINS1, LAP1)
+
+
+def test_decomposition_bound_passes_huge_gains():
+    # 2^60 everywhere: g(u) is exactly 0 and h - y rounds y away, so the
+    # sides differ by about O; a rounding within gamma_t S, which counts h
+    broken = [lambda x: np.full_like(x, 2.0 ** 60)] * 4
+    for i in (1, 2, 3, 4):
+        e1, e2, e3 = noise_decomposition(SHORT_LOG, 7, i, broken, LAP1)
+        assert abs(e2) >= 2.0 ** 60
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_a_stiff_correct_run_passes_the_decomposition(case):
+    # outputs near 1e5: one rounding of a sum exceeds 1e-10, and the
+    # bound the terms' magnitudes set passes every cell
+    s = stiff_case(case)
+    report, extras = full_verification(run(s).log, s.gains(), s.topology)
+    assert report["decomposition_max_err"] > 1e-10
+    assert extras["decomposition_first_failure"] is None
+    assert report == {**report, "lemma3_residual": 0.0, "eq26_ok": True, "eq28_ok": True}
+    assert extras["recursion"].passed
+
+
+def test_the_stiff_scenario_file_is_stiff_case_1():
+    with open(STIFF_CASE1) as fh:
+        assert json.load(fh) == scenario_to_dict(stiff_case(1))
+
+
+@pytest.mark.parametrize("stiff", [False, True], ids=["builtin", "stiff"])
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_the_decomposition_fails_a_real_inconsistency(case, stiff, monkeypatch):
+    s = stiff_case(case) if stiff else builtin_case(case, horizon=2000, seed=3)
+    log = run(s).log
+    a, b = log.pairs[0]
+
+    def first_failure_of(topology=s.topology):
+        return full_verification(log, s.gains(), topology)[1]["decomposition_first_failure"]
+
+    assert first_failure_of() is None
+    # edge (a, b) weighs 1 part in 10^6 more than in the log
+    k, agent, err = first_failure_of(reweighted(s.topology, a, b))
+    assert (k, agent) == (1, a) and err > 0.0
+    # the term of edge (a, b) dropped from e1 or from e3; the e3 term is 0
+    # in round 1 where agent b's output starts at its gain, so then the
+    # first failure is in round 2
+    decompose = analysis._decompose
+    for index, term in ((0, lambda block: block.noise[:, 0]),
+                        (2, lambda block: block.y[:, b - 1] - block.h[:, b - 1])):
+        def dropped(block, pairs, lap, index=index, term=term):
+            parts = list(decompose(block, pairs, lap))
+            parts[index] = parts[index].copy()
+            parts[index][:, a - 1] -= lap.P[a - 1, b - 1] * term(block)
+            return tuple(parts)
+        monkeypatch.setattr(analysis, "_decompose", dropped)
+        k, agent, err = first_failure_of()
+        assert k <= 2 and agent == a and err > 0.0, index
 
 
 def test_decomposition_requires_logged_step():
@@ -589,15 +667,15 @@ def test_truncation_events_are_the_count_changes_with_their_kind(s):
 
 def test_first_failure_names_the_first_cell_not_below_the_threshold():
     err = np.zeros((5, 3))
-    assert first_failure(err, 1e-9) is None
+    assert first_failure(err, err < 1e-9) is None
     err[3, 0], err[2, 2] = 1.0, 1e-9
-    assert first_failure(err, 1e-9) == (3, 3, 1e-9)
+    assert first_failure(err, err < 1e-9) == (3, 3, 1e-9)
     err[1, 1] = np.nan
-    k, agent, value = first_failure(err, 1e-9)
+    k, agent, value = first_failure(err, err < 1e-9)
     assert (k, agent) == (2, 2) and math.isnan(value)
 
 
-def test_the_replay_and_the_decomposition_name_their_first_failure(monkeypatch):
+def test_the_replay_and_the_decomposition_name_their_first_failure():
     report, extras = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)
     assert extras["recursion"].first_failure is None
     assert extras["decomposition_first_failure"] is None
@@ -607,11 +685,11 @@ def test_the_replay_and_the_decomposition_name_their_first_failure(monkeypatch):
     rec = full_verification(log, SHORT.gains(), SHORT.topology)[1]["recursion"]
     assert not rec.passed and rec.first_failure[:2] == (30, 2)
     assert rec.first_failure[2] == pytest.approx(1e-3)
-    # a threshold every error reaches: the first cell is named with its error
-    monkeypatch.setattr(analysis, "DECOMPOSITION_THRESHOLD", 0.0)
-    failure = full_verification(SHORT_LOG, SHORT.gains(), SHORT.topology)[1][
+    # edge (2, 3) weighs 1 part in 10^6 more than in the log: the first
+    # cell it reaches is named with its error
+    failure = full_verification(SHORT_LOG, SHORT.gains(), reweighted(SHORT.topology, 2, 3))[1][
         "decomposition_first_failure"]
-    assert failure[:2] == (1, 1) and failure[2] >= 0.0
+    assert failure[:2] == (1, 2) and failure[2] > 1e-9
 
 
 def test_any_log_r_le_r_agent(runs):
@@ -631,10 +709,6 @@ def test_auxiliary_without_truncations_is_identity():
     assert np.array_equal(aux.ubar, res.log.u)
     assert np.array_equal(aux.obar, res.log.O_next)
     assert not aux.catchup_mask.any()
-    g = np.column_stack([s.gains()[i](res.log.u[:, i]) for i in range(2)])
-    lap = laplacian(s.topology)
-    eps_total = res.log.O_next - (g @ lap.P.T - np.diag(lap.D) * g)
-    assert np.array_equal(aux.ebar, eps_total)
 
 
 def test_auxiliary_catchup_side_cancels_exactly(runs):
@@ -647,11 +721,6 @@ def test_auxiliary_catchup_side_cancels_exactly(runs):
     assert np.array_equal(aux.ubar[mask],
                           np.broadcast_to(s.controller.u_star, mask.shape)[mask])
     assert np.all(aux.obar[mask] == 0.0)
-    lap = laplacian(s.topology)
-    h_ubar = np.column_stack([gains[i](aux.ubar[:, i]) for i in range(4)])
-    g_rows = h_ubar @ lap.P.T - np.diag(lap.D) * h_ubar
-    assert np.all((g_rows + aux.ebar)[mask] == 0.0)
-    assert aux.structure_max_err < 1e-10
 
 
 def test_auxiliary_of_a_strided_log_is_that_of_stride_1():
@@ -660,10 +729,9 @@ def test_auxiliary_of_a_strided_log_is_that_of_stride_1():
     strided, dense = (whole_auxiliary(run(builtin_case(1, horizon=300, log_stride=stride)).log,
                                       GAINS1, CASE1.topology) for stride in (3, 1))
     assert strided.catchup_mask.any()
-    for name in ("ubar", "ebar", "obar", "sigma_bar", "catchup_mask"):
+    for name in ("ubar", "obar", "sigma_bar", "catchup_mask"):
         got, want = getattr(strided, name), getattr(dense, name)
         assert got.tobytes() == want.tobytes(), name
-    assert strided.structure_max_err == dense.structure_max_err
 
 
 def test_replay_truncation_free_noise_free_case1():
@@ -735,9 +803,9 @@ def test_replay_decides_on_the_kernels_bound():
     c = math.nextafter(sched.bound(9115), 0.0)
     col = np.full((2, 1), c)
     aux = analysis.AuxiliarySequences(
-        k=np.array([9116, 9117]), ubar=col, ebar=0.0 * col, obar=0.0 * col,
+        k=np.array([9116, 9117]), ubar=col, obar=0.0 * col,
         sigma_bar=np.array([9115, 9115]), u_star=np.zeros(1),
-        catchup_mask=np.zeros((2, 1), dtype=bool), structure_max_err=0.0)
+        catchup_mask=np.zeros((2, 1), dtype=bool))
     rec = verify_centralized_recursion(aux, sched)
     assert rec.passed and rec.sigma_consistent
     assert rec.max_abs_residual == 0.0

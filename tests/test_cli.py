@@ -20,7 +20,7 @@ from hwconsensus import (
 from hwconsensus.cli import main
 from hwconsensus.graph import directed_pairs
 
-from conftest import forced_truncation_scenarios, two_agent_scenario, whole_auxiliary
+from conftest import forced_truncation_scenarios, reweighted, two_agent_scenario, whole_auxiliary
 from test_harness import (
     CORRUPTIONS,
     flip_bit,
@@ -188,7 +188,6 @@ def test_verify_clean_run_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("pass") == 4
     assert "FAIL" not in out
-    assert "relabeling structure" in out
     assert "load time:" in out and "check time:" in out
 
     report = json.loads((d / "report.json").read_text())
@@ -364,12 +363,19 @@ def test_verify_locates_an_eq28_failure(tmp_path, capsys, monkeypatch):
 
 def test_verify_names_the_first_failure_of_a_failing_row(tmp_path, capsys, monkeypatch):
     # a run saved again with one input moved: the replay of the round before
-    # it no longer lands on it, and the decomposition passes every cell only
-    # below a threshold of 0.0, its first cell
+    # it no longer lands on it. Checked against a topology whose edge (2, 3)
+    # weighs 1 part in 10^6 more than the log's, the decomposition fails
+    # from round 1
     d = run_dir(tmp_path)
     u = harness.load_run(str(d))[0].u
     _resave(d, "u", (349, 1), u[349, 1] + 1e-3)
-    monkeypatch.setattr(analysis, "DECOMPOSITION_THRESHOLD", 0.0)
+    load_run = harness.load_run
+
+    def reweighted_load(rundir):
+        log, s = load_run(rundir)
+        return log, dataclasses.replace(s, topology=reweighted(s.topology, 2, 3))
+
+    monkeypatch.setattr(harness, "load_run", reweighted_load)
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 2
     rows = {line.split("  ")[0]: line for line in capsys.readouterr().out.splitlines()}
@@ -379,8 +385,8 @@ def test_verify_names_the_first_failure_of_a_failing_row(tmp_path, capsys, monke
     assert (k, agent) == (349, 2) and value == pytest.approx(1e-3)
     assert rows["centralized replay"].endswith(f"; first failure at k=349, agent 2: {value!r}")
     k, agent, value = extras["decomposition_first_failure"]
-    assert (k, agent) == (1, 1)
-    assert rows["noise decomposition"].endswith(f"; first failure at k=1, agent 1: {value!r}")
+    assert (k, agent) == (1, 2) and value > 1e-9
+    assert rows["noise decomposition"].endswith(f"; first failure at k=1, agent 2: {value!r}")
     assert "first failure" not in rows["truncation window bound"]
 
 
@@ -426,7 +432,8 @@ def test_verify_of_a_stride_10_log_matches_stride_1(tmp_path, capsys):
 def test_verify_is_the_same_for_blocks_of_any_length(tmp_path, capsys, monkeypatch, case):
     # 4 agents and 8 directed edges: blocks of 2, 7 and 1000 rows of a
     # 2000-step run write the bytes one block writes and, on the run with one
-    # input moved, find the same first failures
+    # input moved checked against a topology with one weight off by 1 part
+    # in 10^6, find the same first failures
     d = tmp_path / "run"
     assert main(["run", "--case", str(case), "--horizon", "2000", "--out", str(d)]) == 0
     log, s = harness.load_run(str(d))
@@ -434,16 +441,15 @@ def test_verify_is_the_same_for_blocks_of_any_length(tmp_path, capsys, monkeypat
     moved.u[1500, 1] += 1e-3
 
     def outcome():
-        monkeypatch.setattr(analysis, "DECOMPOSITION_THRESHOLD", 1e-10)
         outputs = _verify_outputs(d)
-        monkeypatch.setattr(analysis, "DECOMPOSITION_THRESHOLD", 1e-14)
-        report, extras = analysis.full_verification(moved, s.gains(), s.topology)
+        report, extras = analysis.full_verification(moved, s.gains(),
+                                                    reweighted(s.topology, 2, 3))
         rec = extras["recursion"]
         return (outputs, report, rec.first_failure, rec.sigma_consistent,
-                extras["structure_max_err"], extras["decomposition_first_failure"])
+                extras["decomposition_first_failure"])
 
     one_block = outcome()
-    assert one_block[2] is not None and one_block[5] is not None
+    assert one_block[2] is not None and one_block[4][:2] == (1, 2)
     for cells, rows in ((16, 2), (56, 7), (8000, 1000)):
         monkeypatch.setattr(analysis, "BLOCK_CELLS", cells)
         firsts = [b.k[0] for b in analysis.log_blocks(log, s.gains(), laplacian(s.topology))]

@@ -1584,16 +1584,16 @@ def test_a_strided_run_holds_no_dense_derived_columns():
 def test_a_long_run_holds_no_per_step_counts():
     # the loop keeps u on every step, y on the logged steps and the count
     # events; the fixed margin covers y, the events and one block of noise
-    # with its rows, well under the size of u that a count per step would add
+    # with its rows, under the 1.6 MB that an int64 count per step would add
     run(builtin_case(1, horizon=10))  # the round kernel compiled
     tracemalloc.start()
     try:
-        log = run(builtin_case(1, horizon=200_000, log_stride=100)).log
+        log = run(builtin_case(1, horizon=50_000, log_stride=100)).log
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert log.u.nbytes == 200_000 * 4 * 8 and log.y.shape == (2000, 4)
-    assert peak < log.u.nbytes + 2 * 2 ** 20
+    assert log.u.nbytes == 50_000 * 4 * 8 and log.y.shape == (500, 4)
+    assert peak < log.u.nbytes + 2 ** 20
 
 
 # ---------------------------------------------------------------------------
