@@ -715,18 +715,24 @@ def gain_roots(gains) -> np.ndarray:
     return np.array([_bisect_increasing(lambda x: g(x)) for g in gains])
 
 
-def _lyapunov(u: np.ndarray, h: np.ndarray, gains, roots: np.ndarray) -> np.ndarray:
-    """V at each point of u, (..., n), given h = the gains at u and their roots.
+def at_roots(gains, roots: np.ndarray) -> list:
+    """Each gain at its root (gain_roots): within rounding of its zero."""
+    return [g(a) for g, a in zip(gains, roots)]
+
+
+def _lyapunov(u: np.ndarray, h: np.ndarray, gains, roots: np.ndarray, h_roots) -> np.ndarray:
+    """V at each point of u, (..., n), given h = the gains at u, their roots
+    and the gains at their roots (at_roots).
 
     V(u) = sum_i of the integral of h_i from its zero up to u_i, by one
     Simpson panel per component, exact for the polynomial gain catalog
     (degree <= 3).
     """
     v = np.zeros(u.shape[:-1])
-    for i, (g, a) in enumerate(zip(gains, roots)):
+    for i, (g, a, ha) in enumerate(zip(gains, roots, h_roots)):
         b = u[..., i]
         mid = 0.5 * (a + b)
-        v += (b - a) / 6.0 * (g(a) + 4.0 * g(mid) + h[..., i])
+        v += (b - a) / 6.0 * (ha + 4.0 * g(mid) + h[..., i])
     return v
 
 
@@ -739,7 +745,8 @@ def lyapunov_v(u: np.ndarray, gains) -> float:
     if u.shape != (len(gains),):
         raise DimensionMismatch(f"u shape {u.shape}, {len(gains)} gains")
     h = np.array([g(u[i]) for i, g in enumerate(gains)])
-    return float(_lyapunov(u, h, gains, gain_roots(gains)))
+    roots = gain_roots(gains)
+    return float(_lyapunov(u, h, gains, roots, at_roots(gains, roots)))
 
 
 @dataclass
@@ -751,17 +758,19 @@ class RunMetrics:
     v: np.ndarray
 
 
-def consensus_metrics(block: Block, gains, lap: LaplacianView, roots: np.ndarray) -> RunMetrics:
+def consensus_metrics(block: Block, gains, lap: LaplacianView, roots: np.ndarray,
+                      h_roots) -> RunMetrics:
     """Per-step consensus diagnostics of the rows of a block (log_blocks).
 
     spread_y is the max pairwise gap of the outputs produced in the round;
-    residual is the sup norm of L h(u_k); v is _lyapunov's, from the gains' roots.
+    residual is the sup norm of L h(u_k); v is _lyapunov's, from the gains'
+    roots and the gains at them (at_roots), found once per log.
     """
     # as in full_verification, a diverged run's values overflow to inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(block.h @ lap.L.T).max(axis=1)
         spread = block.y.max(axis=1) - block.y.min(axis=1)
-        v = _lyapunov(block.u, block.h, gains, roots)
+        v = _lyapunov(block.u, block.h, gains, roots, h_roots)
     return RunMetrics(k=block.k, spread_y=spread, residual=residual,
                       sigma_bar=block.sigma_bar, v=v)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -53,7 +54,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The command line's parser, built once per process: parse_args keeps no
+    state between calls."""
     p = _Parser(prog="hwconsensus", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command")
@@ -140,13 +144,14 @@ def cmd_verify(args) -> int:
     t1 = time.perf_counter()
     gains, lap = s.gains(), laplacian(s.topology)
     roots = analysis.gain_roots(gains)
+    h_roots = analysis.at_roots(gains, roots)
     # each block's metrics are written as it is checked; metrics.csv appears
     # once every check has run. The columns are the fields of RunMetrics
     with csvout.csv_writer(os.path.join(args.log, "metrics.csv"),
                            "k,spread_y,residual,sigma_bar,v") as write:
         report, extras = analysis.full_verification(
             log, gains, s.topology, lambda block: write(list(map(csvout.format_cells, vars(
-                analysis.consensus_metrics(block, gains, lap, roots)).values()))))
+                analysis.consensus_metrics(block, gains, lap, roots, h_roots)).values()))))
     rec = extras["recursion"]
 
     eq28_note = f"grid k <= {analysis.EQ28_GRID_K}, T in {analysis.EQ28_GRID_T}"

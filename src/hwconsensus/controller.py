@@ -12,9 +12,10 @@ M_sigma = ln(sigma + c_M).
 emit_round writes that round for every agent as Python source, once: it is
 the one implementation, compiled by advance() for flat lists and by
 harness.run's round kernel for a whole run. Either keeps only the next
-(u, sigma); the round kernel also keeps the count events. Every round pools;
-pooling reads the counts as they stood at the start of the round, so the
-result does not depend on the order in which agents are visited. The
+(u, sigma); the round kernel also keeps the count events. Pooling reads the
+counts as they stood at the start of the round, so the result does not
+depend on the order in which agents are visited; a round pools again only
+after a count changed, as the pooled counts are otherwise the last ones. The
 counts, the round's pooled counts, working estimates and aggregated
 observations are functions of (u, count events, y) and the noise seed,
 derived for a whole log at once by analysis.TrajectoryLog.
@@ -74,23 +75,28 @@ def emit_round(shape: tuple) -> list:
     agent 1-based: the fired count (the pooled one + 1) and the pooled count
     a restart adopts. Each agent's pooled count p{i} is read from the counts
     as they stood at the start of the round; then the agent restarts, or
-    corrects against the bound M[p{i}]. M is the bound table, which covers
+    corrects against the bound M[p{i}]. The counts change only where a line
+    hands one to events, and each such line sets pool, so the p{i} are
+    pooled again only in a round that follows one with an event, else they
+    are the last round's, read from the same counts: the caller sets pool
+    true before the first round. M is the bound table, which covers
     the largest count: the caller sets it, and a fire, the only way the
     largest count grows, extends it with bounds(s{i}). O_i = 0.0 + sum_j
     w_ij (y_j + e_ij - y_i) is summed in nbrs order. The source holds only
     these names and integers (every index is formatted as one).
     """
-    lines = ["a = 1.0 / k"]
+    lines = ["a = 1.0 / k", "if pool:", "    pool = False"]
     for i, nb in enumerate(shape):
-        lines.append(f"p{i} = s{i}")
+        lines.append(f"    p{i} = s{i}")
         for _, j in nb:
-            lines += [f"if s{j:d} > p{i}:", f"    p{i} = s{j:d}"]
+            lines += [f"    if s{j:d} > p{i}:", f"        p{i} = s{j:d}"]
     for i, nb in enumerate(shape):
         terms = "".join(f" + w{c:d} * (y{j:d} + e{c:d} - y{i})" for c, j in nb)
         lines += [f"if p{i} > s{i}:",
                   f"    u{i} = us{i}",
                   f"    s{i} = p{i}",
                   f"    events([k, {i + 1:d}, s{i}])",
+                  "    pool = True",
                   "else:",
                   f"    cand = u{i} + a * (0.0{terms})",
                   f"    if abs(cand) < M[p{i}]:",
@@ -99,6 +105,7 @@ def emit_round(shape: tuple) -> list:
                   f"        u{i} = us{i}",
                   f"        s{i} = p{i} + 1",
                   f"        events([k, {i + 1:d}, s{i}])",
+                  "        pool = True",
                   f"        M = bounds(s{i})"]
     return lines
 
@@ -122,7 +129,7 @@ def _compiled_advance(shape: tuple):
     for i, nb in enumerate(shape):
         for t, (c, _) in enumerate(nb):
             src += [f"    e{c:d} = eps_row[{c:d}]", f"    w{c:d} = nbrs[{i}][{t}][2]"]
-    src += ["    M = bounds(max(sigma))", "    events = _discard"]
+    src += ["    M = bounds(max(sigma))", "    events = _discard", "    pool = True"]
     src += ["    " + x for x in emit_round(shape)]
     src += [f"    u[:] = [{names('u')}]", f"    sigma[:] = [{names('s')}]"]
     namespace = {"_discard": lambda event: None}  # advance keeps no count events

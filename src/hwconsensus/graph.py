@@ -30,6 +30,12 @@ class Topology:
     # the two directions from ever drifting apart
     weights: dict[tuple[int, int], float] = field(default_factory=dict)
 
+    # the neighbour lists, the Laplacian and the diameter are each derived
+    # once, when first read; a copy derives its own, as an unpickled array
+    # would be writeable
+    def __getstate__(self) -> dict:
+        return {"n": self.n, "weights": self.weights}
+
     @functools.cached_property
     def _adjacency(self) -> list:
         adj = [[] for _ in range(self.n + 1)]  # entry i: agent i's neighbours
@@ -37,6 +43,24 @@ class Topology:
             adj[a].append(b)
             adj[b].append(a)
         return [sorted(nb) for nb in adj]
+
+    @functools.cached_property
+    def _laplacian(self) -> LaplacianView:
+        P = np.zeros((self.n, self.n))
+        for (i, j), w in self.weights.items():
+            P[i - 1, j - 1] = w
+            P[j - 1, i - 1] = w
+        D = np.diag(P.sum(axis=1))
+        view = LaplacianView(P=P, D=D, L=D - P)
+        for a in (P, D, view.L):
+            a.flags.writeable = False  # shared by every caller
+        return view
+
+    @functools.cached_property
+    def _diameter(self) -> int:
+        if not is_connected(self):
+            raise Disconnected("diameter undefined for a disconnected topology")
+        return max(max(_hops(self, src).values()) for src in range(1, self.n + 1))
 
     def neighbors(self, i: int) -> list[int]:
         """Sorted neighbor list of agent i (1-based), copied from lists built once."""
@@ -99,12 +123,9 @@ def directed_pairs(t: Topology) -> list:
 
 
 def laplacian(t: Topology) -> LaplacianView:
-    P = np.zeros((t.n, t.n))
-    for (i, j), w in t.weights.items():
-        P[i - 1, j - 1] = w
-        P[j - 1, i - 1] = w
-    D = np.diag(P.sum(axis=1))
-    return LaplacianView(P=P, D=D, L=D - P)
+    """The topology's adjacency, degree and Laplacian matrices, built once per
+    topology; the arrays are read-only."""
+    return t._laplacian
 
 
 def _hops(t: Topology, src: int) -> dict[int, int]:
@@ -127,8 +148,7 @@ def is_connected(t: Topology) -> bool:
 def diameter(t: Topology) -> int:
     """Max over agent pairs of the shortest path length in hops.
 
-    Weights do not enter the distance; only edge counts do.
+    Weights do not enter the distance; only edge counts do. Found once per
+    topology.
     """
-    if not is_connected(t):
-        raise Disconnected("diameter undefined for a disconnected topology")
-    return max(max(_hops(t, src).values()) for src in range(1, t.n + 1))
+    return t._diameter

@@ -315,11 +315,30 @@ def builtin_case(case: int, horizon: int = 100_000, seed: int = 1,
 # ---------------------------------------------------------------------------
 # the loop
 
+class _Summary:
+    """RunResult.summary: the summary given, or else summarize(log), derived
+    when first read and kept. As the default of a dataclass field, the
+    descriptor is handed the value __init__ is given (None if none is)."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the field's default
+        if result._summary is None:
+            result._summary = summarize(result.log)
+        return result._summary
+
+    def __set__(self, result, value):
+        result._summary = value
+
+
 @dataclass
 class RunResult:
+    """A run's log, its summary (summarize of the log unless one is given)
+    and the wall time of its round loop in seconds."""
+
     log: analysis.TrajectoryLog
-    summary: dict
-    wall_time: float
+    summary: dict = _Summary()
+    wall_time: float = 0.0
 
     @property
     def scenario(self) -> Scenario:
@@ -378,8 +397,9 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
     """The round kernel's source for plants of these step shapes on a
     network of this round shape: the row of plant steps of plant.emit_steps
     and the round of controller.emit_round, unrolled over the agents in one
-    loop over the rounds. The source holds fixed names and integers only;
-    every scenario value is an argument."""
+    loop over the rounds, which reads the noise of each (first 0-based step,
+    block) of noise.edge_blocks a row at a time. The source holds fixed names
+    and integers only; every scenario value is an argument."""
     n, m = len(plant_shapes), sum(len(nb) for nb in nbr_shape)
 
     def names(prefix, count=n):
@@ -390,17 +410,18 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
     params = [x for i, shape in enumerate(plant_shapes) for part in step_names(shape, i)
               for x in part] + [f"{p}{x}" for p, count in (("u", n), ("us", n), ("w", m))
                                 for x in range(count)]
-    lines = [f"def kernel(K, stride, rows, log_u, events, log_y, bounds, {', '.join(params)}):",
+    lines = [f"def kernel(stride, blocks, log_u, events, log_y, bounds, {', '.join(params)}):",
              f"    {' = '.join(f's{i}' for i in range(n))} = 0",
              "    M = bounds(0)",
-             "    for k, row in zip(range(1, K + 1), rows):",
-             f"        [{names('e', m)}] = row"]
-    lines += ["        " + x for x in emit_steps(plant_shapes)]
+             "    pool = True",
+             "    for t0, block in blocks:",
+             f"        for k, [{names('e', m)}] in enumerate(block.tolist(), t0 + 1):"]
+    lines += ["            " + x for x in emit_steps(plant_shapes)]
     # the round's starting u is logged before the round overwrites it
-    lines += [f"        log_u([{names('u')}])",
-              "        if not (k - 1) % stride:",
-              f"            log_y([{names('y')}])"]
-    lines += ["        " + x for x in emit_round(nbr_shape)]
+    lines += [f"            log_u([{names('u')}])",
+              "            if not (k - 1) % stride:",
+              f"                log_y([{names('y')}])"]
+    lines += ["            " + x for x in emit_round(nbr_shape)]
     return "\n".join(lines) + "\n"
 
 
@@ -427,7 +448,6 @@ def run(s: Scenario, master_seed: int | None = None,
     the round before it as .partial.
     """
     validate_scenario(s)
-    t0 = time.perf_counter()
     if master_seed is not None:
         s = replace(s, noise=make_noise_spec(s.noise.dist, s.noise.params_dict(), master_seed))
 
@@ -441,11 +461,6 @@ def run(s: Scenario, master_seed: int | None = None,
     shapes, values = zip(*(step_parts(p) for p in plants))
     kernel = _round_kernel(shapes, round_shape(nbrs))
 
-    def noise_rows():
-        # one block of steps at a time, never the whole horizon's noise
-        for _, block in edge_blocks(s.noise, pairs, K):
-            yield from block.tolist()
-
     # the loop keeps what only it knows: u on every step, the count events,
     # y on the logged steps
     u_buf, event_buf, y_buf = array("d"), array("q"), array("d")
@@ -456,20 +471,20 @@ def run(s: Scenario, master_seed: int | None = None,
                                       np.frombuffer(event_buf, dtype=np.int64).reshape(-1, 3),
                                       np.frombuffer(y_buf).reshape(logged, n), initial_plants)
 
+    t0 = time.perf_counter()
     try:
-        kernel(K, stride, noise_rows(), u_buf.fromlist, event_buf.fromlist, y_buf.fromlist,
-               Schedule(c_M=s.controller.c_M).bounds,
+        # one block of noise at a time, never the whole horizon's
+        kernel(stride, edge_blocks(s.noise, pairs, K), u_buf.fromlist, event_buf.fromlist,
+               y_buf.fromlist, Schedule(c_M=s.controller.c_M).bounds,
                *[x for parts in values for part in parts for x in part], *s.controller.initial_u,
                *s.controller.u_star, *[topo.weight(i, j) for (i, j) in pairs])
     except NonFiniteValue as e:
-        partial = make_log()
-        e.partial = RunResult(log=partial,
-                              summary=summarize(partial) if e.step > 1 else {"aborted_at": e.step},
-                              wall_time=time.perf_counter() - t0)
+        wall_time = time.perf_counter() - t0
+        e.partial = RunResult(log=make_log(), wall_time=wall_time,
+                              summary={"aborted_at": e.step} if e.step == 1 else None)
         raise
-
-    log = make_log()
-    return RunResult(log=log, summary=summarize(log), wall_time=time.perf_counter() - t0)
+    wall_time = time.perf_counter() - t0
+    return RunResult(log=make_log(), wall_time=wall_time)
 
 
 def batch(s: Scenario, seeds, workers: int = 1) -> list:

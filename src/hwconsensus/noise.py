@@ -39,6 +39,7 @@ DISTRIBUTIONS = {
 
 
 def mix64(x: int) -> int:
+    """The generator's finalizer on one int, modulo 2**64: the scalar reference for _mix."""
     x &= _MASK
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
@@ -48,15 +49,19 @@ def mix64(x: int) -> int:
 BLOCK_STEPS = 1024  # steps of noise a run draws, and a log redraws, per call
 
 
+def _mix(x: np.ndarray) -> np.ndarray:
+    """mix64 of every element of a uint64 array, wrapping as it does."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
 def _uniforms(seeds, lo: int, hi: int) -> np.ndarray:
     """Uniforms for 0-based indices [lo, hi): one row per index and, for an
     array of stream seeds, one column per seed."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     ctr = np.arange(lo + 1, hi + 1, dtype=np.uint64).reshape((-1,) + (1,) * seeds.ndim)
-    x = ctr * np.uint64(_GAMMA) + seeds
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
+    x = _mix(ctr * np.uint64(_GAMMA) + seeds)
     return ((x >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
 
 
@@ -128,14 +133,18 @@ def _scale(spec: NoiseSpec) -> float:
 
 
 def _stream_seed(spec: NoiseSpec, i: int, j: int) -> int:
+    """The stream seed of pair (i, j) in plain ints: the scalar reference for
+    edge_noise's array pass."""
     return mix64(spec.seed ^ mix64((i << 32) | j))
 
 
 def edge_noise(spec: NoiseSpec, pairs):
     """A function of (t0, rows) drawing the noise of 0-based steps t0 ..
     t0 + rows - 1 on the directed edges pairs, in that column order: the
-    streams are counter-based, so blocks at any offsets hold one draw's bits."""
-    seeds = np.array([_stream_seed(spec, i, j) for i, j in pairs], dtype=np.uint64)
+    streams are counter-based, so blocks at any offsets hold one draw's bits.
+    The stream seeds are mixed in one array pass."""
+    ij = np.array(pairs, dtype=np.uint64).reshape(-1, 2)
+    seeds = _mix(np.uint64(spec.seed) ^ _mix(ij[:, 0] << np.uint64(32) | ij[:, 1]))
     scale = _scale(spec)
     return lambda t0, rows: draw_block(spec.dist, scale, seeds, t0, rows)
 

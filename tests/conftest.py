@@ -33,10 +33,13 @@ from hwconsensus import (
     scenario_from_dict,
     truncation_times,
 )
-from hwconsensus.analysis import log_blocks
+from hwconsensus.analysis import at_roots, log_blocks
 
 # stiff_case(1) as a scenario file, which CI runs and verifies
 STIFF_CASE1 = os.path.join(os.path.dirname(__file__), "stiff_case1.json")
+# five identity-gain agents, a small c_M and loud noise: truncations and
+# restarts throughout the horizon, as in the benchmark's seed ensemble
+RESTART_CASE = os.path.join(os.path.dirname(__file__), "restart_case.json")
 
 _CACHE = {}
 
@@ -213,6 +216,7 @@ def whole_metrics(log, gains, lap) -> RunMetrics:
     """consensus_metrics of every block of the log, joined: the metrics of
     every step of the log."""
     roots = gain_roots(gains)
-    parts = [consensus_metrics(b, gains, lap, roots) for b in log_blocks(log, gains, lap)]
+    h_roots = at_roots(gains, roots)
+    parts = [consensus_metrics(b, gains, lap, roots, h_roots) for b in log_blocks(log, gains, lap)]
     return RunMetrics(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
                          for f in dataclasses.fields(RunMetrics)})

@@ -12,9 +12,11 @@ import pytest
 from hwconsensus import (
     analysis,
     builtin_case,
+    cli,
     csvout,
     harness,
     laplacian,
+    plant,
     scenario_to_dict,
 )
 from hwconsensus.cli import main
@@ -502,6 +504,38 @@ def test_verify_finds_the_gain_roots_once(tmp_path, capsys, monkeypatch):
         calls.clear()
         assert main(["verify", "--log", str(d)]) == 0
         assert len(calls) == 1, cells
+
+
+def test_verify_evaluates_the_gains_at_their_roots_once(tmp_path, capsys, monkeypatch):
+    # the gains are called on one number only to find their roots and to
+    # evaluate them there, once per verify; every block calls them on arrays
+    d = run_dir(tmp_path)
+    scalar_calls = []
+    call = plant.StaticGain.__call__
+
+    def counted(g, u):
+        if np.ndim(u) == 0:
+            scalar_calls.append(1)
+        return call(g, u)
+
+    monkeypatch.setattr(plant.StaticGain, "__call__", counted)
+    counts = []
+    for cells in (16, 56, analysis.BLOCK_CELLS):  # 200, 57 and 1 blocks of 8 edges
+        monkeypatch.setattr(analysis, "BLOCK_CELLS", cells)
+        scalar_calls.clear()
+        assert main(["verify", "--log", str(d)]) == 0
+        counts.append(len(scalar_calls))
+    assert counts[0] == counts[1] == counts[2] > 0
+
+
+def test_usage_errors_leave_the_parser_as_it_was(tmp_path, capsys):
+    # main parses with one parser per process; a failed parse changes nothing
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["run", "--case", "9"]) == 1
+    assert main(["verify"]) == 1
+    assert "usage: hwconsensus" in capsys.readouterr().err
+    d = run_dir(tmp_path)
+    assert main(["verify", "--log", str(d)]) == 0
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])

@@ -198,3 +198,21 @@ def test_connectivity_and_diameter_match_a_per_source_search():
             with pytest.raises(Disconnected):
                 diameter(t)
     assert min(seen.values()) >= 50
+
+
+def test_the_laplacian_is_built_once_with_read_only_arrays():
+    t = square()
+    lap = laplacian(t)
+    assert laplacian(t) is lap
+    P = np.zeros((4, 4))
+    for i, j, w in SQUARE:
+        P[i - 1, j - 1] = P[j - 1, i - 1] = w
+    D = np.diag(P.sum(axis=1))
+    copied = laplacian(pickle.loads(pickle.dumps(t)))
+    for view in (lap, copied):
+        for got, want in ((view.P, P), (view.D, D), (view.L, D - P)):
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        lap.L[0, 0] = 1.0
+    assert diameter(t) == diameter(pickle.loads(pickle.dumps(t))) == 2

@@ -50,7 +50,12 @@ from hwconsensus.errors import IncompleteLog, NonFiniteValue, ValidationError
 from hwconsensus.harness import batch
 from hwconsensus.plant import _CATALOG, HAMMERSTEIN, WIENER
 
-from conftest import exploding_plants, forced_truncation_scenarios, two_agent_scenario
+from conftest import (
+    RESTART_CASE,
+    exploding_plants,
+    forced_truncation_scenarios,
+    two_agent_scenario,
+)
 from test_controller import _reference_advance
 from test_plant import _reference_step
 
@@ -707,6 +712,24 @@ def test_run_matches_the_scalar_references_bit_for_bit(case):
     assert _bits(log.y_next[log.logged_rows]) == _bits(ys)
 
 
+def test_restart_case_runs_restart_and_verify_exactly():
+    # the round kernel pools the counts again only after a round that
+    # changed one; over seeds whose runs truncate and restart throughout,
+    # the runs equal the reference, which pools every round, and verify
+    s = load_scenario(RESTART_CASE)
+    for seed in range(1, 11):
+        res = run(s, seed)
+        log = res.log
+        assert not analysis.fired(log).all(), seed  # a restart adopts a pooled count
+        us, sigmas, _, abort = _reference_run(res.scenario, None)
+        assert abort is None
+        assert _bits(log.u) == _bits(us), seed
+        assert log.sigma.tolist() == sigmas, seed
+        report, extras = analysis.full_verification(log, s.gains(), s.topology)
+        assert report["lemma3_residual"] == 0.0 and extras["sigma_consistent"], seed
+        assert res.summary == summarize(log)
+
+
 def _compiles(monkeypatch, names):
     """Record the file name of every compile of generated source whose name
     starts with one of names."""
@@ -991,6 +1014,18 @@ I64 = np.iinfo(np.int64)
 def test_format_cells_of_integers_match_one_repr_per_cell(values):
     values = np.array(values, dtype=np.int64)
     assert csvout.format_cells(values) == _reference_format_cells(values)
+
+
+def test_the_summary_is_derived_once_on_first_read_unless_given(monkeypatch):
+    calls = []
+    monkeypatch.setattr(H, "summarize", lambda log: calls.append(1) or summarize(log))
+    res = run(builtin_case(1, horizon=60, seed=4))
+    assert calls == []
+    assert res.summary == summarize(res.log) and res.summary is res.summary
+    assert calls == [1]
+    given = H.RunResult(log=res.log, summary={}, wall_time=0.0)
+    assert given.summary == {} and dataclasses.replace(given).summary == {}
+    assert calls == [1]
 
 
 def test_summary_and_meta_files(tmp_path):

@@ -61,6 +61,17 @@ def test_mix64_matches_reference():
         assert mix64(x) == ref_mix(x)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**63, MASK])
+def test_edge_noise_mixes_the_stream_seeds_as_the_reference(seed):
+    # one array pass over the pairs gives each stream the documented seed
+    spec = make_noise_spec("uniform", {"a": 1.0}, seed)
+    pairs = [(1, 2), (2, 1), (7, 300), (2**20, 3)]
+    seeds = [ref_mix(seed ^ ref_mix((i << 32) | j)) for i, j in pairs]
+    assert seeds == [_stream_seed(spec, i, j) for i, j in pairs]
+    assert edge_noise(spec, pairs)(5, 3).tolist() == \
+        [[2.0 * ref_uniform(x, t) - 1.0 for x in seeds] for t in range(5, 8)]
+
+
 def test_raw_uniforms_match_reference_bitwise():
     from hwconsensus.noise import _uniforms
     seed = _stream_seed(gspec(seed=99), 1, 2)
