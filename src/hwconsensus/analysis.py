@@ -274,8 +274,10 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
     (K, n), stride = log.u.shape, log.log_stride
     peak = np.maximum.accumulate(np.concatenate(([0], log.events[:, 2])))
     draw = edge_noise(log.scenario.noise, log.pairs)
-    plants = log.plants or [a.build() for a in log.scenario.agents]
-    replay = steps([p.copy() for p in plants]) if stride > 1 else None  # at stride 1 y is stored
+    replay = None  # at stride 1 y is stored: no plant is built
+    if stride > 1:
+        plants = log.plants or [a.build() for a in log.scenario.agents]
+        replay = steps([p.copy() for p in plants])
     starts = list(range(0, K, max(2, BLOCK_CELLS // max(n, len(log.pairs)))))
     if len(starts) > 1 and K - starts[-1] == 1:
         starts.pop()  # a one-row remainder joins the block before it

@@ -6,9 +6,10 @@ Subcommands:
   plotdata  emit downsampled input/output series for log-scale plotting
   export    write a saved run's log as trajectory.csv, edges.csv and events.csv
 
-Exit codes: 0 success, 1 validation or usage problem (including corrupt or
-mismatched logs, a log missing an output, or a logged output the plant
-replayed over the logged inputs does not reproduce, handed to verify),
+Exit codes: 0 success, 1 validation or usage problem (including a network
+too large to compile, corrupt or mismatched logs, a log missing an output,
+or a logged output the plant replayed over the logged inputs does not
+reproduce, handed to verify),
 2 runtime failure (divergence, a failed identity), 3 I/O problem (missing
 files or directories, or a run plotdata or export cannot read). A corrupt
 store (a log.npz that is not an npz archive, whose arrays differ from what

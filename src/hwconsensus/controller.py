@@ -75,13 +75,16 @@ def emit_round(shape: tuple) -> list:
     agent 1-based: the fired count (the pooled one + 1) and the pooled count
     a restart adopts. Each agent's pooled count p{i} is read from the counts
     as they stood at the start of the round; then the agent restarts, or
-    corrects against the bound M[p{i}]. The counts change only where a line
-    hands one to events, and each such line sets pool, so the p{i} are
-    pooled again only in a round that follows one with an event, else they
-    are the last round's, read from the same counts: the caller sets pool
-    true before the first round. M is the bound table, which covers
-    the largest count: the caller sets it, and a fire, the only way the
-    largest count grows, extends it with bounds(s{i}). O_i = 0.0 + sum_j
+    corrects against the bound m{i} = M[p{i}]: a candidate is kept iff
+    n{i} < cand < m{i}, n{i} = -m{i}, which decides as abs(cand) < m{i} on
+    every float, signed zeros, infinities and NaN included. The counts
+    change only where a line hands one to events, and each such line sets
+    pool, so the p{i}, with their bounds, are pooled again only in a round
+    that follows one with an event, else they are the last round's, read
+    from the same counts: the caller sets pool true before the first round.
+    M is the bound table, which covers the largest count and only grows by
+    appending: the caller sets it, and a fire, the only way the largest
+    count grows, extends it with bounds(s{i}). O_i = 0.0 + sum_j
     w_ij (y_j + e_ij - y_i) is summed in nbrs order. The source holds only
     these names and integers (every index is formatted as one).
     """
@@ -90,6 +93,7 @@ def emit_round(shape: tuple) -> list:
         lines.append(f"    p{i} = s{i}")
         for _, j in nb:
             lines += [f"    if s{j:d} > p{i}:", f"        p{i} = s{j:d}"]
+        lines += [f"    m{i} = M[p{i}]", f"    n{i} = -m{i}"]
     for i, nb in enumerate(shape):
         terms = "".join(f" + w{c:d} * (y{j:d} + e{c:d} - y{i})" for c, j in nb)
         lines += [f"if p{i} > s{i}:",
@@ -99,7 +103,7 @@ def emit_round(shape: tuple) -> list:
                   "    pool = True",
                   "else:",
                   f"    cand = u{i} + a * (0.0{terms})",
-                  f"    if abs(cand) < M[p{i}]:",
+                  f"    if n{i} < cand < m{i}:",
                   f"        u{i} = cand",
                   "    else:",
                   f"        u{i} = us{i}",

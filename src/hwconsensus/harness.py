@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import time
 import tokenize
 import warnings
@@ -397,9 +398,11 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
     """The round kernel's source for plants of these step shapes on a
     network of this round shape: the row of plant steps of plant.emit_steps
     and the round of controller.emit_round, unrolled over the agents in one
-    loop over the rounds, which reads the noise of each (first 0-based step,
-    block) of noise.edge_blocks a row at a time. The source holds fixed names
-    and integers only; every scenario value is an argument."""
+    loop over the rounds. It reads the noise of each (first 0-based step,
+    block) of noise.edge_blocks a row at a time, straight from the block's
+    buffer, and packs each logged row of u and y into its buffer at the next
+    row's byte offset. The source holds fixed names and integers only; every
+    scenario value is an argument."""
     n, m = len(plant_shapes), sum(len(nb) for nb in nbr_shape)
 
     def names(prefix, count=n):
@@ -410,25 +413,37 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
     params = [x for i, shape in enumerate(plant_shapes) for part in step_names(shape, i)
               for x in part] + [f"{p}{x}" for p, count in (("u", n), ("us", n), ("w", m))
                                 for x in range(count)]
-    lines = [f"def kernel(stride, blocks, log_u, events, log_y, bounds, {', '.join(params)}):",
+    lines = ["def kernel(stride, blocks, pack, row, log_u, log_y, events, bounds, "
+             f"{', '.join(params)}):",
              f"    {' = '.join(f's{i}' for i in range(n))} = 0",
              "    M = bounds(0)",
              "    pool = True",
+             "    at_u = at_y = 0",
              "    for t0, block in blocks:",
-             f"        for k, [{names('e', m)}] in enumerate(block.tolist(), t0 + 1):"]
+             f"        for k, [{names('e', m)}] in enumerate("
+             f"zip(*[iter(memoryview(block.ravel()))] * {m:d}), t0 + 1):"]
     lines += ["            " + x for x in emit_steps(plant_shapes)]
     # the round's starting u is logged before the round overwrites it
-    lines += [f"            log_u([{names('u')}])",
+    lines += [f"            pack(log_u, at_u, {names('u')})",
+              "            at_u += row",
               "            if not (k - 1) % stride:",
-              f"                log_y([{names('y')}])"]
+              f"                pack(log_y, at_y, {names('y')})",
+              "                at_y += row"]
     lines += ["            " + x for x in emit_round(nbr_shape)]
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=32)
 def _round_kernel(plant_shapes: tuple, nbr_shape: tuple):
-    """_kernel_source compiled, once per shape and process."""
-    return compile_steps(_kernel_source(plant_shapes, nbr_shape), "<round kernel>", "kernel")
+    """_kernel_source compiled, once per shape and process. A network too
+    large for CPython's compiler is a ValidationError naming its size."""
+    try:
+        return compile_steps(_kernel_source(plant_shapes, nbr_shape), "<round kernel>", "kernel")
+    except (RecursionError, MemoryError) as e:
+        raise ValidationError(
+            f"the round kernel of {len(plant_shapes)} agents and "
+            f"{sum(map(len, nbr_shape))} directed edges does not compile "
+            f"({type(e).__name__})") from None
 
 
 def run(s: Scenario, master_seed: int | None = None,
@@ -462,29 +477,32 @@ def run(s: Scenario, master_seed: int | None = None,
     kernel = _round_kernel(shapes, round_shape(nbrs))
 
     # the loop keeps what only it knows: u on every step, the count events,
-    # y on the logged steps
-    u_buf, event_buf, y_buf = array("d"), array("q"), array("d")
+    # y on the logged steps, each of u and y in an array of its final shape
+    # that the loop packs row by row
+    u, y, event_buf = np.empty((K, n)), np.empty((-(-K // stride), n)), array("q")
+    row = struct.Struct(f"{n:d}d")
 
-    def make_log() -> analysis.TrajectoryLog:
-        rows, logged = len(u_buf) // n, len(y_buf) // n
-        return analysis.TrajectoryLog(s, np.frombuffer(u_buf).reshape(rows, n),
-                                      np.frombuffer(event_buf, dtype=np.int64).reshape(-1, 3),
-                                      np.frombuffer(y_buf).reshape(logged, n), initial_plants)
+    def make_log(u, y) -> analysis.TrajectoryLog:
+        return analysis.TrajectoryLog(s, u, np.frombuffer(event_buf, dtype=np.int64).reshape(-1, 3),
+                                      y, initial_plants)
 
     t0 = time.perf_counter()
     try:
         # one block of noise at a time, never the whole horizon's
-        kernel(stride, edge_blocks(s.noise, pairs, K), u_buf.fromlist, event_buf.fromlist,
-               y_buf.fromlist, Schedule(c_M=s.controller.c_M).bounds,
+        kernel(stride, edge_blocks(s.noise, pairs, K), row.pack_into, row.size,
+               memoryview(u), memoryview(y), event_buf.fromlist,
+               Schedule(c_M=s.controller.c_M).bounds,
                *[x for parts in values for part in parts for x in part], *s.controller.initial_u,
                *s.controller.u_star, *[topo.weight(i, j) for (i, j) in pairs])
     except NonFiniteValue as e:
         wall_time = time.perf_counter() - t0
-        e.partial = RunResult(log=make_log(), wall_time=wall_time,
+        rows = e.step - 1  # the partial log keeps copies of its rows, not the whole arrays
+        e.partial = RunResult(log=make_log(u[:rows].copy(), y[:-(-rows // stride)].copy()),
+                              wall_time=wall_time,
                               summary={"aborted_at": e.step} if e.step == 1 else None)
         raise
     wall_time = time.perf_counter() - t0
-    return RunResult(log=make_log(), wall_time=wall_time)
+    return RunResult(log=make_log(u, y), wall_time=wall_time)
 
 
 def batch(s: Scenario, seeds, workers: int = 1) -> list:

@@ -50,10 +50,15 @@ BLOCK_STEPS = 1024  # steps of noise a run draws, and a log redraws, per call
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """mix64 of every element of a uint64 array, wrapping as it does."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    """mix64 of every element of a uint64 array, wrapping as it does, in
+    place (x is returned) with one temporary."""
+    t = np.right_shift(x, np.uint64(30))
+    x ^= t
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= np.right_shift(x, np.uint64(27), out=t)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
+    return x
 
 
 def _uniforms(seeds, lo: int, hi: int) -> np.ndarray:
@@ -62,21 +67,33 @@ def _uniforms(seeds, lo: int, hi: int) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)
     ctr = np.arange(lo + 1, hi + 1, dtype=np.uint64).reshape((-1,) + (1,) * seeds.ndim)
     x = _mix(ctr * np.uint64(_GAMMA) + seeds)
-    return ((x >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    u += 1.0
+    u *= 2.0 ** -53
+    return u
 
 
 def _gaussians(seeds: np.ndarray, t0: int, n: int) -> np.ndarray:
-    """Standard normals for sample indices [t0, t0 + n), pair-aligned."""
+    """Standard normals for sample indices [t0, t0 + n), pair-aligned,
+    written over the uniforms they are formed from. The radii, the angles
+    and the cosines are contiguous temporaries: cos and sin over strided
+    rows, or in place, measured slower."""
     if n == 0:
         return np.empty((0, len(seeds)))
     p0 = t0 // 2
     p1 = (t0 + n - 1) // 2
-    u = _uniforms(seeds, 2 * p0, 2 * p1 + 2)
-    r = np.sqrt(-2.0 * np.log(u[0::2]))
-    th = 2.0 * np.pi * u[1::2]
-    g = np.empty(u.shape)
-    g[0::2] = r * np.cos(th)
-    g[1::2] = r * np.sin(th)
+    g = _uniforms(seeds, 2 * p0, 2 * p1 + 2)
+    r = np.log(g[0::2])
+    r *= -2.0
+    np.sqrt(r, out=r)
+    th = g[1::2] * (2.0 * np.pi)
+    cos = np.cos(th)
+    cos *= r
+    g[0::2] = cos
+    np.sin(th, out=th)
+    th *= r
+    g[1::2] = th
     off = t0 - 2 * p0
     return g[off:off + n]
 
@@ -88,8 +105,14 @@ def draw_block(dist: str, scale: float, seeds: np.ndarray, t0: int, n: int) -> n
     if dist == "zero":
         return np.zeros((n, len(seeds)))
     if dist == "gaussian":
-        return scale * _gaussians(seeds, t0, n)
-    return scale * (2.0 * _uniforms(seeds, t0, t0 + n) - 1.0)
+        x = _gaussians(seeds, t0, n)
+        x *= scale
+        return x
+    x = _uniforms(seeds, t0, t0 + n)
+    x *= 2.0
+    x -= 1.0
+    x *= scale
+    return x
 
 
 @dataclass(frozen=True)

@@ -252,7 +252,8 @@ def compile_steps(source: str, filename: str, name: str):
 @lru_cache(maxsize=64)
 def _compiled_steps(shapes: tuple):
     """steps(k0, rows, parts), emit_steps in a loop over rows, for parts the
-    plants' step_parts values; compiled once per tuple of shapes and process."""
+    plants' step_parts values; compiled once per tuple of shapes and process.
+    Too many plants for CPython's compiler are a ValidationError."""
     names = [step_names(shape, i) for i, shape in enumerate(shapes)]
     us, ys = (", ".join(f"{c}{i:d}" for i in range(len(shapes))) for c in "uy")
     # the history lists are read once and written back in place as the last
@@ -270,7 +271,11 @@ def _compiled_steps(shapes: tuple):
            "    finally:",
            *["        " + x for x in store or ["pass"]],
            "    return out"]
-    return compile_steps("\n".join(src) + "\n", "<steps>", "steps")
+    try:
+        return compile_steps("\n".join(src) + "\n", "<steps>", "steps")
+    except (RecursionError, MemoryError) as e:
+        raise ValidationError(f"the plant steps of {len(shapes)} agents do not compile "
+                              f"({type(e).__name__})") from None
 
 
 def steps(plants: list):

@@ -40,6 +40,9 @@ STIFF_CASE1 = os.path.join(os.path.dirname(__file__), "stiff_case1.json")
 # five identity-gain agents, a small c_M and loud noise: truncations and
 # restarts throughout the horizon, as in the benchmark's seed ensemble
 RESTART_CASE = os.path.join(os.path.dirname(__file__), "restart_case.json")
+# twelve agents, six Hammerstein and six Wiener plants over the four catalog
+# nonlinearities, 36 directed edges; 2500 steps cross two noise blocks
+MIXED_CASE = os.path.join(os.path.dirname(__file__), "mixed_case.json")
 
 _CACHE = {}
 

@@ -46,6 +46,7 @@ from hwconsensus.errors import (
     StepNotLogged,
     ValidationError,
 )
+from hwconsensus.harness import AgentSpec
 
 from conftest import (
     STIFF_CASE1,
@@ -732,6 +733,18 @@ def test_auxiliary_of_a_strided_log_is_that_of_stride_1():
     for name in ("ubar", "obar", "sigma_bar", "catchup_mask"):
         got, want = getattr(strided, name), getattr(dense, name)
         assert got.tobytes() == want.tobytes(), name
+
+
+def test_only_a_strided_log_builds_plants_to_replay(monkeypatch):
+    # at stride 1 the outputs are stored: full_verification builds no plant
+    real, built = AgentSpec.build, []
+    monkeypatch.setattr(AgentSpec, "build", lambda a: built.append(a) or real(a))
+    for stride, builds in ((1, 0), (3, 4)):
+        log = run(builtin_case(1, horizon=60, log_stride=stride)).log
+        built.clear()
+        report, _ = full_verification(log, GAINS1, CASE1.topology)
+        assert report["lemma3_residual"] == 0.0
+        assert len(built) == builds, stride
 
 
 def test_replay_truncation_free_noise_free_case1():

@@ -955,6 +955,33 @@ def test_values_out_of_range_exit_1(tmp_path, capsys, argv, message):
     assert _main_under_O(argv) == (1, err)
 
 
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_a_network_too_large_to_compile_exits_1(tmp_path, capsys, monkeypatch, error):
+    # CPython's compiler gives up on the source of a large enough network
+    # (about 1500 agents); run and verify name its size, not a traceback
+    def fails(*args):
+        raise error("maximum recursion depth exceeded during compilation")
+
+    d = tmp_path / "strided"
+    assert main(["run", "--case", "1", "--horizon", "40", "--log-stride", "10",
+                 "--out", str(d)]) == 0
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        harness._round_kernel.cache_clear()
+        patch.setattr(harness, "compile_steps", fails)
+        assert main(["run", "--case", "1", "--horizon", "40"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("invalid configuration: the round kernel of 4 agents and 8 directed "
+                       f"edges does not compile ({error.__name__})\n")
+    with monkeypatch.context() as patch:
+        plant._compiled_steps.cache_clear()
+        patch.setattr(plant, "compile_steps", fails)
+        assert main(["verify", "--log", str(d)]) == 1
+        err = capsys.readouterr().err
+        assert "4 agents" in err and error.__name__ in err and "Traceback" not in err
+    assert not (d / "report.json").exists() and not (d / "metrics.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # top level
 

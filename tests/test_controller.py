@@ -76,7 +76,7 @@ def one_round(edges, u, sigma, u_star, ys=None, z=None, k=1, sched=SCHED):
             for i in range(n)]
     zs = [(z or {}).get((i, j), ys[j]) for (i, j) in pairs]
     eps = [x - ys[j] for x, (_, j) in zip(zs, pairs)]
-    assert [ys[j] + e for e, (_, j) in zip(eps, pairs)] == zs
+    assert np.array_equal([ys[j] + e for e, (_, j) in zip(eps, pairs)], zs, equal_nan=True)
 
     nxt_u, nxt_sigma = list(u), list(sigma)
     assert advance(nxt_u, nxt_sigma, ys, eps, nbrs, list(u_star), k, sched) is None
@@ -222,6 +222,39 @@ def test_update_boundary_truncates():
     u, sigma, _ = one_round(PAIR, [m0, 0.0], [0, 0], [0.5, 0.0], k=5)
     assert u[0] == 0.5
     assert sigma[0] == 1
+
+
+def test_update_lower_boundary_truncates():
+    # the open interval (-M, M): a candidate exactly on -M_0 escapes too
+    m0 = SCHED.bound(0)
+    u, sigma, _ = one_round(PAIR, [-m0, 0.0], [0, 0], [0.5, 0.0], k=5)
+    assert u[0] == 0.5
+    assert sigma[0] == 1
+
+
+def test_update_nan_candidate_truncates():
+    # a NaN observation makes the candidate NaN, which is not inside the bound
+    u, sigma, (_, _, O) = one_round(PAIR, [1.0, 0.0], [0, 0], [0.5, 0.0],
+                                    z={(0, 1): float("nan")}, k=2)
+    assert math.isnan(O[0])
+    assert u[0] == 0.5
+    assert sigma[0] == 1
+
+
+M0 = SCHED.bound(0)
+
+
+@pytest.mark.parametrize("cand", [M0, -M0, math.nextafter(M0, 0.0), math.nextafter(-M0, 0.0),
+                                  0.0, -0.0, math.inf, -math.inf, math.nan], ids=repr)
+def test_the_compiled_round_keeps_a_candidate_as_abs_below_the_bound(cand):
+    # u + (1/2)(0.0 + 1.0 * (0.0 + -5e-324 - 0.0)) adds -0.0 to u, so the
+    # candidate is u in every bit, the sign of a zero included
+    nbrs = [[(0, 1, 1.0)], [(1, 0, 1.0)]]
+    u, sigma = [cand, 0.0], [0, 0]
+    advance(u, sigma, [0.0, 0.0], [-5e-324, 0.0], nbrs, [0.5, 0.0], 2, SCHED)
+    kept = abs(cand) < M0
+    assert sigma == [0 if kept else 1, 0]
+    assert _bits([u[0]]).tolist() == _bits([cand if kept else 0.5]).tolist()
 
 
 def test_step_agent_live_round_runs_update():

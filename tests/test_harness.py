@@ -51,6 +51,7 @@ from hwconsensus.harness import batch
 from hwconsensus.plant import _CATALOG, HAMMERSTEIN, WIENER
 
 from conftest import (
+    MIXED_CASE,
     RESTART_CASE,
     exploding_plants,
     forced_truncation_scenarios,
@@ -728,6 +729,27 @@ def test_restart_case_runs_restart_and_verify_exactly():
         report, extras = analysis.full_verification(log, s.gains(), s.topology)
         assert report["lemma3_residual"] == 0.0 and extras["sigma_consistent"], seed
         assert res.summary == summarize(log)
+
+
+@pytest.mark.parametrize("stride", [1, 10])
+def test_mixed_case_runs_as_the_reference_and_verifies_exactly(stride):
+    # the round kernel reads each noise row from its block, packs the logged
+    # rows into their arrays and tests each candidate against its pooled
+    # bound, across the noise-block boundaries at steps 1024 and 2048
+    s = dataclasses.replace(load_scenario(MIXED_CASE), log_stride=stride)
+    assert s.horizon > 2 * noise_module.BLOCK_STEPS
+    assert [a.kind for a in s.agents].count(HAMMERSTEIN) == 6 == s.n - 6
+    assert {a.f.name for a in s.agents} == set(_CATALOG)
+    log = run(s).log
+    assert len(log.pairs) == 36 and len(log.events) == 168
+    us, sigmas, ys, abort = _reference_run(s, None)
+    assert abort is None
+    assert _bits(log.u) == _bits(us)
+    assert log.sigma.tolist() == sigmas
+    assert _bits(log.y) == _bits(ys)
+    report, extras = analysis.full_verification(log, s.gains(), s.topology)
+    assert report["lemma3_residual"] == 0.0 and extras["sigma_consistent"]
+    assert extras["decomposition_first_failure"] is None
 
 
 def _compiles(monkeypatch, names):
@@ -1646,6 +1668,8 @@ def test_nonfinite_output_aborts_with_partial_log():
     assert partial.log.u.shape == (49, 4)
     assert not np.isnan(partial.log.y_next).any()
     assert "total_truncations" in partial.summary
+    # copies of the rows run, not views of the whole horizon's arrays
+    assert partial.log.u.base is None and partial.log.y.base is None
 
 
 @pytest.mark.parametrize("kind, D, initial, step", [
