@@ -29,8 +29,8 @@ from .errors import (
     StepNotLogged,
     ValidationError,
 )
-from .graph import LaplacianView, Topology, diameter, directed_pairs, laplacian
-from .noise import edge_blocks, edge_noise
+from .graph import LaplacianView, Topology, diameter, directed_pairs, laplacian, neighbour_columns
+from .noise import edge_blocks
 from .plant import steps
 
 INF = float("inf")
@@ -102,7 +102,7 @@ class TrajectoryLog:
 
     @functools.cached_property
     def _nbrs(self) -> list:
-        return neighbour_columns(self.scenario.topology, self.pairs)
+        return neighbour_columns(self.scenario.topology)
 
     @functools.cached_property
     def sigma(self) -> np.ndarray:
@@ -114,7 +114,7 @@ class TrajectoryLog:
         # a block drawn from step a holds its first logged row at -a % stride
         return np.concatenate([np.empty((0, len(self.pairs)))] + [
             block[-a % stride::stride]
-            for a, block in edge_blocks(self.scenario.noise, self.pairs, self.horizon)])
+            for a, block in edge_blocks(self.scenario._edge_noise, self.horizon)])
 
     @functools.cached_property
     def sigma_prime(self) -> np.ndarray:
@@ -211,14 +211,6 @@ def logged_rows(horizon: int, log_stride: int) -> np.ndarray:
     return np.arange(0, horizon, log_stride)
 
 
-def neighbour_columns(topology: Topology, pairs) -> list:
-    """Per agent (0-based), its neighbours as (edge column in pairs, neighbour
-    index, weight) triples in the order the round sums their terms."""
-    col = {p: c for c, p in enumerate(pairs)}
-    return [[(col[(i, j)], j - 1, topology.weight(i, j)) for j in topology.neighbors(i)]
-            for i in range(1, topology.n + 1)]
-
-
 @dataclass(frozen=True)
 class TruncationTimes:
     """First-passage times of truncation counts, with inf for unattained.
@@ -273,7 +265,7 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
     maximum of the counts (none falls); it sizes nothing, as no check bounds it."""
     (K, n), stride = log.u.shape, log.log_stride
     peak = np.maximum.accumulate(np.concatenate(([0], log.events[:, 2])))
-    draw = edge_noise(log.scenario.noise, log.pairs)
+    draw = log.scenario._edge_noise
     replay = None  # at stride 1 y is stored: no plant is built
     if stride > 1:
         plants = log.plants or [a.build() for a in log.scenario.agents]
@@ -390,7 +382,7 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
     if np.isnan(y).any():
         raise StepNotLogged(f"step {k} has no output record")
     # the noise and O of this one row, never the whole horizon's
-    noise = edge_noise(log.scenario.noise, log.pairs)(r, 1)
+    noise = log.scenario._edge_noise(r, 1)
     u = log.u[r:r + 1]
     block = Block(np.array([k]), u, y, noise, observations(y, noise, log.pairs, log._nbrs)[1],
                   *gain_field(u, gains, lap))
@@ -411,18 +403,25 @@ def truncation_times(log: TrajectoryLog) -> TruncationTimes:
     """First-passage tables of the logged truncation counts.
 
     An agent first reaches m at its first event (round k, so step k + 1)
-    whose running maximum count reaches m: one searchsorted per agent. r,
-    the first passage of any agent, is the minimum over the agents.
+    whose count is m or more. In one pass over the events: each event's step
+    is the least at its (count, agent) cell (np.minimum.at), and a running
+    minimum from the top level down carries it to every level below. r, the
+    first passage of any agent, is the minimum over the agents. An event of
+    a negative count or of an agent outside 1..n, which would land in another
+    cell, raises IdentityViolation located at (k, agent, count).
     """
     K, n = log.u.shape
     k, agent, count = log.events[log.events[:, 0] < K].T
+    bad = np.flatnonzero((count < 0) | (agent < 1) | (agent > n))
+    if len(bad):
+        k, agent, count = (int(v[bad[0]]) for v in (k, agent, count))
+        raise IdentityViolation(
+            f"count event (k={k + 1}, agent {agent}, count {count}) names an agent "
+            f"outside 1..{n} or a negative count", location=(k + 1, agent, count))
     top = int(count.max(initial=0))
-    levels = np.arange(top + 2)
-    r_agent = np.empty((top + 2, n))
-    for i in range(n):
-        mine = agent == i + 1
-        first = np.searchsorted(np.maximum.accumulate(count[mine]), levels)
-        r_agent[:, i] = np.append(k[mine] + 1.0, INF)[first]
+    r_agent = np.full((top + 2, n), INF)
+    np.minimum.at(r_agent, (count, agent - 1), k + 1.0)
+    r_agent = np.minimum.accumulate(r_agent[::-1], axis=0)[::-1]
     r_agent[0] = 1.0
     return TruncationTimes(top=top, r=r_agent.min(axis=1), r_agent=r_agent)
 
@@ -621,9 +620,10 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
                                  before: RecursionCheck | None = None) -> RecursionCheck:
     """Replay the relabeled run as one centralized truncation recursion.
 
-    From each row: candidate = ubar + (1/k) obar per agent; if the row's
-    max |candidate| reaches ln(sigma_bar + c_M) every agent resets to its
-    u_star and sigma_bar increments, else the candidates carry forward.
+    From each row: candidate = ubar + (1/k) obar per agent; unless every
+    |candidate| is below ln(sigma_bar + c_M) (a NaN is not), every agent
+    resets to its u_star and sigma_bar increments, else the candidates carry
+    forward.
     Reports the largest deviation from the logged relabeling, the first
     round and agent whose replayed next estimate deviates by
     RECURSION_THRESHOLD or more, and whether the sigma_bar path matches the
@@ -635,7 +635,9 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
     # the schedule's table, which the round reads: math.log, whose bits
     # np.log does not always match, so a candidate on the bound is decided alike
     bound = np.array(sched.bounds(int(aux.sigma_bar.max(initial=0))))[aux.sigma_bar]
-    ind = np.abs(cand).max(axis=1) >= bound
+    # kept iff every |candidate| is below the bound, as the round keeps one
+    # iff -M < cand < M: a NaN candidate is truncated
+    ind = ~(np.abs(cand) < bound[:, None]).all(axis=1)
     pred = np.where(ind[:, None], aux.u_star[None, :], cand)
     sbar, k0, nxt = aux.sigma_bar, aux.k[0], aux.ubar[1:]
     if before is not None:

@@ -30,9 +30,9 @@ class Topology:
     # the two directions from ever drifting apart
     weights: dict[tuple[int, int], float] = field(default_factory=dict)
 
-    # the neighbour lists, the Laplacian and the diameter are each derived
-    # once, when first read; a copy derives its own, as an unpickled array
-    # would be writeable
+    # the neighbour lists, the directed pairs, the neighbour columns, the
+    # Laplacian and the diameter are each derived once, when first read; a
+    # copy derives its own, as an unpickled array would be writeable
     def __getstate__(self) -> dict:
         return {"n": self.n, "weights": self.weights}
 
@@ -43,6 +43,16 @@ class Topology:
             adj[a].append(b)
             adj[b].append(a)
         return [sorted(nb) for nb in adj]
+
+    @functools.cached_property
+    def _pairs(self) -> tuple:
+        return tuple(sorted((i, j) for i in range(1, self.n + 1) for j in self._adjacency[i]))
+
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        col = {p: c for c, p in enumerate(self._pairs)}
+        return tuple(tuple((col[(i, j)], j - 1, self.weight(i, j)) for j in self._adjacency[i])
+                     for i in range(1, self.n + 1))
 
     @functools.cached_property
     def _laplacian(self) -> LaplacianView:
@@ -118,8 +128,16 @@ def build_topology(n: int, weighted_edges) -> Topology:
 
 
 def directed_pairs(t: Topology) -> list:
-    """Every edge direction (observer i, observed j), sorted: the edge columns of a log."""
-    return sorted((i, j) for i in range(1, t.n + 1) for j in t.neighbors(i))
+    """Every edge direction (observer i, observed j), sorted: the edge columns
+    of a log. A fresh list of the pairs found once per topology."""
+    return list(t._pairs)
+
+
+def neighbour_columns(t: Topology) -> list:
+    """Per agent (0-based), its neighbours as (edge column in directed_pairs,
+    neighbour index, weight) triples in the order the round sums their
+    terms: fresh lists of the triples found once per topology."""
+    return [list(nb) for nb in t._columns]
 
 
 def laplacian(t: Topology) -> LaplacianView:

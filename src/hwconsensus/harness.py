@@ -37,15 +37,22 @@ import warnings
 import zipfile
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import analysis
 from .controller import Schedule, emit_round, round_shape
 from .errors import IncompleteLog, NonFiniteValue, ValidationError
-from .graph import Topology, build_topology, directed_pairs, is_connected, laplacian
-from .noise import NoiseSpec, edge_blocks, make_noise_spec
+from .graph import (
+    Topology,
+    build_topology,
+    directed_pairs,
+    is_connected,
+    laplacian,
+    neighbour_columns,
+)
+from .noise import NoiseSpec, edge_blocks, edge_noise, make_noise_spec
 from .plant import (
     HAMMERSTEIN,
     WIENER,
@@ -93,12 +100,35 @@ class Scenario:
     controller: ControllerSpec
     noise: NoiseSpec
 
+    # what the scenario fixes is derived once, when first read; a copy, an
+    # unpickled scenario or one with another noise seed derives its own
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def n(self) -> int:
         return len(self.agents)
 
     def gains(self):
-        return [static_gain(a.build()) for a in self.agents]
+        """A new list of the agents' static gains, built once."""
+        return list(self._gains)
+
+    @functools.cached_property
+    def _gains(self) -> tuple:
+        return tuple(static_gain(a.build()) for a in self.agents)
+
+    @functools.cached_property
+    def _round(self) -> tuple:
+        """validate_scenario, then _round_call of the zero-history plants. A
+        scenario that fails validation keeps nothing and raises on every read."""
+        validate_scenario(self)
+        return _round_call(self, [a.build() for a in self.agents])
+
+    @functools.cached_property
+    def _edge_noise(self):
+        """noise.edge_noise of the directed edges under the noise seed: a run
+        and the log it returns draw with its stream seeds, mixed once."""
+        return edge_noise(self.noise, directed_pairs(self.topology))
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +476,18 @@ def _round_kernel(plant_shapes: tuple, nbr_shape: tuple):
             f"({type(e).__name__})") from None
 
 
+def _round_call(s: Scenario, plants) -> tuple:
+    """(kernel, arguments): the round kernel of these plants on s's network,
+    and the scenario values it reads after its first eight arguments, flat:
+    the plants' step values, initial_u, u_star and the edge weights."""
+    shapes, values = zip(*(step_parts(p) for p in plants))
+    topo = s.topology
+    kernel = _round_kernel(shapes, round_shape(neighbour_columns(topo)))
+    return kernel, (*[x for parts in values for part in parts for x in part],
+                    *s.controller.initial_u, *s.controller.u_star,
+                    *[topo.weight(i, j) for (i, j) in directed_pairs(topo)])
+
+
 def run(s: Scenario, master_seed: int | None = None,
         initial_plants: list | None = None) -> RunResult:
     """Simulate one scenario to its horizon; deterministic in s.
@@ -458,23 +500,21 @@ def run(s: Scenario, master_seed: int | None = None,
 
     All K rounds run in one compiled function, the round kernel: the plant
     steps and the control round of every agent as straight-line code,
-    compiled once per network shape and process. A plant output that is not
-    finite raises NonFiniteValue with its (step, agent) and the run up to
-    the round before it as .partial.
+    compiled once per network shape and process. A scenario validates
+    itself and finds its kernel and the kernel's arguments once, at its
+    first run; runs of it under other seeds read them too. A plant output
+    that is not finite raises NonFiniteValue with its (step, agent) and the
+    run up to the round before it as .partial.
     """
-    validate_scenario(s)
+    kernel, args = s._round
     if master_seed is not None:
         s = replace(s, noise=make_noise_spec(s.noise.dist, s.noise.params_dict(), master_seed))
 
-    n, K, stride, topo = s.n, s.horizon, s.log_stride, s.topology
-    pairs = directed_pairs(topo)
+    n, K, stride = s.n, s.horizon, s.log_stride
     if initial_plants is not None:
         _check_initial_plants(s, initial_plants)
         initial_plants = tuple(p.copy() for p in initial_plants)
-    plants = initial_plants or [a.build() for a in s.agents]
-    nbrs = analysis.neighbour_columns(topo, pairs)
-    shapes, values = zip(*(step_parts(p) for p in plants))
-    kernel = _round_kernel(shapes, round_shape(nbrs))
+        kernel, args = _round_call(s, initial_plants)
 
     # the loop keeps what only it knows: u on every step, the count events,
     # y on the logged steps, each of u and y in an array of its final shape
@@ -489,11 +529,9 @@ def run(s: Scenario, master_seed: int | None = None,
     t0 = time.perf_counter()
     try:
         # one block of noise at a time, never the whole horizon's
-        kernel(stride, edge_blocks(s.noise, pairs, K), row.pack_into, row.size,
+        kernel(stride, edge_blocks(s._edge_noise, K), row.pack_into, row.size,
                memoryview(u), memoryview(y), event_buf.fromlist,
-               Schedule(c_M=s.controller.c_M).bounds,
-               *[x for parts in values for part in parts for x in part], *s.controller.initial_u,
-               *s.controller.u_star, *[topo.weight(i, j) for (i, j) in pairs])
+               Schedule(c_M=s.controller.c_M).bounds, *args)
     except NonFiniteValue as e:
         wall_time = time.perf_counter() - t0
         rows = e.step - 1  # the partial log keeps copies of its rows, not the whole arrays

@@ -172,9 +172,8 @@ def edge_noise(spec: NoiseSpec, pairs):
     return lambda t0, rows: draw_block(spec.dist, scale, seeds, t0, rows)
 
 
-def edge_blocks(spec: NoiseSpec, pairs, steps: int):
-    """The noise of steps 1..steps (edge_noise) as (first 0-based step,
-    block) pairs of at most BLOCK_STEPS rows each."""
-    draw = edge_noise(spec, pairs)
+def edge_blocks(draw, steps: int):
+    """The noise of steps 1..steps of a draw (edge_noise) as (first 0-based
+    step, block) pairs of at most BLOCK_STEPS rows each."""
     for a in range(0, steps, BLOCK_STEPS):
         yield a, draw(a, min(BLOCK_STEPS, steps - a))

@@ -20,6 +20,7 @@ from hwconsensus import (
     full_verification,
     gain_roots,
     laplacian,
+    load_scenario,
     lyapunov_v,
     m_of,
     noise_decomposition,
@@ -49,6 +50,7 @@ from hwconsensus.errors import (
 from hwconsensus.harness import AgentSpec
 
 from conftest import (
+    RESTART_CASE,
     STIFF_CASE1,
     forced_truncation_scenarios,
     network_scenario,
@@ -588,6 +590,64 @@ def test_truncation_times_match_the_scan_on_random_counts():
         assert np.array_equal(t.r, r) and np.array_equal(t.r_agent, r_agent)
 
 
+def _truncation_times_by_agent(log):
+    """The per-agent loop truncation_times ran before its one pass: one
+    running maximum and one searchsorted per agent. The reference."""
+    K, n = log.u.shape
+    k, agent, count = log.events[log.events[:, 0] < K].T
+    top = int(count.max(initial=0))
+    levels = np.arange(top + 2)
+    r_agent = np.empty((top + 2, n))
+    for i in range(n):
+        mine = agent == i + 1
+        first = np.searchsorted(np.maximum.accumulate(count[mine]), levels)
+        r_agent[:, i] = np.append(k[mine] + 1.0, INF)[first]
+    r_agent[0] = 1.0
+    return top, r_agent.min(axis=1), r_agent
+
+
+def _assert_times_match_the_loop(log):
+    t = truncation_times(log)
+    top, r, r_agent = _truncation_times_by_agent(log)
+    assert t.top == top
+    assert r.tobytes() == t.r.tobytes() and r_agent.tobytes() == t.r_agent.tobytes()
+
+
+def test_truncation_times_match_the_per_agent_loop_on_generated_logs():
+    rng = np.random.default_rng(27)
+    for x in range(400):
+        K = (1, 2)[x] if x < 2 else int(rng.integers(1, 80))
+        n = int(rng.integers(1, 7))
+        # counts that only rise, or that go up and down; some agents have no event
+        steps = rng.random((K, n)) < rng.uniform(0.02, 0.4)
+        rows = (np.cumsum(steps, axis=0) if x % 2
+                else rng.integers(0, int(rng.integers(1, 9)), size=(K, n)))
+        rows[:, rng.random(n) < 0.3] = 0
+        _assert_times_match_the_loop(synthetic_log(rows.tolist()))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 50, 400])
+def test_truncation_times_match_the_per_agent_loop_on_runs(horizon):
+    s = dataclasses.replace(load_scenario(RESTART_CASE), horizon=horizon)
+    for seed in (1, 2, 3):
+        _assert_times_match_the_loop(run(s, seed).log)
+    _assert_times_match_the_loop(run(builtin_case(1, horizon=horizon)).log)
+
+
+@pytest.mark.parametrize("agent, count", [(1, -1), (0, 1), (3, 1)],
+                         ids=["negative-count", "agent-0", "agent-n+1"])
+def test_truncation_times_rejects_an_event_outside_its_tables(agent, count):
+    # a count of -1 would land in the top level's row and an agent 0 in the
+    # last agent's column: each raises, located, instead of a wrong table
+    log = dataclasses.replace(synthetic_log([[0, 0]] * 4),
+                              events=np.array([[1, 2, 1], [2, agent, count]]))
+    with pytest.raises(IdentityViolation) as exc:
+        truncation_times(log)
+    assert str(exc.value) == (f"count event (k=3, agent {agent}, count {count}) names an "
+                              "agent outside 1..2 or a negative count")
+    assert exc.value.location == (3, agent, count)
+
+
 def _window_bound_by_loop(times, d, horizon):
     """The level-by-level, agent-by-agent eq. (26) check: the reference."""
     for m in range(1, times.top + 1):
@@ -822,6 +882,36 @@ def test_replay_decides_on_the_kernels_bound():
     rec = verify_centralized_recursion(aux, sched)
     assert rec.passed and rec.sigma_consistent
     assert rec.max_abs_residual == 0.0
+
+
+def test_replay_truncates_a_nan_candidate_as_the_round_does():
+    # uniform noise of half-width 1e308 on weights 3.0 overflows the
+    # observations to inf, and inf - inf makes NaN candidates: the round keeps
+    # a candidate iff -M < cand < M, false for NaN, so it truncates, and the
+    # replay must decide the same
+    ident = {"kind": "hammerstein", "C": [1], "D": [1], "f": {"name": "identity", "params": {}}}
+    s = scenario_from_dict({
+        "label": "nan-triangle", "horizon": 30,
+        "topology": [[1, 2, 3.0], [1, 3, 3.0], [2, 3, 3.0]], "agents": [ident] * 3,
+        "controller": {"u_star": [0.0] * 3, "c_M": 2.0},
+        "noise": {"dist": "uniform", "params": {"a": 1e308}, "seed": 1}})
+    log = run(s).log
+    assert np.isnan(log.O_next).any(axis=1).sum() == 11
+    report, extras = full_verification(log, s.gains(), s.topology)
+    assert report["lemma3_residual"] == 0.0
+    assert extras["sigma_consistent"] and extras["recursion"].passed
+    assert extras["recursion"].first_failure is None
+    # an infinite observation leaves the decomposition no finite terms: its
+    # first cell fails with a NaN error
+    k, agent, err = extras["decomposition_first_failure"]
+    assert (k, agent) == (1, 1) and math.isnan(err)
+    # a row of one NaN candidate among finite ones is truncated too
+    aux = analysis.AuxiliarySequences(
+        k=np.array([1, 2]), ubar=np.array([[0.5, 0.0], [0.0, 0.0]]),
+        obar=np.array([[0.0, np.nan], [0.0, 0.0]]), sigma_bar=np.array([0, 1]),
+        u_star=np.zeros(2), catchup_mask=np.zeros((2, 2), dtype=bool))
+    rec = verify_centralized_recursion(aux, Schedule(c_M=2.0))
+    assert rec.passed and rec.sigma_consistent and rec.max_abs_residual == 0.0
 
 
 # ---------------------------------------------------------------------------

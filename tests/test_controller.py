@@ -88,7 +88,7 @@ def one_round(edges, u, sigma, u_star, ys=None, z=None, k=1, sched=SCHED):
     log = TrajectoryLog(s, np.array([u], dtype=float), events_of(np.array([sigma])),
                         np.array([ys], dtype=float))
     log.noise = np.array([eps], dtype=float)  # this round's noise, not the seed's
-    assert neighbour_columns(s.topology, log.pairs) == nbrs
+    assert neighbour_columns(s.topology) == nbrs
     rows = (log.sigma_prime[0].tolist(), log.u_prime[0].tolist(), log.O_next[0].tolist())
     assert rows[0] == ref[0]
     assert _bits(rows[1]).tolist() == _bits(ref[1]).tolist()
@@ -133,7 +133,7 @@ def test_advance_reads_the_bound_table(monkeypatch):
     sched = Schedule(c_M=s.controller.c_M)
     monkeypatch.setattr(math, "log", lambda x: calls.append(x) or real(x))
     u, sigma = list(s.controller.initial_u), [0] * s.n
-    nbrs = neighbour_columns(s.topology, log.pairs)
+    nbrs = neighbour_columns(s.topology)
     for r in range(log.horizon - 1):
         advance(u, sigma, log.y_next[r].tolist(), log.eps[r].tolist(), nbrs,
                 list(s.controller.u_star), r + 1, sched)
@@ -334,7 +334,7 @@ def _check_against_reference(log, s):
     (u, sigma) must also be the logged next row.
     """
     K, n = log.u.shape
-    nbrs = neighbour_columns(s.topology, log.pairs)
+    nbrs = neighbour_columns(s.topology)
     observed = [j - 1 for _, j in log.pairs]
     sched = Schedule(c_M=s.controller.c_M)
     logged = set(log.logged_rows.tolist())

@@ -156,6 +156,26 @@ def test_a_neighbor_list_is_a_copy():
     assert pickle.loads(pickle.dumps(t)).neighbors(2) == [1, 3, 4]
 
 
+def test_directed_pairs_and_neighbour_columns_are_fresh_lists():
+    # both are found once per topology and handed out as copies: a caller's
+    # edits reach no later answer, nor the log of a run on the topology
+    from hwconsensus.analysis import neighbour_columns
+    t = square()
+    pairs, cols = directed_pairs(t), neighbour_columns(t)
+    assert pairs == [(1, 2), (1, 4), (2, 1), (2, 3), (2, 4), (3, 2), (4, 1), (4, 2)]
+    assert cols[0] == [(0, 1, 1.0), (1, 3, 1.0)]
+    assert directed_pairs(t) is not pairs and neighbour_columns(t) is not cols
+    pairs.clear()
+    cols[0].clear()
+    cols.pop()
+    assert directed_pairs(t) == [(1, 2), (1, 4), (2, 1), (2, 3), (2, 4), (3, 2), (4, 1), (4, 2)]
+    assert neighbour_columns(t)[0] == [(0, 1, 1.0), (1, 3, 1.0)] and len(neighbour_columns(t)) == 4
+    # a copy derives its own, equal to the topology's
+    back = pickle.loads(pickle.dumps(t))
+    assert directed_pairs(back) == directed_pairs(t)
+    assert neighbour_columns(back) == neighbour_columns(t)
+
+
 def test_diameter_of_a_long_ring_and_path():
     n = 300
     path = [(i, i + 1, 1.0) for i in range(1, n)]

@@ -30,6 +30,7 @@ from hwconsensus import (
     csvout,
     builtin_case,
     directed_pairs,
+    laplacian,
     load_run,
     load_scenario,
     make_nonlinearity,
@@ -508,6 +509,89 @@ def test_run_rejects_invalid_scenario():
         run(bad)
 
 
+def test_a_scenario_that_fails_validation_raises_on_every_run():
+    # a scenario keeps nothing of a failed validation: each run raises anew
+    s = builtin_case(1, horizon=10)
+    bad = dataclasses.replace(s, controller=dataclasses.replace(s.controller, c_M=50.0))
+    plants = [a.build() for a in bad.agents]
+    for args in ((), (7,), (None, plants), (), (7,)):
+        with pytest.raises(ValidationError, match=r"ln\(c_M\)"):
+            run(bad, *args)
+    assert "_round" not in vars(bad)
+
+
+def test_a_scenario_prepares_its_round_once(monkeypatch):
+    # validation, the zero-history plants, the kernel and its arguments are
+    # derived at the first run and read by every later run, under any seed
+    validated, built = [], []
+    real_validate, real_build = H.validate_scenario, H.AgentSpec.build
+    monkeypatch.setattr(H, "validate_scenario", lambda s: validated.append(s) or real_validate(s))
+    monkeypatch.setattr(H.AgentSpec, "build", lambda a: built.append(a) or real_build(a))
+    s = builtin_case(3, horizon=40)
+    first = run(s)
+    assert len(validated) == 1 and len(built) >= 4
+    builds = len(built)
+    again = [run(s), *batch(s, [5, 6]), run(s, 5)]
+    assert len(validated) == 1 and len(built) == builds
+    assert _bits(again[0].log.u) == _bits(first.log.u)
+    assert _bits(again[1].log.u) == _bits(again[3].log.u)
+    # a new scenario, or the scenario with another seed a run returns, derives its own
+    assert _bits(run(builtin_case(3, horizon=40), 5).log.u) == _bits(again[1].log.u)
+    assert len(validated) == 2
+    run(again[1].scenario)
+    assert len(validated) == 3
+
+
+def test_a_run_and_its_log_mix_the_stream_seeds_once(monkeypatch):
+    # the scenario a run returns, with its seed, holds the draw of its edges:
+    # the run's blocks, the log's noise, verify and one step's decomposition
+    # read it, and a loaded log, or another seed, mixes its own
+    mixed = []
+    real = H.edge_noise
+    counted = lambda spec, pairs: mixed.append(spec.seed) or real(spec, pairs)  # noqa: E731
+    for module in (H, noise_module, analysis):
+        monkeypatch.setattr(module, "edge_noise", counted, raising=False)
+    s = builtin_case(1, horizon=30, log_stride=3)
+    res = run(s, 5)
+    log = res.log
+    analysis.full_verification(log, s.gains(), s.topology)
+    analysis.noise_decomposition(log, 4, 2, s.gains(), laplacian(s.topology))
+    assert mixed == [5]
+    pairs = directed_pairs(s.topology)
+    want = np.column_stack([real(res.scenario.noise, [p])(0, 30) for p in pairs])[::3]
+    assert _bits(log.noise) == _bits(want)
+    run(s, 6)
+    assert mixed == [5, 6]
+
+
+def test_gains_are_built_once_and_handed_out_as_new_lists():
+    s = builtin_case(2, horizon=10)
+    gains = s.gains()
+    assert gains is not s.gains() and all(a is b for a, b in zip(gains, s.gains()))
+    gains.clear()
+    assert len(s.gains()) == 4
+    grid = np.linspace(-2.0, 2.0, 41)
+    fresh = [plant_module.static_gain(a.build()) for a in s.agents]
+    assert [_bits(g(grid)) for g in s.gains()] == [_bits(g(grid)) for g in fresh]
+
+
+def test_a_pickled_scenario_and_result_after_a_run_run_alike():
+    # what a scenario derives (a compiled kernel, gains) is not pickled: the
+    # copy derives its own and runs bit for bit as the original
+    s = builtin_case(1, horizon=60, log_stride=3)
+    res = run(s)
+    s.gains()
+    assert res.scenario is s and {"_round", "_gains", "_edge_noise"} <= set(vars(s))
+    for back in (pickle.loads(pickle.dumps(s)), pickle.loads(pickle.dumps(res)).scenario):
+        assert back == s and not {"_round", "_gains", "_edge_noise"} & set(vars(back))
+        again = run(back)
+        for name in ("u", "events", "y"):
+            assert getattr(again.log, name).tobytes() == getattr(res.log, name).tobytes()
+    back = pickle.loads(pickle.dumps(res))
+    assert back.log.u.tobytes() == res.log.u.tobytes() and back.summary == res.summary
+    assert copy.deepcopy(s) == s and "_round" not in vars(copy.copy(s))
+
+
 def test_run_initial_plants_length_checked():
     s = builtin_case(1, horizon=10)
     with pytest.raises(ValidationError):
@@ -573,6 +657,22 @@ def test_run_reads_initial_plants_without_mutating_them():
     warm = run(s, initial_plants=plants)
     assert plants == before
     assert not np.array_equal(warm.log.y_next, run(s).log.y_next)
+
+
+def test_a_run_from_initial_plants_uses_its_own_plants():
+    # the plants given are prepared for that run alone: the scenario's
+    # zero-history round, prepared before or after, is left as it was
+    s = builtin_case(3, horizon=30)
+    zero = run(s)
+    plants = [warm_plant(a.build(), 0.5) for a in s.agents]
+    warm = run(s, 3, initial_plants=plants)
+    fresh = run(builtin_case(3, horizon=30), 3, initial_plants=plants)
+    assert _bits(warm.log.u) == _bits(fresh.log.u) and _bits(warm.log.y) == _bits(fresh.log.y)
+    assert _bits(warm.log.y) != _bits(run(s, 3).log.y)
+    assert _bits(run(s).log.y) == _bits(zero.log.y)
+    other = builtin_case(3, horizon=30)
+    run(other, initial_plants=plants)  # prepares the zero-history round too
+    assert _bits(run(other).log.y) == _bits(zero.log.y)
 
 
 @pytest.mark.parametrize("stride", [1, 5])
@@ -667,7 +767,7 @@ def _reference_run(s, plants):
     _reference_advance per round."""
     plants = [p.copy() for p in plants or [a.build() for a in s.agents]]
     pairs = directed_pairs(s.topology)
-    nbrs = analysis.neighbour_columns(s.topology, pairs)
+    nbrs = analysis.neighbour_columns(s.topology)
     # each edge's stream drawn on its own
     eps = np.column_stack([noise_module.edge_noise(s.noise, [p])(0, s.horizon)
                            for p in pairs]).tolist()

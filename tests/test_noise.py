@@ -207,7 +207,7 @@ def test_the_block_draw_of_uniforms_is_the_documented_generator():
 @pytest.mark.parametrize("steps", [0, 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 7])
 def test_edge_blocks_are_one_draw_of_every_step(steps):
     spec = SPECS["gaussian"]
-    got = list(edge_blocks(spec, PAIRS, steps))
+    got = list(edge_blocks(edge_noise(spec, PAIRS), steps))
     assert [a for a, _ in got] == list(range(0, steps, BLOCK_STEPS))
     assert all(len(block) <= BLOCK_STEPS for _, block in got)
     whole = np.vstack([block for _, block in got]) if got else np.empty((0, len(PAIRS)))

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hwconsensus import analysis, builtin_case, directed_pairs, scenario_from_dict
+from hwconsensus import analysis, builtin_case, scenario_from_dict
 from hwconsensus.controller import emit_round, round_shape
 from hwconsensus.harness import _kernel_source
 from hwconsensus.plant import step_parts
@@ -51,7 +51,7 @@ def _twelve_agents(label: str):
 
 
 def _round_shape(s) -> tuple:
-    return round_shape(analysis.neighbour_columns(s.topology, directed_pairs(s.topology)))
+    return round_shape(analysis.neighbour_columns(s.topology))
 
 
 def _source(s) -> str:
