@@ -156,12 +156,14 @@ def counts_at(events: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     """Each of n agents' count at the start of each of the given 0-based
     rows, (len(rows), n) int64: the count of its last event with k <= row,
     else 0. Each agent's events must be in k order."""
-    k, agent, count = events.T
+    # the events grouped by agent, each agent's in k order, and agent i's
+    # events from starts[i - 1] to starts[i]
+    k, agent, count = events[np.argsort(events[:, 1], kind="stable")].T
+    starts = np.searchsorted(agent, np.arange(1, n + 2))
     out = np.empty((len(rows), n), dtype=np.int64)
-    for i in range(n):
-        mine = np.flatnonzero(agent == i + 1)
-        after = np.searchsorted(k[mine], rows, side="right")
-        out[:, i] = np.concatenate(([0], count[mine]))[after]
+    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        after = np.searchsorted(k[lo:hi], rows, side="right")
+        out[:, i] = np.concatenate(([0], count[lo:hi]))[after]
     return out
 
 

@@ -449,6 +449,7 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
              "    M = bounds(0)",
              "    pool = True",
              "    at_u = at_y = 0",
+             "    over = {}",
              "    for t0, block in blocks:",
              f"        for k, [{names('e', m)}] in enumerate("
              f"zip(*[iter(memoryview(block.ravel()))] * {m:d}), t0 + 1):"]

@@ -184,26 +184,22 @@ def emit_step(shape: tuple, i: int) -> list:
     first. f is its catalog text over the parameter locals, in place of a
     call. The -c terms are subtracted before the +d terms are added, in
     history order. An f that overflows (Python's ** raises OverflowError
-    rather than return inf) raises NonFiniteValue at (k, i + 1) before the
-    histories move, after nonfinite has raised for any earlier plant of the
-    row whose output is not finite. A v or y that is not finite is for
-    emit_check to find. The source holds only these names and integers
-    (every index is formatted as one).
+    rather than return inf) records its input as over[i + 1] and outputs
+    inf; the histories move as for any output, and emit_check finds it. The
+    source holds only these names and integers (every index is formatted as
+    one).
     """
     kind = shape[0]
     if kind not in (HAMMERSTEIN, WIENER):
         raise ValidationError(f"kind must be {HAMMERSTEIN!r} or {WIENER!r}, got {kind!r}")
     fp, cs, ds, ch, dh = step_names(shape, i)
     u, v, y = f"u{i:d}", f"v{i:d}", f"y{i:d}"
-    # emit_check's cold branch, over the plants before i: their outputs are not tested yet
-    earlier = emit_check(i)[1:] if i else []
 
     def apply(out, x):
         names = dict(zip(_CATALOG[shape[1]][0], fp), u=x)
         expr = re.sub(r"[a-z_]\w*", lambda m: names[m.group()], _CATALOG[shape[1]][1])
-        return ["try:", f"    {out} = {expr}", "except OverflowError:", *earlier,
-                f'    raise NonFiniteValue(f"nonlinearity overflows at {{{x}!r}}", '
-                f'k, {i + 1:d}) from None']
+        return ["try:", f"    {out} = {expr}", "except OverflowError:",
+                f"    over[{i + 1:d}] = {x}", f"    {out} = inf"]
 
     def rotate(hist, new):
         return [f"{hist[x]} = {hist[x - 1] if x else new}" for x in reversed(range(len(hist)))]
@@ -220,9 +216,12 @@ def emit_step(shape: tuple, i: int) -> list:
 
 def emit_check(count: int) -> list:
     """Python source testing the outputs of plants 0..count-1 at once: a float
-    sum is finite only if every term is; only a sum that is not calls nonfinite."""
-    vy = ", ".join(f"v{a:d}, y{a:d}" for a in range(count))
-    return [f"if not isfinite({vy.replace(', ', ' + ')}):", f"    nonfinite(k, {vy})"]
+    sum is finite only if every term is; only a sum that is not calls nonfinite.
+    The sum is a balanced tree, so its depth is logarithmic in count."""
+    terms = vy = [f"{c}{a:d}" for a in range(count) for c in "vy"]
+    while len(terms) > 1:
+        terms = [f"({a} + {b})" for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    return [f"if not isfinite{terms[0]}:", f"    nonfinite(k, over, {', '.join(vy)})"]
 
 
 def emit_steps(shapes: tuple) -> list:
@@ -231,20 +230,22 @@ def emit_steps(shapes: tuple) -> list:
     return [x for i, s in enumerate(shapes) for x in emit_step(s, i)] + emit_check(len(shapes))
 
 
-def nonfinite(step: int, *vy) -> None:
+def nonfinite(step: int, over: dict, *vy) -> None:
     """Raise NonFiniteValue at step and the first agent of vy = (v0, y0, v1,
-    y1, ...) whose v or y is not finite. Return if there is none: a sum of
-    finite values overflowed."""
+    y1, ...) whose f overflowed (over maps the agent to f's input) or whose v
+    or y is not finite. Return if there is none: a sum of finite values
+    overflowed."""
     for a, (v, y) in enumerate(zip(vy[::2], vy[1::2]), start=1):
+        if a in over:
+            raise NonFiniteValue(f"nonlinearity overflows at {over[a]!r}", step, a)
         if not (math.isfinite(v) and math.isfinite(y)):
             raise NonFiniteValue(f"plant output left finite range (v={v!r}, y={y!r})", step, a)
 
 
 def compile_steps(source: str, filename: str, name: str):
     """The function name that source defines, compiled under filename beside
-    the names emit_steps calls: isfinite, nonfinite and NonFiniteValue."""
-    namespace = {"isfinite": math.isfinite, "nonfinite": nonfinite,
-                 "NonFiniteValue": NonFiniteValue}
+    the names emit_steps reads: isfinite, nonfinite and inf."""
+    namespace = {"isfinite": math.isfinite, "nonfinite": nonfinite, "inf": math.inf}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
@@ -263,7 +264,7 @@ def _compiled_steps(shapes: tuple):
     src = ["def steps(k0, rows, parts):",
            *["    " + ", ".join(f"[{', '.join(p)}]" for p in x) + f" = parts[{i:d}]"
              for i, x in enumerate(names)],
-           "    out = []",
+           "    out, over = [], {}",
            "    try:",
            f"        for k, [{us}] in enumerate(rows, k0 + 1):",
            *["            " + x for x in emit_steps(shapes)],
@@ -281,9 +282,9 @@ def _compiled_steps(shapes: tuple):
 def steps(plants: list):
     """The plants' loop f(k0, rows) -> their outputs, row after row in one
     list, each row one input per plant at steps k0 + 1, k0 + 2, ... f keeps
-    the plants' history lists as their state, newest first. A v or y that is
-    not finite raises NonFiniteValue at its (step, agent) after the row's
-    histories moved; an f that overflows, before its own plant's moved."""
+    the plants' history lists as their state, newest first. An f that
+    overflows, or a v or y that is not finite, raises NonFiniteValue at its
+    (step, agent) after the whole row's histories moved."""
     shapes, values = zip(*map(step_parts, plants))
     return partial(_compiled_steps(shapes), parts=values)
 

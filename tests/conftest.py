@@ -144,6 +144,22 @@ def two_agent_scenario(horizon=2000, seed=5, dist="gaussian", params=None,
     return scenario_from_dict(doc)
 
 
+def ring_doc(n: int, horizon: int, log_stride: int) -> dict:
+    """A ring of n agents, alternating Hammerstein and Wiener cubic_affine
+    plants, with gaussian noise: a network whose size only its agent count
+    sets (every agent has two neighbours)."""
+    return {
+        "label": f"ring-{n}", "horizon": horizon, "log_stride": log_stride,
+        "topology": [[a, a % n + 1, 1.0] for a in range(1, n + 1)],
+        "agents": [{"kind": ("hammerstein", "wiener")[a % 2], "C": [1, 0.2], "D": [1, 0.5],
+                    "f": {"name": "cubic_affine",
+                          "params": {"alpha": 0.1, "beta": 1.0, "gamma": 0.0}}}
+                   for a in range(n)],
+        "controller": {"u_star": [0.5] * n, "c_M": 3.0},
+        "noise": {"dist": "gaussian", "params": {"variance": 1.0}, "seed": 3},
+    }
+
+
 def forced_truncation_scenarios():
     """Three synthetic setups whose small admissible bounds force resets.
 

@@ -36,6 +36,7 @@ from hwconsensus import analysis
 from hwconsensus.analysis import (
     TrajectoryLog,
     TruncationTimes,
+    counts_at,
     events_of,
     first_failure,
     truncation_events,
@@ -751,6 +752,32 @@ def test_the_replay_and_the_decomposition_name_their_first_failure():
     failure = full_verification(SHORT_LOG, SHORT.gains(), reweighted(SHORT.topology, 2, 3))[1][
         "decomposition_first_failure"]
     assert failure[:2] == (1, 2) and failure[2] > 1e-9
+
+
+def _counts_at_by_scan(events, rows, n):
+    """counts_at as each agent's scan of every event: the reference."""
+    k, agent, count = events.T
+    out = np.empty((len(rows), n), dtype=np.int64)
+    for i in range(n):
+        mine = np.flatnonzero(agent == i + 1)
+        after = np.searchsorted(k[mine], rows, side="right")
+        out[:, i] = np.concatenate(([0], count[mine]))[after]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_counts_at_equals_each_agents_scan_of_every_event(seed):
+    # random event tables in (k, agent) order, with agents outside 1..n and
+    # an agent without events, read at rows 0 and K - 1 among others
+    rng = np.random.default_rng(seed)
+    n, K = int(rng.integers(1, 8)), int(rng.integers(1, 60))
+    size = int(rng.integers(0, 3 * K))
+    k, agent = np.sort(rng.integers(0, K, size)), rng.integers(-1, n + 3, size)
+    agent[agent == rng.integers(1, n + 1)] = 0
+    events = np.column_stack([k, agent, rng.integers(0, 50, size)])[np.lexsort((agent, k))]
+    rows = np.concatenate([[0, K - 1], rng.integers(0, K, 10)])
+    got = counts_at(events, rows, n)
+    assert got.dtype == np.int64 and np.array_equal(got, _counts_at_by_scan(events, rows, n))
 
 
 def test_any_log_r_le_r_agent(runs):

@@ -957,8 +957,9 @@ def test_values_out_of_range_exit_1(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])
 def test_a_network_too_large_to_compile_exits_1(tmp_path, capsys, monkeypatch, error):
-    # CPython's compiler gives up on the source of a large enough network
-    # (about 1500 agents); run and verify name its size, not a traceback
+    # CPython's compiler gives up on the source of a network with an agent
+    # of large enough degree (between 2000 and 3000 neighbours: its control
+    # round's sum nests that deep); run and verify name its size, not a traceback
     def fails(*args):
         raise error("maximum recursion depth exceeded during compilation")
 

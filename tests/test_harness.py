@@ -56,6 +56,7 @@ from conftest import (
     RESTART_CASE,
     exploding_plants,
     forced_truncation_scenarios,
+    ring_doc,
     two_agent_scenario,
 )
 from test_controller import _reference_advance
@@ -1819,17 +1820,42 @@ def _pair(initial_u, agents):
     return scenario_from_dict(doc)
 
 
-def test_the_first_nonfinite_agent_of_a_round_is_reported_before_a_later_overflow():
-    # round 1: agent 1's affine output passes the largest float, then agent
-    # 2's cube overflows; the round's first failure is agent 1's
-    s = _pair((1.5e308, 1e200), [
-        ("hammerstein", "affine", {"beta": 2.0, "gamma": 0.0}),
-        ("hammerstein", "cubic_affine", {"alpha": 1.0, "beta": 1.0, "gamma": 0.0})])
+_DOUBLING = ("hammerstein", "affine", {"beta": 2.0, "gamma": 0.0})
+_CUBE = ("hammerstein", "cubic_affine", {"alpha": 1.0, "beta": 1.0, "gamma": 0.0})
+
+
+@pytest.mark.parametrize("initial_u, agents, message", [
+    # agent 1's affine output passes the largest float, then agent 2's cube overflows
+    ((1.5e308, 1e200), [_DOUBLING, _CUBE], "plant output left finite range (v=inf, y=inf)"),
+    # agent 1's cube overflows, then agent 2's affine output passes the largest float
+    ((1e200, 1.5e308), [_CUBE, _DOUBLING], "nonlinearity overflows at 1e+200"),
+    ((1e200, 1e201), [_CUBE, _CUBE], "nonlinearity overflows at 1e+200"),
+], ids=["nonfinite-then-overflow", "overflow-then-nonfinite", "two-overflows"])
+def test_the_first_nonfinite_agent_of_a_round_is_reported_before_a_later_overflow(
+        initial_u, agents, message):
+    # round 1's first failure is agent 1's, in the round kernel and in the
+    # plant steps alike; the steps leave the whole row's histories moved
+    s = _pair(initial_u, agents)
     assert _reference_run(s, None)[3] == (1, 1)
     with pytest.raises(NonFiniteValue) as exc:
         run(s)
-    assert (exc.value.step, exc.value.agent) == (1, 1)
-    assert str(exc.value) == "plant output left finite range (v=inf, y=inf)"
+    assert (exc.value.step, exc.value.agent, str(exc.value)) == (1, 1, message)
+
+    plants = [make_plant(kind, poly([1, -0.5]), poly([1, 0.25]), make_nonlinearity(name, params))
+              for kind, name, params in [*agents, ("hammerstein", "identity", {})]]
+    with pytest.raises(NonFiniteValue) as exc:
+        plant_module.steps(plants)(0, [(*initial_u, 1.0)])
+    assert (exc.value.step, exc.value.agent, str(exc.value)) == (1, 1, message)
+    assert [p.y_hist + p.v_hist for p in plants] == [[math.inf] * 2] * 2 + [[1.0, 1.0]]
+
+
+def test_a_1600_agent_ring_runs_and_verifies_exactly():
+    # the round kernel and the plant steps are linear in the network's
+    # size; a source quadratic in the agents stopped compiling near 1500
+    s = scenario_from_dict(ring_doc(1600, horizon=20, log_stride=5))
+    report, extras = analysis.full_verification(run(s).log, s.gains(), s.topology)
+    assert report["lemma3_residual"] == 0.0
+    assert extras["decomposition_first_failure"] is None
 
 
 def test_finite_outputs_whose_sum_overflows_do_not_abort():

@@ -127,6 +127,27 @@ def test_step_nonfinite_detection():
     assert (exc.value.step, exc.value.agent) == (1, 1)
 
 
+@pytest.mark.parametrize("kind, f, u, message, moved", [
+    ("hammerstein", "cubic_affine", 1e200, "nonlinearity overflows at 1e+200",
+     [[math.inf], [math.inf], []]),
+    ("wiener", "cubic_affine", 1e200, "nonlinearity overflows at 1e+200",
+     [[], [1e200], [1e200]]),
+    ("hammerstein", "identity", math.inf, "plant output left finite range (v=inf, y=inf)",
+     [[math.inf], [math.inf], []]),
+    ("wiener", "identity", math.inf, "plant output left finite range (v=inf, y=inf)",
+     [[], [math.inf], [math.inf]]),
+], ids=["hammerstein-overflow", "wiener-overflow", "hammerstein-nonfinite", "wiener-nonfinite"])
+def test_step_moves_the_histories_of_the_step_it_raises_at(kind, f, u, message, moved):
+    # an f that overflows leaves the plant as an output that is not finite
+    # does: stepped, its output inf
+    params = {"alpha": 1.0, "beta": 1.0, "gamma": 0.0} if f == "cubic_affine" else {}
+    p = make_plant(kind, poly([1, -0.5]), poly([1, 0.25]), make_nonlinearity(f, params))
+    with pytest.raises(NonFiniteValue) as exc:
+        step(p, u)
+    assert (exc.value.step, exc.value.agent, str(exc.value)) == (1, 1, message)
+    assert [p.y_hist, p.v_hist, p.u_hist] == moved
+
+
 def _reference_step(plant, u):
     """The difference equation as written before the compiled stepper: it
     slices the tails on every call and rebuilds the history lists."""

@@ -10,6 +10,8 @@ from hwconsensus.controller import emit_round, round_shape
 from hwconsensus.harness import _kernel_source
 from hwconsensus.plant import step_parts
 
+from conftest import ring_doc
+
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hwconsensus"
 CODE_LIKE = "__import__('os').system('echo hi') #\"\"\" ; raise SystemExit"
 
@@ -95,3 +97,19 @@ def test_the_round_kernel_calls_no_nonlinearity_and_tests_finiteness_once(s):
     src = _source(s)
     assert re.findall(r"\bf\d+\(", src) == []
     assert src.count("isfinite(") == 1 and src.count("\n    for ") == 1
+
+
+def test_the_round_kernel_source_is_linear_in_the_agents():
+    # each overflow handler records its own agent's input and output only,
+    # and the row's one finite test is a balanced tree: doubling the agents
+    # about doubles the source (handlers naming every earlier plant grew it
+    # about 3x, and stopped compiling near 1500 agents)
+    small, large = (_source(scenario_from_dict(ring_doc(n, 20, 5))) for n in (200, 400))
+    assert len(large) <= 2.15 * len(small)
+    handlers = [x for x in ast.walk(ast.parse(large)) if isinstance(x, ast.ExceptHandler)]
+    assert len(handlers) == 400
+    for handler in handlers:
+        names = {x.id for x in ast.walk(handler) if isinstance(x, ast.Name)}
+        agents = {int(x[1:]) for x in names if re.fullmatch(r"[uvy]\d+", x)}
+        slots = {x.value for x in ast.walk(handler) if isinstance(x, ast.Constant)}
+        assert len(agents) == 1 and slots == {agents.pop() + 1}, ast.unparse(handler)
