@@ -101,10 +101,6 @@ class TrajectoryLog:
         return directed_pairs(self.scenario.topology)
 
     @functools.cached_property
-    def _nbrs(self) -> list:
-        return neighbour_columns(self.scenario.topology)
-
-    @functools.cached_property
     def sigma(self) -> np.ndarray:
         return counts_at(self.events, np.arange(self.horizon), self.u.shape[1])
 
@@ -118,7 +114,7 @@ class TrajectoryLog:
 
     @functools.cached_property
     def sigma_prime(self) -> np.ndarray:
-        return pooled_counts(self.sigma, self._nbrs)
+        return pooled_counts(self.sigma, self.scenario.topology)
 
     @functools.cached_property
     def u_prime(self) -> np.ndarray:
@@ -127,7 +123,7 @@ class TrajectoryLog:
 
     @functools.cached_property
     def _observations(self) -> tuple:
-        return observations(self.y, self.noise, self.pairs, self._nbrs)
+        return observations(self.y, self.noise, self.scenario.topology)
 
     logged_z = property(lambda self: self._observations[0])
     logged_O = property(lambda self: self._observations[1])
@@ -135,21 +131,27 @@ class TrajectoryLog:
     y_next, O_next, z, eps = map(_dense, ("y", "logged_O", "logged_z", "noise"))
 
 
-def observations(y: np.ndarray, noise: np.ndarray, pairs, nbrs) -> tuple:
-    """(z, O) on rows of y and of the noise of the edges pairs, as the round
-    forms them: z, the observed agent's y plus the noise, and O, each
-    agent's w (z - y_i) summed from 0.0 in nbrs order."""
-    O = np.empty_like(y)
+def neighbour_sum(ranks, terms: np.ndarray) -> np.ndarray:
+    """Each agent's sum_j p_ij term_ij, (rows, n), from 0.0 in nbrs order as the
+    round sums, one addition per rank of ranks (a graph.Ranks): terms holds
+    each edge's term_ij, (edges, rows), edges in the order of ranks.i, c and j."""
+    terms, out, a = ranks.w[:, None] * terms, np.zeros((len(ranks.inv), terms.shape[1])), 0
+    for m in ranks.counts:
+        np.add(out[:m], terms[a:a + m], out=out[:m])
+        a += m
+    return out.T[:, ranks.inv]
+
+
+def observations(y: np.ndarray, noise: np.ndarray, topology: Topology) -> tuple:
+    """(z, O) on rows of y and of the noise of topology's directed_pairs, as
+    the round forms them: z, the observed agent's y plus the noise, and O,
+    each agent's neighbour_sum of z - y_i."""
+    ranks = laplacian(topology).ranks
     # the round's float arithmetic overflows to inf without a warning
     with np.errstate(all="ignore"):
-        z = y[:, [j - 1 for _, j in pairs]]
+        z = y[:, [j - 1 for _, j in directed_pairs(topology)]]
         z += noise
-        for i, nb in enumerate(nbrs):
-            acc = 0.0
-            for c, _, w in nb:
-                acc = acc + w * (z[:, c] - y[:, i])
-            O[:, i] = acc
-    return z, O
+        return z, neighbour_sum(ranks, z.T[ranks.c] - y.T[ranks.i])
 
 
 def counts_at(events: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -177,11 +179,11 @@ def events_of(sigma: np.ndarray) -> np.ndarray:
     return np.column_stack([r, i + 1, sigma[r, i]]).astype(np.int64)
 
 
-def pooled_counts(counts: np.ndarray, nbrs) -> np.ndarray:
-    """Each agent's largest count over its closed neighbourhood (nbrs, from
-    neighbour_columns), on every row of counts (rows, n): the round's pooling."""
+def pooled_counts(counts: np.ndarray, topology: Topology) -> np.ndarray:
+    """Each agent's largest count over its closed neighbourhood in topology,
+    on every row of counts (rows, n): the round's pooling."""
     pooled = counts.copy()
-    for i, nb in enumerate(nbrs):
+    for i, nb in enumerate(neighbour_columns(topology)):
         for _, j, _ in nb:
             np.maximum(pooled[:, i], counts[:, j], out=pooled[:, i])
     return pooled
@@ -196,7 +198,7 @@ def fired(log: TrajectoryLog) -> np.ndarray:
     # row per round (the events are in k order), read at each event's round
     first = np.ones(len(ev), dtype=bool)
     first[1:] = ev[1:, 0] != ev[:-1, 0]
-    pooled = pooled_counts(counts_at(ev, ev[first, 0] - 1, log.u.shape[1]), log._nbrs)
+    pooled = pooled_counts(counts_at(ev, ev[first, 0] - 1, log.u.shape[1]), log.scenario.topology)
     return ev[:, 2] == pooled[np.cumsum(first) - 1, ev[:, 1] - 1] + 1
 
 
@@ -257,10 +259,9 @@ class Block:
 
 
 def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
-    """The log's rows as Blocks of about BLOCK_CELLS cells, from u, the count
-    events and the logged y alone. No block has one row unless the log does:
-    a (1, n) product takes numpy's matrix-vector path, whose bits may differ.
-    y is the stored y at stride 1, else the plants the run started from
+    """The log's rows as Blocks of about BLOCK_CELLS cells (at least one row),
+    from u, the count events and the logged y alone; blocks of any length hold
+    the same bits. y is the stored y at stride 1, else the plants the run started from
     replayed over u, and the noise is redrawn at each block's offset. A NaN
     stored y, or a logged y that differs from the replay in any bit, raises
     IncompleteLog at its first (k, agent). sigma_bar comes from one running
@@ -272,10 +273,9 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
     if stride > 1:
         plants = log.plants or [a.build() for a in log.scenario.agents]
         replay = steps([p.copy() for p in plants])
-    starts = list(range(0, K, max(2, BLOCK_CELLS // max(n, len(log.pairs)))))
-    if len(starts) > 1 and K - starts[-1] == 1:
-        starts.pop()  # a one-row remainder joins the block before it
-    for a, b in zip(starts, starts[1:] + [K]):
+    rows = max(1, BLOCK_CELLS // max(n, len(log.pairs)))
+    for a in range(0, K, rows):
+        b = min(a + rows, K)
         u = log.u[a:b]
         if stride == 1:
             y = log.y[a:b]
@@ -294,7 +294,7 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
             raise IncompleteLog(f"{what} at k={at[x] + 1}, agent {i + 1}")
         noise = draw(a, b - a)
         yield Block(np.arange(a + 1, b + 1), u, y, noise,
-                    observations(y, noise, log.pairs, log._nbrs)[1], *gain_field(u, gains, lap),
+                    observations(y, noise, log.scenario.topology)[1], *gain_field(u, gains, lap),
                     peak[np.searchsorted(log.events[:, 0], np.arange(a, b), side="right")])
 
 
@@ -307,7 +307,7 @@ def gain_field(u: np.ndarray, gains, lap: LaplacianView) -> tuple[np.ndarray, np
     h is evaluated one agent's column at a time; g_i = sum_j p_ij h_j - d_i h_i.
     """
     h = np.column_stack([gains[i](u[:, i]) for i in range(u.shape[1])])
-    return h, h @ lap.P.T - np.diag(lap.D) * h
+    return h, neighbour_sum(lap.ranks, h.T[lap.ranks.j]) - np.diag(lap.D) * h
 
 
 def regression_g(u: np.ndarray, gains, lap: LaplacianView) -> np.ndarray:
@@ -324,38 +324,33 @@ def _decompose(block: Block, pairs, lap: LaplacianView):
     """(e1, e2, e3, O - g, bound) on the rows of a block, each (rows, n).
 
     e1 = sum_j p_ij eps_ij           (pure observation noise)
-    e2 = p_i (h_i(u_{i,k}) - y_{i,k+1})   (own output off steady state)
+    e2 = d_i (h_i(u_{i,k}) - y_{i,k+1})   (own output off steady state)
     e3 = sum_j p_ij (y_{j,k+1} - h_j(u_{j,k}))
-    The neighbour sums run in the order of the directed edges pairs.
+    Each sum over j is a neighbour_sum, as are O's and g's, over lap.ranks,
+    whose edge columns are those of pairs; d_i is P's row sum.
 
     bound, gamma_t S capped at the largest float, bounds the float sides'
-    difference, 0 in exact arithmetic: gamma_t = t u / (1 - t u), u = 2^-53,
-    t = 2n + 8, and S sums the magnitudes of the terms on both sides: p_ij
-    |eps_ij|, p_ij |y_j|, p_ij |h_j| and p_ij |y_i| per edge, p_i (|h_i| + |y_i|).
+    difference, 0 in exact arithmetic with d_i the exact sum_j p_ij:
+    gamma_t = t u / (1 - t u), u = 2^-53, t = 2 d_max + 8 (d_max the largest
+    degree), S = sum_j p_ij (|eps_ij| + |y_j| + |h_j|) + d_i (|h_i| + |y_i|).
     Why (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     sections 3.1 and 4.2): a term through r roundings, barring underflow, is
-    itself times 1 + theta, |theta| <= gamma_r. With d <= n - 1 neighbours, a
-    term meets at most d + 2 roundings in e1 + e2 + e3 (p_i h_i, p_i y_i 4)
-    and d + 3 in O - g (p_i h_i 3), but h_j n + 2: g's BLAS product sums n
-    terms in an order numpy does not fix. y_i's weights, p_i (P's rounded row
-    sum) and sum_j p_ij, differ by gamma_{n-1}. So a term meets at most 2n + 3
-    roundings on its two paths (gamma_a + gamma_b <= gamma_{a+b}); five more
-    cover the bound's own, at most n^2 + 7 deep (S is summed by matrix
-    products), while (2n + 8) gamma_{n^2+7} <= 5: for every n < 10^5.
+    itself times 1 + theta, |theta| <= gamma_r. A sum from 0.0 of d terms rounds
+    each at most d - 1 times (adding 0.0 is exact), as does d_i. A term of an
+    agent of degree d meets at most d + 3 roundings on either side, 2d + 5 on
+    both (gamma_a + gamma_b <= gamma_{a+b}). With err's subtraction (1 + u), S's
+    own sum (at least 1 - gamma_{d+3} times S) and the bound's two roundings:
+    gamma_{2d+8} (1 - u)^2 (1 - gamma_{d+3}) >= (1 + u) gamma_{2d+5} for d < 10^7.
     """
-    y, h = block.y, block.h
-    e1 = np.zeros_like(h)
-    e3 = np.zeros_like(h)
-    weight = np.zeros((len(pairs), h.shape[1]))  # edge column -> its agent's weight
-    for col, (a, b) in enumerate(pairs):
-        w = weight[col, a - 1] = lap.P[a - 1, b - 1]
-        e1[:, a - 1] += w * block.noise[:, col]
-        e3[:, a - 1] += w * (y[:, b - 1] - h[:, b - 1])
+    y, h, r = block.y, block.h, lap.ranks
+    eps = block.noise.T[r.c]  # per edge, (edges, rows)
+    e1 = neighbour_sum(r, eps)
+    e3 = neighbour_sum(r, (y - h).T[r.j])
     d = np.diag(lap.D)
     e2 = d * (h - y)
-    S = (np.abs(block.noise) @ weight + (np.abs(y) + np.abs(h)) @ lap.P.T
-         + d * (np.abs(h) + 2 * np.abs(y)))
-    t = 2 * h.shape[1] + 8
+    size = np.abs(y) + np.abs(h)
+    S = neighbour_sum(r, np.abs(eps) + size.T[r.j]) + d * size
+    t = 2 * len(r.counts) + 8  # one count per rank: len(r.counts) is d_max
     bound = np.minimum(t * _U / (1 - t * _U) * S, np.finfo(float).max)  # an infinite err fails
     return e1, e2, e3, block.O - block.g, bound
 
@@ -386,7 +381,7 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
     # the noise and O of this one row, never the whole horizon's
     noise = log.scenario._edge_noise(r, 1)
     u = log.u[r:r + 1]
-    block = Block(np.array([k]), u, y, noise, observations(y, noise, log.pairs, log._nbrs)[1],
+    block = Block(np.array([k]), u, y, noise, observations(y, noise, log.scenario.topology)[1],
                   *gain_field(u, gains, lap))
     terms, _, ok = decomposition_check(block, log.pairs, lap)
     e1, e2, e3, rhs = (float(t[0, i - 1]) for t in terms)
@@ -769,12 +764,12 @@ def consensus_metrics(block: Block, gains, lap: LaplacianView, roots: np.ndarray
     """Per-step consensus diagnostics of the rows of a block (log_blocks).
 
     spread_y is the max pairwise gap of the outputs produced in the round;
-    residual is the sup norm of L h(u_k); v is _lyapunov's, from the gains'
+    residual is the sup norm of L h(u_k) = -g; v is _lyapunov's, from the gains'
     roots and the gains at them (at_roots), found once per log.
     """
     # as in full_verification, a diverged run's values overflow to inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(block.h @ lap.L.T).max(axis=1)
+        residual = np.abs(block.g).max(axis=1)
         spread = block.y.max(axis=1) - block.y.min(axis=1)
         v = _lyapunov(block.u, block.h, gains, roots, h_roots)
     return RunMetrics(k=block.k, spread_y=spread, residual=residual,
@@ -783,8 +778,8 @@ def consensus_metrics(block: Block, gains, lap: LaplacianView, roots: np.ndarray
 
 def geometric_rows(K: int, points: int) -> np.ndarray:
     """0-based rows of about `points` steps spaced geometrically over 1..K."""
-    ks = np.unique(np.rint(np.geomspace(1, K, num=min(points, K))).astype(int))
-    return ks - 1
+    ks = np.rint(np.geomspace(1, K, num=min(points, K))).astype(int)
+    return ks[np.diff(ks, prepend=0) > 0] - 1  # np.unique's, without its import of numpy.ma
 
 
 # ---------------------------------------------------------------------------

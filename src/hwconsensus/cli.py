@@ -222,7 +222,8 @@ def cmd_plotdata(args) -> int:
 
     # outputs are indexed by the step at which they take effect (k + 1)
     avail = log.logged_rows
-    pick = avail[np.unique(np.searchsorted(avail, rows).clip(0, len(avail) - 1))]
+    at = np.searchsorted(avail, rows).clip(0, len(avail) - 1)
+    pick = avail[at[np.diff(at, prepend=-1) > 0]]  # sorted: np.unique without numpy.ma
     _write_series(os.path.join(outdir, "outputs.csv"), "y", pick + 2,
                   log.y[pick // log.log_stride])
     print(f"wrote {os.path.join(outdir, 'inputs.csv')} and outputs.csv "

@@ -8,7 +8,7 @@ Topologies are immutable once built and safe to share.
 from __future__ import annotations
 
 import functools
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +61,14 @@ class Topology:
             P[i - 1, j - 1] = w
             P[j - 1, i - 1] = w
         D = np.diag(P.sum(axis=1))
-        view = LaplacianView(P=P, D=D, L=D - P)
-        for a in (P, D, view.L):
+        deg = [len(nb) for nb in self._columns]
+        order = sorted(range(self.n), key=lambda a: -deg[a])  # by falling degree, stably
+        counts = tuple(sum(d > t for d in deg) for t in range(max(deg)))
+        edges = np.array([(a, *self._columns[a][t]) for t, m in enumerate(counts)
+                          for a in order[:m]], dtype=float).reshape(-1, 4).T
+        ranks = Ranks(*edges[:3].astype(np.intp), edges[3], counts, np.argsort(order))
+        view = LaplacianView(P=P, D=D, L=D - P, ranks=ranks)
+        for a in (P, D, view.L, *ranks[:4], ranks.inv):
             a.flags.writeable = False  # shared by every caller
         return view
 
@@ -89,11 +95,19 @@ class Topology:
         return [(a, b, w) for (a, b), w in sorted(self.weights.items())]
 
 
+# neighbour_columns rank by rank, agents by falling degree: each edge's agent
+# i, column c, neighbour j and weight w, rank t's counts[t] edges (the t-th
+# neighbours of the first counts[t] agents) before rank t + 1's; inv, each
+# agent's place in that order
+Ranks = namedtuple("Ranks", "i c j w counts inv")
+
+
 @dataclass(frozen=True)
 class LaplacianView:
     P: np.ndarray  # adjacency, n x n
     D: np.ndarray  # diagonal degree matrix
     L: np.ndarray  # D - P
+    ranks: Ranks  # read-only arrays
 
 
 def build_topology(n: int, weighted_edges) -> Topology:
@@ -141,8 +155,8 @@ def neighbour_columns(t: Topology) -> list:
 
 
 def laplacian(t: Topology) -> LaplacianView:
-    """The topology's adjacency, degree and Laplacian matrices, built once per
-    topology; the arrays are read-only."""
+    """The topology's adjacency, degree and Laplacian matrices and neighbour
+    ranks, built once per topology; the arrays are read-only."""
     return t._laplacian
 
 

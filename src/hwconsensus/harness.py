@@ -391,8 +391,8 @@ def summarize(log: analysis.TrajectoryLog) -> dict:
     # a diverged run's residual or spread overflows; it is reported as null,
     # as JSON has no inf
     with np.errstate(over="ignore", invalid="ignore"):
-        h_last = np.array([g(x) for g, x in zip(log.scenario.gains(), log.u[-1])])
-        res = float(np.max(np.abs(laplacian(log.scenario.topology).L @ h_last)))
+        lap = laplacian(log.scenario.topology)  # |L h| = |g|, the verifier's own sum
+        res = float(np.abs(analysis.gain_field(log.u[-1:], log.scenario.gains(), lap)[1]).max())
         spread = float(last_y.max() - last_y.min())
     return {
         "final_spread": spread if math.isfinite(spread) else None,

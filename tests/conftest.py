@@ -8,6 +8,7 @@ and shared across test modules through the `runs` fixture.
 import dataclasses
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -158,6 +159,21 @@ def ring_doc(n: int, horizon: int, log_stride: int) -> dict:
         "controller": {"u_star": [0.5] * n, "c_M": 3.0},
         "noise": {"dist": "gaussian", "params": {"variance": 1.0}, "seed": 3},
     }
+
+
+def network_doc(n: int, horizon: int, seed: int = 3) -> dict:
+    """ring_doc's plants on the ring plus 2n random chords, 3n edges of
+    random weights: degrees from 2 up, so the neighbour ranks past the second
+    cover some agents only."""
+    rng = random.Random(seed)
+    ring = {(min(a, a % n + 1), max(a, a % n + 1)) for a in range(1, n + 1)}
+    chords = rng.sample([(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                         if (a, b) not in ring], 2 * n)
+    doc = ring_doc(n, horizon, 1)
+    doc["label"] = f"network-{n}"
+    doc["topology"] = [[a, b, round(rng.uniform(0.5, 1.5), 3)]
+                       for a, b in sorted(ring | set(chords))]
+    return doc
 
 
 def forced_truncation_scenarios():

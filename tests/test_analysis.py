@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from fractions import Fraction
 import math
 import os
 import subprocess
@@ -54,6 +55,7 @@ from conftest import (
     RESTART_CASE,
     STIFF_CASE1,
     forced_truncation_scenarios,
+    network_doc,
     network_scenario,
     reweighted,
     stiff_case,
@@ -391,6 +393,15 @@ def test_decomposition_on_noisy_run(runs):
             noise_decomposition(log, int(k), i, GAINS1, LAP1)  # raises on violation
 
 
+def test_geometric_rows_are_np_uniques():
+    # the first of each run of equal rows, as np.unique gives them
+    for K in (1, 2, 3, 10, 300, 5000, 10 ** 5, 10 ** 7):
+        for points in (1, 2, 5, 500, 10 ** 4):
+            ks = np.rint(np.geomspace(1, K, num=min(points, K))).astype(int)
+            rows = analysis.geometric_rows(K, points)
+            assert rows.dtype == ks.dtype and np.array_equal(rows, np.unique(ks) - 1), (K, points)
+
+
 def test_decomposition_is_a_view_of_the_sweep():
     import hwconsensus.analysis as A
     log = run(builtin_case(1, horizon=3000)).log
@@ -401,6 +412,57 @@ def test_decomposition_is_a_view_of_the_sweep():
                           for i in (1, 2, 3, 4)] for k in range(1, log.horizon + 1)])
     assert per_step.shape == sweep.shape == (3000, 4, 3)
     assert np.count_nonzero(per_step.view(np.int64) != sweep.view(np.int64)) == 0
+
+
+def test_noise_decomposition_is_the_whole_blocks_decomposition():
+    # 12 agents of degrees 4 to 8: the one-row block of noise_decomposition
+    # sums every term as the whole log's one block does, bit for bit, at
+    # every step and agent
+    s = scenario_from_dict(network_doc(12, 60))
+    log, gains, lap = run(s).log, s.gains(), laplacian(s.topology)
+    (block,) = analysis.log_blocks(log, gains, lap)
+    whole = np.stack(analysis._decompose(block, log.pairs, lap)[:3], axis=-1)
+    per_step = np.array([[noise_decomposition(log, k, i, gains, lap) for i in range(1, 13)]
+                         for k in range(1, 61)])
+    assert per_step.shape == whole.shape == (60, 12, 3)
+    assert np.array_equal(per_step.view(np.int64), whole.view(np.int64))
+
+
+@pytest.mark.parametrize("which", ["case1", "case2", "case3", "stiff", "restart", "network-48"])
+def test_decomposition_bound_holds_in_exact_arithmetic(which):
+    # both sides of O - g = e1 + e2 + e3, evaluated exactly from the float
+    # inputs (y, h, the noise and the weights, d_i the exact row sum), are
+    # equal; the two float sides' distances from that value sum to at most
+    # gamma_{2 d_i + 5} S, with S exact, and to at most _decompose's bound
+    # gamma_t S. Cells: the first rows, the rows around count events, and
+    # random rows
+    s = {"stiff": lambda: load_scenario(STIFF_CASE1),
+         "restart": lambda: load_scenario(RESTART_CASE),
+         "network-48": lambda: scenario_from_dict(network_doc(48, 200))}.get(
+        which, lambda: builtin_case(int(which[-1]), horizon=2000))()
+    log, lap = run(s).log, laplacian(s.topology)
+    (block,) = analysis.log_blocks(log, s.gains(), lap)
+    e1, e2, e3, rhs, bound = analysis._decompose(block, log.pairs, lap)
+    K, n = log.u.shape
+    rows = {0, 1, 2} | {int(k) + dk for k in log.events[:12, 0] for dk in (-1, 0, 1)}
+    rows |= set(np.random.default_rng(0).integers(0, K, 10).tolist())
+    nbrs = analysis.neighbour_columns(s.topology)
+    for r in sorted(x for x in rows if 0 <= x < K):
+        y, h, eps = ([Fraction(x) for x in a[r].tolist()] for a in (block.y, block.h, block.noise))
+        for i in range(n):
+            nb = [(c, j, Fraction(w)) for c, j, w in nbrs[i]]
+            d = sum(p for _, _, p in nb)
+            exact = (sum(p * eps[c] for c, _, p in nb) + d * (h[i] - y[i])
+                     + sum(p * (y[j] - h[j]) for _, j, p in nb))
+            assert exact == (sum(p * (y[j] + eps[c] - y[i]) for c, j, p in nb)
+                             - (sum(p * h[j] for _, j, p in nb) - d * h[i]))
+            lhs = float(e1[r, i]) + float(e2[r, i]) + float(e3[r, i])
+            dist = abs(Fraction(lhs) - exact) + abs(Fraction(float(rhs[r, i])) - exact)
+            S = (sum(p * (abs(eps[c]) + abs(y[j]) + abs(h[j])) for c, j, p in nb)
+                 + d * (abs(h[i]) + abs(y[i])))
+            t = 2 * len(nb) + 5
+            assert dist <= Fraction(t, 2 ** 53 - t) * S, (r, i)
+            assert dist <= Fraction(float(bound[r, i])), (r, i)
 
 
 # weight: the Laplacian of a topology whose edge (2, 3) weighs 1 part in

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -17,12 +18,20 @@ from hwconsensus import (
     harness,
     laplacian,
     plant,
+    scenario_from_dict,
     scenario_to_dict,
 )
 from hwconsensus.cli import main
 from hwconsensus.graph import directed_pairs
 
-from conftest import forced_truncation_scenarios, reweighted, two_agent_scenario, whole_auxiliary
+from conftest import (
+    RESTART_CASE,
+    forced_truncation_scenarios,
+    network_doc,
+    reweighted,
+    two_agent_scenario,
+    whole_auxiliary,
+)
 from test_harness import (
     CORRUPTIONS,
     flip_bit,
@@ -212,11 +221,11 @@ def test_verify_clean_run_passes(tmp_path, capsys):
 # and 3 happen to share every report value.
 GOLDEN_VERIFY_DIGESTS = {
     1: ("93e039f5c64b224131c2cdbb54a78457533385b3f6cbee30b9aea2a0548e699b",
-        "2d91ca6202a95a2ca5e749c81c9de13c58c9f7e530252470fa7411f21fc88eb7"),
+        "e0870e6cb261412aa6ca068a8b5eda4b74c550ca833126d00cb9fee57aafded1"),
     2: ("e943656f41f06c39055a7bfacb9634c57d55119fc6d1b69af89387857e8647f2",
-        "34b04e3cdbbd89b3273a3c4c38cb3d117db8f9b1284b19faffd37694222235a4"),
+        "6191a6c213f4a6013345065ae02d046b99a25039e13ae6ae4eae5e40887bee07"),
     3: ("e943656f41f06c39055a7bfacb9634c57d55119fc6d1b69af89387857e8647f2",
-        "83b2bd82ea23629e98240ce022d6a7aeaa85ba5ff74e11439056c22c1a3ae01f"),
+        "0e08511f81743fa49d703f1306a8a336e2759ba2b4e01869e384b3f1c1701fe9"),
 }
 
 
@@ -232,6 +241,48 @@ def test_golden_verify_output_digests(tmp_path, capsys):
         if got != want:
             changed.append(case)
     assert not changed, f"verify output digests changed for cases {changed}"
+
+
+def _openblas() -> bool:
+    """Whether numpy reports an OpenBLAS build."""
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except Exception:
+        return False
+    return "openblas" in name.lower()
+
+
+def _child_run_and_verify(out, coretype):
+    """Every file run --out and verify write for cases 1-3 at strides 1 and 10
+    (2000 steps) and for the restart case, in a child process whose OpenBLAS
+    kernel is coretype (the host's own if None): {relative path: bytes}."""
+    argv = [["--case", str(case), "--horizon", "2000", "--log-stride", str(stride)]
+            for case in (1, 2, 3) for stride in (1, 10)] + [["--scenario", RESTART_CASE]]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    code = ("import json, sys; from hwconsensus.cli import main\n"
+            "for i, args in enumerate(json.loads(sys.argv[2])):\n"
+            "    d = f'{sys.argv[1]}/{i}'\n"
+            "    if main(['run', *args, '--out', d]) or main(['verify', '--log', d]):\n"
+            "        sys.exit(f'{args} failed')\n")
+    done = subprocess.run([sys.executable, "-c", code, str(out), json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or not _openblas(),
+                    reason="OPENBLAS_CORETYPE names x86_64 OpenBLAS kernels")
+def test_run_and_verify_write_the_same_bytes_on_any_openblas_kernel(tmp_path):
+    # the verifier sums in a fixed order, never through BLAS: a kernel
+    # without FMA (Nehalem) and the host's own give every file the same bytes
+    host = _child_run_and_verify(tmp_path / "host", None)
+    nehalem = _child_run_and_verify(tmp_path / "nehalem", "Nehalem")
+    assert len(host) == 7 * 5 and sorted(host) == sorted(nehalem)
+    assert [name for name in host if host[name] != nehalem[name]] == []
 
 
 def test_verify_evaluates_each_gain_once_on_the_log(tmp_path, monkeypatch):
@@ -430,14 +481,21 @@ def test_verify_of_a_stride_10_log_matches_stride_1(tmp_path, capsys):
         assert json.loads(outputs[1][0])["lemma3_residual"] == 0.0
 
 
-@pytest.mark.parametrize("case", [1, 2, 3])
-def test_verify_is_the_same_for_blocks_of_any_length(tmp_path, capsys, monkeypatch, case):
-    # 4 agents and 8 directed edges: blocks of 2, 7 and 1000 rows of a
+@pytest.mark.parametrize("case, cells", [
+    *[(case, (8, 16, 56, 8000)) for case in (1, 2, 3)],
+    ("network-48", (2 * 288, 56 * 288, 2 ** 16, 2 ** 18)),
+], ids=["1", "2", "3", "network-48"])
+def test_verify_is_the_same_for_blocks_of_any_length(tmp_path, capsys, monkeypatch, case, cells):
+    # 4 agents and 8 directed edges: blocks of 1, 2, 7 and 1000 rows of a
     # 2000-step run write the bytes one block writes and, on the run with one
     # input moved checked against a topology with one weight off by 1 part
-    # in 10^6, find the same first failures
+    # in 10^6, find the same first failures. 48 agents of degrees 2 to 11
+    # and 288 directed edges: blocks of 2, 56, 227 and 910 rows
     d = tmp_path / "run"
-    assert main(["run", "--case", str(case), "--horizon", "2000", "--out", str(d)]) == 0
+    if case == "network-48":
+        harness.save_run(harness.run(scenario_from_dict(network_doc(48, 2000))), str(d))
+    else:
+        assert main(["run", "--case", str(case), "--horizon", "2000", "--out", str(d)]) == 0
     log, s = harness.load_run(str(d))
     moved = dataclasses.replace(log, u=log.u.copy())
     moved.u[1500, 1] += 1e-3
@@ -452,19 +510,13 @@ def test_verify_is_the_same_for_blocks_of_any_length(tmp_path, capsys, monkeypat
 
     one_block = outcome()
     assert one_block[2] is not None and one_block[4][:2] == (1, 2)
-    for cells, rows in ((16, 2), (56, 7), (8000, 1000)):
-        monkeypatch.setattr(analysis, "BLOCK_CELLS", cells)
+    width = max(s.n, len(directed_pairs(s.topology)))
+    for block_cells in cells:
+        rows = block_cells // width
+        monkeypatch.setattr(analysis, "BLOCK_CELLS", block_cells)
         firsts = [b.k[0] for b in analysis.log_blocks(log, s.gains(), laplacian(s.topology))]
         assert firsts == list(range(1, 2001, rows))
         assert outcome() == one_block, rows
-
-
-def test_verify_folds_a_one_row_remainder_into_the_block_before(monkeypatch):
-    log = harness.run(builtin_case(1, horizon=15)).log
-    monkeypatch.setattr(analysis, "BLOCK_CELLS", 56)  # 7 rows of 8 edges
-    s = log.scenario
-    blocks = analysis.log_blocks(log, s.gains(), laplacian(s.topology))
-    assert [b.k.tolist() for b in blocks] == [list(range(1, 8)), list(range(8, 16))]
 
 
 @pytest.mark.parametrize("which", ["forced-square", "case1-stride7"])
@@ -920,6 +972,21 @@ def test_plotdata_defaults_into_log_dir(tmp_path):
     assert main(["plotdata", "--log", str(d)]) == 0
     assert (d / "inputs.csv").exists()
     assert (d / "outputs.csv").exists()
+
+
+def test_plotdata_does_not_import_numpy_ma(tmp_path, capsys):
+    # np.unique imports numpy.ma, 10-20 ms per process: plotdata keeps the
+    # first of each run of its sorted rows instead
+    d = run_dir(tmp_path, "--log-stride", "7")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from hwconsensus.cli import main; "
+            "code = main(['plotdata', '--log', sys.argv[1], '--points', '300']); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(d)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
 
 def test_plotdata_missing_directory(tmp_path, capsys):
