@@ -39,7 +39,7 @@ from .errors import (
     StepNotLogged,
     ValidationError,
 )
-from .graph import LaplacianView, Topology, build_topology, diameter, is_connected, laplacian
+from .graph import Ranks, Topology, build_topology, diameter, is_connected, laplacian
 from .harness import (
     AgentSpec,
     ControllerSpec,

@@ -29,7 +29,7 @@ from .errors import (
     StepNotLogged,
     ValidationError,
 )
-from .graph import LaplacianView, Topology, diameter, directed_pairs, laplacian, neighbour_columns
+from .graph import Ranks, Topology, diameter, directed_pairs, laplacian, neighbour_columns
 from .noise import edge_blocks
 from .plant import steps
 
@@ -146,7 +146,7 @@ def observations(y: np.ndarray, noise: np.ndarray, topology: Topology) -> tuple:
     """(z, O) on rows of y and of the noise of topology's directed_pairs, as
     the round forms them: z, the observed agent's y plus the noise, and O,
     each agent's neighbour_sum of z - y_i."""
-    ranks = laplacian(topology).ranks
+    ranks = laplacian(topology)
     # the round's float arithmetic overflows to inf without a warning
     with np.errstate(all="ignore"):
         z = y[:, [j - 1 for _, j in directed_pairs(topology)]]
@@ -258,7 +258,7 @@ class Block:
     sigma_bar: np.ndarray | None = None
 
 
-def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
+def log_blocks(log: TrajectoryLog, gains, lap: Ranks):
     """The log's rows as Blocks of about BLOCK_CELLS cells (at least one row),
     from u, the count events and the logged y alone; blocks of any length hold
     the same bits. y is the stored y at stride 1, else the plants the run started from
@@ -301,33 +301,34 @@ def log_blocks(log: TrajectoryLog, gains, lap: LaplacianView):
 # ---------------------------------------------------------------------------
 # regression field and noise decomposition
 
-def gain_field(u: np.ndarray, gains, lap: LaplacianView) -> tuple[np.ndarray, np.ndarray]:
+def gain_field(u: np.ndarray, gains, lap: Ranks) -> tuple[np.ndarray, np.ndarray]:
     """Gains h(u) and consensus field g(u) = -L h(u) for a (rows, n) block of u.
 
-    h is evaluated one agent's column at a time; g_i = sum_j p_ij h_j - d_i h_i.
+    h is evaluated one agent's column at a time; g_i = sum_j p_ij h_j - d_i h_i,
+    the sum a neighbour_sum and d_i the weighted degree lap.d.
     """
     h = np.column_stack([gains[i](u[:, i]) for i in range(u.shape[1])])
-    return h, neighbour_sum(lap.ranks, h.T[lap.ranks.j]) - np.diag(lap.D) * h
+    return h, neighbour_sum(lap, h.T[lap.j]) - lap.d * h
 
 
-def regression_g(u: np.ndarray, gains, lap: LaplacianView) -> np.ndarray:
+def regression_g(u: np.ndarray, gains, lap: Ranks) -> np.ndarray:
     """Consensus vector field g_i = sum_j p_ij (h_j(u_j) - h_i(u_i)) at one point."""
     u = np.asarray(u, dtype=float)
-    n = lap.L.shape[0]
+    n = len(lap.d)
     if u.shape != (n,) or len(gains) != n:
-        raise DimensionMismatch(
-            f"u shape {u.shape}, {len(gains)} gains, Laplacian {lap.L.shape}")
+        raise DimensionMismatch(f"u shape {u.shape}, {len(gains)} gains, {n} agents")
     return gain_field(u[None], gains, lap)[1][0]
 
 
-def _decompose(block: Block, pairs, lap: LaplacianView):
+def _decompose(block: Block, lap: Ranks):
     """(e1, e2, e3, O - g, bound) on the rows of a block, each (rows, n).
 
     e1 = sum_j p_ij eps_ij           (pure observation noise)
     e2 = d_i (h_i(u_{i,k}) - y_{i,k+1})   (own output off steady state)
     e3 = sum_j p_ij (y_{j,k+1} - h_j(u_{j,k}))
-    Each sum over j is a neighbour_sum, as are O's and g's, over lap.ranks,
-    whose edge columns are those of pairs; d_i is P's row sum.
+    Each sum over j is a neighbour_sum, as are O's and g's, over lap, whose
+    edge columns are those of the log's pairs; d_i is lap.d, agent i's weights
+    summed in the same order.
 
     bound, gamma_t S capped at the largest float, bounds the float sides'
     difference, 0 in exact arithmetic with d_i the exact sum_j p_ij:
@@ -342,30 +343,29 @@ def _decompose(block: Block, pairs, lap: LaplacianView):
     own sum (at least 1 - gamma_{d+3} times S) and the bound's two roundings:
     gamma_{2d+8} (1 - u)^2 (1 - gamma_{d+3}) >= (1 + u) gamma_{2d+5} for d < 10^7.
     """
-    y, h, r = block.y, block.h, lap.ranks
-    eps = block.noise.T[r.c]  # per edge, (edges, rows)
-    e1 = neighbour_sum(r, eps)
-    e3 = neighbour_sum(r, (y - h).T[r.j])
-    d = np.diag(lap.D)
-    e2 = d * (h - y)
+    y, h = block.y, block.h
+    eps = block.noise.T[lap.c]  # per edge, (edges, rows)
+    e1 = neighbour_sum(lap, eps)
+    e3 = neighbour_sum(lap, (y - h).T[lap.j])
+    e2 = lap.d * (h - y)
     size = np.abs(y) + np.abs(h)
-    S = neighbour_sum(r, np.abs(eps) + size.T[r.j]) + d * size
-    t = 2 * len(r.counts) + 8  # one count per rank: len(r.counts) is d_max
+    S = neighbour_sum(lap, np.abs(eps) + size.T[lap.j]) + lap.d * size
+    t = 2 * len(lap.counts) + 8  # one count per rank: len(lap.counts) is d_max
     bound = np.minimum(t * _U / (1 - t * _U) * S, np.finfo(float).max)  # an infinite err fails
     return e1, e2, e3, block.O - block.g, bound
 
 
-def decomposition_check(block: Block, pairs, lap: LaplacianView) -> tuple:
+def decomposition_check(block: Block, lap: Ranks) -> tuple:
     """The decomposition verdict on the rows of a block: ((e1, e2, e3, O - g),
     err = |e1 + e2 + e3 - (O - g)|, ok = err <= _decompose's bound) per cell.
     An all-zero cell passes; a NaN or an infinite err fails."""
-    e1, e2, e3, rhs, bound = _decompose(block, pairs, lap)
+    e1, e2, e3, rhs, bound = _decompose(block, lap)
     err = np.abs(e1 + e2 + e3 - rhs)
     return (e1, e2, e3, rhs), err, err <= bound
 
 
 def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
-                        lap: LaplacianView) -> tuple[float, float, float]:
+                        lap: Ranks) -> tuple[float, float, float]:
     """Split O_{i,k+1} - g_i(u_k) into noise, own-transient, neighbor-transient:
     _decompose's e1, e2, e3 at step k, agent i (1..n, else IndexOutOfRange).
     A cell decomposition_check fails raises IdentityViolation, located at
@@ -383,7 +383,7 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
     u = log.u[r:r + 1]
     block = Block(np.array([k]), u, y, noise, observations(y, noise, log.scenario.topology)[1],
                   *gain_field(u, gains, lap))
-    terms, _, ok = decomposition_check(block, log.pairs, lap)
+    terms, _, ok = decomposition_check(block, lap)
     e1, e2, e3, rhs = (float(t[0, i - 1]) for t in terms)
     if not ok[0, i - 1]:
         lhs = e1 + e2 + e3
@@ -759,8 +759,7 @@ class RunMetrics:
     v: np.ndarray
 
 
-def consensus_metrics(block: Block, gains, lap: LaplacianView, roots: np.ndarray,
-                      h_roots) -> RunMetrics:
+def consensus_metrics(block: Block, gains, roots: np.ndarray, h_roots) -> RunMetrics:
     """Per-step consensus diagnostics of the rows of a block (log_blocks).
 
     spread_y is the max pairwise gap of the outputs produced in the round;
@@ -824,7 +823,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
             if each_block is not None:
                 each_block(block)
             rec = verify_centralized_recursion(build_auxiliary(block, times, u_star), sched, rec)
-            _, err, ok = decomposition_check(block, log.pairs, lap)
+            _, err, ok = decomposition_check(block, lap)
             # np.maximum, not max: a NaN anywhere is the maximum
             decomp = np.maximum(decomp, err.max())
             decomp_failure = decomp_failure or first_failure(err, ok, block.k[0])

@@ -41,7 +41,6 @@ from .errors import (
     RootSolverFailure,
     ValidationError,
 )
-from .graph import laplacian
 from .noise import make_noise_spec
 
 
@@ -143,7 +142,7 @@ def cmd_verify(args) -> int:
         print(f"no run found: {e}", file=sys.stderr)
         return 3
     t1 = time.perf_counter()
-    gains, lap = s.gains(), laplacian(s.topology)
+    gains = s.gains()
     roots = analysis.gain_roots(gains)
     h_roots = analysis.at_roots(gains, roots)
     # each block's metrics are written as it is checked; metrics.csv appears
@@ -152,7 +151,7 @@ def cmd_verify(args) -> int:
                            "k,spread_y,residual,sigma_bar,v") as write:
         report, extras = analysis.full_verification(
             log, gains, s.topology, lambda block: write(list(map(csvout.format_cells, vars(
-                analysis.consensus_metrics(block, gains, lap, roots, h_roots)).values()))))
+                analysis.consensus_metrics(block, gains, roots, h_roots)).values()))))
     rec = extras["recursion"]
 
     eq28_note = f"grid k <= {analysis.EQ28_GRID_K}, T in {analysis.EQ28_GRID_T}"

@@ -1,7 +1,7 @@
 """Weighted undirected communication topology and its Laplacian.
 
-Agents are numbered 1..n in every public interface and file format; arrays
-returned by laplacian() are 0-indexed in the usual way (row 0 is agent 1).
+Agents are numbered 1..n in every public interface and file format; the
+arrays laplacian() returns index agents from 0 (agent 1 is 0).
 Topologies are immutable once built and safe to share.
 """
 
@@ -55,28 +55,35 @@ class Topology:
                      for i in range(1, self.n + 1))
 
     @functools.cached_property
-    def _laplacian(self) -> LaplacianView:
-        P = np.zeros((self.n, self.n))
-        for (i, j), w in self.weights.items():
-            P[i - 1, j - 1] = w
-            P[j - 1, i - 1] = w
-        D = np.diag(P.sum(axis=1))
+    def _laplacian(self) -> Ranks:
         deg = [len(nb) for nb in self._columns]
         order = sorted(range(self.n), key=lambda a: -deg[a])  # by falling degree, stably
         counts = tuple(sum(d > t for d in deg) for t in range(max(deg)))
         edges = np.array([(a, *self._columns[a][t]) for t, m in enumerate(counts)
                           for a in order[:m]], dtype=float).reshape(-1, 4).T
-        ranks = Ranks(*edges[:3].astype(np.intp), edges[3], counts, np.argsort(order))
-        view = LaplacianView(P=P, D=D, L=D - P, ranks=ranks)
-        for a in (P, D, view.L, *ranks[:4], ranks.inv):
+        i, c, j = edges[:3].astype(np.intp)
+        # bincount adds in edge order: each agent's weights from 0.0 by rank
+        ranks = Ranks(i, c, j, edges[3], np.argsort(order),
+                      np.bincount(i, weights=edges[3], minlength=self.n), counts)
+        for a in ranks[:-1]:
             a.flags.writeable = False  # shared by every caller
-        return view
+        return ranks
 
     @functools.cached_property
     def _diameter(self) -> int:
-        if not is_connected(self):
-            raise Disconnected("diameter undefined for a disconnected topology")
-        return max(max(_hops(self, src).values()) for src in range(1, self.n + 1))
+        # each agent's ball of radius r as a bit set, grown by its neighbours' balls
+        adj, full = self._adjacency[1:], (1 << self.n) - 1
+        balls, r = [1 << a for a in range(self.n)], 0
+        while any(b != full for b in balls):
+            grown = []
+            for b, nb in zip(balls, adj):
+                for j in nb:
+                    b |= balls[j - 1]
+                grown.append(b)
+            if grown == balls:
+                raise Disconnected("diameter undefined for a disconnected topology")
+            balls, r = grown, r + 1
+        return r
 
     def neighbors(self, i: int) -> list[int]:
         """Sorted neighbor list of agent i (1-based), copied from lists built once."""
@@ -95,19 +102,12 @@ class Topology:
         return [(a, b, w) for (a, b), w in sorted(self.weights.items())]
 
 
-# neighbour_columns rank by rank, agents by falling degree: each edge's agent
-# i, column c, neighbour j and weight w, rank t's counts[t] edges (the t-th
-# neighbours of the first counts[t] agents) before rank t + 1's; inv, each
-# agent's place in that order
-Ranks = namedtuple("Ranks", "i c j w counts inv")
-
-
-@dataclass(frozen=True)
-class LaplacianView:
-    P: np.ndarray  # adjacency, n x n
-    D: np.ndarray  # diagonal degree matrix
-    L: np.ndarray  # D - P
-    ranks: Ranks  # read-only arrays
+# The Laplacian L = D - P as neighbour_columns rank by rank, agents by
+# falling degree: each edge's agent i, column c, neighbour j and weight w,
+# rank t's counts[t] edges (the t-th neighbours of the first counts[t] agents)
+# before rank t + 1's; inv, each agent's place in that order; d, each agent's
+# weighted degree, its weights summed from 0.0 in neighbour_columns order
+Ranks = namedtuple("Ranks", "i c j w inv d counts")
 
 
 def build_topology(n: int, weighted_edges) -> Topology:
@@ -154,9 +154,9 @@ def neighbour_columns(t: Topology) -> list:
     return [list(nb) for nb in t._columns]
 
 
-def laplacian(t: Topology) -> LaplacianView:
-    """The topology's adjacency, degree and Laplacian matrices and neighbour
-    ranks, built once per topology; the arrays are read-only."""
+def laplacian(t: Topology) -> Ranks:
+    """The topology's Laplacian as its weighted degrees and neighbour ranks,
+    built once per topology; the arrays are read-only."""
     return t._laplacian
 
 
@@ -181,6 +181,6 @@ def diameter(t: Topology) -> int:
     """Max over agent pairs of the shortest path length in hops.
 
     Weights do not enter the distance; only edge counts do. Found once per
-    topology.
+    topology, by growing every agent's ball of radius r as a bit set.
     """
     return t._diameter

@@ -232,6 +232,17 @@ def reweighted(topology: Topology, i: int, j: int) -> Topology:
                                        for a, b, w in topology.edge_list()])
 
 
+def dense_laplacian(t: Topology) -> np.ndarray:
+    """L = D - P of t as an (n, n) matrix built from its edge list: the
+    reference for the degrees and neighbour ranks laplacian(t) holds."""
+    L = np.zeros((t.n, t.n))
+    for i, j, w in t.edge_list():
+        L[i - 1, j - 1] = L[j - 1, i - 1] = -w
+        L[i - 1, i - 1] += w
+        L[j - 1, j - 1] += w
+    return L
+
+
 def whole_auxiliary(log, gains, topology) -> AuxiliarySequences:
     """build_auxiliary of every block of the log, joined: the relabeling of
     the whole log, which verify_centralized_recursion replays in one call."""
@@ -252,6 +263,6 @@ def whole_metrics(log, gains, lap) -> RunMetrics:
     every step of the log."""
     roots = gain_roots(gains)
     h_roots = at_roots(gains, roots)
-    parts = [consensus_metrics(b, gains, lap, roots, h_roots) for b in log_blocks(log, gains, lap)]
+    parts = [consensus_metrics(b, gains, roots, h_roots) for b in log_blocks(log, gains, lap)]
     return RunMetrics(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
                          for f in dataclasses.fields(RunMetrics)})

@@ -54,6 +54,7 @@ from hwconsensus.harness import AgentSpec
 from conftest import (
     RESTART_CASE,
     STIFF_CASE1,
+    dense_laplacian,
     forced_truncation_scenarios,
     network_doc,
     network_scenario,
@@ -339,7 +340,7 @@ def test_regression_case1_at_zero():
     g = regression_g(np.zeros(4), GAINS1, LAP1)
     assert g[0] == pytest.approx(-0.275524, abs=1e-6)
     assert g[2] == pytest.approx(-0.207407, abs=1e-6)
-    assert np.allclose(g, -(LAP1.L @ h0), atol=1e-12)
+    assert np.allclose(g, -(dense_laplacian(CASE1.topology) @ h0), atol=1e-12)
 
 
 def test_regression_vanishes_at_consensus_point():
@@ -406,7 +407,7 @@ def test_decomposition_is_a_view_of_the_sweep():
     import hwconsensus.analysis as A
     log = run(builtin_case(1, horizon=3000)).log
     # (k, agent, term), compared bit for bit
-    sweep = np.concatenate([np.stack(A._decompose(block, log.pairs, LAP1)[:3], axis=-1)
+    sweep = np.concatenate([np.stack(A._decompose(block, LAP1)[:3], axis=-1)
                             for block in A.log_blocks(log, GAINS1, LAP1)])
     per_step = np.array([[noise_decomposition(log, k, i, GAINS1, LAP1)
                           for i in (1, 2, 3, 4)] for k in range(1, log.horizon + 1)])
@@ -421,7 +422,7 @@ def test_noise_decomposition_is_the_whole_blocks_decomposition():
     s = scenario_from_dict(network_doc(12, 60))
     log, gains, lap = run(s).log, s.gains(), laplacian(s.topology)
     (block,) = analysis.log_blocks(log, gains, lap)
-    whole = np.stack(analysis._decompose(block, log.pairs, lap)[:3], axis=-1)
+    whole = np.stack(analysis._decompose(block, lap)[:3], axis=-1)
     per_step = np.array([[noise_decomposition(log, k, i, gains, lap) for i in range(1, 13)]
                          for k in range(1, 61)])
     assert per_step.shape == whole.shape == (60, 12, 3)
@@ -442,7 +443,7 @@ def test_decomposition_bound_holds_in_exact_arithmetic(which):
         which, lambda: builtin_case(int(which[-1]), horizon=2000))()
     log, lap = run(s).log, laplacian(s.topology)
     (block,) = analysis.log_blocks(log, s.gains(), lap)
-    e1, e2, e3, rhs, bound = analysis._decompose(block, log.pairs, lap)
+    e1, e2, e3, rhs, bound = analysis._decompose(block, lap)
     K, n = log.u.shape
     rows = {0, 1, 2} | {int(k) + dk for k in log.events[:12, 0] for dk in (-1, 0, 1)}
     rows |= set(np.random.default_rng(0).integers(0, K, 10).tolist())
@@ -536,10 +537,10 @@ def test_the_decomposition_fails_a_real_inconsistency(case, stiff, monkeypatch):
     decompose = analysis._decompose
     for index, term in ((0, lambda block: block.noise[:, 0]),
                         (2, lambda block: block.y[:, b - 1] - block.h[:, b - 1])):
-        def dropped(block, pairs, lap, index=index, term=term):
-            parts = list(decompose(block, pairs, lap))
+        def dropped(block, lap, index=index, term=term):
+            parts = list(decompose(block, lap))
             parts[index] = parts[index].copy()
-            parts[index][:, a - 1] -= lap.P[a - 1, b - 1] * term(block)
+            parts[index][:, a - 1] -= s.topology.weight(a, b) * term(block)
             return tuple(parts)
         monkeypatch.setattr(analysis, "_decompose", dropped)
         k, agent, err = first_failure_of()
@@ -567,7 +568,7 @@ def test_decomposition_draws_one_step(stride):
         u = whole.u[k - 1:k]
         block = analysis.Block(np.array([k]), u, whole.y[x], whole.noise[x], whole.logged_O[x],
                                *analysis.gain_field(u, GAINS1, LAP1))
-        expected = np.stack(analysis._decompose(block, whole.pairs, LAP1)[:3], axis=-1)[0]
+        expected = np.stack(analysis._decompose(block, LAP1)[:3], axis=-1)[0]
         got = np.array([noise_decomposition(fresh, k, i, GAINS1, LAP1) for i in (1, 2, 3, 4)])
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
     assert "noise" not in vars(fresh) and "_observations" not in vars(fresh)

@@ -25,6 +25,7 @@ from hwconsensus.cli import main
 from hwconsensus.graph import directed_pairs
 
 from conftest import (
+    MIXED_CASE,
     RESTART_CASE,
     forced_truncation_scenarios,
     network_doc,
@@ -219,28 +220,36 @@ def test_verify_clean_run_passes(tmp_path, capsys):
 # noise decomposition and eq28 check were merged into one implementation
 # each; a report or metrics value that moves by one ulp moves these. Cases 2
 # and 3 happen to share every report value.
+# (report.json, metrics.csv) per run: cases 1-3 at 2000 steps, and the mixed
+# case's weights of three decimals, whose degrees and residuals round
 GOLDEN_VERIFY_DIGESTS = {
-    1: ("93e039f5c64b224131c2cdbb54a78457533385b3f6cbee30b9aea2a0548e699b",
+    ("--case", "1", "--horizon", "2000"): (
+        "93e039f5c64b224131c2cdbb54a78457533385b3f6cbee30b9aea2a0548e699b",
         "e0870e6cb261412aa6ca068a8b5eda4b74c550ca833126d00cb9fee57aafded1"),
-    2: ("e943656f41f06c39055a7bfacb9634c57d55119fc6d1b69af89387857e8647f2",
+    ("--case", "2", "--horizon", "2000"): (
+        "e943656f41f06c39055a7bfacb9634c57d55119fc6d1b69af89387857e8647f2",
         "6191a6c213f4a6013345065ae02d046b99a25039e13ae6ae4eae5e40887bee07"),
-    3: ("e943656f41f06c39055a7bfacb9634c57d55119fc6d1b69af89387857e8647f2",
+    ("--case", "3", "--horizon", "2000"): (
+        "e943656f41f06c39055a7bfacb9634c57d55119fc6d1b69af89387857e8647f2",
         "0e08511f81743fa49d703f1306a8a336e2759ba2b4e01869e384b3f1c1701fe9"),
+    **{("--scenario", MIXED_CASE, "--log-stride", stride): (
+        "4f22070187cc833d3e3f6289b4229eacc2a60fef195e31f5f4c06defe7cf6e26",
+        "897c0ad591e4c67632bdaf2f9ba2de8bb187ed8fc8aedc4ebcabb0011383d21c")
+       for stride in ("1", "10")},
 }
 
 
 def test_golden_verify_output_digests(tmp_path, capsys):
     changed = []
-    for case, want in GOLDEN_VERIFY_DIGESTS.items():
-        d = tmp_path / f"case{case}"
-        assert main(["run", "--case", str(case), "--horizon", "2000",
-                     "--out", str(d)]) == 0
+    for i, (args, want) in enumerate(GOLDEN_VERIFY_DIGESTS.items()):
+        d = tmp_path / str(i)
+        assert main(["run", *args, "--out", str(d)]) == 0
         assert main(["verify", "--log", str(d)]) == 0
         got = tuple(hashlib.sha256((d / name).read_bytes()).hexdigest()
                     for name in ("report.json", "metrics.csv"))
         if got != want:
-            changed.append(case)
-    assert not changed, f"verify output digests changed for cases {changed}"
+            changed.append(args)
+    assert not changed, f"verify output digests changed for {changed}"
 
 
 def _openblas() -> bool:

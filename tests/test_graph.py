@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwconsensus import build_topology, diameter, is_connected, laplacian
+from hwconsensus.analysis import gain_field, neighbour_columns
 from hwconsensus.graph import directed_pairs
 from hwconsensus.errors import (
     Disconnected,
@@ -17,6 +19,8 @@ from hwconsensus.errors import (
     ValidationError,
 )
 
+from conftest import dense_laplacian
+
 SQUARE = [(1, 2, 1.0), (1, 4, 1.0), (2, 3, 1.0), (2, 4, 1.0)]
 
 
@@ -26,31 +30,9 @@ def square():
 
 def test_square_with_chord_degrees():
     t = square()
-    lap = laplacian(t)
-    assert np.allclose(np.diag(lap.D), [2, 3, 1, 2])
+    assert laplacian(t).d.tolist() == [2.0, 3.0, 1.0, 2.0]
     assert list(t.neighbors(2)) == [1, 3, 4]
     assert list(t.neighbors(3)) == [2]
-
-
-def test_square_laplacian_matrix():
-    L = laplacian(square()).L
-    expect = np.array([[2, -1, 0, -1],
-                       [-1, 3, -1, -1],
-                       [0, -1, 1, 0],
-                       [-1, -1, 0, 2]], dtype=float)
-    assert np.array_equal(L, expect)
-
-
-def test_two_node_laplacian():
-    L = laplacian(build_topology(2, [(1, 2, 0.7)])).L
-    assert np.array_equal(L, np.array([[0.7, -0.7], [-0.7, 0.7]]))
-
-
-def test_quadratic_form_by_hand():
-    # y = e_1 picks out node 1's two unit edges on the chorded square
-    L = laplacian(square()).L
-    y = np.array([1.0, 0.0, 0.0, 0.0])
-    assert y @ L @ y == 2.0
 
 
 def test_diameter_values():
@@ -116,30 +98,22 @@ def connected_topologies(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(connected_topologies(), st.data())
-def test_quadratic_form_identity(t, data):
-    lap = laplacian(t)
-    y = np.array([data.draw(st.floats(min_value=-10, max_value=10,
-                                      allow_nan=False)) for _ in range(t.n)])
-    direct = float(y @ lap.L @ y)
-    pair_sum = 0.0
-    for (i, j, w) in t.edge_list():
-        pair_sum += w * (y[i - 1] - y[j - 1]) ** 2
-    assert direct == pytest.approx(pair_sum, abs=1e-10)
-
-
-@settings(max_examples=60, deadline=None)
-@given(connected_topologies())
-def test_laplacian_structure(t):
-    lap = laplacian(t)
-    L = lap.L
-    assert np.array_equal(L, L.T)
-    assert np.max(np.abs(L.sum(axis=1))) <= 1e-12
-    eig = np.linalg.eigvalsh(L)
-    assert eig[0] >= -1e-9
-    if t.n >= 2:
-        assert eig[1] > 1e-9  # algebraic connectivity of a connected graph
-    d = diameter(t)
-    assert 1 <= d <= t.n - 1
+def test_the_gain_field_is_minus_the_laplacian_times_h(t, data):
+    # g from the degrees and neighbour ranks against L built from the edge
+    # list; identity gains make h the drawn point
+    lap, L = laplacian(t), dense_laplacian(t)
+    h = np.array([data.draw(st.floats(min_value=-10, max_value=10, allow_nan=False))
+                  for _ in range(t.n)])
+    g = gain_field(h[None], [lambda x: x] * t.n, lap)[1][0]
+    size = np.abs(L) @ np.abs(h)
+    assert np.all(np.abs(g + L @ h) <= 1e-12 * size)
+    assert abs(g.sum()) <= 1e-12 * size.sum()
+    pair_sum = sum(w * (h[i - 1] - h[j - 1]) ** 2 for i, j, w in t.edge_list())
+    assert -(h @ g) == pytest.approx(pair_sum, rel=1e-12, abs=1e-12 * (np.abs(h) @ size))
+    # d: each agent's weights from 0.0 in the order the round sums them
+    want = [sum((w for _, _, w in nb), 0.0) for nb in neighbour_columns(t)]
+    assert lap.d.tobytes() == np.array(want).tobytes()
+    assert diameter(t) == max(max(d.values()) for d in _hop_table(t).values())
 
 
 def test_a_neighbor_list_is_a_copy():
@@ -159,7 +133,6 @@ def test_a_neighbor_list_is_a_copy():
 def test_directed_pairs_and_neighbour_columns_are_fresh_lists():
     # both are found once per topology and handed out as copies: a caller's
     # edits reach no later answer, nor the log of a run on the topology
-    from hwconsensus.analysis import neighbour_columns
     t = square()
     pairs, cols = directed_pairs(t), neighbour_columns(t)
     assert pairs == [(1, 2), (1, 4), (2, 1), (2, 3), (2, 4), (3, 2), (4, 1), (4, 2)]
@@ -224,15 +197,44 @@ def test_the_laplacian_is_built_once_with_read_only_arrays():
     t = square()
     lap = laplacian(t)
     assert laplacian(t) is lap
-    P = np.zeros((4, 4))
-    for i, j, w in SQUARE:
-        P[i - 1, j - 1] = P[j - 1, i - 1] = w
-    D = np.diag(P.sum(axis=1))
     copied = laplacian(pickle.loads(pickle.dumps(t)))
     for view in (lap, copied):
-        for got, want in ((view.P, P), (view.D, D), (view.L, D - P)):
-            assert not got.flags.writeable
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # rank by rank, agents by falling degree (2, 1, 4, 3): each edge's
+        # agent, column in directed_pairs, neighbour and weight
+        assert view.i.tolist() == [1, 0, 3, 2, 1, 0, 3, 1]
+        assert view.c.tolist() == [2, 0, 6, 5, 3, 1, 7, 4]
+        assert view.j.tolist() == [0, 1, 0, 1, 2, 3, 1, 3]
+        assert view.w.tolist() == [1.0] * 8
+        assert view.counts == (4, 3, 1) and view.inv.tolist() == [1, 0, 3, 2]
+        assert view.d.dtype == float and view.d.tolist() == [2.0, 3.0, 1.0, 2.0]
+        assert not any(a.flags.writeable for a in view if isinstance(a, np.ndarray))
     with pytest.raises(ValueError):
-        lap.L[0, 0] = 1.0
+        lap.d[0] = 1.0
     assert diameter(t) == diameter(pickle.loads(pickle.dumps(t))) == 2
+
+
+def _held_arrays(x) -> list:
+    """Every numpy array x holds, through tuples and object attributes."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    parts = x if isinstance(x, tuple) else vars(x).values() if hasattr(x, "__dict__") else ()
+    return [a for part in parts for a in _held_arrays(part)]
+
+
+def test_the_laplacian_holds_no_array_of_n_squared_entries():
+    # a 2000-agent ring with 1000 chords: the network is held as its degrees
+    # and neighbour ranks, linear in the edges, never as an (n, n) matrix
+    n = 2000
+    t = build_topology(n, [(a, a % n + 1, 1.0) for a in range(1, n + 1)]
+                       + [(a, a + n // 2, 0.5 + a % 7 / 8) for a in range(1, n // 2 + 1)])
+    edges = len(directed_pairs(t))
+    tracemalloc.start()
+    try:
+        arrays = _held_arrays(laplacian(t))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges == 6000 and arrays
+    assert max(a.size for a in arrays) <= n + 4 * edges
+    # nor is one built on the way: one (n, n) float matrix is 8 n^2 bytes
+    assert peak < n * n
