@@ -5,8 +5,8 @@ static scenario objects (gains, topology). The centerpiece is the
 centralized-replay oracle: relabeling the distributed run through its
 truncation windows yields sequences that must satisfy a single expanding-
 truncation recursion with an infinity-norm test, exactly. The replay here
-reproduces the logged run to float precision and is used as the package's
-main correctness check. Verification reads only what a log stores and
+reproduces the logged run bit for bit and is used as the package's main
+correctness check. Verification reads only what a log stores and
 regenerates the rest one block of rows at a time (log_blocks).
 """
 
@@ -38,7 +38,6 @@ INF = float("inf")
 # EQ28_GRID_K e^T is within _MAX_TERMS
 EQ28_GRID_K = 1000
 EQ28_GRID_T = (0.1, 0.5, 1.0, 2.0)
-RECURSION_THRESHOLD = 1e-9  # largest replay residual the recursion check passes
 BLOCK_CELLS = 1 << 16  # verify's blocks hold about this many rows x max(agents, edges)
 
 
@@ -595,10 +594,10 @@ def build_auxiliary(block: Block, times: TruncationTimes, u_star) -> AuxiliarySe
 
 @dataclass(frozen=True)
 class RecursionCheck:
-    max_abs_residual: float
-    passed: bool
+    max_abs_residual: float  # a diagnostic: the verdict is exact
+    passed: bool  # every replayed estimate == the logged one, and sigma_consistent
     sigma_consistent: bool
-    first_failure: tuple | None = None  # (k, agent, residual), see first_failure
+    first_failure: tuple | None = None  # (k, agent, residual) of the first miss
     last: tuple = ()  # the last row's (replayed estimate, reset, sigma_bar)
 
 
@@ -621,12 +620,12 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
     |candidate| is below ln(sigma_bar + c_M) (a NaN is not), every agent
     resets to its u_star and sigma_bar increments, else the candidates carry
     forward.
-    Reports the largest deviation from the logged relabeling, the first
-    round and agent whose replayed next estimate deviates by
-    RECURSION_THRESHOLD or more, and whether the sigma_bar path matches the
-    indicator exactly; it passes when both hold, every deviation below
-    RECURSION_THRESHOLD. before, the check of the rows before the block,
-    carries its last row into the replay, and the result covers both.
+    It passes iff every replayed next estimate == the logged one (NaN never
+    does; a reset point -0.0 replays as -0.0 + (1/k) 0.0 = 0.0) and the
+    sigma_bar path matches the indicator; it names the first round and agent
+    whose estimate differs, and the largest deviation as a diagnostic.
+    before, the check of the rows before the block, carries its last row
+    into the replay, and the result covers both.
     """
     cand = aux.ubar + (1.0 / aux.k)[:, None] * aux.obar
     # the schedule's table, which the round reads: math.log, whose bits
@@ -644,12 +643,12 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
     diff = np.abs(pred[:-1] - nxt)
     resid = float(diff.max(initial=0.0))
     sigma_ok = bool(np.array_equal(sbar[1:], sbar[:-1] + ind[:-1].astype(sbar.dtype)))
-    failure = first_failure(diff, diff < RECURSION_THRESHOLD, k0)
+    failure = first_failure(diff, pred[:-1] == nxt, k0)
     if before is not None:
         resid = float(np.maximum(before.max_abs_residual, resid))
         sigma_ok = sigma_ok and before.sigma_consistent
         failure = before.first_failure or failure
-    return RecursionCheck(max_abs_residual=resid, passed=resid < RECURSION_THRESHOLD and sigma_ok,
+    return RecursionCheck(max_abs_residual=resid, passed=failure is None and sigma_ok,
                           sigma_consistent=sigma_ok, first_failure=failure,
                           last=(pred[-1], ind[-1], sbar[-1]))
 

@@ -84,9 +84,10 @@ def emit_round(shape: tuple) -> list:
     from the same counts: the caller sets pool true before the first round.
     M is the bound table, which covers the largest count and only grows by
     appending: the caller sets it, and a fire, the only way the largest
-    count grows, extends it with bounds(s{i}). O_i = 0.0 + sum_j
-    w_ij (y_j + e_ij - y_i) is summed in nbrs order. The source holds only
-    these names and integers (every index is formatted as one).
+    count grows, extends it with bounds(s{i}). o = O_i = 0.0 + sum_j
+    w_ij (y_j + e_ij - y_i) is summed in nbrs order, one statement per 1000
+    terms, as a deeper left-nested sum does not compile. The source holds
+    only these names and integers (every index is formatted as one).
     """
     lines = ["a = 1.0 / k", "if pool:", "    pool = False"]
     for i, nb in enumerate(shape):
@@ -95,14 +96,16 @@ def emit_round(shape: tuple) -> list:
             lines += [f"    if s{j:d} > p{i}:", f"        p{i} = s{j:d}"]
         lines += [f"    m{i} = M[p{i}]", f"    n{i} = -m{i}"]
     for i, nb in enumerate(shape):
-        terms = "".join(f" + w{c:d} * (y{j:d} + e{c:d} - y{i})" for c, j in nb)
+        terms = [f" + w{c:d} * (y{j:d} + e{c:d} - y{i})" for c, j in nb]
         lines += [f"if p{i} > s{i}:",
                   f"    u{i} = us{i}",
                   f"    s{i} = p{i}",
                   f"    events([k, {i + 1:d}, s{i}])",
                   "    pool = True",
                   "else:",
-                  f"    cand = u{i} + a * (0.0{terms})",
+                  *(f"    o = {'o' if x else '0.0'}{''.join(terms[x:x + 1000])}"
+                    for x in range(0, len(terms) or 1, 1000)),
+                  f"    cand = u{i} + a * o",
                   f"    if n{i} < cand < m{i}:",
                   f"        u{i} = cand",
                   "    else:",

@@ -109,7 +109,7 @@ def test_criterion_03_centralized_replay_oracle(runs, cases):
             aux = whole_auxiliary(res.log, gains, s.topology)
             rec = verify_centralized_recursion(aux, Schedule(c_M=55.0))
             assert rec.passed, f"case {case} seed {seed}"
-            assert rec.max_abs_residual < 1e-9
+            assert rec.max_abs_residual == 0.0
             worst = max(worst, rec.max_abs_residual)
 
     # negative control: one perturbed estimate must surface at full size

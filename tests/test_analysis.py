@@ -923,7 +923,7 @@ def test_replay_truncation_free_noise_free_case1():
     aux = whole_auxiliary(res.log, GAINS1, s.topology)
     rec = verify_centralized_recursion(aux, Schedule(c_M=s.controller.c_M))
     assert rec.passed
-    assert rec.max_abs_residual < 1e-12
+    assert rec.max_abs_residual == 0.0
 
 
 def test_replay_small_noisy_pair():
@@ -941,7 +941,40 @@ def test_replay_case1_seed7(runs):
     rec = verify_centralized_recursion(aux, Schedule(c_M=55.0))
     assert rec.passed
     assert rec.sigma_consistent
-    assert rec.max_abs_residual < 1e-9
+    assert rec.max_abs_residual == 0.0
+
+
+@pytest.mark.parametrize("row", [2000, 8192], ids=["in-a-block", "first-row-of-a-block"])
+def test_replay_fails_at_an_estimate_moved_by_one_ulp(runs, row):
+    # the replay is exact: one logged estimate one ulp off fails the row at
+    # the round that produced it, here and where the replay carries the last
+    # row of the previous block (case 1's blocks hold 8192 rows)
+    log = runs(1, 7).log
+    log = dataclasses.replace(log, u=log.u.copy())
+    was = log.u[row, 2]
+    log.u[row, 2] = np.nextafter(was, np.inf)
+    ulp = float(log.u[row, 2] - was)
+    report, extras = full_verification(log, GAINS1, CASE1.topology)
+    rec = extras["recursion"]
+    assert not rec.passed and rec.sigma_consistent
+    assert rec.first_failure == (row, 3, ulp)
+    assert report["lemma3_residual"] == ulp
+
+
+@pytest.mark.parametrize("u_star", [(1.0, 2.0, -0.0, 4.0), (-0.0,) * 4],
+                         ids=["one-negative-zero", "all-negative-zero"])
+def test_replay_compares_estimates_by_value_not_by_bits(u_star):
+    # in a catch-up window the replay forms u* + (1/k) 0.0, which is +0.0 for
+    # a reset point -0.0, while the relabeled next cell holds u* = -0.0: the
+    # two are equal, and a correct run must pass
+    s = builtin_case(1, horizon=3000, seed=7)
+    s = dataclasses.replace(s, controller=dataclasses.replace(s.controller, u_star=u_star))
+    log = run(s).log
+    zero = np.signbit(u_star) & (np.array(u_star) == 0.0)
+    assert whole_auxiliary(log, GAINS1, s.topology).catchup_mask[:, zero].any()
+    report, extras = full_verification(log, GAINS1, s.topology)
+    assert extras["recursion"].passed and extras["recursion"].first_failure is None
+    assert report["lemma3_residual"] == 0.0
 
 
 def test_replay_corrupted_log_fails(runs):

@@ -205,7 +205,7 @@ def test_verify_clean_run_passes(tmp_path, capsys):
     report = json.loads((d / "report.json").read_text())
     assert set(report) == {"lemma3_residual", "eq26_ok", "eq28_ok",
                            "decomposition_max_err"}
-    assert report["lemma3_residual"] < 1e-9
+    assert report["lemma3_residual"] == 0.0
     assert report["eq26_ok"] is True
     assert report["eq28_ok"] is True
     assert report["decomposition_max_err"] < 1e-10

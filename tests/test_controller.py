@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -200,6 +202,20 @@ def test_aggregate_observation():
     for value in (O[0], u[0]):
         assert value == (0.1 + 0.2) + 0.3
         assert value != (0.3 + 0.2) + 0.1
+
+
+def test_a_hub_sums_its_terms_in_neighbour_order_at_any_degree():
+    # the round sums a hub's 3001 terms from 0.0, left to right, in
+    # statements of at most 1000 terms: the scalar reference's bits, which
+    # another order of the same terms misses
+    rng = np.random.default_rng(5)
+    n = 3002
+    w, ys = rng.uniform(0.5, 2.0, n - 1).tolist(), rng.normal(0.0, 1e-3, n).tolist()
+    star = [(0, j, x) for j, x in enumerate(w, start=1)]
+    u, _, (_, _, O) = one_round(star, [0.0] * n, [0] * n, [0.0] * n, ys=ys, sched=WIDE)
+    assert u[0] == O[0]
+    terms = [x * (y - ys[0]) for x, y in zip(w, ys[1:])]
+    assert O[0] == functools.reduce(operator.add, terms, 0.0) != sum(reversed(terms), 0.0)
 
 
 def test_update_keep():

@@ -1858,6 +1858,18 @@ def test_a_1600_agent_ring_runs_and_verifies_exactly():
     assert extras["decomposition_first_failure"] is None
 
 
+def test_a_3000_agent_star_runs_and_verifies_exactly():
+    # the hub's 2999 neighbour terms, as one left-nested sum too deep for
+    # CPython's compiler, are summed in statements of at most 1000
+    doc = ring_doc(3000, horizon=50, log_stride=1)
+    doc["topology"] = [[1, a, 1.0] for a in range(2, 3001)]
+    s = scenario_from_dict(doc)
+    report, extras = analysis.full_verification(run(s).log, s.gains(), s.topology)
+    assert (report["lemma3_residual"], report["eq26_ok"], report["eq28_ok"]) == (0.0, True, True)
+    assert extras["recursion"].passed and extras["sigma_consistent"]
+    assert extras["decomposition_first_failure"] is None
+
+
 def test_finite_outputs_whose_sum_overflows_do_not_abort():
     identity = ("hammerstein", "identity", {})
     s = _pair((1.5e308, 1.5e308), [identity, identity])
