@@ -38,7 +38,6 @@ INF = float("inf")
 # EQ28_GRID_K e^T is within _MAX_TERMS
 EQ28_GRID_K = 1000
 EQ28_GRID_T = (0.1, 0.5, 1.0, 2.0)
-BLOCK_CELLS = 1 << 16  # verify's blocks hold about this many rows x max(agents, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +104,11 @@ class TrajectoryLog:
 
     @functools.cached_property
     def noise(self) -> np.ndarray:
-        stride = self.log_stride
+        stride, width = self.log_stride, max(self.u.shape[1], len(self.pairs))
         # a block drawn from step a holds its first logged row at -a % stride
         return np.concatenate([np.empty((0, len(self.pairs)))] + [
             block[-a % stride::stride]
-            for a, block in edge_blocks(self.scenario._edge_noise, self.horizon)])
+            for a, block in edge_blocks(self.scenario._edge_noise, self.horizon, width)])
 
     @functools.cached_property
     def sigma_prime(self) -> np.ndarray:
@@ -258,23 +257,21 @@ class Block:
 
 
 def log_blocks(log: TrajectoryLog, gains, lap: Ranks):
-    """The log's rows as Blocks of about BLOCK_CELLS cells (at least one row),
-    from u, the count events and the logged y alone; blocks of any length hold
-    the same bits. y is the stored y at stride 1, else the plants the run started from
-    replayed over u, and the noise is redrawn at each block's offset. A NaN
-    stored y, or a logged y that differs from the replay in any bit, raises
-    IncompleteLog at its first (k, agent). sigma_bar comes from one running
-    maximum of the counts (none falls); it sizes nothing, as no check bounds it."""
+    """The log's rows as Blocks, one per block of noise.edge_blocks, from u,
+    the count events and the logged y alone; blocks of any length hold the
+    same bits. y is the stored y at stride 1, else the plants the run started
+    from replayed over u. A NaN stored y, or a logged y that differs from the
+    replay in any bit, raises IncompleteLog at its first (k, agent).
+    sigma_bar comes from one running maximum of the counts (none falls); it
+    sizes nothing, as no check bounds it."""
     (K, n), stride = log.u.shape, log.log_stride
     peak = np.maximum.accumulate(np.concatenate(([0], log.events[:, 2])))
-    draw = log.scenario._edge_noise
     replay = None  # at stride 1 y is stored: no plant is built
     if stride > 1:
         plants = log.plants or [a.build() for a in log.scenario.agents]
         replay = steps([p.copy() for p in plants])
-    rows = max(1, BLOCK_CELLS // max(n, len(log.pairs)))
-    for a in range(0, K, rows):
-        b = min(a + rows, K)
+    for a, noise in edge_blocks(log.scenario._edge_noise, K, max(n, len(log.pairs))):
+        b = a + len(noise)
         u = log.u[a:b]
         if stride == 1:
             y = log.y[a:b]
@@ -291,7 +288,6 @@ def log_blocks(log: TrajectoryLog, gains, lap: Ranks):
         if bad.any():
             x, i = np.argwhere(bad)[0].tolist()
             raise IncompleteLog(f"{what} at k={at[x] + 1}, agent {i + 1}")
-        noise = draw(a, b - a)
         yield Block(np.arange(a + 1, b + 1), u, y, noise,
                     observations(y, noise, log.scenario.topology)[1], *gain_field(u, gains, lap),
                     peak[np.searchsorted(log.events[:, 0], np.arange(a, b), side="right")])

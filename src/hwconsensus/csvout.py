@@ -12,6 +12,7 @@ file appears under its name only once all of its rows are written
                   one row per count event of analysis.truncation_events: in
                   round k the agent's count became sigma, by a truncation
                   (fired) or a restart (pooled)
+The writer holds one block of noise.row_blocks as strings at a time.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import analysis
-
-# Steps formatted per write: the writer never holds more than this many
-# steps' rows as strings, whatever the horizon.
-SAVE_BLOCK_STEPS = 1024
+from .noise import row_blocks
 
 
 def format_cells(values) -> list:
@@ -84,8 +82,7 @@ def _logged_cells(logged: np.ndarray, stride: int, a: int, b: int) -> list:
 def _trajectory_blocks(log: analysis.TrajectoryLog):
     K, n = log.u.shape
     agents = format_cells(np.arange(1, n + 1))
-    for a in range(0, K, SAVE_BLOCK_STEPS):
-        b = min(a + SAVE_BLOCK_STEPS, K)
+    for a, b in row_blocks(K, max(n, len(log.pairs))):
         u, u_prime = log.u[a:b].ravel(), log.u_prime[a:b].ravel()
         u_cells = format_cells(u)
         # u' is u itself on every round without a restart; repr depends only
@@ -100,13 +97,12 @@ def _trajectory_blocks(log: analysis.TrajectoryLog):
 
 
 def _edge_blocks(log: analysis.TrajectoryLog):
-    m = len(log.pairs)
+    m, n = len(log.pairs), log.u.shape[1]
     observers = format_cells([i for i, _ in log.pairs])
     observed = format_cells([j for _, j in log.pairs])
     # steps off the stride have no observations and no rows
     steps = log.logged_rows
-    for a in range(0, len(steps), SAVE_BLOCK_STEPS):
-        b = a + SAVE_BLOCK_STEPS
+    for a, b in row_blocks(len(steps), max(n, m)):
         rows = steps[a:b]
         yield (_step_cells((rows + 1).tolist(), m), observers * len(rows),
                observed * len(rows), format_cells(log.logged_z[a:b]),

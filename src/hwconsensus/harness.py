@@ -429,10 +429,10 @@ def _kernel_source(plant_shapes: tuple, nbr_shape: tuple) -> str:
     network of this round shape: the row of plant steps of plant.emit_steps
     and the round of controller.emit_round, unrolled over the agents in one
     loop over the rounds. It reads the noise of each (first 0-based step,
-    block) of noise.edge_blocks a row at a time, straight from the block's
-    buffer, and packs each logged row of u and y into its buffer at the next
-    row's byte offset. The source holds fixed names and integers only; every
-    scenario value is an argument."""
+    block) of noise.edge_blocks, in the blocks of noise.row_blocks, a row
+    at a time, straight from the block's buffer, and packs each logged
+    row of u and y into its buffer at the next row's byte offset. The source
+    holds fixed names and integers only; every scenario value is an argument."""
     n, m = len(plant_shapes), sum(len(nb) for nb in nbr_shape)
 
     def names(prefix, count=n):
@@ -520,7 +520,10 @@ def run(s: Scenario, master_seed: int | None = None,
     # the loop keeps what only it knows: u on every step, the count events,
     # y on the logged steps, each of u and y in an array of its final shape
     # that the loop packs row by row
-    u, y, event_buf = np.empty((K, n)), np.empty((-(-K // stride), n)), array("q")
+    try:
+        u, y, event_buf = np.empty((K, n)), np.empty((-(-K // stride), n)), array("q")
+    except (ValueError, MemoryError):  # numpy's "array is too big" or an allocation failure
+        raise ValidationError(f"a log of {K} steps of {n} agents cannot be allocated") from None
     row = struct.Struct(f"{n:d}d")
 
     def make_log(u, y) -> analysis.TrajectoryLog:
@@ -530,8 +533,8 @@ def run(s: Scenario, master_seed: int | None = None,
     t0 = time.perf_counter()
     try:
         # one block of noise at a time, never the whole horizon's
-        kernel(stride, edge_blocks(s._edge_noise, K), row.pack_into, row.size,
-               memoryview(u), memoryview(y), event_buf.fromlist,
+        kernel(stride, edge_blocks(s._edge_noise, K, max(n, 2 * len(s.topology.weights))),
+               row.pack_into, row.size, memoryview(u), memoryview(y), event_buf.fromlist,
                Schedule(c_M=s.controller.c_M).bounds, *args)
     except NonFiniteValue as e:
         wall_time = time.perf_counter() - t0

@@ -4,7 +4,7 @@ Each ordered pair (observer i, observed j) gets its own stream, independent
 of the reverse pair. Streams are counter-based: the t-th value is a pure
 function of (stream seed, t), so replay is exact and order-independent, and
 edge_noise, the one reader, draws any edges at any offset for run, the log
-and verify alike.
+and verify alike, in the blocks of row_blocks.
 
 Generator contract (documented for portability):
   64-bit splitmix-style sequence with increment 0x9E3779B97F4A7C15 and
@@ -44,9 +44,6 @@ def mix64(x: int) -> int:
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
     return x ^ (x >> 31)
-
-
-BLOCK_STEPS = 1024  # steps of noise a run draws, and a log redraws, per call
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -172,8 +169,16 @@ def edge_noise(spec: NoiseSpec, pairs):
     return lambda t0, rows: draw_block(spec.dist, scale, seeds, t0, rows)
 
 
-def edge_blocks(draw, steps: int):
-    """The noise of steps 1..steps of a draw (edge_noise) as (first 0-based
-    step, block) pairs of at most BLOCK_STEPS rows each."""
-    for a in range(0, steps, BLOCK_STEPS):
-        yield a, draw(a, min(BLOCK_STEPS, steps - a))
+BLOCK_ROWS, BLOCK_CELLS = 1024, 1 << 16
+
+
+def row_blocks(steps: int, width: int):
+    """Rows 0..steps-1 as (a, b) ranges of max(1, min(BLOCK_ROWS, BLOCK_CELLS // width)) rows,
+    width = max(agents, directed edges): the one block rule of every pass over a log's rows."""
+    rows = max(1, min(BLOCK_ROWS, BLOCK_CELLS // width))
+    return ((a, min(a + rows, steps)) for a in range(0, steps, rows))
+
+
+def edge_blocks(draw, steps: int, width: int):
+    """(a, draw(a, b - a)) per range (a, b) of row_blocks(steps, width); draw is an edge_noise."""
+    return ((a, draw(a, b - a)) for a, b in row_blocks(steps, width))

@@ -33,7 +33,7 @@ from hwconsensus import (
     truncation_times,
     verify_centralized_recursion,
 )
-from hwconsensus import analysis
+from hwconsensus import analysis, noise
 from hwconsensus.analysis import (
     TrajectoryLog,
     TruncationTimes,
@@ -430,18 +430,19 @@ def test_noise_decomposition_is_the_whole_blocks_decomposition():
 
 
 @pytest.mark.parametrize("which", ["case1", "case2", "case3", "stiff", "restart", "network-48"])
-def test_decomposition_bound_holds_in_exact_arithmetic(which):
+def test_decomposition_bound_holds_in_exact_arithmetic(which, monkeypatch):
     # both sides of O - g = e1 + e2 + e3, evaluated exactly from the float
     # inputs (y, h, the noise and the weights, d_i the exact row sum), are
     # equal; the two float sides' distances from that value sum to at most
     # gamma_{2 d_i + 5} S, with S exact, and to at most _decompose's bound
     # gamma_t S. Cells: the first rows, the rows around count events, and
-    # random rows
+    # random rows, all of them in one block
     s = {"stiff": lambda: load_scenario(STIFF_CASE1),
          "restart": lambda: load_scenario(RESTART_CASE),
          "network-48": lambda: scenario_from_dict(network_doc(48, 200))}.get(
         which, lambda: builtin_case(int(which[-1]), horizon=2000))()
     log, lap = run(s).log, laplacian(s.topology)
+    monkeypatch.setattr(noise, "BLOCK_ROWS", log.horizon)
     (block,) = analysis.log_blocks(log, s.gains(), lap)
     e1, e2, e3, rhs, bound = analysis._decompose(block, lap)
     K, n = log.u.shape

@@ -17,6 +17,7 @@ from hwconsensus import (
     csvout,
     harness,
     laplacian,
+    noise,
     plant,
     scenario_from_dict,
     scenario_to_dict,
@@ -65,13 +66,13 @@ def _resave(d, name, index, value):
 
 def _main_under_O(argv, block_cells=None):
     """(exit code, stderr) of the CLI in a fresh interpreter with asserts
-    compiled away, with analysis.BLOCK_CELLS set to block_cells if given."""
+    compiled away, with noise.BLOCK_CELLS set to block_cells if given."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ["-m", "hwconsensus.cli"] if block_cells is None else [
-        "-c", "import sys; from hwconsensus import analysis, cli; "
-              f"analysis.BLOCK_CELLS = {block_cells}; sys.exit(cli.main(sys.argv[1:]))"]
+        "-c", "import sys; from hwconsensus import cli, noise; "
+              f"noise.BLOCK_CELLS = {block_cells}; sys.exit(cli.main(sys.argv[1:]))"]
     out = subprocess.run([sys.executable, "-O", *code, *argv], env=env,
                          capture_output=True, text=True, timeout=120)
     return out.returncode, out.stderr
@@ -496,10 +497,12 @@ def test_verify_of_a_stride_10_log_matches_stride_1(tmp_path, capsys):
 ], ids=["1", "2", "3", "network-48"])
 def test_verify_is_the_same_for_blocks_of_any_length(tmp_path, capsys, monkeypatch, case, cells):
     # 4 agents and 8 directed edges: blocks of 1, 2, 7 and 1000 rows of a
-    # 2000-step run write the bytes one block writes and, on the run with one
+    # 2000-step run, bounded in cells, and of the default 1024 rows, bounded
+    # in rows, write the bytes one block writes and, on the run with one
     # input moved checked against a topology with one weight off by 1 part
     # in 10^6, find the same first failures. 48 agents of degrees 2 to 11
-    # and 288 directed edges: blocks of 2, 56, 227 and 910 rows
+    # and 288 directed edges: blocks of 2, 56, 227 and 910 rows, and 227 by
+    # default
     d = tmp_path / "run"
     if case == "network-48":
         harness.save_run(harness.run(scenario_from_dict(network_doc(48, 2000))), str(d))
@@ -517,12 +520,17 @@ def test_verify_is_the_same_for_blocks_of_any_length(tmp_path, capsys, monkeypat
         return (outputs, report, rec.first_failure, rec.sigma_consistent,
                 extras["decomposition_first_failure"])
 
+    width = max(s.n, len(directed_pairs(s.topology)))
+    default = (noise.BLOCK_ROWS, noise.BLOCK_CELLS)
+    monkeypatch.setattr(noise, "BLOCK_ROWS", 2000)
+    monkeypatch.setattr(noise, "BLOCK_CELLS", 2000 * width)
+    assert len(list(analysis.log_blocks(log, s.gains(), laplacian(s.topology)))) == 1
     one_block = outcome()
     assert one_block[2] is not None and one_block[4][:2] == (1, 2)
-    width = max(s.n, len(directed_pairs(s.topology)))
-    for block_cells in cells:
-        rows = block_cells // width
-        monkeypatch.setattr(analysis, "BLOCK_CELLS", block_cells)
+    for block_rows, block_cells in [(2000, c) for c in cells] + [default]:
+        rows = min(block_rows, block_cells // width)
+        monkeypatch.setattr(noise, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(noise, "BLOCK_CELLS", block_cells)
         firsts = [b.k[0] for b in analysis.log_blocks(log, s.gains(), laplacian(s.topology))]
         assert firsts == list(range(1, 2001, rows))
         assert outcome() == one_block, rows
@@ -549,7 +557,7 @@ def test_verify_reads_no_agent_counts(tmp_path, capsys, monkeypatch, which):
     monkeypatch.setattr(analysis, "counts_at", no_counts)
     width = max(s.n, len(directed_pairs(s.topology)))
     for rows in (2, 7, 1000):
-        monkeypatch.setattr(analysis, "BLOCK_CELLS", rows * width)
+        monkeypatch.setattr(noise, "BLOCK_CELLS", rows * width)
         assert _verify_outputs(d) == expected, rows
 
 
@@ -560,8 +568,8 @@ def test_verify_finds_the_gain_roots_once(tmp_path, capsys, monkeypatch):
     calls = []
     gain_roots = analysis.gain_roots
     monkeypatch.setattr(analysis, "gain_roots", lambda gains: calls.append(1) or gain_roots(gains))
-    for cells in (16, 56, analysis.BLOCK_CELLS):  # 200, 57 and 1 blocks of 8 edges
-        monkeypatch.setattr(analysis, "BLOCK_CELLS", cells)
+    for cells in (16, 56, noise.BLOCK_CELLS):  # 200, 57 and 1 blocks of 8 edges
+        monkeypatch.setattr(noise, "BLOCK_CELLS", cells)
         calls.clear()
         assert main(["verify", "--log", str(d)]) == 0
         assert len(calls) == 1, cells
@@ -581,8 +589,8 @@ def test_verify_evaluates_the_gains_at_their_roots_once(tmp_path, capsys, monkey
 
     monkeypatch.setattr(plant.StaticGain, "__call__", counted)
     counts = []
-    for cells in (16, 56, analysis.BLOCK_CELLS):  # 200, 57 and 1 blocks of 8 edges
-        monkeypatch.setattr(analysis, "BLOCK_CELLS", cells)
+    for cells in (16, 56, noise.BLOCK_CELLS):  # 200, 57 and 1 blocks of 8 edges
+        monkeypatch.setattr(noise, "BLOCK_CELLS", cells)
         scalar_calls.clear()
         assert main(["verify", "--log", str(d)]) == 0
         counts.append(len(scalar_calls))
@@ -607,6 +615,18 @@ def test_run_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
     assert capsys.readouterr().err == \
         f"invalid configuration: seed must be in 0..2**64 - 1, got {seed}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_run_rejects_a_horizon_whose_log_cannot_be_allocated(tmp_path, capsys):
+    # 10^18 steps of 4 agents is more than numpy can address: an invalid
+    # configuration naming the steps and agents, not a traceback
+    argv = ["run", "--case", "1", "--horizon", str(10 ** 18), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == ("invalid configuration: a log of 1000000000000000000 steps of 4 agents "
+                   "cannot be allocated\n")
+    assert not (tmp_path / "run").exists()
+    assert _main_under_O(argv) == (1, err)
 
 
 def test_run_takes_the_ends_of_the_seed_range(tmp_path, capsys):
@@ -647,7 +667,7 @@ def test_verify_failing_in_a_later_block_leaves_no_metrics_file(tmp_path, capsys
         arrays["y"].view(np.int64)[15, 2] ^= 1
 
     rewrite_store(d, flip)
-    monkeypatch.setattr(analysis, "BLOCK_CELLS", 800)
+    monkeypatch.setattr(noise, "BLOCK_CELLS", 800)
     removed, real_remove = [], os.remove
 
     def remove(path):
@@ -681,7 +701,7 @@ def test_verify_names_an_input_the_replayed_plant_overflows_on(tmp_path, capsys,
     d = run_dir(tmp_path, "--log-stride", "10")
     _resave(d, "u", cell, 1e200)
     if block_cells is not None:
-        monkeypatch.setattr(analysis, "BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(noise, "BLOCK_CELLS", block_cells)
     capsys.readouterr()
     assert main(["verify", "--log", str(d)]) == 1
     err = capsys.readouterr().err

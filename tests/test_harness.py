@@ -838,7 +838,8 @@ def test_mixed_case_runs_as_the_reference_and_verifies_exactly(stride):
     # rows into their arrays and tests each candidate against its pooled
     # bound, across the noise-block boundaries at steps 1024 and 2048
     s = dataclasses.replace(load_scenario(MIXED_CASE), log_stride=stride)
-    assert s.horizon > 2 * noise_module.BLOCK_STEPS
+    assert s.horizon > 2 * noise_module.BLOCK_ROWS
+    assert [a for a, _ in noise_module.row_blocks(s.horizon, 36)][1:3] == [1024, 2048]
     assert [a.kind for a in s.agents].count(HAMMERSTEIN) == 6 == s.n - 6
     assert {a.f.name for a in s.agents} == set(_CATALOG)
     log = run(s).log
@@ -1055,11 +1056,9 @@ def _reference_trajectory_blocks(log):
     fc = _reference_format_cells
     K, n = log.u.shape
     agents = fc(np.arange(1, n + 1))
-    for a in range(0, K, csvout.SAVE_BLOCK_STEPS):
-        b = min(a + csvout.SAVE_BLOCK_STEPS, K)
-        yield (fc(np.repeat(np.arange(a + 1, b + 1), n)), agents * (b - a),
-               *(fc(col[a:b]) for col in (log.u, log.sigma, log.sigma_prime, log.u_prime)),
-               fc(log.y_next[a:b], blank_nan=True), fc(log.O_next[a:b], blank_nan=True))
+    yield (fc(np.repeat(np.arange(1, K + 1), n)), agents * K,
+           *(fc(col) for col in (log.u, log.sigma, log.sigma_prime, log.u_prime)),
+           fc(log.y_next, blank_nan=True), fc(log.O_next, blank_nan=True))
 
 
 def _reference_edge_blocks(log):
@@ -1068,10 +1067,8 @@ def _reference_edge_blocks(log):
     observers = fc([i for i, _ in log.pairs])
     observed = fc([j for _, j in log.pairs])
     steps = np.arange(0, len(log.z), log.log_stride)  # every logged step, whatever its cells
-    for a in range(0, len(steps), csvout.SAVE_BLOCK_STEPS):
-        rows = steps[a:a + csvout.SAVE_BLOCK_STEPS]
-        yield (fc(np.repeat(rows + 1, m)), observers * len(rows),
-               observed * len(rows), fc(log.z[rows]), fc(log.eps[rows]))
+    yield (fc(np.repeat(steps + 1, m)), observers * len(steps),
+           observed * len(steps), fc(log.z[steps]), fc(log.eps[steps]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1111,16 +1108,19 @@ def test_writer_bytes_match_one_repr_per_cell(data, stride, K, n):
         O_next=strided(n), z=strided(len(pairs)), eps=strided(len(pairs)))
     log.y, log.logged_O = log.y_next[::stride], log.O_next[::stride]
     log.logged_z, log.noise = log.z[::stride], log.eps[::stride]
-    with tempfile.TemporaryDirectory() as d, \
-            unittest.mock.patch.object(csvout, "SAVE_BLOCK_STEPS", 3):
-        for name, blocks, reference in (
-                ("trajectory", csvout._trajectory_blocks, _reference_trajectory_blocks),
-                ("edges", csvout._edge_blocks, _reference_edge_blocks)):
-            got, want = os.path.join(d, name + ".csv"), os.path.join(d, name + ".ref")
-            csvout.write_csv(got, "header", blocks(log))
-            csvout.write_csv(want, "header", reference(log))
-            with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
-                assert fh_got.read() == fh_want.read(), name
+    # the writer in blocks of 3 rows (bounded in rows), and of 2 or 1 rows
+    # (5 cells over 2 or 4 columns), the reference in one block
+    for bound, value in (("BLOCK_ROWS", 3), ("BLOCK_CELLS", 5)):
+        with tempfile.TemporaryDirectory() as d, \
+                unittest.mock.patch.object(noise_module, bound, value):
+            for name, blocks, reference in (
+                    ("trajectory", csvout._trajectory_blocks, _reference_trajectory_blocks),
+                    ("edges", csvout._edge_blocks, _reference_edge_blocks)):
+                got, want = os.path.join(d, name + ".csv"), os.path.join(d, name + ".ref")
+                csvout.write_csv(got, "header", blocks(log))
+                csvout.write_csv(want, "header", reference(log))
+                with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
+                    assert fh_got.read() == fh_want.read(), (name, bound)
 
 
 I64 = np.iinfo(np.int64)
@@ -1715,11 +1715,48 @@ def test_noise_drawn_block_wise_is_exact_and_bounded(block, monkeypatch):
     real, sizes = noise_module.draw_block, []
     monkeypatch.setattr(noise_module, "draw_block",
                         lambda *args: sizes.append(args[-1]) or real(*args))
-    monkeypatch.setattr(noise_module, "BLOCK_STEPS", block)
+    monkeypatch.setattr(noise_module, "BLOCK_ROWS", block)
     got = [_log_digest(run(s).log) for s in scenarios]
     got.append(_log_digest(_aborted_run(aborted, 17).log))
     assert got == want
     assert sizes and max(sizes) <= block
+
+
+@functools.lru_cache(maxsize=1)
+def _ring_200():
+    """A 200-agent ring of 400 directed edges, 1100 steps at stride 1."""
+    return scenario_from_dict(ring_doc(200, horizon=1100, log_stride=1))
+
+
+def test_a_wide_run_draws_noise_blocks_bounded_in_cells(monkeypatch):
+    # 400 directed edges: a noise block holds BLOCK_CELLS // 400 = 163 rows,
+    # 65 200 cells, where a block of BLOCK_ROWS rows would hold 409 600
+    s = _ring_200()
+    real, blocks = noise_module.draw_block, []
+    monkeypatch.setattr(noise_module, "draw_block",
+                        lambda *args: blocks.append((args[-1], len(args[2]))) or real(*args))
+    log = run(s).log
+    assert sum(rows for rows, _ in blocks) == s.horizon == len(log.u)
+    assert max(rows * edges for rows, edges in blocks) <= noise_module.BLOCK_CELLS
+    assert max(rows for rows, _ in blocks) == noise_module.BLOCK_CELLS // 400
+
+
+def test_export_of_a_wide_run_holds_blocks_bounded_in_cells(tmp_path):
+    # export formats one block of row_blocks at a time: 163 steps of 200
+    # agents, not BLOCK_ROWS steps. The log's derived columns are read
+    # before tracing, and the run is untraced, so the peak is the writer's
+    # (26 MiB in blocks of 163 steps, 130 MiB in blocks of 1024)
+    log = run(_ring_200()).log
+    for column in (log.sigma, log.sigma_prime, log.u_prime, log.logged_z, log.logged_O):
+        assert len(column) == 1100
+    tracemalloc.start()
+    try:
+        csvout.export_csv(log, str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trajectory.csv").stat().st_size > 1100 * 200 * 40
+    assert peak < 48 * 2 ** 20
 
 
 def test_a_strided_run_holds_no_dense_derived_columns():

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from hwconsensus import make_noise_spec
 from hwconsensus.errors import ValidationError
 from hwconsensus.noise import (
-    BLOCK_STEPS,
+    BLOCK_CELLS,
+    BLOCK_ROWS,
     _scale,
     _stream_seed,
     draw_block,
     edge_blocks,
     edge_noise,
     mix64,
+    row_blocks,
 )
 
 MASK = (1 << 64) - 1
@@ -175,11 +177,11 @@ SPECS = {"gaussian": make_noise_spec("gaussian", {"variance": 2.5}, 77),
          "uniform": make_noise_spec("uniform", {"a": 1.5}, 78),
          "zero": make_noise_spec("zero", {}, 79)}
 # odd and even offsets, around the block boundaries and far out
-OFFSETS = st.one_of(st.integers(0, 3 * BLOCK_STEPS),
-                    st.sampled_from([0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1]),
+OFFSETS = st.one_of(st.integers(0, 3 * BLOCK_ROWS),
+                    st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
                     st.integers(0, 2 ** 50))
-LENGTHS = st.one_of(st.sampled_from([0, 1, 2, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1]),
-                    st.integers(0, 3 * BLOCK_STEPS))
+LENGTHS = st.one_of(st.sampled_from([0, 1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+                    st.integers(0, 3 * BLOCK_ROWS))
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,13 +206,30 @@ def test_the_block_draw_of_uniforms_is_the_documented_generator():
                                for seed in seeds] for t in range(999, 1004)]
 
 
-@pytest.mark.parametrize("steps", [0, 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 7])
+@pytest.mark.parametrize("steps", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7])
 def test_edge_blocks_are_one_draw_of_every_step(steps):
+    # a narrow network's blocks are BLOCK_ROWS long; a network BLOCK_CELLS // 7
+    # wide gets blocks of 7 rows, whose concatenation is the same draw
     spec = SPECS["gaussian"]
-    got = list(edge_blocks(edge_noise(spec, PAIRS), steps))
-    assert [a for a, _ in got] == list(range(0, steps, BLOCK_STEPS))
-    assert all(len(block) <= BLOCK_STEPS for _, block in got)
-    whole = np.vstack([block for _, block in got]) if got else np.empty((0, len(PAIRS)))
     want = np.column_stack([draw(spec, i, j, steps) for i, j in PAIRS])
-    assert whole.shape == (steps, len(PAIRS))
-    assert whole.view(np.int64).tolist() == want.view(np.int64).tolist()
+    for width, rows in ((len(PAIRS), BLOCK_ROWS), (BLOCK_CELLS // 7, 7)):
+        got = list(edge_blocks(edge_noise(spec, PAIRS), steps, width))
+        assert [a for a, _ in got] == list(range(0, steps, rows))
+        assert all(len(block) <= rows for _, block in got)
+        whole = np.vstack([block for _, block in got]) if got else np.empty((0, len(PAIRS)))
+        assert whole.shape == (steps, len(PAIRS))
+        assert whole.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("width, rows", [
+    (1, BLOCK_ROWS), (BLOCK_CELLS // BLOCK_ROWS, BLOCK_ROWS),   # bounded in rows
+    (BLOCK_CELLS // BLOCK_ROWS + 1, 1008), (9216, 7),            # bounded in cells
+    (BLOCK_CELLS, 1), (4 * BLOCK_CELLS, 1)])                     # never fewer than one row
+def test_row_blocks_bound_a_block_in_rows_and_in_cells(width, rows):
+    # the one block rule: ranges of max(1, min(BLOCK_ROWS, BLOCK_CELLS // width))
+    # rows covering 0..steps-1 in order, the last one shorter
+    for steps in (0, 1, rows, rows + 1, 3 * rows + 2):
+        got = list(row_blocks(steps, width))
+        assert got == [(a, min(a + rows, steps)) for a in range(0, steps, rows)]
+        assert [a for a, _ in got[1:]] == [b for _, b in got[:-1]]
+        assert sum(b - a for a, b in got) == steps
