@@ -167,16 +167,6 @@ def counts_at(events: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def events_of(sigma: np.ndarray) -> np.ndarray:
-    """The count events of a (K, n) sigma column: (k, agent, count) for
-    every cell that differs from the one above it, the row above row 0 being
-    all zeros, in (k, agent) order."""
-    prev = np.zeros_like(sigma)
-    prev[1:] = sigma[:-1]
-    r, i = np.nonzero(sigma != prev)
-    return np.column_stack([r, i + 1, sigma[r, i]]).astype(np.int64)
-
-
 def pooled_counts(counts: np.ndarray, topology: Topology) -> np.ndarray:
     """Each agent's largest count over its closed neighbourhood in topology,
     on every row of counts (rows, n): the round's pooling."""
@@ -588,6 +578,32 @@ def build_auxiliary(block: Block, times: TruncationTimes, u_star) -> AuxiliarySe
                               u_star=u_star, catchup_mask=catchup)
 
 
+def catchup_first_failure(block: Block, catchup: np.ndarray, before: Block | None,
+                          event_keys: np.ndarray, u_star) -> tuple | None:
+    """(k, agent, |difference|) of the first catch-up cell of a block, at step
+    k + 1, whose u is not what round k wrote there, or None. The relabeling
+    puts u_star in these cells, so the replay reads none of them. Round k
+    wrote u_star if it gave the agent a count event, else the kept candidate
+    u + (1/k) O of step k, read from before for the block's first row.
+    event_keys are the events' k n + agent - 1, ascending."""
+    cells = np.flatnonzero(catchup)  # row-major: the first is the earliest (k, agent)
+    if not len(cells):
+        return None
+    n, flat = len(u_star), block.u.reshape(-1)
+    r, i = np.divmod(cells, n)
+    u, O, k = flat[cells - n], block.O[r - 1, i], r + (block.k[0] - 1)
+    if r[0] == 0:  # the block before's last row; step 1 is in no catch-up window
+        first = np.searchsorted(r, 1)
+        u[:first], O[:first] = before.u[-1, i[:first]], before.O[-1, i[:first]]
+    key = cells + (block.k[0] - 1) * n
+    event = event_keys[np.searchsorted(event_keys, key).clip(max=len(event_keys) - 1)] == key
+    want, got = np.where(event, u_star[i], u + (1.0 / k) * O), flat[cells]
+    bad = np.flatnonzero(want != got)  # a NaN never matches
+    if len(bad):
+        return int(k[bad[0]]), int(i[bad[0]]) + 1, float(abs(want - got)[bad[0]])
+    return None
+
+
 @dataclass(frozen=True)
 class RecursionCheck:
     max_abs_residual: float  # a diagnostic: the verdict is exact
@@ -609,7 +625,8 @@ def first_failure(err: np.ndarray, ok: np.ndarray, k0: int = 1) -> tuple | None:
 
 
 def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
-                                 before: RecursionCheck | None = None) -> RecursionCheck:
+                                 before: RecursionCheck | None = None,
+                                 catchup: tuple | None = None) -> RecursionCheck:
     """Replay the relabeled run as one centralized truncation recursion.
 
     From each row: candidate = ubar + (1/k) obar per agent; unless every
@@ -620,6 +637,8 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
     does; a reset point -0.0 replays as -0.0 + (1/k) 0.0 = 0.0) and the
     sigma_bar path matches the indicator; it names the first round and agent
     whose estimate differs, and the largest deviation as a diagnostic.
+    catchup, the block's catchup_first_failure, fails it too, and the earlier
+    of the two first failures is named; the deviation stays the replay's.
     before, the check of the rows before the block, carries its last row
     into the replay, and the result covers both.
     """
@@ -640,6 +659,8 @@ def verify_centralized_recursion(aux: AuxiliarySequences, sched: Schedule,
     resid = float(diff.max(initial=0.0))
     sigma_ok = bool(np.array_equal(sbar[1:], sbar[:-1] + ind[:-1].astype(sbar.dtype)))
     failure = first_failure(diff, pred[:-1] == nxt, k0)
+    if catchup is not None and (failure is None or catchup[:2] < failure[:2]):
+        failure = catchup
     if before is not None:
         resid = float(np.maximum(before.max_abs_residual, resid))
         sigma_ok = sigma_ok and before.sigma_consistent
@@ -785,7 +806,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
     Pass 1 reads the count events: a count outside 0..k-1 at step k raises
     IdentityViolation located at (k, agent, count); then eq26 and eq28.
     Pass 2 hands each block of log_blocks to each_block if given, then runs
-    the relabeling, the replay and the decomposition on it.
+    the relabeling, the replay (catchup_first_failure too) and the decomposition.
     Returns (report, extras): report carries the four headline fields
     {lemma3_residual, eq26_ok, eq28_ok, decomposition_max_err}; extras carry
     supporting diagnostics for human output, among them the first failing
@@ -810,18 +831,22 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
     lap = laplacian(topology)
     sched = Schedule(c_M=log.scenario.controller.c_M)
     u_star = np.array(log.scenario.controller.u_star)
-    rec, decomp, decomp_failure = None, 0.0, None
+    event_keys = log.events[:, 0] * log.u.shape[1] + log.events[:, 1] - 1
+    rec, before, decomp, decomp_failure = None, None, 0.0, None
     # the gains overflow on a diverged run's inputs; the inf and NaN values
     # that follow fail the checks they reach, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for block in log_blocks(log, gains, lap):
             if each_block is not None:
                 each_block(block)
-            rec = verify_centralized_recursion(build_auxiliary(block, times, u_star), sched, rec)
+            aux = build_auxiliary(block, times, u_star)
+            rec = verify_centralized_recursion(aux, sched, rec, catchup_first_failure(
+                block, aux.catchup_mask, before, event_keys, u_star))
             _, err, ok = decomposition_check(block, lap)
             # np.maximum, not max: a NaN anywhere is the maximum
             decomp = np.maximum(decomp, err.max())
             decomp_failure = decomp_failure or first_failure(err, ok, block.k[0])
+            before = block
 
     report = {
         "lemma3_residual": rec.max_abs_residual,

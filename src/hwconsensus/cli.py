@@ -13,9 +13,8 @@ reproduce, handed to verify),
 2 runtime failure (divergence, a failed identity), 3 I/O problem (missing
 files or directories, or a run plotdata or export cannot read). A corrupt
 store (a log.npz that is not an npz archive, whose arrays differ from what
-save_run writes and meta.json records, whose count events are out of
-order, off the run's steps or agents or do not rise, or, in an older store,
-whose eps differs from the noise redrawn from the seed) exits 1 from verify
+save_run writes and meta.json records, or whose count events are out of
+order, off the run's steps or agents or do not rise) exits 1 from verify
 and 3 from plotdata and export; a run directory without meta.json or
 log.npz exits 3.
 Stdout stays human-readable; machine results go only to files.

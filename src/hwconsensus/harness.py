@@ -14,9 +14,7 @@ File layout of a saved run directory:
                   uncompressed): u (K, n) float64 on every step, the count
                   events (E, 3) int64 as (k, agent, count) rows, and y (L, n)
                   float64 on the L logged steps: the TrajectoryLog load_run
-                  reads back. The noise is redrawn from the seed. Older run
-                  directories hold sigma (K, n) int64 and eps (L, m) float64
-                  in place of the events; load_run reads them too
+                  reads back. The noise is redrawn from the seed
   summary.json    headline numbers, a function of the log; null if not finite
   meta.json       the scenario that ran (its noise seed included) and its hash,
                   and each array's dtype, shape and SHA-256; the shape of u
@@ -613,9 +611,7 @@ def write_json(path: str, doc: dict) -> None:
 
 
 _NO_RECORD = "does not match its dtype, shape and SHA-256 in meta.json"
-# the arrays of log.npz, and those of older stores, which held the counts on
-# every step and the noise in place of the count events
-STORE, OLD_STORE = ("events", "u", "y"), ("eps", "sigma", "u", "y")
+STORE = ("events", "u", "y")  # the arrays of log.npz
 
 
 def _recorded_rows(records, name: str):
@@ -628,10 +624,9 @@ def _recorded_rows(records, name: str):
 
 def _read_store(fh, s: Scenario, records) -> dict:
     """The arrays of an open log.npz of a run of s, checked in turn for the
-    exact set of names (STORE or OLD_STORE), the dtypes, the shapes, then
-    the records of meta.json. The rows K are the rows meta.json records for
-    u, from 1 to s.horizon, and those of the events the rows it records for
-    them."""
+    exact set of names STORE, the dtypes, the shapes, then the records of
+    meta.json. The rows K are the rows meta.json records for u, from 1 to
+    s.horizon, and those of the events the rows it records for them."""
     K = _recorded_rows(records, "u")
     # JSON true is a Python int equal to 1: only an int is a count
     if not (type(K) is int and 1 <= K <= s.horizon):
@@ -646,13 +641,11 @@ def _read_store(fh, s: Scenario, records) -> dict:
     with npz:
         # the zip members, not npz.files: a member without .npy reads as bytes
         members = sorted(npz.zip.namelist())
-        names = next((names for names in (STORE, OLD_STORE)
-                      if members == [f"{name}.npy" for name in names]), None)
-        if names is None:
-            raise IncompleteLog(f"{LOG_FILE} holds {members}, "
-                                f"expected {[f'{name}.npy' for name in STORE]}")
+        expected = [f"{name}.npy" for name in STORE]
+        if members != expected:
+            raise IncompleteLog(f"{LOG_FILE} holds {members}, expected {expected}")
         arrays = {}
-        for name in names:
+        for name in STORE:
             try:
                 arrays[name] = npz[name]
             except _UNREADABLE as e:
@@ -660,14 +653,11 @@ def _read_store(fh, s: Scenario, records) -> dict:
             # a .npy member without the npy magic reads as bytes too
             if not isinstance(arrays[name], np.ndarray):
                 raise IncompleteLog(f"{LOG_FILE}: array {name}: {name}.npy is not an npy file")
-    F, I = np.dtype(np.float64), np.dtype(np.int64)
-    L, n, m = len(analysis.logged_rows(K, s.log_stride)), s.n, len(directed_pairs(s.topology))
-    want = {"u": (F, (K, n)), "y": (F, (L, n)), "sigma": (I, (K, n)), "eps": (F, (L, m))}
-    if names == STORE:
-        E = _recorded_rows(records, "events")
-        if not (type(E) is int and E >= 0):
-            raise IncompleteLog(f"{LOG_FILE}: array events {_NO_RECORD}")
-        want["events"] = (I, (E, 3))
+    E = _recorded_rows(records, "events")
+    if not (type(E) is int and E >= 0):
+        raise IncompleteLog(f"{LOG_FILE}: array events {_NO_RECORD}")
+    F, L = np.dtype(np.float64), len(analysis.logged_rows(K, s.log_stride))
+    want = {"u": (F, (K, s.n)), "y": (F, (L, s.n)), "events": (np.dtype(np.int64), (E, 3))}
     for i, check in enumerate(("dtype", "shape")):
         for name, a in arrays.items():
             if getattr(a, check) != want[name][i]:
@@ -679,12 +669,11 @@ def _read_store(fh, s: Scenario, records) -> dict:
     return arrays
 
 
-def _check_events(events: np.ndarray, K: int, n: int, name: str) -> None:
+def _check_events(events: np.ndarray, K: int, n: int) -> None:
     """Reject count events the round kernel cannot have written: a k outside
     1..K, an agent outside 1..n, a row not after the one before it in
     (k, agent) order, or a count not above the agent's previous one, the
-    initial count 0 before its first. The first such row is named, with name
-    the array it was read from."""
+    initial count 0 before its first. The first such row is named."""
     k, agent, count = events.T
     # per row, the row of the same agent's previous event, or -1
     prev = np.full(len(events), -1)
@@ -699,7 +688,7 @@ def _check_events(events: np.ndarray, K: int, n: int, name: str) -> None:
         return
     x = int(bad[0])
     kx, ax, cx = events[x].tolist()
-    where = f"{LOG_FILE}: array {name}: the event (k={kx}, agent {ax}, count {cx})"
+    where = f"{LOG_FILE}: array events: the event (k={kx}, agent {ax}, count {cx})"
     if not 1 <= kx <= K:
         raise IncompleteLog(f"{where} has a step outside 1..{K}")
     if not 1 <= ax <= n:
@@ -724,10 +713,6 @@ def load_run(rundir: str):
     writes, with their dtypes, the shapes of K rows of that scenario, and the
     dtypes, shapes and SHA-256 digests meta.json records, or whose count
     events _check_events rejects, naming the first.
-    An older store, with sigma and eps in place of the events, is read too:
-    its sigma becomes the events (events_of), checked alike, and its eps
-    must equal the noise redrawn from the seed bit for bit, else the first
-    (k, i, j) where it does not is named.
     A missing meta.json or log.npz raises FileNotFoundError.
     """
     with open(os.path.join(rundir, "meta.json")) as fh, \
@@ -749,15 +734,5 @@ def load_run(rundir: str):
             raise IncompleteLog("meta.json: the embedded scenario does not match its "
                                 f"scenario_hash {meta['scenario_hash']!r}")
         arrays = _read_store(store, s, meta["arrays"])
-    old = "sigma" in arrays
-    events = analysis.events_of(arrays["sigma"]) if old else arrays["events"]
-    _check_events(events, len(arrays["u"]), s.n, "sigma" if old else "events")
-    log = analysis.TrajectoryLog(s, arrays["u"], events, arrays["y"])
-    if old:
-        off = np.argwhere(arrays["eps"].view(np.int64) != log.noise.view(np.int64))
-        if len(off):
-            r, c = off[0].tolist()
-            i, j = log.pairs[c]
-            raise IncompleteLog(f"{LOG_FILE}: array eps: the noise at (k={r * s.log_stride + 1}, "
-                                f"i={i}, j={j}) is not the noise redrawn from the seed")
-    return log, s
+    _check_events(arrays["events"], len(arrays["u"]), s.n)
+    return analysis.TrajectoryLog(s, arrays["u"], arrays["events"], arrays["y"]), s

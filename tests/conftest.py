@@ -103,6 +103,16 @@ def exploding_plants(s: Scenario, agent: int, call: int) -> list:
     return plants
 
 
+def events_of(sigma: np.ndarray) -> np.ndarray:
+    """The count events of a (K, n) sigma column: (k, agent, count) for
+    every cell that differs from the one above it, the row above row 0 being
+    all zeros, in (k, agent) order: a log's events written from its counts."""
+    prev = np.zeros_like(sigma)
+    prev[1:] = sigma[:-1]
+    r, i = np.nonzero(sigma != prev)
+    return np.column_stack([r, i + 1, sigma[r, i]]).astype(np.int64)
+
+
 def network_scenario(n: int, edges, u_star=None) -> Scenario:
     """n identity agents on the 1-based (i, j, weight) edges, reset points
     u_star (zeros if None), stride 1, built without validation, so there may

@@ -38,7 +38,6 @@ from hwconsensus.analysis import (
     TrajectoryLog,
     TruncationTimes,
     counts_at,
-    events_of,
     first_failure,
     truncation_events,
 )
@@ -55,6 +54,7 @@ from conftest import (
     RESTART_CASE,
     STIFF_CASE1,
     dense_laplacian,
+    events_of,
     forced_truncation_scenarios,
     network_doc,
     network_scenario,
@@ -816,6 +816,25 @@ def test_the_replay_and_the_decomposition_name_their_first_failure():
     failure = full_verification(SHORT_LOG, SHORT.gains(), reweighted(SHORT.topology, 2, 3))[1][
         "decomposition_first_failure"]
     assert failure[:2] == (1, 2) and failure[2] > 1e-9
+
+
+def test_every_catchup_cell_one_ulp_off_fails_the_replay_row():
+    # the replay reads no u inside a catch-up window: each is checked against
+    # what its round wrote, u* after a count event, else the kept candidate.
+    # On the restart case each such cell moved by one ulp fails the row,
+    # named by the round that wrote it, and the residual stays the replay's
+    s = load_scenario(RESTART_CASE)
+    log = run(s).log
+    cells = np.argwhere(whole_auxiliary(log, s.gains(), s.topology).catchup_mask).tolist()
+    events = {(k, agent) for k, agent, _ in log.events.tolist()}
+    assert {(r, i + 1) in events for r, i in cells} == {True, False}
+    for r, i in cells:
+        moved = dataclasses.replace(log, u=log.u.copy())
+        moved.u[r, i] = np.nextafter(moved.u[r, i], np.inf)
+        report, extras = full_verification(moved, s.gains(), s.topology)
+        rec = extras["recursion"]
+        assert not rec.passed and rec.first_failure[:2] == (r, i + 1), (r, i)
+        assert report["lemma3_residual"] == 0.0
 
 
 def _counts_at_by_scan(events, rows, n):

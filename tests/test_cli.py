@@ -37,7 +37,6 @@ from conftest import (
 from test_harness import (
     CORRUPTIONS,
     flip_bit,
-    old_store,
     relog,
     rewrite_store,
     saved_case,
@@ -368,24 +367,10 @@ def test_verify_locates_a_corrupted_stored_column(tmp_path, capsys, column, fiel
 
 
 def test_verify_locates_a_z_cell_off_its_identity(tmp_path, capsys):
-    # z is y of the observed agent plus eps, derived on load: a z cell off its
-    # identity is a corrupt cell of y, or of eps in an older store, which held
-    # the noise, at k=150, edge (2, 3) here. The noise is redrawn from the
-    # seed, so an older store's eps cell that is not the seed's is named
+    # z is y of the observed agent plus eps, derived on load, and the noise is
+    # redrawn from the seed: a z cell off its identity is a corrupt cell of y,
+    # at k=150, agent 3 here
     _verify_names_a_flipped_bit(tmp_path / "y", capsys, "y", (149, 2), 3)
-    d = run_dir(tmp_path / "eps")
-    old_store(d)
-
-    def flip(arrays):  # bit 3, with the records of meta.json to match
-        arrays["eps"].view(np.int64)[149, 3] ^= 1 << 3
-
-    rewrite_store(d, flip)
-    capsys.readouterr()
-    assert main(["verify", "--log", str(d)]) == 1
-    err = capsys.readouterr().err
-    assert err == ("incomplete log: log.npz: array eps: the noise at (k=150, i=2, j=3) "
-                   "is not the noise redrawn from the seed\n")
-    assert _main_under_O(["verify", "--log", str(d)]) == (1, err)
 
 
 @pytest.mark.parametrize("count, code, err", [
@@ -453,21 +438,38 @@ def test_verify_names_the_first_failure_of_a_failing_row(tmp_path, capsys, monke
     assert "first failure" not in rows["truncation window bound"]
 
 
-def test_an_older_store_verifies_to_the_same_report(tmp_path, capsys):
-    # the store that held sigma and eps in place of the count events: the
-    # same log, so the same report.json and metrics.csv bytes
-    d = run_dir(tmp_path)
-    old = tmp_path / "old"
-    old.mkdir()
-    for name in ("log.npz", "meta.json", "summary.json"):
-        (old / name).write_bytes((d / name).read_bytes())
-    old_store(old)
-    with np.load(old / "log.npz") as npz:
-        assert sorted(npz.files) == ["eps", "sigma", "u", "y"]
-    for rundir in (d, old):
-        assert main(["verify", "--log", str(rundir)]) == 0
-    for name in ("report.json", "metrics.csv"):
-        assert (old / name).read_bytes() == (d / name).read_bytes()
+def test_verify_reads_every_u_inside_a_catchup_window(tmp_path, capsys, monkeypatch):
+    # the relabeling puts u* in place of every u inside a catch-up window, so
+    # the replay reads none of them: each is checked against what its round
+    # wrote. Case 1, seed 7: u at k=30, agent 4, inside a window, moved by
+    # 1e-3 fails round 29, agent 4 at stride 1, in blocks of any length, while
+    # the replay's residual stays 0.0; at stride 10 the plant replay stops it
+    for stride in (1, 10):
+        d = tmp_path / f"stride{stride}"
+        assert main(["run", "--case", "1", "--horizon", "3000", "--seed", "7",
+                     "--log-stride", str(stride), "--out", str(d)]) == 0
+        log, s = harness.load_run(str(d))
+        assert whole_auxiliary(log, s.gains(), s.topology).catchup_mask[29, 3]
+        _resave(d, "u", (29, 3), log.u[29, 3] + 1e-3)
+    capsys.readouterr()
+    argv = ["verify", "--log", str(tmp_path / "stride1")]
+    assert main(argv) == 2
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("centralized replay"))
+    assert row.split()[2] == "FAIL" and "; first failure at k=29, agent 4: " in row
+    assert json.loads((tmp_path / "stride1" / "report.json").read_text())["lemma3_residual"] == 0.0
+    assert _main_under_O(argv) == (2, "")
+    log, s = harness.load_run(str(tmp_path / "stride1"))
+    width = max(s.n, len(directed_pairs(s.topology)))
+    for rows in (1, 7, 1024):  # step 30 first in its block, inside one, and block 1 of 3
+        monkeypatch.setattr(noise, "BLOCK_CELLS", rows * width)
+        report, extras = analysis.full_verification(log, s.gains(), s.topology)
+        rec = extras["recursion"]
+        assert not rec.passed and rec.first_failure[:2] == (29, 4), rows
+        assert rec.first_failure[2] == pytest.approx(1e-3) and report["lemma3_residual"] == 0.0
+    assert main(["verify", "--log", str(tmp_path / "stride10")]) == 1
+    assert capsys.readouterr().err == ("incomplete log: the plant replayed over u differs from "
+                                       "the logged y_next at k=31, agent 4\n")
 
 
 def _verify_outputs(d):

@@ -4,12 +4,12 @@ import operator
 
 import numpy as np
 import pytest
-from conftest import exploding_plants, forced_truncation_scenarios, network_scenario
+from conftest import events_of, exploding_plants, forced_truncation_scenarios, network_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwconsensus import NonFiniteValue, Schedule, advance, builtin_case, run
-from hwconsensus.analysis import TrajectoryLog, events_of, neighbour_columns
+from hwconsensus.analysis import TrajectoryLog, neighbour_columns
 from hwconsensus.errors import ValidationError
 
 SCHED = Schedule(c_M=55.0)

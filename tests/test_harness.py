@@ -54,6 +54,7 @@ from hwconsensus.plant import _CATALOG, HAMMERSTEIN, WIENER
 from conftest import (
     MIXED_CASE,
     RESTART_CASE,
+    events_of,
     exploding_plants,
     forced_truncation_scenarios,
     ring_doc,
@@ -1180,7 +1181,7 @@ def test_the_store_holds_what_the_round_loop_keeps(tmp_path):
         assert stored[name].dtype == want.dtype and np.array_equal(stored[name], want), name
     # the events are the changes of the counts, and the last round's
     events = res.log.events
-    assert np.array_equal(analysis.events_of(res.log.sigma), events[events[:, 0] < 30])
+    assert np.array_equal(events_of(res.log.sigma), events[events[:, 0] < 30])
 
 
 def test_load_run_missing_directory(tmp_path):
@@ -1238,10 +1239,6 @@ def old_store(d):
     every step and the noise, sigma and eps, in place of the count events."""
     log, _ = load_run(str(d))
     rewrite_store(d, lambda a: (a.pop("events"), a.update(sigma=log.sigma, eps=log.noise)))
-
-
-def _then(*edits):
-    return lambda d: [edit(d) for edit in edits]
 
 
 def _events(fn):
@@ -1302,13 +1299,12 @@ def _as_text_with(index, cell):
 DIGEST = "does not match its dtype, shape and SHA-256 in meta.json"
 
 # each corrupts saved_case, with the message load_run raises. The cases named
-# trajectory-* and edges-* make the damage their name says (a copied cell, a
-# missing or extra row, an unknown agent or edge, a value that is not a
-# float64 or int64, bytes that are not the file's format) to the arrays that
-# hold those columns: u and y per agent and the count events in the store,
-# eps per edge in an older store (old_store); row 9 is step 10 and column 1
-# agent 2. The events-* cases hold events the round kernel cannot write,
-# with records to match; saved_case's events are (2, 1, 1), (2, 2, 1),
+# trajectory-* make the damage their name says (a copied cell, a missing or
+# extra row, an unknown agent, a value that is not a float64 or int64, bytes
+# that are not the file's format) to the arrays that hold those columns: u
+# and y per agent and the count events; row 9 is step 10 and column 1 agent
+# 2. The events-* cases hold events the round kernel cannot write, with
+# records to match; saved_case's events are (2, 1, 1), (2, 2, 1),
 # (3, 1, 2), (3, 2, 2), (3, 3, 1), ...
 CORRUPTIONS = {
     # a digest mismatch: a copy of step 10, agent 1 standing in for agent 2
@@ -1345,44 +1341,6 @@ CORRUPTIONS = {
     "trajectory-not-utf8": (
         lambda d: _member_not_npy(d, "u", lambda b: b"k,agent,u\n1,1,0.0\n\xff\xfe"),
         "log.npz: array u: u.npy is not an npy file"),
-    "edges-not-utf8": (
-        _then(old_store, lambda d: _member_not_npy(d, "eps", lambda b: b"\xe9" + b[1:])),
-        "log.npz: array eps: eps.npy is not an npy file"),
-    "edges-duplicate-row": (
-        _then(old_store, lambda d: _resave_arrays(
-            d, lambda a: _set(a, "eps", _cell((0, 1), lambda x: x[0, 0])))),
-        f"log.npz: array eps {DIGEST}"),
-    "edges-missing-row": (
-        _then(old_store, lambda d: _resave_arrays(
-            d, lambda a: _set(a, "eps", lambda x: np.delete(x, 1, axis=1)))),
-        "log.npz: array eps has shape (20, 7), expected (20, 8)"),
-    "edges-extra-row": (
-        _then(old_store, lambda d: _resave_arrays(
-            d, lambda a: _set(a, "eps", lambda x: np.vstack([x, x[-1:]])))),
-        "log.npz: array eps has shape (21, 8), expected (20, 8)"),
-    # a row for step 0, before the first
-    "edges-step-out-of-range": (
-        _then(old_store, lambda d: _resave_arrays(d, lambda a: _set(
-            a, "eps", lambda x: np.vstack([np.zeros_like(x[:1]), x])))),
-        "log.npz: array eps has shape (21, 8), expected (20, 8)"),
-    "edges-unknown-pair": (
-        _then(old_store, lambda d: _resave_arrays(
-            d, lambda a: _set(a, "eps", lambda x: np.hstack([x, x[:, :1]])))),
-        "log.npz: array eps has shape (20, 9), expected (20, 8)"),
-    # an older store whose noise is not the seed's: step 10, edge (1, 4)
-    "edges-not-the-seed": (
-        _then(old_store, lambda d: rewrite_store(
-            d, lambda a: _set(a, "eps", _cell((9, 1), lambda x: x[9, 1] + 1.0)))),
-        "log.npz: array eps: the noise at (k=10, i=1, j=4) is not the noise redrawn "
-        "from the seed"),
-    # an older store whose counts the round kernel cannot have written
-    "sigma-not-rising": (
-        _then(old_store, lambda d: rewrite_store(d, lambda a: _set(a, "sigma", _cell((9, 1), 0)))),
-        "log.npz: array sigma: the event (k=9, agent 2, count 0) does not rise from the "
-        "agent's count 6 at k=8"),
-    "sigma-at-step-1": (
-        _then(old_store, lambda d: rewrite_store(d, lambda a: _set(a, "sigma", _cell((0, 3), 1)))),
-        "log.npz: array sigma: the event (k=0, agent 4, count 1) has a step outside 1..20"),
     # count events the round kernel cannot write
     "events-out-of-order": (
         _events(lambda x: x[[0, 2, 1] + list(range(3, len(x)))]),
@@ -1424,6 +1382,12 @@ CORRUPTIONS = {
     "extra-array": (lambda d: _resave_arrays(d, lambda a: a.update(z=a["y"])),
                     "log.npz holds ['events.npy', 'u.npy', 'y.npy', 'z.npy'], "
                     "expected ['events.npy', 'u.npy', 'y.npy']"),
+    # the store written before the count events: the counts on every step and
+    # the noise, records to match; run --scenario with meta.json's scenario
+    # writes the run again as it is stored now
+    "older-store-layout": (old_store,
+                           "log.npz holds ['eps.npy', 'sigma.npy', 'u.npy', 'y.npy'], "
+                           "expected ['events.npy', 'u.npy', 'y.npy']"),
     # a member without .npy: np.load hands its raw bytes back
     "raw-member": (lambda d: _add_raw_member(d, "u"),
                    "log.npz holds ['events.npy', 'u', 'u.npy', 'y.npy'], "
@@ -1522,23 +1486,6 @@ def test_load_run_names_the_first_line_out_of_order(data, stride, name, edit):
     else:
         assert str(exc.value) == \
             f"log.npz: array {name} has shape {got.shape}, expected {want.shape}"
-
-
-def test_load_run_rejects_edge_rows_off_the_stride(tmp_path):
-    d = tmp_path / "r"
-    res = run(builtin_case(2, horizon=30, log_stride=7))
-    save_run(res, str(d))
-    old_store(d)
-    load_run(str(d))
-    # the rows of a log at stride 7 are steps 1, 8, 15, 22 and 29; noise on
-    # every step, NaN off the stride, is 30 rows where 5 belong, in an older
-    # store, which held the noise
-    eps = res.log.eps
-    _resave_arrays(d, lambda a: a.update(eps=eps))
-    with pytest.raises(IncompleteLog) as exc:
-        load_run(str(d))
-    assert str(exc.value) == \
-        f"log.npz: array eps has shape (30, {eps.shape[1]}), expected (5, {eps.shape[1]})"
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ import sys
 
 from hwconsensus import builtin_case, run, save_run
 
-from test_harness import flip_bit, old_store
+from test_harness import flip_bit
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "scripts", "partial_sum_traces.py")
@@ -41,10 +41,9 @@ def test_partial_sum_traces_of_a_strided_run_are_those_of_stride_1(tmp_path):
 def test_partial_sum_traces_rejects_a_corrupt_run(tmp_path):
     d = tmp_path / "r"
     save_run(run(builtin_case(1, horizon=20)), str(d))
-    old_store(d)  # an older store, which held the noise as eps
-    flip_bit(d, "eps", (9, 2))
+    flip_bit(d, "u", (9, 2))
     out = partial_sums("--log", str(d))
     assert out.returncode == 3
-    assert out.stderr == "unreadable run: log.npz: array eps: Bad CRC-32 for file 'eps.npy'\n"
+    assert out.stderr == "unreadable run: log.npz: array u: Bad CRC-32 for file 'u.npy'\n"
     assert "Traceback" not in out.stderr
     assert not (d / "window_sums.csv").exists()
