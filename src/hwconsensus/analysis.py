@@ -578,24 +578,24 @@ def build_auxiliary(block: Block, times: TruncationTimes, u_star) -> AuxiliarySe
                               u_star=u_star, catchup_mask=catchup)
 
 
-def catchup_first_failure(block: Block, catchup: np.ndarray, before: Block | None,
+def catchup_first_failure(block: Block, catchup: np.ndarray, before: tuple | None,
                           event_keys: np.ndarray, u_star) -> tuple | None:
     """(k, agent, |difference|) of the first catch-up cell of a block, at step
-    k + 1, whose u is not what round k wrote there, or None. The relabeling
-    puts u_star in these cells, so the replay reads none of them. Round k
-    wrote u_star if it gave the agent a count event, else the kept candidate
-    u + (1/k) O of step k, read from before for the block's first row.
-    event_keys are the events' k n + agent - 1, ascending."""
+    k + 1, whose u is not what round k wrote, or None; the relabeling puts
+    u_star there, so the replay reads none. Round k wrote u_star after a
+    count event, else the kept candidate u + (1/k) O of step k; before is
+    the (u, O) of the step before the block, and event_keys the events'
+    k n + agent - 1, ascending."""
     cells = np.flatnonzero(catchup)  # row-major: the first is the earliest (k, agent)
     if not len(cells):
         return None
-    n, flat = len(u_star), block.u.reshape(-1)
+    n, flat, k0 = len(u_star), block.u.reshape(-1), block.k[0] - 1
     r, i = np.divmod(cells, n)
-    u, O, k = flat[cells - n], block.O[r - 1, i], r + (block.k[0] - 1)
-    if r[0] == 0:  # the block before's last row; step 1 is in no catch-up window
+    u, O, k = flat[cells - n], block.O[r - 1, i], r + k0
+    if r[0] == 0:  # step 1 is in no catch-up window: a block with such cells has one before
         first = np.searchsorted(r, 1)
-        u[:first], O[:first] = before.u[-1, i[:first]], before.O[-1, i[:first]]
-    key = cells + (block.k[0] - 1) * n
+        u[:first], O[:first] = before[0][i[:first]], before[1][i[:first]]
+    key = cells + k0 * n
     event = event_keys[np.searchsorted(event_keys, key).clip(max=len(event_keys) - 1)] == key
     want, got = np.where(event, u_star[i], u + (1.0 / k) * O), flat[cells]
     bad = np.flatnonzero(want != got)  # a NaN never matches
@@ -846,7 +846,7 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
             # np.maximum, not max: a NaN anywhere is the maximum
             decomp = np.maximum(decomp, err.max())
             decomp_failure = decomp_failure or first_failure(err, ok, block.k[0])
-            before = block
+            before = block.u[-1], block.O[-1]
 
     report = {
         "lemma3_residual": rec.max_abs_residual,
