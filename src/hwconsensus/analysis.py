@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Ranks, Topology, diameter, directed_pairs, laplacian, neighbour_columns
-from .noise import edge_blocks
+from .noise import edge_blocks, row_blocks
 from .plant import steps
 
 INF = float("inf")
@@ -42,6 +44,11 @@ EQ28_GRID_T = (0.1, 0.5, 1.0, 2.0)
 
 # ---------------------------------------------------------------------------
 # the log
+
+# a block of log_rows: each agent's count sigma, pooled count sigma_prime and
+# input u_prime on every row; the noise, z and O on the logged rows
+LogRows = namedtuple("LogRows", "sigma sigma_prime u_prime noise z O")
+
 
 def _dense(name: str) -> functools.cached_property:
     """A log's column name, of the logged rows, on every row with NaN off the stride."""
@@ -73,7 +80,8 @@ class TrajectoryLog:
     where sigma_prime > sigma, else u; on the logged rounds logged_z, y of
     the observed agent plus noise, and logged_O, w (z - y_i) summed over the
     neighbours from 0.0; and, NaN off the stride (the logged arrays
-    themselves at stride 1), y_next, eps, z and O_next.
+    themselves at stride 1), y_next, eps, z and O_next. The first six are
+    the blocks of log_rows joined, all derived on the first read of any.
     """
 
     scenario: object
@@ -92,40 +100,19 @@ class TrajectoryLog:
 
     @property
     def logged_rows(self) -> np.ndarray:
-        return logged_rows(self.horizon, self.log_stride)
+        """The 0-based rows whose outputs and noise are recorded: steps 1, 1 + stride, ..."""
+        return np.arange(0, self.horizon, self.log_stride)
 
     @functools.cached_property
     def pairs(self) -> list:
         return directed_pairs(self.scenario.topology)
 
     @functools.cached_property
-    def sigma(self) -> np.ndarray:
-        return counts_at(self.events, np.arange(self.horizon), self.u.shape[1])
+    def _rows(self) -> LogRows:
+        return LogRows(*map(np.concatenate, zip(*(rows for _, rows in log_rows(self)))))
 
-    @functools.cached_property
-    def noise(self) -> np.ndarray:
-        stride, width = self.log_stride, max(self.u.shape[1], len(self.pairs))
-        # a block drawn from step a holds its first logged row at -a % stride
-        return np.concatenate([np.empty((0, len(self.pairs)))] + [
-            block[-a % stride::stride]
-            for a, block in edge_blocks(self.scenario._edge_noise, self.horizon, width)])
-
-    @functools.cached_property
-    def sigma_prime(self) -> np.ndarray:
-        return pooled_counts(self.sigma, self.scenario.topology)
-
-    @functools.cached_property
-    def u_prime(self) -> np.ndarray:
-        return np.where(self.sigma_prime > self.sigma,
-                        np.array(self.scenario.controller.u_star), self.u)
-
-    @functools.cached_property
-    def _observations(self) -> tuple:
-        return observations(self.y, self.noise, self.scenario.topology)
-
-    logged_z = property(lambda self: self._observations[0])
-    logged_O = property(lambda self: self._observations[1])
-
+    sigma, sigma_prime, u_prime, noise, logged_z, logged_O = (
+        property(attrgetter("_rows." + name)) for name in LogRows._fields)
     y_next, O_next, z, eps = map(_dense, ("y", "logged_O", "logged_z", "noise"))
 
 
@@ -147,34 +134,56 @@ def observations(y: np.ndarray, noise: np.ndarray, topology: Topology) -> tuple:
     ranks = laplacian(topology)
     # the round's float arithmetic overflows to inf without a warning
     with np.errstate(all="ignore"):
-        z = y[:, [j - 1 for _, j in directed_pairs(topology)]]
+        z = y[:, ranks.j[np.argsort(ranks.c)]]  # each edge column's observed agent
         z += noise
         return z, neighbour_sum(ranks, z.T[ranks.c] - y.T[ranks.i])
 
 
-def counts_at(events: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+def counts_at(events: np.ndarray, rows: np.ndarray, n: int, initial=0) -> np.ndarray:
     """Each of n agents' count at the start of each of the given 0-based
     rows, (len(rows), n) int64: the count of its last event with k <= row,
-    else 0. Each agent's events must be in k order."""
-    # the events grouped by agent, each agent's in k order, and agent i's
-    # events from starts[i - 1] to starts[i]
-    k, agent, count = events[np.argsort(events[:, 1], kind="stable")].T
-    starts = np.searchsorted(agent, np.arange(1, n + 2))
-    out = np.empty((len(rows), n), dtype=np.int64)
-    for i, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-        after = np.searchsorted(k[lo:hi], rows, side="right")
-        out[:, i] = np.concatenate(([0], count[lo:hi]))[after]
-    return out
+    else initial (each agent's, or one for all). Each agent's events must be
+    in k order; events of agents outside 1..n are ignored."""
+    k, agent, count = events.T
+    # agent-major keys agent * span + k - lo, lo below every k and row: an
+    # agent's span holds one key of its initial count, then its events' alone
+    lo = min(k.min(initial=0), rows.min(initial=0)) - 1
+    span = max(k.max(initial=0), rows.max(initial=0)) - lo + 1
+    keys = np.concatenate([np.arange(n) * span, (agent - 1) * span + k - lo])
+    order = np.argsort(keys, kind="stable")  # an agent's events stay in k order
+    values = np.concatenate([np.broadcast_to(initial, n), count])[order]
+    # the queries agent-major: sorted where the rows are
+    at = np.searchsorted(keys[order], (np.arange(n)[:, None] * span + rows - lo).ravel(), "right")
+    return np.ascontiguousarray(values[at - 1].reshape(n, len(rows)).T)
 
 
 def pooled_counts(counts: np.ndarray, topology: Topology) -> np.ndarray:
     """Each agent's largest count over its closed neighbourhood in topology,
-    on every row of counts (rows, n): the round's pooling."""
-    pooled = counts.copy()
-    for i, nb in enumerate(neighbour_columns(topology)):
-        for _, j, _ in nb:
-            np.maximum(pooled[:, i], counts[:, j], out=pooled[:, i])
-    return pooled
+    on every row of counts (rows, n): the round's pooling, one maximum per
+    rank of the topology's graph.Ranks, as neighbour_sum adds."""
+    ranks, counts = laplacian(topology), counts.T
+    pooled, a = counts[np.argsort(ranks.inv)], 0  # agents by falling degree
+    for m in ranks.counts:
+        np.maximum(pooled[:m], counts[ranks.j[a:a + m]], out=pooled[:m])
+        a += m
+    return np.ascontiguousarray(pooled[ranks.inv].T)
+
+
+def log_rows(log: TrajectoryLog):
+    """(a, LogRows) per range (a, b) of noise.row_blocks over the log's rows
+    (one range of no rows if there are none): the counts from the events,
+    carried from the row before; their pooled_counts; u* where those are
+    above the counts, else u; on the logged rows, the noise and observations."""
+    (K, n), stride, topology = log.u.shape, log.log_stride, log.scenario.topology
+    u_star, k, hi = np.array(log.scenario.controller.u_star), log.events[:, 0], 0
+    counts = np.zeros((1, n), dtype=np.int64)
+    for a, b in row_blocks(K, max(n, len(log.pairs))) if K else [(0, 0)]:
+        lo, hi = hi, int(np.searchsorted(k, b))  # the events of k < b not read before
+        counts = counts_at(log.events[lo:hi], np.arange(a, b), n, counts[-1])
+        pooled, first = pooled_counts(counts, topology), -(-a // stride)  # first logged row
+        noise = log.scenario._edge_noise(a, b - a)[-a % stride::stride]
+        yield a, LogRows(counts, pooled, np.where(pooled > counts, u_star, log.u[a:b]), noise,
+                         *observations(log.y[first:first + len(noise)], noise, topology))
 
 
 def fired(log: TrajectoryLog) -> np.ndarray:
@@ -196,11 +205,6 @@ def truncation_events(log: TrajectoryLog) -> list:
     adopts a neighbour's larger count (see fired)."""
     kinds = np.where(fired(log), "fired", "pooled").tolist()
     return [(k, agent, count, kind) for (k, agent, count), kind in zip(log.events.tolist(), kinds)]
-
-
-def logged_rows(horizon: int, log_stride: int) -> np.ndarray:
-    """The 0-based rows whose outputs and noise are recorded: steps 1, 1 + stride, ..."""
-    return np.arange(0, horizon, log_stride)
 
 
 @dataclass(frozen=True)
@@ -617,10 +621,9 @@ def first_failure(err: np.ndarray, ok: np.ndarray, k0: int = 1) -> tuple | None:
     """(k, agent, value) of the first cell of a (rows, n) array of errors,
     in row-major order, where ok is False, row r being round k = k0 + r;
     None if ok holds on every cell."""
-    bad = np.argwhere(~ok)
-    if not len(bad):
+    if ok.all():
         return None
-    r, i = bad[0].tolist()
+    r, i = np.argwhere(~ok)[0].tolist()
     return int(k0) + r, i + 1, float(err[r, i])
 
 

@@ -12,7 +12,9 @@ file appears under its name only once all of its rows are written
                   one row per count event of analysis.truncation_events: in
                   round k the agent's count became sigma, by a truncation
                   (fired) or a restart (pooled)
-The writer holds one block of noise.row_blocks as strings at a time.
+trajectory.csv and edges.csv come from one walk of analysis.log_rows, which
+derives one block of noise.row_blocks at a time: the writer holds u, y and
+one block's rows and strings, never a whole-log derived column.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import analysis
-from .noise import row_blocks
 
 
 def format_cells(values) -> list:
@@ -66,56 +67,51 @@ def write_csv(path: str, header: str, blocks) -> None:
             write(columns)
 
 
-def _logged_cells(logged: np.ndarray, stride: int, a: int, b: int) -> list:
-    """Cells of rows a..b-1 of a column of the logged rows (logged), row by
-    row: repr() on the logged rows, blank off the stride and for a NaN."""
-    n = logged.shape[1]
-    cells = [""] * ((b - a) * n)
-    first, end = -(-a // stride), -(-b // stride)  # the logged rows in a..b-1
-    values = logged[first:end].ravel()
-    positions = ((np.arange(first, end) * stride - a)[:, None] * n + np.arange(n)).ravel()
+def _logged_cells(values: np.ndarray, at: np.ndarray, rows: int) -> list:
+    """Cells of a block of rows of a column, row by row: repr() of its values
+    on the logged rows at (offsets in the block), blank elsewhere and for a NaN."""
+    n = values.shape[1]
+    cells = [""] * (rows * n)
+    values, positions = values.ravel(), (at[:, None] * n + np.arange(n)).ravel()
     keep = ~np.isnan(values)
     _fill_cells(cells, positions[keep], values[keep])
     return cells
 
 
-def _trajectory_blocks(log: analysis.TrajectoryLog):
-    K, n = log.u.shape
+def _write_rows(log, blocks, outdir: str) -> None:
+    """Write trajectory.csv and edges.csv (layout in the module docstring)
+    from the u and y of log and each (a, analysis.LogRows) of blocks, the
+    derived rows a.. of analysis.log_rows, one block's cells at a time."""
+    n, m, stride = log.u.shape[1], len(log.pairs), log.log_stride
     agents = format_cells(np.arange(1, n + 1))
-    for a, b in row_blocks(K, max(n, len(log.pairs))):
-        u, u_prime = log.u[a:b].ravel(), log.u_prime[a:b].ravel()
-        u_cells = format_cells(u)
-        # u' is u itself on every round without a restart; repr depends only
-        # on the bits, so a bit-equal cell is copied, not formatted again
-        up_cells = list(u_cells)
-        restarts = np.flatnonzero(u_prime.view(np.int64) != u.view(np.int64))
-        _fill_cells(up_cells, restarts, u_prime[restarts])
-        yield (_step_cells(range(a + 1, b + 1), n), agents * (b - a), u_cells,
-               format_cells(log.sigma[a:b]), format_cells(log.sigma_prime[a:b]), up_cells,
-               _logged_cells(log.y, log.log_stride, a, b),
-               _logged_cells(log.logged_O, log.log_stride, a, b))
-
-
-def _edge_blocks(log: analysis.TrajectoryLog):
-    m, n = len(log.pairs), log.u.shape[1]
-    observers = format_cells([i for i, _ in log.pairs])
-    observed = format_cells([j for _, j in log.pairs])
-    # steps off the stride have no observations and no rows
-    steps = log.logged_rows
-    for a, b in row_blocks(len(steps), max(n, m)):
-        rows = steps[a:b]
-        yield (_step_cells((rows + 1).tolist(), m), observers * len(rows),
-               observed * len(rows), format_cells(log.logged_z[a:b]),
-               format_cells(log.noise[a:b]))
+    observers, observed = map(format_cells, np.array(log.pairs, dtype=np.int64).reshape(-1, 2).T)
+    with csv_writer(os.path.join(outdir, "trajectory.csv"),
+                    "k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next") as trajectory, \
+            csv_writer(os.path.join(outdir, "edges.csv"), "k,i,j,z,eps") as edges:
+        for a, rows in blocks:
+            b = a + len(rows.sigma)
+            at = np.arange(-(-a // stride) * stride, b, stride)  # the logged rows in a..b-1
+            u, u_prime = log.u[a:b].ravel(), rows.u_prime.ravel()
+            u_cells = format_cells(u)
+            # u' is u itself on every round without a restart; repr depends only
+            # on the bits, so a bit-equal cell is copied, not formatted again
+            up_cells = list(u_cells)
+            restarts = np.flatnonzero(u_prime.view(np.int64) != u.view(np.int64))
+            _fill_cells(up_cells, restarts, u_prime[restarts])
+            trajectory((_step_cells(range(a + 1, b + 1), n), agents * (b - a), u_cells,
+                        format_cells(rows.sigma), format_cells(rows.sigma_prime), up_cells,
+                        _logged_cells(log.y[at // stride], at - a, b - a),
+                        _logged_cells(rows.O, at - a, b - a)))
+            # steps off the stride have no observations and no rows
+            edges((_step_cells((at + 1).tolist(), m), observers * len(at), observed * len(at),
+                   format_cells(rows.z), format_cells(rows.noise)))
 
 
 def export_csv(log: analysis.TrajectoryLog, outdir: str) -> None:
     """Write the log as trajectory.csv, edges.csv and events.csv (layout in
     the module docstring)."""
     os.makedirs(outdir, exist_ok=True)
-    write_csv(os.path.join(outdir, "trajectory.csv"),
-              "k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next", _trajectory_blocks(log))
-    write_csv(os.path.join(outdir, "edges.csv"), "k,i,j,z,eps", _edge_blocks(log))
+    _write_rows(log, analysis.log_rows(log), outdir)
     k, agent, count, kind = list(zip(*analysis.truncation_events(log))) or [()] * 4
     write_csv(os.path.join(outdir, "events.csv"), "k,agent,sigma,kind",
               [(format_cells(k), format_cells(agent), format_cells(count), kind)])

@@ -656,7 +656,7 @@ def _read_store(fh, s: Scenario, records) -> dict:
     E = _recorded_rows(records, "events")
     if not (type(E) is int and E >= 0):
         raise IncompleteLog(f"{LOG_FILE}: array events {_NO_RECORD}")
-    F, L = np.dtype(np.float64), len(analysis.logged_rows(K, s.log_stride))
+    F, L = np.dtype(np.float64), -(-K // s.log_stride)  # the logged rows, as run keeps y
     want = {"u": (F, (K, s.n)), "y": (F, (L, s.n)), "events": (np.dtype(np.int64), (E, 3))}
     for i, check in enumerate(("dtype", "shape")):
         for name, a in arrays.items():

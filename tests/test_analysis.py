@@ -572,7 +572,7 @@ def test_decomposition_draws_one_step(stride):
         expected = np.stack(analysis._decompose(block, LAP1)[:3], axis=-1)[0]
         got = np.array([noise_decomposition(fresh, k, i, GAINS1, LAP1) for i in (1, 2, 3, 4)])
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    assert "noise" not in vars(fresh) and "_observations" not in vars(fresh)
+    assert "_rows" not in vars(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -837,21 +837,31 @@ def test_every_catchup_cell_one_ulp_off_fails_the_replay_row():
         assert report["lemma3_residual"] == 0.0
 
 
-def _counts_at_by_scan(events, rows, n):
+def _counts_at_by_scan(events, rows, n, initial=0):
     """counts_at as each agent's scan of every event: the reference."""
     k, agent, count = events.T
     out = np.empty((len(rows), n), dtype=np.int64)
     for i in range(n):
         mine = np.flatnonzero(agent == i + 1)
         after = np.searchsorted(k[mine], rows, side="right")
-        out[:, i] = np.concatenate(([0], count[mine]))[after]
+        out[:, i] = np.concatenate(([np.broadcast_to(initial, n)[i]], count[mine]))[after]
     return out
+
+
+def _pooled_counts_by_edge(counts, topology):
+    """pooled_counts as one maximum per directed edge in turn: the reference."""
+    pooled = counts.copy()
+    for i, j in analysis.directed_pairs(topology):
+        np.maximum(pooled[:, i - 1], counts[:, j - 1], out=pooled[:, i - 1])
+    return pooled
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_counts_at_equals_each_agents_scan_of_every_event(seed):
     # random event tables in (k, agent) order, with agents outside 1..n and
-    # an agent without events, read at rows 0 and K - 1 among others
+    # an agent without events, read at rows 0 and K - 1 among others, from
+    # counts 0 and from random initial counts; and pooled on a random
+    # network, isolated agents and all
     rng = np.random.default_rng(seed)
     n, K = int(rng.integers(1, 8)), int(rng.integers(1, 60))
     size = int(rng.integers(0, 3 * K))
@@ -859,8 +869,43 @@ def test_counts_at_equals_each_agents_scan_of_every_event(seed):
     agent[agent == rng.integers(1, n + 1)] = 0
     events = np.column_stack([k, agent, rng.integers(0, 50, size)])[np.lexsort((agent, k))]
     rows = np.concatenate([[0, K - 1], rng.integers(0, K, 10)])
-    got = counts_at(events, rows, n)
-    assert got.dtype == np.int64 and np.array_equal(got, _counts_at_by_scan(events, rows, n))
+    initial = rng.integers(0, 50, n)
+    for start in (0, initial):
+        got = counts_at(events, rows, n, start)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _counts_at_by_scan(events, rows, n, start))
+    edges = [(i, j, 1.0) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if rng.random() < 0.4]
+    topology = network_scenario(n, edges).topology
+    assert np.array_equal(analysis.pooled_counts(got, topology),
+                          _pooled_counts_by_edge(got, topology))
+    assert counts_at(events, np.arange(0), n).shape == (0, n)
+
+
+def _star(n):
+    return build_topology(n, [(1, a, 1.0) for a in range(2, n + 1)])
+
+
+@pytest.mark.parametrize("topology", [
+    lambda: build_topology(768, network_doc(768, 1)["topology"]), lambda: _star(3000)],
+    ids=["network-768", "star-3000"])
+def test_counts_and_pooled_counts_of_a_wide_network_equal_the_loops(topology):
+    # counts rising on random rows of random agents, read whole and block by
+    # block from the count before the block, as log_rows reads them
+    topology = topology()
+    n, K = topology.n, 40
+    rng = np.random.default_rng(n)
+    sigma = np.cumsum(rng.random((K, n)) < 0.05, axis=0)
+    events = events_of(sigma)
+    rows = np.arange(K)
+    want = _counts_at_by_scan(events, rows, n)
+    assert np.array_equal(want, sigma)
+    assert np.array_equal(counts_at(events, rows, n), want)
+    for a, b in ((0, 7), (7, 21), (21, 40)):
+        part = events[(events[:, 0] >= a) & (events[:, 0] < b)]
+        assert np.array_equal(counts_at(part, rows[a:b], n, sigma[a - 1] if a else 0), want[a:b])
+    assert np.array_equal(analysis.pooled_counts(sigma, topology),
+                          _pooled_counts_by_edge(sigma, topology))
 
 
 def test_any_log_r_le_r_agent(runs):

@@ -729,6 +729,24 @@ def test_verify_of_a_long_stride_1_log_holds_blocks_not_the_log(tmp_path, capsys
     assert peak < u_bytes + 48 * 2 ** 20
 
 
+def test_export_of_a_long_stride_1_log_holds_blocks_not_the_log(tmp_path, capsys):
+    # export reads u, y and the events and derives the rest one block at a
+    # time; the margin over u and y covers one block's rows and strings,
+    # under the whole-horizon sigma, sigma_prime and u_prime (each as large
+    # as u) of a writer that sliced them
+    d = tmp_path / "long"
+    harness.save_run(harness.run(builtin_case(1, horizon=200_000)), str(d))
+    u_bytes = 200_000 * 4 * 8
+    tracemalloc.start()
+    try:
+        assert main(["export", "--log", str(d), "--out", str(tmp_path / "csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "csv" / "trajectory.csv").stat().st_size > 200_000 * 4 * 40
+    assert peak < 2 * u_bytes + 16 * 2 ** 20
+
+
 def test_verify_names_the_first_missing_output(tmp_path, capsys):
     d = run_dir(tmp_path)
     _resave(d, "y", (9, 1), np.nan)

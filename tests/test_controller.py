@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwconsensus import NonFiniteValue, Schedule, advance, builtin_case, run
-from hwconsensus.analysis import TrajectoryLog, neighbour_columns
+from hwconsensus.analysis import TrajectoryLog, log_rows, neighbour_columns, observations
 from hwconsensus.errors import ValidationError
 
 SCHED = Schedule(c_M=55.0)
@@ -65,8 +65,8 @@ def one_round(edges, u, sigma, u_star, ys=None, z=None, k=1, sched=SCHED):
     z maps directed pairs (i, j) to the value agent i observes of agent j;
     unlisted pairs observe the neighbor's output exactly. Returns the next
     (u, sigma) and the round's (sigma_prime, u_prime, O) rows as the
-    one-row TrajectoryLog of the round derives them; both equal the scalar
-    reference's, bit for bit.
+    log_rows derives them (O from the round's own noise); both equal the
+    scalar reference's, bit for bit.
     """
     n = len(u)
     ys = [0.0] * n if ys is None else ys
@@ -87,11 +87,16 @@ def one_round(edges, u, sigma, u_star, ys=None, z=None, k=1, sched=SCHED):
     assert (_bits(nxt_u).tolist(), nxt_sigma) == (_bits(ref_u).tolist(), ref_sigma)
 
     s = network_scenario(n, [(i + 1, j + 1, x) for i, j, x in edges], u_star)
+    assert neighbour_columns(s.topology) == nbrs
+    # the counts, pooled counts and u' of the round's one-row log, as log_rows
+    # derives them, and O from this round's noise, not the seed's, as log_rows
+    # forms it
     log = TrajectoryLog(s, np.array([u], dtype=float), events_of(np.array([sigma])),
                         np.array([ys], dtype=float))
-    log.noise = np.array([eps], dtype=float)  # this round's noise, not the seed's
-    assert neighbour_columns(s.topology) == nbrs
-    rows = (log.sigma_prime[0].tolist(), log.u_prime[0].tolist(), log.O_next[0].tolist())
+    [(_, derived)] = log_rows(log)
+    _, O = observations(log.y, np.array([eps], dtype=float), s.topology)
+    assert derived.sigma.tolist() == [list(sigma)]
+    rows = (derived.sigma_prime[0].tolist(), derived.u_prime[0].tolist(), O[0].tolist())
     assert rows[0] == ref[0]
     assert _bits(rows[1]).tolist() == _bits(ref[1]).tolist()
     assert _bits(rows[2]).tolist() == _bits(ref[2]).tolist()

@@ -1072,6 +1072,10 @@ def _reference_edge_blocks(log):
            observed * len(steps), fc(log.z[steps]), fc(log.eps[steps]))
 
 
+HEADERS = {"trajectory": "k,agent,u,sigma,sigma_prime,u_prime,y_next,O_next",
+           "edges": "k,i,j,z,eps"}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from([1, 7]), st.integers(1, 20), st.sampled_from([2, 3]))
 def test_writer_bytes_match_one_repr_per_cell(data, stride, K, n):
@@ -1101,25 +1105,28 @@ def test_writer_bytes_match_one_repr_per_cell(data, stride, K, n):
                                       max_size=K * n))).reshape(K, n)
     u_prime = np.where(how == 0, u, np.where(how == 1, -u, floats(n)))
     # every column drawn on its own: a plain namespace, not a TrajectoryLog,
-    # which would derive all but u, the events and y; the writer reads the
-    # logged rows of the signal columns, the reference the dense ones
+    # which would derive all but u, the events and y; the writer reads u, y
+    # and the blocks of the derived columns' logged rows, the reference the
+    # dense columns
     log = types.SimpleNamespace(
-        log_stride=stride, pairs=pairs, logged_rows=np.arange(0, K, stride), u=u,
-        sigma=ints(), sigma_prime=ints(), u_prime=u_prime, y_next=strided(n),
-        O_next=strided(n), z=strided(len(pairs)), eps=strided(len(pairs)))
-    log.y, log.logged_O = log.y_next[::stride], log.O_next[::stride]
-    log.logged_z, log.noise = log.z[::stride], log.eps[::stride]
+        log_stride=stride, pairs=pairs, u=u, sigma=ints(), sigma_prime=ints(),
+        u_prime=u_prime, y_next=strided(n), O_next=strided(n), z=strided(len(pairs)),
+        eps=strided(len(pairs)))
+    log.y = log.y_next[::stride]
     # the writer in blocks of 3 rows (bounded in rows), and of 2 or 1 rows
     # (5 cells over 2 or 4 columns), the reference in one block
     for bound, value in (("BLOCK_ROWS", 3), ("BLOCK_CELLS", 5)):
         with tempfile.TemporaryDirectory() as d, \
                 unittest.mock.patch.object(noise_module, bound, value):
-            for name, blocks, reference in (
-                    ("trajectory", csvout._trajectory_blocks, _reference_trajectory_blocks),
-                    ("edges", csvout._edge_blocks, _reference_edge_blocks)):
+            blocks = [(a, analysis.LogRows(
+                log.sigma[a:b], log.sigma_prime[a:b], log.u_prime[a:b],
+                *(column[a:b][-a % stride::stride] for column in (log.eps, log.z, log.O_next))))
+                for a, b in noise_module.row_blocks(K, max(n, len(pairs)))]
+            csvout._write_rows(log, blocks, d)
+            for name, reference in (("trajectory", _reference_trajectory_blocks),
+                                    ("edges", _reference_edge_blocks)):
                 got, want = os.path.join(d, name + ".csv"), os.path.join(d, name + ".ref")
-                csvout.write_csv(got, "header", blocks(log))
-                csvout.write_csv(want, "header", reference(log))
+                csvout.write_csv(want, HEADERS[name], reference(log))
                 with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
                     assert fh_got.read() == fh_want.read(), (name, bound)
 
@@ -1755,6 +1762,25 @@ def test_nonfinite_output_aborts_with_partial_log():
     assert "total_truncations" in partial.summary
     # copies of the rows run, not views of the whole horizon's arrays
     assert partial.log.u.base is None and partial.log.y.base is None
+
+
+def test_a_zero_row_log_derives_empty_columns_of_their_widths(tmp_path):
+    # a run aborted in its first round logs no row: its derived columns are
+    # one block of no rows, not a join of no blocks, and export writes the
+    # headers alone
+    s = builtin_case(1, horizon=50, log_stride=7)
+    with pytest.raises(NonFiniteValue) as exc:
+        run(s, initial_plants=exploding_plants(s, agent=2, call=1))
+    log = exc.value.partial.log
+    assert log.horizon == 0
+    names = ("sigma", "sigma_prime", "u_prime", "noise", "logged_z", "logged_O",
+             "y_next", "O_next", "z", "eps")
+    assert {name: getattr(log, name).shape for name in names} == {
+        name: (0, 8 if name in ("noise", "logged_z", "z", "eps") else 4) for name in names}
+    assert log.sigma.dtype == log.sigma_prime.dtype == np.int64
+    csvout.export_csv(log, str(tmp_path))
+    assert [(tmp_path / f).read_text().count("\n") for f in
+            ("trajectory.csv", "edges.csv", "events.csv")] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("kind, D, initial, step", [
