@@ -50,8 +50,9 @@ EQ28_GRID_T = (0.1, 0.5, 1.0, 2.0)
 LogRows = namedtuple("LogRows", "sigma sigma_prime u_prime noise z O")
 
 
-def _dense(name: str) -> functools.cached_property:
-    """A log's column name, of the logged rows, on every row with NaN off the stride."""
+def _dense(name: str) -> property:
+    """A log's column name, of the logged rows, on every row with NaN off the
+    stride, formed on each read (TrajectoryLog)."""
     def dense(log) -> np.ndarray:
         block = getattr(log, name)
         if log.log_stride == 1:
@@ -59,7 +60,7 @@ def _dense(name: str) -> functools.cached_property:
         out = np.full((log.horizon, block.shape[1]), np.nan)
         out[::log.log_stride] = block
         return out
-    return functools.cached_property(dense)
+    return property(dense)
 
 
 @dataclass
@@ -72,16 +73,19 @@ class TrajectoryLog:
     order, agents 1-based: in round k the agent's count became count, so it
     holds from row k (step k + 1) on. Every count starts at 0.
 
-    The other columns are derived when first read, with the round's IEEE
-    operations in its order, so each cell is the round's value bit for bit:
-    sigma, each agent's count at the start of every round; noise, each
-    edge's noise on the logged rounds, redrawn from the scenario's noise
-    seed; sigma_prime, the closed neighbourhood's largest sigma; u_prime, u*
-    where sigma_prime > sigma, else u; on the logged rounds logged_z, y of
-    the observed agent plus noise, and logged_O, w (z - y_i) summed over the
-    neighbours from 0.0; and, NaN off the stride (the logged arrays
-    themselves at stride 1), y_next, eps, z and O_next. The first six are
-    the blocks of log_rows joined, all derived on the first read of any.
+    The other columns are derived, with the round's IEEE operations in its
+    order, so each cell is the round's value bit for bit: sigma, each
+    agent's count at the start of every round; noise, each edge's noise on
+    the logged rounds, redrawn from the scenario's noise seed for those
+    rounds alone; sigma_prime, the closed neighbourhood's largest sigma;
+    u_prime, u* where sigma_prime > sigma, else u; on the logged rounds
+    logged_z, y of the observed agent plus noise, and logged_O, w (z - y_i)
+    summed over the neighbours from 0.0; and, NaN off the stride, y_next,
+    eps, z and O_next. The first six are the blocks of log_rows joined,
+    derived on the first read of any and kept. The last four are formed on
+    each read and not kept: at stride 1 each is the logged array itself, at
+    a larger stride a new array of horizon rows, nearly all NaN, that only
+    its reader holds.
     """
 
     scenario: object
@@ -181,9 +185,10 @@ def log_rows(log: TrajectoryLog):
         lo, hi = hi, int(np.searchsorted(k, b))  # the events of k < b not read before
         counts = counts_at(log.events[lo:hi], np.arange(a, b), n, counts[-1])
         pooled, first = pooled_counts(counts, topology), -(-a // stride)  # first logged row
-        noise = log.scenario._edge_noise(a, b - a)[-a % stride::stride]
+        at = range(first * stride, b, stride)  # the block's logged rows, whose noise alone is drawn
+        noise = log.scenario._edge_noise(at.start, len(at), stride)
         yield a, LogRows(counts, pooled, np.where(pooled > counts, u_star, log.u[a:b]), noise,
-                         *observations(log.y[first:first + len(noise)], noise, topology))
+                         *observations(log.y[first:first + len(at)], noise, topology))
 
 
 def fired(log: TrajectoryLog) -> np.ndarray:
@@ -191,12 +196,16 @@ def fired(log: TrajectoryLog) -> np.ndarray:
     pooled count at the start of its round + 1. Any other event is a restart
     adopting the larger pooled count."""
     ev = log.events
-    # each agent's pooled count at the start of each round with events, one
-    # row per round (the events are in k order), read at each event's round
+    # each event's round among the rounds with events (the events are in k
+    # order); each agent's counts rise, so its count at the start of a round
+    # is the running maximum of the counts it took in the rounds before
     first = np.ones(len(ev), dtype=bool)
     first[1:] = ev[1:, 0] != ev[:-1, 0]
-    pooled = pooled_counts(counts_at(ev, ev[first, 0] - 1, log.u.shape[1]), log.scenario.topology)
-    return ev[:, 2] == pooled[np.cumsum(first) - 1, ev[:, 1] - 1] + 1
+    rounds = np.cumsum(first)
+    counts = np.zeros((rounds.max(initial=0) + 1, log.u.shape[1]), dtype=np.int64)
+    counts[rounds, ev[:, 1] - 1] = ev[:, 2]
+    pooled = pooled_counts(np.maximum.accumulate(counts[:-1]), log.scenario.topology)
+    return ev[:, 2] == pooled[rounds - 1, ev[:, 1] - 1] + 1
 
 
 def truncation_events(log: TrajectoryLog) -> list:

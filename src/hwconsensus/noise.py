@@ -3,8 +3,8 @@
 Each ordered pair (observer i, observed j) gets its own stream, independent
 of the reverse pair. Streams are counter-based: the t-th value is a pure
 function of (stream seed, t), so replay is exact and order-independent, and
-edge_noise, the one reader, draws any edges at any offset for run, the log
-and verify alike, in the blocks of row_blocks.
+edge_noise, the one reader, draws any edges at any offset and step for run,
+the log and verify alike, in the blocks of row_blocks.
 
 Generator contract (documented for portability):
   64-bit splitmix-style sequence with increment 0x9E3779B97F4A7C15 and
@@ -58,11 +58,11 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _uniforms(seeds, lo: int, hi: int) -> np.ndarray:
-    """Uniforms for 0-based indices [lo, hi): one row per index and, for an
+def _uniforms(seeds, at: np.ndarray) -> np.ndarray:
+    """Uniforms for the 0-based indices at: one row per index and, for an
     array of stream seeds, one column per seed."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    ctr = np.arange(lo + 1, hi + 1, dtype=np.uint64).reshape((-1,) + (1,) * seeds.ndim)
+    ctr = np.asarray(at, dtype=np.uint64).reshape((-1,) + (1,) * seeds.ndim) + np.uint64(1)
     x = _mix(ctr * np.uint64(_GAMMA) + seeds)
     x >>= np.uint64(11)
     u = x.astype(np.float64)
@@ -71,16 +71,23 @@ def _uniforms(seeds, lo: int, hi: int) -> np.ndarray:
     return u
 
 
-def _gaussians(seeds: np.ndarray, t0: int, n: int) -> np.ndarray:
-    """Standard normals for sample indices [t0, t0 + n), pair-aligned,
-    written over the uniforms they are formed from. The radii, the angles
-    and the cosines are contiguous temporaries: cos and sin over strided
-    rows, or in place, measured slower."""
+def _gaussians(seeds: np.ndarray, t0: int, n: int, step: int = 1) -> np.ndarray:
+    """Standard normals for the n sample indices t0, t0 + step, ..., written
+    over the uniforms of the Box-Muller pairs that hold them: at step 1 every
+    pair from t0's to the last's, at a larger step one pair per sample.
+    Either way each pair's two uniforms are consecutive rows, so the same
+    numpy loops form every value. The radii, the angles and the cosines are
+    contiguous temporaries: cos and sin over strided rows, or in place,
+    measured slower."""
     if n == 0:
         return np.empty((0, len(seeds)))
-    p0 = t0 // 2
-    p1 = (t0 + n - 1) // 2
-    g = _uniforms(seeds, 2 * p0, 2 * p1 + 2)
+    if step == 1:
+        at = np.arange(t0 - t0 % 2, t0 + n + (t0 + n) % 2)
+        rows = slice(t0 % 2, t0 % 2 + n)
+    else:
+        t = t0 + step * np.arange(n)
+        at, rows = (t - t % 2)[:, None] + [0, 1], 2 * np.arange(n) + t % 2
+    g = _uniforms(seeds, at)
     r = np.log(g[0::2])
     r *= -2.0
     np.sqrt(r, out=r)
@@ -91,21 +98,23 @@ def _gaussians(seeds: np.ndarray, t0: int, n: int) -> np.ndarray:
     np.sin(th, out=th)
     th *= r
     g[1::2] = th
-    off = t0 - 2 * p0
-    return g[off:off + n]
+    return g[rows]
 
 
-def draw_block(dist: str, scale: float, seeds: np.ndarray, t0: int, n: int) -> np.ndarray:
-    """Values t0 .. t0 + n - 1 of the streams with these seeds (uint64), one
-    row per value and one column per stream: the one implementation of the
-    generator contract, for any number of streams and steps."""
+def draw_block(dist: str, scale: float, seeds: np.ndarray, t0: int, n: int,
+               step: int = 1) -> np.ndarray:
+    """Values t0, t0 + step, ... (n of them) of the streams with these seeds
+    (uint64), one row per value and one column per stream: the one
+    implementation of the generator contract, for any number of streams and
+    steps. A draw at step s is the rows 0, s, 2s, ... of one at step 1, bit
+    for bit, and forms only the values it returns (a gaussian's pairs)."""
     if dist == "zero":
         return np.zeros((n, len(seeds)))
     if dist == "gaussian":
-        x = _gaussians(seeds, t0, n)
+        x = _gaussians(seeds, t0, n, step)
         x *= scale
         return x
-    x = _uniforms(seeds, t0, t0 + n)
+    x = _uniforms(seeds, t0 + step * np.arange(n))
     x *= 2.0
     x -= 1.0
     x *= scale
@@ -159,14 +168,15 @@ def _stream_seed(spec: NoiseSpec, i: int, j: int) -> int:
 
 
 def edge_noise(spec: NoiseSpec, pairs):
-    """A function of (t0, rows) drawing the noise of 0-based steps t0 ..
-    t0 + rows - 1 on the directed edges pairs, in that column order: the
-    streams are counter-based, so blocks at any offsets hold one draw's bits.
-    The stream seeds are mixed in one array pass."""
+    """A function of (t0, rows, step=1) drawing the noise of the 0-based
+    steps t0, t0 + step, ... (rows of them) on the directed edges pairs, in
+    that column order: the streams are counter-based, so blocks at any
+    offsets and steps hold one draw's bits. The stream seeds are mixed in
+    one array pass."""
     ij = np.array(pairs, dtype=np.uint64).reshape(-1, 2)
     seeds = _mix(np.uint64(spec.seed) ^ _mix(ij[:, 0] << np.uint64(32) | ij[:, 1]))
     scale = _scale(spec)
-    return lambda t0, rows: draw_block(spec.dist, scale, seeds, t0, rows)
+    return lambda t0, rows, step=1: draw_block(spec.dist, scale, seeds, t0, rows, step)
 
 
 BLOCK_ROWS, BLOCK_CELLS = 1024, 1 << 16

@@ -1171,7 +1171,7 @@ def test_lyapunov_gradient_is_gain_vector():
 def test_metrics_exact_consensus_is_flat():
     log = synthetic_log([[0, 0]] * 5)
     log.u = np.full((5, 2), 0.3)
-    log.y_next = np.full((5, 2), 0.3)
+    log.y = np.full((5, 2), 0.3)
     ident = [lambda x: x] * 2
     lap = laplacian(build_topology(2, [(1, 2, 1.0)]))
     m = whole_metrics(log, ident, lap)

@@ -1668,7 +1668,7 @@ def test_noise_drawn_block_wise_is_exact_and_bounded(block, monkeypatch):
     want.append(_log_digest(_aborted_run(aborted, 17).log))
     real, sizes = noise_module.draw_block, []
     monkeypatch.setattr(noise_module, "draw_block",
-                        lambda *args: sizes.append(args[-1]) or real(*args))
+                        lambda *args: sizes.append(args[4]) or real(*args))  # args[4]: rows
     monkeypatch.setattr(noise_module, "BLOCK_ROWS", block)
     got = [_log_digest(run(s).log) for s in scenarios]
     got.append(_log_digest(_aborted_run(aborted, 17).log))
@@ -1688,7 +1688,7 @@ def test_a_wide_run_draws_noise_blocks_bounded_in_cells(monkeypatch):
     s = _ring_200()
     real, blocks = noise_module.draw_block, []
     monkeypatch.setattr(noise_module, "draw_block",
-                        lambda *args: blocks.append((args[-1], len(args[2]))) or real(*args))
+                        lambda *args: blocks.append((args[4], len(args[2]))) or real(*args))
     log = run(s).log
     assert sum(rows for rows, _ in blocks) == s.horizon == len(log.u)
     assert max(rows * edges for rows, edges in blocks) <= noise_module.BLOCK_CELLS
@@ -1728,6 +1728,26 @@ def test_a_strided_run_holds_no_dense_derived_columns():
         tracemalloc.stop()
     assert log.y.shape == (200, 4) and log.noise.shape == (200, 8)
     assert peak < 2.5 * (log.u.nbytes + log.sigma.nbytes)
+
+
+def test_a_strided_log_keeps_no_dense_column_it_was_read_for():
+    # y_next, O_next, z and eps of a strided log are formed on each read and
+    # dropped: kept, these 20 000 rows of 4 agents and 8 edges would hold
+    # 3.8 MB, nearly all NaN, beside the 1.9 MB of the log's one row pass
+    log = run(builtin_case(1, horizon=20_000, log_stride=100)).log
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for name, width in (("y_next", 4), ("O_next", 4), ("z", 8), ("eps", 8)):
+            column = getattr(log, name)
+            assert column.shape == (20_000, width) and np.isnan(column[1:100]).all()
+            assert column[::100].view(np.int64).tolist() == \
+                getattr(log, name)[::100].view(np.int64).tolist()
+        del column
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= sum(column.nbytes for column in log._rows) + 2 ** 20
 
 
 def test_a_long_run_holds_no_per_step_counts():

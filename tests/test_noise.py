@@ -77,7 +77,7 @@ def test_edge_noise_mixes_the_stream_seeds_as_the_reference(seed):
 def test_raw_uniforms_match_reference_bitwise():
     from hwconsensus.noise import _uniforms
     seed = _stream_seed(gspec(seed=99), 1, 2)
-    got = _uniforms(seed, 0, 40)
+    got = _uniforms(seed, np.arange(40))
     expect = [ref_uniform(seed, t) for t in range(40)]
     assert got.tolist() == expect
 
@@ -204,6 +204,25 @@ def test_the_block_draw_of_uniforms_is_the_documented_generator():
     block = draw_block("uniform", 1.5, np.array(seeds, dtype=np.uint64), 999, 5)
     assert block.tolist() == [[1.5 * (2.0 * ref_uniform(seed, t) - 1.0)
                                for seed in seeds] for t in range(999, 1004)]
+
+
+@pytest.mark.parametrize("m", [2, 8, 36])
+@pytest.mark.parametrize("step", [1, 2, 7, 10, 1000])
+@pytest.mark.parametrize("dist", sorted(SPECS))
+def test_a_strided_draw_is_every_step_th_row_of_one_draw(dist, step, m):
+    # a draw at step s forms only the rows it returns, yet holds the bits of
+    # one step-1 draw's rows 0, s, 2s, ...; an odd step returns both halves of
+    # the gaussian pairs, an even one the half of t0's parity
+    spec = SPECS[dist]
+    pairs = [(i, j) for i in range(1, 8) for j in range(1, 8) if i != j][:m]
+    seeds = np.array([_stream_seed(spec, i, j) for i, j in pairs], dtype=np.uint64)
+    for t0 in (0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 ** 40 + 7):
+        for rows in (0, 1, 2, 9, 64):
+            got = draw_block(dist, _scale(spec), seeds, t0, rows, step)
+            want = draw_block(dist, _scale(spec), seeds, t0, max(0, (rows - 1) * step + 1))[::step]
+            assert got.shape == (rows, m) and got.dtype == np.float64
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (t0, rows)
+            assert np.array_equal(edge_noise(spec, pairs)(t0, rows, step), got)
 
 
 @pytest.mark.parametrize("steps", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7])
