@@ -30,15 +30,31 @@ from hwconsensus.analysis import geometric_rows, log_blocks  # noqa: E402
 from hwconsensus.csvout import format_cells, write_csv  # noqa: E402
 
 
-def weighted_sums(log, s):
+def weighted_sums(log, s, want):
     """Running sums of a_k O_{i,k+1} per agent and of a_k eps_{ij,k+1} per
-    directed edge, a_k = 1/k: row r holds steps 1..r, row 0 zeros."""
-    sums = [(np.zeros((1, s.n)), np.zeros((1, len(log.pairs))))]
+    directed edge, a_k = 1/k, at the ascending prefix rows want: row r holds
+    steps 1..r, row 0 zeros. One pass over log_blocks holds a block's sums,
+    the row before it and the rows asked for, never the whole horizon's."""
+    sums = [np.zeros((len(want), s.n)), np.zeros((len(want), len(log.pairs)))]
+    last = [np.zeros((1, s.n)), np.zeros((1, len(log.pairs)))]
     for block in log_blocks(log, s.gains(), laplacian(s.topology)):
-        # each block's running sums start from the last row of the one before
-        sums.append(tuple(np.cumsum(np.vstack([before[-1:], (1.0 / block.k)[:, None] * x]), axis=0)[1:]
-                          for before, x in zip(sums[-1], (block.O, block.noise))))
-    return [np.vstack(column) for column in zip(*sums)]
+        a, b = block.k[0] - 1, block.k[-1]  # the block's prefix rows are a + 1..b
+        at = np.flatnonzero((want > a) & (want <= b))
+        for column, before, x in zip(sums, last, (block.O, block.noise)):
+            # each block's running sums start from the last row of the one before
+            running = np.cumsum(np.vstack([before, (1.0 / block.k)[:, None] * x]), axis=0)
+            column[at] = running[want[at] - a]
+            before[:] = running[-1]
+    return sums
+
+
+def window_count(K: int) -> int:
+    """The windows [k, k + floor(ln k)] inside steps 1..K are those of
+    k <= window_count(K); the window's end rises with k."""
+    k = K
+    while k + int(np.floor(np.log(k))) > K:
+        k -= 1
+    return k
 
 
 def main() -> int:
@@ -50,8 +66,15 @@ def main() -> int:
 
     try:
         log, s = load_run(args.log)
-        # prefix[r] = sum of rows 0..r-1, so a window [k, e] is prefix[e+1]-prefix[k-1]
-        prefix, noise_prefix = weighted_sums(log, s)
+        K, n = log.u.shape
+        # the rows written: windows [k, end] at about --points values of k,
+        # and the noise sums at about --points steps
+        ks = geometric_rows(window_count(K), args.points) + 1
+        ends = np.array([k + int(np.floor(np.log(k))) for k in ks.tolist()], dtype=np.int64)
+        steps = geometric_rows(K, args.points) + 1
+        # prefix row r sums steps 1..r, so the window [k, e] is prefix[e] - prefix[k - 1]
+        want = np.sort(np.concatenate([ks - 1, ends, steps]))  # a row twice is harmless
+        prefix, noise_prefix = weighted_sums(log, s, want)
     except FileNotFoundError as e:
         print(f"no run found: {e}", file=sys.stderr)
         return 3
@@ -61,30 +84,17 @@ def main() -> int:
     outdir = args.out or args.log
     os.makedirs(outdir, exist_ok=True)
 
-    K, n = log.u.shape
-
-    ks = []
-    traces = []
-    for k in range(1, K + 1):
-        end = k + int(np.floor(np.log(k)))
-        if end > K:
-            break
-        ks.append(k)
-        traces.append(np.abs(prefix[end] - prefix[k - 1]))
-    ks = np.array(ks)
-    traces = np.array(traces)
-
-    rows = geometric_rows(len(ks), args.points)
+    # each prefix row's place in want
+    traces = np.abs(prefix[np.searchsorted(want, ends)] - prefix[np.searchsorted(want, ks - 1)])
     path = os.path.join(outdir, "window_sums.csv")
     write_csv(path, "k," + ",".join(f"agent_{i + 1}" for i in range(n)),
-              [(format_cells(ks[rows]), *map(format_cells, traces[rows].T))])
-    print(f"wrote {path} ({len(rows)} samples, windows up to ln {K})")
+              [(format_cells(ks), *map(format_cells, traces.T))])
+    print(f"wrote {path} ({len(ks)} samples, windows up to ln {K})")
 
-    running = np.abs(noise_prefix)
-    rows = geometric_rows(K, args.points)
+    running = np.abs(noise_prefix[np.searchsorted(want, steps)])
     path = os.path.join(outdir, "noise_sums.csv")
     write_csv(path, "k," + ",".join(f"e_{i}_{j}" for (i, j) in log.pairs),
-              [(format_cells(rows + 1), *map(format_cells, running[rows + 1].T))])
+              [(format_cells(steps), *map(format_cells, running.T))])
     print(f"wrote {path} (diagnostic only, nothing asserts on these)")
     return 0
 

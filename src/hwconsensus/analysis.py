@@ -16,7 +16,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, is_
 
 import numpy as np
 
@@ -305,7 +305,8 @@ def gain_field(u: np.ndarray, gains, lap: Ranks) -> tuple[np.ndarray, np.ndarray
     h is evaluated one agent's column at a time; g_i = sum_j p_ij h_j - d_i h_i,
     the sum a neighbour_sum and d_i the weighted degree lap.d.
     """
-    h = np.column_stack([gains[i](u[:, i]) for i in range(u.shape[1])])
+    # (rows, n): the transposed view of one row per agent
+    h = np.array([gains[i](u[:, i]) for i in range(u.shape[1])]).T
     return h, neighbour_sum(lap, h.T[lap.j]) - lap.d * h
 
 
@@ -370,9 +371,9 @@ def noise_decomposition(log: TrajectoryLog, k: int, i: int, gains,
     (k, agent, lhs, rhs)."""
     if not 1 <= i <= log.u.shape[1]:
         raise IndexOutOfRange(f"agent {i} outside 1..{log.u.shape[1]}")
-    if k - 1 not in log.logged_rows:
-        raise StepNotLogged(f"step {k} not in the log (stride {log.log_stride})")
     r = k - 1
+    if not (0 <= r < log.horizon and r % log.log_stride == 0):  # not one of log.logged_rows
+        raise StepNotLogged(f"step {k} not in the log (stride {log.log_stride})")
     y = log.y[r // log.log_stride:r // log.log_stride + 1]
     if np.isnan(y).any():
         raise StepNotLogged(f"step {k} has no output record")
@@ -472,8 +473,9 @@ _MAX_TERMS = 1 << 20  # prefix sums held at most (8 MiB); later counts are summe
 def _window_counts(K: int, T: float) -> np.ndarray:
     """(m(1, T), ..., m(K, T)), equal to _window_count at every k, built once per (K, T).
 
-    A read-only int64 array. Only the counts are memoised; callers check the
-    sandwich on every use.
+    A read-only int64 array. Only the counts are memoised here; the eq28
+    verdict (_eq28_first_failure) reads every table and e^T on each call and
+    reuses an unchanged verdict.
 
     The counts come from harmonic prefix sums P[j] = 1/1 + ... + 1/j (P[0] = 0,
     j <= N = min(ceil(K e^T) + 2, _MAX_TERMS), np.cumsum adding left to
@@ -520,12 +522,11 @@ def _window_counts(K: int, T: float) -> np.ndarray:
     return m
 
 
-def _window_sandwich(k: np.ndarray, T: float, m: np.ndarray) -> tuple | None:
+def _window_sandwich(k: np.ndarray, T: float, m: np.ndarray, e: float) -> tuple | None:
     """First (k, T, lo, m, hi) where (k-1) e^T - 1 < m < k e^T - 1 fails, or None.
 
-    k and m are matching integer arrays; e^T is read on every call.
+    k and m are matching integer arrays; e is e^T, as the caller read it.
     """
-    e = math.exp(T)
     lo = (k - 1) * e - 1.0
     hi = k * e - 1.0
     bad = np.flatnonzero(~((lo < m) & (m < hi)))
@@ -554,7 +555,7 @@ def m_of(k: int, T: float) -> int:
         raise ValidationError(
             f"need k >= 1 and T > 0 with k e^T <= {_MAX_TERMS}, got k={k}, T={T}")
     m = _window_count(k, T)
-    failure = _window_sandwich(np.array([k]), T, np.array([m]))
+    failure = _window_sandwich(np.array([k]), T, np.array([m]), math.exp(T))
     if failure:
         _, _, lo, _, hi = failure
         raise IdentityViolation(
@@ -563,17 +564,30 @@ def m_of(k: int, T: float) -> int:
     return m
 
 
+_eq28_last = []  # the inputs, tables and verdict of the last _eq28_first_failure
+
+
 def _eq28_first_failure(K: int, grid_T) -> tuple | None:
     """First (k, T, lo, m, hi) on the grid where the sandwich fails, or None.
 
-    Reads m from the memoised tables and rechecks the sandwich every time.
+    Every input is read on each call: the memoised table of each T
+    (_window_counts) and each e^T (math.exp). An unchanged verdict is reused:
+    one of the same K and grid, from the same table objects and the same
+    e^T, is not formed again.
     """
-    k = np.arange(1, K + 1)
-    for T in grid_T:
-        failure = _window_sandwich(k, T, _window_counts(K, T))
+    grid_T = tuple(grid_T)
+    tables = tuple(_window_counts(K, T) for T in grid_T)
+    inputs = (K, grid_T, tuple(math.exp(T) for T in grid_T))
+    if _eq28_last and _eq28_last[0] == inputs and all(map(is_, _eq28_last[1], tables)):
+        return _eq28_last[2]
+    k, failure = np.arange(1, K + 1), None
+    for T, m, e in zip(grid_T, tables, inputs[2]):
+        failure = _window_sandwich(k, T, m, e)
         if failure:
-            return failure
-    return None
+            break
+    # the tables are kept with the verdict, so no other object takes their ids
+    _eq28_last[:] = inputs, tables, failure
+    return failure
 
 
 # ---------------------------------------------------------------------------

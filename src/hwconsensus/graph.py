@@ -21,6 +21,7 @@ from .errors import (
     SelfLoop,
     ValidationError,
 )
+from .noise import pair_keys
 
 
 @dataclass(frozen=True)
@@ -30,9 +31,10 @@ class Topology:
     # the two directions from ever drifting apart
     weights: dict[tuple[int, int], float] = field(default_factory=dict)
 
-    # the neighbour lists, the directed pairs, the neighbour columns, the
-    # Laplacian and the diameter are each derived once, when first read; a
-    # copy derives its own, as an unpickled array would be writeable
+    # the neighbour lists, the directed pairs and their stream keys, the
+    # neighbour columns, the Laplacian and the diameter are each derived once,
+    # when first read; a copy derives its own, as an unpickled array would be
+    # writeable
     def __getstate__(self) -> dict:
         return {"n": self.n, "weights": self.weights}
 
@@ -47,6 +49,10 @@ class Topology:
     @functools.cached_property
     def _pairs(self) -> tuple:
         return tuple(sorted((i, j) for i in range(1, self.n + 1) for j in self._adjacency[i]))
+
+    @functools.cached_property
+    def _stream_keys(self) -> np.ndarray:
+        return pair_keys(self._pairs)
 
     @functools.cached_property
     def _columns(self) -> tuple:
@@ -145,6 +151,12 @@ def directed_pairs(t: Topology) -> list:
     """Every edge direction (observer i, observed j), sorted: the edge columns
     of a log. A fresh list of the pairs found once per topology."""
     return list(t._pairs)
+
+
+def stream_keys(t: Topology) -> np.ndarray:
+    """noise.pair_keys of the directed pairs, in their order: the pairs' half
+    of every edge's stream seed, derived once per topology; read-only."""
+    return t._stream_keys
 
 
 def neighbour_columns(t: Topology) -> list:

@@ -49,6 +49,7 @@ from .graph import (
     is_connected,
     laplacian,
     neighbour_columns,
+    stream_keys,
 )
 from .noise import NoiseSpec, edge_blocks, edge_noise, make_noise_spec
 from .plant import (
@@ -60,7 +61,7 @@ from .plant import (
     check_stability,
     compile_steps,
     emit_steps,
-    is_strictly_increasing,
+    gain_increases,
     make_nonlinearity,
     make_plant,
     poly,
@@ -125,8 +126,9 @@ class Scenario:
     @functools.cached_property
     def _edge_noise(self):
         """noise.edge_noise of the directed edges under the noise seed: a run
-        and the log it returns draw with its stream seeds, mixed once."""
-        return edge_noise(self.noise, directed_pairs(self.topology))
+        and the log it returns draw with its stream seeds, mixed once from
+        the topology's stream keys, so another seed mixes only itself in."""
+        return edge_noise(self.noise, stream_keys(self.topology))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ def _agent_failure(a: AgentSpec) -> str | None:
     if not rep.stable:
         mods = sorted(abs(r) for r in rep.roots)
         return f"C has a root of modulus {mods[0]:.6f} inside the stability margin"
-    if not is_strictly_increasing(static_gain(a.build()).h):
+    if not gain_increases(a.build()):
         return "static gain is not strictly increasing"
     return None
 
@@ -262,9 +264,10 @@ def validate_scenario(s: Scenario) -> None:
 
     Checks: a horizon and a log stride of at least 1, a finite positive c_M,
     connected topology, every C stable with margin 1e-9, every static gain
-    strictly increasing on a sampled grid, and reset points strictly inside
-    the base truncation bound. Any horizon is accepted at any stride: verify
-    checks every log one block of rows at a time.
+    strictly increasing (decided from signs, plant.gain_increases), and
+    reset points strictly inside the base truncation bound. Any horizon is
+    accepted at any stride: verify checks every log one block of rows at a
+    time.
     """
     for name, value in (("horizon", s.horizon), ("log_stride", s.log_stride)):
         if value < 1:

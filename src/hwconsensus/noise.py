@@ -163,18 +163,27 @@ def _scale(spec: NoiseSpec) -> float:
 
 def _stream_seed(spec: NoiseSpec, i: int, j: int) -> int:
     """The stream seed of pair (i, j) in plain ints: the scalar reference for
-    edge_noise's array pass."""
+    pair_keys and edge_noise's array passes."""
     return mix64(spec.seed ^ mix64((i << 32) | j))
 
 
-def edge_noise(spec: NoiseSpec, pairs):
-    """A function of (t0, rows, step=1) drawing the noise of the 0-based
-    steps t0, t0 + step, ... (rows of them) on the directed edges pairs, in
-    that column order: the streams are counter-based, so blocks at any
-    offsets and steps hold one draw's bits. The stream seeds are mixed in
-    one array pass."""
+def pair_keys(pairs) -> np.ndarray:
+    """mix((i << 32) | j) of each directed edge (i, j) of pairs, a read-only
+    uint64 array: the pairs' half of their stream seeds, which no noise seed
+    changes (a topology derives its edges' once, graph.stream_keys)."""
     ij = np.array(pairs, dtype=np.uint64).reshape(-1, 2)
-    seeds = _mix(np.uint64(spec.seed) ^ _mix(ij[:, 0] << np.uint64(32) | ij[:, 1]))
+    keys = _mix(ij[:, 0] << np.uint64(32) | ij[:, 1])
+    keys.flags.writeable = False
+    return keys
+
+
+def edge_noise(spec: NoiseSpec, keys: np.ndarray):
+    """A function of (t0, rows, step=1) drawing the noise of the 0-based
+    steps t0, t0 + step, ... (rows of them) on the directed edges whose
+    pair_keys are keys, in that column order: the streams are counter-based,
+    so blocks at any offsets and steps hold one draw's bits. Only the noise
+    seed is mixed in, in one array pass."""
+    seeds = _mix(np.uint64(spec.seed) ^ keys)
     scale = _scale(spec)
     return lambda t0, rows, step=1: draw_block(spec.dist, scale, seeds, t0, rows, step)
 

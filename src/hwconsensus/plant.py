@@ -392,6 +392,40 @@ def static_gain(plant: AgentPlant) -> StaticGain:
     return StaticGain(c=c, d=d, h=h)
 
 
+def _sign(x: float) -> int:
+    return (x > 0) - (x < 0)
+
+
+# each catalog entry's rule for a strictly increasing h, from s, the sign of
+# r = D(1)/C(1), and p, f's parameters (see gain_increases)
+_INCREASING = {
+    "identity": lambda s, p: s > 0,
+    "affine": lambda s, p: s != 0 and _sign(p["beta"]) == s,
+    "cubic_affine": lambda s, p: (s != 0 and _sign(p["alpha"]) in (0, s)
+                                  and _sign(p["beta"]) in (0, s)
+                                  and (p["alpha"] != 0 or p["beta"] != 0)),
+    "shifted_cube": lambda s, p: s > 0,
+}
+
+
+def gain_increases(plant: AgentPlant) -> bool:
+    """Whether the plant's static gain h is strictly increasing, decided
+    exactly from signs.
+
+    h is r f(u) (hammerstein) or f(r u) (wiener), r = D(1)/C(1) the gain's
+    own float, so h' is r f' at u or at r u: h is strictly increasing iff
+    r f' >= 0 everywhere and r f' vanishes on no interval. For the catalog:
+    identity (f' = 1) and shifted_cube (f' = 3 (u - gamma)^2) need r > 0;
+    affine (f' = beta) needs r and beta of one sign; cubic_affine
+    (f' = 3 alpha u^2 + beta) needs alpha and beta each zero or of r's sign,
+    and not both zero. Signs are compared, never products, so no underflow
+    decides; an r that is not finite is no gain.
+    """
+    gain = static_gain(plant)
+    r = gain.d / gain.c
+    return math.isfinite(r) and _INCREASING[plant.f.name](_sign(r), plant.f.params_dict())
+
+
 def warm_plant(plant: AgentPlant, u: float) -> AgentPlant:
     """Copy of plant with histories set to the constant-input fixed point for u.
 
@@ -418,11 +452,3 @@ def steady_state_check(plant: AgentPlant, u: float, horizon: int, tol: float) ->
     gain = static_gain(plant)
     y = steps([plant.copy()])(0, [(u,)] * horizon)[-1]
     return abs(y - gain.h(u)) < tol
-
-
-def is_strictly_increasing(h, lo: float = -50.0, hi: float = 50.0,
-                           npoints: int = 10 ** 4) -> bool:
-    """Strict monotonicity of a scalar map sampled on a uniform grid."""
-    grid = np.linspace(lo, hi, npoints)
-    vals = h(grid)
-    return bool(np.all(np.diff(vals) > 0))

@@ -44,6 +44,10 @@ RESTART_CASE = os.path.join(os.path.dirname(__file__), "restart_case.json")
 # twelve agents, six Hammerstein and six Wiener plants over the four catalog
 # nonlinearities, 36 directed edges; 2500 steps cross two noise blocks
 MIXED_CASE = os.path.join(os.path.dirname(__file__), "mixed_case.json")
+# case 1 with agent 1 a Hammerstein plant, C = D = [1, 0.5], whose cubic
+# u^3 - 1e-6 u decreases on |u| < 5.8e-4: outside the model class, which CI
+# runs under python -O and expects to be refused
+DECREASING_CUBIC = os.path.join(os.path.dirname(__file__), "decreasing_cubic.json")
 
 _CACHE = {}
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -556,6 +557,30 @@ def test_decomposition_requires_logged_step():
         noise_decomposition(res.log, 12, 1, GAINS1, LAP1)
     with pytest.raises(StepNotLogged):
         noise_decomposition(res.log, 0, 1, GAINS1, LAP1)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_decomposition_of_a_step_reads_nothing_of_the_horizon(stride):
+    # whether step k is logged is arithmetic on k, the horizon and the
+    # stride, with no array of the logged rows; u and y are zero-stride views,
+    # so the call's own arrays are all that tracemalloc sees
+    K = 10 ** 6
+    s = builtin_case(1, horizon=K, log_stride=stride)
+    log = TrajectoryLog(s, np.broadcast_to(0.0, (K, s.n)), np.empty((0, 3), dtype=np.int64),
+                        np.broadcast_to(0.0, (-(-K // stride), s.n)))
+    steps = (1, 1 + stride, K - (K - 1) % stride)
+    noise_decomposition(log, steps[0], 2, GAINS1, LAP1)
+    tracemalloc.start()
+    try:
+        for k in steps:
+            noise_decomposition(log, k, 2, GAINS1, LAP1)
+        for k in (0, K + 1, 2 if stride > 1 else -1):
+            with pytest.raises(StepNotLogged):
+                noise_decomposition(log, k, 2, GAINS1, LAP1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize("stride", [1, 3])

@@ -729,22 +729,39 @@ def test_verify_of_a_long_stride_1_log_holds_blocks_not_the_log(tmp_path, capsys
     assert peak < u_bytes + 48 * 2 ** 20
 
 
-def test_export_of_a_long_stride_1_log_holds_blocks_not_the_log(tmp_path, capsys):
+def _peak_rss_child(code: str, *args) -> subprocess.Popen:
+    """A fresh interpreter that imports the CLI, runs code and prints its own
+    peak RSS in KiB last: VmHWM, the high-water mark of the memory it maps
+    after exec. Its ru_maxrss would start at the peak of the process that
+    spawned it, which Linux carries across exec."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import sys\nfrom hwconsensus import cli, harness\n" + code
+              + "\nwith open('/proc/self/status') as fh:\n"
+              "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))")
+    return subprocess.Popen([sys.executable, "-c", script, *map(str, args)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_export_of_a_long_stride_1_log_holds_blocks_not_the_log(tmp_path):
     # export reads u, y and the events and derives the rest one block at a
-    # time; the margin over u and y covers one block's rows and strings,
+    # time. Its peak RSS is set against a process that only loads the log
+    # (u and y, 12.8 MB): the margin covers one block's rows and strings,
     # under the whole-horizon sigma, sigma_prime and u_prime (each as large
-    # as u) of a writer that sliced them
+    # as u), noise, z and O (48.8 MiB together) of a writer that sliced them.
+    # Measured in child processes: tracemalloc would trace every cell string
     d = tmp_path / "long"
     harness.save_run(harness.run(builtin_case(1, horizon=200_000)), str(d))
-    u_bytes = 200_000 * 4 * 8
-    tracemalloc.start()
-    try:
-        assert main(["export", "--log", str(d), "--out", str(tmp_path / "csv")]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    loaded = _peak_rss_child("harness.load_run(sys.argv[1])", d)
+    exported = _peak_rss_child("if cli.main(['export', '--log', sys.argv[1], '--out', "
+                               "sys.argv[2]]):\n    sys.exit(1)", d, tmp_path / "csv")
+    (load_out, load_err), (export_out, export_err) = (p.communicate(timeout=120)
+                                                      for p in (loaded, exported))
+    assert (loaded.returncode, load_err) == (0, "")
+    assert (exported.returncode, export_err) == (0, "")
     assert (tmp_path / "csv" / "trajectory.csv").stat().st_size > 200_000 * 4 * 40
-    assert peak < 2 * u_bytes + 16 * 2 ** 20
+    assert int(export_out.split()[-1]) - int(load_out.split()[-1]) < 16 * 1024
 
 
 def test_verify_names_the_first_missing_output(tmp_path, capsys):

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hwconsensus.graph as graph_module
 import hwconsensus.harness as H
 import hwconsensus.noise as noise_module
 import hwconsensus.plant as plant_module
@@ -52,6 +53,7 @@ from hwconsensus.harness import batch
 from hwconsensus.plant import _CATALOG, HAMMERSTEIN, WIENER
 
 from conftest import (
+    DECREASING_CUBIC,
     MIXED_CASE,
     RESTART_CASE,
     events_of,
@@ -293,13 +295,34 @@ def test_validate_rejects_decreasing_gain():
         validate_scenario(scenario_from_dict(d))
 
 
+def test_a_cubic_that_decreases_near_0_is_refused_naming_its_agent():
+    # u^3 - 1e-6 u decreases on |u| < 5.8e-4 only: a grid of the gain's
+    # values steps over that interval, the signs of alpha and beta do not
+    s = load_scenario(DECREASING_CUBIC)
+    H._agent_failure.cache_clear()
+    with pytest.raises(ValidationError, match="^agent 1: static gain is not strictly increasing$"):
+        validate_scenario(s)
+    with pytest.raises(ValidationError, match="^agent 1: "):
+        run(s)
+    script = ("import sys; from hwconsensus import harness\n"
+              "try:\n    harness.validate_scenario(harness.load_scenario(sys.argv[1]))\n"
+              "except harness.ValidationError as e:\n    print(sys.flags.optimize, e)\n")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script, DECREASING_CUBIC], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, "1 agent 1: static gain is not strictly increasing\n", "")
+
+
 def test_each_distinct_agent_is_checked_once_per_process(monkeypatch):
     # a seed batch re-validates one scenario per seed; an AgentSpec is frozen,
     # so its stability and gain checks run once, and a failure is still raised
     # every time with its agent's index
     checked = []
-    real = H.is_strictly_increasing
-    monkeypatch.setattr(H, "is_strictly_increasing", lambda h: checked.append(h) or real(h))
+    real = H.gain_increases
+    monkeypatch.setattr(H, "gain_increases", lambda p: checked.append(p) or real(p))
     H._agent_failure.cache_clear()
     doc = scenario_to_dict(two_agent_scenario(horizon=20))
     doc["agents"][1]["C"] = [1, 0.25]
@@ -550,7 +573,7 @@ def test_a_run_and_its_log_mix_the_stream_seeds_once(monkeypatch):
     # read it, and a loaded log, or another seed, mixes its own
     mixed = []
     real = H.edge_noise
-    counted = lambda spec, pairs: mixed.append(spec.seed) or real(spec, pairs)  # noqa: E731
+    counted = lambda spec, keys: mixed.append(spec.seed) or real(spec, keys)  # noqa: E731
     for module in (H, noise_module, analysis):
         monkeypatch.setattr(module, "edge_noise", counted, raising=False)
     s = builtin_case(1, horizon=30, log_stride=3)
@@ -560,10 +583,23 @@ def test_a_run_and_its_log_mix_the_stream_seeds_once(monkeypatch):
     analysis.noise_decomposition(log, 4, 2, s.gains(), laplacian(s.topology))
     assert mixed == [5]
     pairs = directed_pairs(s.topology)
-    want = np.column_stack([real(res.scenario.noise, [p])(0, 30) for p in pairs])[::3]
+    want = np.column_stack([real(res.scenario.noise, noise_module.pair_keys([p]))(0, 30)
+                            for p in pairs])[::3]
     assert _bits(log.noise) == _bits(want)
     run(s, 6)
     assert mixed == [5, 6]
+
+
+def test_a_topology_mixes_the_pairs_half_of_its_stream_seeds_once(monkeypatch):
+    # mix((i << 32) | j) reads no noise seed: runs of one scenario under other
+    # seeds, and their logs' noise, mix only the seed into the topology's keys
+    keyed = []
+    real = graph_module.pair_keys
+    monkeypatch.setattr(graph_module, "pair_keys", lambda pairs: keyed.append(pairs) or real(pairs))
+    s = builtin_case(1, horizon=30, log_stride=3)
+    logs = [run(s, seed).log for seed in (5, 6, 7)]
+    assert [log.noise.shape for log in logs] == [(10, 8)] * 3
+    assert keyed == [tuple(directed_pairs(s.topology))]
 
 
 def test_gains_are_built_once_and_handed_out_as_new_lists():
@@ -771,8 +807,9 @@ def _reference_run(s, plants):
     pairs = directed_pairs(s.topology)
     nbrs = analysis.neighbour_columns(s.topology)
     # each edge's stream drawn on its own
-    eps = np.column_stack([noise_module.edge_noise(s.noise, [p])(0, s.horizon)
-                           for p in pairs]).tolist()
+    keys = noise_module.pair_keys(pairs)
+    eps = np.column_stack([noise_module.edge_noise(s.noise, keys[c:c + 1])(0, s.horizon)
+                           for c in range(len(pairs))]).tolist()
     sched = Schedule(c_M=s.controller.c_M)
     u, sigma = list(s.controller.initial_u), [0] * s.n
     us, sigmas, ys_logged = [], [], []

@@ -16,6 +16,7 @@ from hwconsensus.noise import (
     edge_blocks,
     edge_noise,
     mix64,
+    pair_keys,
     row_blocks,
 )
 
@@ -55,7 +56,7 @@ def gspec(seed=42, variance=1.0):
 
 def draw(spec, i, j, n, t0=0):
     """Values t0 .. t0 + n - 1 of the stream observer i applies to agent j."""
-    return edge_noise(spec, [(i, j)])(t0, n)[:, 0]
+    return edge_noise(spec, pair_keys([(i, j)]))(t0, n)[:, 0]
 
 
 def test_mix64_matches_reference():
@@ -70,7 +71,10 @@ def test_edge_noise_mixes_the_stream_seeds_as_the_reference(seed):
     pairs = [(1, 2), (2, 1), (7, 300), (2**20, 3)]
     seeds = [ref_mix(seed ^ ref_mix((i << 32) | j)) for i, j in pairs]
     assert seeds == [_stream_seed(spec, i, j) for i, j in pairs]
-    assert edge_noise(spec, pairs)(5, 3).tolist() == \
+    keys = pair_keys(pairs)
+    assert keys.tolist() == [ref_mix((i << 32) | j) for i, j in pairs]
+    assert keys.dtype == np.uint64 and not keys.flags.writeable
+    assert edge_noise(spec, keys)(5, 3).tolist() == \
         [[2.0 * ref_uniform(x, t) - 1.0 for x in seeds] for t in range(5, 8)]
 
 
@@ -222,7 +226,7 @@ def test_a_strided_draw_is_every_step_th_row_of_one_draw(dist, step, m):
             want = draw_block(dist, _scale(spec), seeds, t0, max(0, (rows - 1) * step + 1))[::step]
             assert got.shape == (rows, m) and got.dtype == np.float64
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (t0, rows)
-            assert np.array_equal(edge_noise(spec, pairs)(t0, rows, step), got)
+            assert np.array_equal(edge_noise(spec, pair_keys(pairs))(t0, rows, step), got)
 
 
 @pytest.mark.parametrize("steps", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 7])
@@ -232,7 +236,7 @@ def test_edge_blocks_are_one_draw_of_every_step(steps):
     spec = SPECS["gaussian"]
     want = np.column_stack([draw(spec, i, j, steps) for i, j in PAIRS])
     for width, rows in ((len(PAIRS), BLOCK_ROWS), (BLOCK_CELLS // 7, 7)):
-        got = list(edge_blocks(edge_noise(spec, PAIRS), steps, width))
+        got = list(edge_blocks(edge_noise(spec, pair_keys(PAIRS)), steps, width))
         assert [a for a, _ in got] == list(range(0, steps, rows))
         assert all(len(block) <= rows for _, block in got)
         whole = np.vstack([block for _, block in got]) if got else np.empty((0, len(PAIRS)))

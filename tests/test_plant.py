@@ -21,7 +21,7 @@ from hwconsensus import (
     warm_plant,
 )
 from hwconsensus.errors import NonFiniteValue, ValidationError, ZeroDCGain
-from hwconsensus.plant import _CATALOG, HAMMERSTEIN, is_strictly_increasing
+from hwconsensus.plant import _CATALOG, _INCREASING, HAMMERSTEIN, WIENER, gain_increases
 
 F2 = make_nonlinearity("affine", {"beta": -2.0, "gamma": 1.0})
 IDENT = make_nonlinearity("identity", {})
@@ -260,10 +260,48 @@ def test_steady_state():
     assert steady_state_check(p, 0.0, horizon=2000, tol=1e-6)
 
 
-def test_builtin_gain_monotone_on_grid():
+def test_builtin_gains_increase():
     for case in (1, 2, 3):
         for a in builtin_case(case).agents:
-            assert is_strictly_increasing(static_gain(a.build()).h)
+            assert gain_increases(a.build())
+
+
+def test_every_catalog_entry_has_a_sign_rule():
+    assert set(_INCREASING) == set(_CATALOG)
+
+
+@pytest.mark.parametrize("kind", [HAMMERSTEIN, WIENER])
+@pytest.mark.parametrize("name, params, r_sign, want", [
+    ("identity", {}, 1, True),
+    ("identity", {}, -1, False),
+    ("shifted_cube", {"gamma": 2.0}, 1, True),
+    ("shifted_cube", {"gamma": 2.0}, -1, False),
+    ("affine", {"beta": 3.0, "gamma": 1.0}, 1, True),
+    ("affine", {"beta": -3.0, "gamma": 1.0}, -1, True),
+    ("affine", {"beta": -3.0, "gamma": 1.0}, 1, False),
+    ("affine", {"beta": 0.0, "gamma": 1.0}, 1, False),
+    ("cubic_affine", {"alpha": 1.0, "beta": 0.0, "gamma": 0.0}, 1, True),
+    ("cubic_affine", {"alpha": 0.0, "beta": 2.0, "gamma": 0.0}, 1, True),
+    ("cubic_affine", {"alpha": -1.0, "beta": -2.0, "gamma": 0.0}, -1, True),
+    ("cubic_affine", {"alpha": -0.0, "beta": -2.0, "gamma": 0.0}, -1, True),
+    ("cubic_affine", {"alpha": 1.0, "beta": -1e-6, "gamma": 0.0}, 1, False),
+    ("cubic_affine", {"alpha": -1e-300, "beta": 1.0, "gamma": 0.0}, 1, False),
+    ("cubic_affine", {"alpha": 0.0, "beta": -0.0, "gamma": 5.0}, 1, False),
+    ("cubic_affine", {"alpha": 0.0, "beta": 0.0, "gamma": 5.0}, -1, False),
+])
+def test_a_gain_increases_by_the_signs_of_r_and_f(kind, name, params, r_sign, want):
+    # h' = r f'(.) >= 0 everywhere and zero at isolated points only; tiny
+    # parameters decide by their signs, whatever their product rounds to
+    f = make_nonlinearity(name, params)
+    D = poly([1.0, 0.5]) if r_sign > 0 else poly([1.0, -2.0])
+    assert gain_increases(make_plant(kind, poly([1.0, 0.5]), D, f)) is want
+
+
+def test_a_gain_of_a_vanishing_or_overflowing_ratio_is_refused():
+    f = make_nonlinearity("identity", {})
+    assert not gain_increases(make_plant(HAMMERSTEIN, poly([1.0]), poly([1.0, -1.0]), f))
+    huge = poly([1.0, 1e308, 1e308])  # D(1) overflows to inf
+    assert not gain_increases(make_plant(WIENER, poly([1.0]), huge, f))
 
 
 def test_unknown_nonlinearity_rejected():

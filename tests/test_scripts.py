@@ -1,6 +1,8 @@
+import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 
 from hwconsensus import builtin_case, run, save_run
 
@@ -47,3 +49,24 @@ def test_partial_sum_traces_rejects_a_corrupt_run(tmp_path):
     assert out.stderr == "unreadable run: log.npz: array u: Bad CRC-32 for file 'u.npy'\n"
     assert "Traceback" not in out.stderr
     assert not (d / "window_sums.csv").exists()
+
+
+def test_partial_sum_traces_hold_the_rows_they_write_not_the_horizon(tmp_path, monkeypatch):
+    # the running sums are walked block by block and only the rows written
+    # are kept: beyond the loaded u and y, the script holds a block and the
+    # --points rows, not (K + 1) x (n + m) sums or a window trace per step
+    d = tmp_path / "long"
+    save_run(run(builtin_case(1, horizon=100_000)), str(d))
+    u_and_y = 2 * 100_000 * 4 * 8
+    spec = importlib.util.spec_from_file_location("partial_sum_traces", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [SCRIPT, "--log", str(d), "--out", str(tmp_path / "out")])
+    tracemalloc.start()
+    try:
+        assert script.main() == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "out" / "noise_sums.csv").read_text().splitlines()) > 1000
+    assert peak < u_and_y + 4 * 2 ** 20
