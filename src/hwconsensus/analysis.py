@@ -16,21 +16,13 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter, is_
+from operator import is_
 
 import numpy as np
 
 from .controller import Schedule
-from .errors import (
-    BracketFailure,
-    DimensionMismatch,
-    IdentityViolation,
-    IncompleteLog,
-    IndexOutOfRange,
-    NonFiniteValue,
-    StepNotLogged,
-    ValidationError,
-)
+from .errors import (BracketFailure, DimensionMismatch, IdentityViolation, IncompleteLog,
+                     IndexOutOfRange, NonFiniteValue, StepNotLogged, ValidationError)
 from .graph import Ranks, Topology, diameter, directed_pairs, laplacian, neighbour_columns
 from .noise import edge_blocks, row_blocks
 from .plant import steps
@@ -50,17 +42,22 @@ EQ28_GRID_T = (0.1, 0.5, 1.0, 2.0)
 LogRows = namedtuple("LogRows", "sigma sigma_prime u_prime noise z O")
 
 
-def _dense(name: str) -> property:
-    """A log's column name, of the logged rows, on every row with NaN off the
-    stride, formed on each read (TrajectoryLog)."""
-    def dense(log) -> np.ndarray:
-        block = getattr(log, name)
-        if log.log_stride == 1:
-            return block
-        out = np.full((log.horizon, block.shape[1]), np.nan)
-        out[::log.log_stride] = block
+def _column(name: str, dense: bool = False) -> property:
+    """A log's column name of log_rows, on the rows of its blocks or, if dense,
+    on every row with NaN off the stride: one walk of log_rows, each block
+    copied into place in an array of the first block's dtype and width."""
+    def read(log) -> np.ndarray:
+        K, stride = log.horizon, log.log_stride
+        every = 1 if name in LogRows._fields[:3] else stride  # steps between the column's rows
+        spacing = stride if dense else 1  # rows between them in the array
+        for a, rows in log_rows(log):
+            block = getattr(rows, name)
+            if not a:  # the first block sets the dtype and width
+                shape = (K if dense else -(-K // every), block.shape[1])
+                out = np.full(shape, np.nan) if spacing > 1 else np.empty(shape, block.dtype)
+            out[-(-a // every) * spacing::spacing][:len(block)] = block
         return out
-    return property(dense)
+    return property(read)
 
 
 @dataclass
@@ -81,11 +78,8 @@ class TrajectoryLog:
     u_prime, u* where sigma_prime > sigma, else u; on the logged rounds
     logged_z, y of the observed agent plus noise, and logged_O, w (z - y_i)
     summed over the neighbours from 0.0; and, NaN off the stride, y_next,
-    eps, z and O_next. The first six are the blocks of log_rows joined,
-    derived on the first read of any and kept. The last four are formed on
-    each read and not kept: at stride 1 each is the logged array itself, at
-    a larger stride a new array of horizon rows, nearly all NaN, that only
-    its reader holds.
+    eps, z and O_next. The log keeps none: each read walks log_rows once for
+    a new array (at stride 1 y_next is y), so a reader reads a column once.
     """
 
     scenario: object
@@ -111,13 +105,16 @@ class TrajectoryLog:
     def pairs(self) -> list:
         return directed_pairs(self.scenario.topology)
 
-    @functools.cached_property
-    def _rows(self) -> LogRows:
-        return LogRows(*map(np.concatenate, zip(*(rows for _, rows in log_rows(self)))))
+    sigma, sigma_prime, u_prime, noise, logged_z, logged_O = map(_column, LogRows._fields)
+    O_next, z, eps = (_column(name, dense=True) for name in ("O", "z", "noise"))
 
-    sigma, sigma_prime, u_prime, noise, logged_z, logged_O = (
-        property(attrgetter("_rows." + name)) for name in LogRows._fields)
-    y_next, O_next, z, eps = map(_dense, ("y", "logged_O", "logged_z", "noise"))
+    @property
+    def y_next(self) -> np.ndarray:
+        if self.log_stride == 1:
+            return self.y
+        out = np.full((self.horizon, self.y.shape[1]), np.nan)
+        out[::self.log_stride] = self.y
+        return out
 
 
 def neighbour_sum(ranks, terms: np.ndarray) -> np.ndarray:
@@ -827,7 +824,7 @@ def geometric_rows(K: int, points: int) -> np.ndarray:
 # bundled verification
 
 def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=None):
-    """Run every identity check on one log.
+    """Run every identity check on one log; a log of no rows raises IncompleteLog.
 
     Pass 1 reads the count events: a count outside 0..k-1 at step k raises
     IdentityViolation located at (k, agent, count); then eq26 and eq28.
@@ -839,6 +836,8 @@ def full_verification(log: TrajectoryLog, gains, topology: Topology, each_block=
     (k, T, lo, m, hi) of the eq28 grid (EQ28_GRID_K, EQ28_GRID_T) and the
     first (k, agent, error) that decomposition_check fails, each or None.
     """
+    if not log.horizon:
+        raise IncompleteLog("the log has no rows: its run stopped in its first round")
     # a count rises by at most 1 per round from 0, so the count an event sets
     # in round k, which holds from step k + 1, is in 0..k; checked before
     # truncation_times sizes its tables by the largest count

@@ -240,12 +240,12 @@ def test_criterion_07_noise_decomposition_every_step(runs, cases):
     assert err < 1e-10, f"max error {err:.2e}"
 
     # the per-step route agrees with the vectorized sweep
-    gains, lap = s.gains(), laplacian(s.topology)
+    gains, lap, O_next = s.gains(), laplacian(s.topology), res.log.O_next
     for k in (1, 17, 5000, res.log.horizon):
         for i in (1, 3):
             e1, e2, e3 = noise_decomposition(res.log, k, i, gains, lap)
             g = regression_g(res.log.u[k - 1], gains, lap)[i - 1]
-            target = res.log.O_next[k - 1, i - 1] - g
+            target = O_next[k - 1, i - 1] - g
             assert abs((e1 + e2 + e3) - target) < 1e-10
     print(f"criterion 07 noise decomposition: PASS "
           f"(every step of case 1 seed 1, max error {err:.1e})")

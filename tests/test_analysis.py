@@ -378,12 +378,13 @@ def test_decomposition_steady_state_is_zero():
 def test_decomposition_noise_free_has_zero_e1():
     s = builtin_case(1, horizon=200, noise_off=True)
     res = run(s)
+    O_next = res.log.O_next
     for k in (1, 7, 200):
         for i in (1, 2, 3, 4):
             e1, e2, e3 = noise_decomposition(res.log, k, i, GAINS1, LAP1)
             assert e1 == 0.0
             g = regression_g(res.log.u[k - 1], GAINS1, LAP1)[i - 1]
-            O = res.log.O_next[k - 1, i - 1]
+            O = O_next[k - 1, i - 1]
             assert e2 + e3 == pytest.approx(O - g, abs=1e-10)
 
 
@@ -584,20 +585,21 @@ def test_decomposition_of_a_step_reads_nothing_of_the_horizon(stride):
 
 
 @pytest.mark.parametrize("stride", [1, 3])
-def test_decomposition_draws_one_step(stride):
+def test_decomposition_draws_one_step(stride, monkeypatch):
     # the noise and O of step k are drawn for that step alone, with the bits
-    # of the whole-horizon columns, which the call leaves unbuilt
+    # of the whole-horizon columns, which the call does not form
     s = builtin_case(1, horizon=600, log_stride=stride)
-    fresh, whole = run(s).log, run(s).log
+    log = run(s).log
+    noise, logged_O = log.noise, log.logged_O
+    monkeypatch.setattr(analysis, "log_rows", lambda log: pytest.fail("a whole column formed"))
     for k in (1, 4, 298, 598):
         x = slice((k - 1) // stride, (k - 1) // stride + 1)
-        u = whole.u[k - 1:k]
-        block = analysis.Block(np.array([k]), u, whole.y[x], whole.noise[x], whole.logged_O[x],
+        u = log.u[k - 1:k]
+        block = analysis.Block(np.array([k]), u, log.y[x], noise[x], logged_O[x],
                                *analysis.gain_field(u, GAINS1, LAP1))
         expected = np.stack(analysis._decompose(block, LAP1)[:3], axis=-1)[0]
-        got = np.array([noise_decomposition(fresh, k, i, GAINS1, LAP1) for i in (1, 2, 3, 4)])
+        got = np.array([noise_decomposition(log, k, i, GAINS1, LAP1) for i in (1, 2, 3, 4)])
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-    assert "_rows" not in vars(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -797,21 +799,22 @@ def test_truncation_events_are_the_count_changes_with_their_kind(s):
     events = truncation_events(log)
     K = log.horizon
     assert [list(row[:3]) for row in events] == log.events.tolist()
+    sigma, sigma_prime = log.sigma, log.sigma_prime  # each read walks the log once
     # every change of the counts is an event, as is every count of round K
-    assert [list(row[:3]) for row in events if row[0] < K] == events_of(log.sigma).tolist()
+    assert [list(row[:3]) for row in events if row[0] < K] == events_of(sigma).tolist()
     for k, agent, count, kind in events:
         if k == K:
             continue
-        pooled, before = log.sigma_prime[k - 1, agent - 1], log.sigma[k - 1, agent - 1]
+        pooled, before = sigma_prime[k - 1, agent - 1], sigma[k - 1, agent - 1]
         if kind == "fired":
             assert count == pooled + 1 and pooled == before
         else:
             assert kind == "pooled" and count == pooled > before
     # summarize counts the fired events of rounds 1..K-1, the counts the
     # rows hold: the count that rose to the pooled count + 1
-    fired = np.count_nonzero(log.sigma[1:] == log.sigma_prime[:-1] + 1, axis=0).tolist()
+    fired = np.count_nonzero(sigma[1:] == sigma_prime[:-1] + 1, axis=0).tolist()
     assert summarize(log)["total_truncations"] == fired
-    assert summarize(log)["sigma_bar_final"] == int(log.sigma.max(axis=1)[-1])
+    assert summarize(log)["sigma_bar_final"] == int(sigma.max(axis=1)[-1])
     if s.label.startswith("forced"):
         assert {kind for *_, kind in events} == {"fired", "pooled"}
 

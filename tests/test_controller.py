@@ -141,11 +141,12 @@ def test_advance_reads_the_bound_table(monkeypatch):
     monkeypatch.setattr(math, "log", lambda x: calls.append(x) or real(x))
     u, sigma = list(s.controller.initial_u), [0] * s.n
     nbrs = neighbour_columns(s.topology)
+    y_next, eps, counts = log.y_next, log.eps, log.sigma  # each read walks the log once
     for r in range(log.horizon - 1):
-        advance(u, sigma, log.y_next[r].tolist(), log.eps[r].tolist(), nbrs,
+        advance(u, sigma, y_next[r].tolist(), eps[r].tolist(), nbrs,
                 list(s.controller.u_star), r + 1, sched)
-        assert u == log.u[r + 1].tolist() and sigma == log.sigma[r + 1].tolist()
-    top = int(log.sigma[:-1].max())
+        assert u == log.u[r + 1].tolist() and sigma == counts[r + 1].tolist()
+    top = int(counts[:-1].max())
     assert top > 5
     assert calls == [x + s.controller.c_M for x in range(top + 1)]
 
@@ -359,23 +360,24 @@ def _check_against_reference(log, s):
     observed = [j - 1 for _, j in log.pairs]
     sched = Schedule(c_M=s.controller.c_M)
     logged = set(log.logged_rows.tolist())
-    # a strided log forms its dense columns on each read: each is read once
+    # a log forms its derived columns on each read: each is read once
     dense = {name: getattr(log, name) for name in ("y_next", "O_next", "z", "eps")}
     y_next, O_next, z_col, eps = dense.values()
+    counts, pooled, u_prime = log.sigma, log.sigma_prime, log.u_prime
     for r in range(K):
-        u, sigma = log.u[r].tolist(), log.sigma[r].tolist()
+        u, sigma = log.u[r].tolist(), counts[r].tolist()
         ys = y_next[r].tolist()
         z = (y_next[r, observed] + eps[r]).tolist()
         sp, up, O = _reference_advance(u, sigma, ys, z, nbrs, list(s.controller.u_star),
                                        r + 1, sched)
-        assert log.sigma_prime[r].tolist() == sp, r
-        assert _bits(log.u_prime[r]).tolist() == _bits(up).tolist(), r
+        assert pooled[r].tolist() == sp, r
+        assert _bits(u_prime[r]).tolist() == _bits(up).tolist(), r
         if r in logged:
             assert _bits(O_next[r]).tolist() == _bits(O).tolist(), r
             assert _bits(z_col[r]).tolist() == _bits(z).tolist(), r
             if log.log_stride == 1 and r + 1 < K:
                 assert _bits(log.u[r + 1]).tolist() == _bits(u).tolist(), r
-                assert log.sigma[r + 1].tolist() == sigma, r
+                assert counts[r + 1].tolist() == sigma, r
         else:
             for name, column in dense.items():
                 assert np.isnan(column[r]).all(), (name, r)

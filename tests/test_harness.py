@@ -1184,6 +1184,21 @@ def test_format_cells_of_integers_match_one_repr_per_cell(values):
     assert csvout.format_cells(values) == _reference_format_cells(values)
 
 
+def test_export_blanks_a_nan_cell_of_a_stride_1_block(tmp_path):
+    # at stride 1 a block's y_next and O_next are formatted whole: a NaN
+    # output, and each O it enters, is blank and every other cell its repr
+    log = run(builtin_case(1, horizon=30)).log
+    log = dataclasses.replace(log, y=log.y.copy())
+    log.y[9, 1] = np.nan
+    csvout.export_csv(log, str(tmp_path))
+    rows = [row.split(",") for row in (tmp_path / "trajectory.csv").read_text().splitlines()[1:]]
+    assert rows[9 * 4 + 1][:2] == ["10", "2"] and rows[9 * 4 + 1][6] == ""
+    O_next = log.O_next
+    assert np.isnan(O_next[9]).sum() > 1 and not np.isnan(np.delete(O_next, 9, 0)).any()
+    for column, values in ((6, log.y_next), (7, O_next)):
+        assert [row[column] for row in rows] == _reference_format_cells(values, blank_nan=True)
+
+
 def test_the_summary_is_derived_once_on_first_read_unless_given(monkeypatch):
     calls = []
     monkeypatch.setattr(H, "summarize", lambda log: calls.append(1) or summarize(log))
@@ -1734,12 +1749,9 @@ def test_a_wide_run_draws_noise_blocks_bounded_in_cells(monkeypatch):
 
 def test_export_of_a_wide_run_holds_blocks_bounded_in_cells(tmp_path):
     # export formats one block of row_blocks at a time: 163 steps of 200
-    # agents, not BLOCK_ROWS steps. The log's derived columns are read
-    # before tracing, and the run is untraced, so the peak is the writer's
-    # (26 MiB in blocks of 163 steps, 130 MiB in blocks of 1024)
+    # agents, not BLOCK_ROWS steps. The run is untraced, so the peak is the
+    # writer's (26 MiB in blocks of 163 steps, 130 MiB in blocks of 1024)
     log = run(_ring_200()).log
-    for column in (log.sigma, log.sigma_prime, log.u_prime, log.logged_z, log.logged_O):
-        assert len(column) == 1100
     tracemalloc.start()
     try:
         csvout.export_csv(log, str(tmp_path))
@@ -1770,7 +1782,7 @@ def test_a_strided_run_holds_no_dense_derived_columns():
 def test_a_strided_log_keeps_no_dense_column_it_was_read_for():
     # y_next, O_next, z and eps of a strided log are formed on each read and
     # dropped: kept, these 20 000 rows of 4 agents and 8 edges would hold
-    # 3.8 MB, nearly all NaN, beside the 1.9 MB of the log's one row pass
+    # 3.8 MB, nearly all NaN, and a join of log_rows' blocks 1.9 MB
     log = run(builtin_case(1, horizon=20_000, log_stride=100)).log
     tracemalloc.start()
     try:
@@ -1784,7 +1796,32 @@ def test_a_strided_log_keeps_no_dense_column_it_was_read_for():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kept <= sum(column.nbytes for column in log._rows) + 2 ** 20
+    assert kept <= 2 ** 20
+
+
+def test_a_column_read_holds_one_block_beside_the_column():
+    # a read walks log_rows once and copies each block into place: beside the
+    # 6.1 MiB sigma of 200 000 steps it holds one block, not the six
+    # whole-horizon columns of a join (a 97.9 MiB peak, 48.8 MiB of it kept)
+    log = run(builtin_case(1, horizon=200_000), master_seed=7).log
+    tracemalloc.start()
+    try:
+        sigma = log.sigma
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sigma.shape == (200_000, 4)
+    assert peak < sigma.nbytes + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_a_log_keeps_no_column_it_derives(stride):
+    # after every derived column is read, the log holds only what run gave it
+    log = run(builtin_case(2, horizon=1500, log_stride=stride)).log
+    for name in ("sigma", "sigma_prime", "u_prime", "noise", "logged_z", "logged_O",
+                 "y_next", "O_next", "z", "eps"):
+        getattr(log, name)
+    assert set(vars(log)) <= {"scenario", "u", "events", "y", "plants", "pairs"}
 
 
 def test_a_long_run_holds_no_per_step_counts():
@@ -1838,6 +1875,23 @@ def test_a_zero_row_log_derives_empty_columns_of_their_widths(tmp_path):
     csvout.export_csv(log, str(tmp_path))
     assert [(tmp_path / f).read_text().count("\n") for f in
             ("trajectory.csv", "edges.csv", "events.csv")] == [1, 1, 1]
+
+
+def test_verification_of_a_log_with_no_rows_is_refused():
+    # agent 1's cube overflows in round 1: the partial log has no row, which
+    # full_verification refuses as incomplete, not with an AttributeError
+    doc = scenario_to_dict(two_agent_scenario(horizon=50, initial_u=(1e200, 0.0)))
+    for a in doc["agents"]:
+        a.update(C=[1.0, 0.5], D=[1.0], f={
+            "name": "cubic_affine", "params": {"alpha": 1.0, "beta": 1.0, "gamma": 0.0}})
+    s = scenario_from_dict(doc)
+    with pytest.raises(NonFiniteValue) as exc:
+        run(s)
+    assert (exc.value.step, exc.value.agent) == (1, 1)
+    log = exc.value.partial.log
+    assert log.horizon == 0
+    with pytest.raises(IncompleteLog, match="the log has no rows"):
+        analysis.full_verification(log, s.gains(), s.topology)
 
 
 @pytest.mark.parametrize("kind, D, initial, step", [
